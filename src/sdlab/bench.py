@@ -12,6 +12,7 @@ proxy is the target forward-pass ratio.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import platform
 import time
@@ -306,7 +307,9 @@ def run_session(config: RunConfig) -> Metrics:
         raise InvariantError(f"tau {tau} outside [1, gamma+1]")
     if abs(tau - total_tokens / total_tf) > 0:
         raise InvariantError("tau accounting identity violated")
-    fp = f"seed={config.seed};n={len(prompts)};len={config.prompt_len};max_new={config.max_new}"
+    # hash the prompts themselves: prompt files of one size may differ in content
+    digest = hashlib.sha256(json.dumps([r["prompt"] for r in per_prompt]).encode()).hexdigest()[:16]
+    fp = f"prompts={digest};n={len(prompts)};max_new={config.max_new}"
     return Metrics(
         method=config.method,
         tau=tau,

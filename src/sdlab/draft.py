@@ -6,6 +6,16 @@ model's embedding and LM head reused verbatim.  Each step emits two branch
 logit vectors (higher-scoring expert on the left) plus the gated mixture
 feature that carries the autoregression to the next step.
 
+Every draft forward goes through one row kernel that takes m rows at once:
+``_kv_rows`` (embedding, reduction, norm and the q/k/v projections) and
+``_out_rows`` (attention over each row's own context, routing, experts and
+heads).  A round's first pass commits its backlog rows in one call, a tree
+level is one call over all its items, and prefill needs only the first
+half.  Linear layers run per row, routing takes a row softmax and a stable
+row argsort, each expert runs on just the rows that selected it, and the
+gated mixture accumulates in ascending expert order, so each row is bit
+for bit what a lone step would give (see kernels.py for the attention).
+
 Parameters live in an ordered dict of float64 arrays so the trainer,
 optimizer and checkpoint writer all walk them in one deterministic order.
 """
@@ -17,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import attn_row, layer_norm, silu, sinusoid_position, softmax
+from .kernels import (SINGLE_ROW, attn_row, context_groups, context_heads, layer_norm, row_linear,
+                      silu, sinusoid_positions, softmax)
 from .target import KvCache, TargetModel
 
 MAGIC_DRAFT = b"SDFD"
@@ -116,70 +127,98 @@ class DraftModel:
     def new_state(self) -> DraftState:
         return DraftState(cache=KvCache(1, self.config.dim), next_pos=1)
 
-    def route(self, v_in: np.ndarray):
-        return route_experts(v_in, self.params["router"], self.config.active_k)
+    def _kv_rows(self, tokens, positions, prev_features):
+        """First half of the row kernel: the reduced rows x and their q, k, v.
 
-    def _expert(self, j: int, x: np.ndarray) -> np.ndarray:
-        p = self.params
-        return p[f"expert{j}_w2"] @ silu(p[f"expert{j}_w1"] @ x)
-
-    def _step(self, token: int, position: int, prev_feature: np.ndarray, ctx_k, ctx_v):
+        Row i is token tokens[i] at position positions[i], fed the feature
+        prev_features[i] of the step before it.
+        """
         cfg = self.config
         p = self.params
-        if prev_feature.shape != (cfg.dim,):
-            raise ValueError("prev_feature dimension mismatch")
-        if not 0 <= token < cfg.vocab:
-            raise ValueError(f"token {token} out of vocab range [0, {cfg.vocab})")
-        e = self.emb[token] + sinusoid_position(position, cfg.dim)
-        x = p["reduction"] @ np.concatenate((e, prev_feature))
+        for token, f in zip(tokens, prev_features):
+            if np.shape(f) != (cfg.dim,):
+                raise ValueError("prev_feature dimension mismatch")
+            if not 0 <= token < cfg.vocab:
+                raise ValueError(f"token {token} out of vocab range [0, {cfg.vocab})")
+        e = self.emb[tokens] + sinusoid_positions(positions, cfg.dim)
+        x = row_linear(p["reduction"], np.concatenate((e, np.stack(prev_features)), axis=1))
         a_in = layer_norm(x, p["ln1_g"], p["ln1_b"]) if cfg.use_ln else x
-        q = p["wq"] @ a_in
-        k = p["wk"] @ a_in
-        v = p["wv"] @ a_in
-        K = np.concatenate((ctx_k, k[None, :]), axis=0)
-        V = np.concatenate((ctx_v, v[None, :]), axis=0)
+        return x, row_linear(p["wq"], a_in), row_linear(p["wk"], a_in), row_linear(p["wv"], a_in)
+
+    def _out_rows(self, x, q, keys, values, groups) -> list[DraftStepOutput]:
+        """Second half of the row kernel: one step output per row of x and q.
+
+        Each row attends to the columns of keys / values that ``groups``
+        gives it; then the router picks its experts and the heads turn the
+        two best branches into logits.
+        """
+        cfg = self.config
+        p = self.params
         H = cfg.n_heads
-        dh = cfg.dim // H
-        att = np.empty(cfg.dim)
-        for h in range(H):
-            att[h * dh : (h + 1) * dh] = attn_row(
-                q[h * dh : (h + 1) * dh], K[:, h * dh : (h + 1) * dh], V[:, h * dh : (h + 1) * dh]
-            )
-        u = x + p["wo"] @ att
+        att = np.empty_like(q)
+        for rows, idx in groups:
+            qh = q[rows].reshape(-1, H, cfg.dim // H)
+            att[rows] = attn_row(qh, context_heads(keys, idx, H),
+                                 context_heads(values, idx, H)).reshape(qh.shape[0], -1)
+        u = x + row_linear(p["wo"], att)
         v_in = layer_norm(u, p["ln2_g"], p["ln2_b"]) if cfg.use_ln else u
-        scores, gates = self.route(v_in)
-        expert_out = {int(j): self._expert(int(j), v_in) for j in scores.top_indices}
+        # route_experts row by row
+        scores = softmax(row_linear(p["router"], v_in))
+        top = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.active_k]
+        m = x.shape[0]
+        picks = np.bincount(top.ravel(), minlength=cfg.n_experts)
+        expert_out = np.zeros((cfg.n_experts, m, cfg.dim))
         f_moe = u.copy()
-        for j in sorted(expert_out):
-            f_moe = f_moe + gates.gates[j] * expert_out[j]
-        top1 = int(scores.top_indices[0])
-        f_top1 = expert_out[top1] + u
-        s1 = float(scores.scores[top1])
+        for j in range(cfg.n_experts):
+            if picks[j] == 0:
+                continue
+            # a slice when every row chose expert j: same rows, no gather
+            sel = slice(None) if picks[j] == m else np.flatnonzero((top == j).any(axis=1))
+            out = row_linear(p[f"expert{j}_w2"], silu(row_linear(p[f"expert{j}_w1"], v_in[sel])))
+            expert_out[j, sel] = out
+            f_moe[sel] = f_moe[sel] + scores[sel, j, None] * out
+        best = top[:, :2]
+        f_best = expert_out[best.T, np.arange(m)] + u
+        s_best = np.take_along_axis(scores, best, axis=1)
+        f_top1 = f_best[0]
+        logits_left = row_linear(self.head, s_best[:, :1] * f_top1)
         if cfg.active_k >= 2:
-            top2 = int(scores.top_indices[1])
-            f_top2 = expert_out[top2] + u
-            s2 = float(scores.scores[top2])
+            f_top2 = f_best[1]
+            logits_right = row_linear(self.head, s_best[:, 1:] * f_top2)
         else:
             f_top2 = f_top1
-            s2 = s1
-        logits_left = self.head @ (s1 * f_top1)
-        logits_right = logits_left if cfg.active_k < 2 else self.head @ (s2 * f_top2)
-        out = DraftStepOutput(
-            feature_moe=f_moe,
-            feature_top1=f_top1,
-            feature_top2=f_top2,
-            logits_left=logits_left,
-            logits_right=logits_right,
-            scores=scores,
-        )
-        return out, k, v
+            logits_right = logits_left
+        return [
+            DraftStepOutput(
+                feature_moe=f_moe[i],
+                feature_top1=f_top1[i],
+                feature_top2=f_top2[i],
+                logits_left=logits_left[i],
+                logits_right=logits_right[i],
+                scores=ExpertScores(scores=scores[i], top_indices=top[i]),
+            )
+            for i in range(m)
+        ]
+
+    def _commit(self, state: DraftState, tokens, prev_features):
+        """Append committed rows at the state's next positions in one pass;
+        returns the last row's x and q for its output half."""
+        if len(tokens) != len(prev_features):
+            raise ValueError("tokens/prev_features length mismatch")
+        n = len(tokens)
+        x, q, k, v = self._kv_rows(tokens, range(state.next_pos, state.next_pos + n), prev_features)
+        state.cache.extend([k], [v])
+        state.next_pos += n
+        return x[-1:], q[-1:]
+
+    def _commit_out(self, state: DraftState, tokens, prev_features) -> DraftStepOutput:
+        """Commit rows, then the step output of the last, which attends to the whole cache."""
+        x, q = self._commit(state, tokens, prev_features)
+        return self._out_rows(x, q, state.cache.keys(0), state.cache.values(0), SINGLE_ROW)[0]
 
     def forward_cached(self, state: DraftState, token: int, prev_feature: np.ndarray) -> DraftStepOutput:
         """One committed draft step at the session's next position."""
-        out, k, v = self._step(token, state.next_pos, prev_feature, state.cache.keys(0), state.cache.values(0))
-        state.cache.append([k], [v])
-        state.next_pos += 1
-        return out
+        return self._commit_out(state, [token], [prev_feature])
 
     def contrastive_heads(self, step: DraftStepOutput, cparams: ContrastParams):
         """Mixture logits and contrast logits from the two active expert branches."""
@@ -216,19 +255,19 @@ class DraftModel:
 class DraftSession:
     """Per-prompt drafting state: committed rows, a per-round tentative row
     buffer for tree exploration, and the draft forward-pass counter (one count
-    per level pass, the unit a batched implementation would execute)."""
+    per batched pass: a round's opening pass and each tree level)."""
 
     def __init__(self, model: DraftModel):
         self.model = model
         self.state = model.new_state()
         self.passes = 0
-        self._tk: list[np.ndarray] = []
-        self._tv: list[np.ndarray] = []
+        # this round's tentative rows: (rows, dim) keys and values
+        self._tk = self._tv = np.zeros((0, model.dim))
 
     def prefill(self, tokens: list[int], prev_features: list[np.ndarray]) -> None:
         """Ingest committed history rows (positions 1..len); not counted as round passes."""
-        for t, f in zip(tokens, prev_features):
-            self.model.forward_cached(self.state, t, f)
+        if tokens:
+            self.model._commit(self.state, tokens, prev_features)
 
     def begin_round(self, tokens: list[int], prev_features: list[np.ndarray]) -> DraftStepOutput:
         """First pass of a round: commit the backlog of newly accepted tokens
@@ -237,36 +276,41 @@ class DraftSession:
         if not tokens:
             raise ValueError("begin_round needs at least the pending token")
         self.passes += 1
-        self._tk.clear()
-        self._tv.clear()
-        out = None
-        for t, f in zip(tokens, prev_features):
-            out = self.model.forward_cached(self.state, t, f)
-        return out
+        self._tk = self._tv = np.zeros((0, self.model.dim))
+        return self.model._commit_out(self.state, tokens, prev_features)
 
     def tree_level(self, items: list[tuple[int, np.ndarray, list[int], int]]) -> list[tuple[DraftStepOutput, int]]:
         """One tentative pass over a tree level.
 
         Each item is (token, prev_feature, ancestor_row_ids, depth); ancestors
-        index into this round's tentative rows.  Returns (step output, row id)
-        pairs; rows are discarded when the next round begins.
+        index into this round's tentative rows, root first (rows are numbered
+        in creation order, so a path's ids ascend).  Returns (step output,
+        row id) pairs; rows are discarded when the next round begins.
         """
         self.passes += 1
-        results = []
-        base_k = self.state.cache.keys(0)
-        base_v = self.state.cache.values(0)
-        for token, prev_feature, anc, depth in items:
+        if not items:
+            return []
+        cache = self.state.cache
+        c = cache.length
+        t = self._tk.shape[0]
+        m = len(items)
+        mask = np.zeros((m, c + t + m), dtype=bool)
+        mask[:, :c] = True
+        for i, (_token, _f, anc, _depth) in enumerate(items):
             if anc:
-                ctx_k = np.concatenate((base_k, np.stack([self._tk[a] for a in anc])), axis=0)
-                ctx_v = np.concatenate((base_v, np.stack([self._tv[a] for a in anc])), axis=0)
-            else:
-                ctx_k, ctx_v = base_k, base_v
-            pos = self.state.next_pos - 1 + depth
-            out, k, v = self.model._step(token, pos, prev_feature, ctx_k, ctx_v)
-            self._tk.append(k)
-            self._tv.append(v)
-            results.append((out, len(self._tk) - 1))
-        return results
+                if not 0 <= min(anc) <= max(anc) < t:
+                    raise ValueError(f"item {i}: ancestor row out of range [0, {t})")
+                mask[i, c + np.asarray(anc)] = True
+        mask[np.arange(m), c + t + np.arange(m)] = True
+        base = self.state.next_pos - 1
+        x, q, k, v = self.model._kv_rows(
+            [it[0] for it in items], [base + it[3] for it in items], [it[1] for it in items])
+        keys = np.concatenate((cache.keys(0), self._tk, k))
+        values = np.concatenate((cache.values(0), self._tv, v))
+        outs = self.model._out_rows(x, q, keys, values, context_groups(mask))
+        self._tk = keys[c:]
+        self._tv = values[c:]
+        return [(out, t + i) for i, out in enumerate(outs)]
 
 
 def init_draft(config: DraftConfig, target: TargetModel, seed: int = 1) -> DraftModel:

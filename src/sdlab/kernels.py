@@ -3,6 +3,16 @@
 Everything here is a pure function over immutable inputs.  All arrays are
 float64; outputs are freshly allocated.  Reductions go through numpy on the
 same shapes for every caller, so repeated runs are bit-identical.
+
+The models forward many rows at once (a whole verification tree, a draft
+tree level, a backlog of committed tokens) with the row helpers below, and
+each row comes out bit for bit as it would alone.  Three rules make that
+hold: linear layers run one matrix-vector product per row (``row_linear``;
+a GEMM would block its sums differently), row-wise reductions run along
+the contiguous last axis, where numpy sums every row as it would sum a
+vector, and attention gathers each row's context in its sequential key
+order and only batches rows of equal context length (``context_groups``,
+``attn_row``), so every softmax reduces the same values in the same order.
 """
 
 from __future__ import annotations
@@ -40,29 +50,86 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     """Temperature softmax over a vector of logits.
 
     Max-subtracted for stability; argmax (first-index tie break) is preserved
-    for every temperature > 0.
+    for every temperature > 0.  A matrix is normalised row by row along its
+    last axis, each row exactly as the vector alone.
     """
     z = as_f64(logits)
-    if z.ndim != 1 or z.size == 0:
+    if z.ndim == 0 or z.size == 0:
         raise ValueError("empty input")
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite logit")
     if not temperature > 0.0:
         raise ValueError("temperature must be > 0")
     z = z / temperature
-    e = np.exp(z - np.max(z))
-    return e / np.sum(e)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def attn_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Scaled dot-product attention for one query against gathered keys/values.
+    """Scaled dot-product attention of query rows against their own contexts.
 
-    Shared by cached sequential decoding and batched tree decoding so the two
-    paths produce bit-identical rows for identical contexts.
+    q is (..., dh) and keys/values are (..., n, dh): one query (a vector and
+    an (n, dh) context) or a stack of them, such as a group of rows with
+    their heads fused, (g, heads, dh) against (g, heads, n, dh).  The scores
+    and the mix run as one matrix-vector product per query and the softmax
+    along each score row, so every query gets the bits it would get alone.
     """
-    scores = keys @ q / np.sqrt(float(keys.shape[1]))
+    scores = (keys @ q[..., None])[..., 0] / np.sqrt(float(keys.shape[-1]))
     w = softmax(scores)
-    return w @ values
+    return (w[..., None, :] @ values)[..., 0, :]
+
+
+def row_linear(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """w applied to every row of x: row i is bit-identical to ``w @ x[i]``.
+
+    A plain ``x @ w.T`` is one GEMM, whose blocked sums differ from the
+    matrix-vector product in the last bits; the stacked form runs one
+    matrix-vector product per row instead.
+    """
+    if x.shape[0] == 1:
+        return (w @ x[0])[None]
+    return (x[:, None, :] @ w.T)[:, 0]
+
+
+# Rows x context entries gathered at once by one attention group: bounds the
+# (rows, ctx, dim) working set of large trees to a few hundred kilobytes.
+MAX_GATHER = 2048
+
+
+def context_groups(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Rows of a boolean (rows, columns) context mask, grouped for attention.
+
+    Returns (rows, idx) pairs: the rows of one group share a context length
+    n, and idx[r] holds row rows[r]'s n context columns in ascending order,
+    which is the order a sequential decode appends keys in.  Groups are cut
+    to at most MAX_GATHER rows x columns.
+    """
+    if mask.shape[0] == 1:
+        return [(slice(None), np.flatnonzero(mask[0])[None])]
+    lengths = mask.sum(axis=1)
+    groups = []
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        idx = np.nonzero(mask[rows])[1].reshape(rows.size, n)
+        step = max(1, MAX_GATHER // int(n))
+        for s in range(0, rows.size, step):
+            groups.append((rows[s : s + step], idx[s : s + step]))
+    return groups
+
+
+# context_groups of a single row that attends to every column in order
+SINGLE_ROW = [(slice(None), None)]
+
+
+def context_heads(kv: np.ndarray, idx: np.ndarray | None, n_heads: int) -> np.ndarray:
+    """Gather (g, n_heads, n, dh) per-head contexts of a group from kv (columns, dim).
+
+    idx None stands for a single row whose context is every column of kv in
+    order, which needs no gather.
+    """
+    ctx = kv[None] if idx is None else kv[idx]
+    g, n, d = ctx.shape
+    return ctx.reshape(g, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 
 
 def masked_attention(q, k, v, mask) -> np.ndarray:
@@ -132,6 +199,15 @@ def sinusoid_position(pos: int, dim: int) -> np.ndarray:
     if dim % 2 == 1:
         enc[-1] = np.sin(pos * np.exp(-np.log(10000.0)))
     return enc
+
+
+def sinusoid_positions(positions, dim: int) -> np.ndarray:
+    """(len(positions), dim) stack of ``sinusoid_position`` rows, each
+    distinct position encoded once."""
+    if len(positions) == 1:
+        return sinusoid_position(int(positions[0]), dim)[None]
+    uniq, inv = np.unique(np.asarray(positions, dtype=np.int64), return_inverse=True)
+    return np.stack([sinusoid_position(int(p), dim) for p in uniq])[inv]
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -4,9 +4,14 @@ The model is small enough for brute-force oracles (default vocab 64, width 32,
 2 layers) but produces nontrivial next-token distributions.  A model instance
 is immutable after construction; each decoding session owns its KvCache.
 
-Sequential decoding and batched tree decoding route every token through the
-same per-token step function, so any root-to-leaf tree path reproduces the
-sequential outputs bit for bit.
+Sequential decoding and tree verification share one row kernel,
+``_forward_rows``, which forwards m rows through each layer at once: one
+row per decoded token, or every node of a candidate tree in a single pass.
+Each row attends to its own context (the cached prefix, then its tree
+ancestors, then itself, the order sequential decoding appends keys in), and
+the kernel's helpers keep every row's arithmetic equal to a lone row's (see
+kernels.py), so any root-to-leaf tree path reproduces the sequential outputs
+bit for bit.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import attn_row, inverse_cdf_sample, layer_norm, silu, sinusoid_position, softmax
+from .kernels import (SINGLE_ROW, attn_row, context_groups, context_heads, inverse_cdf_sample,
+                      layer_norm, row_linear, silu, sinusoid_positions, softmax)
 
 MAGIC_TARGET = b"SDFM"
 CHECKPOINT_VERSION = 1
@@ -84,21 +90,18 @@ class KvCache:
     def values(self, layer: int) -> np.ndarray:
         return self._v[layer][: self.length]
 
-    def append(self, new_k: list[np.ndarray], new_v: list[np.ndarray]) -> None:
-        self._grow(self.length + 1)
+    def extend(self, new_k: list[np.ndarray], new_v: list[np.ndarray]) -> None:
+        """Append m rows per layer: new_k[l] and new_v[l] are (m, dim)."""
+        m = new_k[0].shape[0]
+        self._grow(self.length + m)
         for l in range(self.n_layers):
-            self._k[l][self.length] = new_k[l]
-            self._v[l][self.length] = new_v[l]
-        self.length += 1
+            self._k[l][self.length : self.length + m] = new_k[l]
+            self._v[l][self.length : self.length + m] = new_v[l]
+        self.length += m
 
     def commit_rows(self, kv: "TreeKv", indices: list[int]) -> None:
         """Append the selected tree rows, in order, as if decoded sequentially."""
-        self._grow(self.length + len(indices))
-        for i in indices:
-            for l in range(self.n_layers):
-                self._k[l][self.length] = kv.k[l][i]
-                self._v[l][self.length] = kv.v[l][i]
-            self.length += 1
+        self.extend([k[indices] for k in kv.k], [v[indices] for v in kv.v])
 
     def clone(self) -> "KvCache":
         c = KvCache(self.n_layers, self.dim, capacity=max(self.length, 1))
@@ -149,52 +152,65 @@ class TargetModel:
         if not 0 <= token < self.config.vocab:
             raise ValueError(f"token {token} out of vocab range [0, {self.config.vocab})")
 
-    def _heads(self, x: np.ndarray) -> np.ndarray:
-        return x.reshape(self.config.n_heads, self.config.dim // self.config.n_heads)
+    def _forward_rows(self, tokens, positions, prefix_k, prefix_v, groups):
+        """The row kernel: forward m rows through the whole stack at once.
 
-    def _token_step(self, token: int, position: int, ctx_k, ctx_v):
-        """Run one token through the stack given per-layer attention contexts.
-
-        ctx_k / ctx_v are per-layer (n, dim) arrays of earlier positions only;
-        the token always attends to them plus itself.
+        Row i is token tokens[i] at absolute position positions[i].  Per
+        layer, prefix_k / prefix_v are the (c, dim) context rows before the
+        new ones; each row attends to the columns of concat(prefix, new
+        rows) that ``groups`` (see ``context_groups``) gives it.  Returns
+        logits (m, vocab), features (m, dim) and per-layer (m, dim) keys and
+        values of the new rows.
         """
         H = self.config.n_heads
-        dh = self.config.dim // H
-        x = self.emb[token] + sinusoid_position(position, self.config.dim)
+        x = self.emb[tokens] + sinusoid_positions(positions, self.config.dim)
         new_k, new_v = [], []
         for l, lp in enumerate(self.layers):
             a_in = layer_norm(x, lp.ln1_g, lp.ln1_b)
-            q = lp.wq @ a_in
-            k = lp.wk @ a_in
-            v = lp.wv @ a_in
-            K = np.concatenate((ctx_k[l], k[None, :]), axis=0)
-            V = np.concatenate((ctx_v[l], v[None, :]), axis=0)
-            qh = self._heads(q)
-            out = np.empty(self.config.dim)
-            for h in range(H):
-                out[h * dh : (h + 1) * dh] = attn_row(
-                    qh[h], K[:, h * dh : (h + 1) * dh], V[:, h * dh : (h + 1) * dh]
-                )
-            x = x + lp.wo @ out
+            q = row_linear(lp.wq, a_in)
+            k = row_linear(lp.wk, a_in)
+            v = row_linear(lp.wv, a_in)
+            keys = np.concatenate((prefix_k[l], k))
+            values = np.concatenate((prefix_v[l], v))
+            att = np.empty_like(q)
+            for rows, idx in groups:
+                qh = q[rows].reshape(-1, H, q.shape[1] // H)
+                att[rows] = attn_row(qh, context_heads(keys, idx, H),
+                                     context_heads(values, idx, H)).reshape(qh.shape[0], -1)
+            x = x + row_linear(lp.wo, att)
             m_in = layer_norm(x, lp.ln2_g, lp.ln2_b)
-            x = x + lp.w2 @ silu(lp.w1 @ m_in)
+            x = x + row_linear(lp.w2, silu(row_linear(lp.w1, m_in)))
             new_k.append(k)
             new_v.append(v)
         f = layer_norm(x, self.lnf_g, self.lnf_b)
-        logits = self.head @ f
-        return StepOutput(logits=logits, feature=f), new_k, new_v
+        return row_linear(self.head, f), f, new_k, new_v
 
     def forward_cached(self, cache: KvCache, token: int) -> StepOutput:
         """Decode one token at the next position, extending the cache."""
         self._check_token(token)
-        ctx_k = [cache.keys(l) for l in range(self.config.n_layers)]
-        ctx_v = [cache.values(l) for l in range(self.config.n_layers)]
-        out, new_k, new_v = self._token_step(token, cache.length, ctx_k, ctx_v)
-        cache.append(new_k, new_v)
-        return out
+        L = self.config.n_layers
+        logits, f, new_k, new_v = self._forward_rows(
+            [token], [cache.length], [cache.keys(l) for l in range(L)],
+            [cache.values(l) for l in range(L)], SINGLE_ROW)
+        cache.extend(new_k, new_v)
+        return StepOutput(logits=logits[0], feature=f[0])
 
     def prefill(self, cache: KvCache, tokens: list[int]) -> list[StepOutput]:
         return [self.forward_cached(cache, t) for t in tokens]
+
+    def _check_tree(self, tokens, tree_mask) -> None:
+        """Reject the first tree row, in row order, that is out of vocab,
+        does not attend to itself or attends to a later row."""
+        tok = np.asarray(tokens)
+        bad = ((tok < 0) | (tok >= self.config.vocab) | ~np.diagonal(tree_mask)
+               | np.triu(tree_mask, 1).any(axis=1))
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        self._check_token(tokens[i])
+        if not tree_mask[i, i]:
+            raise ValueError(f"tree token {i} must attend to itself")
+        raise ValueError(f"tree token {i} references a later token")
 
     def forward_tree_kv(self, cache, tokens, mask, positions):
         """Batched tentative forward over tree tokens; the cache is not mutated.
@@ -203,6 +219,7 @@ class TargetModel:
         with one row per new token; positions are offsets from the cache end
         (a chain would use 0, 1, 2, ...).  Returns outputs plus the computed
         key/value rows so accepted paths can be committed without recompute.
+        All rows go through the row kernel in one pass.
         """
         m = len(tokens)
         c = cache.length
@@ -217,39 +234,13 @@ class TargetModel:
             raise ValueError("mask/token length mismatch")
         if len(positions) != m:
             raise ValueError("positions/token length mismatch")
-        outputs: list[StepOutput] = []
-        kv = TreeKv(
-            k=[np.zeros((m, self.dim)) for _ in range(L)],
-            v=[np.zeros((m, self.dim)) for _ in range(L)],
-        )
-        full_prefix_k = [cache.keys(l) for l in range(L)]
-        full_prefix_v = [cache.values(l) for l in range(L)]
-        for i in range(m):
-            self._check_token(tokens[i])
-            row = mask[i]
-            if not row[c + i]:
-                raise ValueError(f"tree token {i} must attend to itself")
-            if np.any(row[c + i + 1 :]):
-                raise ValueError(f"tree token {i} references a later token")
-            anc = np.flatnonzero(row[c : c + i])
-            ctx_k, ctx_v = [], []
-            all_prefix = bool(row[:c].all())
-            pref = np.flatnonzero(row[:c]) if not all_prefix else None
-            for l in range(L):
-                pk = full_prefix_k[l] if all_prefix else full_prefix_k[l][pref]
-                pv = full_prefix_v[l] if all_prefix else full_prefix_v[l][pref]
-                if anc.size:
-                    ctx_k.append(np.concatenate((pk, kv.k[l][anc]), axis=0))
-                    ctx_v.append(np.concatenate((pv, kv.v[l][anc]), axis=0))
-                else:
-                    ctx_k.append(pk)
-                    ctx_v.append(pv)
-            out, new_k, new_v = self._token_step(tokens[i], c + int(positions[i]), ctx_k, ctx_v)
-            for l in range(L):
-                kv.k[l][i] = new_k[l]
-                kv.v[l][i] = new_v[l]
-            outputs.append(out)
-        return outputs, kv
+        self._check_tree(tokens, mask[:, c:])
+        logits, f, new_k, new_v = self._forward_rows(
+            tokens, c + np.asarray(positions, dtype=np.int64),
+            [cache.keys(l) for l in range(L)], [cache.values(l) for l in range(L)],
+            context_groups(mask))
+        outputs = [StepOutput(logits=lg, feature=ft) for lg, ft in zip(logits, f)]
+        return outputs, TreeKv(k=new_k, v=new_v)
 
     def forward_tree(self, cache, tokens, mask, positions) -> list[StepOutput]:
         outputs, _ = self.forward_tree_kv(cache, tokens, mask, positions)

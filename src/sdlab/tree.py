@@ -46,12 +46,19 @@ class DraftTree:
     nodes: list[DraftNode]
     root_token: int
     root_context_len: int = 0
+    _kids: dict[int, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def children(self, idx: int) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if n.parent == idx]
+        """Child node indices of idx (-1 for the root) in ascending order,
+        the order the sampling walk draws them in."""
+        if self._kids is None:
+            self._kids = {}
+            for i, n in enumerate(self.nodes):
+                self._kids.setdefault(n.parent, []).append(i)
+        return self._kids.get(idx, [])
 
 
 def build_mask(tree: DraftTree) -> np.ndarray:
@@ -226,26 +233,17 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
         if len(exp) > beam:
             ranked = sorted(exp, key=lambda i: (-nodes[i].cum_score, i))
             exp = sorted(ranked[:beam])
-        rows_by_node = {pidx: rows for pidx, _o, rows in frontier}
+        by_node = {pidx: (out, rows) for pidx, out, rows in frontier}
         items = []
         for i in exp:
-            parent_rows = rows_by_node[nodes[i].parent]
-            pf = (out0 if nodes[i].parent == -1 else _frontier_out(frontier, nodes[i].parent)).feature_moe
-            items.append((nodes[i].token, pf, parent_rows, nodes[i].depth))
+            pout, parent_rows = by_node[nodes[i].parent]
+            items.append((nodes[i].token, pout.feature_moe, parent_rows, nodes[i].depth))
         results = session.tree_level(items)
         frontier = []
         for i, (stepout, row) in zip(exp, results):
-            parent_rows = rows_by_node[nodes[i].parent]
-            frontier.append((i, stepout, parent_rows + [row]))
+            frontier.append((i, stepout, by_node[nodes[i].parent][1] + [row]))
 
     return DraftTree(nodes=nodes, root_token=start_token, root_context_len=context_len)
-
-
-def _frontier_out(frontier, idx: int) -> DraftStepOutput:
-    for pidx, out, _rows in frontier:
-        if pidx == idx:
-            return out
-    raise KeyError(idx)
 
 
 def grow_chain(session, prev_feature, start_token, gamma, **kw) -> DraftTree:

@@ -130,6 +130,15 @@ class TestSpeedup:
         with pytest.raises(ConfigError, match="mismatched prompt sets"):
             compute_speedup(self._metrics(10, "a"), self._metrics(10, "b"))
 
+    def test_prompt_files_of_equal_size_mismatch(self, tmp_path):
+        metrics = []
+        for name, prompts in (("a", [[1, 2, 3], [4, 5, 6]]), ("b", [[1, 2, 3], [4, 5, 7]])):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(prompts))
+            metrics.append(run_session(RunConfig(prompt_file=str(path), max_new=2)))
+        with pytest.raises(ConfigError, match="mismatched prompt sets"):
+            compute_speedup(*metrics)
+
     def test_chain_vs_vanilla_recorded(self):
         cfg = RunConfig(method="chain", gamma=3, max_new=10, n_prompts=2, seed=0)
         rep = run_bench(cfg, methods=["vanilla", "chain"])
