@@ -249,13 +249,12 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
         tree = _grow_for_method(config.method, dsession, prev_feature, pending, config,
                                 mode, rng, backlog_t, backlog_f, cache.length)
         round_passes = dsession.passes - before
-        outcome = verify_tree(tree, target, cache, config.temperature, rng,
-                              draft_passes=round_passes)
+        outcome = verify_tree(tree, target, cache, config.temperature, rng)
         cache.commit_rows(outcome.tree_kv, outcome.commit_indices)
         emitted.extend(outcome.accepted)
         emitted.append(outcome.final_token)
-        target_forwards += outcome.target_forward_passes
-        draft_forwards += outcome.draft_forward_passes
+        target_forwards += 1  # the whole tree is verified in one target pass
+        draft_forwards += round_passes
         rounds += 1
         per_round.append(round_passes)
         backlog_t = list(outcome.accepted)
@@ -305,8 +304,6 @@ def run_session(config: RunConfig) -> Metrics:
     tau = total_tokens / total_tf
     if not 1.0 <= tau <= config.gamma + 1:
         raise InvariantError(f"tau {tau} outside [1, gamma+1]")
-    if abs(tau - total_tokens / total_tf) > 0:
-        raise InvariantError("tau accounting identity violated")
     # hash the prompts themselves: prompt files of one size may differ in content
     digest = hashlib.sha256(json.dumps([r["prompt"] for r in per_prompt]).encode()).hexdigest()[:16]
     fp = f"prompts={digest};n={len(prompts)};max_new={config.max_new}"
@@ -351,12 +348,10 @@ def run_bench(config: RunConfig, methods=None) -> Report:
         methods = ["vanilla", config.method]
     else:
         methods = ["vanilla"]
-    metrics = {}
-    for m in methods:
-        c = RunConfig(**{**asdict(config), "method": m})
-        if m in ("moe_tree", "jakiro_full") and c.active_k < 2:
-            c.active_k = 2
-        metrics[m] = run_session(c)
+    configs = [RunConfig(**{**asdict(config), "method": m}) for m in methods]
+    for c in configs:  # all of them before any decoding
+        c.validate()
+    metrics = {c.method: run_session(c) for c in configs}
     speedups = {}
     base = metrics.get("vanilla")
     if base:

@@ -15,6 +15,9 @@ half.  Linear layers run per row, routing takes a row softmax and a stable
 row argsort, each expert runs on just the rows that selected it, and the
 gated mixture accumulates in ascending expert order, so each row is bit
 for bit what a lone step would give (see kernels.py for the attention).
+A tree level gets its outputs back as one ``DraftStepOutput`` whose fields
+carry a leading row axis, so tree growth works on whole levels; the mixture
+and contrast heads take such a stack as well as a single step.
 
 Parameters live in an ordered dict of float64 arrays so the trainer,
 optimizer and checkpoint writer all walk them in one deterministic order.
@@ -73,16 +76,27 @@ class ContrastParams:
 
 @dataclass(frozen=True)
 class DraftStepOutput:
+    """One draft step's output, or a stack of them along a leading row axis."""
+
     feature_moe: np.ndarray
     feature_top1: np.ndarray
     feature_top2: np.ndarray
     logits_left: np.ndarray
     logits_right: np.ndarray
     scores: ExpertScores
+    # router scores of the left and the right branch (the left alone when K=1)
+    branch_scores: np.ndarray
 
     @property
     def active_k(self) -> int:
-        return int(self.scores.top_indices.shape[0])
+        return int(self.scores.top_indices.shape[-1])
+
+    def row(self, i: int) -> "DraftStepOutput":
+        """Row i of a stacked output."""
+        return DraftStepOutput(self.feature_moe[i], self.feature_top1[i], self.feature_top2[i],
+                               self.logits_left[i], self.logits_right[i],
+                               ExpertScores(self.scores.scores[i], self.scores.top_indices[i]),
+                               self.branch_scores[i])
 
 
 @dataclass
@@ -141,12 +155,13 @@ class DraftModel:
             if not 0 <= token < cfg.vocab:
                 raise ValueError(f"token {token} out of vocab range [0, {cfg.vocab})")
         e = self.emb[tokens] + sinusoid_positions(positions, cfg.dim)
-        x = row_linear(p["reduction"], np.concatenate((e, np.stack(prev_features)), axis=1))
+        x = row_linear(p["reduction"], np.concatenate((e, np.array(prev_features)), axis=1))
         a_in = layer_norm(x, p["ln1_g"], p["ln1_b"]) if cfg.use_ln else x
         return x, row_linear(p["wq"], a_in), row_linear(p["wk"], a_in), row_linear(p["wv"], a_in)
 
-    def _out_rows(self, x, q, keys, values, groups) -> list[DraftStepOutput]:
-        """Second half of the row kernel: one step output per row of x and q.
+    def _out_rows(self, x, q, keys, values, groups) -> DraftStepOutput:
+        """Second half of the row kernel: the step outputs of the rows of x
+        and q, stacked along a leading row axis.
 
         Each row attends to the columns of keys / values that ``groups``
         gives it; then the router picks its experts and the heads turn the
@@ -188,17 +203,8 @@ class DraftModel:
         else:
             f_top2 = f_top1
             logits_right = logits_left
-        return [
-            DraftStepOutput(
-                feature_moe=f_moe[i],
-                feature_top1=f_top1[i],
-                feature_top2=f_top2[i],
-                logits_left=logits_left[i],
-                logits_right=logits_right[i],
-                scores=ExpertScores(scores=scores[i], top_indices=top[i]),
-            )
-            for i in range(m)
-        ]
+        return DraftStepOutput(f_moe, f_top1, f_top2, logits_left, logits_right,
+                               ExpertScores(scores=scores, top_indices=top), s_best)
 
     def _commit(self, state: DraftState, tokens, prev_features):
         """Append committed rows at the state's next positions in one pass;
@@ -214,30 +220,33 @@ class DraftModel:
     def _commit_out(self, state: DraftState, tokens, prev_features) -> DraftStepOutput:
         """Commit rows, then the step output of the last, which attends to the whole cache."""
         x, q = self._commit(state, tokens, prev_features)
-        return self._out_rows(x, q, state.cache.keys(0), state.cache.values(0), SINGLE_ROW)[0]
+        return self._out_rows(x, q, state.cache.keys(0), state.cache.values(0), SINGLE_ROW).row(0)
 
     def forward_cached(self, state: DraftState, token: int, prev_feature: np.ndarray) -> DraftStepOutput:
         """One committed draft step at the session's next position."""
         return self._commit_out(state, [token], [prev_feature])
 
+    def _head(self, f: np.ndarray) -> np.ndarray:
+        """LM head of a feature vector, or of each row of a stack of them."""
+        return self.head @ f if f.ndim == 1 else row_linear(self.head, f)
+
     def contrastive_heads(self, step: DraftStepOutput, cparams: ContrastParams):
         """Mixture logits and contrast logits from the two active expert branches."""
+        return self.mixture_logits(step), self.contrast_logits(step, cparams)
+
+    def contrast_logits(self, step: DraftStepOutput, cparams: ContrastParams) -> np.ndarray:
+        """Contrast head beta * f_top1 - alpha * f_top2 of a step or of each row of a stack."""
         if step.active_k < 2:
             raise ValueError("contrastive branch requires two active experts")
-        s = step.scores.scores
-        s1 = float(s[int(step.scores.top_indices[0])])
-        s2 = float(s[int(step.scores.top_indices[1])])
-        mix = s1 * step.feature_top1 + s2 * step.feature_top2
-        const = cparams.beta * step.feature_top1 - cparams.alpha * step.feature_top2
-        return self.head @ mix, self.head @ const
+        return self._head(cparams.beta * step.feature_top1 - cparams.alpha * step.feature_top2)
 
-    def mixture_logits(self, step: DraftStepOutput, cparams: ContrastParams | None = None) -> np.ndarray:
-        """Single-distribution view of a step: branch mixture, or the gated feature when K=1."""
+    def mixture_logits(self, step: DraftStepOutput) -> np.ndarray:
+        """Single-distribution view of a step (or of each row of a stack): the
+        score-weighted branch mixture, or the gated feature when K=1."""
         if step.active_k < 2:
-            return self.head @ step.feature_moe
-        cp = cparams if cparams is not None else self.contrast_params()
-        logits_moe, _ = self.contrastive_heads(step, cp)
-        return logits_moe
+            return self._head(step.feature_moe)
+        s = step.branch_scores
+        return self._head(s[..., :1] * step.feature_top1 + s[..., 1:] * step.feature_top2)
 
     def parallel_final_step(self, step: DraftStepOutput, cparams: ContrastParams,
                             depth: int, gamma: int, temperature: float = 1.0):
@@ -279,20 +288,22 @@ class DraftSession:
         self._tk = self._tv = np.zeros((0, self.model.dim))
         return self.model._commit_out(self.state, tokens, prev_features)
 
-    def tree_level(self, items: list[tuple[int, np.ndarray, list[int], int]]) -> list[tuple[DraftStepOutput, int]]:
+    def tree_level(self, items: list[tuple[int, np.ndarray, list[int], int]]
+                   ) -> tuple[DraftStepOutput | None, range]:
         """One tentative pass over a tree level.
 
         Each item is (token, prev_feature, ancestor_row_ids, depth); ancestors
         index into this round's tentative rows, root first (rows are numbered
-        in creation order, so a path's ids ascend).  Returns (step output,
-        row id) pairs; rows are discarded when the next round begins.
+        in creation order, so a path's ids ascend).  Returns the items' step
+        outputs stacked along a leading row axis (None for no items) and
+        their row ids; rows are discarded when the next round begins.
         """
         self.passes += 1
+        t = self._tk.shape[0]
         if not items:
-            return []
+            return None, range(t, t)
         cache = self.state.cache
         c = cache.length
-        t = self._tk.shape[0]
         m = len(items)
         mask = np.zeros((m, c + t + m), dtype=bool)
         mask[:, :c] = True
@@ -307,10 +318,10 @@ class DraftSession:
             [it[0] for it in items], [base + it[3] for it in items], [it[1] for it in items])
         keys = np.concatenate((cache.keys(0), self._tk, k))
         values = np.concatenate((cache.values(0), self._tv, v))
-        outs = self.model._out_rows(x, q, keys, values, context_groups(mask))
+        out = self.model._out_rows(x, q, keys, values, context_groups(mask))
         self._tk = keys[c:]
         self._tv = values[c:]
-        return [(out, t + i) for i, out in enumerate(outs)]
+        return out, range(t, t + m)
 
 
 def init_draft(config: DraftConfig, target: TargetModel, seed: int = 1) -> DraftModel:

@@ -211,8 +211,10 @@ def sinusoid_positions(positions, dim: int) -> np.ndarray:
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    mu = np.mean(x, axis=-1, keepdims=True)
-    var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
+    # sum / n is what np.mean computes, without its Python-level wrapper
+    n = x.shape[-1]
+    mu = np.sum(x, axis=-1, keepdims=True) / n
+    var = np.sum((x - mu) ** 2, axis=-1, keepdims=True) / n
     return gamma * (x - mu) / np.sqrt(var + eps) + beta
 
 
@@ -226,11 +228,21 @@ def silu_grad(x: np.ndarray) -> np.ndarray:
 
 
 def inverse_cdf_sample(probs: np.ndarray, u: float) -> int:
-    """Draw an index from a probability vector by inverse CDF in index order."""
-    c = 0.0
-    last = probs.shape[0] - 1
-    for i in range(probs.shape[0]):
-        c += float(probs[i])
-        if u < c:
-            return i
-    return last
+    """Draw an index from a probability vector by inverse CDF in index order.
+
+    Returns the first index whose running sum exceeds u, or the last index
+    when rounding leaves the total at or below u.  The running sums are
+    sequential, so the result is what a left-to-right scan would give.
+    """
+    return min(int(np.cumsum(probs).searchsorted(u, side="right")), probs.shape[0] - 1)
+
+
+def inverse_cdf_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``inverse_cdf_sample`` of every row at once.
+
+    probs is (..., V) and u is (..., k): entry [..., j] of the (..., k)
+    result is drawn from row [...] of probs with u[..., j].  Counting the
+    running sums at or below u is the search, since they never decrease.
+    """
+    c = np.cumsum(probs, axis=-1)
+    return np.minimum((c[..., None, :] <= u[..., None]).sum(axis=-1), probs.shape[-1] - 1)

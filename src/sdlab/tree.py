@@ -7,11 +7,23 @@ further tree level costs exactly one draft pass.  With the parallel final
 step, depth gamma candidates come from the contrast head of the depth gamma-1
 pass, saving one pass per round.
 
-Greedy growth is fully deterministic (dedup and beam pruning allowed).
-Sampling growth draws every candidate independently from its emitting
-distribution and never discards a grown node, which is what the lossless
-verification algebra requires; the beam then only limits which nodes are
-expanded further.
+Trees grow one level at a time.  A level's emitting distributions are one
+(rows, branches, vocab) array over the rows of the draft pass that proposes
+it: the left and the right expert branch of each row for moe trees, the
+branch mixture otherwise, and the contrast head for the parallel final
+level.  Candidates are ordered by parent row, then branch (left before
+right), then draw, and score cum_score = (parent cum_score + log branch
+score) + log q.
+
+Greedy growth is fully deterministic: each distribution's top_k tokens (ties
+to the lower token), one copy of a token both branches of a parent propose
+(the higher-cum_score copy, the left one on a tie, in the left copy's
+place), then the beam best by cum_score (ties to the earlier candidate).
+Sampling growth draws top_k tokens from each distribution by inverse CDF and
+takes all of a level's uniforms in one call, in candidate order, which is
+the order drawing one candidate at a time consumes the stream in.  It never
+discards a grown node, which is what the lossless verification algebra
+requires; the beam then only limits which nodes are expanded further.
 """
 
 from __future__ import annotations
@@ -20,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .draft import ContrastParams, DraftSession, DraftStepOutput
-from .kernels import inverse_cdf_sample, softmax
+from .draft import ContrastParams, DraftSession
+from .kernels import inverse_cdf_rows, softmax
 
 BRANCH_LEFT = "left"
 BRANCH_RIGHT = "right"
@@ -102,65 +114,66 @@ def dump_tree(tree: DraftTree) -> str:
     return "\n".join(lines)
 
 
-def _pick(dist: np.ndarray, mode: str, rng) -> int:
-    if mode == "greedy":
-        return int(np.argmax(dist))
-    if rng is None:
-        raise ValueError("sampling growth needs an rng")
-    return inverse_cdf_sample(dist, rng.random())
+def _top_k(dist: np.ndarray, k: int) -> np.ndarray:
+    """The first k entries of each row's stable descending argsort: the k
+    most probable tokens, ties to the lower index.  One argmax per entry,
+    each after the entries taken so far are pushed below every probability;
+    a full stable argsort of a 16-parent moe level costs about four times
+    as much."""
+    rows = dist.reshape(-1, dist.shape[-1])
+    k = min(k, rows.shape[1])
+    top = np.empty((rows.shape[0], k), dtype=np.intp)
+    if k > 1:
+        rows = rows.copy()
+    for j in range(k):
+        top[:, j] = rows.argmax(axis=1)
+        if j + 1 < k:
+            rows[np.arange(rows.shape[0]), top[:, j]] = -1.0
+    return top.reshape(*dist.shape[:-1], k)
 
 
-def _top_tokens(dist: np.ndarray, k: int) -> list[int]:
-    order = np.argsort(-dist, kind="stable")
-    return [int(t) for t in order[:k]]
+def _add_level(nodes: list[DraftNode], dist: np.ndarray, parents: list[int], pcum: np.ndarray,
+               depth: int, tags: tuple[str, ...], top_k: int, greedy: bool, beam: int, rng,
+               logw: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Append one level's candidates to nodes.
 
-
-@dataclass
-class _Cand:
-    parent: int
-    token: int
-    depth: int
-    q_prob: float
-    cum: float
-    tag: str
-    q_dist: np.ndarray
-    src: DraftStepOutput
-
-
-def _propose(dist, parent_idx, parent_cum, depth, tag, branch_logscore, top_k, mode, rng, src):
-    """Candidates for one (parent, emitting distribution) pair."""
-    if mode == "greedy":
-        toks = _top_tokens(dist, top_k)
+    dist is (rows, branches, vocab): the emitting distributions of each
+    parent row, tagged tags[branch]; parents[r] and pcum[r] are row r's
+    parent node and its cum_score, logw (rows, branches) the log branch
+    scores added to it.  Returns the dist row and the cum_score of every
+    node added, in node order.
+    """
+    m, nb, V = dist.shape
+    if greedy:
+        tok = _top_k(dist, top_k)
     else:
-        toks = [_pick(dist, mode, rng) for _ in range(top_k)]
-    out = []
-    for t in toks:
-        q = float(dist[t])
-        cum = parent_cum + branch_logscore + np.log(max(q, 1e-300))
-        out.append(_Cand(parent_idx, t, depth, q, cum, tag, dist, src))
-    return out
-
-
-def _dedup_siblings(cands: list[_Cand]) -> list[_Cand]:
-    """Keep the higher-cum_score copy of a token proposed by both branches of
-    one parent (greedy growth only; ties keep the earlier, left-first, copy)."""
-    best: dict[tuple[int, int], _Cand] = {}
-    order: list[tuple[int, int]] = []
-    for c in cands:
-        key = (c.parent, c.token)
-        if key not in best:
-            best[key] = c
-            order.append(key)
-        elif c.cum > best[key].cum:
-            best[key] = c
-    return [best[k] for k in order]
+        tok = inverse_cdf_rows(dist, rng.random((m, nb, top_k)))
+    q = dist.ravel()[tok + V * np.arange(m * nb).reshape(m, nb, 1)]
+    base = pcum[:, None] if logw is None else pcum[:, None] + logw
+    cum = base[..., None] + np.log(np.maximum(q, 1e-300))
+    sel = np.arange(cum.size).reshape(cum.shape)
+    if greedy and nb == 2:
+        same = tok[:, 0, :, None] == tok[:, 1, None, :]  # [row, left draw, right draw]
+        if same.any():
+            right = np.take_along_axis(sel[:, 1], same.argmax(axis=2), axis=1)
+            better = same.any(axis=2) & (cum.ravel()[right] > cum[:, 0])
+            sel[:, 0] = np.where(better, right, sel[:, 0])
+            sel = sel[np.stack((np.ones_like(better), ~same.any(axis=1)), axis=1)]
+    sel, cum = sel.ravel(), cum.ravel()
+    if greedy and sel.size > beam:
+        sel = sel[np.sort(np.argsort(-cum[sel], kind="stable")[:beam])]
+    rows = sel // (nb * top_k)
+    cum = cum[sel]
+    for t, r, b, qt, c in zip(tok.ravel()[sel].tolist(), rows.tolist(),
+                              (sel // top_k % nb).tolist(), q.ravel()[sel].tolist(), cum.tolist()):
+        nodes.append(DraftNode(t, parents[r], depth, qt, c, tags[b], dist[r, b]))
+    return rows, cum
 
 
 def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
           top_k: int = 1, beam: int = 60, parallel: bool = False, mode: str = "greedy",
           temperature: float = 1.0, rng=None, cparams: ContrastParams | None = None,
-          backlog_tokens=(), backlog_features=(), context_len: int = 0,
-          weight_by_expert_score: bool = True) -> DraftTree:
+          backlog_tokens=(), backlog_features=(), context_len: int = 0) -> DraftTree:
     model = session.model
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
@@ -168,80 +181,55 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
         raise ValueError("parallel final step needs gamma >= 2")
     if (parallel or kind == "moe") and model.config.active_k < 2:
         raise ValueError("K < 2: need two active experts")
+    greedy = mode == "greedy"
+    if not greedy and rng is None:
+        raise ValueError("sampling growth needs an rng")
     cp = cparams if cparams is not None else model.contrast_params()
+    V = model.vocab
 
-    out0 = session.begin_round(
-        [*backlog_tokens, start_token], [*backlog_features, prev_feature]
-    )
+    # the frontier: the step outputs of the rows of one draft pass (the
+    # round's opening row, then a tree level), each row's node, its
+    # cum_score and its path of tentative row ids
+    out = session.begin_round([*backlog_tokens, start_token], [*backlog_features, prev_feature])
+    parents, pcum, paths = [-1], np.zeros(1), [[]]
     nodes: list[DraftNode] = []
-    # frontier entries: (node index, its step output, tree row ids along its path)
-    frontier: list[tuple[int, DraftStepOutput, list[int]]] = [(-1, out0, [])]
     last_step_depth = gamma - 1 if parallel else gamma
 
     for depth in range(1, last_step_depth + 1):
-        cands: list[_Cand] = []
-        for pidx, pout, _rows in frontier:
-            pcum = 0.0 if pidx == -1 else nodes[pidx].cum_score
-            if kind == "moe":
-                s = pout.scores.scores
-                i1 = int(pout.scores.top_indices[0])
-                i2 = int(pout.scores.top_indices[1])
-                s1, s2 = float(s[i1]), float(s[i2])
-                dl = softmax(pout.logits_left, temperature)
-                dr = softmax(pout.logits_right, temperature)
-                w1 = np.log(s1) if weight_by_expert_score else 0.0
-                w2 = np.log(s2) if weight_by_expert_score else 0.0
-                pc = _propose(dl, pidx, pcum, depth, BRANCH_LEFT, w1, top_k, mode, rng, pout)
-                pc += _propose(dr, pidx, pcum, depth, BRANCH_RIGHT, w2, top_k, mode, rng, pout)
-                if mode == "greedy":
-                    pc = _dedup_siblings(pc)
-            else:
-                dist = softmax(model.mixture_logits(pout, cp), temperature)
-                pc = _propose(dist, pidx, pcum, depth, BRANCH_NONE, 0.0, top_k, mode, rng, pout)
-            cands.extend(pc)
-
-        if mode == "greedy" and len(cands) > beam:
-            ranked = sorted(range(len(cands)), key=lambda i: (-cands[i].cum, i))
-            keep = sorted(ranked[:beam])
-            cands = [cands[i] for i in keep]
-
-        layer_idx: list[int] = []
-        for c in cands:
-            nodes.append(DraftNode(c.token, c.parent, c.depth, c.q_prob, c.cum, c.tag, c.q_dist))
-            layer_idx.append(len(nodes) - 1)
+        first = len(nodes)
+        if kind == "moe":
+            logits = np.stack((out.logits_left, out.logits_right), axis=-2)
+            rows, cum = _add_level(nodes, softmax(logits, temperature).reshape(-1, 2, V),
+                                   parents, pcum, depth, (BRANCH_LEFT, BRANCH_RIGHT), top_k,
+                                   greedy, beam, rng, np.log(out.branch_scores).reshape(-1, 2))
+        else:
+            dist = softmax(model.mixture_logits(out), temperature).reshape(-1, 1, V)
+            rows, cum = _add_level(nodes, dist, parents, pcum, depth, (BRANCH_NONE,), top_k,
+                                   greedy, beam, rng)
 
         if depth == last_step_depth:
-            if parallel:
+            if parallel and rows.size:
                 # depth gamma candidates from the contrast head of this pass
-                final: list[_Cand] = []
-                for j, c in zip(layer_idx, cands):
-                    _, logits_const = model.contrastive_heads(c.src, cp)
-                    distc = softmax(logits_const, temperature)
-                    final += _propose(distc, j, nodes[j].cum_score, gamma,
-                                      BRANCH_NONE, 0.0, top_k, mode, rng, c.src)
-                if mode == "greedy":
-                    final = _dedup_siblings(final)
-                    if len(final) > beam:
-                        ranked = sorted(range(len(final)), key=lambda i: (-final[i].cum, i))
-                        final = [final[i] for i in sorted(ranked[:beam])]
-                for c in final:
-                    nodes.append(DraftNode(c.token, c.parent, gamma, c.q_prob, c.cum, c.tag, c.q_dist))
+                distc = softmax(model.contrast_logits(out, cp), temperature).reshape(-1, V)
+                _add_level(nodes, distc[rows][:, None], list(range(first, len(nodes))), cum,
+                           gamma, (BRANCH_NONE,), top_k, greedy, beam, rng)
             break
 
         # expand this layer (beam-best nodes) in one draft pass
-        exp = layer_idx
-        if len(exp) > beam:
-            ranked = sorted(exp, key=lambda i: (-nodes[i].cum_score, i))
-            exp = sorted(ranked[:beam])
-        by_node = {pidx: (out, rows) for pidx, out, rows in frontier}
-        items = []
-        for i in exp:
-            pout, parent_rows = by_node[nodes[i].parent]
-            items.append((nodes[i].token, pout.feature_moe, parent_rows, nodes[i].depth))
-        results = session.tree_level(items)
-        frontier = []
-        for i, (stepout, row) in zip(exp, results):
-            frontier.append((i, stepout, by_node[nodes[i].parent][1] + [row]))
+        parents = list(range(first, len(nodes)))
+        if len(parents) > beam:
+            keep = np.sort(np.argsort(-cum, kind="stable")[:beam])
+            rows, cum, parents = rows[keep], cum[keep], [first + i for i in keep.tolist()]
+        if not parents:
+            for _ in range(depth, last_step_depth):  # the passes still count
+                session.tree_level([])
+            break
+        feats = out.feature_moe.reshape(-1, model.dim)
+        prow = rows.tolist()
+        out, ids = session.tree_level(
+            [(nodes[j].token, feats[r], paths[r], depth) for j, r in zip(parents, prow)])
+        pcum = cum
+        paths = [paths[r] + [i] for r, i in zip(prow, ids)]
 
     return DraftTree(nodes=nodes, root_token=start_token, root_context_len=context_len)
 

@@ -25,8 +25,6 @@ from .tree import DraftTree, build_mask
 class VerifyOutcome:
     accepted: list[int]
     final_token: int
-    target_forward_passes: int
-    draft_forward_passes: int
     accepted_count: int
     # plumbing for the decode session: which tentative rows to commit and the
     # target features of (pending token, accepted nodes), in commit order
@@ -77,8 +75,7 @@ def _forward_with_root(tree: DraftTree, target: TargetModel, cache: KvCache):
     return outs, kv
 
 
-def verify_tree_greedy(tree: DraftTree, target: TargetModel, cache: KvCache,
-                       draft_passes: int = 0) -> VerifyOutcome:
+def verify_tree_greedy(tree: DraftTree, target: TargetModel, cache: KvCache) -> VerifyOutcome:
     """Strict top-1 verification; the cache is left untouched."""
     outs, kv = _forward_with_root(tree, target, cache)
     accepted: list[int] = []
@@ -103,8 +100,6 @@ def verify_tree_greedy(tree: DraftTree, target: TargetModel, cache: KvCache,
     return VerifyOutcome(
         accepted=accepted,
         final_token=final,
-        target_forward_passes=1,
-        draft_forward_passes=draft_passes,
         accepted_count=len(accepted),
         commit_indices=commit,
         tree_kv=kv,
@@ -113,7 +108,7 @@ def verify_tree_greedy(tree: DraftTree, target: TargetModel, cache: KvCache,
 
 
 def verify_tree_sampling(tree: DraftTree, target: TargetModel, cache: KvCache,
-                         temperature: float, rng, draft_passes: int = 0) -> VerifyOutcome:
+                         temperature: float, rng) -> VerifyOutcome:
     """Speculative sampling over the tree; preserves the target distribution.
 
     Tree node distributions must have been generated at the same temperature.
@@ -150,8 +145,6 @@ def verify_tree_sampling(tree: DraftTree, target: TargetModel, cache: KvCache,
     return VerifyOutcome(
         accepted=accepted,
         final_token=final,
-        target_forward_passes=1,
-        draft_forward_passes=draft_passes,
         accepted_count=len(accepted),
         commit_indices=commit,
         tree_kv=kv,
@@ -160,8 +153,8 @@ def verify_tree_sampling(tree: DraftTree, target: TargetModel, cache: KvCache,
 
 
 def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
-                temperature: float, rng, draft_passes: int = 0) -> VerifyOutcome:
+                temperature: float, rng) -> VerifyOutcome:
     """Temperature 0 routes to the greedy walk, otherwise sampling."""
     if temperature == 0.0:
-        return verify_tree_greedy(tree, target, cache, draft_passes)
-    return verify_tree_sampling(tree, target, cache, temperature, rng, draft_passes)
+        return verify_tree_greedy(tree, target, cache)
+    return verify_tree_sampling(tree, target, cache, temperature, rng)

@@ -217,6 +217,16 @@ class TestCli:
                                     "max_new": 4, "n_prompts": 1}))
         assert main(["decode", "--config", str(path)]) == 2
 
+    def test_bench_moe_with_one_active_expert_exit_2(self, tmp_path, capsys):
+        cfg = RunConfig(method="chain", active_k=1, gamma=3, max_new=4, n_prompts=1)
+        with pytest.raises(ConfigError, match="active_k: method moe_tree requires K >= 2"):
+            run_bench(cfg, methods=["vanilla", "moe_tree"])
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"method": "chain", "active_k": 1, "max_new": 4,
+                                    "n_prompts": 1}))
+        assert main(["bench", "--config", str(path), "--methods", "vanilla,jakiro_full"]) == 2
+        assert "active_k: method jakiro_full" in capsys.readouterr().err
+
     def test_bench_and_report(self, tmp_path, capsys):
         cfgp = tmp_path / "c.json"
         cfgp.write_text(json.dumps({"method": "chain", "gamma": 3, "max_new": 6,

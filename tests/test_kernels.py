@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from sdlab.kernels import (
     cross_entropy,
+    inverse_cdf_rows,
+    inverse_cdf_sample,
     layer_norm,
     masked_attention,
     smooth_l1,
@@ -222,3 +224,61 @@ def test_layer_norm_basics():
     y = layer_norm(x, np.ones(10), np.zeros(10))
     assert abs(y.mean()) < 1e-9
     assert abs(y.std() - 1.0) < 1e-3
+
+
+def test_layer_norm_matches_mean_reference():
+    def ref(x, g, b, eps=1e-6):
+        mu = np.mean(x, axis=-1, keepdims=True)
+        var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
+        return g * (x - mu) / np.sqrt(var + eps) + b
+
+    rng = np.random.default_rng(9)
+    for shape in [(32,), (1, 32), (7, 32), (300, 32), (5, 3), (4, 64)]:
+        x = rng.normal(size=shape) * rng.uniform(0.01, 100.0)
+        g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        assert np.array_equal(layer_norm(x, g, b), ref(x, g, b))
+
+
+def ref_inverse_cdf_sample(probs, u):
+    """The left-to-right scan that inverse_cdf_sample replaced."""
+    c = 0.0
+    last = probs.shape[0] - 1
+    for i in range(probs.shape[0]):
+        c += float(probs[i])
+        if u < c:
+            return i
+    return last
+
+
+class TestInverseCdf:
+    def check(self, probs, us):
+        want = [[ref_inverse_cdf_sample(p, u) for u in row] for p, row in zip(probs, us)]
+        got = [[inverse_cdf_sample(p, u) for u in row] for p, row in zip(probs, us)]
+        assert got == want
+        assert inverse_cdf_rows(np.asarray(probs), np.asarray(us)).tolist() == want
+
+    def test_zero_entries(self):
+        p = np.array([0.0, 0.25, 0.0, 0.0, 0.5, 0.25, 0.0])
+        self.check([p], [[0.0, 0.25, 0.2499999, 0.5, 0.75, 0.7500001, 0.9999]])
+        self.check([np.array([0.0, 0.0, 1.0])], [[0.0, 0.5]])
+
+    def test_u_zero(self):
+        self.check([np.array([0.5, 0.5])], [[0.0]])
+        self.check([np.array([1.0])], [[0.0]])
+        self.check([np.array([0.0, 0.0, 0.3, 0.7])], [[0.0]])
+
+    def test_u_at_a_total_one_step_below_one(self):
+        u = np.nextafter(1.0, 0.0)
+        p = np.full(10, 0.1)
+        assert np.cumsum(p)[-1] == u  # the running sum ends one rounding step below 1
+        self.check([p], [[u]])
+        assert inverse_cdf_sample(p, u) == 9
+        p0 = np.append(p, 0.0)  # the clamp lands on a zero-probability last entry
+        self.check([p0], [[u]])
+        assert inverse_cdf_sample(p0, u) == 10
+
+    def test_random_rows(self):
+        rng = np.random.default_rng(11)
+        probs = rng.dirichlet(np.full(12, 0.3), size=10_000)
+        probs[rng.random(probs.shape) < 0.2] = 0.0  # exact zeros, rows no longer sum to 1
+        self.check(probs, rng.random((10_000, 3)))

@@ -143,6 +143,7 @@ def assert_step_equal(got, want):
     assert np.array_equal(got.logits_right, right)
     assert np.array_equal(got.scores.scores, scores)
     assert np.array_equal(got.scores.top_indices, top)
+    assert np.array_equal(got.branch_scores, scores[top[:2]])
 
 
 # -------------------------------------------------------------------- target
@@ -264,12 +265,13 @@ def draft_level_check(draft, rng, levels=4, width=9):
                 path = paths[int(rng.integers(0, len(paths)))]
                 items.append((int(rng.integers(0, draft.vocab)), rng.normal(size=draft.dim),
                               path, depth))
-            got = sess.tree_level(items)
+            got, rows = sess.tree_level(items)
             want = ref.tree_level(items)
-            for (g_out, g_row), (w_out, w_row) in zip(got, want):
-                assert g_row == w_row
-                assert_step_equal(g_out, w_out)
-            paths = [it[2] + [row] for it, (_o, row) in zip(items, got)]
+            assert len(rows) == len(want)
+            for i, (w_out, w_row) in enumerate(want):
+                assert rows[i] == w_row
+                assert_step_equal(got.row(i), w_out)
+            paths = [it[2] + [row] for it, row in zip(items, rows)]
         tokens = tokens[1:] + [int(rng.integers(0, draft.vocab))]
         feats = feats[1:] + [rng.normal(size=draft.dim)]
 
@@ -290,7 +292,7 @@ def test_tree_level_rejects_unknown_ancestor(target):
     sess = DraftSession(draft)
     f = np.zeros(draft.dim)
     sess.begin_round([1, 2], [f, f])
-    [(_out, row)] = sess.tree_level([(3, f, [], 1)])
+    _out, (row,) = sess.tree_level([(3, f, [], 1)])
     with pytest.raises(ValueError, match="ancestor row out of range"):
         sess.tree_level([(4, f, [row + 1], 2)])
 

@@ -76,7 +76,8 @@ class TestChain:
             tok = int(np.argmax(dist))
             want.append(tok)
             if depth < gamma:
-                [(out, row)] = s.tree_level([(tok, out.feature_moe, rows.copy(), depth)])
+                level, (row,) = s.tree_level([(tok, out.feature_moe, rows.copy(), depth)])
+                out = level.row(0)
                 rows.append(row)
         assert [n.token for n in tree.nodes] == want
 
@@ -112,7 +113,7 @@ class TestStaticTree:
         expect = [(t, 1, -1) for t, _ in layer1]
         children = []
         for idx, (t, logq) in enumerate(layer1):
-            [(o2, _)] = s.tree_level([(t, out.feature_moe, [], 1)])
+            o2 = s.tree_level([(t, out.feature_moe, [], 1)])[0].row(0)
             d2 = softmax(draft.mixture_logits(o2))
             for t2 in np.argsort(-d2, kind="stable")[:2]:
                 children.append((int(t2), 2, idx, logq + float(np.log(d2[t2]))))

@@ -1,0 +1,242 @@
+"""Level-at-a-time tree growth against the candidate-by-candidate grower it replaced.
+
+``ref_grow`` below is that grower: it proposes, dedups and prunes one
+candidate at a time, with the scalar inverse-CDF scan and the per-step
+mixture and contrast heads.  The level-wise ``_grow`` must emit the same
+tree node for node (token, parent, depth, tag, q_prob, cum_score and the
+q_dist bytes), spend the same draft passes and leave the sampling rng in
+the same state, for every kind, mode and tree shape.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+
+from sdlab.draft import DraftConfig, DraftSession, DraftStepOutput, init_draft
+from sdlab.kernels import softmax
+from sdlab.target import TargetConfig, init_target
+from sdlab.tree import BRANCH_LEFT, BRANCH_NONE, BRANCH_RIGHT, DraftNode, DraftTree, _grow
+
+from test_kernels import ref_inverse_cdf_sample
+
+
+# ----------------------------------------------------------------- reference
+
+def ref_mixture_logits(model, step):
+    if step.active_k < 2:
+        return model.head @ step.feature_moe
+    s = step.scores.scores
+    s1 = float(s[int(step.scores.top_indices[0])])
+    s2 = float(s[int(step.scores.top_indices[1])])
+    return model.head @ (s1 * step.feature_top1 + s2 * step.feature_top2)
+
+
+def ref_contrast_logits(model, step, cparams):
+    return model.head @ (cparams.beta * step.feature_top1 - cparams.alpha * step.feature_top2)
+
+
+def ref_pick(dist, mode, rng):
+    if mode == "greedy":
+        return int(np.argmax(dist))
+    return ref_inverse_cdf_sample(dist, rng.random())
+
+
+@dataclass
+class Cand:
+    parent: int
+    token: int
+    depth: int
+    q_prob: float
+    cum: float
+    tag: str
+    q_dist: np.ndarray
+    src: DraftStepOutput
+
+
+def ref_propose(dist, parent_idx, parent_cum, depth, tag, branch_logscore, top_k, mode, rng, src):
+    if mode == "greedy":
+        toks = [int(t) for t in np.argsort(-dist, kind="stable")[:top_k]]
+    else:
+        toks = [ref_pick(dist, mode, rng) for _ in range(top_k)]
+    out = []
+    for t in toks:
+        q = float(dist[t])
+        cum = parent_cum + branch_logscore + np.log(max(q, 1e-300))
+        out.append(Cand(parent_idx, t, depth, q, cum, tag, dist, src))
+    return out
+
+
+def ref_dedup_siblings(cands):
+    best, order = {}, []
+    for c in cands:
+        key = (c.parent, c.token)
+        if key not in best:
+            best[key] = c
+            order.append(key)
+        elif c.cum > best[key].cum:
+            best[key] = c
+    return [best[k] for k in order]
+
+
+def ref_grow(session, prev_feature, start_token, gamma, *, kind, top_k=1, beam=60,
+             parallel=False, mode="greedy", temperature=1.0, rng=None,
+             backlog_tokens=(), backlog_features=(), context_len=0):
+    model = session.model
+    cp = model.contrast_params()
+    out0 = session.begin_round([*backlog_tokens, start_token], [*backlog_features, prev_feature])
+    nodes = []
+    frontier = [(-1, out0, [])]
+    last_step_depth = gamma - 1 if parallel else gamma
+    for depth in range(1, last_step_depth + 1):
+        cands = []
+        for pidx, pout, _rows in frontier:
+            pcum = 0.0 if pidx == -1 else nodes[pidx].cum_score
+            if kind == "moe":
+                s = pout.scores.scores
+                s1 = float(s[int(pout.scores.top_indices[0])])
+                s2 = float(s[int(pout.scores.top_indices[1])])
+                dl = softmax(pout.logits_left, temperature)
+                dr = softmax(pout.logits_right, temperature)
+                pc = ref_propose(dl, pidx, pcum, depth, BRANCH_LEFT, np.log(s1), top_k, mode, rng, pout)
+                pc += ref_propose(dr, pidx, pcum, depth, BRANCH_RIGHT, np.log(s2), top_k, mode, rng, pout)
+                if mode == "greedy":
+                    pc = ref_dedup_siblings(pc)
+            else:
+                dist = softmax(ref_mixture_logits(model, pout), temperature)
+                pc = ref_propose(dist, pidx, pcum, depth, BRANCH_NONE, 0.0, top_k, mode, rng, pout)
+            cands.extend(pc)
+        if mode == "greedy" and len(cands) > beam:
+            ranked = sorted(range(len(cands)), key=lambda i: (-cands[i].cum, i))
+            cands = [cands[i] for i in sorted(ranked[:beam])]
+        layer_idx = []
+        for c in cands:
+            nodes.append(DraftNode(c.token, c.parent, c.depth, c.q_prob, c.cum, c.tag, c.q_dist))
+            layer_idx.append(len(nodes) - 1)
+        if depth == last_step_depth:
+            if parallel:
+                final = []
+                for j, c in zip(layer_idx, cands):
+                    distc = softmax(ref_contrast_logits(model, c.src, cp), temperature)
+                    final += ref_propose(distc, j, nodes[j].cum_score, gamma,
+                                         BRANCH_NONE, 0.0, top_k, mode, rng, c.src)
+                if mode == "greedy":
+                    final = ref_dedup_siblings(final)
+                    if len(final) > beam:
+                        ranked = sorted(range(len(final)), key=lambda i: (-final[i].cum, i))
+                        final = [final[i] for i in sorted(ranked[:beam])]
+                for c in final:
+                    nodes.append(DraftNode(c.token, c.parent, gamma, c.q_prob, c.cum, c.tag, c.q_dist))
+            break
+        exp = layer_idx
+        if len(exp) > beam:
+            ranked = sorted(exp, key=lambda i: (-nodes[i].cum_score, i))
+            exp = sorted(ranked[:beam])
+        by_node = {pidx: (out, rows) for pidx, out, rows in frontier}
+        items = []
+        for i in exp:
+            pout, parent_rows = by_node[nodes[i].parent]
+            items.append((nodes[i].token, pout.feature_moe, parent_rows, nodes[i].depth))
+        level, ids = session.tree_level(items)
+        frontier = [(i, level.row(r), by_node[nodes[i].parent][1] + [ids[r]])
+                    for r, i in enumerate(exp)]
+    return DraftTree(nodes=nodes, root_token=start_token, root_context_len=context_len)
+
+
+# --------------------------------------------------------------------- tests
+
+@pytest.fixture(scope="module")
+def target():
+    return init_target(TargetConfig(), seed=0)
+
+
+def assert_same_tree(got, want):
+    assert (got.root_token, got.root_context_len, len(got)) == (
+        want.root_token, want.root_context_len, len(want))
+    for g, w in zip(got.nodes, want.nodes):
+        assert (g.token, g.parent, g.depth, g.branch_tag) == (w.token, w.parent, w.depth, w.branch_tag)
+        assert g.q_prob == w.q_prob and g.cum_score == w.cum_score
+        assert np.array_equal(g.q_dist, w.q_dist)
+
+
+def compare_growth(draft, kind, parallel, mode, shapes, seed, temperatures=(1.0,)):
+    """Grow one round per (gamma, top_k, beam, temperature) in two sessions
+    fed the same history; returns the trees grown."""
+    rng = np.random.default_rng(seed)
+    sess, ref = DraftSession(draft), DraftSession(draft)
+    ctx = [int(t) for t in rng.integers(0, draft.vocab, size=3)]
+    feats = list(rng.normal(size=(3, draft.dim)))
+    sess.prefill(ctx, feats)
+    ref.prefill(ctx, feats)
+    trees = []
+    for gamma, top_k, beam in shapes:
+        for temperature in temperatures:
+            n = int(rng.integers(0, 3))
+            kw = dict(kind=kind, top_k=top_k, beam=beam, parallel=parallel, mode=mode,
+                      temperature=temperature,
+                      backlog_tokens=[int(t) for t in rng.integers(0, draft.vocab, size=n)],
+                      backlog_features=list(rng.normal(size=(n, draft.dim))),
+                      context_len=int(rng.integers(0, 50)))
+            start, f = int(rng.integers(0, draft.vocab)), rng.normal(size=draft.dim)
+            draw_seed = int(rng.integers(0, 2**32))
+            g_rng, r_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
+            got = _grow(sess, f, start, gamma, rng=g_rng, **kw)
+            want = ref_grow(ref, f, start, gamma, rng=r_rng, **kw)
+            assert_same_tree(got, want)
+            assert sess.passes == ref.passes
+            assert g_rng.bit_generator.state == r_rng.bit_generator.state
+            trees.append(got)
+    return trees
+
+
+SHAPES = [(g, k, b) for g in (2, 3, 5) for k in (1, 2, 3) for b in (1, 4, 60)]
+CASES = [(kind, parallel, nk) for kind in ("chain", "static", "moe") for parallel in (False, True)
+         for nk in ((2, 2), (3, 2), (4, 3))] + [("static", False, (2, 1)), ("chain", False, (2, 1))]
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sample"])
+@pytest.mark.parametrize("kind,parallel,nk", CASES, ids=lambda v: f"NK{v[0]}{v[1]}" if isinstance(v, tuple) else str(v))
+def test_level_growth_matches_candidate_growth(target, kind, parallel, nk, mode):
+    draft = init_draft(DraftConfig(n_experts=nk[0], active_k=nk[1]), target, seed=nk[0] + nk[1])
+    temps = (1.0,) if mode == "greedy" else (1.0, 0.6)
+    seed = 1000 * nk[0] + 100 * nk[1] + 10 * parallel + ("chain", "static", "moe").index(kind)
+    compare_growth(draft, kind, parallel, mode, SHAPES, seed, temps)
+
+
+@pytest.mark.parametrize("twins", [False, True])
+def test_greedy_dedup_keeps_the_better_copy(target, twins):
+    # A right copy that beats its left twin takes the twin's place.  Equal
+    # router scores (a zero router) make that common; with identical experts
+    # on top, every copy ties and the left one stays.
+    draft = init_draft(DraftConfig(), target, seed=4)
+    draft.params["router"][:] = 0.0
+    if twins:
+        draft.params["expert1_w1"] = draft.params["expert0_w1"].copy()
+        draft.params["expert1_w2"] = draft.params["expert0_w2"].copy()
+    trees = compare_growth(draft, "moe", False, "greedy", [(3, 3, 60)] * 6, 7)
+    swapped = 0
+    for tree in trees:
+        for kids in (tree.children(i) for i in range(-1, len(tree))):
+            tags = [tree.nodes[k].branch_tag for k in kids]
+            swapped += BRANCH_RIGHT in tags and BRANCH_LEFT in tags[tags.index(BRANCH_RIGHT):]
+    if twins:
+        assert all(n.branch_tag == BRANCH_LEFT for tree in trees for n in tree.nodes)
+    else:
+        assert swapped > 0
+
+
+@pytest.mark.parametrize("mode", ["greedy", "sample"])
+def test_empty_levels_still_spend_their_passes(target, mode):
+    draft = init_draft(DraftConfig(), target, seed=2)
+    compare_growth(draft, "moe", True, mode, [(4, 0, 4), (4, 2, 0), (3, 1, 0)], 3)
+
+
+def test_tied_probabilities_take_the_lower_token(target):
+    # tokens 2 and 50 share a head row, so they tie in every distribution
+    tied = init_target(TargetConfig(), seed=0)
+    tied.head[50] = tied.head[2]
+    draft = init_draft(DraftConfig(), tied, seed=1)
+    for kind in ("static", "moe"):
+        trees = compare_growth(draft, kind, True, "greedy", [(3, 3, 60), (4, 2, 16)] * 4, 5)
+        picked = {n.token for tree in trees for n in tree.nodes}
+        assert {2, 50} <= picked  # the tie was reached
