@@ -229,7 +229,7 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
     mode = "greedy" if config.temperature == 0.0 else "sample"
     t0 = time.perf_counter()
     cache = target.new_cache()
-    feats = [target.forward_cached(cache, t).feature for t in prompt[:-1]]
+    feats = [out.feature for out in target.prefill(cache, prompt[:-1])]
     pending = prompt[-1]
     prev_feature = feats[-1]
 

@@ -15,6 +15,9 @@ half.  Linear layers run per row, routing takes a row softmax and a stable
 row argsort, each expert runs on just the rows that selected it, and the
 gated mixture accumulates in ascending expert order, so each row is bit
 for bit what a lone step would give (see kernels.py for the attention).
+All items of a tree level share one depth, so a level's attention layout is
+one group built straight from the items' ancestor rows: the committed rows,
+then the ancestors in ascending order, then the row itself.
 A tree level gets its outputs back as one ``DraftStepOutput`` whose fields
 carry a leading row axis, so tree growth works on whole levels; the mixture
 and contrast heads take such a stack as well as a single step.
@@ -30,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (SINGLE_ROW, attn_row, context_groups, context_heads, layer_norm, row_linear,
-                      silu, sinusoid_positions, softmax)
+from .kernels import (SINGLE_ROW, attn_row, context_heads, cut_group, layer_norm, row_linear, silu,
+                      sinusoid_positions, softmax)
 from .target import KvCache, TargetModel
 
 MAGIC_DRAFT = b"SDFD"
@@ -149,13 +152,18 @@ class DraftModel:
         """
         cfg = self.config
         p = self.params
-        for token, f in zip(tokens, prev_features):
-            if np.shape(f) != (cfg.dim,):
-                raise ValueError("prev_feature dimension mismatch")
-            if not 0 <= token < cfg.vocab:
-                raise ValueError(f"token {token} out of vocab range [0, {cfg.vocab})")
-        e = self.emb[tokens] + sinusoid_positions(positions, cfg.dim)
-        x = row_linear(p["reduction"], np.concatenate((e, np.array(prev_features)), axis=1))
+        try:
+            feats = np.array(prev_features, dtype=np.float64)
+        except ValueError:  # ragged: rows of different shapes
+            feats = None
+        if feats is None or feats.shape != (len(tokens), cfg.dim):
+            raise ValueError("prev_feature dimension mismatch")
+        tok = np.asarray(tokens)
+        bad = (tok < 0) | (tok >= cfg.vocab)
+        if bad.any():
+            raise ValueError(f"token {tokens[int(np.argmax(bad))]} out of vocab range [0, {cfg.vocab})")
+        e = self.emb[tok] + sinusoid_positions(positions, cfg.dim)
+        x = row_linear(p["reduction"], np.concatenate((e, feats), axis=1))
         a_in = layer_norm(x, p["ln1_g"], p["ln1_b"]) if cfg.use_ln else x
         return x, row_linear(p["wq"], a_in), row_linear(p["wk"], a_in), row_linear(p["wv"], a_in)
 
@@ -294,31 +302,42 @@ class DraftSession:
 
         Each item is (token, prev_feature, ancestor_row_ids, depth); ancestors
         index into this round's tentative rows, root first (rows are numbered
-        in creation order, so a path's ids ascend).  Returns the items' step
-        outputs stacked along a leading row axis (None for no items) and
-        their row ids; rows are discarded when the next round begins.
+        in creation order, so a path's ids ascend).  All items of a level
+        share one depth d and carry d-1 ancestors, so the level is one
+        attention group: each row attends to the committed rows, then its
+        ancestors, then itself.  Returns the items' step outputs stacked
+        along a leading row axis (None for no items) and their row ids;
+        rows are discarded when the next round begins.
         """
         self.passes += 1
         t = self._tk.shape[0]
         if not items:
             return None, range(t, t)
+        m = len(items)
+        depth = items[0][3]
+        if any(it[3] != depth for it in items):
+            raise ValueError("tree level items must share one depth")
+        if depth < 1 or any(len(it[2]) != depth - 1 for it in items):
+            raise ValueError(f"tree level items at depth {depth} need depth - 1 ancestor rows")
+        anc = np.array([it[2] for it in items], dtype=np.intp).reshape(m, depth - 1)
+        bad = ((anc < 0) | (anc >= t)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"item {int(np.argmax(bad))}: ancestor row out of range [0, {t})")
+        bad = (anc[:, 1:] <= anc[:, :-1]).any(axis=1)
+        if bad.any():
+            raise ValueError(f"item {int(np.argmax(bad))}: ancestor rows must ascend")
         cache = self.state.cache
         c = cache.length
-        m = len(items)
-        mask = np.zeros((m, c + t + m), dtype=bool)
-        mask[:, :c] = True
-        for i, (_token, _f, anc, _depth) in enumerate(items):
-            if anc:
-                if not 0 <= min(anc) <= max(anc) < t:
-                    raise ValueError(f"item {i}: ancestor row out of range [0, {t})")
-                mask[i, c + np.asarray(anc)] = True
-        mask[np.arange(m), c + t + np.arange(m)] = True
+        idx = np.empty((m, c + depth), dtype=np.intp)
+        idx[:, :c] = np.arange(c)
+        idx[:, c:-1] = c + anc
+        idx[:, -1] = np.arange(c + t, c + t + m)
         base = self.state.next_pos - 1
         x, q, k, v = self.model._kv_rows(
-            [it[0] for it in items], [base + it[3] for it in items], [it[1] for it in items])
+            [it[0] for it in items], [base + depth] * m, [it[1] for it in items])
         keys = np.concatenate((cache.keys(0), self._tk, k))
         values = np.concatenate((cache.values(0), self._tv, v))
-        out = self.model._out_rows(x, q, keys, values, context_groups(mask))
+        out = self.model._out_rows(x, q, keys, values, cut_group(np.arange(m), idx))
         self._tk = keys[c:]
         self._tv = values[c:]
         return out, range(t, t + m)
@@ -400,4 +419,6 @@ def load_draft(path: str, target: TargetModel) -> DraftModel:
         offset += 8 * n
     if offset != len(blob):
         raise ValueError("checkpoint length mismatch")
+    if not all(np.isfinite(model.params[n]).all() for n in param_order(cfg)):
+        raise ValueError("non-finite parameter value in draft checkpoint")
     return model

@@ -2,7 +2,10 @@
 
 Everything here is a pure function over immutable inputs.  All arrays are
 float64; outputs are freshly allocated.  Reductions go through numpy on the
-same shapes for every caller, so repeated runs are bit-identical.
+same shapes for every caller, so repeated runs are bit-identical.  The one
+piece of state is a memo: ``sinusoid_positions`` gathers rows from a table
+of ``sinusoid_position`` rows per width, built once and doubled when a
+position runs past its end, so no pass recomputes an encoding.
 
 The models forward many rows at once (a whole verification tree, a draft
 tree level, a backlog of committed tokens) with the row helpers below, and
@@ -11,8 +14,15 @@ hold: linear layers run one matrix-vector product per row (``row_linear``;
 a GEMM would block its sums differently), row-wise reductions run along
 the contiguous last axis, where numpy sums every row as it would sum a
 vector, and attention gathers each row's context in its sequential key
-order and only batches rows of equal context length (``context_groups``,
-``attn_row``), so every softmax reduces the same values in the same order.
+order and only batches rows of equal context length (``attn_row``), so
+every softmax reduces the same values in the same order.
+
+Each pass takes its attention groups from data it already holds: a lone
+decode step attends to the whole cache (``SINGLE_ROW``), a prompt prefill
+gives row i the first c+i+1 columns, a draft tree level is one group (all
+its rows share one depth; ``cut_group``), and only tree verification,
+whose mask comes from the tree, groups rows by context length
+(``context_groups``).
 """
 
 from __future__ import annotations
@@ -101,20 +111,32 @@ def context_groups(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
 
     Returns (rows, idx) pairs: the rows of one group share a context length
     n, and idx[r] holds row rows[r]'s n context columns in ascending order,
-    which is the order a sequential decode appends keys in.  Groups are cut
-    to at most MAX_GATHER rows x columns.
+    which is the order a sequential decode appends keys in.  Groups come in
+    ascending n, rows in ascending order within a group, cut to at most
+    MAX_GATHER rows x columns.  One stable sort of the rows by length puts
+    each group's rows together, so the columns of the reordered mask's true
+    entries, read row by row, give every group's idx back to back.
     """
-    if mask.shape[0] == 1:
-        return [(slice(None), np.flatnonzero(mask[0])[None])]
     lengths = mask.sum(axis=1)
+    order = np.argsort(lengths, kind="stable")
+    lengths = lengths[order]
+    sorted_mask = mask[order]
+    cols = np.broadcast_to(np.arange(mask.shape[1]), sorted_mask.shape)[sorted_mask]
+    ends = [*(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), lengths.size]
     groups = []
-    for n in np.unique(lengths):
-        rows = np.flatnonzero(lengths == n)
-        idx = np.nonzero(mask[rows])[1].reshape(rows.size, n)
-        step = max(1, MAX_GATHER // int(n))
-        for s in range(0, rows.size, step):
-            groups.append((rows[s : s + step], idx[s : s + step]))
+    start = off = 0
+    for end in ends:
+        n = int(lengths[start])
+        groups += cut_group(order[start:end], cols[off : off + (end - start) * n].reshape(-1, n))
+        start, off = end, off + (end - start) * n
     return groups
+
+
+def cut_group(rows: np.ndarray, idx: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One attention group (rows of equal context length and their (rows, n)
+    context columns) cut into pieces of at most MAX_GATHER rows x columns."""
+    step = max(1, MAX_GATHER // idx.shape[1])
+    return [(rows[s : s + step], idx[s : s + step]) for s in range(0, idx.shape[0], step)]
 
 
 # context_groups of a single row that attends to every column in order
@@ -201,21 +223,38 @@ def sinusoid_position(pos: int, dim: int) -> np.ndarray:
     return enc
 
 
+# per-dim (positions, dim) tables of sinusoid_position rows, doubled on demand
+_POSITION_TABLES: dict[int, np.ndarray] = {}
+
+
 def sinusoid_positions(positions, dim: int) -> np.ndarray:
-    """(len(positions), dim) stack of ``sinusoid_position`` rows, each
-    distinct position encoded once."""
-    if len(positions) == 1:
-        return sinusoid_position(int(positions[0]), dim)[None]
-    uniq, inv = np.unique(np.asarray(positions, dtype=np.int64), return_inverse=True)
-    return np.stack([sinusoid_position(int(p), dim) for p in uniq])[inv]
+    """(len(positions), dim) stack of ``sinusoid_position`` rows.
+
+    The rows are gathered from a table of ``sinusoid_position`` rows per
+    dim, built once and doubled whenever a position runs past its end, so
+    every row is bit for bit the one-position encoding.  The table spans
+    the largest position asked for, which a decode keeps near its length.
+    """
+    pos = np.asarray(positions, dtype=np.intp)
+    # viewed unsigned, a negative position lies past the end of every table
+    top = int(pos.view(np.uintp).max(initial=0))
+    table = _POSITION_TABLES.get(dim)
+    if table is None or top >= table.shape[0]:
+        if top > np.iinfo(np.intp).max:
+            raise ValueError("negative position")
+        n = 256 if table is None else table.shape[0]
+        while n <= top:
+            n *= 2
+        table = _POSITION_TABLES[dim] = np.stack([sinusoid_position(p, dim) for p in range(n)])
+    return table[pos]
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    # sum / n is what np.mean computes, without its Python-level wrapper
+    # np.add.reduce / n is what np.mean computes, without its Python-level wrappers
     n = x.shape[-1]
-    mu = np.sum(x, axis=-1, keepdims=True) / n
-    var = np.sum((x - mu) ** 2, axis=-1, keepdims=True) / n
-    return gamma * (x - mu) / np.sqrt(var + eps) + beta
+    d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(d * d, axis=-1, keepdims=True) / n
+    return gamma * d / np.sqrt(var + eps) + beta
 
 
 def silu(x: np.ndarray) -> np.ndarray:

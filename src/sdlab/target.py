@@ -11,7 +11,9 @@ Each row attends to its own context (the cached prefix, then its tree
 ancestors, then itself, the order sequential decoding appends keys in), and
 the kernel's helpers keep every row's arithmetic equal to a lone row's (see
 kernels.py), so any root-to-leaf tree path reproduces the sequential outputs
-bit for bit.
+bit for bit.  A prompt is prefilled in one pass as well: row i attends to
+the cached prefix and the prompt rows up to itself, which is what decoding
+the prompt token by token would give.
 """
 
 from __future__ import annotations
@@ -196,7 +198,27 @@ class TargetModel:
         return StepOutput(logits=logits[0], feature=f[0])
 
     def prefill(self, cache: KvCache, tokens: list[int]) -> list[StepOutput]:
-        return [self.forward_cached(cache, t) for t in tokens]
+        """Decode tokens at the next positions in one pass, extending the cache.
+
+        Row i attends to the cached prefix and rows 0..i, columns in order,
+        so each output and key/value row is bit for bit the one
+        ``forward_cached`` would give for that token in turn.
+        """
+        m = len(tokens)
+        if m == 0:
+            return []
+        tok = np.asarray(tokens)
+        bad = (tok < 0) | (tok >= self.config.vocab)
+        if bad.any():
+            self._check_token(tokens[int(np.argmax(bad))])
+        c = cache.length
+        L = self.config.n_layers
+        logits, f, new_k, new_v = self._forward_rows(
+            tok, range(c, c + m), [cache.keys(l) for l in range(L)],
+            [cache.values(l) for l in range(L)],
+            [(slice(i, i + 1), np.arange(c + i + 1)[None]) for i in range(m)])
+        cache.extend(new_k, new_v)
+        return [StepOutput(logits=lg, feature=ft) for lg, ft in zip(logits, f)]
 
     def _check_tree(self, tokens, tree_mask) -> None:
         """Reject the first tree row, in row order, that is out of vocab,
@@ -242,10 +264,6 @@ class TargetModel:
         outputs = [StepOutput(logits=lg, feature=ft) for lg, ft in zip(logits, f)]
         return outputs, TreeKv(k=new_k, v=new_v)
 
-    def forward_tree(self, cache, tokens, mask, positions) -> list[StepOutput]:
-        outputs, _ = self.forward_tree_kv(cache, tokens, mask, positions)
-        return outputs
-
     def autoregressive_decode(self, prompt, max_new, temperature=0.0, rng_seed=0):
         """Vanilla decoding baseline; temperature 0 is greedy and rng-independent."""
         if not prompt:
@@ -254,9 +272,7 @@ class TargetModel:
             raise ValueError("temperature must be >= 0")
         rng = np.random.Generator(np.random.PCG64(rng_seed))
         cache = self.new_cache()
-        out = None
-        for t in prompt:
-            out = self.forward_cached(cache, t)
+        out = self.prefill(cache, prompt)[-1]
         emitted: list[int] = []
         for _ in range(max_new):
             if temperature == 0.0:
@@ -339,4 +355,6 @@ def load_target(path: str) -> TargetModel:
         offset += 8 * n
     if offset != len(blob):
         raise ValueError("checkpoint length mismatch")
+    if not all(np.isfinite(a).all() for a in _target_arrays(model)):
+        raise ValueError("non-finite parameter value in target checkpoint")
     return model

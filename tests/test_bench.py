@@ -23,6 +23,8 @@ from sdlab.bench import (
     environment_stamp,
 )
 from sdlab.cli import main
+from sdlab.draft import save_draft
+from sdlab.target import save_target
 
 
 class TestConfig:
@@ -216,6 +218,21 @@ class TestCli:
         path.write_text(json.dumps({"method": "chain", "draft_checkpoint": str(ckpt),
                                     "max_new": 4, "n_prompts": 1}))
         assert main(["decode", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("which", ["target", "draft"])
+    def test_non_finite_checkpoint_exit_2(self, tmp_path, capsys, which):
+        target, draft = build_models(RunConfig())
+        if which == "target":
+            target.layers[1].wv[3, 4] = np.nan
+            save_target(target, str(tmp_path / "ckpt.bin"))
+        else:
+            draft.params["expert1_w2"][0, 5] = np.nan
+            save_draft(draft, str(tmp_path / "ckpt.bin"))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"method": "chain", f"{which}_checkpoint": str(tmp_path / "ckpt.bin"),
+                                    "max_new": 4, "n_prompts": 1}))
+        assert main(["decode", "--config", str(path)]) == 2
+        assert f"{which}_checkpoint: non-finite parameter value" in capsys.readouterr().err
 
     def test_bench_moe_with_one_active_expert_exit_2(self, tmp_path, capsys):
         cfg = RunConfig(method="chain", active_k=1, gamma=3, max_new=4, n_prompts=1)

@@ -151,6 +151,8 @@ class TestDraftForward:
     def test_dimension_error(self, draft):
         with pytest.raises(ValueError, match="dimension mismatch"):
             draft.forward_cached(draft.new_state(), 1, np.zeros(3))
+        with pytest.raises(ValueError, match="dimension mismatch"):  # ragged rows
+            DraftSession(draft).begin_round([1, 2], [np.zeros(draft.dim), np.zeros(3)])
 
     def test_layer_norm_can_be_disabled(self, target):
         d = init_draft(DraftConfig(use_ln=False), target, seed=6)

@@ -233,7 +233,7 @@ def test_layer_norm_matches_mean_reference():
         return g * (x - mu) / np.sqrt(var + eps) + b
 
     rng = np.random.default_rng(9)
-    for shape in [(32,), (1, 32), (7, 32), (300, 32), (5, 3), (4, 64)]:
+    for shape in [(32,), (1, 32), (7, 32), (300, 32), (5, 3), (4, 64), (20_000, 32)]:
         x = rng.normal(size=shape) * rng.uniform(0.01, 100.0)
         g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
         assert np.array_equal(layer_norm(x, g, b), ref(x, g, b))

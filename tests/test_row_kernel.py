@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from sdlab.draft import DraftConfig, DraftSession, init_draft
-from sdlab.kernels import layer_norm, silu, sinusoid_position
+from sdlab.kernels import (MAX_GATHER, context_groups, layer_norm, silu, sinusoid_position,
+                           sinusoid_positions)
 from sdlab.target import TargetConfig, init_target
 
 
@@ -146,6 +147,75 @@ def assert_step_equal(got, want):
     assert np.array_equal(got.branch_scores, scores[top[:2]])
 
 
+def ref_context_groups(mask):
+    """The per-length grouping that context_groups replaced: one unique
+    length at a time, its rows found by flatnonzero, its columns by nonzero."""
+    if mask.shape[0] == 1:
+        return [(slice(None), np.flatnonzero(mask[0])[None])]
+    lengths = mask.sum(axis=1)
+    groups = []
+    for n in np.unique(lengths):
+        rows = np.flatnonzero(lengths == n)
+        idx = np.nonzero(mask[rows])[1].reshape(rows.size, n)
+        step = max(1, MAX_GATHER // int(n))
+        for s in range(0, rows.size, step):
+            groups.append((rows[s : s + step], idx[s : s + step]))
+    return groups
+
+
+def assert_groups_equal(got, want, m):
+    assert len(got) == len(want)
+    for (rows, idx), (w_rows, w_idx) in zip(got, want):
+        assert np.array_equal(np.arange(m)[rows], np.arange(m)[w_rows])
+        assert np.array_equal(idx, w_idx)
+
+
+# ------------------------------------------------------------------- layouts
+
+@pytest.mark.parametrize("seed", range(40))
+def test_context_groups_matches_per_length_loop(seed):
+    rng = np.random.default_rng(seed)
+    m, c = int(rng.integers(1, 120)), int(rng.integers(0, 60))
+    mask = rng.random((m, c + m)) < rng.uniform(0.05, 0.95)
+    mask[np.arange(m), c + np.arange(m)] = True  # lengths unsorted, none zero
+    assert_groups_equal(context_groups(mask), ref_context_groups(mask), m)
+
+
+def test_context_groups_one_row_and_tree_masks():
+    rng = np.random.default_rng(3)
+    for c in (0, 1, 17):
+        mask = np.zeros((1, c + 1), dtype=bool)
+        mask[0, rng.permutation(c + 1)[: int(rng.integers(1, c + 2))]] = True
+        assert_groups_equal(context_groups(mask), ref_context_groups(mask), 1)
+    for m in (2, 65, 300):
+        mask, _ = random_tree_mask(rng, 30, m, partial_prefix=True)
+        assert_groups_equal(context_groups(mask), ref_context_groups(mask), m)
+
+
+def test_context_groups_cut_at_max_gather():
+    rng = np.random.default_rng(4)
+    # 3000-column rows: one row per group; 700-column rows: two per group
+    mask = np.ones((7, 3000), dtype=bool)
+    mask[rng.permutation(7)[:4], 700:] = False
+    groups = context_groups(mask)
+    assert_groups_equal(groups, ref_context_groups(mask), 7)
+    assert [len(rows) for rows, _ in groups] == [2, 2, 1, 1, 1]
+    mask = rng.random((400, 500)) < 0.9
+    assert_groups_equal(context_groups(mask), ref_context_groups(mask), 400)
+
+
+def test_sinusoid_positions_match_one_position_rows():
+    rng = np.random.default_rng(6)
+    pos = rng.integers(0, 3001, size=5000)  # unsorted, repeated, past the first table
+    for dim in (32, 6):
+        want = np.stack([sinusoid_position(int(p), dim) for p in pos])
+        assert np.array_equal(sinusoid_positions(pos, dim), want)
+        assert np.array_equal(sinusoid_positions(list(pos[:1]), dim), want[:1])
+        assert sinusoid_positions([], dim).shape == (0, dim)
+    with pytest.raises(ValueError, match="negative position"):
+        sinusoid_positions([3, -1], 32)
+
+
 # -------------------------------------------------------------------- target
 
 @pytest.fixture(scope="module")
@@ -227,6 +297,33 @@ def test_forward_cached_matches_token_step(target):
         assert np.array_equal(cache.values(l), ctx_v[l])
 
 
+@pytest.mark.parametrize("c", [0, 1, 9])
+@pytest.mark.parametrize("m", [1, 2, 8, 33])
+def test_prefill_matches_forward_cached_loop(target, c, m):
+    rng = np.random.default_rng(100 * c + m)
+    prefix = [int(t) for t in rng.integers(0, target.vocab, size=c)]
+    tokens = [int(t) for t in rng.integers(0, target.vocab, size=m)]
+    seq = cached(target, prefix)
+    want = [target.forward_cached(seq, t) for t in tokens]
+    cache = cached(target, prefix)
+    got = target.prefill(cache, tokens)
+    assert len(got) == m and cache.length == seq.length == c + m
+    for o, w in zip(got, want):
+        assert np.array_equal(o.logits, w.logits)
+        assert np.array_equal(o.feature, w.feature)
+    for l in range(target.config.n_layers):
+        assert np.array_equal(cache.keys(l), seq.keys(l))
+        assert np.array_equal(cache.values(l), seq.values(l))
+
+
+def test_prefill_rejects_out_of_vocab_before_any_row(target):
+    cache = cached(target, [1, 2])
+    assert target.prefill(cache, []) == []
+    with pytest.raises(ValueError, match=f"token {target.vocab} out of vocab range"):
+        target.prefill(cache, [3, target.vocab, 4])
+    assert cache.length == 2
+
+
 def test_tree_must_attend_to_itself(target):
     cache = cached(target, [1, 2])
     mask = np.ones((2, 4), dtype=bool)
@@ -295,6 +392,20 @@ def test_tree_level_rejects_unknown_ancestor(target):
     _out, (row,) = sess.tree_level([(3, f, [], 1)])
     with pytest.raises(ValueError, match="ancestor row out of range"):
         sess.tree_level([(4, f, [row + 1], 2)])
+
+
+def test_tree_level_rejects_mixed_depths_and_bad_paths(target):
+    draft = init_draft(DraftConfig(), target, seed=1)
+    sess = DraftSession(draft)
+    f = np.zeros(draft.dim)
+    sess.begin_round([1, 2], [f, f])
+    _out, rows = sess.tree_level([(3, f, [], 1), (5, f, [], 1)])
+    with pytest.raises(ValueError, match="must share one depth"):
+        sess.tree_level([(4, f, [rows[0]], 2), (6, f, [], 1)])
+    with pytest.raises(ValueError, match="need depth - 1 ancestor rows"):
+        sess.tree_level([(4, f, [rows[0]], 2), (6, f, [rows[0], rows[1]], 2)])
+    with pytest.raises(ValueError, match="item 1: ancestor rows must ascend"):
+        sess.tree_level([(4, f, [0, 1], 3), (6, f, [1, 0], 3)])
 
 
 def test_draft_forward_cached_matches_step(target):

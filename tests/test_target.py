@@ -16,6 +16,11 @@ SNAPSHOT_FEATURE_4 = [
 ]
 
 
+def forward_tree(model, cache, tokens, mask, positions):
+    """The outputs of a tentative tree forward, without its key/value rows."""
+    return model.forward_tree_kv(cache, tokens, mask, positions)[0]
+
+
 @pytest.fixture(scope="module")
 def model():
     return init_target(TargetConfig(), seed=0)
@@ -65,7 +70,7 @@ class TestForwardTree:
         mask = np.concatenate(
             (np.ones((n, c), dtype=bool), np.tril(np.ones((n, n), dtype=bool))), axis=1
         )
-        tree_outs = model.forward_tree(cache, chain, mask, [0, 1, 2])
+        tree_outs = forward_tree(model, cache, chain, mask, [0, 1, 2])
         for a, b in zip(seq_outs, tree_outs):
             assert np.max(np.abs(a.logits - b.logits)) < 1e-9
             # this implementation routes both paths through one step kernel: exact
@@ -85,7 +90,7 @@ class TestForwardTree:
         mask[1, c : c + 2] = [True, True]
         mask[2, c] = True
         mask[2, c + 2] = True
-        outs = model.forward_tree(cache, tokens, mask, [0, 1, 1])
+        outs = forward_tree(model, cache, tokens, mask, [0, 1, 1])
         for branch_token, branch_out in ((8, outs[1]), (40, outs[2])):
             replay = cache.clone()
             o5 = model.forward_cached(replay, 5)
@@ -96,7 +101,7 @@ class TestForwardTree:
     def test_empty_tokens(self, model):
         cache = model.new_cache()
         model.forward_cached(cache, 1)
-        outs = model.forward_tree(cache, [], np.zeros((0, 1), dtype=bool), [])
+        outs = forward_tree(model, cache, [], np.zeros((0, 1), dtype=bool), [])
         assert outs == []
 
     def test_cache_not_mutated(self, model):
@@ -107,17 +112,17 @@ class TestForwardTree:
         mask = np.concatenate(
             (np.ones((2, 3), dtype=bool), np.tril(np.ones((2, 2), dtype=bool))), axis=1
         )
-        model.forward_tree(cache, [1, 2], mask, [0, 1])
+        forward_tree(model, cache, [1, 2], mask, [0, 1])
         assert cache.fingerprint() == before
 
     def test_mask_shape_errors(self, model):
         cache = model.new_cache()
         model.forward_cached(cache, 1)
         with pytest.raises(ValueError, match="mask/token length mismatch"):
-            model.forward_tree(cache, [1, 2], np.ones((1, 2), dtype=bool), [0, 1])
+            forward_tree(model, cache, [1, 2], np.ones((1, 2), dtype=bool), [0, 1])
         bad = np.ones((2, 3), dtype=bool)  # token 0 referencing token 1
         with pytest.raises(ValueError, match="later token"):
-            model.forward_tree(cache, [1, 2], bad, [0, 1])
+            forward_tree(model, cache, [1, 2], bad, [0, 1])
 
 
 class TestDecode:

@@ -154,9 +154,9 @@ class TestWalkMechanics:
             out = small_target.forward_cached(cache, t)
         pending = 3
         # q at the root position equals p exactly
-        root_out = small_target.forward_tree(
+        root_out = small_target.forward_tree_kv(
             cache, [pending], np.ones((1, cache.length + 1), dtype=bool), [0]
-        )[0]
+        )[0][0]
         p = softmax(root_out.logits, 1.0)
         tok = int(np.argmax(p))
         tree = star_tree([tok], [p], pending, cache.length)
@@ -170,9 +170,9 @@ class TestWalkMechanics:
         for t in [1, 2]:
             small_target.forward_cached(cache, t)
         pending = 3
-        root_out = small_target.forward_tree(
+        root_out = small_target.forward_tree_kv(
             cache, [pending], np.ones((1, cache.length + 1), dtype=bool), [0]
-        )[0]
+        )[0][0]
         p = softmax(root_out.logits, 1.0)
         tok = 0
         q = 0.5 * p
