@@ -202,7 +202,7 @@ class DraftModel:
             f_moe[sel] = f_moe[sel] + scores[sel, j, None] * out
         best = top[:, :2]
         f_best = expert_out[best.T, np.arange(m)] + u
-        s_best = np.take_along_axis(scores, best, axis=1)
+        s_best = scores[np.arange(m)[:, None], best]
         f_top1 = f_best[0]
         logits_left = row_linear(self.head, s_best[:, :1] * f_top1)
         if cfg.active_k >= 2:
@@ -238,10 +238,6 @@ class DraftModel:
         """LM head of a feature vector, or of each row of a stack of them."""
         return self.head @ f if f.ndim == 1 else row_linear(self.head, f)
 
-    def contrastive_heads(self, step: DraftStepOutput, cparams: ContrastParams):
-        """Mixture logits and contrast logits from the two active expert branches."""
-        return self.mixture_logits(step), self.contrast_logits(step, cparams)
-
     def contrast_logits(self, step: DraftStepOutput, cparams: ContrastParams) -> np.ndarray:
         """Contrast head beta * f_top1 - alpha * f_top2 of a step or of each row of a stack."""
         if step.active_k < 2:
@@ -255,18 +251,6 @@ class DraftModel:
             return self._head(step.feature_moe)
         s = step.branch_scores
         return self._head(s[..., :1] * step.feature_top1 + s[..., 1:] * step.feature_top2)
-
-    def parallel_final_step(self, step: DraftStepOutput, cparams: ContrastParams,
-                            depth: int, gamma: int, temperature: float = 1.0):
-        """Distributions for the last two tree depths out of one draft pass.
-
-        The mixture head covers depth gamma-1 and the contrast head covers
-        depth gamma; no extra draft forward is spent on the final depth.
-        """
-        if depth != gamma - 1:
-            raise ValueError(f"parallel final step invoked at depth {depth}, expected {gamma - 1}")
-        logits_moe, logits_const = self.contrastive_heads(step, cparams)
-        return softmax(logits_moe, temperature), softmax(logits_const, temperature)
 
 
 class DraftSession:

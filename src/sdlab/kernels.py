@@ -39,7 +39,7 @@ def as_f64(x) -> np.ndarray:
 
 
 def check_finite(x: np.ndarray, what: str = "value") -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"non-finite {what}")
 
 
@@ -49,9 +49,9 @@ def check_prob_vec(p: np.ndarray, what: str = "probability vector") -> None:
     check_finite(p, what)
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"{what} must be a non-empty vector")
-    if np.any(p < 0.0):
+    if (p < 0.0).any():
         raise ValueError(f"{what} has negative entries")
-    s = float(np.sum(p))
+    s = float(np.add.reduce(p))
     if abs(s - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"{what} sums to {s!r}, expected 1 within {PROB_SUM_TOL}")
 
@@ -66,13 +66,15 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     z = as_f64(logits)
     if z.ndim == 0 or z.size == 0:
         raise ValueError("empty input")
-    if not np.all(np.isfinite(z)):
+    if not np.isfinite(z).all():
         raise ValueError("non-finite logit")
     if not temperature > 0.0:
         raise ValueError("temperature must be > 0")
-    z = z / temperature
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    if temperature != 1.0:  # z / 1.0 is z
+        z = z / temperature
+    # the ufunc reductions ndarray.max and ndarray.sum call, without their wrappers
+    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def attn_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -216,8 +218,8 @@ def sinusoid_position(pos: int, dim: int) -> np.ndarray:
     half = dim // 2
     i = np.arange(half, dtype=np.float64)
     freq = np.exp(-np.log(10000.0) * (2.0 * i / dim))
-    enc[0::2] = np.sin(pos * freq)
-    enc[1::2] = np.cos(pos * freq)
+    enc[0 : 2 * half : 2] = np.sin(pos * freq)
+    enc[1 : 2 * half : 2] = np.cos(pos * freq)
     if dim % 2 == 1:
         enc[-1] = np.sin(pos * np.exp(-np.log(10000.0)))
     return enc

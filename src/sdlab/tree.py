@@ -23,7 +23,11 @@ Sampling growth draws top_k tokens from each distribution by inverse CDF and
 takes all of a level's uniforms in one call, in candidate order, which is
 the order drawing one candidate at a time consumes the stream in.  It never
 discards a grown node, which is what the lossless verification algebra
-requires; the beam then only limits which nodes are expanded further.
+requires; the beam only limits which nodes are expanded, at every level
+and the parallel final level included.  The expanded nodes are the beam
+best by cum_score (ties to the earlier node), chosen from scores known
+before any of their children is drawn, and each one's children are
+independent draws from its distribution, so the walk stays exact.
 """
 
 from __future__ import annotations
@@ -207,19 +211,19 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
             rows, cum = _add_level(nodes, dist, parents, pcum, depth, (BRANCH_NONE,), top_k,
                                    greedy, beam, rng)
 
-        if depth == last_step_depth:
-            if parallel and rows.size:
-                # depth gamma candidates from the contrast head of this pass
-                distc = softmax(model.contrast_logits(out, cp), temperature).reshape(-1, V)
-                _add_level(nodes, distc[rows][:, None], list(range(first, len(nodes))), cum,
-                           gamma, (BRANCH_NONE,), top_k, greedy, beam, rng)
-            break
-
-        # expand this layer (beam-best nodes) in one draft pass
+        # the beam-best nodes of this level are expanded, chosen before any
+        # child is drawn: by the next draft pass, or on the parallel final
+        # level by the contrast head of this pass
         parents = list(range(first, len(nodes)))
         if len(parents) > beam:
             keep = np.sort(np.argsort(-cum, kind="stable")[:beam])
             rows, cum, parents = rows[keep], cum[keep], [first + i for i in keep.tolist()]
+        if depth == last_step_depth:
+            if parallel and parents:
+                distc = softmax(model.contrast_logits(out, cp), temperature).reshape(-1, V)
+                _add_level(nodes, distc[rows][:, None], parents, cum, gamma, (BRANCH_NONE,),
+                           top_k, greedy, beam, rng)
+            break
         if not parents:
             for _ in range(depth, last_step_depth):  # the passes still count
                 session.tree_level([])

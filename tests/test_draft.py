@@ -167,7 +167,7 @@ class TestDraftForward:
 class TestContrastiveHeads:
     def test_contrast_disabled(self, draft):
         out = draft.forward_cached(draft.new_state(), 2, np.zeros(draft.dim))
-        _, logits_const = draft.contrastive_heads(out, ContrastParams(beta=1.0, alpha=0.0))
+        logits_const = draft.contrast_logits(out, ContrastParams(beta=1.0, alpha=0.0))
         assert np.max(np.abs(logits_const - draft.head @ out.feature_top1)) < 1e-12
 
     def test_cancellation_with_identical_experts(self, target):
@@ -176,7 +176,7 @@ class TestContrastiveHeads:
         d.params["expert1_w2"] = d.params["expert0_w2"].copy()
         out = d.forward_cached(d.new_state(), 8, np.zeros(d.dim))
         assert np.array_equal(out.feature_top1, out.feature_top2)
-        _, logits_const = d.contrastive_heads(out, ContrastParams(beta=0.7, alpha=0.7))
+        logits_const = d.contrast_logits(out, ContrastParams(beta=0.7, alpha=0.7))
         assert np.max(np.abs(logits_const)) < 1e-12  # bias-free head maps zero to zero
 
     def test_head_linearity(self, draft):
@@ -191,13 +191,22 @@ class TestContrastiveHeads:
         d = init_draft(DraftConfig(n_experts=1, active_k=1), target, seed=7)
         out = d.forward_cached(d.new_state(), 1, np.zeros(d.dim))
         with pytest.raises(ValueError, match="two active experts"):
-            d.contrastive_heads(out, d.contrast_params())
+            d.contrast_logits(out, d.contrast_params())
+
+
+def parallel_final_step(draft, step, depth, gamma, temperature=1.0):
+    """Distributions for the last two tree depths out of one draft pass: the
+    mixture head covers depth gamma-1 and the contrast head depth gamma."""
+    if depth != gamma - 1:
+        raise ValueError(f"parallel final step invoked at depth {depth}, expected {gamma - 1}")
+    return (softmax(draft.mixture_logits(step), temperature),
+            softmax(draft.contrast_logits(step, draft.contrast_params()), temperature))
 
 
 class TestParallelFinalStep:
     def test_smallest_gamma(self, draft):
         out = draft.forward_cached(draft.new_state(), 4, np.zeros(draft.dim))
-        pm, pc = draft.parallel_final_step(out, draft.contrast_params(), depth=1, gamma=2)
+        pm, pc = parallel_final_step(draft, out, depth=1, gamma=2)
         for dist in (pm, pc):
             assert abs(dist.sum() - 1.0) < 1e-9
             assert np.all(dist >= 0)
@@ -205,7 +214,7 @@ class TestParallelFinalStep:
     def test_wrong_depth_errors(self, draft):
         out = draft.forward_cached(draft.new_state(), 4, np.zeros(draft.dim))
         with pytest.raises(ValueError, match="parallel final step"):
-            draft.parallel_final_step(out, draft.contrast_params(), depth=2, gamma=2)
+            parallel_final_step(draft, out, depth=2, gamma=2)
 
 
 class TestCheckpoint:

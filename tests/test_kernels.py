@@ -87,6 +87,23 @@ class TestSoftmax:
             y[i] += 0.5
             assert softmax(y)[i] > p[i]
 
+    def test_matches_reference(self):
+        # the wrapper-free reductions and the skipped division by 1.0 leave every bit
+        def ref(logits, temperature=1.0):
+            z = np.asarray(logits, dtype=np.float64)
+            if not np.all(np.isfinite(z)):
+                raise ValueError("non-finite logit")
+            z = z / temperature
+            e = np.exp(z - z.max(axis=-1, keepdims=True))
+            return e / e.sum(axis=-1, keepdims=True)
+
+        rng = np.random.default_rng(10)
+        for shape in [(1,), (7,), (64,), (16, 2, 13), (61, 64)]:
+            x = rng.normal(size=shape) * rng.uniform(0.1, 30.0)
+            for t in (1.0, 0.6):
+                assert np.array_equal(softmax(x, t), ref(x, t))
+                assert np.array_equal(softmax(list(x.ravel()), t), ref(x.ravel(), t))
+
 
 def brute_force_attention(q, k, v, mask):
     n = q.shape[0]

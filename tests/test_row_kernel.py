@@ -207,13 +207,26 @@ def test_context_groups_cut_at_max_gather():
 def test_sinusoid_positions_match_one_position_rows():
     rng = np.random.default_rng(6)
     pos = rng.integers(0, 3001, size=5000)  # unsorted, repeated, past the first table
-    for dim in (32, 6):
+    for dim in (32, 6, 9):
         want = np.stack([sinusoid_position(int(p), dim) for p in pos])
         assert np.array_equal(sinusoid_positions(pos, dim), want)
         assert np.array_equal(sinusoid_positions(list(pos[:1]), dim), want[:1])
         assert sinusoid_positions([], dim).shape == (0, dim)
     with pytest.raises(ValueError, match="negative position"):
         sinusoid_positions([3, -1], 32)
+
+
+@pytest.mark.parametrize("dim", [6, 9])
+def test_sinusoid_position_interleaves_sin_and_cos(dim):
+    # an odd width carries one extra sine at the lowest frequency in its last slot
+    for pos in (0, 1, 7, 2999):
+        enc = sinusoid_position(pos, dim)
+        for i in range(dim // 2):
+            angle = pos * np.exp(-np.log(10000.0) * (2.0 * i / dim))
+            assert abs(enc[2 * i] - np.sin(angle)) < 1e-12
+            assert abs(enc[2 * i + 1] - np.cos(angle)) < 1e-12
+        if dim % 2:
+            assert abs(enc[-1] - np.sin(pos * 1e-4)) < 1e-12
 
 
 # -------------------------------------------------------------------- target
@@ -314,6 +327,29 @@ def test_prefill_matches_forward_cached_loop(target, c, m):
     for l in range(target.config.n_layers):
         assert np.array_equal(cache.keys(l), seq.keys(l))
         assert np.array_equal(cache.values(l), seq.values(l))
+
+
+def test_odd_width_forward_cached_and_prefill():
+    odd = init_target(TargetConfig(dim=9, n_heads=3), seed=2)
+    rng = np.random.default_rng(8)
+    tokens = [int(t) for t in rng.integers(0, odd.vocab, size=12)]
+    cache = odd.new_cache()
+    ctx_k = [np.zeros((0, odd.dim)) for _ in range(odd.config.n_layers)]
+    ctx_v = [np.zeros((0, odd.dim)) for _ in range(odd.config.n_layers)]
+    want = []
+    for pos, t in enumerate(tokens):
+        out = odd.forward_cached(cache, t)
+        lg, f, k, v = ref_token_step(odd, t, pos, ctx_k, ctx_v)
+        assert np.array_equal(out.logits, lg) and np.array_equal(out.feature, f)
+        ctx_k = [np.concatenate((a, b[None])) for a, b in zip(ctx_k, k)]
+        ctx_v = [np.concatenate((a, b[None])) for a, b in zip(ctx_v, v)]
+        want.append(out)
+    pre = odd.new_cache()
+    got = odd.prefill(pre, tokens)
+    assert all(np.array_equal(o.logits, w.logits) for o, w in zip(got, want))
+    for l in range(odd.config.n_layers):
+        assert np.array_equal(pre.keys(l), cache.keys(l))
+        assert np.array_equal(pre.values(l), cache.values(l))
 
 
 def test_prefill_rejects_out_of_vocab_before_any_row(target):

@@ -2,7 +2,8 @@
 
 ``ref_grow`` below is that grower: it proposes, dedups and prunes one
 candidate at a time, with the scalar inverse-CDF scan and the per-step
-mixture and contrast heads.  The level-wise ``_grow`` must emit the same
+mixture and contrast heads, and expands the beam-best nodes of every level,
+the parallel final level included.  The level-wise ``_grow`` must emit the same
 tree node for node (token, parent, depth, tag, q_prob, cum_score and the
 q_dist bytes), spend the same draft passes and leave the sampling rng in
 the same state, for every kind, mode and tree shape.
@@ -113,13 +114,19 @@ def ref_grow(session, prev_feature, start_token, gamma, *, kind, top_k=1, beam=6
         for c in cands:
             nodes.append(DraftNode(c.token, c.parent, c.depth, c.q_prob, c.cum, c.tag, c.q_dist))
             layer_idx.append(len(nodes) - 1)
+        # the beam-best nodes get children, on the parallel final level too
+        exp = layer_idx
+        if len(exp) > beam:
+            ranked = sorted(exp, key=lambda i: (-nodes[i].cum_score, i))
+            exp = sorted(ranked[:beam])
         if depth == last_step_depth:
             if parallel:
                 final = []
-                for j, c in zip(layer_idx, cands):
-                    distc = softmax(ref_contrast_logits(model, c.src, cp), temperature)
+                for j in exp:
+                    src = cands[j - layer_idx[0]].src
+                    distc = softmax(ref_contrast_logits(model, src, cp), temperature)
                     final += ref_propose(distc, j, nodes[j].cum_score, gamma,
-                                         BRANCH_NONE, 0.0, top_k, mode, rng, c.src)
+                                         BRANCH_NONE, 0.0, top_k, mode, rng, src)
                 if mode == "greedy":
                     final = ref_dedup_siblings(final)
                     if len(final) > beam:
@@ -128,10 +135,6 @@ def ref_grow(session, prev_feature, start_token, gamma, *, kind, top_k=1, beam=6
                 for c in final:
                     nodes.append(DraftNode(c.token, c.parent, gamma, c.q_prob, c.cum, c.tag, c.q_dist))
             break
-        exp = layer_idx
-        if len(exp) > beam:
-            ranked = sorted(exp, key=lambda i: (-nodes[i].cum_score, i))
-            exp = sorted(ranked[:beam])
         by_node = {pidx: (out, rows) for pidx, out, rows in frontier}
         items = []
         for i in exp:
@@ -240,3 +243,44 @@ def test_tied_probabilities_take_the_lower_token(target):
         trees = compare_growth(draft, kind, True, "greedy", [(3, 3, 60), (4, 2, 16)] * 4, 5)
         picked = {n.token for tree in trees for n in tree.nodes}
         assert {2, 50} <= picked  # the tie was reached
+
+
+def levels_of(tree, gamma):
+    return [[i for i, n in enumerate(tree.nodes) if n.depth == d] for d in range(1, gamma + 1)]
+
+
+@pytest.mark.parametrize("kind,parallel,nk", CASES, ids=lambda v: f"NK{v[0]}{v[1]}" if isinstance(v, tuple) else str(v))
+def test_sampled_growth_expands_the_beam_best_nodes_of_every_level(target, kind, parallel, nk):
+    # Sampling never discards a drawn node, so each level holds exactly
+    # top_k draws per branch of every expanded node, and the expanded nodes
+    # are the beam best of the level above by cum_score, ties to the
+    # earlier: no level expands more than beam nodes.
+    draft = init_draft(DraftConfig(n_experts=nk[0], active_k=nk[1]), target, seed=nk[0] + nk[1])
+    rng = np.random.default_rng(100 * nk[0] + 10 * nk[1] + parallel)
+    sess = DraftSession(draft)
+    for gamma, top_k, beam in SHAPES:
+        tree = _grow(sess, rng.normal(size=draft.dim), int(rng.integers(0, draft.vocab)), gamma,
+                     kind=kind, top_k=top_k, beam=beam, parallel=parallel, mode="sample", rng=rng)
+        levels = levels_of(tree, gamma)
+        expanded = [-1]
+        for d, level in enumerate(levels, start=1):
+            assert sorted({tree.nodes[i].parent for i in level}) == expanded
+            contrast = parallel and d == gamma
+            assert len(level) == len(expanded) * (2 if kind == "moe" and not contrast else 1) * top_k
+            ranked = sorted(level, key=lambda i: (-tree.nodes[i].cum_score, i))
+            expanded = sorted(ranked[:beam])
+
+
+def test_sampled_jakiro_round_at_the_bench_shape_has_180_nodes(target):
+    # gamma 5, top_k 2, beam 16: 4 + 16 + 64 + 64 + 32 nodes, of which the
+    # contrast level grows from the 16 beam-best depth-4 nodes
+    draft = init_draft(DraftConfig(), target, seed=3)
+    rng = np.random.default_rng(5)
+    sess = DraftSession(draft)
+    for temperature in (1.0, 0.6, 1.0):
+        tree = _grow(sess, rng.normal(size=draft.dim), int(rng.integers(0, draft.vocab)), 5,
+                     kind="moe", top_k=2, beam=16, parallel=True, mode="sample",
+                     temperature=temperature, rng=rng)
+        assert [len(level) for level in levels_of(tree, 5)] == [4, 16, 64, 64, 32]
+        assert len(tree) == 180
+        assert len({tree.nodes[i].parent for i in levels_of(tree, 5)[4]}) == 16

@@ -294,9 +294,79 @@ def draft_level_dists(target, draft, ctx, kind, temperature=1.0):
     return lvl1, lvl2
 
 
+def enumerate_jakiro_round(target, draft, ctx):
+    """enumerate_round for a jakiro_full round with gamma 2, top_k 1 and beam 1.
+
+    The root pass draws a left and a right depth-1 node; only the one with
+    the better cum_score (the left on a tie) gets a depth-2 child, drawn
+    from the contrast head of the root pass.  Which node that is depends
+    on both depth-1 draws; the other node's path ends in a bonus draw.
+    Keys are enumerate_round's with the number of accepted draft tokens
+    appended."""
+    p0, p1 = target_dists(target, ctx)
+    cache = target.new_cache()
+    feats = [target.forward_cached(cache, t).feature for t in ctx]
+    sess = DraftSession(draft)
+    sess.prefill(ctx[1:-1], feats[: len(ctx) - 2])
+    out0 = sess.begin_round([ctx[-1]], [feats[-2]])
+    qa, qb = softmax(out0.logits_left), softmax(out0.logits_right)
+    qc = softmax(draft.contrast_logits(out0, draft.contrast_params()))
+    cum_a = np.log(out0.branch_scores[0]) + np.log(np.maximum(qa, 1e-300))
+    cum_b = np.log(out0.branch_scores[1]) + np.log(np.maximum(qb, 1e-300))
+    out = {}
+
+    def add(key, pr):
+        if pr > 0:
+            out[key] = out.get(key, 0.0) + pr
+
+    def level2(t1, w, expanded):
+        p = p1[t1]
+        if not expanded:
+            for b in range(V):
+                add((t1, b, 1), w * p[b])
+            return
+        for d in range(V):
+            wd = w * qc[d]
+            if wd <= 0:
+                continue
+            a = min(1.0, p[d] / qc[d])
+            add((t1, d, 2), wd * a)
+            rw = wd * (1.0 - a)
+            if rw > 1e-18:
+                res = residual_dist(p, qc)
+                for r in range(V):
+                    add((t1, r, 1), rw * res[r])
+
+    for c1 in range(V):
+        for c2 in range(V):
+            w = qa[c1] * qb[c2]
+            if w <= 0:
+                continue
+            left_expanded = cum_a[c1] >= cum_b[c2]
+            a1 = min(1.0, p0[c1] / qa[c1])
+            level2(c1, w * a1, left_expanded)
+            rw = w * (1.0 - a1)
+            if rw > 0:
+                pr_ = residual_dist(p0, qa)
+                a2 = min(1.0, pr_[c2] / qb[c2])
+                level2(c2, rw * a2, not left_expanded)
+                rw2 = rw * (1.0 - a2)
+                if rw2 > 1e-18:
+                    prr = residual_dist(pr_, qb)
+                    for r in range(V):
+                        add((r, 0), rw2 * prr[r])
+    return out, p0, p1
+
+
 def enumerate_round(target, draft, ctx, kind):
     """Exact distribution over a round's emitted prefix (bonus marginalized):
     keys are (t1,) for full rejection or (t1, t2) otherwise."""
+    if kind == "jakiro":
+        out, p0, p1 = enumerate_jakiro_round(target, draft, ctx)
+        prefix = {}
+        for key, pr in out.items():
+            prefix[key[:-1]] = prefix.get(key[:-1], 0.0) + pr
+        return prefix, p0, p1
     p0, p1 = target_dists(target, ctx)
     lvl1, lvl2 = draft_level_dists(target, draft, ctx, kind)
     out = {}
@@ -353,7 +423,7 @@ def enumerate_round(target, draft, ctx, kind):
     return out, p0, p1
 
 
-@pytest.mark.parametrize("kind", ["static", "moe"])
+@pytest.mark.parametrize("kind", ["static", "moe", "jakiro"])
 def test_tree_sampling_losslessness_by_enumeration(small_target, small_draft, kind):
     ctx = [3, 1, 4]
     dist, p0, p1 = enumerate_round(small_target, small_draft, ctx, kind)
@@ -380,32 +450,62 @@ def test_tree_sampling_losslessness_by_enumeration(small_target, small_draft, ki
     assert np.max(np.abs(joint - exact)) < 1e-10
 
 
+def real_rounds(target, draft, ctx, n, grow, top_k, **kw):
+    """n real gamma-2 grow+verify rounds from ctx with one rng: each round's
+    emitted tokens and its number of accepted draft tokens."""
+    scratch = target.new_cache()
+    feats = [target.forward_cached(scratch, t).feature for t in ctx]
+    cache0 = target.new_cache()
+    for t in ctx[:-1]:
+        target.forward_cached(cache0, t)  # pending token stays out of the cache
+    rng = np.random.default_rng(7)
+    for _ in range(n):
+        sess = DraftSession(draft)
+        sess.prefill(ctx[1:-1], feats[: len(ctx) - 2])
+        cache = cache0.clone()
+        tree = grow(sess, feats[-2], ctx[-1], 2, top_k, mode="sample", temperature=1.0,
+                    rng=rng, context_len=cache.length, **kw)
+        outcome = verify_tree_sampling(tree, target, cache, 1.0, rng)
+        yield outcome.accepted + [outcome.final_token], outcome.accepted_count
+
+
 @pytest.mark.parametrize("kind", ["static", "moe"])
 def test_monte_carlo_coupling_to_real_pipeline(small_target, small_draft, kind):
     """The real grow+verify round follows the enumerated distribution."""
     ctx = [3, 1, 4]
     enum, _, _ = enumerate_round(small_target, small_draft, ctx, kind)
-    scratch = small_target.new_cache()
-    feats = [small_target.forward_cached(scratch, t).feature for t in ctx]
-    cache0 = small_target.new_cache()
-    for t in ctx[:-1]:
-        small_target.forward_cached(cache0, t)  # pending token stays out of the cache
+    grow = grow_static_tree if kind == "static" else grow_moe_tree
+    top_k = 2 if kind == "static" else 1
     n = 3000
     counts = {}
-    rng = np.random.default_rng(7)
-    for _ in range(n):
-        sess = DraftSession(small_draft)
-        sess.prefill(ctx[1:-1], feats[: len(ctx) - 2])
-        cache = cache0.clone()
-        grow = grow_static_tree if kind == "static" else grow_moe_tree
-        top_k = 2 if kind == "static" else 1
-        tree = grow(sess, feats[-2], ctx[-1], 2, top_k, mode="sample", temperature=1.0,
-                    rng=rng, beam=64, context_len=cache.length)
-        outcome = verify_tree_sampling(tree, small_target, cache, 1.0, rng)
-        emitted = outcome.accepted + [outcome.final_token]
+    for emitted, _ in real_rounds(small_target, small_draft, ctx, n, grow, top_k, beam=64):
         key = tuple(emitted[:2]) if len(emitted) >= 2 else (emitted[0],)
         counts[key] = counts.get(key, 0) + 1
     tv = 0.0
     for key in set(enum) | set(counts):
         tv += abs(enum.get(key, 0.0) - counts.get(key, 0) / n)
     assert tv / 2 < 0.05
+
+
+def test_monte_carlo_jakiro_round_expands_the_enumerated_node(small_target, small_draft):
+    """The real jakiro_full round at top_k 1 and beam 1 gives the contrast
+    child to the node the enumeration does.  Every lossless expansion rule
+    emits tokens with the same law, so the test counts accepted draft tokens
+    per round, which the rule moves: expanding both depth-1 nodes shifts
+    about 0.09 of the rounds from one accepted token to two, against a
+    standard error of 0.009."""
+    ctx = [3, 1, 4]
+    enum, p0, _ = enumerate_jakiro_round(small_target, small_draft, ctx)
+    want_acc, want_first = np.zeros(3), np.zeros(V)
+    for key, pr in enum.items():
+        want_acc[key[-1]] += pr
+        want_first[key[0]] += pr
+    assert np.max(np.abs(want_first - p0)) < 1e-10
+    n = 3000
+    acc, first = np.zeros(3), np.zeros(V)
+    for emitted, accepted in real_rounds(small_target, small_draft, ctx, n, grow_moe_tree, 1,
+                                         parallel=True, beam=1):
+        acc[accepted] += 1 / n
+        first[emitted[0]] += 1 / n
+    assert np.max(np.abs(acc - want_acc)) < 0.035
+    assert np.max(np.abs(first - want_first)) < 0.035
