@@ -16,7 +16,8 @@ import hashlib
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -68,6 +69,10 @@ class RunConfig:
             raise ConfigError("temperature: must be >= 0")
         if self.gamma < 1:
             raise ConfigError("gamma: must be >= 1")
+        if self.top_k < 1:
+            raise ConfigError("top_k: must be >= 1")
+        if self.beam < 1:
+            raise ConfigError("beam: must be >= 1")
         if self.method == "jakiro_full" and self.gamma < 2:
             raise ConfigError("gamma: jakiro_full needs gamma >= 2 for the parallel final step")
         if self.method in ("moe_tree", "jakiro_full") and self.active_k < 2:
@@ -78,13 +83,19 @@ class RunConfig:
             warnings.append(f"active_k={self.active_k} is irrelevant for method {self.method}")
         if self.max_new < 1:
             raise ConfigError("max_new: must be >= 1")
+        if self.n_prompts < 1:
+            raise ConfigError("n_prompts: must be >= 1")
+        for key in ("seed", "target_seed", "draft_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key}: must be >= 0")
         if self.prompt_len < 2:
             raise ConfigError("prompt_len: must be >= 2 (drafting needs one committed position)")
         return warnings
 
 
 def load_config(path: str) -> RunConfig:
-    """Read a JSON key-value config; unknown keys are rejected by name."""
+    """Read a JSON key-value config; unknown keys and values of the wrong
+    type are rejected by name."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -94,10 +105,18 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(raw) - known)
+    hints = get_type_hints(RunConfig)
+    unknown = sorted(set(raw) - set(hints))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    for key, value in raw.items():
+        # a JSON integer is a valid float; a JSON true/false is no number
+        kinds = get_args(hints[key]) or (hints[key],)
+        if float in kinds:
+            kinds += (int,)
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+            names = " or ".join("null" if t is type(None) else t.__name__ for t in kinds)
+            raise ConfigError(f"{key}: expected {names}, got {value!r}")
     cfg = RunConfig(**raw)
     cfg.validate()
     return cfg
@@ -141,8 +160,12 @@ def make_prompts(config: RunConfig) -> list[list[int]]:
     if config.prompt_file:
         with open(config.prompt_file, "r", encoding="utf-8") as fh:
             prompts = json.load(fh)
+        if not isinstance(prompts, list) or not prompts:
+            raise ConfigError("prompt_file: holds no list of prompts")
         for p in prompts:
-            if len(p) < 2 or any(not 0 <= t < config.vocab for t in p):
+            # type(t) is int: JSON true/false and 2.5 are no tokens
+            if (not isinstance(p, list) or len(p) < 2
+                    or any(type(t) is not int or not 0 <= t < config.vocab for t in p)):
                 raise ConfigError("prompt_file: prompts must have length >= 2 and in-vocab tokens")
         return prompts
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([config.seed, 7])))
@@ -153,30 +176,32 @@ def make_prompts(config: RunConfig) -> list[list[int]]:
 
 
 def build_models(config: RunConfig) -> tuple[TargetModel, DraftModel]:
-    if config.target_checkpoint:
-        try:
+    """The target and draft a config names; a bad checkpoint or model size
+    is a ConfigError."""
+    try:
+        if config.target_checkpoint:
             target = load_target(config.target_checkpoint)
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"target_checkpoint: {e}")
-    else:
-        target = init_target(
-            TargetConfig(vocab=config.vocab, dim=config.dim,
-                         n_layers=config.n_layers, n_heads=config.n_heads),
-            seed=config.target_seed,
-        )
-    if config.draft_checkpoint:
-        try:
+        else:
+            target = init_target(
+                TargetConfig(vocab=config.vocab, dim=config.dim,
+                             n_layers=config.n_layers, n_heads=config.n_heads),
+                seed=config.target_seed,
+            )
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"target_checkpoint: {e}" if config.target_checkpoint else str(e))
+    try:
+        if config.draft_checkpoint:
             draft = load_draft(config.draft_checkpoint, target)
-        except (OSError, ValueError) as e:
-            raise ConfigError(f"draft_checkpoint: {e}")
-    else:
-        draft = init_draft(
-            DraftConfig(vocab=target.vocab, dim=target.dim, n_heads=config.n_heads,
-                        n_experts=config.n_experts, active_k=config.active_k,
-                        expert_hidden=config.expert_hidden),
-            target,
-            seed=config.draft_seed,
-        )
+        else:
+            draft = init_draft(
+                DraftConfig(vocab=target.vocab, dim=target.dim, n_heads=config.n_heads,
+                            n_experts=config.n_experts, active_k=config.active_k,
+                            expert_hidden=config.expert_hidden),
+                target,
+                seed=config.draft_seed,
+            )
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"draft_checkpoint: {e}" if config.draft_checkpoint else str(e))
     if draft.vocab != target.vocab or draft.dim != target.dim:
         raise ConfigError("checkpoint/vocab mismatch between draft and target")
     return target, draft
@@ -334,11 +359,6 @@ def write_report(report: Report, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def read_report(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def run_bench(config: RunConfig, methods=None) -> Report:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (SINGLE_ROW, attn_row, context_heads, cut_group, layer_norm, row_linear, silu,
+from .kernels import (SINGLE_ROW, attn_row, chain_group, context_heads, layer_norm, row_linear, silu,
                       sinusoid_positions, softmax)
 from .target import KvCache, TargetModel
 
@@ -52,6 +52,9 @@ class DraftConfig:
     use_ln: bool = True
 
     def __post_init__(self):
+        for name in ("vocab", "dim", "n_heads", "n_experts", "expert_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 1 <= self.active_k <= self.n_experts:
             raise ValueError("need 1 <= active_k <= n_experts")
         if self.dim % self.n_heads != 0:
@@ -312,16 +315,13 @@ class DraftSession:
             raise ValueError(f"item {int(np.argmax(bad))}: ancestor rows must ascend")
         cache = self.state.cache
         c = cache.length
-        idx = np.empty((m, c + depth), dtype=np.intp)
-        idx[:, :c] = np.arange(c)
-        idx[:, c:-1] = c + anc
-        idx[:, -1] = np.arange(c + t, c + t + m)
+        chains = np.concatenate((anc, np.arange(t, t + m)[:, None]), axis=1)
         base = self.state.next_pos - 1
         x, q, k, v = self.model._kv_rows(
             [it[0] for it in items], [base + depth] * m, [it[1] for it in items])
         keys = np.concatenate((cache.keys(0), self._tk, k))
         values = np.concatenate((cache.values(0), self._tv, v))
-        out = self.model._out_rows(x, q, keys, values, cut_group(np.arange(m), idx))
+        out = self.model._out_rows(x, q, keys, values, chain_group(c, np.arange(m), chains))
         self._tk = keys[c:]
         self._tv = values[c:]
         return out, range(t, t + m)
@@ -377,21 +377,30 @@ def save_draft(model: DraftModel, path: str) -> None:
             fh.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
 
 
+def _draft_size(cfg: DraftConfig) -> int:
+    """Parameter count of a draft, from its config alone."""
+    d, e, h = cfg.dim, cfg.n_experts, cfg.expert_hidden
+    # reduction (d, 2d); wq, wk, wv, wo; two norms; router; experts; beta, alpha
+    return 2 * d * d + 4 * d * d + 4 * d + e * d + e * 2 * h * d + 2
+
+
 def load_draft(path: str, target: TargetModel) -> DraftModel:
     with open(path, "rb") as fh:
         blob = fh.read()
+    offset = 4 + 32
     if blob[:4] != MAGIC_DRAFT:
         raise ValueError("bad magic: not a draft checkpoint")
+    if len(blob) < offset:
+        raise ValueError("checkpoint header truncated")
     version, vocab, dim, n_heads, n_exp, k, hid, use_ln = struct.unpack_from("<8I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     cfg = DraftConfig(vocab=vocab, dim=dim, n_heads=n_heads, n_experts=n_exp,
                       active_k=k, expert_hidden=hid, use_ln=bool(use_ln))
-    model = init_draft(cfg, target, seed=0)
-    offset = 4 + 32
-    expected = offset + 8 * sum(model.params[n].size for n in param_order(cfg))
-    if len(blob) != expected:
+    # checked before init_draft allocates what the header asks for
+    if len(blob) != offset + 8 * _draft_size(cfg):
         raise ValueError("checkpoint length mismatch")
+    model = init_draft(cfg, target, seed=0)
     for name in param_order(cfg):
         a = model.params[name]
         n = a.size
@@ -401,8 +410,6 @@ def load_draft(path: str, target: TargetModel) -> DraftModel:
         else:
             a[...] = vals
         offset += 8 * n
-    if offset != len(blob):
-        raise ValueError("checkpoint length mismatch")
     if not all(np.isfinite(model.params[n]).all() for n in param_order(cfg)):
         raise ValueError("non-finite parameter value in draft checkpoint")
     return model

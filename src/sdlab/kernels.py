@@ -19,10 +19,10 @@ every softmax reduces the same values in the same order.
 
 Each pass takes its attention groups from data it already holds: a lone
 decode step attends to the whole cache (``SINGLE_ROW``), a prompt prefill
-gives row i the first c+i+1 columns, a draft tree level is one group (all
-its rows share one depth; ``cut_group``), and only tree verification,
-whose mask comes from the tree, groups rows by context length
-(``context_groups``).
+gives row i the first c+i+1 columns, and tree rows of one depth share one
+context length, so a draft tree level and each depth of a verified tree
+are one group built from the rows' ancestor chains (``chain_group``).  No
+model pass builds a mask.
 """
 
 from __future__ import annotations
@@ -108,32 +108,6 @@ def row_linear(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 MAX_GATHER = 2048
 
 
-def context_groups(mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Rows of a boolean (rows, columns) context mask, grouped for attention.
-
-    Returns (rows, idx) pairs: the rows of one group share a context length
-    n, and idx[r] holds row rows[r]'s n context columns in ascending order,
-    which is the order a sequential decode appends keys in.  Groups come in
-    ascending n, rows in ascending order within a group, cut to at most
-    MAX_GATHER rows x columns.  One stable sort of the rows by length puts
-    each group's rows together, so the columns of the reordered mask's true
-    entries, read row by row, give every group's idx back to back.
-    """
-    lengths = mask.sum(axis=1)
-    order = np.argsort(lengths, kind="stable")
-    lengths = lengths[order]
-    sorted_mask = mask[order]
-    cols = np.broadcast_to(np.arange(mask.shape[1]), sorted_mask.shape)[sorted_mask]
-    ends = [*(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(), lengths.size]
-    groups = []
-    start = off = 0
-    for end in ends:
-        n = int(lengths[start])
-        groups += cut_group(order[start:end], cols[off : off + (end - start) * n].reshape(-1, n))
-        start, off = end, off + (end - start) * n
-    return groups
-
-
 def cut_group(rows: np.ndarray, idx: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """One attention group (rows of equal context length and their (rows, n)
     context columns) cut into pieces of at most MAX_GATHER rows x columns."""
@@ -141,7 +115,20 @@ def cut_group(rows: np.ndarray, idx: np.ndarray) -> list[tuple[np.ndarray, np.nd
     return [(rows[s : s + step], idx[s : s + step]) for s in range(0, idx.shape[0], step)]
 
 
-# context_groups of a single row that attends to every column in order
+def chain_group(c: int, rows: np.ndarray, chains: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The attention group of tree rows of one depth, cut by ``cut_group``.
+
+    Row rows[r] attends to the c prefix columns, then to the columns c +
+    chains[r]: its ancestor rows, root first, then itself, the order a
+    sequential decode of its path appends keys in.
+    """
+    idx = np.empty((chains.shape[0], c + chains.shape[1]), dtype=np.intp)
+    idx[:, :c] = np.arange(c)
+    idx[:, c:] = c + chains
+    return cut_group(rows, idx)
+
+
+# the group of a single row that attends to every column in order
 SINGLE_ROW = [(slice(None), None)]
 
 

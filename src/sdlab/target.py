@@ -11,9 +11,11 @@ Each row attends to its own context (the cached prefix, then its tree
 ancestors, then itself, the order sequential decoding appends keys in), and
 the kernel's helpers keep every row's arithmetic equal to a lone row's (see
 kernels.py), so any root-to-leaf tree path reproduces the sequential outputs
-bit for bit.  A prompt is prefilled in one pass as well: row i attends to
-the cached prefix and the prompt rows up to itself, which is what decoding
-the prompt token by token would give.
+bit for bit.  A tree arrives as parent pointers and depths in level order,
+and each depth is one attention group (``tree_groups``); no mask is built.
+A prompt is prefilled in one pass as well: row i attends to the cached
+prefix and the prompt rows up to itself, which is what decoding the prompt
+token by token would give.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (SINGLE_ROW, attn_row, context_groups, context_heads, inverse_cdf_sample,
+from .kernels import (SINGLE_ROW, attn_row, chain_group, context_heads, inverse_cdf_sample,
                       layer_norm, row_linear, silu, sinusoid_positions, softmax)
 
 MAGIC_TARGET = b"SDFM"
@@ -39,6 +41,9 @@ class TargetConfig:
     eos_id: int | None = None
 
     def __post_init__(self):
+        for name in ("vocab", "dim", "n_layers", "n_heads"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.dim % self.n_heads != 0:
             raise ValueError("dim must be divisible by n_heads")
 
@@ -105,22 +110,6 @@ class KvCache:
         """Append the selected tree rows, in order, as if decoded sequentially."""
         self.extend([k[indices] for k in kv.k], [v[indices] for v in kv.v])
 
-    def clone(self) -> "KvCache":
-        c = KvCache(self.n_layers, self.dim, capacity=max(self.length, 1))
-        c._grow(self.length)
-        for l in range(self.n_layers):
-            c._k[l][: self.length] = self._k[l][: self.length]
-            c._v[l][: self.length] = self._v[l][: self.length]
-        c.length = self.length
-        return c
-
-    def fingerprint(self) -> bytes:
-        parts = [struct.pack("<q", self.length)]
-        for l in range(self.n_layers):
-            parts.append(self.keys(l).tobytes())
-            parts.append(self.values(l).tobytes())
-        return b"".join(parts)
-
 
 @dataclass
 class TreeKv:
@@ -128,6 +117,39 @@ class TreeKv:
 
     k: list[np.ndarray]
     v: list[np.ndarray]
+
+
+def tree_groups(c: int, parents: np.ndarray, depths: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Attention groups of m tree rows forwarded after c prefix columns.
+
+    parents[i] is the row of row i's parent, or -1 for a row that attends to
+    the prefix only, and depths[i] is 0 for such a row and its parent's + 1
+    otherwise.  Rows come in depth order, so each depth is one contiguous
+    run of rows of equal context length; a run is one group whose ancestor
+    chains extend the previous run's by the rows themselves.  Groups come in
+    ascending depth, rows in ascending order, cut to MAX_GATHER.
+    """
+    rows = np.arange(parents.shape[0])
+    bad = (parents < -1) | (parents >= rows)
+    if bad.any():
+        raise ValueError(f"tree row {int(np.argmax(bad))}: parent must be an earlier row or -1")
+    bad = depths != np.where(parents < 0, 0, depths[parents] + 1)
+    if bad.any():
+        raise ValueError(f"tree row {int(np.argmax(bad))}: depth must be 0 without a parent "
+                         "and the parent's depth + 1 otherwise")
+    step = depths[1:] - depths[:-1]
+    if (step < 0).any():
+        raise ValueError(f"tree row {int(np.argmax(step < 0)) + 1}: rows must come in depth order")
+    # row 0 has no earlier row to hang under, so only the first run has depth 0
+    starts = [0, *(np.flatnonzero(step) + 1).tolist()] if rows.shape[0] else []
+    groups = []
+    for start, end in zip(starts, [*starts[1:], rows.shape[0]]):
+        own = rows[start:end, None]
+        chains = own if start == 0 else np.concatenate(
+            (chains[parents[start:end] - prev], own), axis=1)
+        groups += chain_group(c, rows[start:end], chains)
+        prev = start
+    return groups
 
 
 class TargetModel:
@@ -154,13 +176,21 @@ class TargetModel:
         if not 0 <= token < self.config.vocab:
             raise ValueError(f"token {token} out of vocab range [0, {self.config.vocab})")
 
+    def _check_tokens(self, tokens) -> np.ndarray:
+        """tokens as an array; the first one out of vocab raises."""
+        tok = np.asarray(tokens, dtype=np.intp)
+        bad = (tok < 0) | (tok >= self.config.vocab)
+        if bad.any():
+            self._check_token(int(tok[np.argmax(bad)]))
+        return tok
+
     def _forward_rows(self, tokens, positions, prefix_k, prefix_v, groups):
         """The row kernel: forward m rows through the whole stack at once.
 
         Row i is token tokens[i] at absolute position positions[i].  Per
         layer, prefix_k / prefix_v are the (c, dim) context rows before the
         new ones; each row attends to the columns of concat(prefix, new
-        rows) that ``groups`` (see ``context_groups``) gives it.  Returns
+        rows) that ``groups``, (rows, columns) pairs, give it.  Returns
         logits (m, vocab), features (m, dim) and per-layer (m, dim) keys and
         values of the new rows.
         """
@@ -207,10 +237,7 @@ class TargetModel:
         m = len(tokens)
         if m == 0:
             return []
-        tok = np.asarray(tokens)
-        bad = (tok < 0) | (tok >= self.config.vocab)
-        if bad.any():
-            self._check_token(tokens[int(np.argmax(bad))])
+        tok = self._check_tokens(tokens)
         c = cache.length
         L = self.config.n_layers
         logits, f, new_k, new_v = self._forward_rows(
@@ -220,49 +247,29 @@ class TargetModel:
         cache.extend(new_k, new_v)
         return [StepOutput(logits=lg, feature=ft) for lg, ft in zip(logits, f)]
 
-    def _check_tree(self, tokens, tree_mask) -> None:
-        """Reject the first tree row, in row order, that is out of vocab,
-        does not attend to itself or attends to a later row."""
-        tok = np.asarray(tokens)
-        bad = ((tok < 0) | (tok >= self.config.vocab) | ~np.diagonal(tree_mask)
-               | np.triu(tree_mask, 1).any(axis=1))
-        if not bad.any():
-            return
-        i = int(np.argmax(bad))
-        self._check_token(tokens[i])
-        if not tree_mask[i, i]:
-            raise ValueError(f"tree token {i} must attend to itself")
-        raise ValueError(f"tree token {i} references a later token")
+    def forward_tree_kv(self, cache, tokens, parents, positions):
+        """Batched tentative forward over the rows of a tree; the cache is not mutated.
 
-    def forward_tree_kv(self, cache, tokens, mask, positions):
-        """Batched tentative forward over tree tokens; the cache is not mutated.
-
-        mask may be square over (cache length + len(tokens)) or rectangular
-        with one row per new token; positions are offsets from the cache end
-        (a chain would use 0, 1, 2, ...).  Returns outputs plus the computed
-        key/value rows so accepted paths can be committed without recompute.
-        All rows go through the row kernel in one pass.
+        parents[i] is the row of row i's parent, or -1 for a row that
+        attends to the cache only, and positions[i] is row i's depth, which
+        is also its offset from the cache end (a chain would use 0, 1, 2,
+        ...); see ``tree_groups`` for the checks.  Each row attends to the
+        cache, its ancestors root first, then itself, all rows in one pass.
+        Returns logits (m, vocab), features (m, dim) and the rows' keys and
+        values, so accepted paths can be committed without recompute.
         """
-        m = len(tokens)
+        tok = self._check_tokens(tokens)
+        par = np.asarray(parents, dtype=np.intp)
+        pos = np.asarray(positions, dtype=np.intp)
+        if not tok.shape == par.shape == pos.shape:
+            raise ValueError("tokens, parents and positions differ in length")
         c = cache.length
         L = self.config.n_layers
-        if m == 0:
-            return [], TreeKv(k=[np.zeros((0, self.dim)) for _ in range(L)],
-                              v=[np.zeros((0, self.dim)) for _ in range(L)])
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape == (c + m, c + m):
-            mask = mask[c:, :]
-        if mask.shape != (m, c + m):
-            raise ValueError("mask/token length mismatch")
-        if len(positions) != m:
-            raise ValueError("positions/token length mismatch")
-        self._check_tree(tokens, mask[:, c:])
+        groups = tree_groups(c, par, pos)  # checks the layout before any row is computed
         logits, f, new_k, new_v = self._forward_rows(
-            tokens, c + np.asarray(positions, dtype=np.int64),
-            [cache.keys(l) for l in range(L)], [cache.values(l) for l in range(L)],
-            context_groups(mask))
-        outputs = [StepOutput(logits=lg, feature=ft) for lg, ft in zip(logits, f)]
-        return outputs, TreeKv(k=new_k, v=new_v)
+            tok, c + pos, [cache.keys(l) for l in range(L)], [cache.values(l) for l in range(L)],
+            groups)
+        return logits, f, TreeKv(k=new_k, v=new_v)
 
     def autoregressive_decode(self, prompt, max_new, temperature=0.0, rng_seed=0):
         """Vanilla decoding baseline; temperature 0 is greedy and rng-independent."""
@@ -334,27 +341,34 @@ def save_target(model: TargetModel, path: str) -> None:
             fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _target_size(cfg: TargetConfig) -> int:
+    """Parameter count of a target, from its config alone."""
+    d = cfg.dim
+    # embedding and head; per layer two norms, wq, wk, wv, wo and the 4x MLP; final norm
+    return 2 * cfg.vocab * d + cfg.n_layers * (4 * d + 4 * d * d + 8 * d * d) + 2 * d
+
+
 def load_target(path: str) -> TargetModel:
     with open(path, "rb") as fh:
         blob = fh.read()
+    offset = 4 + 20
     if blob[:4] != MAGIC_TARGET:
         raise ValueError("bad magic: not a target checkpoint")
+    if len(blob) < offset:
+        raise ValueError("checkpoint header truncated")
     version, vocab, dim, n_layers, n_heads = struct.unpack_from("<5I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     cfg = TargetConfig(vocab=vocab, dim=dim, n_layers=n_layers, n_heads=n_heads)
-    model = init_target(cfg, seed=0)
-    offset = 4 + 20
-    expected = offset + 8 * sum(a.size for a in _target_arrays(model))
-    if len(blob) != expected:
+    # checked before init_target allocates what the header asks for
+    if len(blob) != offset + 8 * _target_size(cfg):
         raise ValueError("checkpoint length mismatch")
+    model = init_target(cfg, seed=0)
     for a in _target_arrays(model):
         n = a.size
         vals = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(a.shape)
         a[...] = vals
         offset += 8 * n
-    if offset != len(blob):
-        raise ValueError("checkpoint length mismatch")
     if not all(np.isfinite(a).all() for a in _target_arrays(model)):
         raise ValueError("non-finite parameter value in target checkpoint")
     return model

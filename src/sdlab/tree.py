@@ -1,5 +1,9 @@
 """Candidate-token tree construction: chains, static top-k trees and
-MoE-decoupled trees, plus the tree attention mask and verification layout.
+MoE-decoupled trees.
+
+A tree is its node list in level order: every node's parent comes before it
+and depths never decrease, so verification takes each depth as one attention
+group straight from the parent pointers.
 
 All growers share the round protocol: the first draft pass commits the newly
 accepted backlog plus the pending token and proposes depth-1 candidates; each
@@ -57,7 +61,7 @@ class DraftNode:
 
 @dataclass
 class DraftTree:
-    """Topologically ordered candidate tree rooted at the pending token."""
+    """Level-ordered candidate tree rooted at the pending token."""
 
     nodes: list[DraftNode]
     root_token: int
@@ -75,47 +79,6 @@ class DraftTree:
             for i, n in enumerate(self.nodes):
                 self._kids.setdefault(n.parent, []).append(i)
         return self._kids.get(idx, [])
-
-
-def build_mask(tree: DraftTree) -> np.ndarray:
-    """Boolean ancestor-or-self mask over the tree nodes."""
-    n = len(tree.nodes)
-    mask = np.zeros((n, n), dtype=bool)
-    for i, node in enumerate(tree.nodes):
-        p = node.parent
-        if p >= i:
-            raise ValueError("malformed tree: forward parent reference")
-        if p == -1:
-            if node.depth != 1:
-                raise ValueError("malformed tree: root child with depth != 1")
-        else:
-            if tree.nodes[p].depth != node.depth - 1:
-                raise ValueError("malformed tree: parent depth mismatch")
-            mask[i] = mask[p]
-        mask[i, i] = True
-    return mask
-
-
-def flatten_for_verification(tree: DraftTree):
-    """Tokens in node order, depths as position offsets, and the node mask
-    extended over the cached prefix (prefix columns all true)."""
-    n = len(tree.nodes)
-    tokens = [node.token for node in tree.nodes]
-    positions = [node.depth for node in tree.nodes]
-    node_mask = build_mask(tree)
-    c = tree.root_context_len
-    mask = np.concatenate((np.ones((n, c), dtype=bool), node_mask), axis=1)
-    return tokens, mask, positions
-
-
-def dump_tree(tree: DraftTree) -> str:
-    """Stable textual dump for golden-file comparisons."""
-    lines = []
-    for i, n in enumerate(tree.nodes):
-        lines.append(
-            f"{i} {n.parent} {n.depth} {n.token} {n.branch_tag} {n.q_prob:.12g} {n.cum_score:.12g}"
-        )
-    return "\n".join(lines)
 
 
 def _top_k(dist: np.ndarray, k: int) -> np.ndarray:

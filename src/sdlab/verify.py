@@ -1,13 +1,17 @@
 """Lossless verification of draft trees against the target model.
 
-One target forward pass scores the pending token plus every tree node.  The
-greedy walk accepts children that match the target argmax exactly, so the
-emitted stream equals vanilla greedy decoding bit for bit.  The sampling walk
-implements recursive residual speculative sampling: siblings are tried in
-tree order, each rejection updates the working distribution to
-norm(max(0, p - q_child)), and full rejection resamples from the final
-residual.  Uniform draws are consumed in documented order (children in tree
-order, then the residual or bonus draw) so runs replay exactly.
+One target forward pass scores the pending token plus every tree node.  Its
+attention layout comes from the nodes' parent pointers (``tree_groups``), and
+it returns every row's logits and features stacked.  The greedy walk accepts
+children that match the target argmax exactly, so the emitted stream equals
+vanilla greedy decoding bit for bit.  The sampling walk implements
+recursive residual speculative sampling: siblings are tried in tree order,
+each rejection updates the working distribution to norm(max(0, p - q_child)),
+and full rejection resamples from the final residual.  Uniform draws are
+consumed in documented order (children in tree order, then the residual or
+bonus draw) so runs replay exactly.  Both walks return the accepted node
+path and the final token, and one helper turns that into the accepted
+tokens, the rows to commit and their features.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from .kernels import check_prob_vec, inverse_cdf_sample, softmax
 from .target import KvCache, TargetModel, TreeKv
-from .tree import DraftTree, build_mask
+from .tree import DraftTree
 
 
 @dataclass
@@ -53,58 +57,74 @@ def residual_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return r / s
 
 
-def resample_residual(p: np.ndarray, q: np.ndarray, u: float) -> int:
-    """Replacement token drawn from norm(max(0, p - q)) by inverse CDF."""
-    return inverse_cdf_sample(residual_dist(p, q), u)
-
-
 def _forward_with_root(tree: DraftTree, target: TargetModel, cache: KvCache):
-    """One batched target forward over [pending root token] + tree nodes."""
+    """One batched target forward over [pending root token] + tree nodes.
+
+    Row 0 is the root and row 1 + i is node i, so a node's parent row is its
+    parent index + 1 (the root for -1) and its position offset its depth.
+    """
     if tree.root_context_len != cache.length:
         raise ValueError("tree root context length does not match the cache")
-    n = len(tree.nodes)
-    c = cache.length
-    node_mask = build_mask(tree) if n else np.zeros((0, 0), dtype=bool)
-    mask = np.zeros((1 + n, c + 1 + n), dtype=bool)
-    mask[:, :c] = True
-    mask[:, c] = True  # every node descends from the pending token
-    mask[1:, c + 1 :] = node_mask
     tokens = [tree.root_token] + [nd.token for nd in tree.nodes]
+    parents = [-1] + [nd.parent + 1 for nd in tree.nodes]
     positions = [0] + [nd.depth for nd in tree.nodes]
-    outs, kv = target.forward_tree_kv(cache, tokens, mask, positions)
-    return outs, kv
+    return target.forward_tree_kv(cache, tokens, parents, positions)
+
+
+def _outcome(tree: DraftTree, path: list[int], final: int, features: np.ndarray,
+             kv: TreeKv) -> VerifyOutcome:
+    """The outcome of a walk that accepted the nodes of path, then final."""
+    commit = [0] + [1 + i for i in path]
+    return VerifyOutcome(
+        accepted=[tree.nodes[i].token for i in path],
+        final_token=final,
+        accepted_count=len(path),
+        commit_indices=commit,
+        tree_kv=kv,
+        committed_features=list(features[commit]),
+    )
+
+
+def _walk_greedy(tree: DraftTree, logits: np.ndarray) -> tuple[list[int], int]:
+    """Follow the child that matches the target argmax; (path, final token)."""
+    path: list[int] = []
+    cur = -1
+    while True:
+        t_star = int(np.argmax(logits[cur + 1]))
+        for ch in tree.children(cur):
+            if tree.nodes[ch].token == t_star:
+                break
+        else:
+            return path, t_star
+        path.append(ch)
+        cur = ch
+
+
+def _walk_sampling(tree: DraftTree, logits: np.ndarray, temperature: float,
+                   rng) -> tuple[list[int], int]:
+    """Recursive residual speculative sampling down the tree; (path, final token)."""
+    path: list[int] = []
+    cur = -1
+    while True:
+        p = softmax(logits[cur + 1], temperature)
+        kids = tree.children(cur)
+        if not kids:
+            return path, inverse_cdf_sample(p, rng.random())  # bonus from the target itself
+        for ch in kids:
+            nd = tree.nodes[ch]
+            if accept_token(p, nd.q_dist, nd.token, rng.random()):
+                break
+            p = residual_dist(p, nd.q_dist)
+        else:
+            return path, inverse_cdf_sample(p, rng.random())
+        path.append(ch)
+        cur = ch
 
 
 def verify_tree_greedy(tree: DraftTree, target: TargetModel, cache: KvCache) -> VerifyOutcome:
     """Strict top-1 verification; the cache is left untouched."""
-    outs, kv = _forward_with_root(tree, target, cache)
-    accepted: list[int] = []
-    commit = [0]
-    features = [outs[0].feature]
-    cur = -1
-    while True:
-        out = outs[0] if cur == -1 else outs[1 + cur]
-        t_star = int(np.argmax(out.logits))
-        nxt = None
-        for ch in tree.children(cur):
-            if tree.nodes[ch].token == t_star:
-                nxt = ch
-                break
-        if nxt is None:
-            final = t_star
-            break
-        accepted.append(t_star)
-        commit.append(1 + nxt)
-        features.append(outs[1 + nxt].feature)
-        cur = nxt
-    return VerifyOutcome(
-        accepted=accepted,
-        final_token=final,
-        accepted_count=len(accepted),
-        commit_indices=commit,
-        tree_kv=kv,
-        committed_features=features,
-    )
+    logits, features, kv = _forward_with_root(tree, target, cache)
+    return _outcome(tree, *_walk_greedy(tree, logits), features, kv)
 
 
 def verify_tree_sampling(tree: DraftTree, target: TargetModel, cache: KvCache,
@@ -115,41 +135,8 @@ def verify_tree_sampling(tree: DraftTree, target: TargetModel, cache: KvCache,
     """
     if not temperature > 0.0:
         raise ValueError("temperature must be > 0 for sampling verification")
-    outs, kv = _forward_with_root(tree, target, cache)
-    accepted: list[int] = []
-    commit = [0]
-    features = [outs[0].feature]
-    cur = -1
-    while True:
-        out = outs[0] if cur == -1 else outs[1 + cur]
-        p = softmax(out.logits, temperature)
-        kids = tree.children(cur)
-        if not kids:
-            final = inverse_cdf_sample(p, rng.random())  # bonus from the target itself
-            break
-        p_res = p
-        nxt = None
-        for ch in kids:
-            nd = tree.nodes[ch]
-            if accept_token(p_res, nd.q_dist, nd.token, rng.random()):
-                nxt = ch
-                break
-            p_res = residual_dist(p_res, nd.q_dist)
-        if nxt is None:
-            final = inverse_cdf_sample(p_res, rng.random())
-            break
-        accepted.append(tree.nodes[nxt].token)
-        commit.append(1 + nxt)
-        features.append(outs[1 + nxt].feature)
-        cur = nxt
-    return VerifyOutcome(
-        accepted=accepted,
-        final_token=final,
-        accepted_count=len(accepted),
-        commit_indices=commit,
-        tree_kv=kv,
-        committed_features=features,
-    )
+    logits, features, kv = _forward_with_root(tree, target, cache)
+    return _outcome(tree, *_walk_sampling(tree, logits, temperature, rng), features, kv)
 
 
 def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,

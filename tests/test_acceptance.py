@@ -10,11 +10,12 @@ import pytest
 
 from sdlab.bench import RunConfig, decode_prompt, build_models, make_prompts, run_session
 from sdlab.draft import DraftConfig, init_draft, route_experts, save_draft
-from sdlab.target import TargetConfig, init_target
+from sdlab.target import TargetConfig, init_target, tree_groups
 from sdlab.train import TrainConfig, finite_diff_check, generate_distillation_corpus, jakiro_loss, train_draft
-from sdlab.tree import DraftNode, DraftTree, build_mask
 from sdlab.verify import residual_dist
 
+from test_row_kernel import random_tree
+from test_tree import ancestor_walk, context_columns
 from test_verify import enumerate_round
 
 
@@ -110,28 +111,17 @@ def test_criterion_3_tree_sampling_losslessness(small_pair, kind):
         assert time.time() - t0 < 60.0
 
 
-def test_criterion_4_tree_mask_correctness():
+def test_criterion_4_tree_layout_correctness():
     rng = np.random.default_rng(4)
-    with criterion(4, "1000 random trees up to 64 nodes match the ancestor-walk oracle"):
+    with criterion(4, "1000 random trees up to 64 nodes: verify layout matches the ancestor walk"):
         for _ in range(1000):
             n = int(rng.integers(1, 65))
-            nodes = []
+            c = int(rng.integers(0, 8))
+            parents, depth = random_tree(rng, n, p_child=0.7)
+            cols = context_columns(tree_groups(c, parents, depth), n)
             for i in range(n):
-                if i == 0 or rng.random() < 0.3:
-                    nodes.append(DraftNode(int(rng.integers(0, 64)), -1, 1, 1.0, 0.0))
-                else:
-                    p = int(rng.integers(0, i))
-                    nodes.append(
-                        DraftNode(int(rng.integers(0, 64)), p, nodes[p].depth + 1, 1.0, 0.0)
-                    )
-            mask = build_mask(DraftTree(nodes, root_token=0))
-            for i in range(n):
-                walk = set()
-                j = i
-                while j != -1:
-                    walk.add(j)
-                    j = nodes[j].parent
-                assert set(np.flatnonzero(mask[i])) == walk  # tolerance: exact
+                # tolerance: exact
+                assert cols[i] == list(range(c)) + [c + j for j in ancestor_walk(parents, i)]
 
 
 def test_criterion_5_moe_routing():

@@ -1,6 +1,7 @@
 """Harness tests: config loading, session counters, speedups, reports, CLI."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from sdlab.bench import (
     decode_prompt,
     load_config,
     make_prompts,
-    read_report,
     run_bench,
     run_session,
     run_sweep_nk,
@@ -25,6 +25,11 @@ from sdlab.bench import (
 from sdlab.cli import main
 from sdlab.draft import save_draft
 from sdlab.target import save_target
+
+
+def read_report(path: str) -> dict:
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 class TestConfig:
@@ -59,6 +64,31 @@ class TestConfig:
     def test_jakiro_requires_gamma2(self):
         with pytest.raises(ConfigError, match="gamma"):
             RunConfig(method="jakiro_full", gamma=1).validate()
+
+    @pytest.mark.parametrize("raw,msg", [
+        ({"gamma": "5"}, "gamma: expected int, got '5'"),
+        ({"gamma": 2.5}, "gamma: expected int, got 2.5"),
+        ({"beam": True}, "beam: expected int, got True"),
+        ({"temperature": "0.6"}, "temperature: expected float or int, got '0.6'"),
+        ({"method": 3}, "method: expected str, got 3"),
+        ({"prompt_file": 7}, "prompt_file: expected str or null, got 7"),
+    ])
+    def test_wrong_value_types_rejected_by_key(self, tmp_path, raw, msg):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"method": "chain", **raw}))
+        with pytest.raises(ConfigError, match=msg):
+            load_config(str(path))
+
+    def test_int_temperature_and_null_path_accepted(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"method": "chain", "temperature": 1, "prompt_file": None}))
+        cfg = load_config(str(path))
+        assert cfg.temperature == 1 and cfg.prompt_file is None
+
+    @pytest.mark.parametrize("key", ["top_k", "beam"])
+    def test_empty_trees_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"{key}: must be >= 1"):
+            RunConfig(method="jakiro_full", **{key: 0}).validate()
 
 
 class TestSession:
@@ -233,6 +263,55 @@ class TestCli:
                                     "max_new": 4, "n_prompts": 1}))
         assert main(["decode", "--config", str(path)]) == 2
         assert f"{which}_checkpoint: non-finite parameter value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which,fields,msg", [
+        ("target", (1, 64, 32, 2, 0), "n_heads must be >= 1"),
+        ("target", (1, 2**20, 2**16, 2, 2), "checkpoint length mismatch"),
+        ("target", (1, 64, 32, 2**31, 2), "checkpoint length mismatch"),
+        ("draft", (1, 64, 32, 2, 0, 0, 64, 1), "n_experts must be >= 1"),
+        ("draft", (1, 64, 32, 2, 2, 2, 2**30, 1), "checkpoint length mismatch"),
+        ("draft", (1, 64, 32, 0, 2, 2, 64, 1), "n_heads must be >= 1"),
+    ])
+    def test_bad_checkpoint_header_exit_2(self, tmp_path, capsys, which, fields, msg):
+        # a header alone: its sizes are rejected before any array is allocated
+        magic = b"SDFM" if which == "target" else b"SDFD"
+        ckpt = tmp_path / "ckpt.bin"
+        ckpt.write_bytes(magic + struct.pack(f"<{len(fields)}I", *fields) + b"\0" * 64)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"method": "chain", f"{which}_checkpoint": str(ckpt),
+                                    "max_new": 4, "n_prompts": 1}))
+        assert main(["decode", "--config", str(path)]) == 2
+        assert f"{which}_checkpoint: {msg}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["target", "draft"])
+    def test_truncated_checkpoint_header_exit_2(self, tmp_path, capsys, which):
+        ckpt = tmp_path / "ckpt.bin"
+        ckpt.write_bytes((b"SDFM" if which == "target" else b"SDFD") + b"\1\0\0")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"method": "chain", f"{which}_checkpoint": str(ckpt),
+                                    "max_new": 4, "n_prompts": 1}))
+        assert main(["decode", "--config", str(path)]) == 2
+        assert "header truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", [{"gamma": "5"}, {"method": "jakiro_full", "beam": 0},
+                                     {"method": "static_tree", "top_k": 0}, {"n_layers": 0},
+                                     {"expert_hidden": 0}, {"n_heads": 3}, {"n_prompts": 0},
+                                     {"seed": -1}, {"draft_seed": -2}])
+    def test_config_edge_inputs_exit_2(self, tmp_path, capsys, raw):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"method": "chain", "max_new": 4, "n_prompts": 1, **raw}))
+        assert main(["decode", "--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["[]", "{}", "[5]", "[[1, 2.5, 3]]", "[[1, true, 3]]",
+                                      "[[1, 64]]"])
+    def test_bad_prompt_file_exit_2(self, tmp_path, capsys, text):
+        prompts = tmp_path / "p.json"
+        prompts.write_text(text)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"method": "chain", "prompt_file": str(prompts)}))
+        assert main(["decode", "--config", str(path)]) == 2
+        assert "config error: prompt_file: " in capsys.readouterr().err
 
     def test_bench_moe_with_one_active_expert_exit_2(self, tmp_path, capsys):
         cfg = RunConfig(method="chain", active_k=1, gamma=3, max_new=4, n_prompts=1)

@@ -226,6 +226,21 @@ class TestCheckpoint:
             assert np.array_equal(np.asarray(loaded.params[name]), np.asarray(arr)), name
         assert loaded.config == draft.config
 
+    def test_round_trip_other_sizes(self, target, tmp_path):
+        draft = init_draft(DraftConfig(n_experts=3, active_k=2, expert_hidden=20, n_heads=4,
+                                       use_ln=False), target, seed=5)
+        path = str(tmp_path / "draft.bin")
+        save_draft(draft, path)
+        loaded = load_draft(path, target)
+        assert loaded.config == draft.config
+        for name, arr in draft.params.items():
+            assert np.array_equal(np.asarray(loaded.params[name]), np.asarray(arr)), name
+
+    @pytest.mark.parametrize("field", ["vocab", "dim", "n_heads", "n_experts", "expert_hidden"])
+    def test_non_positive_sizes_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            DraftConfig(**{field: 0})
+
     def test_trailing_scalars(self, draft, target, tmp_path):
         draft2 = init_draft(DraftConfig(), target, seed=9)
         draft2.params["beta"] = np.array(2.5)

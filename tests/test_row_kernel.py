@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from sdlab.draft import DraftConfig, DraftSession, init_draft
-from sdlab.kernels import (MAX_GATHER, context_groups, layer_norm, silu, sinusoid_position,
-                           sinusoid_positions)
-from sdlab.target import TargetConfig, init_target
+from sdlab.kernels import MAX_GATHER, layer_norm, silu, sinusoid_position, sinusoid_positions
+from sdlab.target import TargetConfig, init_target, tree_groups
 
 
 # ---------------------------------------------------------------- references
@@ -147,9 +146,23 @@ def assert_step_equal(got, want):
     assert np.array_equal(got.branch_scores, scores[top[:2]])
 
 
+def ref_build_mask(parents):
+    """The (m, m) ancestor-or-self mask verification used to build from the
+    tree (tree.build_mask): row i copies its parent's row, then sets itself."""
+    m = len(parents)
+    mask = np.zeros((m, m), dtype=bool)
+    for i, p in enumerate(parents):
+        if p >= 0:
+            mask[i] = mask[p]
+        mask[i, i] = True
+    return mask
+
+
 def ref_context_groups(mask):
-    """The per-length grouping that context_groups replaced: one unique
-    length at a time, its rows found by flatnonzero, its columns by nonzero."""
+    """The grouping of a (rows, columns) context mask that verification used
+    before tree_groups (kernels.context_groups, in its per-length form): one
+    unique length at a time, its rows found by flatnonzero, its columns by
+    nonzero, cut to MAX_GATHER rows x columns."""
     if mask.shape[0] == 1:
         return [(slice(None), np.flatnonzero(mask[0])[None])]
     lengths = mask.sum(axis=1)
@@ -163,6 +176,11 @@ def ref_context_groups(mask):
     return groups
 
 
+def ref_tree_mask(c, parents):
+    """(m, c + m) context mask of tree rows after c prefix columns."""
+    return np.concatenate((np.ones((len(parents), c), dtype=bool), ref_build_mask(parents)), axis=1)
+
+
 def assert_groups_equal(got, want, m):
     assert len(got) == len(want)
     for (rows, idx), (w_rows, w_idx) in zip(got, want):
@@ -170,38 +188,63 @@ def assert_groups_equal(got, want, m):
         assert np.array_equal(idx, w_idx)
 
 
+def random_tree(rng, m, p_child=0.85):
+    """Parents and depths of a random level-ordered tree over m rows: row i
+    hangs under a random earlier row with probability p_child, so with
+    p_child < 1 it is usually a forest; then the rows are stably sorted by
+    depth and the parents renumbered."""
+    parents = np.full(m, -1)
+    depth = np.zeros(m, dtype=int)
+    for i in range(1, m):
+        if rng.random() < p_child:
+            parents[i] = int(rng.integers(0, i))
+            depth[i] = depth[parents[i]] + 1
+    order = np.argsort(depth, kind="stable")
+    new = np.empty(m, dtype=int)
+    new[order] = np.arange(m)
+    parents = parents[order]
+    return np.where(parents < 0, -1, new[parents]), depth[order]
+
+
 # ------------------------------------------------------------------- layouts
 
 @pytest.mark.parametrize("seed", range(40))
-def test_context_groups_matches_per_length_loop(seed):
+def test_tree_groups_match_mask_oracle(seed):
     rng = np.random.default_rng(seed)
     m, c = int(rng.integers(1, 120)), int(rng.integers(0, 60))
-    mask = rng.random((m, c + m)) < rng.uniform(0.05, 0.95)
-    mask[np.arange(m), c + np.arange(m)] = True  # lengths unsorted, none zero
-    assert_groups_equal(context_groups(mask), ref_context_groups(mask), m)
+    parents, depth = random_tree(rng, m, p_child=rng.uniform(0.5, 1.0))
+    assert_groups_equal(tree_groups(c, parents, depth), ref_context_groups(ref_tree_mask(c, parents)), m)
 
 
-def test_context_groups_one_row_and_tree_masks():
+def test_tree_groups_one_row_and_forests():
     rng = np.random.default_rng(3)
     for c in (0, 1, 17):
-        mask = np.zeros((1, c + 1), dtype=bool)
-        mask[0, rng.permutation(c + 1)[: int(rng.integers(1, c + 2))]] = True
-        assert_groups_equal(context_groups(mask), ref_context_groups(mask), 1)
+        one = np.array([-1])
+        assert_groups_equal(tree_groups(c, one, np.zeros(1, dtype=int)),
+                            ref_context_groups(ref_tree_mask(c, one)), 1)
     for m in (2, 65, 300):
-        mask, _ = random_tree_mask(rng, 30, m, partial_prefix=True)
-        assert_groups_equal(context_groups(mask), ref_context_groups(mask), m)
+        roots = np.full(m, -1)  # every row attends to the prefix only
+        assert_groups_equal(tree_groups(30, roots, np.zeros(m, dtype=int)),
+                            ref_context_groups(ref_tree_mask(30, roots)), m)
+        for p_child in (0.85, 1.0):
+            parents, depth = random_tree(rng, m, p_child)
+            assert_groups_equal(tree_groups(30, parents, depth),
+                                ref_context_groups(ref_tree_mask(30, parents)), m)
 
 
-def test_context_groups_cut_at_max_gather():
-    rng = np.random.default_rng(4)
-    # 3000-column rows: one row per group; 700-column rows: two per group
-    mask = np.ones((7, 3000), dtype=bool)
-    mask[rng.permutation(7)[:4], 700:] = False
-    groups = context_groups(mask)
-    assert_groups_equal(groups, ref_context_groups(mask), 7)
-    assert [len(rows) for rows, _ in groups] == [2, 2, 1, 1, 1]
-    mask = rng.random((400, 500)) < 0.9
-    assert_groups_equal(context_groups(mask), ref_context_groups(mask), 400)
+def test_tree_groups_cut_at_max_gather():
+    # 1001- and 1002-column rows: two per group
+    parents = np.array([-1, -1, -1, -1, -1, 0, 0, 3])
+    depth = np.array([0, 0, 0, 0, 0, 1, 1, 1])
+    groups = tree_groups(1000, parents, depth)
+    assert_groups_equal(groups, ref_context_groups(ref_tree_mask(1000, parents)), 8)
+    assert [len(rows) for rows, _ in groups] == [2, 2, 1, 2, 1]
+    # 3000-column rows: one per group
+    groups = tree_groups(2999, parents[:5], depth[:5])
+    assert [len(rows) for rows, _ in groups] == [1] * 5
+    parents, depth = random_tree(np.random.default_rng(4), 400)
+    assert_groups_equal(tree_groups(500, parents, depth),
+                        ref_context_groups(ref_tree_mask(500, parents)), 400)
 
 
 def test_sinusoid_positions_match_one_position_rows():
@@ -236,20 +279,6 @@ def target():
     return init_target(TargetConfig(), seed=0)
 
 
-def random_tree_mask(rng, c, m, partial_prefix):
-    """(m, c + m) mask of a random tree over m rows, optionally with random prefix holes."""
-    mask = np.zeros((m, c + m), dtype=bool)
-    mask[:, :c] = rng.random((m, c)) < 0.7 if partial_prefix else True
-    depth = np.zeros(m, dtype=int)
-    for i in range(m):
-        if i > 0 and rng.random() < 0.85:
-            parent = int(rng.integers(0, i))
-            mask[i, c:] = mask[parent, c:]
-            depth[i] = depth[parent] + 1
-        mask[i, c + i] = True
-    return mask, depth
-
-
 def cached(target, prompt):
     cache = target.new_cache()
     for t in prompt:
@@ -258,39 +287,36 @@ def cached(target, prompt):
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 65, 300])
-@pytest.mark.parametrize("partial_prefix", [False, True])
-def test_forward_tree_kv_matches_row_loop(target, m, partial_prefix):
-    rng = np.random.default_rng(1000 * m + partial_prefix)
+def test_forward_tree_kv_matches_row_loop(target, m):
+    rng = np.random.default_rng(1000 * m)
     c = int(rng.integers(1, 41))
     cache = cached(target, [int(t) for t in rng.integers(0, target.vocab, size=c)])
-    mask, depth = random_tree_mask(rng, c, m, partial_prefix)
+    parents, depth = random_tree(rng, m)
     tokens = [int(t) for t in rng.integers(0, target.vocab, size=m)]
     positions = list(depth)
-    outs, kv = target.forward_tree_kv(cache, tokens, mask, positions)
-    logits, feats, ks, vs = ref_forward_tree(target, cache, tokens, mask, positions)
-    for o, lg, f in zip(outs, logits, feats):
-        assert np.array_equal(o.logits, lg)
-        assert np.array_equal(o.feature, f)
+    logits, feats, kv = target.forward_tree_kv(cache, tokens, list(parents), positions)
+    assert logits.shape == (m, target.vocab) and feats.shape == (m, target.dim)
+    want_logits, want_feats, ks, vs = ref_forward_tree(target, cache, tokens,
+                                                       ref_tree_mask(c, parents), positions)
+    for lg, f, w_lg, w_f in zip(logits, feats, want_logits, want_feats):
+        assert np.array_equal(lg, w_lg)
+        assert np.array_equal(f, w_f)
     for l in range(target.config.n_layers):
         assert np.array_equal(kv.k[l], ks[l])
         assert np.array_equal(kv.v[l], vs[l])
 
 
-def test_forward_tree_kv_square_mask_and_empty_prefix(target):
+def test_forward_tree_kv_empty_prefix_and_no_rows(target):
     rng = np.random.default_rng(5)
     cache = target.new_cache()
-    mask, depth = random_tree_mask(rng, 0, 20, False)
+    parents, depth = random_tree(rng, 20)
     tokens = [int(t) for t in rng.integers(0, target.vocab, size=20)]
-    outs, _ = target.forward_tree_kv(cache, tokens, mask, list(depth))
-    logits, _, _, _ = ref_forward_tree(target, cache, tokens, mask, list(depth))
-    assert all(np.array_equal(o.logits, lg) for o, lg in zip(outs, logits))
-    cache = cached(target, [3, 1, 4])
-    square = np.zeros((23, 23), dtype=bool)
-    square[3:, :3] = True
-    square[3:, 3:] = mask
-    outs_sq, _ = target.forward_tree_kv(cache, tokens, square, list(depth))
-    outs_rect, _ = target.forward_tree_kv(cache, tokens, square[3:], list(depth))
-    assert all(np.array_equal(a.logits, b.logits) for a, b in zip(outs_sq, outs_rect))
+    logits, _, _ = target.forward_tree_kv(cache, tokens, parents, depth)
+    want, _, _, _ = ref_forward_tree(target, cache, tokens, ref_tree_mask(0, parents), depth)
+    assert all(np.array_equal(lg, w) for lg, w in zip(logits, want))
+    logits, feats, kv = target.forward_tree_kv(cached(target, [3]), [], [], [])
+    assert logits.shape == (0, target.vocab) and feats.shape == (0, target.dim)
+    assert all(k.shape == (0, target.dim) for k in kv.k + kv.v)
 
 
 def test_forward_cached_matches_token_step(target):
@@ -360,22 +386,45 @@ def test_prefill_rejects_out_of_vocab_before_any_row(target):
     assert cache.length == 2
 
 
-def test_tree_must_attend_to_itself(target):
-    cache = cached(target, [1, 2])
-    mask = np.ones((2, 4), dtype=bool)
-    mask[1, 3] = False
-    mask[0, 3] = False
-    with pytest.raises(ValueError, match="tree token 1 must attend to itself"):
-        target.forward_tree_kv(cache, [5, 6], mask, [0, 1])
-
-
 def test_tree_token_out_of_vocab(target):
     cache = cached(target, [1, 2])
-    mask = np.concatenate((np.ones((2, 2), dtype=bool), np.eye(2, dtype=bool)), axis=1)
-    with pytest.raises(ValueError, match="out of vocab range"):
-        target.forward_tree_kv(cache, [5, target.vocab], mask, [0, 0])
-    with pytest.raises(ValueError, match="out of vocab range"):
-        target.forward_tree_kv(cache, [-1, 5], mask, [0, 0])
+    with pytest.raises(ValueError, match=f"token {target.vocab} out of vocab range"):
+        target.forward_tree_kv(cache, [5, target.vocab], [-1, 0], [0, 1])
+    with pytest.raises(ValueError, match="token -1 out of vocab range"):
+        target.forward_tree_kv(cache, [-1, 5], [-1, 0], [0, 1])
+
+
+@pytest.mark.parametrize("parents,row", [([-1, 2, 0], 1), ([-1, 1, 0], 1), ([-1, 0, -2], 2)],
+                         ids=["forward", "self", "no-row"])
+def test_tree_parent_must_be_an_earlier_row(target, parents, row):
+    cache = cached(target, [1, 2])
+    with pytest.raises(ValueError, match=f"tree row {row}: parent must be an earlier row or -1"):
+        target.forward_tree_kv(cache, [5, 6, 7], parents, [0, 1, 1])
+
+
+def test_tree_depth_must_follow_the_parent(target):
+    cache = cached(target, [1, 2])
+    with pytest.raises(ValueError, match="tree row 2: depth must be 0 without a parent"):
+        target.forward_tree_kv(cache, [5, 6, 7], [-1, 0, 0], [0, 1, 2])
+    with pytest.raises(ValueError, match="tree row 0: depth must be 0 without a parent"):
+        target.forward_tree_kv(cache, [5, 6], [-1, 0], [1, 2])
+    with pytest.raises(ValueError, match="tree row 1: depth must be 0 without a parent"):
+        target.forward_tree_kv(cache, [5, 6], [-1, -1], [0, 1])
+
+
+def test_tree_rows_must_come_in_depth_order(target):
+    cache = cached(target, [1, 2])
+    with pytest.raises(ValueError, match="tree row 2: rows must come in depth order"):
+        target.forward_tree_kv(cache, [5, 6, 7, 8], [-1, 0, -1, 2], [0, 1, 0, 1])
+
+
+def test_tree_length_mismatch(target):
+    cache = cached(target, [1, 2])
+    with pytest.raises(ValueError, match="tokens, parents and positions differ in length"):
+        target.forward_tree_kv(cache, [5, 6], [-1, 0], [0])
+    with pytest.raises(ValueError, match="tokens, parents and positions differ in length"):
+        target.forward_tree_kv(cache, [5, 6], [-1], [0, 1])
+    assert cache.length == 2
 
 
 # --------------------------------------------------------------------- draft

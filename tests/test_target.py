@@ -1,9 +1,11 @@
 """Target model tests: cached decoding, tree forwarding, losslessness plumbing."""
 
+import struct
+
 import numpy as np
 import pytest
 
-from sdlab.target import TargetConfig, init_target, load_target, save_target
+from sdlab.target import KvCache, TargetConfig, init_target, load_target, save_target
 
 # first pinned run of the deterministic model (seed 0, empty cache, token 0)
 SNAPSHOT_LOGITS_8 = [
@@ -16,9 +18,25 @@ SNAPSHOT_FEATURE_4 = [
 ]
 
 
-def forward_tree(model, cache, tokens, mask, positions):
-    """The outputs of a tentative tree forward, without its key/value rows."""
-    return model.forward_tree_kv(cache, tokens, mask, positions)[0]
+def forward_tree(model, cache, tokens, parents, positions):
+    """The logits of a tentative tree forward, without features or key/value rows."""
+    return model.forward_tree_kv(cache, tokens, parents, positions)[0]
+
+
+def clone_cache(cache):
+    """A separate KvCache holding the same rows."""
+    c = KvCache(cache.n_layers, cache.dim)
+    c.extend([cache.keys(l).copy() for l in range(cache.n_layers)],
+             [cache.values(l).copy() for l in range(cache.n_layers)])
+    return c
+
+
+def cache_bytes(cache):
+    """The length and every stored key and value row, as bytes."""
+    parts = [struct.pack("<q", cache.length)]
+    for l in range(cache.n_layers):
+        parts += [cache.keys(l).tobytes(), cache.values(l).tobytes()]
+    return b"".join(parts)
 
 
 @pytest.fixture(scope="module")
@@ -63,18 +81,13 @@ class TestForwardTree:
         for t in prefix:
             model.forward_cached(cache, t)
         chain = [4, 9, 16]
-        seq_cache = cache.clone()
+        seq_cache = clone_cache(cache)
         seq_outs = [model.forward_cached(seq_cache, t) for t in chain]
-        c = cache.length
-        n = len(chain)
-        mask = np.concatenate(
-            (np.ones((n, c), dtype=bool), np.tril(np.ones((n, n), dtype=bool))), axis=1
-        )
-        tree_outs = forward_tree(model, cache, chain, mask, [0, 1, 2])
-        for a, b in zip(seq_outs, tree_outs):
-            assert np.max(np.abs(a.logits - b.logits)) < 1e-9
+        tree_logits = forward_tree(model, cache, chain, [-1, 0, 1], [0, 1, 2])
+        for a, b in zip(seq_outs, tree_logits):
+            assert np.max(np.abs(a.logits - b)) < 1e-9
             # this implementation routes both paths through one step kernel: exact
-            assert np.array_equal(a.logits, b.logits)
+            assert np.array_equal(a.logits, b)
 
     def test_sibling_branches_match_chain_replay(self, model):
         prefix = [11, 3]
@@ -82,47 +95,34 @@ class TestForwardTree:
         for t in prefix:
             model.forward_cached(cache, t)
         # two branches sharing a parent: parent 5, children 8 and 40
-        tokens = [5, 8, 40]
-        c = cache.length
-        mask = np.zeros((3, c + 3), dtype=bool)
-        mask[:, :c] = True
-        mask[0, c] = True
-        mask[1, c : c + 2] = [True, True]
-        mask[2, c] = True
-        mask[2, c + 2] = True
-        outs = forward_tree(model, cache, tokens, mask, [0, 1, 1])
-        for branch_token, branch_out in ((8, outs[1]), (40, outs[2])):
-            replay = cache.clone()
+        logits = forward_tree(model, cache, [5, 8, 40], [-1, 0, 0], [0, 1, 1])
+        for branch_token, branch_logits in ((8, logits[1]), (40, logits[2])):
+            replay = clone_cache(cache)
             o5 = model.forward_cached(replay, 5)
             ob = model.forward_cached(replay, branch_token)
-            assert np.max(np.abs(ob.logits - branch_out.logits)) < 1e-9
-            assert np.max(np.abs(o5.logits - outs[0].logits)) < 1e-9
+            assert np.max(np.abs(ob.logits - branch_logits)) < 1e-9
+            assert np.max(np.abs(o5.logits - logits[0])) < 1e-9
 
     def test_empty_tokens(self, model):
         cache = model.new_cache()
         model.forward_cached(cache, 1)
-        outs = forward_tree(model, cache, [], np.zeros((0, 1), dtype=bool), [])
-        assert outs == []
+        assert forward_tree(model, cache, [], [], []).shape == (0, model.vocab)
 
     def test_cache_not_mutated(self, model):
         cache = model.new_cache()
         for t in [2, 4, 6]:
             model.forward_cached(cache, t)
-        before = cache.fingerprint()
-        mask = np.concatenate(
-            (np.ones((2, 3), dtype=bool), np.tril(np.ones((2, 2), dtype=bool))), axis=1
-        )
-        forward_tree(model, cache, [1, 2], mask, [0, 1])
-        assert cache.fingerprint() == before
+        before = cache_bytes(cache)
+        forward_tree(model, cache, [1, 2], [-1, 0], [0, 1])
+        assert cache_bytes(cache) == before
 
-    def test_mask_shape_errors(self, model):
+    def test_layout_errors(self, model):
         cache = model.new_cache()
         model.forward_cached(cache, 1)
-        with pytest.raises(ValueError, match="mask/token length mismatch"):
-            forward_tree(model, cache, [1, 2], np.ones((1, 2), dtype=bool), [0, 1])
-        bad = np.ones((2, 3), dtype=bool)  # token 0 referencing token 1
-        with pytest.raises(ValueError, match="later token"):
-            forward_tree(model, cache, [1, 2], bad, [0, 1])
+        with pytest.raises(ValueError, match="differ in length"):
+            forward_tree(model, cache, [1, 2], [-1], [0, 1])
+        with pytest.raises(ValueError, match="parent must be an earlier row"):
+            forward_tree(model, cache, [1, 2], [1, -1], [1, 0])  # row 0 under row 1
 
 
 class TestDecode:
@@ -182,6 +182,25 @@ class TestCheckpoint:
         path = tmp_path / "junk.bin"
         path.write_bytes(b"XXXX" + b"\0" * 40)
         with pytest.raises(ValueError, match="bad magic"):
+            load_target(str(path))
+
+    def test_round_trip_other_sizes(self, tmp_path):
+        model = init_target(TargetConfig(vocab=11, dim=12, n_layers=3, n_heads=3), seed=4)
+        path = str(tmp_path / "target.bin")
+        save_target(model, path)
+        loaded = load_target(path)
+        assert loaded.config == model.config
+        assert loaded.autoregressive_decode([5, 6], 6) == model.autoregressive_decode([5, 6], 6)
+
+    @pytest.mark.parametrize("field", ["vocab", "dim", "n_layers", "n_heads"])
+    def test_non_positive_sizes_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            TargetConfig(**{field: 0})
+
+    def test_truncated_header(self, tmp_path):
+        path = tmp_path / "short.bin"
+        path.write_bytes(b"SDFM" + b"\1\0")
+        with pytest.raises(ValueError, match="header truncated"):
             load_target(str(path))
 
     def test_truncated(self, model, tmp_path):

@@ -1,21 +1,16 @@
-"""Draft tree construction tests: growth policies, masks, flattening."""
+"""Draft tree construction tests: growth policies and the attention layout
+verification takes from a tree."""
 
 import numpy as np
 import pytest
 
 from sdlab.draft import DraftConfig, DraftSession, init_draft
 from sdlab.kernels import softmax
-from sdlab.target import TargetConfig, init_target
-from sdlab.tree import (
-    DraftNode,
-    DraftTree,
-    build_mask,
-    dump_tree,
-    flatten_for_verification,
-    grow_chain,
-    grow_moe_tree,
-    grow_static_tree,
-)
+from sdlab.target import TargetConfig, init_target, tree_groups
+from sdlab.tree import DraftNode, DraftTree, grow_chain, grow_moe_tree, grow_static_tree
+from sdlab.verify import verify_tree_greedy
+
+from test_row_kernel import random_tree
 
 GOLDEN_MOE_DUMP = """0 -1 1 49 left 0.0554376111048 -3.17314381566
 1 -1 1 48 left 0.0552924830365 -3.17576511121
@@ -30,6 +25,55 @@ GOLDEN_MOE_DUMP = """0 -1 1 49 left 0.0554376111048 -3.17314381566
 10 2 2 49 left 0.0729484744629 -7.75575912732
 11 2 2 15 right 0.0184622406773 -11.9901073993
 12 2 2 52 right 0.0178174540711 -12.0256564585"""
+
+
+def dump_tree(tree: DraftTree) -> str:
+    """Stable textual dump for golden-file comparisons."""
+    lines = []
+    for i, n in enumerate(tree.nodes):
+        lines.append(
+            f"{i} {n.parent} {n.depth} {n.token} {n.branch_tag} {n.q_prob:.12g} {n.cum_score:.12g}"
+        )
+    return "\n".join(lines)
+
+
+def context_columns(groups, m):
+    """Each of m rows' context columns, as lists, from its attention group."""
+    cols = [None] * m
+    for rows, idx in groups:
+        for r, ix in zip(np.arange(m)[rows], idx):
+            cols[r] = ix.tolist()
+    return cols
+
+
+def ancestor_walk(parents, i):
+    """Row i and its ancestors, root first, by following parent pointers."""
+    walk = []
+    while i != -1:
+        walk.append(i)
+        i = parents[i]
+    return walk[::-1]
+
+
+def tree_rows(tree):
+    """Parent rows and depths of tree's verification forward: row 0 is the
+    pending root token and row 1 + i is node i."""
+    return (np.array([-1] + [n.parent + 1 for n in tree.nodes]),
+            np.array([0] + [n.depth for n in tree.nodes]))
+
+
+def tree_columns(tree):
+    """The context columns of each row of tree's verification forward."""
+    parents, depths = tree_rows(tree)
+    return context_columns(tree_groups(tree.root_context_len, parents, depths), len(parents))
+
+
+def assert_columns_follow_parents(tree):
+    c = tree.root_context_len
+    parents, _ = tree_rows(tree)
+    cols = tree_columns(tree)
+    for i in range(len(parents)):
+        assert cols[i] == list(range(c)) + [c + j for j in ancestor_walk(parents, i)]
 
 
 @pytest.fixture(scope="module")
@@ -122,16 +166,10 @@ class TestStaticTree:
         got = [(n.token, n.depth, n.parent) for n in tree.nodes]
         assert got == expect
 
-    def test_mask_invariants_after_build(self, draft, root_feature):
-        tree = grow_static_tree(make_session(draft), root_feature, 5, 3, 2, beam=4)
-        mask = build_mask(tree)
-        for i, n in enumerate(tree.nodes):
-            anc = set()
-            j = i
-            while j != -1:
-                anc.add(j)
-                j = tree.nodes[j].parent
-            assert set(np.flatnonzero(mask[i])) == anc
+    def test_layout_invariants_after_build(self, draft, root_feature):
+        tree = grow_static_tree(make_session(draft), root_feature, 5, 3, 2, beam=4,
+                                context_len=2)
+        assert_columns_follow_parents(tree)
 
     def test_cum_score_monotone(self, draft, root_feature):
         tree = grow_static_tree(make_session(draft), root_feature, 5, 4, 3, beam=6)
@@ -226,75 +264,47 @@ class TestMoeTree:
         assert sess2.passes == 5
 
 
-class TestMask:
-    def test_chain_mask_lower_triangular(self):
+class TestLayout:
+    def test_chain_layout(self):
         nodes = [DraftNode(1, -1, 1, 1.0, 0.0), DraftNode(2, 0, 2, 1.0, 0.0),
                  DraftNode(3, 1, 3, 1.0, 0.0)]
-        mask = build_mask(DraftTree(nodes, root_token=0))
-        assert np.array_equal(mask, np.tril(np.ones((3, 3), dtype=bool)))
+        cols = tree_columns(DraftTree(nodes, root_token=0, root_context_len=3))
+        assert cols == [[0, 1, 2] + list(range(3, 4 + i)) for i in range(4)]
 
-    def test_star_mask(self):
+    def test_star_layout(self):
         nodes = [DraftNode(1, -1, 1, 1.0, 0.0)] + [DraftNode(t, 0, 2, 1.0, 0.0) for t in (2, 3, 4)]
-        mask = build_mask(DraftTree(nodes, root_token=0))
-        for i in range(1, 4):
-            assert set(np.flatnonzero(mask[i])) == {0, i}
+        cols = tree_columns(DraftTree(nodes, root_token=0))
+        for i in range(2, 5):
+            assert cols[i] == [0, 1, i]
+
+    def test_root_only_tree(self):
+        assert tree_columns(DraftTree([], 1, root_context_len=2)) == [[0, 1, 2]]
 
     def test_random_trees_match_ancestor_walk(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
-            n = int(rng.integers(1, 65))
-            nodes = []
-            for i in range(n):
-                if i == 0 or rng.random() < 0.25:
-                    nodes.append(DraftNode(int(rng.integers(0, 64)), -1, 1, 1.0, 0.0))
-                else:
-                    p = int(rng.integers(0, i))
-                    nodes.append(
-                        DraftNode(int(rng.integers(0, 64)), p, nodes[p].depth + 1, 1.0, 0.0)
-                    )
-            mask = build_mask(DraftTree(nodes, root_token=0))
-            for i in range(n):
-                walk = set()
-                j = i
-                while j != -1:
-                    walk.add(j)
-                    j = nodes[j].parent
-                assert set(np.flatnonzero(mask[i])) == walk
+            parents, depth = random_tree(rng, int(rng.integers(1, 65)), p_child=0.75)
+            nodes = [DraftNode(int(rng.integers(0, 64)), int(p), int(d) + 1, 1.0, 0.0)
+                     for p, d in zip(parents, depth)]
+            assert_columns_follow_parents(
+                DraftTree(nodes, root_token=0, root_context_len=int(rng.integers(0, 5))))
 
-    def test_malformed_trees(self):
-        fwd = [DraftNode(1, 1, 1, 1.0, 0.0), DraftNode(2, -1, 1, 1.0, 0.0)]
-        with pytest.raises(ValueError, match="malformed tree"):
-            build_mask(DraftTree(fwd, root_token=0))
-        bad_depth = [DraftNode(1, -1, 1, 1.0, 0.0), DraftNode(2, 0, 3, 1.0, 0.0)]
-        with pytest.raises(ValueError, match="malformed tree"):
-            build_mask(DraftTree(bad_depth, root_token=0))
-
-
-class TestFlatten:
-    def test_chain_layout(self):
-        nodes = [DraftNode(4, -1, 1, 1.0, 0.0), DraftNode(7, 0, 2, 1.0, 0.0)]
-        tokens, mask, positions = flatten_for_verification(DraftTree(nodes, 9, root_context_len=3))
-        assert tokens == [4, 7]
-        assert positions == [1, 2]
-        assert mask.shape == (2, 5)
-        assert mask[:, :3].all()
-
-    def test_empty_tree(self):
-        tokens, mask, positions = flatten_for_verification(DraftTree([], 1, root_context_len=2))
-        assert tokens == [] and positions == []
-        assert mask.shape == (0, 2)
-
-    def test_unflatten_round_trip(self, draft, root_feature):
+    def test_grown_tree_layout(self, draft, root_feature):
         tree = grow_moe_tree(make_session(draft), root_feature, 5, 3, 2, beam=6,
                              context_len=4)
-        tokens, mask, positions = flatten_for_verification(tree)
-        node_mask = mask[:, 4:]
+        cols = tree_columns(tree)
         for i, n in enumerate(tree.nodes):
-            anc = [j for j in np.flatnonzero(node_mask[i]) if j != i]
-            if n.parent == -1:
-                assert anc == []
-            else:
-                parents = [j for j in anc if tree.nodes[j].depth == n.depth - 1]
-                assert parents == [n.parent]
-            assert positions[i] == n.depth
-            assert tokens[i] == n.token
+            assert len(cols[1 + i]) == 4 + 1 + n.depth
+            assert cols[1 + i][-2] == 4 + 1 + n.parent  # the root row for n.parent == -1
+        assert_columns_follow_parents(tree)
+
+    def test_malformed_trees(self, target):
+        fwd = [DraftNode(1, 1, 1, 1.0, 0.0), DraftNode(2, -1, 1, 1.0, 0.0)]
+        bad_depth = [DraftNode(1, -1, 1, 1.0, 0.0), DraftNode(2, 0, 3, 1.0, 0.0)]
+        root_depth = [DraftNode(1, -1, 2, 1.0, 0.0)]
+        unordered = [DraftNode(1, -1, 1, 1.0, 0.0), DraftNode(2, 0, 2, 1.0, 0.0),
+                     DraftNode(3, -1, 1, 1.0, 0.0)]
+        for nodes, why in ((fwd, "parent must be an earlier row"), (bad_depth, "depth must be"),
+                           (root_depth, "depth must be"), (unordered, "depth order")):
+            with pytest.raises(ValueError, match=why):
+                verify_tree_greedy(DraftTree(nodes, root_token=0), target, target.new_cache())

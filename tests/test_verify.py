@@ -6,19 +6,25 @@ import numpy as np
 import pytest
 
 from sdlab.draft import DraftConfig, DraftSession, init_draft
-from sdlab.kernels import softmax
+from sdlab.kernels import inverse_cdf_sample, softmax
 from sdlab.target import TargetConfig, init_target
 from sdlab.tree import DraftNode, DraftTree, grow_moe_tree, grow_static_tree
 from sdlab.verify import (
     accept_token,
-    resample_residual,
     residual_dist,
     verify_tree,
     verify_tree_greedy,
     verify_tree_sampling,
 )
 
+from test_target import cache_bytes, clone_cache
+
 V = 8
+
+
+def resample_residual(p, q, u):
+    """Replacement token drawn from norm(max(0, p - q)) by inverse CDF."""
+    return inverse_cdf_sample(residual_dist(p, q), u)
 
 
 @pytest.fixture(scope="module")
@@ -154,10 +160,8 @@ class TestWalkMechanics:
             out = small_target.forward_cached(cache, t)
         pending = 3
         # q at the root position equals p exactly
-        root_out = small_target.forward_tree_kv(
-            cache, [pending], np.ones((1, cache.length + 1), dtype=bool), [0]
-        )[0][0]
-        p = softmax(root_out.logits, 1.0)
+        root_logits = small_target.forward_tree_kv(cache, [pending], [-1], [0])[0][0]
+        p = softmax(root_logits, 1.0)
         tok = int(np.argmax(p))
         tree = star_tree([tok], [p], pending, cache.length)
         for u in (0.0, 0.3, 0.999):
@@ -170,10 +174,8 @@ class TestWalkMechanics:
         for t in [1, 2]:
             small_target.forward_cached(cache, t)
         pending = 3
-        root_out = small_target.forward_tree_kv(
-            cache, [pending], np.ones((1, cache.length + 1), dtype=bool), [0]
-        )[0][0]
-        p = softmax(root_out.logits, 1.0)
+        root_logits = small_target.forward_tree_kv(cache, [pending], [-1], [0])[0][0]
+        p = softmax(root_logits, 1.0)
         tok = 0
         q = 0.5 * p
         q[tok] += 0.5  # q(tok) > p(tok): acceptance ratio strictly below 1
@@ -194,9 +196,9 @@ class TestWalkMechanics:
         feats = [small_target.forward_cached(cache, t).feature for t in [1, 2]]
         sess = DraftSession(small_draft)
         tree = grow_static_tree(sess, feats[-1], 3, 2, 2, context_len=cache.length)
-        before = cache.fingerprint()
+        before = cache_bytes(cache)
         outcome = verify_tree_greedy(tree, small_target, cache)
-        assert cache.fingerprint() == before
+        assert cache_bytes(cache) == before
         assert outcome.commit_indices[0] == 0
         assert len(outcome.commit_indices) == 1 + outcome.accepted_count
         assert len(outcome.committed_features) == len(outcome.commit_indices)
@@ -220,6 +222,11 @@ class TestWalkMechanics:
         assert outcome.accepted == greedy[:gamma]
         assert outcome.final_token == greedy[gamma]
         assert outcome.accepted_count + 1 == gamma + 1  # tau = gamma + 1 this round
+        # the committed rows carry the features of decoding them one by one
+        seq = clone_cache(cache)
+        want = [small_target.forward_cached(seq, t).feature for t in prompt[-1:] + greedy[:gamma]]
+        assert len(outcome.committed_features) == gamma + 1
+        assert all(np.array_equal(f, w) for f, w in zip(outcome.committed_features, want))
 
     def test_greedy_uniform_draft_tau_near_one(self):
         # chains of token 0 against a vocab-64 target: tau stays in [1, 1.2]
@@ -263,7 +270,7 @@ def target_dists(target, ctx, temperature=1.0):
     p0 = softmax(out.logits, temperature)
     p1 = {}
     for t in range(V):
-        c2 = cache.clone()
+        c2 = clone_cache(cache)
         o = target.forward_cached(c2, t)
         p1[t] = softmax(o.logits, temperature)
     return p0, p1
@@ -462,7 +469,7 @@ def real_rounds(target, draft, ctx, n, grow, top_k, **kw):
     for _ in range(n):
         sess = DraftSession(draft)
         sess.prefill(ctx[1:-1], feats[: len(ctx) - 2])
-        cache = cache0.clone()
+        cache = clone_cache(cache0)
         tree = grow(sess, feats[-2], ctx[-1], 2, top_k, mode="sample", temperature=1.0,
                     rng=rng, context_len=cache.length, **kw)
         outcome = verify_tree_sampling(tree, target, cache, 1.0, rng)
