@@ -7,8 +7,8 @@ benchmark harness reporting acceptance lengths and forward-pass economics.
 """
 
 from .bench import Metrics, Report, RunConfig, compute_speedup, load_config, run_session
-from .draft import ContrastParams, DraftConfig, DraftModel, DraftSession, init_draft, load_draft, route_experts, save_draft
-from .kernels import cross_entropy, masked_attention, smooth_l1, softmax
+from .draft import DraftConfig, DraftModel, DraftSession, init_draft, load_draft, save_draft
+from .kernels import softmax
 from .target import KvCache, StepOutput, TargetConfig, TargetModel, init_target, load_target, save_target
 from .train import TrainBatch, TrainConfig, finite_diff_check, generate_distillation_corpus, jakiro_loss, train_draft, train_step
 from .tree import DraftNode, DraftTree, grow_chain, grow_moe_tree, grow_static_tree

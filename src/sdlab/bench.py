@@ -207,11 +207,10 @@ def build_models(config: RunConfig) -> tuple[TargetModel, DraftModel]:
     return target, draft
 
 
-def _grow_for_method(method, dsession, prev_feature, pending, config, mode, rng,
+def _grow_for_method(method, dsession, prev_feature, pending, config, rng,
                      backlog_t, backlog_f, context_len):
     common = dict(
-        mode=mode,
-        temperature=config.temperature if config.temperature > 0 else 1.0,
+        temperature=config.temperature,
         rng=rng,
         backlog_tokens=backlog_t,
         backlog_features=backlog_f,
@@ -251,7 +250,6 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
 
     if len(prompt) < 2:
         raise ConfigError("prompt_len: speculative methods need prompts of length >= 2")
-    mode = "greedy" if config.temperature == 0.0 else "sample"
     t0 = time.perf_counter()
     cache = target.new_cache()
     feats = [out.feature for out in target.prefill(cache, prompt[:-1])]
@@ -272,7 +270,7 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
     while len(emitted) < config.max_new:
         before = dsession.passes
         tree = _grow_for_method(config.method, dsession, prev_feature, pending, config,
-                                mode, rng, backlog_t, backlog_f, cache.length)
+                                rng, backlog_t, backlog_f, cache.length)
         round_passes = dsession.passes - before
         outcome = verify_tree(tree, target, cache, config.temperature, rng)
         cache.commit_rows(outcome.tree_kv, outcome.commit_indices)
@@ -361,13 +359,7 @@ def write_report(report: Report, path: str) -> None:
         fh.write("\n")
 
 
-def run_bench(config: RunConfig, methods=None) -> Report:
-    if methods:
-        methods = list(methods)
-    elif config.method != "vanilla":
-        methods = ["vanilla", config.method]
-    else:
-        methods = ["vanilla"]
+def run_bench(config: RunConfig, methods) -> Report:
     configs = [RunConfig(**{**asdict(config), "method": m}) for m in methods]
     for c in configs:  # all of them before any decoding
         c.validate()
@@ -386,10 +378,10 @@ def run_bench(config: RunConfig, methods=None) -> Report:
     )
 
 
-def run_sweep_nk(config: RunConfig, grid=((5, 2), (4, 2), (3, 2), (2, 2))) -> dict:
+def run_sweep_nk(config: RunConfig) -> dict:
     """Tau per (N, K) cell of the expert-count grid, for the configured method."""
     rows = {}
-    for n, k in grid:
+    for n, k in ((5, 2), (4, 2), (3, 2), (2, 2)):
         c = RunConfig(**{**asdict(config), "n_experts": n, "active_k": k})
         if c.method in ("vanilla", "chain"):
             c.method = "moe_tree"

@@ -4,17 +4,21 @@ One reduction layer over concat(token embedding, previous feature), a single
 decoder attention layer, an expert layer with top-k routing, and the target
 model's embedding and LM head reused verbatim.  Each step emits two branch
 logit vectors (higher-scoring expert on the left) plus the gated mixture
-feature that carries the autoregression to the next step.
+feature that carries the autoregression to the next step, and its router
+scores and active experts.  The contrast head beta * f_top1 - alpha * f_top2
+reads the learned scalars beta and alpha from the parameters.
 
 Every draft forward goes through one row kernel that takes m rows at once:
 ``_kv_rows`` (embedding, reduction, norm and the q/k/v projections) and
 ``_out_rows`` (attention over each row's own context, routing, experts and
-heads).  A round's first pass commits its backlog rows in one call, a tree
-level is one call over all its items, and prefill needs only the first
-half.  Linear layers run per row, routing takes a row softmax and a stable
-row argsort, each expert runs on just the rows that selected it, and the
-gated mixture accumulates in ascending expert order, so each row is bit
-for bit what a lone step would give (see kernels.py for the attention).
+heads).  A ``DraftSession`` owns a prompt's cache and next position: a
+round's first pass commits its backlog rows in one call (one token is one
+sequential step), a tree level is one call over all its items, and prefill
+needs only the first half.  Linear layers run per row, routing takes a row
+softmax and a stable row argsort, each expert runs on just the rows that
+selected it, and the gated mixture accumulates in ascending expert order,
+so each row is bit for bit what a lone step would give (see kernels.py for
+the attention).
 All items of a tree level share one depth, so a level's attention layout is
 one group built straight from the items' ancestor rows: the committed rows,
 then the ancestors in ascending order, then the row itself.
@@ -62,25 +66,6 @@ class DraftConfig:
 
 
 @dataclass(frozen=True)
-class ExpertScores:
-    """Full router softmax plus the selected expert indices, best first."""
-
-    scores: np.ndarray
-    top_indices: np.ndarray
-
-
-@dataclass(frozen=True)
-class GateVector:
-    gates: np.ndarray
-
-
-@dataclass(frozen=True)
-class ContrastParams:
-    beta: float
-    alpha: float
-
-
-@dataclass(frozen=True)
 class DraftStepOutput:
     """One draft step's output, or a stack of them along a leading row axis."""
 
@@ -89,41 +74,21 @@ class DraftStepOutput:
     feature_top2: np.ndarray
     logits_left: np.ndarray
     logits_right: np.ndarray
-    scores: ExpertScores
+    # the full router softmax and the active experts, best first (ties to the lower index)
+    scores: np.ndarray
+    top: np.ndarray
     # router scores of the left and the right branch (the left alone when K=1)
     branch_scores: np.ndarray
 
     @property
     def active_k(self) -> int:
-        return int(self.scores.top_indices.shape[-1])
+        return int(self.top.shape[-1])
 
     def row(self, i: int) -> "DraftStepOutput":
         """Row i of a stacked output."""
         return DraftStepOutput(self.feature_moe[i], self.feature_top1[i], self.feature_top2[i],
-                               self.logits_left[i], self.logits_right[i],
-                               ExpertScores(self.scores.scores[i], self.scores.top_indices[i]),
-                               self.branch_scores[i])
-
-
-@dataclass
-class DraftState:
-    """A drafting session's cache: one attention layer plus the next position index."""
-
-    cache: KvCache
-    next_pos: int = 1
-
-
-def route_experts(u: np.ndarray, centroids: np.ndarray, active_k: int):
-    """Softmax router scores over expert centroids and the sparse top-k gates.
-
-    Ties are broken toward the lower expert index so trees are deterministic.
-    """
-    scores = softmax(centroids @ u)
-    order = np.argsort(-scores, kind="stable")
-    top = order[:active_k]
-    gates = np.zeros_like(scores)
-    gates[top] = scores[top]
-    return ExpertScores(scores=scores, top_indices=top), GateVector(gates=gates)
+                               self.logits_left[i], self.logits_right[i], self.scores[i],
+                               self.top[i], self.branch_scores[i])
 
 
 class DraftModel:
@@ -140,12 +105,6 @@ class DraftModel:
     @property
     def dim(self) -> int:
         return self.config.dim
-
-    def contrast_params(self) -> ContrastParams:
-        return ContrastParams(beta=float(self.params["beta"]), alpha=float(self.params["alpha"]))
-
-    def new_state(self) -> DraftState:
-        return DraftState(cache=KvCache(1, self.config.dim), next_pos=1)
 
     def _kv_rows(self, tokens, positions, prev_features):
         """First half of the row kernel: the reduced rows x and their q, k, v.
@@ -188,7 +147,7 @@ class DraftModel:
                                  context_heads(values, idx, H)).reshape(qh.shape[0], -1)
         u = x + row_linear(p["wo"], att)
         v_in = layer_norm(u, p["ln2_g"], p["ln2_b"]) if cfg.use_ln else u
-        # route_experts row by row
+        # the router: a row softmax and the active_k best experts, ties to the lower index
         scores = softmax(row_linear(p["router"], v_in))
         top = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.active_k]
         m = x.shape[0]
@@ -214,38 +173,20 @@ class DraftModel:
         else:
             f_top2 = f_top1
             logits_right = logits_left
-        return DraftStepOutput(f_moe, f_top1, f_top2, logits_left, logits_right,
-                               ExpertScores(scores=scores, top_indices=top), s_best)
-
-    def _commit(self, state: DraftState, tokens, prev_features):
-        """Append committed rows at the state's next positions in one pass;
-        returns the last row's x and q for its output half."""
-        if len(tokens) != len(prev_features):
-            raise ValueError("tokens/prev_features length mismatch")
-        n = len(tokens)
-        x, q, k, v = self._kv_rows(tokens, range(state.next_pos, state.next_pos + n), prev_features)
-        state.cache.extend([k], [v])
-        state.next_pos += n
-        return x[-1:], q[-1:]
-
-    def _commit_out(self, state: DraftState, tokens, prev_features) -> DraftStepOutput:
-        """Commit rows, then the step output of the last, which attends to the whole cache."""
-        x, q = self._commit(state, tokens, prev_features)
-        return self._out_rows(x, q, state.cache.keys(0), state.cache.values(0), SINGLE_ROW).row(0)
-
-    def forward_cached(self, state: DraftState, token: int, prev_feature: np.ndarray) -> DraftStepOutput:
-        """One committed draft step at the session's next position."""
-        return self._commit_out(state, [token], [prev_feature])
+        return DraftStepOutput(f_moe, f_top1, f_top2, logits_left, logits_right, scores, top,
+                               s_best)
 
     def _head(self, f: np.ndarray) -> np.ndarray:
         """LM head of a feature vector, or of each row of a stack of them."""
         return self.head @ f if f.ndim == 1 else row_linear(self.head, f)
 
-    def contrast_logits(self, step: DraftStepOutput, cparams: ContrastParams) -> np.ndarray:
-        """Contrast head beta * f_top1 - alpha * f_top2 of a step or of each row of a stack."""
+    def contrast_logits(self, step: DraftStepOutput) -> np.ndarray:
+        """Contrast head beta * f_top1 - alpha * f_top2 of a step or of each row
+        of a stack, with the learned scalars beta and alpha."""
         if step.active_k < 2:
             raise ValueError("contrastive branch requires two active experts")
-        return self._head(cparams.beta * step.feature_top1 - cparams.alpha * step.feature_top2)
+        beta, alpha = float(self.params["beta"]), float(self.params["alpha"])
+        return self._head(beta * step.feature_top1 - alpha * step.feature_top2)
 
     def mixture_logits(self, step: DraftStepOutput) -> np.ndarray:
         """Single-distribution view of a step (or of each row of a stack): the
@@ -257,31 +198,48 @@ class DraftModel:
 
 
 class DraftSession:
-    """Per-prompt drafting state: committed rows, a per-round tentative row
-    buffer for tree exploration, and the draft forward-pass counter (one count
-    per batched pass: a round's opening pass and each tree level)."""
+    """Per-prompt drafting state: the committed rows' one-layer cache and the
+    next position, a per-round tentative row buffer for tree exploration, and
+    the draft forward-pass counter (one count per batched pass: a round's
+    opening pass and each tree level)."""
 
     def __init__(self, model: DraftModel):
         self.model = model
-        self.state = model.new_state()
+        self.cache = KvCache(1, model.dim)
+        self.next_pos = 1
         self.passes = 0
         # this round's tentative rows: (rows, dim) keys and values
         self._tk = self._tv = np.zeros((0, model.dim))
 
+    def _commit(self, tokens, prev_features):
+        """Append committed rows at the next positions in one pass; returns
+        the last row's x and q for its output half."""
+        if len(tokens) != len(prev_features):
+            raise ValueError("tokens/prev_features length mismatch")
+        n = len(tokens)
+        x, q, k, v = self.model._kv_rows(tokens, range(self.next_pos, self.next_pos + n),
+                                         prev_features)
+        self.cache.extend([k], [v])
+        self.next_pos += n
+        return x[-1:], q[-1:]
+
     def prefill(self, tokens: list[int], prev_features: list[np.ndarray]) -> None:
         """Ingest committed history rows (positions 1..len); not counted as round passes."""
         if tokens:
-            self.model._commit(self.state, tokens, prev_features)
+            self._commit(tokens, prev_features)
 
     def begin_round(self, tokens: list[int], prev_features: list[np.ndarray]) -> DraftStepOutput:
         """First pass of a round: commit the backlog of newly accepted tokens
         and the pending token in one sequential pass; returns the pending
-        token's step output, which proposes depth-1 candidates."""
+        token's step output, which attends to the whole cache and proposes
+        depth-1 candidates.  With one token this is a single draft step."""
         if not tokens:
             raise ValueError("begin_round needs at least the pending token")
         self.passes += 1
         self._tk = self._tv = np.zeros((0, self.model.dim))
-        return self.model._commit_out(self.state, tokens, prev_features)
+        x, q = self._commit(tokens, prev_features)
+        return self.model._out_rows(x, q, self.cache.keys(0), self.cache.values(0),
+                                    SINGLE_ROW).row(0)
 
     def tree_level(self, items: list[tuple[int, np.ndarray, list[int], int]]
                    ) -> tuple[DraftStepOutput | None, range]:
@@ -313,14 +271,13 @@ class DraftSession:
         bad = (anc[:, 1:] <= anc[:, :-1]).any(axis=1)
         if bad.any():
             raise ValueError(f"item {int(np.argmax(bad))}: ancestor rows must ascend")
-        cache = self.state.cache
-        c = cache.length
+        c = self.cache.length
         chains = np.concatenate((anc, np.arange(t, t + m)[:, None]), axis=1)
-        base = self.state.next_pos - 1
+        base = self.next_pos - 1
         x, q, k, v = self.model._kv_rows(
             [it[0] for it in items], [base + depth] * m, [it[1] for it in items])
-        keys = np.concatenate((cache.keys(0), self._tk, k))
-        values = np.concatenate((cache.values(0), self._tv, v))
+        keys = np.concatenate((self.cache.keys(0), self._tk, k))
+        values = np.concatenate((self.cache.values(0), self._tv, v))
         out = self.model._out_rows(x, q, keys, values, chain_group(c, np.arange(m), chains))
         self._tk = keys[c:]
         self._tv = values[c:]

@@ -20,9 +20,10 @@ every softmax reduces the same values in the same order.
 Each pass takes its attention groups from data it already holds: a lone
 decode step attends to the whole cache (``SINGLE_ROW``), a prompt prefill
 gives row i the first c+i+1 columns, and tree rows of one depth share one
-context length, so a draft tree level and each depth of a verified tree
-are one group built from the rows' ancestor chains (``chain_group``).  No
-model pass builds a mask.
+context length, so a draft tree level is one group built from the rows'
+ancestor chains (``chain_group``) and each depth of a verified tree one
+group extending the depth before it (``target.tree_groups``).  No model
+pass builds a mask.
 """
 
 from __future__ import annotations
@@ -38,15 +39,11 @@ def as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
 
 
-def check_finite(x: np.ndarray, what: str = "value") -> None:
-    if not np.isfinite(x).all():
-        raise ValueError(f"non-finite {what}")
-
-
 def check_prob_vec(p: np.ndarray, what: str = "probability vector") -> None:
     """Validate a probability vector: finite, nonnegative, sums to 1 within tolerance."""
     p = as_f64(p)
-    check_finite(p, what)
+    if not np.isfinite(p).all():
+        raise ValueError(f"non-finite {what}")
     if p.ndim != 1 or p.size == 0:
         raise ValueError(f"{what} must be a non-empty vector")
     if (p < 0.0).any():
@@ -141,62 +138,6 @@ def context_heads(kv: np.ndarray, idx: np.ndarray | None, n_heads: int) -> np.nd
     ctx = kv[None] if idx is None else kv[idx]
     g, n, d = ctx.shape
     return ctx.reshape(g, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
-
-
-def masked_attention(q, k, v, mask) -> np.ndarray:
-    """Row-wise masked attention: row i attends only to positions j with mask[i][j].
-
-    mask must allow the diagonal; a row with no allowed positions is an error.
-    """
-    q = as_f64(q)
-    k = as_f64(k)
-    v = as_f64(v)
-    m = np.asarray(mask, dtype=bool)
-    n = q.shape[0]
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ValueError("q, k, v must be matrices")
-    if not (k.shape[0] == n and v.shape[0] == n and m.shape == (n, n)):
-        raise ValueError("dimension mismatch between q, k, v and mask")
-    if q.shape[1] != k.shape[1]:
-        raise ValueError("q and k width mismatch")
-    if not np.all(np.diagonal(m)):
-        raise ValueError("mask must allow self-attention on the diagonal")
-    out = np.empty((n, v.shape[1]), dtype=np.float64)
-    for i in range(n):
-        idx = np.flatnonzero(m[i])
-        if idx.size == 0:
-            raise ValueError(f"row {i} has no allowed positions")
-        out[i] = attn_row(q[i], k[idx], v[idx])
-    return out
-
-
-def smooth_l1(pred, target, beta: float = 1.0) -> float:
-    """Mean-reduced smooth L1: quadratic inside |diff| < beta, linear outside."""
-    p = as_f64(pred)
-    t = as_f64(target)
-    if p.shape != t.shape:
-        raise ValueError("length mismatch")
-    if not beta > 0.0:
-        raise ValueError("beta must be > 0")
-    d = np.abs(p - t)
-    per = np.where(d < beta, 0.5 * d * d / beta, d - 0.5 * beta)
-    return float(np.mean(per))
-
-
-def smooth_l1_grad(pred: np.ndarray, target: np.ndarray, beta: float = 1.0) -> np.ndarray:
-    """d smooth_l1 / d pred, same mean reduction as smooth_l1."""
-    d = pred - target
-    g = np.where(np.abs(d) < beta, d / beta, np.sign(d))
-    return g / d.size
-
-
-def cross_entropy(p_target, q_pred) -> float:
-    """Cross entropy -sum(p * log q) with q clamped below at LOG_CLAMP."""
-    p = as_f64(p_target)
-    q = as_f64(q_pred)
-    if p.shape != q.shape:
-        raise ValueError("length mismatch")
-    return float(-np.sum(p * np.log(np.maximum(q, LOG_CLAMP))))
 
 
 def sinusoid_position(pos: int, dim: int) -> np.ndarray:

@@ -25,11 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (SINGLE_ROW, attn_row, chain_group, context_heads, inverse_cdf_sample,
+from .kernels import (SINGLE_ROW, attn_row, context_heads, cut_group, inverse_cdf_sample,
                       layer_norm, row_linear, silu, sinusoid_positions, softmax)
 
 MAGIC_TARGET = b"SDFM"
 CHECKPOINT_VERSION = 1
+# rows a fresh KvCache holds before its buffers double
+KV_CAPACITY = 256
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,12 @@ class LayerParams:
 class KvCache:
     """Append-only per-layer key/value store for one decoding session."""
 
-    def __init__(self, n_layers: int, dim: int, capacity: int = 256):
+    def __init__(self, n_layers: int, dim: int):
         self.n_layers = n_layers
         self.dim = dim
         self.length = 0
-        self._k = [np.zeros((capacity, dim)) for _ in range(n_layers)]
-        self._v = [np.zeros((capacity, dim)) for _ in range(n_layers)]
+        self._k = [np.zeros((KV_CAPACITY, dim)) for _ in range(n_layers)]
+        self._v = [np.zeros((KV_CAPACITY, dim)) for _ in range(n_layers)]
 
     def _grow(self, need: int) -> None:
         cap = self._k[0].shape[0]
@@ -126,8 +128,10 @@ def tree_groups(c: int, parents: np.ndarray, depths: np.ndarray) -> list[tuple[n
     the prefix only, and depths[i] is 0 for such a row and its parent's + 1
     otherwise.  Rows come in depth order, so each depth is one contiguous
     run of rows of equal context length; a run is one group whose ancestor
-    chains extend the previous run's by the rows themselves.  Groups come in
-    ascending depth, rows in ascending order, cut to MAX_GATHER.
+    chains extend the previous run's by the rows themselves: a run's full
+    index is its parents' rows of the previous run's, then its own column.
+    Groups come in ascending depth, rows in ascending order, cut to
+    MAX_GATHER.
     """
     rows = np.arange(parents.shape[0])
     bad = (parents < -1) | (parents >= rows)
@@ -142,12 +146,12 @@ def tree_groups(c: int, parents: np.ndarray, depths: np.ndarray) -> list[tuple[n
         raise ValueError(f"tree row {int(np.argmax(step < 0)) + 1}: rows must come in depth order")
     # row 0 has no earlier row to hang under, so only the first run has depth 0
     starts = [0, *(np.flatnonzero(step) + 1).tolist()] if rows.shape[0] else []
-    groups = []
+    # the prefix as the full index of a run before the first, whose one
+    # row every root-level row (parent -1) hangs under
+    groups, idx, prev = [], np.arange(c)[None], -1
     for start, end in zip(starts, [*starts[1:], rows.shape[0]]):
-        own = rows[start:end, None]
-        chains = own if start == 0 else np.concatenate(
-            (chains[parents[start:end] - prev], own), axis=1)
-        groups += chain_group(c, rows[start:end], chains)
+        idx = np.concatenate((idx[parents[start:end] - prev], c + rows[start:end, None]), axis=1)
+        groups += cut_group(rows[start:end], idx)
         prev = start
     return groups
 

@@ -9,6 +9,10 @@ feature-regression terms and two classification terms:
 
 where the mixture branch predicts one step ahead and the contrast branch two
 steps ahead.  Positions without a target two or three tokens out are masked.
+The regression terms are smooth L1 with beta SMOOTH_L1_BETA.  Each step is
+one Adam update (ADAM_BETA1, ADAM_BETA2) of the gradient clipped to global
+norm GRAD_CLIP; a TrainConfig sets the two classification weights, the
+learning rate, the batch size and the seed.
 """
 
 from __future__ import annotations
@@ -19,10 +23,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .draft import DraftModel, param_order
-from .kernels import LOG_CLAMP, silu, silu_grad, sinusoid_position, softmax
+from .kernels import LOG_CLAMP, silu, silu_grad, sinusoid_positions, softmax
 from .target import TargetModel
 
 MAGIC_CORPUS = b"SDFC"
+
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.95
+GRAD_CLIP = 0.5        # bound on the global gradient norm of one step
+SMOOTH_L1_BETA = 1.0   # the regression terms are quadratic inside |diff| < beta
 
 
 @dataclass(frozen=True)
@@ -30,14 +40,8 @@ class TrainConfig:
     w_cls_moe: float = 0.1
     w_cls_const: float = 0.05
     lr: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.95
-    grad_clip: float = 0.5
-    weight_decay: float = 0.0
     batch_size: int = 16
     seed: int = 0
-    smooth_l1_beta: float = 1.0
-    feature_noise_sigma: float = 0.0
 
 
 @dataclass
@@ -114,10 +118,7 @@ def load_corpus(path: str, target: TargetModel) -> TrainBatch:
         off += 8 * t * d
     if off != len(blob):
         raise ValueError("corpus length mismatch")
-    logits = feats @ target.head.T
-    m = logits.max(axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = softmax(feats @ target.head.T)
     return TrainBatch(tokens=tokens, features=feats, probs=probs,
                       lengths=np.full(n, t, dtype=np.int64))
 
@@ -141,13 +142,7 @@ def _ln_backward(dy, cache):
     return dx, dg, db
 
 
-def _row_softmax(z):
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig, input_noise=None):
+def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
     """Teacher-forced batched pass; returns losses, breakdown and the stash
     the backward pass needs."""
     p = model.params
@@ -160,11 +155,8 @@ def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig, input_noise
     dh = d // H
 
     tok_in = batch.tokens[:, 1:]
-    feat_in = batch.features[:, :-1].copy()
-    if input_noise is not None:
-        feat_in = feat_in + input_noise
-    pos = np.stack([sinusoid_position(x, d) for x in range(1, T)])
-    e_in = model.emb[tok_in] + pos[None]
+    feat_in = batch.features[:, :-1]
+    e_in = model.emb[tok_in] + sinusoid_positions(range(1, T), d)[None]
     z = np.concatenate((e_in, feat_in), axis=-1)
     h = z @ p["reduction"].T
     if mc.use_ln:
@@ -177,7 +169,7 @@ def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig, input_noise
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
     tril = np.tril(np.ones((S, S), dtype=bool))
     scores = np.where(tril[None, None], scores, -1e30)
-    P = _row_softmax(scores)
+    P = softmax(scores)
     att = (P @ v).transpose(0, 2, 1, 3).reshape(B, S, d)
     u = h + att @ p["wo"].T
     if mc.use_ln:
@@ -185,7 +177,7 @@ def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig, input_noise
     else:
         v_in, ln2c = u, None
     rl = v_in @ p["router"].T
-    s = _row_softmax(rl)
+    s = softmax(rl)
     order = np.argsort(-s, axis=-1, kind="stable")
     i1, i2 = order[..., 0], order[..., 1]
     hid = np.stack([v_in @ p[f"expert{j}_w1"].T for j in range(N)], axis=2)   # (B,S,N,he)
@@ -203,8 +195,8 @@ def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig, input_noise
     fc = beta * f1 - alpha * f2
     lm = mix @ model.head.T
     lc = fc @ model.head.T
-    qm = _row_softmax(lm)
-    qc = _row_softmax(lc)
+    qm = softmax(lm)
+    qc = softmax(lc)
 
     # masks over step index x = 1..T-1
     X = np.arange(1, T)
@@ -213,7 +205,7 @@ def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig, input_noise
     n_moe = int(moe_mask.sum())
     n_const = int(const_mask.sum())
 
-    slb = cfg.smooth_l1_beta
+    slb = SMOOTH_L1_BETA
     tgt_mf = batch.features[:, 1:]
     diff_m = mix - tgt_mf
     ad = np.abs(diff_m)
@@ -259,9 +251,9 @@ def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig, input_noise
     return total, breakdown, stash
 
 
-def jakiro_loss(model: DraftModel, batch: TrainBatch, cfg: TrainConfig, input_noise=None):
+def jakiro_loss(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
     """Combined objective and its per-term breakdown."""
-    total, breakdown, _ = _forward(model, batch, cfg, input_noise)
+    total, breakdown, _ = _forward(model, batch, cfg)
     return total, breakdown
 
 
@@ -277,12 +269,12 @@ def _smooth_l1_elem_grad(diff, beta, dim):
     return np.where(np.abs(diff) < beta, diff / beta, np.sign(diff)) / dim
 
 
-def loss_and_grads(model: DraftModel, batch: TrainBatch, cfg: TrainConfig, input_noise=None):
-    total, breakdown, st = _forward(model, batch, cfg, input_noise)
+def loss_and_grads(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
+    total, breakdown, st = _forward(model, batch, cfg)
     p = model.params
     mc = model.config
     B, S, d, H, dh, N = st["B"], st["S"], st["d"], st["H"], st["dh"], st["N"]
-    slb = cfg.smooth_l1_beta
+    slb = SMOOTH_L1_BETA
     grads = {name: np.zeros_like(p[name]) for name in param_order(mc)}
 
     dmix = (st["moe_mask"][..., None] * _smooth_l1_elem_grad(st["diff_m"], slb, d)) / st["n_moe"]
@@ -380,11 +372,10 @@ class AdamState:
         return st
 
 
-def train_step(model: DraftModel, batch: TrainBatch, opt: AdamState, cfg: TrainConfig,
-               input_noise=None):
+def train_step(model: DraftModel, batch: TrainBatch, opt: AdamState, cfg: TrainConfig):
     """One clipped Adam update; raises (leaving params unchanged) on a
     non-finite loss or gradient."""
-    total, breakdown, grads = loss_and_grads(model, batch, cfg, input_noise)
+    total, breakdown, grads = loss_and_grads(model, batch, cfg)
     if not np.isfinite(total):
         raise ValueError("non-finite loss")
     names = param_order(model.config)
@@ -395,9 +386,9 @@ def train_step(model: DraftModel, batch: TrainBatch, opt: AdamState, cfg: TrainC
             raise ValueError("non-finite gradient")
         sq += float(np.sum(g * g))
     norm = np.sqrt(sq)
-    scale = min(1.0, cfg.grad_clip / norm) if norm > 0 else 1.0
+    scale = min(1.0, GRAD_CLIP / norm) if norm > 0 else 1.0
     opt.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**opt.t
     c2 = 1.0 - b2**opt.t
     for name in names:
@@ -405,8 +396,6 @@ def train_step(model: DraftModel, batch: TrainBatch, opt: AdamState, cfg: TrainC
         opt.m[name] = b1 * opt.m[name] + (1.0 - b1) * g
         opt.v[name] = b2 * opt.v[name] + (1.0 - b2) * g * g
         update = cfg.lr * (opt.m[name] / c1) / (np.sqrt(opt.v[name] / c2) + 1e-8)
-        if cfg.weight_decay > 0.0:
-            update = update + cfg.lr * cfg.weight_decay * model.params[name]
         # np.asarray keeps 0-d parameters (beta, alpha) proper ndarrays;
         # subtraction alone would degrade them to numpy scalars
         model.params[name] = np.asarray(model.params[name] - update)
@@ -423,12 +412,7 @@ def train_draft(model: DraftModel, corpus: TrainBatch, cfg: TrainConfig, steps: 
     bs = min(cfg.batch_size, n)
     for step in range(steps):
         idx = rng.integers(0, n, size=bs)
-        batch = corpus.take(idx)
-        noise = None
-        if cfg.feature_noise_sigma > 0.0:
-            noise = rng.normal(0.0, cfg.feature_noise_sigma,
-                               size=(bs, batch.tokens.shape[1] - 1, model.dim))
-        loss, breakdown = train_step(model, batch, opt, cfg, noise)
+        loss, breakdown = train_step(model, corpus.take(idx), opt, cfg)
         history.append(loss)
         if log_every and (step % log_every == 0 or step == steps - 1):
             print(f"step {step:5d}  loss {loss:.6f}  "
@@ -464,9 +448,9 @@ def finite_diff_check(model: DraftModel, batch: TrainBatch, cfg: TrainConfig,
         model.params[name] = arr
         orig = float(arr.flat[flat_idx])
         arr.flat[flat_idx] = orig + h
-        lp, _, _ = _forward(model, batch, cfg)
+        lp, _ = jakiro_loss(model, batch, cfg)
         arr.flat[flat_idx] = orig - h
-        lm, _, _ = _forward(model, batch, cfg)
+        lm, _ = jakiro_loss(model, batch, cfg)
         arr.flat[flat_idx] = orig
         numeric = (lp - lm) / (2.0 * h)
         analytic = float(grads[name].flat[flat_idx])

@@ -19,6 +19,10 @@ level.  Candidates are ordered by parent row, then branch (left before
 right), then draw, and score cum_score = (parent cum_score + log branch
 score) + log q.
 
+A grower's temperature picks the mode: 0 grows greedily and scores the
+tree with the plain (T=1) softmax, and T > 0 samples from the softmax at T,
+the convention verification and the run config use.
+
 Greedy growth is fully deterministic: each distribution's top_k tokens (ties
 to the lower token), one copy of a token both branches of a parent propose
 (the higher-cum_score copy, the left one on a tie, in the left copy's
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .draft import ContrastParams, DraftSession
+from .draft import DraftSession
 from .kernels import inverse_cdf_rows, softmax
 
 BRANCH_LEFT = "left"
@@ -138,9 +142,8 @@ def _add_level(nodes: list[DraftNode], dist: np.ndarray, parents: list[int], pcu
 
 
 def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
-          top_k: int = 1, beam: int = 60, parallel: bool = False, mode: str = "greedy",
-          temperature: float = 1.0, rng=None, cparams: ContrastParams | None = None,
-          backlog_tokens=(), backlog_features=(), context_len: int = 0) -> DraftTree:
+          top_k: int = 1, beam: int = 60, parallel: bool = False, temperature: float = 0.0,
+          rng=None, backlog_tokens=(), backlog_features=(), context_len: int = 0) -> DraftTree:
     model = session.model
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
@@ -148,10 +151,13 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
         raise ValueError("parallel final step needs gamma >= 2")
     if (parallel or kind == "moe") and model.config.active_k < 2:
         raise ValueError("K < 2: need two active experts")
-    greedy = mode == "greedy"
+    if temperature < 0.0:
+        raise ValueError("temperature must be >= 0")
+    greedy = temperature == 0.0
     if not greedy and rng is None:
         raise ValueError("sampling growth needs an rng")
-    cp = cparams if cparams is not None else model.contrast_params()
+    if greedy:
+        temperature = 1.0  # greedy trees are scored with the plain softmax
     V = model.vocab
 
     # the frontier: the step outputs of the rows of one draft pass (the
@@ -183,7 +189,7 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
             rows, cum, parents = rows[keep], cum[keep], [first + i for i in keep.tolist()]
         if depth == last_step_depth:
             if parallel and parents:
-                distc = softmax(model.contrast_logits(out, cp), temperature).reshape(-1, V)
+                distc = softmax(model.contrast_logits(out), temperature).reshape(-1, V)
                 _add_level(nodes, distc[rows][:, None], parents, cum, gamma, (BRANCH_NONE,),
                            top_k, greedy, beam, rng)
             break
@@ -203,7 +209,6 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
 
 def grow_chain(session, prev_feature, start_token, gamma, **kw) -> DraftTree:
     """Linear draft of gamma tokens; greedy by default."""
-    kw.setdefault("top_k", 1)
     return _grow(session, prev_feature, start_token, gamma, kind="chain", **kw)
 
 

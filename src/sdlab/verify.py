@@ -16,7 +16,7 @@ tokens, the rows to commit and their features.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,11 @@ from .tree import DraftTree
 class VerifyOutcome:
     accepted: list[int]
     final_token: int
-    accepted_count: int
     # plumbing for the decode session: which tentative rows to commit and the
     # target features of (pending token, accepted nodes), in commit order
-    commit_indices: list[int] = field(default_factory=list)
-    tree_kv: TreeKv | None = None
-    committed_features: list[np.ndarray] = field(default_factory=list)
+    commit_indices: list[int]
+    tree_kv: TreeKv
+    committed_features: list[np.ndarray]
 
 
 def accept_token(p: np.ndarray, q: np.ndarray, token: int, u: float) -> bool:
@@ -49,11 +48,16 @@ def accept_token(p: np.ndarray, q: np.ndarray, token: int, u: float) -> bool:
 
 
 def residual_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Normalized positive part of (p - q); empty residual is an error."""
+    """Normalized positive part of (p - q).
+
+    A residual with no mass means p <= q everywhere, so p and q agree up to
+    rounding and the rejection that led here had at most the rounding error
+    as its probability; p itself is returned then.
+    """
     r = np.maximum(0.0, p - q)
     s = float(np.sum(r))
     if s <= 0.0:
-        raise ValueError("empty residual")
+        return p
     return r / s
 
 
@@ -78,7 +82,6 @@ def _outcome(tree: DraftTree, path: list[int], final: int, features: np.ndarray,
     return VerifyOutcome(
         accepted=[tree.nodes[i].token for i in path],
         final_token=final,
-        accepted_count=len(path),
         commit_indices=commit,
         tree_kv=kv,
         committed_features=list(features[commit]),

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 
 from sdlab.bench import RunConfig, decode_prompt, build_models, make_prompts, run_session
-from sdlab.draft import DraftConfig, init_draft, route_experts, save_draft
+from sdlab.draft import DraftConfig, init_draft, save_draft
 from sdlab.target import TargetConfig, init_target, tree_groups
 from sdlab.train import TrainConfig, finite_diff_check, generate_distillation_corpus, jakiro_loss, train_draft
 from sdlab.verify import residual_dist
 
+from test_draft import assert_routed, route, routing_probe
 from test_row_kernel import random_tree
 from test_tree import ancestor_walk, context_columns
 from test_verify import enumerate_round
@@ -124,21 +125,15 @@ def test_criterion_4_tree_layout_correctness():
                 assert cols[i] == list(range(c)) + [c + j for j in ancestor_walk(parents, i)]
 
 
-def test_criterion_5_moe_routing():
+def test_criterion_5_moe_routing(target64):
     rng = np.random.default_rng(5)
-    with criterion(5, "K=2 gates sparse and equal to scores; left >= right, N in 2..5"):
+    with criterion(5, "K=2 routing picks 2 distinct best experts (ties to the lower index) "
+                      "whose branch scores equal their router scores; left >= right, N in 2..5"):
         for n_experts in (2, 3, 4, 5):
+            probe = routing_probe(target64, np.zeros((n_experts, target64.dim)))
             for _ in range(250):
-                u = rng.normal(size=16)
-                cent = rng.normal(size=(n_experts, 16))
-                scores, gates = route_experts(u, cent, 2)
-                nz = np.flatnonzero(gates.gates)
-                assert nz.size == 2
-                for j in nz:
-                    assert gates.gates[j] == scores.scores[j]
-                i1, i2 = scores.top_indices
-                assert scores.scores[i1] >= scores.scores[i2]
-                assert abs(float(scores.scores.sum()) - 1.0) < 1e-9
+                probe.params["router"] = rng.normal(size=(n_experts, target64.dim))
+                assert_routed(route(probe, rng.normal(size=target64.dim)))
 
 
 def test_criterion_6_gradient_audit(target64):

@@ -3,15 +3,7 @@
 import numpy as np
 import pytest
 
-from sdlab.draft import (
-    ContrastParams,
-    DraftConfig,
-    DraftSession,
-    init_draft,
-    load_draft,
-    route_experts,
-    save_draft,
-)
+from sdlab.draft import DraftConfig, DraftSession, init_draft, load_draft, save_draft
 from sdlab.kernels import layer_norm, silu, softmax
 from sdlab.target import TargetConfig, init_target
 
@@ -26,57 +18,89 @@ def draft(target):
     return init_draft(DraftConfig(), target, seed=1)
 
 
-class TestRouting:
-    def test_dense_two_experts(self):
-        rng = np.random.default_rng(0)
-        u = rng.normal(size=8)
-        cent = rng.normal(size=(2, 8))
-        scores, gates = route_experts(u, cent, 2)
-        assert np.count_nonzero(gates.gates) == 2
-        assert np.array_equal(gates.gates, scores.scores)
-        assert abs(gates.gates.sum() - 1.0) < 1e-12
+def routing_probe(target, centroids, active_k=2):
+    """A draft whose step routes its previous feature u by the production
+    router with weights centroids: the reduction passes u through, the
+    attention output is zeroed and there is no layer norm, so the router
+    sees u itself and its scores are softmax(centroids @ u)."""
+    n, d = centroids.shape
+    probe = init_draft(DraftConfig(dim=d, n_experts=n, active_k=active_k, use_ln=False), target,
+                       seed=n)
+    probe.params["reduction"] = np.concatenate((np.zeros((d, d)), np.eye(d)), axis=1)
+    probe.params["wo"] = np.zeros((d, d))
+    probe.params["router"] = centroids
+    return probe
 
-    def test_constructed_scores(self):
+
+def route(probe, u):
+    """The routing of u: one single-token round of a fresh session."""
+    return DraftSession(probe).begin_round([0], [u])
+
+
+def assert_routed(out, active_k=2):
+    """active_k distinct experts, best first with ties to the lower index,
+    branch scores equal to the router scores of the two best, left >= right."""
+    s, top = out.scores, out.top
+    assert abs(float(s.sum()) - 1.0) < 1e-9
+    assert top.shape == (active_k,) and len(set(top.tolist())) == active_k
+    for a, b in zip(top[:-1], top[1:]):
+        assert s[a] > s[b] or (s[a] == s[b] and a < b)
+    last = top[-1]
+    for j in set(range(s.size)) - set(top.tolist()):
+        assert s[j] < s[last] or (s[j] == s[last] and j > last)
+    assert np.array_equal(out.branch_scores, s[top[:2]])
+    assert out.branch_scores[0] >= out.branch_scores[-1]
+
+
+class TestRouting:
+    def test_dense_two_experts(self, target):
+        rng = np.random.default_rng(0)
+        u = rng.normal(size=target.dim)
+        out = route(routing_probe(target, rng.normal(size=(2, target.dim))), u)
+        assert_routed(out)
+        assert sorted(out.top.tolist()) == [0, 1]
+        assert abs(out.branch_scores.sum() - 1.0) < 1e-12
+
+    def test_constructed_scores(self, target):
         # centroids solved so the softmax scores equal a chosen vector
         want = np.array([0.4, 0.3, 0.2, 0.1])
-        u = np.array([1.0, 2.0, -1.0])
-        cent = np.outer(np.log(want), u) / float(u @ u)
-        scores, gates = route_experts(u, cent, 2)
-        assert np.max(np.abs(scores.scores - want)) < 1e-12
-        assert np.allclose(gates.gates, [0.4, 0.3, 0.0, 0.0], atol=1e-12)
-        assert list(scores.top_indices) == [0, 1]
+        u = np.linspace(-1.0, 2.0, target.dim)
+        out = route(routing_probe(target, np.outer(np.log(want), u) / float(u @ u)), u)
+        assert_routed(out)
+        assert np.max(np.abs(out.scores - want)) < 1e-12
+        assert list(out.top) == [0, 1]
+        assert np.allclose(out.branch_scores, [0.4, 0.3], atol=1e-12)
 
-    def test_tie_break_lower_index(self):
-        u = np.ones(4)
-        cent = np.zeros((3, 4))  # identical centroids -> uniform scores
-        scores, gates = route_experts(u, cent, 2)
-        assert np.allclose(scores.scores, 1 / 3)
-        assert list(scores.top_indices) == [0, 1]
-        assert np.count_nonzero(gates.gates) == 2
+    def test_tie_break_lower_index(self, target):
+        # identical centroids -> uniform scores
+        out = route(routing_probe(target, np.zeros((3, target.dim))), np.ones(target.dim))
+        assert_routed(out)
+        assert np.allclose(out.scores, 1 / 3)
+        assert list(out.top) == [0, 1]
 
-    def test_gate_sparsity_random(self):
+    def test_gate_sparsity_random(self, target):
         rng = np.random.default_rng(1)
         for n in (2, 3, 4, 5):
+            probe = routing_probe(target, rng.normal(size=(n, target.dim)))
             for _ in range(100):
-                u = rng.normal(size=6)
-                cent = rng.normal(size=(n, 6))
-                scores, gates = route_experts(u, cent, 2)
-                assert abs(scores.scores.sum() - 1.0) < 1e-9
-                nz = np.flatnonzero(gates.gates)
-                assert nz.size == 2
-                assert np.array_equal(np.sort(scores.top_indices), np.sort(nz))
-                for j in nz:
-                    assert gates.gates[j] == scores.scores[j]
+                probe.params["router"] = rng.normal(size=(n, target.dim))
+                assert_routed(route(probe, rng.normal(size=target.dim)))
+
+    def test_k_of_n(self, target):
+        rng = np.random.default_rng(2)
+        for n, k in ((3, 3), (4, 3), (5, 1)):
+            probe = routing_probe(target, rng.normal(size=(n, target.dim)), active_k=k)
+            for _ in range(20):
+                assert_routed(route(probe, rng.normal(size=target.dim)), k)
 
 
 class TestDraftForward:
     def test_degenerate_single_expert(self, target):
         d = init_draft(DraftConfig(n_experts=1, active_k=1), target, seed=2)
-        state = d.new_state()
-        out = d.forward_cached(state, 3, np.zeros(d.dim))
+        out = DraftSession(d).begin_round([3], [np.zeros(d.dim)])
         assert np.array_equal(out.logits_left, out.logits_right)
         assert np.array_equal(out.feature_top1, out.feature_top2)
-        assert float(out.scores.scores[0]) == 1.0
+        assert float(out.scores[0]) == 1.0
 
     def test_composition_oracle(self, draft, target):
         # hand-assemble the step from the raw parameters and compare
@@ -84,8 +108,7 @@ class TestDraftForward:
         cfg = draft.config
         prev = np.linspace(-1, 1, cfg.dim)
         token = 17
-        state = draft.new_state()
-        out = draft.forward_cached(state, token, prev)
+        out = DraftSession(draft).begin_round([token], [prev])
 
         from sdlab.kernels import attn_row, sinusoid_position
         e = target.emb[token] + sinusoid_position(1, cfg.dim)
@@ -111,23 +134,21 @@ class TestDraftForward:
 
     def test_determinism(self, draft):
         prev = np.ones(draft.dim) * 0.3
-        a = draft.forward_cached(draft.new_state(), 9, prev)
-        b = draft.forward_cached(draft.new_state(), 9, prev)
+        a = DraftSession(draft).begin_round([9], [prev])
+        b = DraftSession(draft).begin_round([9], [prev])
         assert np.array_equal(a.feature_moe, b.feature_moe)
         assert np.array_equal(a.logits_left, b.logits_left)
 
     def test_branch_order_invariant(self, draft):
         rng = np.random.default_rng(3)
         for _ in range(50):
-            out = draft.forward_cached(draft.new_state(), int(rng.integers(0, 64)),
-                                       rng.normal(size=draft.dim))
-            s = out.scores.scores
-            assert s[int(out.scores.top_indices[0])] >= s[int(out.scores.top_indices[1])]
+            out = DraftSession(draft).begin_round([int(rng.integers(0, 64))],
+                                                   [rng.normal(size=draft.dim)])
+            assert_routed(out)
 
     def test_topk_equals_dense_when_k_is_n(self, target):
         d = init_draft(DraftConfig(n_experts=3, active_k=3), target, seed=4)
-        state = d.new_state()
-        out = d.forward_cached(state, 5, np.zeros(d.dim))
+        out = DraftSession(d).begin_round([5], [np.zeros(d.dim)])
         p = d.params
         # recompute the dense mixture from scratch
         from sdlab.kernels import attn_row, sinusoid_position
@@ -150,13 +171,13 @@ class TestDraftForward:
 
     def test_dimension_error(self, draft):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            draft.forward_cached(draft.new_state(), 1, np.zeros(3))
+            DraftSession(draft).begin_round([1], [np.zeros(3)])
         with pytest.raises(ValueError, match="dimension mismatch"):  # ragged rows
             DraftSession(draft).begin_round([1, 2], [np.zeros(draft.dim), np.zeros(3)])
 
     def test_layer_norm_can_be_disabled(self, target):
         d = init_draft(DraftConfig(use_ln=False), target, seed=6)
-        out = d.forward_cached(d.new_state(), 3, np.zeros(d.dim))
+        out = DraftSession(d).begin_round([3], [np.zeros(d.dim)])
         assert np.all(np.isfinite(out.feature_moe))
         from sdlab.train import TrainConfig, finite_diff_check, generate_distillation_corpus
         batch = generate_distillation_corpus(target, 4, 6, seed=3)
@@ -165,18 +186,28 @@ class TestDraftForward:
 
 
 class TestContrastiveHeads:
-    def test_contrast_disabled(self, draft):
-        out = draft.forward_cached(draft.new_state(), 2, np.zeros(draft.dim))
-        logits_const = draft.contrast_logits(out, ContrastParams(beta=1.0, alpha=0.0))
-        assert np.max(np.abs(logits_const - draft.head @ out.feature_top1)) < 1e-12
+    def test_contrast_disabled(self, target):
+        d = init_draft(DraftConfig(), target, seed=1)
+        d.params["alpha"] = np.array(0.0)
+        out = DraftSession(d).begin_round([2], [np.zeros(d.dim)])
+        logits_const = d.contrast_logits(out)
+        assert np.max(np.abs(logits_const - d.head @ out.feature_top1)) < 1e-12
+
+    def test_reads_beta_and_alpha_from_the_params(self, target):
+        d = init_draft(DraftConfig(), target, seed=1)
+        d.params["beta"], d.params["alpha"] = np.array(1.25), np.array(-0.5)
+        out = DraftSession(d).begin_round([2], [np.zeros(d.dim)])
+        want = d.head @ (1.25 * out.feature_top1 + 0.5 * out.feature_top2)
+        assert np.array_equal(d.contrast_logits(out), want)
 
     def test_cancellation_with_identical_experts(self, target):
         d = init_draft(DraftConfig(n_experts=2, active_k=2), target, seed=5)
         d.params["expert1_w1"] = d.params["expert0_w1"].copy()
         d.params["expert1_w2"] = d.params["expert0_w2"].copy()
-        out = d.forward_cached(d.new_state(), 8, np.zeros(d.dim))
+        out = DraftSession(d).begin_round([8], [np.zeros(d.dim)])
         assert np.array_equal(out.feature_top1, out.feature_top2)
-        logits_const = d.contrast_logits(out, ContrastParams(beta=0.7, alpha=0.7))
+        d.params["beta"], d.params["alpha"] = np.array(0.7), np.array(0.7)
+        logits_const = d.contrast_logits(out)
         assert np.max(np.abs(logits_const)) < 1e-12  # bias-free head maps zero to zero
 
     def test_head_linearity(self, draft):
@@ -189,9 +220,9 @@ class TestContrastiveHeads:
 
     def test_requires_two_experts(self, target):
         d = init_draft(DraftConfig(n_experts=1, active_k=1), target, seed=7)
-        out = d.forward_cached(d.new_state(), 1, np.zeros(d.dim))
+        out = DraftSession(d).begin_round([1], [np.zeros(d.dim)])
         with pytest.raises(ValueError, match="two active experts"):
-            d.contrast_logits(out, d.contrast_params())
+            d.contrast_logits(out)
 
 
 def parallel_final_step(draft, step, depth, gamma, temperature=1.0):
@@ -200,19 +231,19 @@ def parallel_final_step(draft, step, depth, gamma, temperature=1.0):
     if depth != gamma - 1:
         raise ValueError(f"parallel final step invoked at depth {depth}, expected {gamma - 1}")
     return (softmax(draft.mixture_logits(step), temperature),
-            softmax(draft.contrast_logits(step, draft.contrast_params()), temperature))
+            softmax(draft.contrast_logits(step), temperature))
 
 
 class TestParallelFinalStep:
     def test_smallest_gamma(self, draft):
-        out = draft.forward_cached(draft.new_state(), 4, np.zeros(draft.dim))
+        out = DraftSession(draft).begin_round([4], [np.zeros(draft.dim)])
         pm, pc = parallel_final_step(draft, out, depth=1, gamma=2)
         for dist in (pm, pc):
             assert abs(dist.sum() - 1.0) < 1e-9
             assert np.all(dist >= 0)
 
     def test_wrong_depth_errors(self, draft):
-        out = draft.forward_cached(draft.new_state(), 4, np.zeros(draft.dim))
+        out = DraftSession(draft).begin_round([4], [np.zeros(draft.dim)])
         with pytest.raises(ValueError, match="parallel final step"):
             parallel_final_step(draft, out, depth=2, gamma=2)
 

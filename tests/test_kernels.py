@@ -5,15 +5,60 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sdlab.kernels import (
-    cross_entropy,
-    inverse_cdf_rows,
-    inverse_cdf_sample,
-    layer_norm,
-    masked_attention,
-    smooth_l1,
-    softmax,
-)
+from sdlab.kernels import LOG_CLAMP, as_f64, attn_row, inverse_cdf_rows, inverse_cdf_sample, layer_norm, softmax
+
+
+# Masked attention, smooth L1 and cross entropy as the library defined them
+# before the models and the trainer computed them inline; kept here so their
+# definitions stay pinned by the tests below.
+
+def masked_attention(q, k, v, mask) -> np.ndarray:
+    """Row-wise masked attention: row i attends only to positions j with mask[i][j].
+
+    mask must allow the diagonal; a row with no allowed positions is an error.
+    """
+    q = as_f64(q)
+    k = as_f64(k)
+    v = as_f64(v)
+    m = np.asarray(mask, dtype=bool)
+    n = q.shape[0]
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ValueError("q, k, v must be matrices")
+    if not (k.shape[0] == n and v.shape[0] == n and m.shape == (n, n)):
+        raise ValueError("dimension mismatch between q, k, v and mask")
+    if q.shape[1] != k.shape[1]:
+        raise ValueError("q and k width mismatch")
+    if not np.all(np.diagonal(m)):
+        raise ValueError("mask must allow self-attention on the diagonal")
+    out = np.empty((n, v.shape[1]), dtype=np.float64)
+    for i in range(n):
+        idx = np.flatnonzero(m[i])
+        if idx.size == 0:
+            raise ValueError(f"row {i} has no allowed positions")
+        out[i] = attn_row(q[i], k[idx], v[idx])
+    return out
+
+
+def smooth_l1(pred, target, beta: float = 1.0) -> float:
+    """Mean-reduced smooth L1: quadratic inside |diff| < beta, linear outside."""
+    p = as_f64(pred)
+    t = as_f64(target)
+    if p.shape != t.shape:
+        raise ValueError("length mismatch")
+    if not beta > 0.0:
+        raise ValueError("beta must be > 0")
+    d = np.abs(p - t)
+    per = np.where(d < beta, 0.5 * d * d / beta, d - 0.5 * beta)
+    return float(np.mean(per))
+
+
+def cross_entropy(p_target, q_pred) -> float:
+    """Cross entropy -sum(p * log q) with q clamped below at LOG_CLAMP."""
+    p = as_f64(p_target)
+    q = as_f64(q_pred)
+    if p.shape != q.shape:
+        raise ValueError("length mismatch")
+    return float(-np.sum(p * np.log(np.maximum(q, LOG_CLAMP))))
 
 # independent high-precision values (Decimal, 60 digits) frozen before the build
 SOFTMAX_123 = [

@@ -141,8 +141,8 @@ def assert_step_equal(got, want):
     assert np.array_equal(got.feature_top2, f2)
     assert np.array_equal(got.logits_left, left)
     assert np.array_equal(got.logits_right, right)
-    assert np.array_equal(got.scores.scores, scores)
-    assert np.array_equal(got.scores.top_indices, top)
+    assert np.array_equal(got.scores, scores)
+    assert np.array_equal(got.top, top)
     assert np.array_equal(got.branch_scores, scores[top[:2]])
 
 
@@ -493,11 +493,12 @@ def test_tree_level_rejects_mixed_depths_and_bad_paths(target):
         sess.tree_level([(4, f, [0, 1], 3), (6, f, [1, 0], 3)])
 
 
-def test_draft_forward_cached_matches_step(target):
+def test_draft_single_token_rounds_match_step(target):
     draft = init_draft(DraftConfig(), target, seed=1)
     rng = np.random.default_rng(8)
-    state, ref = draft.new_state(), RefDraftSession(draft)
+    sess, ref = DraftSession(draft), RefDraftSession(draft)
     for t in rng.integers(0, draft.vocab, size=12):
         f = rng.normal(size=draft.dim)
-        assert_step_equal(draft.forward_cached(state, int(t), f), ref.commit([int(t)], [f]))
-    assert np.array_equal(state.cache.keys(0), ref.k)
+        assert_step_equal(sess.begin_round([int(t)], [f]), ref.commit([int(t)], [f]))
+    assert np.array_equal(sess.cache.keys(0), ref.k)
+    assert sess.next_pos == ref.next_pos

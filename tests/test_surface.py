@@ -1,0 +1,85 @@
+"""Every name the library defines has a caller.
+
+Each top-level function and class in ``src/sdlab``, and each public method
+of a top-level class, must be referenced by name somewhere other than its own
+definition and the package re-exports in ``__init__.py``: in the library
+itself or in the decode benchmark's own code (``perfbench/*.py``, its tests
+left out).  A helper that only tests use, or an entry point nothing calls,
+fails here; the tests keep a local copy of what they need instead.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sdlab"
+# save_target is the only writer of the checkpoint format load_target reads
+ALLOWED = {"save_target"}
+
+
+def library_files():
+    return [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+
+
+def caller_files():
+    return library_files() + [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+                              if not p.name.startswith("test_")]
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def definitions(path):
+    """(name, node) of every top-level function and class of a module and of
+    every public method of its top-level classes."""
+    for node in parse(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield item.name, item
+
+
+def references(paths):
+    """name -> [(path, line)] of every use of the name as a variable or an attribute."""
+    refs = {}
+    for path in paths:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Name):
+                refs.setdefault(node.id, []).append((path, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs.setdefault(node.attr, []).append((path, node.lineno))
+    return refs
+
+
+def uncalled(paths, callers):
+    """Names defined in paths that no code in callers references outside
+    their own definition, as "file:line name"."""
+    refs = references(callers)
+    out = []
+    for path in paths:
+        for name, node in definitions(path):
+            outside = [(p, line) for p, line in refs.get(name, [])
+                       if p != path or not node.lineno <= line <= node.end_lineno]
+            if not outside:
+                out.append(f"{path.name}:{node.lineno} {name}")
+    return out
+
+
+def test_every_library_name_has_a_caller():
+    names = uncalled(library_files(), caller_files())
+    # and the allowlist holds nothing that has gained a caller
+    assert sorted(n.split()[1] for n in names) == sorted(ALLOWED), names
+
+
+def test_the_guard_sees_a_test_only_helper(tmp_path):
+    # smooth_l1 as the kernels once defined it: nothing but tests called it
+    mod = tmp_path / "extra.py"
+    mod.write_text("def smooth_l1(pred, target, beta=1.0):\n"
+                   "    return smooth_l1_elem(pred, target, beta).mean()\n"
+                   "\n\n"
+                   "def smooth_l1_elem(pred, target, beta):\n"
+                   "    return abs(pred - target)\n", encoding="utf-8")
+    assert uncalled([mod], [*caller_files(), mod]) == ["extra.py:1 smooth_l1"]

@@ -4,10 +4,12 @@ optimizer determinism and the finite-difference gradient audit."""
 import numpy as np
 import pytest
 
-from sdlab.draft import DraftConfig, init_draft, save_draft
+from sdlab.draft import DraftConfig, DraftSession, init_draft, save_draft
 from sdlab.kernels import softmax
 from sdlab.target import TargetConfig, init_target
 from sdlab.train import (
+    ADAM_BETA1,
+    GRAD_CLIP,
     TrainBatch,
     TrainConfig,
     AdamState,
@@ -147,18 +149,16 @@ class TestLoss:
         cfg = TrainConfig()
         batch = corpus.take(np.arange(2))
         _, _, st = _forward(draft, batch, cfg)
+        beta, alpha = float(draft.params["beta"]), float(draft.params["alpha"])
         for b in range(2):
-            state = draft.new_state()
+            sess = DraftSession(draft)
             for x in range(1, batch.tokens.shape[1]):
-                out = draft.forward_cached(state, int(batch.tokens[b, x]),
-                                           batch.features[b, x - 1])
-                s = out.scores.scores
-                i1 = int(out.scores.top_indices[0])
-                i2 = int(out.scores.top_indices[1])
+                out = sess.begin_round([int(batch.tokens[b, x])], [batch.features[b, x - 1]])
+                s = out.scores
+                i1, i2 = int(out.top[0]), int(out.top[1])
                 mix = s[i1] * out.feature_top1 + s[i2] * out.feature_top2
                 assert np.max(np.abs(mix - st["mix"][b, x - 1])) < 1e-9
-                cp = draft.contrast_params()
-                fc = cp.beta * out.feature_top1 - cp.alpha * out.feature_top2
+                fc = beta * out.feature_top1 - alpha * out.feature_top2
                 assert np.max(np.abs(fc - st["fc"][b, x - 1])) < 1e-9
 
 
@@ -203,11 +203,18 @@ class TestTrainStep:
             assert np.array_equal(np.asarray(draft.params[k]), before[k]), k
 
     def test_grad_clip_bounds_update_norm(self, target, corpus):
+        # a fresh optimizer's first moment is (1 - beta1) times the clipped
+        # gradient, whose global norm is min(norm, GRAD_CLIP)
         draft = fresh_draft(target)
-        cfg = TrainConfig(lr=1e-3, grad_clip=0.5)
-        _, _, grads = loss_and_grads(draft, corpus.take(np.arange(4)), cfg)
-        clipped = min(1.0, 0.5 / np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
-        assert 0 < clipped <= 1.0
+        cfg = TrainConfig(lr=1e-3)
+        batch = corpus.take(np.arange(4))
+        _, _, grads = loss_and_grads(draft, batch, cfg)
+        norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+        assert norm > GRAD_CLIP  # the clip is active
+        opt = AdamState.init(draft)
+        train_step(draft, batch, opt, cfg)
+        m_norm = np.sqrt(sum(float(np.sum(m * m)) for m in opt.m.values())) / (1.0 - ADAM_BETA1)
+        assert abs(m_norm - GRAD_CLIP) < 1e-12
 
 
 class TestFiniteDiff:

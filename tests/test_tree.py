@@ -133,11 +133,21 @@ class TestChain:
 
     def test_sampling_mode(self, draft, root_feature):
         rng = np.random.default_rng(0)
-        tree = grow_chain(make_session(draft), root_feature, 5, 3, mode="sample", rng=rng)
+        tree = grow_chain(make_session(draft), root_feature, 5, 3, temperature=1.0, rng=rng)
         assert len(tree) == 3
         rng2 = np.random.default_rng(0)
-        tree2 = grow_chain(make_session(draft), root_feature, 5, 3, mode="sample", rng=rng2)
+        tree2 = grow_chain(make_session(draft), root_feature, 5, 3, temperature=1.0, rng=rng2)
         assert dump_tree(tree) == dump_tree(tree2)
+
+    def test_temperature_zero_is_greedy(self, draft, root_feature):
+        greedy = grow_chain(make_session(draft), root_feature, 5, 3)
+        same = grow_chain(make_session(draft), root_feature, 5, 3, temperature=0.0)
+        assert dump_tree(same) == dump_tree(greedy)
+        with pytest.raises(ValueError, match="needs an rng"):
+            grow_chain(make_session(draft), root_feature, 5, 3, temperature=0.6)
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            grow_chain(make_session(draft), root_feature, 5, 3, temperature=-1.0,
+                       rng=np.random.default_rng(0))
 
 
 class TestStaticTree:

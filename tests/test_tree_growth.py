@@ -27,14 +27,15 @@ from test_kernels import ref_inverse_cdf_sample
 def ref_mixture_logits(model, step):
     if step.active_k < 2:
         return model.head @ step.feature_moe
-    s = step.scores.scores
-    s1 = float(s[int(step.scores.top_indices[0])])
-    s2 = float(s[int(step.scores.top_indices[1])])
+    s = step.scores
+    s1 = float(s[int(step.top[0])])
+    s2 = float(s[int(step.top[1])])
     return model.head @ (s1 * step.feature_top1 + s2 * step.feature_top2)
 
 
-def ref_contrast_logits(model, step, cparams):
-    return model.head @ (cparams.beta * step.feature_top1 - cparams.alpha * step.feature_top2)
+def ref_contrast_logits(model, step):
+    beta, alpha = float(model.params["beta"]), float(model.params["alpha"])
+    return model.head @ (beta * step.feature_top1 - alpha * step.feature_top2)
 
 
 def ref_pick(dist, mode, rng):
@@ -84,7 +85,6 @@ def ref_grow(session, prev_feature, start_token, gamma, *, kind, top_k=1, beam=6
              parallel=False, mode="greedy", temperature=1.0, rng=None,
              backlog_tokens=(), backlog_features=(), context_len=0):
     model = session.model
-    cp = model.contrast_params()
     out0 = session.begin_round([*backlog_tokens, start_token], [*backlog_features, prev_feature])
     nodes = []
     frontier = [(-1, out0, [])]
@@ -94,9 +94,9 @@ def ref_grow(session, prev_feature, start_token, gamma, *, kind, top_k=1, beam=6
         for pidx, pout, _rows in frontier:
             pcum = 0.0 if pidx == -1 else nodes[pidx].cum_score
             if kind == "moe":
-                s = pout.scores.scores
-                s1 = float(s[int(pout.scores.top_indices[0])])
-                s2 = float(s[int(pout.scores.top_indices[1])])
+                s = pout.scores
+                s1 = float(s[int(pout.top[0])])
+                s2 = float(s[int(pout.top[1])])
                 dl = softmax(pout.logits_left, temperature)
                 dr = softmax(pout.logits_right, temperature)
                 pc = ref_propose(dl, pidx, pcum, depth, BRANCH_LEFT, np.log(s1), top_k, mode, rng, pout)
@@ -124,7 +124,7 @@ def ref_grow(session, prev_feature, start_token, gamma, *, kind, top_k=1, beam=6
                 final = []
                 for j in exp:
                     src = cands[j - layer_idx[0]].src
-                    distc = softmax(ref_contrast_logits(model, src, cp), temperature)
+                    distc = softmax(ref_contrast_logits(model, src), temperature)
                     final += ref_propose(distc, j, nodes[j].cum_score, gamma,
                                          BRANCH_NONE, 0.0, top_k, mode, rng, src)
                 if mode == "greedy":
@@ -164,7 +164,8 @@ def assert_same_tree(got, want):
 
 def compare_growth(draft, kind, parallel, mode, shapes, seed, temperatures=(1.0,)):
     """Grow one round per (gamma, top_k, beam, temperature) in two sessions
-    fed the same history; returns the trees grown."""
+    fed the same history; returns the trees grown.  The reference takes the
+    mode and the temperature apart, _grow one temperature, 0 for greedy."""
     rng = np.random.default_rng(seed)
     sess, ref = DraftSession(draft), DraftSession(draft)
     ctx = [int(t) for t in rng.integers(0, draft.vocab, size=3)]
@@ -183,8 +184,9 @@ def compare_growth(draft, kind, parallel, mode, shapes, seed, temperatures=(1.0,
             start, f = int(rng.integers(0, draft.vocab)), rng.normal(size=draft.dim)
             draw_seed = int(rng.integers(0, 2**32))
             g_rng, r_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
-            got = _grow(sess, f, start, gamma, rng=g_rng, **kw)
             want = ref_grow(ref, f, start, gamma, rng=r_rng, **kw)
+            kw["temperature"] = 0.0 if kw.pop("mode") == "greedy" else temperature
+            got = _grow(sess, f, start, gamma, rng=g_rng, **kw)
             assert_same_tree(got, want)
             assert sess.passes == ref.passes
             assert g_rng.bit_generator.state == r_rng.bit_generator.state
@@ -260,7 +262,8 @@ def test_sampled_growth_expands_the_beam_best_nodes_of_every_level(target, kind,
     sess = DraftSession(draft)
     for gamma, top_k, beam in SHAPES:
         tree = _grow(sess, rng.normal(size=draft.dim), int(rng.integers(0, draft.vocab)), gamma,
-                     kind=kind, top_k=top_k, beam=beam, parallel=parallel, mode="sample", rng=rng)
+                     kind=kind, top_k=top_k, beam=beam, parallel=parallel, temperature=1.0,
+                     rng=rng)
         levels = levels_of(tree, gamma)
         expanded = [-1]
         for d, level in enumerate(levels, start=1):
@@ -279,8 +282,8 @@ def test_sampled_jakiro_round_at_the_bench_shape_has_180_nodes(target):
     sess = DraftSession(draft)
     for temperature in (1.0, 0.6, 1.0):
         tree = _grow(sess, rng.normal(size=draft.dim), int(rng.integers(0, draft.vocab)), 5,
-                     kind="moe", top_k=2, beam=16, parallel=True, mode="sample",
-                     temperature=temperature, rng=rng)
+                     kind="moe", top_k=2, beam=16, parallel=True, temperature=temperature,
+                     rng=rng)
         assert [len(level) for level in levels_of(tree, 5)] == [4, 16, 64, 64, 32]
         assert len(tree) == 180
         assert len({tree.nodes[i].parent for i in levels_of(tree, 5)[4]}) == 16
