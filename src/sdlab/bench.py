@@ -65,8 +65,9 @@ class RunConfig:
         warnings = []
         if self.method not in METHODS:
             raise ConfigError(f"method: unknown method {self.method!r}, expected one of {METHODS}")
-        if self.temperature < 0:
-            raise ConfigError("temperature: must be >= 0")
+        # JSON reads NaN and Infinity as floats; neither is a temperature
+        if not 0 <= self.temperature < float("inf"):
+            raise ConfigError("temperature: must be finite and >= 0")
         if self.gamma < 1:
             raise ConfigError("gamma: must be >= 1")
         if self.top_k < 1:

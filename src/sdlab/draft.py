@@ -13,15 +13,16 @@ Every draft forward goes through one row kernel that takes m rows at once:
 ``_out_rows`` (attention over each row's own context, routing, experts and
 heads).  A ``DraftSession`` owns a prompt's cache and next position: a
 round's first pass commits its backlog rows in one call (one token is one
-sequential step), a tree level is one call over all its items, and prefill
+sequential step), a tree level is one call over all its rows, and prefill
 needs only the first half.  Linear layers run per row, routing takes a row
 softmax and a stable row argsort, each expert runs on just the rows that
 selected it, and the gated mixture accumulates in ascending expert order,
 so each row is bit for bit what a lone step would give (see kernels.py for
 the attention).
-All items of a tree level share one depth, so a level's attention layout is
-one group built straight from the items' ancestor rows: the committed rows,
-then the ancestors in ascending order, then the row itself.
+All rows of a tree level share one depth, so a level takes its rows'
+ancestors as one (rows, depth - 1) array and its attention layout is one
+group built straight from it: the committed rows, then the ancestors in
+ascending order, then the row itself.
 A tree level gets its outputs back as one ``DraftStepOutput`` whose fields
 carry a leading row axis, so tree growth works on whole levels; the mixture
 and contrast heads take such a stack as well as a single step.
@@ -241,47 +242,41 @@ class DraftSession:
         return self.model._out_rows(x, q, self.cache.keys(0), self.cache.values(0),
                                     SINGLE_ROW).row(0)
 
-    def tree_level(self, items: list[tuple[int, np.ndarray, list[int], int]]
-                   ) -> tuple[DraftStepOutput | None, range]:
+    def tree_level(self, tokens, prev_features, ancestors) -> tuple[DraftStepOutput, np.ndarray]:
         """One tentative pass over a tree level.
 
-        Each item is (token, prev_feature, ancestor_row_ids, depth); ancestors
-        index into this round's tentative rows, root first (rows are numbered
-        in creation order, so a path's ids ascend).  All items of a level
-        share one depth d and carry d-1 ancestors, so the level is one
-        attention group: each row attends to the committed rows, then its
-        ancestors, then itself.  Returns the items' step outputs stacked
-        along a leading row axis (None for no items) and their row ids;
-        rows are discarded when the next round begins.
+        Row i is token tokens[i], fed prev_features[i]; ancestors is the
+        (rows, depth - 1) array of each row's ancestor rows, root first,
+        which index into this round's tentative rows (rows are numbered in
+        creation order, so a path's ids ascend).  All rows of a level share
+        one depth, so the level is one attention group: each row attends to
+        the committed rows, then its ancestors, then itself.  Returns the
+        rows' step outputs stacked along a leading row axis and their row
+        ids; rows are discarded when the next round begins.
         """
-        self.passes += 1
+        anc = np.asarray(ancestors, dtype=np.intp)
+        m = len(tokens)
+        if m < 1 or anc.ndim != 2 or anc.shape[0] != m:
+            raise ValueError(f"a tree level needs a (rows, depth - 1) ancestor array for its "
+                             f"{m} rows, got shape {anc.shape}")
         t = self._tk.shape[0]
-        if not items:
-            return None, range(t, t)
-        m = len(items)
-        depth = items[0][3]
-        if any(it[3] != depth for it in items):
-            raise ValueError("tree level items must share one depth")
-        if depth < 1 or any(len(it[2]) != depth - 1 for it in items):
-            raise ValueError(f"tree level items at depth {depth} need depth - 1 ancestor rows")
-        anc = np.array([it[2] for it in items], dtype=np.intp).reshape(m, depth - 1)
         bad = ((anc < 0) | (anc >= t)).any(axis=1)
         if bad.any():
-            raise ValueError(f"item {int(np.argmax(bad))}: ancestor row out of range [0, {t})")
+            raise ValueError(f"row {int(np.argmax(bad))}: ancestor row out of range [0, {t})")
         bad = (anc[:, 1:] <= anc[:, :-1]).any(axis=1)
         if bad.any():
-            raise ValueError(f"item {int(np.argmax(bad))}: ancestor rows must ascend")
+            raise ValueError(f"row {int(np.argmax(bad))}: ancestor rows must ascend")
+        self.passes += 1
         c = self.cache.length
-        chains = np.concatenate((anc, np.arange(t, t + m)[:, None]), axis=1)
-        base = self.next_pos - 1
-        x, q, k, v = self.model._kv_rows(
-            [it[0] for it in items], [base + depth] * m, [it[1] for it in items])
+        ids = np.arange(t, t + m)
+        chains = np.concatenate((anc, ids[:, None]), axis=1)
+        x, q, k, v = self.model._kv_rows(tokens, [self.next_pos + anc.shape[1]] * m, prev_features)
         keys = np.concatenate((self.cache.keys(0), self._tk, k))
         values = np.concatenate((self.cache.values(0), self._tv, v))
         out = self.model._out_rows(x, q, keys, values, chain_group(c, np.arange(m), chains))
         self._tk = keys[c:]
         self._tv = values[c:]
-        return out, range(t, t + m)
+        return out, ids
 
 
 def init_draft(config: DraftConfig, target: TargetModel, seed: int = 1) -> DraftModel:

@@ -40,7 +40,6 @@ class TargetConfig:
     dim: int = 32
     n_layers: int = 2
     n_heads: int = 2
-    eos_id: int | None = None
 
     def __post_init__(self):
         for name in ("vocab", "dim", "n_layers", "n_heads"):
@@ -292,8 +291,6 @@ class TargetModel:
                 probs = softmax(out.logits, temperature)
                 nxt = inverse_cdf_sample(probs, rng.random())
             emitted.append(nxt)
-            if self.config.eos_id is not None and nxt == self.config.eos_id:
-                break
             out = self.forward_cached(cache, nxt)
         return emitted
 

@@ -1,9 +1,11 @@
 """Candidate-token tree construction: chains, static top-k trees and
 MoE-decoupled trees.
 
-A tree is its node list in level order: every node's parent comes before it
-and depths never decrease, so verification takes each depth as one attention
-group straight from the parent pointers.
+A tree is columns in level order: one ``NODE`` record per node (token,
+parent, depth, cum_score and branch tag) and one row of ``q_dist`` per node,
+the draft distribution the node's token was drawn from.  Every node's parent
+comes before it and depths never decrease, so verification takes each depth
+as one attention group straight from the parent column.
 
 All growers share the round protocol: the first draft pass commits the newly
 accepted backlog plus the pending token and proposes depth-1 candidates; each
@@ -17,7 +19,10 @@ it: the left and the right expert branch of each row for moe trees, the
 branch mixture otherwise, and the contrast head for the parallel final
 level.  Candidates are ordered by parent row, then branch (left before
 right), then draw, and score cum_score = (parent cum_score + log branch
-score) + log q.
+score) + log q.  Each level is kept as the column slices it was computed
+as, and the records are built once per tree.  The draft pass of a level
+takes the ancestor rows of each of its rows as one array, which grows by
+a column per level.
 
 A grower's temperature picks the mode: 0 grows greedily and scores the
 tree with the plain (T=1) softmax, and T > 0 samples from the softmax at T,
@@ -40,7 +45,7 @@ independent draws from its distribution, so the walk stays exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,39 +55,27 @@ from .kernels import inverse_cdf_rows, softmax
 BRANCH_LEFT = "left"
 BRANCH_RIGHT = "right"
 BRANCH_NONE = "none"
+BRANCH_TAGS = np.array([BRANCH_LEFT, BRANCH_RIGHT])
+NO_BRANCH = np.array([BRANCH_NONE])
+
+# parent is a node index, or -1 for the root; root children have depth 1
+NODE = np.dtype([("token", np.intp), ("parent", np.intp), ("depth", np.intp),
+                 ("cum_score", np.float64), ("tag", "U5")])
 
 
-@dataclass
-class DraftNode:
-    token: int
-    parent: int          # index into DraftTree.nodes, or -1 for the root
-    depth: int           # root children have depth 1
-    q_prob: float        # draft probability of this token given its path
-    cum_score: float     # log-domain path score
-    branch_tag: str = BRANCH_NONE
-    q_dist: np.ndarray = field(default=None, repr=False)
-
-
-@dataclass
+@dataclass(eq=False)
 class DraftTree:
-    """Level-ordered candidate tree rooted at the pending token."""
+    """Level-ordered candidate tree rooted at the pending token: ``nodes``
+    holds one NODE record per node, ``q_dist`` the (nodes, vocab) draft
+    distributions their tokens were drawn from."""
 
-    nodes: list[DraftNode]
+    nodes: np.ndarray
+    q_dist: np.ndarray
     root_token: int
     root_context_len: int = 0
-    _kids: dict[int, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def children(self, idx: int) -> list[int]:
-        """Child node indices of idx (-1 for the root) in ascending order,
-        the order the sampling walk draws them in."""
-        if self._kids is None:
-            self._kids = {}
-            for i, n in enumerate(self.nodes):
-                self._kids.setdefault(n.parent, []).append(i)
-        return self._kids.get(idx, [])
 
 
 def _top_k(dist: np.ndarray, k: int) -> np.ndarray:
@@ -103,10 +96,11 @@ def _top_k(dist: np.ndarray, k: int) -> np.ndarray:
     return top.reshape(*dist.shape[:-1], k)
 
 
-def _add_level(nodes: list[DraftNode], dist: np.ndarray, parents: list[int], pcum: np.ndarray,
-               depth: int, tags: tuple[str, ...], top_k: int, greedy: bool, beam: int, rng,
+def _add_level(levels: list, dist: np.ndarray, parents: np.ndarray, pcum: np.ndarray,
+               tags: np.ndarray, top_k: int, greedy: bool, beam: int, rng,
                logw: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Append one level's candidates to nodes.
+    """Append one level's candidates to levels as columns (token, parent,
+    cum_score, tag, q_dist).
 
     dist is (rows, branches, vocab): the emitting distributions of each
     parent row, tagged tags[branch]; parents[r] and pcum[r] are row r's
@@ -135,9 +129,9 @@ def _add_level(nodes: list[DraftNode], dist: np.ndarray, parents: list[int], pcu
         sel = sel[np.sort(np.argsort(-cum[sel], kind="stable")[:beam])]
     rows = sel // (nb * top_k)
     cum = cum[sel]
-    for t, r, b, qt, c in zip(tok.ravel()[sel].tolist(), rows.tolist(),
-                              (sel // top_k % nb).tolist(), q.ravel()[sel].tolist(), cum.tolist()):
-        nodes.append(DraftNode(t, parents[r], depth, qt, c, tags[b], dist[r, b]))
+    src = sel // top_k  # the (row, branch) each node was drawn from
+    levels.append((tok.ravel()[sel], parents[rows], cum, tags[src % nb],
+                   dist.reshape(m * nb, V)[src]))
     return rows, cum
 
 
@@ -147,6 +141,8 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
     model = session.model
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
+    if top_k < 1 or beam < 1:
+        raise ValueError("top_k and beam must be >= 1")
     if parallel and gamma < 2:
         raise ValueError("parallel final step needs gamma >= 2")
     if (parallel or kind == "moe") and model.config.active_k < 2:
@@ -162,49 +158,49 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
 
     # the frontier: the step outputs of the rows of one draft pass (the
     # round's opening row, then a tree level), each row's node, its
-    # cum_score and its path of tentative row ids
+    # cum_score and the tentative rows of its ancestors, root first
     out = session.begin_round([*backlog_tokens, start_token], [*backlog_features, prev_feature])
-    parents, pcum, paths = [-1], np.zeros(1), [[]]
-    nodes: list[DraftNode] = []
+    parents, pcum, anc = np.array([-1]), np.zeros(1), np.zeros((1, 0), dtype=np.intp)
+    levels: list = []
+    n = 0
     last_step_depth = gamma - 1 if parallel else gamma
 
     for depth in range(1, last_step_depth + 1):
-        first = len(nodes)
         if kind == "moe":
             logits = np.stack((out.logits_left, out.logits_right), axis=-2)
-            rows, cum = _add_level(nodes, softmax(logits, temperature).reshape(-1, 2, V),
-                                   parents, pcum, depth, (BRANCH_LEFT, BRANCH_RIGHT), top_k,
-                                   greedy, beam, rng, np.log(out.branch_scores).reshape(-1, 2))
+            rows, cum = _add_level(levels, softmax(logits, temperature).reshape(-1, 2, V),
+                                   parents, pcum, BRANCH_TAGS, top_k, greedy, beam, rng,
+                                   np.log(out.branch_scores).reshape(-1, 2))
         else:
             dist = softmax(model.mixture_logits(out), temperature).reshape(-1, 1, V)
-            rows, cum = _add_level(nodes, dist, parents, pcum, depth, (BRANCH_NONE,), top_k,
-                                   greedy, beam, rng)
+            rows, cum = _add_level(levels, dist, parents, pcum, NO_BRANCH, top_k, greedy, beam,
+                                   rng)
 
         # the beam-best nodes of this level are expanded, chosen before any
         # child is drawn: by the next draft pass, or on the parallel final
         # level by the contrast head of this pass
-        parents = list(range(first, len(nodes)))
-        if len(parents) > beam:
+        tokens = levels[-1][0]  # the token column of this level
+        parents = np.arange(n, n + len(rows))
+        n += len(rows)
+        if len(rows) > beam:
             keep = np.sort(np.argsort(-cum, kind="stable")[:beam])
-            rows, cum, parents = rows[keep], cum[keep], [first + i for i in keep.tolist()]
+            rows, cum, tokens, parents = rows[keep], cum[keep], tokens[keep], parents[keep]
         if depth == last_step_depth:
-            if parallel and parents:
+            if parallel:
                 distc = softmax(model.contrast_logits(out), temperature).reshape(-1, V)
-                _add_level(nodes, distc[rows][:, None], parents, cum, gamma, (BRANCH_NONE,),
-                           top_k, greedy, beam, rng)
+                _add_level(levels, distc[rows][:, None], parents, cum, NO_BRANCH, top_k,
+                           greedy, beam, rng)
             break
-        if not parents:
-            for _ in range(depth, last_step_depth):  # the passes still count
-                session.tree_level([])
-            break
-        feats = out.feature_moe.reshape(-1, model.dim)
-        prow = rows.tolist()
-        out, ids = session.tree_level(
-            [(nodes[j].token, feats[r], paths[r], depth) for j, r in zip(parents, prow)])
+        out, ids = session.tree_level(tokens, out.feature_moe.reshape(-1, model.dim)[rows],
+                                      anc[rows])
         pcum = cum
-        paths = [paths[r] + [i] for r, i in zip(prow, ids)]
+        anc = np.concatenate((anc[rows], ids[:, None]), axis=1)
 
-    return DraftTree(nodes=nodes, root_token=start_token, root_context_len=context_len)
+    token, parent, cum_score, tag, q_dist = (np.concatenate(c) for c in zip(*levels))
+    nodes = np.empty(len(token), NODE)
+    nodes["token"], nodes["parent"], nodes["cum_score"], nodes["tag"] = token, parent, cum_score, tag
+    nodes["depth"] = np.repeat(np.arange(1, len(levels) + 1), [len(lv[0]) for lv in levels])
+    return DraftTree(nodes, q_dist, root_token=start_token, root_context_len=context_len)
 
 
 def grow_chain(session, prev_feature, start_token, gamma, **kw) -> DraftTree:

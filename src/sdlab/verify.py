@@ -9,8 +9,11 @@ recursive residual speculative sampling: siblings are tried in tree order,
 each rejection updates the working distribution to norm(max(0, p - q_child)),
 and full rejection resamples from the final residual.  Uniform draws are
 consumed in documented order (children in tree order, then the residual or
-bonus draw) so runs replay exactly.  Both walks return the accepted node
-path and the final token, and one helper turns that into the accepted
+bonus draw) so runs replay exactly.  ``verify_tree`` runs the forward, then
+the greedy walk at temperature 0 and the sampling walk otherwise.  Both
+walks take a node's children from one stable argsort of the tree's parent
+column, so siblings come in ascending node order, and return the accepted
+node path and the final token; one helper turns that into the accepted
 tokens, the rows to commit and their features.
 """
 
@@ -69,10 +72,10 @@ def _forward_with_root(tree: DraftTree, target: TargetModel, cache: KvCache):
     """
     if tree.root_context_len != cache.length:
         raise ValueError("tree root context length does not match the cache")
-    tokens = [tree.root_token] + [nd.token for nd in tree.nodes]
-    parents = [-1] + [nd.parent + 1 for nd in tree.nodes]
-    positions = [0] + [nd.depth for nd in tree.nodes]
-    return target.forward_tree_kv(cache, tokens, parents, positions)
+    nodes = tree.nodes
+    return target.forward_tree_kv(cache, np.concatenate(([tree.root_token], nodes["token"])),
+                                  np.concatenate(([-1], nodes["parent"] + 1)),
+                                  np.concatenate(([0], nodes["depth"])))
 
 
 def _outcome(tree: DraftTree, path: list[int], final: int, features: np.ndarray,
@@ -80,7 +83,7 @@ def _outcome(tree: DraftTree, path: list[int], final: int, features: np.ndarray,
     """The outcome of a walk that accepted the nodes of path, then final."""
     commit = [0] + [1 + i for i in path]
     return VerifyOutcome(
-        accepted=[tree.nodes[i].token for i in path],
+        accepted=tree.nodes["token"][path].tolist(),
         final_token=final,
         commit_indices=commit,
         tree_kv=kv,
@@ -88,14 +91,25 @@ def _outcome(tree: DraftTree, path: list[int], final: int, features: np.ndarray,
     )
 
 
+def _children(tree: DraftTree) -> tuple[list[int], list[int]]:
+    """(order, bounds): the children of node i (-1 for the root) are
+    order[bounds[i + 1]:bounds[i + 2]], ascending, from one stable argsort
+    of the parent column."""
+    parent = tree.nodes["parent"]
+    order = np.argsort(parent, kind="stable")
+    return order.tolist(), np.searchsorted(parent[order], np.arange(-1, len(parent) + 1)).tolist()
+
+
 def _walk_greedy(tree: DraftTree, logits: np.ndarray) -> tuple[list[int], int]:
     """Follow the child that matches the target argmax; (path, final token)."""
+    order, bounds = _children(tree)
+    token = tree.nodes["token"].tolist()
     path: list[int] = []
     cur = -1
     while True:
         t_star = int(np.argmax(logits[cur + 1]))
-        for ch in tree.children(cur):
-            if tree.nodes[ch].token == t_star:
+        for ch in order[bounds[cur + 1]:bounds[cur + 2]]:
+            if token[ch] == t_star:
                 break
         else:
             return path, t_star
@@ -105,46 +119,38 @@ def _walk_greedy(tree: DraftTree, logits: np.ndarray) -> tuple[list[int], int]:
 
 def _walk_sampling(tree: DraftTree, logits: np.ndarray, temperature: float,
                    rng) -> tuple[list[int], int]:
-    """Recursive residual speculative sampling down the tree; (path, final token)."""
+    """Recursive residual speculative sampling down the tree; (path, final
+    token).  A node whose children are all rejected, or that has none, ends
+    the walk with a draw from its working distribution."""
+    order, bounds = _children(tree)
+    token = tree.nodes["token"].tolist()
     path: list[int] = []
     cur = -1
     while True:
         p = softmax(logits[cur + 1], temperature)
-        kids = tree.children(cur)
-        if not kids:
-            return path, inverse_cdf_sample(p, rng.random())  # bonus from the target itself
-        for ch in kids:
-            nd = tree.nodes[ch]
-            if accept_token(p, nd.q_dist, nd.token, rng.random()):
+        for ch in order[bounds[cur + 1]:bounds[cur + 2]]:
+            q = tree.q_dist[ch]
+            if accept_token(p, q, token[ch], rng.random()):
                 break
-            p = residual_dist(p, nd.q_dist)
+            p = residual_dist(p, q)
         else:
             return path, inverse_cdf_sample(p, rng.random())
         path.append(ch)
         cur = ch
 
 
-def verify_tree_greedy(tree: DraftTree, target: TargetModel, cache: KvCache) -> VerifyOutcome:
-    """Strict top-1 verification; the cache is left untouched."""
-    logits, features, kv = _forward_with_root(tree, target, cache)
-    return _outcome(tree, *_walk_greedy(tree, logits), features, kv)
-
-
-def verify_tree_sampling(tree: DraftTree, target: TargetModel, cache: KvCache,
-                         temperature: float, rng) -> VerifyOutcome:
-    """Speculative sampling over the tree; preserves the target distribution.
-
-    Tree node distributions must have been generated at the same temperature.
-    """
-    if not temperature > 0.0:
-        raise ValueError("temperature must be > 0 for sampling verification")
-    logits, features, kv = _forward_with_root(tree, target, cache)
-    return _outcome(tree, *_walk_sampling(tree, logits, temperature, rng), features, kv)
-
-
 def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
                 temperature: float, rng) -> VerifyOutcome:
-    """Temperature 0 routes to the greedy walk, otherwise sampling."""
+    """Verify a tree in one target forward; the cache is left untouched.
+
+    Temperature 0 takes the greedy walk, which needs no rng; a temperature
+    above 0 takes the sampling walk, which preserves the target
+    distribution at that temperature, the one the tree must have been
+    grown at.
+    """
+    if not temperature >= 0.0:
+        raise ValueError("temperature must be >= 0")
+    logits, features, kv = _forward_with_root(tree, target, cache)
     if temperature == 0.0:
-        return verify_tree_greedy(tree, target, cache)
-    return verify_tree_sampling(tree, target, cache, temperature, rng)
+        return _outcome(tree, *_walk_greedy(tree, logits), features, kv)
+    return _outcome(tree, *_walk_sampling(tree, logits, temperature, rng), features, kv)

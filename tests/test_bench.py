@@ -85,6 +85,14 @@ class TestConfig:
         cfg = load_config(str(path))
         assert cfg.temperature == 1 and cfg.prompt_file is None
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "-0.5"])
+    def test_non_finite_or_negative_temperature_rejected(self, tmp_path, value):
+        # Python's json reads NaN and Infinity as floats
+        path = tmp_path / "c.json"
+        path.write_text('{"method": "chain", "temperature": %s}' % value)
+        with pytest.raises(ConfigError, match="temperature: must be finite and >= 0"):
+            load_config(str(path))
+
     @pytest.mark.parametrize("key", ["top_k", "beam"])
     def test_empty_trees_rejected(self, key):
         with pytest.raises(ConfigError, match=f"{key}: must be >= 1"):
@@ -235,6 +243,14 @@ class TestCli:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"method": "warp"}))
         assert main(["decode", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_temperature_exit_2(self, tmp_path, capsys, value):
+        path = tmp_path / "c.json"
+        path.write_text('{"method": "chain", "temperature": %s, "max_new": 4, "n_prompts": 1}'
+                        % value)
+        assert main(["decode", "--config", str(path)]) == 2
+        assert "temperature: must be finite and >= 0" in capsys.readouterr().err
 
     def test_unknown_key_exit_2(self, tmp_path):
         path = tmp_path / "c.json"

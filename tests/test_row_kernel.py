@@ -447,7 +447,8 @@ def draft_level_check(draft, rng, levels=4, width=9):
                 path = paths[int(rng.integers(0, len(paths)))]
                 items.append((int(rng.integers(0, draft.vocab)), rng.normal(size=draft.dim),
                               path, depth))
-            got, rows = sess.tree_level(items)
+            level_tokens, level_feats, ancestors, _depths = zip(*items)
+            got, rows = sess.tree_level(level_tokens, level_feats, ancestors)
             want = ref.tree_level(items)
             assert len(rows) == len(want)
             for i, (w_out, w_row) in enumerate(want):
@@ -474,23 +475,27 @@ def test_tree_level_rejects_unknown_ancestor(target):
     sess = DraftSession(draft)
     f = np.zeros(draft.dim)
     sess.begin_round([1, 2], [f, f])
-    _out, (row,) = sess.tree_level([(3, f, [], 1)])
+    _out, (row,) = sess.tree_level([3], [f], [[]])
     with pytest.raises(ValueError, match="ancestor row out of range"):
-        sess.tree_level([(4, f, [row + 1], 2)])
+        sess.tree_level([4], [f], [[row + 1]])
 
 
-def test_tree_level_rejects_mixed_depths_and_bad_paths(target):
+def test_tree_level_rejects_bad_ancestor_shapes_and_paths(target):
     draft = init_draft(DraftConfig(), target, seed=1)
     sess = DraftSession(draft)
     f = np.zeros(draft.dim)
     sess.begin_round([1, 2], [f, f])
-    _out, rows = sess.tree_level([(3, f, [], 1), (5, f, [], 1)])
-    with pytest.raises(ValueError, match="must share one depth"):
-        sess.tree_level([(4, f, [rows[0]], 2), (6, f, [], 1)])
-    with pytest.raises(ValueError, match="need depth - 1 ancestor rows"):
-        sess.tree_level([(4, f, [rows[0]], 2), (6, f, [rows[0], rows[1]], 2)])
-    with pytest.raises(ValueError, match="item 1: ancestor rows must ascend"):
-        sess.tree_level([(4, f, [0, 1], 3), (6, f, [1, 0], 3)])
+    _out, rows = sess.tree_level([3, 5], [f, f], np.zeros((2, 0), dtype=int))
+    assert rows.tolist() == [0, 1] and sess.passes == 2
+    shape = r"needs a \(rows, depth - 1\) ancestor array"
+    for tokens, ancestors in (([4, 6], [[0]]),         # one ancestor row for two rows
+                              ([4, 6], [0, 1]),         # not one row per token
+                              ([], np.zeros((0, 1)))):  # an empty level
+        with pytest.raises(ValueError, match=shape):
+            sess.tree_level(tokens, [f] * len(tokens), ancestors)
+    with pytest.raises(ValueError, match="row 1: ancestor rows must ascend"):
+        sess.tree_level([4, 6], [f, f], [[0, 1], [1, 0]])
+    assert sess.passes == 2  # a rejected level is no pass
 
 
 def test_draft_single_token_rounds_match_step(target):

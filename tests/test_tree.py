@@ -7,8 +7,8 @@ import pytest
 from sdlab.draft import DraftConfig, DraftSession, init_draft
 from sdlab.kernels import softmax
 from sdlab.target import TargetConfig, init_target, tree_groups
-from sdlab.tree import DraftNode, DraftTree, grow_chain, grow_moe_tree, grow_static_tree
-from sdlab.verify import verify_tree_greedy
+from sdlab.tree import NODE, DraftTree, grow_chain, grow_moe_tree, grow_static_tree
+from sdlab.verify import verify_tree
 
 from test_row_kernel import random_tree
 
@@ -30,11 +30,17 @@ GOLDEN_MOE_DUMP = """0 -1 1 49 left 0.0554376111048 -3.17314381566
 def dump_tree(tree: DraftTree) -> str:
     """Stable textual dump for golden-file comparisons."""
     lines = []
-    for i, n in enumerate(tree.nodes):
-        lines.append(
-            f"{i} {n.parent} {n.depth} {n.token} {n.branch_tag} {n.q_prob:.12g} {n.cum_score:.12g}"
-        )
+    for i, (token, parent, depth, cum_score, tag) in enumerate(tree.nodes.tolist()):
+        q = tree.q_dist[i, token]
+        lines.append(f"{i} {parent} {depth} {token} {tag} {q:.12g} {cum_score:.12g}")
     return "\n".join(lines)
+
+
+def layout_tree(triples, root_token=0, context_len=0, vocab=64):
+    """A hand-built tree of (token, parent, depth) nodes with zero scores and
+    uniform draft distributions."""
+    nodes = np.array([(t, p, d, 0.0, "none") for t, p, d in triples], dtype=NODE)
+    return DraftTree(nodes, np.full((len(nodes), vocab), 1.0 / vocab), root_token, context_len)
 
 
 def context_columns(groups, m):
@@ -58,8 +64,8 @@ def ancestor_walk(parents, i):
 def tree_rows(tree):
     """Parent rows and depths of tree's verification forward: row 0 is the
     pending root token and row 1 + i is node i."""
-    return (np.array([-1] + [n.parent + 1 for n in tree.nodes]),
-            np.array([0] + [n.depth for n in tree.nodes]))
+    return (np.concatenate(([-1], tree.nodes["parent"] + 1)),
+            np.concatenate(([0], tree.nodes["depth"])))
 
 
 def tree_columns(tree):
@@ -100,7 +106,7 @@ class TestChain:
     def test_single_node(self, draft, root_feature):
         tree = grow_chain(make_session(draft), root_feature, 5, 1)
         assert len(tree) == 1
-        assert tree.nodes[0].depth == 1 and tree.nodes[0].parent == -1
+        assert tree.nodes["depth"][0] == 1 and tree.nodes["parent"][0] == -1
 
     def test_greedy_determinism(self, draft, root_feature):
         t1 = grow_chain(make_session(draft), root_feature, 5, 4)
@@ -120,16 +126,17 @@ class TestChain:
             tok = int(np.argmax(dist))
             want.append(tok)
             if depth < gamma:
-                level, (row,) = s.tree_level([(tok, out.feature_moe, rows.copy(), depth)])
+                level, (row,) = s.tree_level([tok], [out.feature_moe], [rows])
                 out = level.row(0)
                 rows.append(row)
-        assert [n.token for n in tree.nodes] == want
+        assert tree.nodes["token"].tolist() == want
 
-    def test_q_prob_recorded(self, draft, root_feature):
+    def test_q_dist_recorded(self, draft, root_feature):
         tree = grow_chain(make_session(draft), root_feature, 5, 3)
-        for n in tree.nodes:
-            assert 0.0 < n.q_prob <= 1.0
-            assert abs(n.q_dist[n.token] - n.q_prob) < 1e-15
+        assert tree.q_dist.shape == (3, draft.vocab)
+        assert np.allclose(tree.q_dist.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        q = tree.q_dist[np.arange(3), tree.nodes["token"]]
+        assert (0.0 < q).all() and (q <= 1.0).all()
 
     def test_sampling_mode(self, draft, root_feature):
         rng = np.random.default_rng(0)
@@ -167,14 +174,13 @@ class TestStaticTree:
         expect = [(t, 1, -1) for t, _ in layer1]
         children = []
         for idx, (t, logq) in enumerate(layer1):
-            o2 = s.tree_level([(t, out.feature_moe, [], 1)])[0].row(0)
+            o2 = s.tree_level([t], [out.feature_moe], [[]])[0].row(0)
             d2 = softmax(draft.mixture_logits(o2))
             for t2 in np.argsort(-d2, kind="stable")[:2]:
                 children.append((int(t2), 2, idx, logq + float(np.log(d2[t2]))))
         children.sort(key=lambda c: -c[3])
         expect += [(t, d, p) for t, d, p, _ in children[:2]]
-        got = [(n.token, n.depth, n.parent) for n in tree.nodes]
-        assert got == expect
+        assert tree.nodes[["token", "depth", "parent"]].tolist() == expect
 
     def test_layout_invariants_after_build(self, draft, root_feature):
         tree = grow_static_tree(make_session(draft), root_feature, 5, 3, 2, beam=4,
@@ -183,9 +189,10 @@ class TestStaticTree:
 
     def test_cum_score_monotone(self, draft, root_feature):
         tree = grow_static_tree(make_session(draft), root_feature, 5, 4, 3, beam=6)
-        for n in tree.nodes:
-            if n.parent != -1:
-                assert n.cum_score <= tree.nodes[n.parent].cum_score + 1e-12
+        parent, cum = tree.nodes["parent"], tree.nodes["cum_score"]
+        inner = parent >= 0
+        assert inner.any()
+        assert (cum[inner] <= cum[parent[inner]] + 1e-12).all()
 
 
 class TestMoeTree:
@@ -200,12 +207,12 @@ class TestMoeTree:
 
     def test_branch_tags_and_order(self, draft, root_feature):
         tree = grow_moe_tree(make_session(draft), root_feature, 5, 3, 2, beam=8)
-        assert all(n.branch_tag in ("left", "right") for n in tree.nodes)
+        assert set(tree.nodes["tag"].tolist()) <= {"left", "right"}
         by_parent = {}
-        for i, n in enumerate(tree.nodes):
-            by_parent.setdefault(n.parent, []).append(i)
+        for i, parent in enumerate(tree.nodes["parent"].tolist()):
+            by_parent.setdefault(parent, []).append(i)
         for kids in by_parent.values():
-            tags = [tree.nodes[i].branch_tag for i in kids]
+            tags = tree.nodes["tag"][kids].tolist()
             # lefts precede rights among each parent's children
             if "left" in tags and "right" in tags:
                 assert tags.index("right") > max(i for i, t in enumerate(tags) if t == "left")
@@ -213,15 +220,17 @@ class TestMoeTree:
     def test_left_right_score_ordering(self, draft, root_feature):
         # reconstructed emitting-branch score: exp(cum - parent_cum) / q
         tree = grow_moe_tree(make_session(draft), root_feature, 5, 2, 2, beam=8)
+        nodes = tree.nodes
         by_parent = {}
-        for i, n in enumerate(tree.nodes):
-            by_parent.setdefault(n.parent, []).append(n)
+        for i, parent in enumerate(nodes["parent"].tolist()):
+            by_parent.setdefault(parent, []).append(i)
         for kids in by_parent.values():
-            def branch_score(n):
-                pc = 0.0 if n.parent == -1 else tree.nodes[n.parent].cum_score
-                return np.exp(n.cum_score - pc) / n.q_prob
-            lefts = [branch_score(n) for n in kids if n.branch_tag == "left"]
-            rights = [branch_score(n) for n in kids if n.branch_tag == "right"]
+            def branch_score(i):
+                parent = nodes["parent"][i]
+                pc = 0.0 if parent == -1 else nodes["cum_score"][parent]
+                return np.exp(nodes["cum_score"][i] - pc) / tree.q_dist[i, nodes["token"][i]]
+            lefts = [branch_score(i) for i in kids if nodes["tag"][i] == "left"]
+            rights = [branch_score(i) for i in kids if nodes["tag"][i] == "right"]
             if lefts and rights:
                 assert min(lefts) >= max(rights) - 1e-12
 
@@ -239,7 +248,7 @@ class TestMoeTree:
         for t in rt:
             if t not in seen:
                 expected.append((t, "right"))
-        got = [(n.token, n.branch_tag) for n in tree.nodes]
+        got = tree.nodes[["token", "tag"]].tolist()
         assert got[: len(expected)] == expected
         assert len(tree) <= 4
 
@@ -249,26 +258,26 @@ class TestMoeTree:
         d.params["expert1_w2"] = d.params["expert0_w2"].copy()
         tree = grow_moe_tree(DraftSession(d), root_feature, 5, 2, 2, beam=8)
         # equal branch distributions collide token-for-token; dedup keeps the left copies
-        assert all(n.branch_tag == "left" for n in tree.nodes)
+        assert (tree.nodes["tag"] == "left").all()
         static = grow_static_tree(DraftSession(d), root_feature, 5, 2, 2, beam=8)
-        assert [n.token for n in tree.nodes] == [n.token for n in static.nodes]
+        assert np.array_equal(tree.nodes["token"], static.nodes["token"])
 
     def test_parallel_final_level_from_contrast_head(self, draft, root_feature):
         gamma = 3
         sess = make_session(draft)
         tree = grow_moe_tree(sess, root_feature, 5, gamma, 2, parallel=True, beam=8)
         assert sess.passes == gamma - 1
-        deepest = [n for n in tree.nodes if n.depth == gamma]
-        assert deepest and all(n.branch_tag == "none" for n in deepest)
+        deepest = tree.nodes[tree.nodes["depth"] == gamma]
+        assert len(deepest) and (deepest["tag"] == "none").all()
         non_parallel = grow_moe_tree(make_session(draft), root_feature, 5, gamma, 2, beam=8)
-        assert max(n.depth for n in non_parallel.nodes) == gamma
+        assert non_parallel.nodes["depth"].max() == gamma
 
     def test_chain_parallel_pass_counts(self, draft, root_feature):
         # gamma=5 chain: 4 draft passes with the parallel final step, 5 without
         sess = make_session(draft)
         tree = grow_chain(sess, root_feature, 5, 5, parallel=True)
         assert sess.passes == 4
-        assert [n.depth for n in tree.nodes] == [1, 2, 3, 4, 5]
+        assert tree.nodes["depth"].tolist() == [1, 2, 3, 4, 5]
         sess2 = make_session(draft)
         grow_chain(sess2, root_feature, 5, 5)
         assert sess2.passes == 5
@@ -276,45 +285,40 @@ class TestMoeTree:
 
 class TestLayout:
     def test_chain_layout(self):
-        nodes = [DraftNode(1, -1, 1, 1.0, 0.0), DraftNode(2, 0, 2, 1.0, 0.0),
-                 DraftNode(3, 1, 3, 1.0, 0.0)]
-        cols = tree_columns(DraftTree(nodes, root_token=0, root_context_len=3))
+        cols = tree_columns(layout_tree([(1, -1, 1), (2, 0, 2), (3, 1, 3)], context_len=3))
         assert cols == [[0, 1, 2] + list(range(3, 4 + i)) for i in range(4)]
 
     def test_star_layout(self):
-        nodes = [DraftNode(1, -1, 1, 1.0, 0.0)] + [DraftNode(t, 0, 2, 1.0, 0.0) for t in (2, 3, 4)]
-        cols = tree_columns(DraftTree(nodes, root_token=0))
+        cols = tree_columns(layout_tree([(1, -1, 1)] + [(t, 0, 2) for t in (2, 3, 4)]))
         for i in range(2, 5):
             assert cols[i] == [0, 1, i]
 
     def test_root_only_tree(self):
-        assert tree_columns(DraftTree([], 1, root_context_len=2)) == [[0, 1, 2]]
+        assert tree_columns(layout_tree([], root_token=1, context_len=2)) == [[0, 1, 2]]
 
     def test_random_trees_match_ancestor_walk(self):
         rng = np.random.default_rng(42)
         for _ in range(200):
             parents, depth = random_tree(rng, int(rng.integers(1, 65)), p_child=0.75)
-            nodes = [DraftNode(int(rng.integers(0, 64)), int(p), int(d) + 1, 1.0, 0.0)
-                     for p, d in zip(parents, depth)]
+            triples = [(int(rng.integers(0, 64)), int(p), int(d) + 1) for p, d in zip(parents, depth)]
             assert_columns_follow_parents(
-                DraftTree(nodes, root_token=0, root_context_len=int(rng.integers(0, 5))))
+                layout_tree(triples, context_len=int(rng.integers(0, 5))))
 
     def test_grown_tree_layout(self, draft, root_feature):
         tree = grow_moe_tree(make_session(draft), root_feature, 5, 3, 2, beam=6,
                              context_len=4)
         cols = tree_columns(tree)
-        for i, n in enumerate(tree.nodes):
-            assert len(cols[1 + i]) == 4 + 1 + n.depth
-            assert cols[1 + i][-2] == 4 + 1 + n.parent  # the root row for n.parent == -1
+        for i, (parent, depth) in enumerate(tree.nodes[["parent", "depth"]].tolist()):
+            assert len(cols[1 + i]) == 4 + 1 + depth
+            assert cols[1 + i][-2] == 4 + 1 + parent  # the root row for parent == -1
         assert_columns_follow_parents(tree)
 
     def test_malformed_trees(self, target):
-        fwd = [DraftNode(1, 1, 1, 1.0, 0.0), DraftNode(2, -1, 1, 1.0, 0.0)]
-        bad_depth = [DraftNode(1, -1, 1, 1.0, 0.0), DraftNode(2, 0, 3, 1.0, 0.0)]
-        root_depth = [DraftNode(1, -1, 2, 1.0, 0.0)]
-        unordered = [DraftNode(1, -1, 1, 1.0, 0.0), DraftNode(2, 0, 2, 1.0, 0.0),
-                     DraftNode(3, -1, 1, 1.0, 0.0)]
-        for nodes, why in ((fwd, "parent must be an earlier row"), (bad_depth, "depth must be"),
-                           (root_depth, "depth must be"), (unordered, "depth order")):
+        fwd = [(1, 1, 1), (2, -1, 1)]
+        bad_depth = [(1, -1, 1), (2, 0, 3)]
+        root_depth = [(1, -1, 2)]
+        unordered = [(1, -1, 1), (2, 0, 2), (3, -1, 1)]
+        for triples, why in ((fwd, "parent must be an earlier row"), (bad_depth, "depth must be"),
+                             (root_depth, "depth must be"), (unordered, "depth order")):
             with pytest.raises(ValueError, match=why):
-                verify_tree_greedy(DraftTree(nodes, root_token=0), target, target.new_cache())
+                verify_tree(layout_tree(triples), target, target.new_cache(), 0.0, None)

@@ -3,10 +3,12 @@
 ``ref_grow`` below is that grower: it proposes, dedups and prunes one
 candidate at a time, with the scalar inverse-CDF scan and the per-step
 mixture and contrast heads, and expands the beam-best nodes of every level,
-the parallel final level included.  The level-wise ``_grow`` must emit the same
-tree node for node (token, parent, depth, tag, q_prob, cum_score and the
-q_dist bytes), spend the same draft passes and leave the sampling rng in
-the same state, for every kind, mode and tree shape.
+the parallel final level included.  It keeps one node object per node and
+feeds each draft pass per-item ancestor lists.  The level-wise ``_grow`` must
+emit the same tree column for column (token, parent, depth, tag, cum_score,
+the drawn token's probability and the q_dist bytes), spend the same draft
+passes and leave the sampling rng in the same state, for every kind, mode
+and tree shape.
 """
 
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ import pytest
 from sdlab.draft import DraftConfig, DraftSession, DraftStepOutput, init_draft
 from sdlab.kernels import softmax
 from sdlab.target import TargetConfig, init_target
-from sdlab.tree import BRANCH_LEFT, BRANCH_NONE, BRANCH_RIGHT, DraftNode, DraftTree, _grow
+from sdlab.tree import BRANCH_LEFT, BRANCH_NONE, BRANCH_RIGHT, _grow
 
 from test_kernels import ref_inverse_cdf_sample
 
@@ -42,6 +44,24 @@ def ref_pick(dist, mode, rng):
     if mode == "greedy":
         return int(np.argmax(dist))
     return ref_inverse_cdf_sample(dist, rng.random())
+
+
+@dataclass
+class RefNode:
+    token: int
+    parent: int          # index into RefTree.nodes, or -1 for the root
+    depth: int
+    q_prob: float
+    cum_score: float
+    branch_tag: str
+    q_dist: np.ndarray
+
+
+@dataclass
+class RefTree:
+    nodes: list[RefNode]
+    root_token: int
+    root_context_len: int
 
 
 @dataclass
@@ -112,7 +132,7 @@ def ref_grow(session, prev_feature, start_token, gamma, *, kind, top_k=1, beam=6
             cands = [cands[i] for i in sorted(ranked[:beam])]
         layer_idx = []
         for c in cands:
-            nodes.append(DraftNode(c.token, c.parent, c.depth, c.q_prob, c.cum, c.tag, c.q_dist))
+            nodes.append(RefNode(c.token, c.parent, c.depth, c.q_prob, c.cum, c.tag, c.q_dist))
             layer_idx.append(len(nodes) - 1)
         # the beam-best nodes get children, on the parallel final level too
         exp = layer_idx
@@ -133,17 +153,17 @@ def ref_grow(session, prev_feature, start_token, gamma, *, kind, top_k=1, beam=6
                         ranked = sorted(range(len(final)), key=lambda i: (-final[i].cum, i))
                         final = [final[i] for i in sorted(ranked[:beam])]
                 for c in final:
-                    nodes.append(DraftNode(c.token, c.parent, gamma, c.q_prob, c.cum, c.tag, c.q_dist))
+                    nodes.append(RefNode(c.token, c.parent, gamma, c.q_prob, c.cum, c.tag, c.q_dist))
             break
         by_node = {pidx: (out, rows) for pidx, out, rows in frontier}
         items = []
         for i in exp:
             pout, parent_rows = by_node[nodes[i].parent]
-            items.append((nodes[i].token, pout.feature_moe, parent_rows, nodes[i].depth))
-        level, ids = session.tree_level(items)
+            items.append((nodes[i].token, pout.feature_moe, parent_rows))
+        level, ids = session.tree_level(*zip(*items))  # tokens, features, ancestor rows
         frontier = [(i, level.row(r), by_node[nodes[i].parent][1] + [ids[r]])
                     for r, i in enumerate(exp)]
-    return DraftTree(nodes=nodes, root_token=start_token, root_context_len=context_len)
+    return RefTree(nodes, start_token, context_len)
 
 
 # --------------------------------------------------------------------- tests
@@ -154,12 +174,14 @@ def target():
 
 
 def assert_same_tree(got, want):
-    assert (got.root_token, got.root_context_len, len(got)) == (
-        want.root_token, want.root_context_len, len(want))
-    for g, w in zip(got.nodes, want.nodes):
-        assert (g.token, g.parent, g.depth, g.branch_tag) == (w.token, w.parent, w.depth, w.branch_tag)
-        assert g.q_prob == w.q_prob and g.cum_score == w.cum_score
-        assert np.array_equal(g.q_dist, w.q_dist)
+    assert (got.root_token, got.root_context_len) == (want.root_token, want.root_context_len)
+    w = want.nodes
+    for field, attr in (("token", "token"), ("parent", "parent"), ("depth", "depth"),
+                        ("cum_score", "cum_score"), ("tag", "branch_tag")):
+        assert np.array_equal(got.nodes[field], [getattr(n, attr) for n in w]), field
+    assert np.array_equal(got.q_dist, np.array([n.q_dist for n in w]))
+    q = got.q_dist[np.arange(len(got)), got.nodes["token"]]
+    assert np.array_equal(q, [n.q_prob for n in w])
 
 
 def compare_growth(draft, kind, parallel, mode, shapes, seed, temperatures=(1.0,)):
@@ -221,19 +243,25 @@ def test_greedy_dedup_keeps_the_better_copy(target, twins):
     trees = compare_growth(draft, "moe", False, "greedy", [(3, 3, 60)] * 6, 7)
     swapped = 0
     for tree in trees:
-        for kids in (tree.children(i) for i in range(-1, len(tree))):
-            tags = [tree.nodes[k].branch_tag for k in kids]
+        for i in range(-1, len(tree)):
+            tags = tree.nodes["tag"][tree.nodes["parent"] == i].tolist()
             swapped += BRANCH_RIGHT in tags and BRANCH_LEFT in tags[tags.index(BRANCH_RIGHT):]
     if twins:
-        assert all(n.branch_tag == BRANCH_LEFT for tree in trees for n in tree.nodes)
+        assert all((tree.nodes["tag"] == BRANCH_LEFT).all() for tree in trees)
     else:
         assert swapped > 0
 
 
-@pytest.mark.parametrize("mode", ["greedy", "sample"])
-def test_empty_levels_still_spend_their_passes(target, mode):
+@pytest.mark.parametrize("top_k,beam", [(0, 4), (2, 0), (0, 0)])
+def test_empty_trees_are_rejected(target, top_k, beam):
+    # top_k or beam 0 would leave a level without nodes
     draft = init_draft(DraftConfig(), target, seed=2)
-    compare_growth(draft, "moe", True, mode, [(4, 0, 4), (4, 2, 0), (3, 1, 0)], 3)
+    sess = DraftSession(draft)
+    for temperature, rng in ((0.0, None), (1.0, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match="top_k and beam must be >= 1"):
+            _grow(sess, np.zeros(draft.dim), 3, 4, kind="moe", top_k=top_k, beam=beam,
+                  parallel=True, temperature=temperature, rng=rng)
+    assert sess.passes == 0
 
 
 def test_tied_probabilities_take_the_lower_token(target):
@@ -243,12 +271,12 @@ def test_tied_probabilities_take_the_lower_token(target):
     draft = init_draft(DraftConfig(), tied, seed=1)
     for kind in ("static", "moe"):
         trees = compare_growth(draft, kind, True, "greedy", [(3, 3, 60), (4, 2, 16)] * 4, 5)
-        picked = {n.token for tree in trees for n in tree.nodes}
+        picked = {t for tree in trees for t in tree.nodes["token"].tolist()}
         assert {2, 50} <= picked  # the tie was reached
 
 
 def levels_of(tree, gamma):
-    return [[i for i, n in enumerate(tree.nodes) if n.depth == d] for d in range(1, gamma + 1)]
+    return [np.flatnonzero(tree.nodes["depth"] == d).tolist() for d in range(1, gamma + 1)]
 
 
 @pytest.mark.parametrize("kind,parallel,nk", CASES, ids=lambda v: f"NK{v[0]}{v[1]}" if isinstance(v, tuple) else str(v))
@@ -265,12 +293,13 @@ def test_sampled_growth_expands_the_beam_best_nodes_of_every_level(target, kind,
                      kind=kind, top_k=top_k, beam=beam, parallel=parallel, temperature=1.0,
                      rng=rng)
         levels = levels_of(tree, gamma)
+        parent, cum = tree.nodes["parent"], tree.nodes["cum_score"]
         expanded = [-1]
         for d, level in enumerate(levels, start=1):
-            assert sorted({tree.nodes[i].parent for i in level}) == expanded
+            assert sorted(set(parent[level].tolist())) == expanded
             contrast = parallel and d == gamma
             assert len(level) == len(expanded) * (2 if kind == "moe" and not contrast else 1) * top_k
-            ranked = sorted(level, key=lambda i: (-tree.nodes[i].cum_score, i))
+            ranked = sorted(level, key=lambda i: (-cum[i], i))
             expanded = sorted(ranked[:beam])
 
 
@@ -286,4 +315,4 @@ def test_sampled_jakiro_round_at_the_bench_shape_has_180_nodes(target):
                      rng=rng)
         assert [len(level) for level in levels_of(tree, 5)] == [4, 16, 64, 64, 32]
         assert len(tree) == 180
-        assert len({tree.nodes[i].parent for i in levels_of(tree, 5)[4]}) == 16
+        assert len(set(tree.nodes["parent"][levels_of(tree, 5)[4]].tolist())) == 16

@@ -8,15 +8,10 @@ import pytest
 from sdlab.draft import DraftConfig, DraftSession, init_draft
 from sdlab.kernels import inverse_cdf_sample, softmax
 from sdlab.target import TargetConfig, init_target
-from sdlab.tree import DraftNode, DraftTree, grow_moe_tree, grow_static_tree
-from sdlab.verify import (
-    accept_token,
-    residual_dist,
-    verify_tree,
-    verify_tree_greedy,
-    verify_tree_sampling,
-)
+from sdlab.tree import NODE, DraftTree, grow_moe_tree, grow_static_tree
+from sdlab.verify import accept_token, residual_dist, verify_tree
 
+from test_row_kernel import random_tree
 from test_target import cache_bytes, clone_cache
 
 V = 8
@@ -147,12 +142,110 @@ class ScriptedRng:
         return self.values.pop(0)
 
 
+def records(triples):
+    """NODE records of (token, parent, depth) triples, with zero scores."""
+    return np.array([(t, p, d, 0.0, "none") for t, p, d in triples], dtype=NODE)
+
+
 def star_tree(tokens, dists, root_token, context_len):
-    nodes = [
-        DraftNode(t, -1, 1, float(d[t]), float(np.log(d[t])), "none", d)
-        for t, d in zip(tokens, dists)
-    ]
-    return DraftTree(nodes, root_token=root_token, root_context_len=context_len)
+    nodes = records([(t, -1, 1) for t in tokens])
+    return DraftTree(nodes, np.array(dists), root_token, context_len)
+
+
+def chain_tree(tokens, dist, root_token, context_len):
+    """A chain of tokens under the root, each drawn from dist."""
+    nodes = records([(t, d - 2, d) for d, t in enumerate(tokens, start=1)])
+    return DraftTree(nodes, np.tile(dist, (len(tokens), 1)), root_token, context_len)
+
+
+# ------------------------------------------------------------ walk oracles
+
+def tree_columns(tree):
+    """Tokens, parent rows and positions of tree's verification forward:
+    row 0 is the pending root token and row 1 + i is node i."""
+    nodes = tree.nodes.tolist()
+    return ([tree.root_token] + [n[0] for n in nodes], [-1] + [n[1] + 1 for n in nodes],
+            [0] + [n[2] for n in nodes])
+
+
+def walk_oracle(tree, logits, temperature, rng):
+    """The node-by-node walks: children from a dict of child lists in node
+    order, the greedy walk at temperature 0 and residual speculative
+    sampling otherwise, where a node without children ends the walk with a
+    draw from the target; (path, final token)."""
+    nodes = tree.nodes.tolist()
+    kids = {}
+    for i, n in enumerate(nodes):
+        kids.setdefault(n[1], []).append(i)
+    path, cur = [], -1
+    while True:
+        if temperature == 0.0:
+            t_star = int(np.argmax(logits[cur + 1]))
+            match = [ch for ch in kids.get(cur, []) if nodes[ch][0] == t_star]
+            if not match:
+                return path, t_star
+            cur = match[0]
+        else:
+            p = softmax(logits[cur + 1], temperature)
+            if cur not in kids:
+                return path, inverse_cdf_sample(p, rng.random())
+            for ch in kids[cur]:
+                if accept_token(p, tree.q_dist[ch], nodes[ch][0], rng.random()):
+                    break
+                p = residual_dist(p, tree.q_dist[ch])
+            else:
+                return path, inverse_cdf_sample(p, rng.random())
+            cur = ch
+        path.append(cur)
+
+
+class ScriptedTarget:
+    """A target whose tree forward returns fixed logits, one row per tree
+    row, after checking the columns it is given."""
+
+    def __init__(self, logits, columns):
+        self.logits, self.columns = logits, columns
+
+    def forward_tree_kv(self, cache, tokens, parents, positions):
+        got = [np.asarray(c).tolist() for c in (tokens, parents, positions)]
+        assert got == [list(c) for c in self.columns]
+        return self.logits, np.zeros((len(self.logits), 2)), None
+
+
+def random_walk_tree(rng):
+    """A random level-ordered forest under the root with scripted target
+    logits.  Rows are stably sorted by depth, so a level's parent column
+    often decreases, which the grower never emits.  Each node's token is
+    its parent row's argmax half the time, and its draft distribution is
+    half the target's (at T=1) and half a random one, so walks go deep."""
+    m = int(rng.integers(1, 40))
+    parents, depth = random_tree(rng, m, p_child=rng.uniform(0.6, 1.0))
+    logits = rng.normal(scale=2.0, size=(m + 1, V))
+    rows = parents + 1
+    tokens = np.where(rng.random(m) < 0.5, logits[rows].argmax(axis=1), rng.integers(0, V, m))
+    nodes = records(zip(tokens.tolist(), parents.tolist(), (depth + 1).tolist()))
+    q_dist = 0.5 * softmax(logits[rows]) + 0.5 * rng.dirichlet(np.ones(V), size=m)
+    tree = DraftTree(nodes, q_dist, int(rng.integers(0, V)), 0)
+    return tree, ScriptedTarget(logits, tree_columns(tree))
+
+
+def test_walks_match_the_node_by_node_oracle_on_random_trees(small_target):
+    rng = np.random.default_rng(2024)
+    decreasing = deep = 0
+    for _ in range(250):
+        tree, target = random_walk_tree(rng)
+        decreasing += bool((np.diff(tree.nodes["parent"]) < 0).any())
+        for temperature in (0.0, 0.6, 1.0):
+            seed = int(rng.integers(0, 2**32))
+            got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = verify_tree(tree, target, small_target.new_cache(), temperature, got_rng)
+            path, final = walk_oracle(tree, target.logits, temperature, ref_rng)
+            assert out.commit_indices == [0] + [1 + i for i in path]
+            assert out.accepted == tree.nodes["token"][path].tolist()
+            assert out.final_token == final
+            assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+            deep += len(path) >= 2
+    assert decreasing > 100 and deep > 250  # the cases the walks could get wrong were reached
 
 
 class TestWalkMechanics:
@@ -168,8 +261,7 @@ class TestWalkMechanics:
         tok = int(np.argmax(p))
         tree = star_tree([tok], [p], pending, cache.length)
         for u in (0.0, 0.3, 0.999):
-            outcome = verify_tree_sampling(tree, small_target, cache, 1.0,
-                                           ScriptedRng([u, 0.5]))
+            outcome = verify_tree(tree, small_target, cache, 1.0, ScriptedRng([u, 0.5]))
             assert outcome.accepted == [tok]
 
     def test_forced_rejection_resamples_from_residual(self, small_target):
@@ -187,8 +279,8 @@ class TestWalkMechanics:
         tree = star_tree([tok], [q], pending, cache.length)
         # u0 just above the acceptance threshold forces rejection; u1 picks by CDF
         u1 = 0.5
-        outcome = verify_tree_sampling(tree, small_target, cache, 1.0,
-                                       ScriptedRng([min(a + 1e-9, 0.9999999), u1]))
+        outcome = verify_tree(tree, small_target, cache, 1.0,
+                              ScriptedRng([min(a + 1e-9, 0.9999999), u1]))
         assert outcome.accepted == []
         cdf = np.cumsum(res)
         expected = int(np.searchsorted(cdf, u1, side="right"))
@@ -208,8 +300,7 @@ class TestWalkMechanics:
         tree = star_tree([tok], [q], pending, cache.length)
         # u0 above p(tok)/q(tok) = 1 - O(1e-12) rejects; u1 draws from p itself
         u1 = 0.5
-        outcome = verify_tree_sampling(tree, small_target, cache, 1.0,
-                                       ScriptedRng([1.0 - 1e-15, u1]))
+        outcome = verify_tree(tree, small_target, cache, 1.0, ScriptedRng([1.0 - 1e-15, u1]))
         assert outcome.accepted == []
         assert outcome.final_token == int(np.searchsorted(np.cumsum(p), u1, side="right"))
 
@@ -219,7 +310,7 @@ class TestWalkMechanics:
         sess = DraftSession(small_draft)
         tree = grow_static_tree(sess, feats[-1], 3, 2, 2, context_len=cache.length)
         before = cache_bytes(cache)
-        outcome = verify_tree_greedy(tree, small_target, cache)
+        outcome = verify_tree(tree, small_target, cache, 0.0, None)
         assert cache_bytes(cache) == before
         assert outcome.commit_indices[0] == 0
         assert len(outcome.commit_indices) == 1 + len(outcome.accepted)
@@ -235,12 +326,8 @@ class TestWalkMechanics:
         cache = small_target.new_cache()
         for t in prompt[:-1]:
             small_target.forward_cached(cache, t)
-        nodes = []
-        uniform = np.full(V, 1.0 / V)
-        for depth, tok in enumerate(greedy[:gamma], start=1):
-            nodes.append(DraftNode(tok, depth - 2, depth, 1.0 / V, 0.0, "none", uniform))
-        tree = DraftTree(nodes, root_token=prompt[-1], root_context_len=cache.length)
-        outcome = verify_tree_greedy(tree, small_target, cache)
+        tree = chain_tree(greedy[:gamma], np.full(V, 1.0 / V), prompt[-1], cache.length)
+        outcome = verify_tree(tree, small_target, cache, 0.0, None)
         assert outcome.accepted == greedy[:gamma]
         assert outcome.final_token == greedy[gamma]
         assert len(outcome.accepted) + 1 == gamma + 1  # tau = gamma + 1 this round
@@ -262,22 +349,30 @@ class TestWalkMechanics:
             cache = target.new_cache()
             for t in prompt[:-1]:
                 target.forward_cached(cache, t)
-            nodes = [DraftNode(0, d - 2, d, 1 / 64, 0.0, "none", uniform) for d in (1, 2, 3)]
-            tree = DraftTree(nodes, root_token=prompt[-1], root_context_len=cache.length)
-            outcome = verify_tree_greedy(tree, target, cache)
+            tree = chain_tree([0, 0, 0], uniform, prompt[-1], cache.length)
+            outcome = verify_tree(tree, target, cache, 0.0, None)
             rounds += 1
             emitted += len(outcome.accepted) + 1
         tau = emitted / rounds
         assert 1.0 <= tau <= 1.2
 
-    def test_temperature_zero_routes_to_greedy(self, small_target, small_draft):
+    def test_temperature_picks_the_walk(self, small_target, small_draft):
         cache = small_target.new_cache()
         feats = [small_target.forward_cached(cache, t).feature for t in [1, 2]]
         sess = DraftSession(small_draft)
         tree = grow_static_tree(sess, feats[-1], 3, 2, 2, context_len=cache.length)
-        a = verify_tree(tree, small_target, cache, 0.0, None)
-        b = verify_tree_greedy(tree, small_target, cache)
-        assert a.accepted == b.accepted and a.final_token == b.final_token
+        logits = small_target.forward_tree_kv(cache, *tree_columns(tree))[0]
+        greedy = verify_tree(tree, small_target, cache, 0.0, None)  # no rng needed
+        path, final = walk_oracle(tree, logits, 0.0, None)
+        assert (greedy.commit_indices[1:], greedy.final_token) == ([1 + i for i in path], final)
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        sampled = verify_tree(tree, small_target, cache, 0.6, rng)
+        path, final = walk_oracle(tree, logits, 0.6, ref)
+        assert (sampled.commit_indices[1:], sampled.final_token) == ([1 + i for i in path], final)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        for bad in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match="temperature must be >= 0"):
+                verify_tree(tree, small_target, cache, bad, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +413,7 @@ def draft_level_dists(target, draft, ctx, kind, temperature=1.0):
     lvl1 = dists(out0)
     lvl2 = {}
     for t in range(V):
-        stp = sess.tree_level([(t, out0.feature_moe, [], 1)])[0].row(0)
+        stp = sess.tree_level([t], [out0.feature_moe], [[]])[0].row(0)
         lvl2[t] = dists(stp)
     return lvl1, lvl2
 
@@ -494,7 +589,7 @@ def real_rounds(target, draft, ctx, n, grow, top_k, **kw):
         cache = clone_cache(cache0)
         tree = grow(sess, feats[-2], ctx[-1], 2, top_k, temperature=1.0,
                     rng=rng, context_len=cache.length, **kw)
-        outcome = verify_tree_sampling(tree, target, cache, 1.0, rng)
+        outcome = verify_tree(tree, target, cache, 1.0, rng)
         yield outcome.accepted + [outcome.final_token], len(outcome.accepted)
 
 
