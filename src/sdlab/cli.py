@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -37,6 +38,32 @@ from .train import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INVARIANT = 3
+
+
+def _at_least(low):
+    return f">= {low}", lambda v: v >= low
+
+
+# the numeric flags of each subcommand that does work before it can fail;
+# training reads next-token targets, so every sequence needs 2 tokens
+FLAG_RULES = {
+    "gen-corpus": {"--sequences": _at_least(1), "--seq-len": _at_least(2),
+                   "--temperature": ("finite and >= 0", lambda v: 0 <= v < math.inf)},
+    "train": {"--sequences": _at_least(1), "--seq-len": _at_least(2), "--steps": _at_least(1),
+              "--lr": ("finite and > 0", lambda v: 0 < v < math.inf),
+              "--batch-size": _at_least(1), "--log-every": _at_least(0)},
+    # beta and alpha are always audited, so fewer than 2 coordinates is a miscount
+    "gradcheck": {"--coords": _at_least(2), "--h": ("in [1e-6, 1e-4]", lambda v: 1e-6 <= v <= 1e-4),
+                  "--sequences": _at_least(1), "--seq-len": _at_least(2)},
+}
+
+
+def _check_flags(args) -> None:
+    """Reject an out-of-range or NaN numeric flag before any work."""
+    for flag, (what, ok) in FLAG_RULES.get(args.command, {}).items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if not ok(value):
+            raise ConfigError(f"{flag}: must be {what}, got {value!r}")
 
 
 def _config_from_args(args) -> RunConfig:
@@ -190,6 +217,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

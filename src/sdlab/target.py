@@ -291,7 +291,9 @@ class TargetModel:
                 probs = softmax(out.logits, temperature)
                 nxt = inverse_cdf_sample(probs, rng.random())
             emitted.append(nxt)
-            out = self.forward_cached(cache, nxt)
+            # no step for the last token: its logits would never be read
+            if len(emitted) < max_new:
+                out = self.forward_cached(cache, nxt)
         return emitted
 
 

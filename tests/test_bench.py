@@ -350,6 +350,31 @@ class TestCli:
         rep = read_report(str(rp))
         assert set(rep["metrics"]) == {"vanilla", "chain"}
 
+    @pytest.mark.parametrize("argv,msg", [
+        (["gen-corpus", "--sequences", "-1"], "--sequences: must be >= 1, got -1"),
+        (["gen-corpus", "--sequences", "0"], "--sequences: must be >= 1, got 0"),
+        (["gen-corpus", "--seq-len", "0"], "--seq-len: must be >= 2, got 0"),
+        (["gen-corpus", "--temperature=-1"], "--temperature: must be finite and >= 0"),
+        (["gen-corpus", "--temperature", "nan"], "--temperature: must be finite and >= 0"),
+        (["train", "--steps", "0"], "--steps: must be >= 1, got 0"),
+        (["train", "--seq-len", "1"], "--seq-len: must be >= 2, got 1"),
+        (["train", "--batch-size", "0"], "--batch-size: must be >= 1, got 0"),
+        (["train", "--lr", "nan"], "--lr: must be finite and > 0, got nan"),
+        (["train", "--lr", "inf"], "--lr: must be finite and > 0, got inf"),
+        (["train", "--sequences", "0"], "--sequences: must be >= 1, got 0"),
+        (["train", "--log-every", "-1"], "--log-every: must be >= 0, got -1"),
+        (["gradcheck", "--coords", "0"], "--coords: must be >= 2, got 0"),
+        (["gradcheck", "--h", "nan"], "--h: must be in [1e-6, 1e-4], got nan"),
+        (["gradcheck", "--seq-len", "1"], "--seq-len: must be >= 2, got 1"),
+        (["gradcheck", "--sequences", "0"], "--sequences: must be >= 1, got 0"),
+    ])
+    def test_bad_numeric_flag_exit_2(self, tmp_path, capsys, argv, msg):
+        out = tmp_path / "out.bin"
+        extra = [] if argv[0] == "gradcheck" else ["--out", str(out)]
+        assert main([*argv, *extra]) == 2
+        assert f"config error: {msg}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_gradcheck_ok(self, capsys):
         rc = main(["gradcheck", "--coords", "8", "--sequences", "4", "--seq-len", "8"])
         assert rc == 0

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from sdlab.kernels import inverse_cdf_sample, softmax
 from sdlab.target import KvCache, TargetConfig, init_target, load_target, save_target
 
 # first pinned run of the deterministic model (seed 0, empty cache, token 0)
@@ -133,6 +134,26 @@ class TestDecode:
         c = model.autoregressive_decode([1, 2, 3], 10, temperature=0.0, rng_seed=999)
         assert a == c  # greedy is rng-independent
 
+    @pytest.mark.parametrize("temperature", [0.0, 0.6])
+    def test_no_step_after_the_last_token(self, model, monkeypatch, temperature):
+        # reference: one step after every emitted token, the last one included
+        rng = np.random.Generator(np.random.PCG64(5))
+        cache = model.new_cache()
+        out = model.prefill(cache, [1, 2, 3])[-1]
+        expected = []
+        for _ in range(12):
+            if temperature == 0.0:
+                expected.append(int(np.argmax(out.logits)))
+            else:
+                expected.append(inverse_cdf_sample(softmax(out.logits, temperature), rng.random()))
+            out = model.forward_cached(cache, expected[-1])
+        steps = []
+        step = model.forward_cached
+        monkeypatch.setattr(model, "forward_cached", lambda c, t: steps.append(t) or step(c, t))
+        tokens = model.autoregressive_decode([1, 2, 3], 12, temperature, rng_seed=5)
+        assert tokens == expected
+        assert steps == expected[:-1]
+
     def test_max_new_zero(self, model):
         assert model.autoregressive_decode([1], 0) == []
 
@@ -148,8 +169,6 @@ class TestDecode:
         out = None
         for t in [1, 2, 3]:
             out = small.forward_cached(cache, t)
-        from sdlab.kernels import softmax
-
         expected = softmax(out.logits, 1.0)
         n = 10_000
         counts = np.zeros(8)
