@@ -92,7 +92,10 @@ def cmd_train(args) -> int:
     cfg = _config_from_args(args)
     target, draft = build_models(cfg)
     if args.corpus:
-        corpus = load_corpus(args.corpus, target)
+        try:
+            corpus = load_corpus(args.corpus, target)
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"--corpus: {e}")
     else:
         corpus = generate_distillation_corpus(target, args.sequences, args.seq_len, seed=cfg.seed)
     tc = TrainConfig(lr=args.lr, batch_size=args.batch_size, seed=cfg.seed)

@@ -9,20 +9,23 @@ scores and active experts.  The contrast head beta * f_top1 - alpha * f_top2
 reads the learned scalars beta and alpha from the parameters.
 
 Every draft forward goes through one row kernel that takes m rows at once:
-``_kv_rows`` (embedding, reduction, norm and the q/k/v projections) and
-``_out_rows`` (attention over each row's own context, routing, experts and
-heads).  A ``DraftSession`` owns a prompt's cache and next position: a
-round's first pass commits its backlog rows in one call (one token is one
-sequential step), a tree level is one call over all its rows, and prefill
-needs only the first half.  Linear layers run per row, routing takes a row
-softmax and a stable row argsort, each expert runs on just the rows that
-selected it, and the gated mixture accumulates in ascending expert order,
-so each row is bit for bit what a lone step would give (see kernels.py for
-the attention).
-All rows of a tree level share one depth, so a level takes its rows'
-ancestors as one (rows, depth - 1) array and its attention layout is one
-group built straight from it: the committed rows, then the ancestors in
-ascending order, then the row itself.
+``_kv_rows`` (embedding, reduction, norm and the q/k/v projections), then
+attention over each row's own context (``target.attend``), then
+``_out_rows`` (routing, experts and heads).  A ``DraftSession`` owns a
+prompt's cache and next position: a round's first pass commits its backlog
+rows in one call (one token is one sequential step), a tree level is one
+call over all its rows, and prefill needs only the first half.  Linear
+layers run per row, routing takes a row softmax and a stable row argsort,
+each expert runs on just the rows that selected it, and the gated mixture
+accumulates in ascending expert order, so each row is bit for bit what a
+lone step would give (see kernels.py for the attention).
+A round's tentative rows live in the cache's buffer past its committed
+rows, in creation order.  All rows of a tree level share one depth, so a
+level takes its rows' ancestors as one (rows, depth - 1) array, and its
+attention layout is one group gathered from the buffer: the committed
+rows, then the ancestors in ascending order, then the row itself.  A
+one-row level whose ancestors are all of the round's rows, a chain level,
+reads that context in place as a slice.
 A tree level gets its outputs back as one ``DraftStepOutput`` whose fields
 carry a leading row axis, so tree growth works on whole levels; the mixture
 and contrast heads take such a stack as well as a single step.
@@ -38,9 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (SINGLE_ROW, attn_row, chain_group, context_heads, layer_norm, row_linear, silu,
-                      sinusoid_positions, softmax)
-from .target import KvCache, TargetModel
+from .kernels import chain_group, layer_norm, row_linear, silu, sinusoid_positions, softmax
+from .target import KvCache, TargetModel, attend
 
 MAGIC_DRAFT = b"SDFD"
 CHECKPOINT_VERSION = 1
@@ -130,22 +132,15 @@ class DraftModel:
         a_in = layer_norm(x, p["ln1_g"], p["ln1_b"]) if cfg.use_ln else x
         return x, row_linear(p["wq"], a_in), row_linear(p["wk"], a_in), row_linear(p["wv"], a_in)
 
-    def _out_rows(self, x, q, keys, values, groups) -> DraftStepOutput:
-        """Second half of the row kernel: the step outputs of the rows of x
-        and q, stacked along a leading row axis.
+    def _out_rows(self, x, att) -> DraftStepOutput:
+        """Second half of the row kernel: the step outputs of the rows of x,
+        given their attention outputs att, stacked along a leading row axis.
 
-        Each row attends to the columns of keys / values that ``groups``
-        gives it; then the router picks its experts and the heads turn the
-        two best branches into logits.
+        The router picks each row's experts and the heads turn the two best
+        branches into logits.
         """
         cfg = self.config
         p = self.params
-        H = cfg.n_heads
-        att = np.empty_like(q)
-        for rows, idx in groups:
-            qh = q[rows].reshape(-1, H, cfg.dim // H)
-            att[rows] = attn_row(qh, context_heads(keys, idx, H),
-                                 context_heads(values, idx, H)).reshape(qh.shape[0], -1)
         u = x + row_linear(p["wo"], att)
         v_in = layer_norm(u, p["ln2_g"], p["ln2_b"]) if cfg.use_ln else u
         # the router: a row softmax and the active_k best experts, ties to the lower index
@@ -200,17 +195,17 @@ class DraftModel:
 
 class DraftSession:
     """Per-prompt drafting state: the committed rows' one-layer cache and the
-    next position, a per-round tentative row buffer for tree exploration, and
-    the draft forward-pass counter (one count per batched pass: a round's
-    opening pass and each tree level)."""
+    next position, the count of this round's tentative rows, which follow
+    the committed rows in the cache's buffer, and the draft forward-pass
+    counter (one count per batched pass: a round's opening pass and each
+    tree level)."""
 
     def __init__(self, model: DraftModel):
         self.model = model
         self.cache = KvCache(1, model.dim)
         self.next_pos = 1
         self.passes = 0
-        # this round's tentative rows: (rows, dim) keys and values
-        self._tk = self._tv = np.zeros((0, model.dim))
+        self._tentative = 0
 
     def _commit(self, tokens, prev_features):
         """Append committed rows at the next positions in one pass; returns
@@ -237,10 +232,12 @@ class DraftSession:
         if not tokens:
             raise ValueError("begin_round needs at least the pending token")
         self.passes += 1
-        self._tk = self._tv = np.zeros((0, self.model.dim))
+        self._tentative = 0
         x, q = self._commit(tokens, prev_features)
-        return self.model._out_rows(x, q, self.cache.keys(0), self.cache.values(0),
-                                    SINGLE_ROW).row(0)
+        # the pending token's row is the last committed one: a causal row
+        att = attend(q, self.cache.keys(0), self.cache.values(0), self.model.config.n_heads,
+                     self.cache.length - 1)
+        return self.model._out_rows(x, att).row(0)
 
     def tree_level(self, tokens, prev_features, ancestors) -> tuple[DraftStepOutput, np.ndarray]:
         """One tentative pass over a tree level.
@@ -252,14 +249,15 @@ class DraftSession:
         one depth, so the level is one attention group: each row attends to
         the committed rows, then its ancestors, then itself.  Returns the
         rows' step outputs stacked along a leading row axis and their row
-        ids; rows are discarded when the next round begins.
+        ids; rows are discarded when the next round begins.  Only the
+        cache's scratch rows are written.
         """
         anc = np.asarray(ancestors, dtype=np.intp)
         m = len(tokens)
         if m < 1 or anc.ndim != 2 or anc.shape[0] != m:
             raise ValueError(f"a tree level needs a (rows, depth - 1) ancestor array for its "
                              f"{m} rows, got shape {anc.shape}")
-        t = self._tk.shape[0]
+        t = self._tentative
         bad = ((anc < 0) | (anc >= t)).any(axis=1)
         if bad.any():
             raise ValueError(f"row {int(np.argmax(bad))}: ancestor row out of range [0, {t})")
@@ -268,15 +266,18 @@ class DraftSession:
             raise ValueError(f"row {int(np.argmax(bad))}: ancestor rows must ascend")
         self.passes += 1
         c = self.cache.length
+        H = self.model.config.n_heads
         ids = np.arange(t, t + m)
-        chains = np.concatenate((anc, ids[:, None]), axis=1)
         x, q, k, v = self.model._kv_rows(tokens, [self.next_pos + anc.shape[1]] * m, prev_features)
-        keys = np.concatenate((self.cache.keys(0), self._tk, k))
-        values = np.concatenate((self.cache.values(0), self._tv, v))
-        out = self.model._out_rows(x, q, keys, values, chain_group(c, np.arange(m), chains))
-        self._tk = keys[c:]
-        self._tv = values[c:]
-        return out, ids
+        keys, values = self.cache.scratch(0, t, k, v)
+        if m == 1 and anc.shape[1] == t:
+            # t ascending rows of [0, t) are all of them: a causal pass
+            att = attend(q, keys, values, H, c + t)
+        else:
+            chains = np.concatenate((anc, ids[:, None]), axis=1)
+            att = attend(q, keys, values, H, c, chain_group(c, np.arange(m), chains))
+        self._tentative = t + m
+        return self.model._out_rows(x, att), ids
 
 
 def init_draft(config: DraftConfig, target: TargetModel, seed: int = 1) -> DraftModel:

@@ -13,26 +13,29 @@ each row comes out bit for bit as it would alone.  Three rules make that
 hold: linear layers run one matrix-vector product per row (``row_linear``;
 a GEMM would block its sums differently), row-wise reductions run along
 the contiguous last axis, where numpy sums every row as it would sum a
-vector, and attention gathers each row's context in its sequential key
-order and only batches rows of equal context length (``attn_row``), so
-every softmax reduces the same values in the same order.
+vector, and attention reads each row's context in its sequential key order
+with the same strides whichever way it is formed and only batches rows of
+equal context length (``attn_row``), so every softmax reduces the same
+values in the same order.
 
-Each pass takes its attention groups from data it already holds: a lone
-decode step attends to the whole cache (``SINGLE_ROW``), a prompt prefill
-gives row i the first c+i+1 columns, and tree rows of one depth share one
-context length, so a draft tree level is one group built from the rows'
-ancestor chains (``chain_group``) and each depth of a verified tree one
-group extending the depth before it (``target.tree_groups``).  No model
-pass builds a mask.
+A pass writes its own key/value rows into its cache's buffer past the
+committed rows and reads every context from that buffer.  In a causal pass
+(a decode step, a prompt prefill, a chain verify, a draft chain level) row
+i attends to the first c+i+1 buffer rows, which it reads in place as a
+slice.  Tree rows of one depth share one context length, so a branching
+draft tree level is one group gathered from the rows' ancestor chains
+(``chain_group``) and each depth of a verified tree one group extending the
+depth before it (``target.tree_groups``).  No model pass builds a mask.
 
 Importing this module pins glibc's malloc thresholds once for the process
-(``_pin_malloc_thresholds``).  Every target pass gathers each attention
-group's keys and values into fresh blocks of up to 512 KiB and frees them,
-and so do the ``(rows, 4 * dim)`` MLP temporaries.  With glibc's dynamic
-thresholds those frees trim the heap top, and the next pass faults the same
-pages back in: a wide sampled tree verify then spends much of its time in
-minor page faults.  Pinned, freed blocks stay on the heap for reuse.  The pin
-changes no arithmetic and does nothing on other C libraries.
+(``_pin_malloc_thresholds``).  A tree verify gathers each attention group's
+keys and values into fresh blocks of up to 512 KiB and frees them, and
+every pass does so with its ``(rows, 4 * dim)`` MLP temporaries.  With
+glibc's dynamic thresholds those frees trim the heap top, and the next pass
+faults the same pages back in: a wide sampled tree verify then spends much
+of its time in minor page faults.  Pinned, freed blocks stay on the heap
+for reuse.  The pin changes no arithmetic and does nothing on other C
+libraries.
 """
 
 from __future__ import annotations
@@ -159,17 +162,10 @@ def chain_group(c: int, rows: np.ndarray, chains: np.ndarray) -> list[tuple[np.n
     return cut_group(rows, idx)
 
 
-# the group of a single row that attends to every column in order
-SINGLE_ROW = [(slice(None), None)]
-
-
-def context_heads(kv: np.ndarray, idx: np.ndarray | None, n_heads: int) -> np.ndarray:
-    """Gather (g, n_heads, n, dh) per-head contexts of a group from kv (columns, dim).
-
-    idx None stands for a single row whose context is every column of kv in
-    order, which needs no gather.
-    """
-    ctx = kv[None] if idx is None else kv[idx]
+def context_heads(ctx: np.ndarray, n_heads: int) -> np.ndarray:
+    """The (g, n_heads, n, dh) per-head view of g contexts ctx (g, n, dim):
+    a gather ``kv[idx]`` or a slice ``kv[None, :n]`` of a key/value buffer,
+    which share their row and column strides."""
     g, n, d = ctx.shape
     return ctx.reshape(g, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)
 

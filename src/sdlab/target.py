@@ -5,17 +5,21 @@ The model is small enough for brute-force oracles (default vocab 64, width 32,
 is immutable after construction; each decoding session owns its KvCache.
 
 Sequential decoding and tree verification share one row kernel,
-``_forward_rows``, which forwards m rows through each layer at once: one
-row per decoded token, or every node of a candidate tree in a single pass.
-Each row attends to its own context (the cached prefix, then its tree
-ancestors, then itself, the order sequential decoding appends keys in), and
-the kernel's helpers keep every row's arithmetic equal to a lone row's (see
-kernels.py), so any root-to-leaf tree path reproduces the sequential outputs
-bit for bit.  A tree arrives as parent pointers and depths in level order,
-and each depth is one attention group (``tree_groups``); no mask is built.
-A prompt is prefilled in one pass as well: row i attends to the cached
-prefix and the prompt rows up to itself, which is what decoding the prompt
-token by token would give.
+``_forward_rows``, which forwards m rows through each layer at once: the
+tokens of a prompt, or every node of a candidate tree in a single pass.
+Each layer writes the rows' keys and values into the cache's buffer past
+its committed rows, and each row attends to its own context there (the
+cached prefix, then its tree ancestors, then itself, the order sequential
+decoding appends keys in).  The kernel's helpers keep every row's
+arithmetic equal to a lone row's (see kernels.py), so any root-to-leaf tree
+path reproduces the sequential outputs bit for bit.
+
+A pass is causal when row i attends to exactly the first c+i+1 rows: a
+prompt prefill, a decode step (a one-token prefill) and a chain-shaped tree.
+Its rows read their contexts in place as slices of the buffer.  Any other
+tree arrives as parent pointers and depths in level order, and each depth
+is one attention group gathered from the buffer (``tree_groups``); no mask
+is built.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (SINGLE_ROW, attn_row, context_heads, cut_group, inverse_cdf_sample,
-                      layer_norm, row_linear, silu, sinusoid_positions, softmax)
+from .kernels import (attn_row, context_heads, cut_group, inverse_cdf_sample, layer_norm,
+                      row_linear, silu, sinusoid_positions, softmax)
 
 MAGIC_TARGET = b"SDFM"
 CHECKPOINT_VERSION = 1
@@ -72,7 +76,13 @@ class LayerParams:
 
 
 class KvCache:
-    """Append-only per-layer key/value store for one decoding session."""
+    """Per-layer key/value rows of one decoding session.
+
+    Rows [:length] are committed and append-only.  Each buffer holds spare
+    rows past length: a pass writes its own rows there (``scratch``) and
+    reads its contexts from the buffer, and the next pass or commit
+    overwrites them.
+    """
 
     def __init__(self, n_layers: int, dim: int):
         self.n_layers = n_layers
@@ -89,7 +99,7 @@ class KvCache:
         for l in range(self.n_layers):
             for buf_list in (self._k, self._v):
                 nb = np.zeros((new_cap, self.dim))
-                nb[: self.length] = buf_list[l][: self.length]
+                nb[:cap] = buf_list[l]  # the scratch rows of a pass in flight too
                 buf_list[l] = nb
 
     def keys(self, layer: int) -> np.ndarray:
@@ -98,14 +108,23 @@ class KvCache:
     def values(self, layer: int) -> np.ndarray:
         return self._v[layer][: self.length]
 
+    def scratch(self, layer: int, start: int, new_k: np.ndarray,
+                new_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Write (m, dim) rows of one layer at rows length + start onward,
+        growing the buffers if needed; returns the layer's key and value
+        buffers up to the last row written."""
+        end = self.length + start + new_k.shape[0]
+        self._grow(end)
+        k, v = self._k[layer], self._v[layer]
+        k[end - new_k.shape[0] : end] = new_k
+        v[end - new_k.shape[0] : end] = new_v
+        return k[:end], v[:end]
+
     def extend(self, new_k: list[np.ndarray], new_v: list[np.ndarray]) -> None:
         """Append m rows per layer: new_k[l] and new_v[l] are (m, dim)."""
-        m = new_k[0].shape[0]
-        self._grow(self.length + m)
         for l in range(self.n_layers):
-            self._k[l][self.length : self.length + m] = new_k[l]
-            self._v[l][self.length : self.length + m] = new_v[l]
-        self.length += m
+            self.scratch(l, 0, new_k[l], new_v[l])
+        self.length += new_k[0].shape[0]
 
     def commit_rows(self, kv: "TreeKv", indices: list[int]) -> None:
         """Append the selected tree rows, in order, as if decoded sequentially."""
@@ -155,6 +174,30 @@ def tree_groups(c: int, parents: np.ndarray, depths: np.ndarray) -> list[tuple[n
     return groups
 
 
+def attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray, n_heads: int, c: int,
+           groups: list[tuple[np.ndarray, np.ndarray]] | None = None) -> np.ndarray:
+    """Attention of the m rows of q over the key and value buffer rows of
+    their pass: c context rows, then the pass's own.
+
+    With groups None the pass is causal: row i attends to the first c + i + 1
+    rows, read in place.  Otherwise each (rows, idx) group, from
+    ``tree_groups`` or ``chain_group``, gathers its rows' columns.
+    """
+    dh = q.shape[1] // n_heads
+    att = np.empty_like(q)
+    if groups is None:
+        qh, out = q.reshape(-1, 1, n_heads, dh), att.reshape(-1, 1, n_heads, dh)
+        kh, vh = context_heads(keys[None], n_heads), context_heads(values[None], n_heads)
+        for i in range(q.shape[0]):
+            out[i] = attn_row(qh[i], kh[..., : c + i + 1, :], vh[..., : c + i + 1, :])
+        return att
+    for rows, idx in groups:
+        qh = q[rows].reshape(-1, n_heads, dh)
+        att[rows] = attn_row(qh, context_heads(keys[idx], n_heads),
+                             context_heads(values[idx], n_heads)).reshape(qh.shape[0], -1)
+    return att
+
+
 class TargetModel:
     def __init__(self, config: TargetConfig, emb, layers, lnf_g, lnf_b, head):
         self.config = config
@@ -175,29 +218,27 @@ class TargetModel:
     def new_cache(self) -> KvCache:
         return KvCache(self.config.n_layers, self.config.dim)
 
-    def _check_token(self, token: int) -> None:
-        if not 0 <= token < self.config.vocab:
-            raise ValueError(f"token {token} out of vocab range [0, {self.config.vocab})")
-
     def _check_tokens(self, tokens) -> np.ndarray:
         """tokens as an array; the first one out of vocab raises."""
         tok = np.asarray(tokens, dtype=np.intp)
         bad = (tok < 0) | (tok >= self.config.vocab)
         if bad.any():
-            self._check_token(int(tok[np.argmax(bad)]))
+            raise ValueError(f"token {int(tok[np.argmax(bad)])} out of vocab range "
+                             f"[0, {self.config.vocab})")
         return tok
 
-    def _forward_rows(self, tokens, positions, prefix_k, prefix_v, groups):
+    def _forward_rows(self, tokens, positions, cache, groups):
         """The row kernel: forward m rows through the whole stack at once.
 
         Row i is token tokens[i] at absolute position positions[i].  Per
-        layer, prefix_k / prefix_v are the (c, dim) context rows before the
-        new ones; each row attends to the columns of concat(prefix, new
-        rows) that ``groups``, (rows, columns) pairs, give it.  Returns
-        logits (m, vocab), features (m, dim) and per-layer (m, dim) keys and
-        values of the new rows.
+        layer, the rows' keys and values are written to the cache's scratch
+        rows, right after its c committed rows, and each row attends to the
+        buffer as ``attend`` gives it: causally with groups None, else by
+        the (rows, columns) pairs of groups.  Returns logits (m, vocab),
+        features (m, dim) and per-layer (m, dim) keys and values of the new
+        rows.
         """
-        H = self.config.n_heads
+        c = cache.length
         x = self.emb[tokens] + sinusoid_positions(positions, self.config.dim)
         new_k, new_v = [], []
         for l, lp in enumerate(self.layers):
@@ -205,14 +246,8 @@ class TargetModel:
             q = row_linear(lp.wq, a_in)
             k = row_linear(lp.wk, a_in)
             v = row_linear(lp.wv, a_in)
-            keys = np.concatenate((prefix_k[l], k))
-            values = np.concatenate((prefix_v[l], v))
-            att = np.empty_like(q)
-            for rows, idx in groups:
-                qh = q[rows].reshape(-1, H, q.shape[1] // H)
-                att[rows] = attn_row(qh, context_heads(keys, idx, H),
-                                     context_heads(values, idx, H)).reshape(qh.shape[0], -1)
-            x = x + row_linear(lp.wo, att)
+            keys, values = cache.scratch(l, 0, k, v)
+            x = x + row_linear(lp.wo, attend(q, keys, values, self.config.n_heads, c, groups))
             m_in = layer_norm(x, lp.ln2_g, lp.ln2_b)
             x = x + row_linear(lp.w2, silu(row_linear(lp.w1, m_in)))
             new_k.append(k)
@@ -221,45 +256,39 @@ class TargetModel:
         return row_linear(self.head, f), f, new_k, new_v
 
     def forward_cached(self, cache: KvCache, token: int) -> StepOutput:
-        """Decode one token at the next position, extending the cache."""
-        self._check_token(token)
-        L = self.config.n_layers
-        logits, f, new_k, new_v = self._forward_rows(
-            [token], [cache.length], [cache.keys(l) for l in range(L)],
-            [cache.values(l) for l in range(L)], SINGLE_ROW)
-        cache.extend(new_k, new_v)
-        return StepOutput(logits=logits[0], feature=f[0])
+        """Decode one token at the next position, extending the cache: a
+        one-token ``prefill``."""
+        return self.prefill(cache, [token])[0]
 
     def prefill(self, cache: KvCache, tokens: list[int]) -> list[StepOutput]:
-        """Decode tokens at the next positions in one pass, extending the cache.
+        """Decode tokens at the next positions in one causal pass, extending
+        the cache.
 
         Row i attends to the cached prefix and rows 0..i, columns in order,
-        so each output and key/value row is bit for bit the one
-        ``forward_cached`` would give for that token in turn.
+        so each output and key/value row is bit for bit the one decoding the
+        tokens one at a time would give.
         """
         m = len(tokens)
         if m == 0:
             return []
         tok = self._check_tokens(tokens)
         c = cache.length
-        L = self.config.n_layers
-        logits, f, new_k, new_v = self._forward_rows(
-            tok, range(c, c + m), [cache.keys(l) for l in range(L)],
-            [cache.values(l) for l in range(L)],
-            [(slice(i, i + 1), np.arange(c + i + 1)[None]) for i in range(m)])
-        cache.extend(new_k, new_v)
+        logits, f, _, _ = self._forward_rows(tok, range(c, c + m), cache, None)
+        cache.length += m  # the pass wrote its rows in place
         return [StepOutput(logits=lg, feature=ft) for lg, ft in zip(logits, f)]
 
     def forward_tree_kv(self, cache, tokens, parents, positions):
-        """Batched tentative forward over the rows of a tree; the cache is not mutated.
+        """Batched tentative forward over the rows of a tree.  Committed rows
+        are not mutated; rows past the cache's length are scratch.
 
         parents[i] is the row of row i's parent, or -1 for a row that
         attends to the cache only, and positions[i] is row i's depth, which
-        is also its offset from the cache end (a chain would use 0, 1, 2,
-        ...); see ``tree_groups`` for the checks.  Each row attends to the
-        cache, its ancestors root first, then itself, all rows in one pass.
-        Returns logits (m, vocab), features (m, dim) and the rows' keys and
-        values, so accepted paths can be committed without recompute.
+        is also its offset from the cache end (a chain uses 0, 1, 2, ...);
+        see ``tree_groups`` for the checks.  Each row attends to the cache,
+        its ancestors root first, then itself, all rows in one pass; a
+        chain is a causal pass.  Returns logits (m, vocab), features (m,
+        dim) and the rows' keys and values, so accepted paths can be
+        committed without recompute.
         """
         tok = self._check_tokens(tokens)
         par = np.asarray(parents, dtype=np.intp)
@@ -267,11 +296,12 @@ class TargetModel:
         if not tok.shape == par.shape == pos.shape:
             raise ValueError("tokens, parents and positions differ in length")
         c = cache.length
-        L = self.config.n_layers
-        groups = tree_groups(c, par, pos)  # checks the layout before any row is computed
-        logits, f, new_k, new_v = self._forward_rows(
-            tok, c + pos, [cache.keys(l) for l in range(L)], [cache.values(l) for l in range(L)],
-            groups)
+        rows = np.arange(tok.shape[0])
+        if (pos == rows).all() and (par == rows - 1).all():
+            groups = None  # a chain: row i's parent is row i - 1
+        else:
+            groups = tree_groups(c, par, pos)  # checks the layout before any row is computed
+        logits, f, new_k, new_v = self._forward_rows(tok, c + pos, cache, groups)
         return logits, f, TreeKv(k=new_k, v=new_v)
 
     def autoregressive_decode(self, prompt, max_new, temperature=0.0, rng_seed=0):

@@ -105,9 +105,17 @@ def load_corpus(path: str, target: TargetModel) -> TrainBatch:
         blob = fh.read()
     if blob[:4] != MAGIC_CORPUS:
         raise ValueError("bad magic: not a corpus file")
+    if len(blob) < 4 + 16:
+        raise ValueError("corpus header truncated")
     n, t, v, d = struct.unpack_from("<4I", blob, 4)
     if v != target.vocab or d != target.dim:
         raise ValueError("corpus vocab/dim does not match the target model")
+    # training reads next-token targets, so every sequence needs 2 tokens
+    if n < 1 or t < 2:
+        raise ValueError(f"corpus needs sequences of at least 2 tokens, got {n} of {t} tokens")
+    # checked before the arrays the header asks for are allocated
+    if len(blob) != 4 + 16 + n * t * (4 + 8 * d):
+        raise ValueError("corpus length mismatch")
     tokens = np.zeros((n, t), dtype=np.int64)
     feats = np.zeros((n, t, d))
     off = 4 + 16
@@ -116,8 +124,10 @@ def load_corpus(path: str, target: TargetModel) -> TrainBatch:
         off += 4 * t
         feats[b] = np.frombuffer(blob, dtype="<f8", count=t * d, offset=off).reshape(t, d)
         off += 8 * t * d
-    if off != len(blob):
-        raise ValueError("corpus length mismatch")
+    if tokens.max() >= v:
+        raise ValueError(f"corpus token {int(tokens.max())} out of vocab range [0, {v})")
+    if not np.isfinite(feats).all():
+        raise ValueError("non-finite feature in corpus")
     probs = softmax(feats @ target.head.T)
     return TrainBatch(tokens=tokens, features=feats, probs=probs,
                       lengths=np.full(n, t, dtype=np.int64))

@@ -19,10 +19,10 @@ it: the left and the right expert branch of each row for moe trees, the
 branch mixture otherwise, and the contrast head for the parallel final
 level.  Candidates are ordered by parent row, then branch (left before
 right), then draw, and score cum_score = (parent cum_score + log branch
-score) + log q.  Each level is kept as the column slices it was computed
-as, and the records are built once per tree.  The draft pass of a level
-takes the ancestor rows of each of its rows as one array, which grows by
-a column per level.
+score) + log q.  A tree's records and q_dist rows are allocated once, for
+the most nodes its shape allows, and each level writes its own slice of
+them.  The draft pass of a level takes the ancestor rows of each of its
+rows as one array, which grows by a column per level.
 
 A grower's temperature picks the mode: 0 grows greedily and scores the
 tree with the plain (T=1) softmax, and T > 0 samples from the softmax at T,
@@ -96,11 +96,11 @@ def _top_k(dist: np.ndarray, k: int) -> np.ndarray:
     return top.reshape(*dist.shape[:-1], k)
 
 
-def _add_level(levels: list, dist: np.ndarray, parents: np.ndarray, pcum: np.ndarray,
-               tags: np.ndarray, top_k: int, greedy: bool, beam: int, rng,
-               logw: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Append one level's candidates to levels as columns (token, parent,
-    cum_score, tag, q_dist).
+def _add_level(nodes: np.ndarray, q_dist: np.ndarray, n: int, depth: int, dist: np.ndarray,
+               parents: np.ndarray, pcum: np.ndarray, tags: np.ndarray, top_k: int, greedy: bool,
+               beam: int, rng, logw: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Write one level's candidates, at depth, to the records and q_dist
+    rows of a tree's buffers from row n on.
 
     dist is (rows, branches, vocab): the emitting distributions of each
     parent row, tagged tags[branch]; parents[r] and pcum[r] are row r's
@@ -130,8 +130,10 @@ def _add_level(levels: list, dist: np.ndarray, parents: np.ndarray, pcum: np.nda
     rows = sel // (nb * top_k)
     cum = cum[sel]
     src = sel // top_k  # the (row, branch) each node was drawn from
-    levels.append((tok.ravel()[sel], parents[rows], cum, tags[src % nb],
-                   dist.reshape(m * nb, V)[src]))
+    rec = nodes[n : n + sel.size]
+    rec["token"], rec["parent"], rec["depth"] = tok.ravel()[sel], parents[rows], depth
+    rec["cum_score"], rec["tag"] = cum, tags[src % nb]
+    q_dist[n : n + sel.size] = dist.reshape(m * nb, V)[src]
     return rows, cum
 
 
@@ -155,31 +157,42 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
     if greedy:
         temperature = 1.0  # greedy trees are scored with the plain softmax
     V = model.vocab
+    # the most nodes the tree can get: a level adds top_k draws per branch
+    # of each row it expands, at most beam of them when greedy, and expands
+    # at most beam of its nodes
+    cap, expanded = 0, 1
+    for _ in range(gamma):
+        added = (2 if kind == "moe" else 1) * top_k * expanded
+        if greedy:
+            added = min(added, beam)
+        cap += added
+        expanded = min(added, beam)
+    nodes, q_dist = np.empty(cap, NODE), np.empty((cap, V))
 
     # the frontier: the step outputs of the rows of one draft pass (the
     # round's opening row, then a tree level), each row's node, its
     # cum_score and the tentative rows of its ancestors, root first
     out = session.begin_round([*backlog_tokens, start_token], [*backlog_features, prev_feature])
     parents, pcum, anc = np.array([-1]), np.zeros(1), np.zeros((1, 0), dtype=np.intp)
-    levels: list = []
     n = 0
     last_step_depth = gamma - 1 if parallel else gamma
 
     for depth in range(1, last_step_depth + 1):
         if kind == "moe":
             logits = np.stack((out.logits_left, out.logits_right), axis=-2)
-            rows, cum = _add_level(levels, softmax(logits, temperature).reshape(-1, 2, V),
-                                   parents, pcum, BRANCH_TAGS, top_k, greedy, beam, rng,
+            rows, cum = _add_level(nodes, q_dist, n, depth,
+                                   softmax(logits, temperature).reshape(-1, 2, V), parents, pcum,
+                                   BRANCH_TAGS, top_k, greedy, beam, rng,
                                    np.log(out.branch_scores).reshape(-1, 2))
         else:
             dist = softmax(model.mixture_logits(out), temperature).reshape(-1, 1, V)
-            rows, cum = _add_level(levels, dist, parents, pcum, NO_BRANCH, top_k, greedy, beam,
-                                   rng)
+            rows, cum = _add_level(nodes, q_dist, n, depth, dist, parents, pcum, NO_BRANCH,
+                                   top_k, greedy, beam, rng)
 
         # the beam-best nodes of this level are expanded, chosen before any
         # child is drawn: by the next draft pass, or on the parallel final
         # level by the contrast head of this pass
-        tokens = levels[-1][0]  # the token column of this level
+        tokens = nodes["token"][n : n + len(rows)]
         parents = np.arange(n, n + len(rows))
         n += len(rows)
         if len(rows) > beam:
@@ -188,19 +201,16 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
         if depth == last_step_depth:
             if parallel:
                 distc = softmax(model.contrast_logits(out), temperature).reshape(-1, V)
-                _add_level(levels, distc[rows][:, None], parents, cum, NO_BRANCH, top_k,
-                           greedy, beam, rng)
+                rows, _ = _add_level(nodes, q_dist, n, depth + 1, distc[rows][:, None], parents,
+                                     cum, NO_BRANCH, top_k, greedy, beam, rng)
+                n += len(rows)
             break
         out, ids = session.tree_level(tokens, out.feature_moe.reshape(-1, model.dim)[rows],
                                       anc[rows])
         pcum = cum
         anc = np.concatenate((anc[rows], ids[:, None]), axis=1)
 
-    token, parent, cum_score, tag, q_dist = (np.concatenate(c) for c in zip(*levels))
-    nodes = np.empty(len(token), NODE)
-    nodes["token"], nodes["parent"], nodes["cum_score"], nodes["tag"] = token, parent, cum_score, tag
-    nodes["depth"] = np.repeat(np.arange(1, len(levels) + 1), [len(lv[0]) for lv in levels])
-    return DraftTree(nodes, q_dist, root_token=start_token, root_context_len=context_len)
+    return DraftTree(nodes[:n], q_dist[:n], root_token=start_token, root_context_len=context_len)
 
 
 def grow_chain(session, prev_feature, start_token, gamma, **kw) -> DraftTree:

@@ -1,8 +1,9 @@
 """Lossless verification of draft trees against the target model.
 
 One target forward pass scores the pending token plus every tree node.  Its
-attention layout comes from the nodes' parent pointers (``tree_groups``), and
-it returns every row's logits and features stacked.  The greedy walk accepts
+attention layout comes from the nodes' parent pointers (``tree_groups``; a
+chain is a causal pass), and it returns every row's logits and features
+stacked.  The greedy walk accepts
 children that match the target argmax exactly, so the emitted stream equals
 vanilla greedy decoding bit for bit.  The sampling walk implements
 recursive residual speculative sampling: siblings are tried in tree order,

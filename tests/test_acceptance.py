@@ -48,7 +48,7 @@ def small_pair():
 
 @pytest.fixture(scope="module")
 def trained_checkpoint(target64, tmp_path_factory):
-    """512-sequence corpus, 2000 training steps; shared by criterion 8."""
+    """512-sequence corpus, 2000 training steps; shared by criteria 1 and 8."""
     t0 = time.time()
     corpus = generate_distillation_corpus(target64, 512, 24, temperature=1.0, seed=42)
     draft = init_draft(DraftConfig(vocab=64, dim=32), target64, seed=1)
@@ -58,18 +58,22 @@ def trained_checkpoint(target64, tmp_path_factory):
     return path, time.time() - t0
 
 
-def test_criterion_1_greedy_losslessness_end_to_end():
+def test_criterion_1_greedy_losslessness_end_to_end(trained_checkpoint):
+    # a trained draft, so that most rounds accept several nodes deep
+    ckpt, _ = trained_checkpoint
     t0 = time.time()
     base = dict(temperature=0.0, gamma=4, top_k=2, beam=8, max_new=16,
-                n_prompts=200, prompt_len=6, seed=0)
+                n_prompts=200, prompt_len=6, seed=0, draft_checkpoint=ckpt)
     vanilla = run_session(RunConfig(method="vanilla", **base))
     jakiro = run_session(RunConfig(method="jakiro_full", **base))
     elapsed = time.time() - t0
-    with criterion(1, f"200-prompt greedy streams bit-identical (elapsed {elapsed:.1f}s)"):
+    with criterion(1, f"200-prompt greedy streams bit-identical, jakiro tau={jakiro.tau:.2f} "
+                      f"(elapsed {elapsed:.1f}s)"):
         v = [tuple(r["tokens"]) for r in vanilla.per_prompt]
         j = [tuple(r["tokens"]) for r in jakiro.per_prompt]
         assert len(v) == 200
         assert v == j  # tolerance: exact
+        assert jakiro.tau >= 2.0
         assert elapsed < 60.0
 
 

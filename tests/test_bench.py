@@ -25,6 +25,7 @@ from sdlab.bench import (
 from sdlab.cli import main
 from sdlab.draft import save_draft
 from sdlab.target import save_target
+from sdlab.train import generate_distillation_corpus, save_corpus
 
 
 def read_report(path: str) -> dict:
@@ -379,6 +380,25 @@ class TestCli:
         rc = main(["gradcheck", "--coords", "8", "--sequences", "4", "--seq-len", "8"])
         assert rc == 0
         assert "max relative gradient error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("content,msg", [
+        (b"junk!", "bad magic: not a corpus file"),
+        (b"SDFC\x01", "corpus header truncated"),
+        (None, "No such file or directory"),
+        ("one-token", "at least 2 tokens"),
+    ], ids=["junk", "truncated", "missing", "one-token"])
+    def test_bad_corpus_exit_2(self, tmp_path, capsys, content, msg):
+        corpus = tmp_path / "c.bin"
+        if content == "one-token":
+            target, _ = build_models(RunConfig())
+            save_corpus(generate_distillation_corpus(target, 2, 1), str(corpus))
+        elif content is not None:
+            corpus.write_bytes(content)
+        out = tmp_path / "d.bin"
+        assert main(["train", "--corpus", str(corpus), "--out", str(out), "--steps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --corpus: " in err and msg in err
+        assert not out.exists()
 
     def test_gen_corpus_and_train(self, tmp_path, capsys):
         corpus = tmp_path / "c.bin"

@@ -11,7 +11,7 @@ import pytest
 
 from sdlab.draft import DraftConfig, DraftSession, init_draft
 from sdlab.kernels import MAX_GATHER, layer_norm, silu, sinusoid_position, sinusoid_positions
-from sdlab.target import TargetConfig, init_target, tree_groups
+from sdlab.target import KV_CAPACITY, TargetConfig, init_target, tree_groups
 
 
 # ---------------------------------------------------------------- references
@@ -378,6 +378,71 @@ def test_odd_width_forward_cached_and_prefill():
         assert np.array_equal(pre.values(l), cache.values(l))
 
 
+@pytest.mark.parametrize("dim,n_heads", [(32, 2), (9, 3)])
+@pytest.mark.parametrize("m", [1, 6, 40])
+def test_chain_verify_matches_prefill(dim, n_heads, m):
+    # a chain-shaped tree is a causal pass: its rows are the prefill's rows
+    model = init_target(TargetConfig(dim=dim, n_heads=n_heads), seed=5)
+    rng = np.random.default_rng(m + dim)
+    prefix = [int(t) for t in rng.integers(0, model.vocab, size=int(rng.integers(0, 30)))]
+    tokens = [int(t) for t in rng.integers(0, model.vocab, size=m)]
+    cache = cached(model, prefix)
+    logits, feats, kv = model.forward_tree_kv(cache, tokens, np.arange(m) - 1, np.arange(m))
+    assert cache.length == len(prefix)
+    pre = cached(model, prefix)
+    want = model.prefill(pre, tokens)
+    assert np.array_equal(logits, [o.logits for o in want])
+    assert np.array_equal(feats, [o.feature for o in want])
+    for l in range(model.config.n_layers):
+        assert np.array_equal(kv.k[l], pre.keys(l)[len(prefix):])
+        assert np.array_equal(kv.v[l], pre.values(l)[len(prefix):])
+
+
+@pytest.mark.parametrize("chain", [True, False], ids=["chain", "tree"])
+def test_verify_across_kv_capacity(target, chain):
+    # the cache's buffers double mid-pass; every row equals the row loop,
+    # which reads the committed rows alone, and the committed rows stay put
+    rng = np.random.default_rng(11)
+    c = KV_CAPACITY - 5
+    cache = cached(target, [int(t) for t in rng.integers(0, target.vocab, size=c)])
+    committed = [(cache.keys(l).copy(), cache.values(l).copy())
+                 for l in range(target.config.n_layers)]
+    m = 12
+    parents, depth = (np.arange(m) - 1, np.arange(m)) if chain else random_tree(rng, m)
+    tokens = [int(t) for t in rng.integers(0, target.vocab, size=m)]
+    logits, feats, kv = target.forward_tree_kv(cache, tokens, parents, depth)
+    want_logits, want_feats, ks, vs = ref_forward_tree(target, cache, tokens,
+                                                       ref_tree_mask(c, parents), depth)
+    assert np.array_equal(logits, want_logits) and np.array_equal(feats, want_feats)
+    for l, (k, v) in enumerate(committed):
+        assert np.array_equal(kv.k[l], ks[l]) and np.array_equal(kv.v[l], vs[l])
+        assert np.array_equal(cache.keys(l), k) and np.array_equal(cache.values(l), v)
+
+
+@pytest.mark.parametrize("chain", [True, False], ids=["chain", "tree"])
+def test_commit_after_verify_then_step_matches_sequential(target, chain):
+    # the verify leaves scratch rows past the committed path; the commit
+    # and the steps after it must never read them
+    rng = np.random.default_rng(12)
+    prefix = [int(t) for t in rng.integers(0, target.vocab, size=9)]
+    tokens = [int(t) for t in rng.integers(0, target.vocab, size=7)]
+    parents, depth = (np.arange(7) - 1, np.arange(7)) if chain else (
+        np.array([-1, 0, 0, 1, 2, 2, 4]), np.array([0, 1, 1, 2, 2, 2, 3]))
+    path = [0, 1] if chain else [0, 2, 4]
+    cache = cached(target, prefix)
+    _, _, kv = target.forward_tree_kv(cache, tokens, parents, depth)
+    cache.commit_rows(kv, path)
+    after = [int(t) for t in rng.integers(0, target.vocab, size=4)]
+    got = [target.forward_cached(cache, after[0]), *target.prefill(cache, after[1:])]
+    seq = cached(target, prefix + [tokens[i] for i in path])
+    want = [target.forward_cached(seq, t) for t in after]
+    for o, w in zip(got, want):
+        assert np.array_equal(o.logits, w.logits) and np.array_equal(o.feature, w.feature)
+    for l in range(target.config.n_layers):
+        assert np.array_equal(cache.keys(l), seq.keys(l))
+        assert np.array_equal(cache.values(l), seq.values(l))
+
+
 def test_prefill_rejects_out_of_vocab_before_any_row(target):
     cache = cached(target, [1, 2])
     assert target.prefill(cache, []) == []
@@ -429,9 +494,9 @@ def test_tree_length_mismatch(target):
 
 # --------------------------------------------------------------------- draft
 
-def draft_level_check(draft, rng, levels=4, width=9):
+def draft_level_check(draft, rng, levels=4, width=9, ctx_len=None):
     """Grow a random tree level by level in both sessions; every output equal."""
-    ctx_len = int(rng.integers(2, 12))
+    ctx_len = ctx_len or int(rng.integers(2, 12))
     tokens = [int(t) for t in rng.integers(0, draft.vocab, size=ctx_len)]
     feats = list(rng.normal(size=(ctx_len, draft.dim)))
     sess, ref = DraftSession(draft), RefDraftSession(draft)
@@ -468,6 +533,37 @@ def test_tree_level_matches_per_item_steps(target, n_experts, active_k):
 def test_tree_level_without_layer_norm(target):
     draft = init_draft(DraftConfig(use_ln=False), target, seed=4)
     draft_level_check(draft, np.random.default_rng(99))
+
+
+def test_tree_levels_across_kv_capacity(target):
+    # random rounds whose tentative rows run past the first buffer
+    draft = init_draft(DraftConfig(), target, seed=3)
+    for seed in range(3):
+        draft_level_check(draft, np.random.default_rng(seed), width=12, ctx_len=KV_CAPACITY - 8)
+
+
+def test_tree_levels_keep_tentative_rows_through_a_reallocation(target):
+    # level 1 fills the buffer's last row, so level 2 doubles it with the
+    # round's first tentative row live; later levels read it, gathered by a
+    # branching level and as a slice by a one-row level over every row
+    draft = init_draft(DraftConfig(), target, seed=3)
+    rng = np.random.default_rng(21)
+    sess, ref = DraftSession(draft), RefDraftSession(draft)
+    c = KV_CAPACITY - 1
+    tokens = [int(t) for t in rng.integers(0, draft.vocab, size=c)]
+    feats = list(rng.normal(size=(c, draft.dim)))
+    sess.prefill(tokens[:-1], feats[:-1])
+    ref.commit(tokens[:-1], feats[:-1])
+    assert_step_equal(sess.begin_round(tokens[-1:], feats[-1:]), ref.commit(tokens[-1:], feats[-1:]))
+    for ancestors in ([[]], [[0]] * 3, [[0, 1], [0, 3]], [[0, 1, 2, 3, 4, 5]]):
+        items = [(int(rng.integers(0, draft.vocab)), rng.normal(size=draft.dim), anc, len(anc) + 1)
+                 for anc in ancestors]
+        level_tokens, level_feats, _, _ = zip(*items)
+        got, rows = sess.tree_level(level_tokens, level_feats, ancestors)
+        for i, (w_out, w_row) in enumerate(ref.tree_level(items)):
+            assert rows[i] == w_row
+            assert_step_equal(got.row(i), w_out)
+    assert np.array_equal(sess.cache.keys(0), ref.k)
 
 
 def test_tree_level_rejects_unknown_ancestor(target):

@@ -1,6 +1,8 @@
 """Trainer tests: corpus generation, the combined objective, masking,
 optimizer determinism and the finite-difference gradient audit."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,25 @@ class TestCorpus:
         save_corpus(corpus, path)
         with pytest.raises(ValueError, match="does not match"):
             load_corpus(path, other)
+
+    def test_bad_files(self, target, corpus, tmp_path):
+        path = tmp_path / "c3.bin"
+        save_corpus(corpus, str(path))
+        blob = path.read_bytes()
+        cases = [
+            (blob[:12], "corpus header truncated"),
+            (blob[:-8], "corpus length mismatch"),
+            # the first token of the first sequence set to the vocab size
+            (blob[:20] + struct.pack("<I", target.vocab) + blob[24:], "out of vocab range"),
+            (blob[:-8] + struct.pack("<d", float("nan")), "non-finite feature"),
+        ]
+        for data, msg in cases:
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match=msg):
+                load_corpus(str(path), target)
+        save_corpus(generate_distillation_corpus(target, 2, 1, seed=0), str(path))
+        with pytest.raises(ValueError, match="at least 2 tokens, got 2 of 1 tokens"):
+            load_corpus(str(path), target)
 
 
 class TestLoss:
