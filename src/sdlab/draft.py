@@ -2,23 +2,29 @@
 
 One reduction layer over concat(token embedding, previous feature), a single
 decoder attention layer, an expert layer with top-k routing, and the target
-model's embedding and LM head reused verbatim.  Each step emits two branch
-logit vectors (higher-scoring expert on the left) plus the gated mixture
-feature that carries the autoregression to the next step, and its router
-scores and active experts.  The contrast head beta * f_top1 - alpha * f_top2
-reads the learned scalars beta and alpha from the parameters.
+model's embedding and LM head reused verbatim.  Each step emits the
+features of its two branches (higher-scoring expert on the left) and the
+gated mixture feature that carries the autoregression to the next step,
+with its router scores and active experts.  Logits come from three heads
+over those features, each computed only when a grower reads it:
+``branch_logits`` (both branches, each scaled by its router score),
+``mixture_logits`` and ``contrast_logits`` (beta * f_top1 - alpha * f_top2,
+with the learned scalars beta and alpha).
 
 Every draft forward goes through one row kernel that takes m rows at once:
-``_kv_rows`` (embedding, reduction, norm and the q/k/v projections), then
-attention over each row's own context (``target.attend``), then
-``_out_rows`` (routing, experts and heads).  A ``DraftSession`` owns a
-prompt's cache and next position: a round's first pass commits its backlog
-rows in one call (one token is one sequential step), a tree level is one
-call over all its rows, and prefill needs only the first half.  Linear
-layers run per row, routing takes a row softmax and a stable row argsort,
-each expert runs on just the rows that selected it, and the gated mixture
-accumulates in ascending expert order, so each row is bit for bit what a
-lone step would give (see kernels.py for the attention).
+``_kv_rows`` (embedding, reduction, norm and one fused q/k/v projection),
+then attention over each row's own context (``target.attend``), then
+``_out_rows`` (routing and experts).  A ``DraftSession`` owns a prompt's
+cache and next position: a round's first pass commits its backlog rows in
+one call (one token is one sequential step), a tree level is one call over
+all its rows, and prefill needs only the first half.  Linear layers run per
+row, routing takes a row softmax and a stable row argsort, every expert
+runs on every row as one stacked matmul per projection, and the gated
+mixture adds each row's chosen experts in ascending order, so each row is
+bit for bit what a lone step would give (see kernels.py for the attention).
+The fused q/k/v and stacked expert weights are built from the parameters
+when a session opens (``_pack``): training replaces the parameter arrays,
+so a change to them reaches the next session.
 A round's tentative rows live in the cache's buffer past its committed
 rows, in creation order.  All rows of a tree level share one depth, so a
 level takes its rows' ancestors as one (rows, depth - 1) array, and its
@@ -27,8 +33,8 @@ rows, then the ancestors in ascending order, then the row itself.  A
 one-row level whose ancestors are all of the round's rows, a chain level,
 reads that context in place as a slice.
 A tree level gets its outputs back as one ``DraftStepOutput`` whose fields
-carry a leading row axis, so tree growth works on whole levels; the mixture
-and contrast heads take such a stack as well as a single step.
+carry a leading row axis, so tree growth works on whole levels; the three
+heads take such a stack as well as a single step.
 
 Parameters live in an ordered dict of float64 arrays so the trainer,
 optimizer and checkpoint writer all walk them in one deterministic order.
@@ -75,8 +81,6 @@ class DraftStepOutput:
     feature_moe: np.ndarray
     feature_top1: np.ndarray
     feature_top2: np.ndarray
-    logits_left: np.ndarray
-    logits_right: np.ndarray
     # the full router softmax and the active experts, best first (ties to the lower index)
     scores: np.ndarray
     top: np.ndarray
@@ -90,8 +94,7 @@ class DraftStepOutput:
     def row(self, i: int) -> "DraftStepOutput":
         """Row i of a stacked output."""
         return DraftStepOutput(self.feature_moe[i], self.feature_top1[i], self.feature_top2[i],
-                               self.logits_left[i], self.logits_right[i], self.scores[i],
-                               self.top[i], self.branch_scores[i])
+                               self.scores[i], self.top[i], self.branch_scores[i])
 
 
 class DraftModel:
@@ -108,6 +111,17 @@ class DraftModel:
     @property
     def dim(self) -> int:
         return self.config.dim
+
+    def _pack(self) -> None:
+        """Build the fused weights the row kernel reads from the current
+        params: wq, wk and wv stacked by rows, and every expert's w1 and w2
+        stacked along a leading expert axis.  Each ``DraftSession`` calls
+        it when it opens, since training replaces the params' arrays."""
+        p = self.params
+        n = range(self.config.n_experts)
+        self._wqkv = np.concatenate((p["wq"], p["wk"], p["wv"]))
+        self._w1 = np.stack([p[f"expert{j}_w1"] for j in n])[:, None]  # (N, 1, hidden, dim)
+        self._w2 = np.stack([p[f"expert{j}_w2"] for j in n])[:, None]  # (N, 1, dim, hidden)
 
     def _kv_rows(self, tokens, positions, prev_features):
         """First half of the row kernel: the reduced rows x and their q, k, v.
@@ -130,14 +144,18 @@ class DraftModel:
         e = self.emb[tok] + sinusoid_positions(positions, cfg.dim)
         x = row_linear(p["reduction"], np.concatenate((e, feats), axis=1))
         a_in = layer_norm(x, p["ln1_g"], p["ln1_b"]) if cfg.use_ln else x
-        return x, row_linear(p["wq"], a_in), row_linear(p["wk"], a_in), row_linear(p["wv"], a_in)
+        qkv = row_linear(self._wqkv, a_in)
+        d = cfg.dim
+        return x, qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
 
     def _out_rows(self, x, att) -> DraftStepOutput:
         """Second half of the row kernel: the step outputs of the rows of x,
         given their attention outputs att, stacked along a leading row axis.
 
-        The router picks each row's experts and the heads turn the two best
-        branches into logits.
+        The router picks each row's experts.  Every expert runs on every
+        row, each projection one stacked matmul whose (expert, row) entries
+        are the matrix-vector products a lone row gets; the gated mixture
+        adds a row's chosen experts in ascending order.
         """
         cfg = self.config
         p = self.params
@@ -147,34 +165,33 @@ class DraftModel:
         scores = softmax(row_linear(p["router"], v_in))
         top = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.active_k]
         m = x.shape[0]
-        picks = np.bincount(top.ravel(), minlength=cfg.n_experts)
-        expert_out = np.zeros((cfg.n_experts, m, cfg.dim))
-        f_moe = u.copy()
-        for j in range(cfg.n_experts):
-            if picks[j] == 0:
-                continue
-            # a slice when every row chose expert j: same rows, no gather
-            sel = slice(None) if picks[j] == m else np.flatnonzero((top == j).any(axis=1))
-            out = row_linear(p[f"expert{j}_w2"], silu(row_linear(p[f"expert{j}_w1"], v_in[sel])))
-            expert_out[j, sel] = out
-            f_moe[sel] = f_moe[sel] + scores[sel, j, None] * out
+        hidden = (self._w1 @ v_in[None, :, :, None])[..., 0]
+        expert_out = (self._w2 @ silu(hidden)[..., None])[..., 0]  # (N, m, dim)
+        gated = scores.T[..., None] * expert_out
+        if cfg.active_k < cfg.n_experts:
+            # adding -0.0 for an expert a row did not choose leaves every
+            # bit of the sum, a -0.0 too
+            chosen = (top[None] == np.arange(cfg.n_experts)[:, None, None]).any(axis=2)
+            gated = np.where(chosen[..., None], gated, -0.0)
+        gated[0] += u
+        f_moe = np.add.accumulate(gated, axis=0)[-1]  # u, then expert 0, 1, ... in turn
         best = top[:, :2]
         f_best = expert_out[best.T, np.arange(m)] + u
         s_best = scores[np.arange(m)[:, None], best]
-        f_top1 = f_best[0]
-        logits_left = row_linear(self.head, s_best[:, :1] * f_top1)
-        if cfg.active_k >= 2:
-            f_top2 = f_best[1]
-            logits_right = row_linear(self.head, s_best[:, 1:] * f_top2)
-        else:
-            f_top2 = f_top1
-            logits_right = logits_left
-        return DraftStepOutput(f_moe, f_top1, f_top2, logits_left, logits_right, scores, top,
-                               s_best)
+        f_top2 = f_best[1] if cfg.active_k >= 2 else f_best[0]
+        return DraftStepOutput(f_moe, f_best[0], f_top2, scores, top, s_best)
 
     def _head(self, f: np.ndarray) -> np.ndarray:
         """LM head of a feature vector, or of each row of a stack of them."""
         return self.head @ f if f.ndim == 1 else row_linear(self.head, f)
+
+    def branch_logits(self, step: DraftStepOutput) -> np.ndarray:
+        """The two branch heads of a step, or of each row of a stack, as
+        (..., 2, vocab): the LM head of the left and of the right branch
+        feature, each scaled by its router score (the left twice when K=1)."""
+        s = step.branch_scores
+        f = np.stack((s[..., :1] * step.feature_top1, s[..., -1:] * step.feature_top2), axis=-2)
+        return row_linear(self.head, f.reshape(-1, self.dim)).reshape(*f.shape[:-1], self.vocab)
 
     def contrast_logits(self, step: DraftStepOutput) -> np.ndarray:
         """Contrast head beta * f_top1 - alpha * f_top2 of a step or of each row
@@ -201,6 +218,7 @@ class DraftSession:
     tree level)."""
 
     def __init__(self, model: DraftModel):
+        model._pack()
         self.model = model
         self.cache = KvCache(1, model.dim)
         self.next_pos = 1

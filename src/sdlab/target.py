@@ -7,8 +7,9 @@ is immutable after construction; each decoding session owns its KvCache.
 Sequential decoding and tree verification share one row kernel,
 ``_forward_rows``, which forwards m rows through each layer at once: the
 tokens of a prompt, or every node of a candidate tree in a single pass.
-Each layer writes the rows' keys and values into the cache's buffer past
-its committed rows, and each row attends to its own context there (the
+Each layer projects q, k and v with one fused (3 dim, dim) weight, writes
+the rows' keys and values into the cache's buffer past its committed rows,
+and each row attends to its own context there (the
 cached prefix, then its tree ancestors, then itself, the order sequential
 decoding appends keys in).  The kernel's helpers keep every row's
 arithmetic equal to a lone row's (see kernels.py), so any root-to-leaf tree
@@ -19,7 +20,8 @@ prompt prefill, a decode step (a one-token prefill) and a chain-shaped tree.
 Its rows read their contexts in place as slices of the buffer.  Any other
 tree arrives as parent pointers and depths in level order, and each depth
 is one attention group gathered from the buffer (``tree_groups``); no mask
-is built.
+is built.  Committing a verified path copies only the rows that are not
+already in place: a chain's accepted rows were written where they belong.
 """
 
 from __future__ import annotations
@@ -65,14 +67,26 @@ class StepOutput:
 class LayerParams:
     ln1_g: np.ndarray
     ln1_b: np.ndarray
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
+    wqkv: np.ndarray  # (3 dim, dim): wq, wk and wv stacked by rows
     wo: np.ndarray
     ln2_g: np.ndarray
     ln2_b: np.ndarray
     w1: np.ndarray
     w2: np.ndarray
+
+    # the q, k and v projections are views of their row blocks of wqkv, so
+    # writes through them (a checkpoint load, an edit) reach the fused weight
+    @property
+    def wq(self) -> np.ndarray:
+        return self.wqkv[: self.wqkv.shape[1]]
+
+    @property
+    def wk(self) -> np.ndarray:
+        return self.wqkv[self.wqkv.shape[1] : 2 * self.wqkv.shape[1]]
+
+    @property
+    def wv(self) -> np.ndarray:
+        return self.wqkv[2 * self.wqkv.shape[1] :]
 
 
 class KvCache:
@@ -90,6 +104,9 @@ class KvCache:
         self.length = 0
         self._k = [np.zeros((KV_CAPACITY, dim)) for _ in range(n_layers)]
         self._v = [np.zeros((KV_CAPACITY, dim)) for _ in range(n_layers)]
+        # the TreeKv of the last tree pass and the length it ran at, while
+        # its rows i still sit at rows length + i of the buffers
+        self._held: tuple[TreeKv, int] | None = None
 
     def _grow(self, need: int) -> None:
         cap = self._k[0].shape[0]
@@ -113,6 +130,7 @@ class KvCache:
         """Write (m, dim) rows of one layer at rows length + start onward,
         growing the buffers if needed; returns the layer's key and value
         buffers up to the last row written."""
+        self._held = None
         end = self.length + start + new_k.shape[0]
         self._grow(end)
         k, v = self._k[layer], self._v[layer]
@@ -127,8 +145,21 @@ class KvCache:
         self.length += new_k[0].shape[0]
 
     def commit_rows(self, kv: "TreeKv", indices: list[int]) -> None:
-        """Append the selected tree rows, in order, as if decoded sequentially."""
-        self.extend([k[indices] for k in kv.k], [v[indices] for v in kv.v])
+        """Append the selected tree rows, in order, as if decoded sequentially.
+
+        While the buffers still hold the pass that computed kv, the leading
+        run of rows i selected at position i (a chain's whole commit) is
+        already where it belongs, and only the rest is copied.
+        """
+        n, run = len(indices), 0
+        if self._held is not None and self._held[0] is kv and self._held[1] == self.length:
+            while run < n and indices[run] == run:
+                run += 1
+        if run < n:
+            rest = indices[run:]
+            for l in range(self.n_layers):
+                self.scratch(l, run, kv.k[l][rest], kv.v[l][rest])
+        self.length += n
 
 
 @dataclass
@@ -231,21 +262,21 @@ class TargetModel:
         """The row kernel: forward m rows through the whole stack at once.
 
         Row i is token tokens[i] at absolute position positions[i].  Per
-        layer, the rows' keys and values are written to the cache's scratch
-        rows, right after its c committed rows, and each row attends to the
+        layer, one ``row_linear`` of wqkv gives the rows' queries, keys and
+        values, the keys and values are written to the cache's scratch rows,
+        right after its c committed rows, and each row attends to the
         buffer as ``attend`` gives it: causally with groups None, else by
         the (rows, columns) pairs of groups.  Returns logits (m, vocab),
         features (m, dim) and per-layer (m, dim) keys and values of the new
         rows.
         """
-        c = cache.length
-        x = self.emb[tokens] + sinusoid_positions(positions, self.config.dim)
+        c, d = cache.length, self.config.dim
+        x = self.emb[tokens] + sinusoid_positions(positions, d)
         new_k, new_v = [], []
         for l, lp in enumerate(self.layers):
             a_in = layer_norm(x, lp.ln1_g, lp.ln1_b)
-            q = row_linear(lp.wq, a_in)
-            k = row_linear(lp.wk, a_in)
-            v = row_linear(lp.wv, a_in)
+            qkv = row_linear(lp.wqkv, a_in)
+            q, k, v = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
             keys, values = cache.scratch(l, 0, k, v)
             x = x + row_linear(lp.wo, attend(q, keys, values, self.config.n_heads, c, groups))
             m_in = layer_norm(x, lp.ln2_g, lp.ln2_b)
@@ -302,7 +333,9 @@ class TargetModel:
         else:
             groups = tree_groups(c, par, pos)  # checks the layout before any row is computed
         logits, f, new_k, new_v = self._forward_rows(tok, c + pos, cache, groups)
-        return logits, f, TreeKv(k=new_k, v=new_v)
+        kv = TreeKv(k=new_k, v=new_v)
+        cache._held = (kv, c)  # for commit_rows, until the buffers are next written
+        return logits, f, kv
 
     def autoregressive_decode(self, prompt, max_new, temperature=0.0, rng_seed=0):
         """Vanilla decoding baseline; temperature 0 is greedy and rng-independent."""
@@ -339,9 +372,8 @@ def init_target(config: TargetConfig, seed: int = 0) -> TargetModel:
             LayerParams(
                 ln1_g=np.ones(d),
                 ln1_b=np.zeros(d),
-                wq=rng.normal(0.0, scale, size=(d, d)),
-                wk=rng.normal(0.0, scale, size=(d, d)),
-                wv=rng.normal(0.0, scale, size=(d, d)),
+                # one draw of wq, wk and wv in turn, as three draws would give them
+                wqkv=rng.normal(0.0, scale, size=(3 * d, d)),
                 wo=rng.normal(0.0, scale, size=(d, d)),
                 ln2_g=np.ones(d),
                 ln2_b=np.zeros(d),

@@ -179,11 +179,9 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
 
     for depth in range(1, last_step_depth + 1):
         if kind == "moe":
-            logits = np.stack((out.logits_left, out.logits_right), axis=-2)
-            rows, cum = _add_level(nodes, q_dist, n, depth,
-                                   softmax(logits, temperature).reshape(-1, 2, V), parents, pcum,
-                                   BRANCH_TAGS, top_k, greedy, beam, rng,
-                                   np.log(out.branch_scores).reshape(-1, 2))
+            dist = softmax(model.branch_logits(out), temperature).reshape(-1, 2, V)
+            rows, cum = _add_level(nodes, q_dist, n, depth, dist, parents, pcum, BRANCH_TAGS,
+                                   top_k, greedy, beam, rng, np.log(out.branch_scores).reshape(-1, 2))
         else:
             dist = softmax(model.mixture_logits(out), temperature).reshape(-1, 1, V)
             rows, cum = _add_level(nodes, q_dist, n, depth, dist, parents, pcum, NO_BRANCH,

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from sdlab.bench import RunConfig, decode_prompt, make_prompts
 from sdlab.draft import DraftConfig, DraftSession, init_draft, load_draft, save_draft
 from sdlab.kernels import layer_norm, silu, softmax
-from sdlab.target import TargetConfig, init_target
+from sdlab.target import TargetConfig, init_target, load_target, save_target
+from sdlab.train import AdamState, TrainConfig, generate_distillation_corpus, train_step
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +100,8 @@ class TestDraftForward:
     def test_degenerate_single_expert(self, target):
         d = init_draft(DraftConfig(n_experts=1, active_k=1), target, seed=2)
         out = DraftSession(d).begin_round([3], [np.zeros(d.dim)])
-        assert np.array_equal(out.logits_left, out.logits_right)
+        left, right = d.branch_logits(out)
+        assert np.array_equal(left, right)
         assert np.array_equal(out.feature_top1, out.feature_top2)
         assert float(out.scores[0]) == 1.0
 
@@ -129,15 +132,16 @@ class TestDraftForward:
         f_moe = u + sum(s[j] * e_out[j] for j in sorted((i1, i2)))
         assert np.max(np.abs(out.feature_moe - f_moe)) < 1e-12
         assert np.max(np.abs(out.feature_top1 - (e_out[i1] + u))) < 1e-12
-        assert np.max(np.abs(out.logits_left - target.head @ (s[i1] * (e_out[i1] + u)))) < 1e-12
-        assert np.max(np.abs(out.logits_right - target.head @ (s[i2] * (e_out[i2] + u)))) < 1e-12
+        left, right = draft.branch_logits(out)
+        assert np.max(np.abs(left - target.head @ (s[i1] * (e_out[i1] + u)))) < 1e-12
+        assert np.max(np.abs(right - target.head @ (s[i2] * (e_out[i2] + u)))) < 1e-12
 
     def test_determinism(self, draft):
         prev = np.ones(draft.dim) * 0.3
         a = DraftSession(draft).begin_round([9], [prev])
         b = DraftSession(draft).begin_round([9], [prev])
         assert np.array_equal(a.feature_moe, b.feature_moe)
-        assert np.array_equal(a.logits_left, b.logits_left)
+        assert np.array_equal(draft.branch_logits(a), draft.branch_logits(b))
 
     def test_branch_order_invariant(self, draft):
         rng = np.random.default_rng(3)
@@ -287,3 +291,55 @@ class TestCheckpoint:
         path.write_bytes(b"YYYY" + b"\0" * 64)
         with pytest.raises(ValueError, match="bad magic"):
             load_draft(str(path), target)
+
+
+def stream(target, draft):
+    """What a decode reads of both models: sampled chain and jakiro_full
+    streams over two prompts, and the bytes of one draft step's features
+    and heads."""
+    out = []
+    for method in ("chain", "jakiro_full"):
+        cfg = RunConfig(method=method, temperature=1.0, gamma=3, max_new=10, n_prompts=2, seed=4)
+        for i, prompt in enumerate(make_prompts(cfg)):
+            out.append(decode_prompt(target, draft, cfg, prompt, np.random.default_rng(i))["tokens"])
+    step = DraftSession(draft).begin_round([5], [np.linspace(-1, 1, draft.dim)])
+    for a in (step.feature_moe, step.feature_top1, step.feature_top2, draft.branch_logits(step),
+              draft.mixture_logits(step), draft.contrast_logits(step)):
+        out.append(a.tobytes())
+    return out
+
+
+class TestFreshWeights:
+    """The fused weights follow the parameters: after any change, the next
+    decode equals one with a freshly loaded copy of the same parameters."""
+
+    @pytest.mark.parametrize("change", ["replace", "in_place", "train_step"])
+    def test_draft_param_change_reaches_the_next_session(self, target, tmp_path, change):
+        draft = init_draft(DraftConfig(n_experts=3, active_k=2), target, seed=3)
+        before = stream(target, draft)
+        p = draft.params
+        if change == "replace":
+            p["wk"] = p["wk"] * 1.5
+        elif change == "in_place":
+            p["expert1_w1"][2, 3] += 0.7
+            p["wq"][0, 1] -= 0.4
+        else:
+            batch = generate_distillation_corpus(target, 8, 10, seed=1)
+            train_step(draft, batch, AdamState.init(draft), TrainConfig(lr=1e-2))
+        after = stream(target, draft)
+        save_draft(draft, str(tmp_path / "d.bin"))
+        assert after == stream(target, load_draft(str(tmp_path / "d.bin"), target))
+        assert after != before
+
+    def test_target_wv_edit_in_place(self, tmp_path):
+        target = init_target(TargetConfig(), seed=0)
+        draft = init_draft(DraftConfig(), target, seed=1)
+        before = stream(target, draft)
+        target.layers[1].wv[3, 4] += 0.5
+        assert target.layers[1].wqkv[2 * target.dim + 3, 4] == target.layers[1].wv[3, 4]
+        after = stream(target, draft)
+        save_target(target, str(tmp_path / "t.bin"))
+        fresh = load_target(str(tmp_path / "t.bin"))
+        # the draft shares the target's embedding and head, which the edit leaves alone
+        assert after == stream(fresh, draft)
+        assert after != before

@@ -9,9 +9,12 @@ losslessness gate and the pinned snapshots depend on it.
 import numpy as np
 import pytest
 
+from sdlab.bench import RunConfig, build_models, decode_prompt, make_prompts
 from sdlab.draft import DraftConfig, DraftSession, init_draft
-from sdlab.kernels import MAX_GATHER, layer_norm, silu, sinusoid_position, sinusoid_positions
+from sdlab.kernels import (MAX_GATHER, layer_norm, row_linear, silu, sinusoid_position,
+                           sinusoid_positions, softmax)
 from sdlab.target import KV_CAPACITY, TargetConfig, init_target, tree_groups
+from sdlab.train import TrainConfig, generate_distillation_corpus, train_draft
 
 
 # ---------------------------------------------------------------- references
@@ -41,7 +44,7 @@ def ref_token_step(model, token, position, ctx_k, ctx_v):
     new_k, new_v = [], []
     for l, lp in enumerate(model.layers):
         a_in = layer_norm(x, lp.ln1_g, lp.ln1_b)
-        q, k, v = lp.wq @ a_in, lp.wk @ a_in, lp.wv @ a_in
+        q, k, v = np.split(lp.wqkv @ a_in, 3)  # the fused q/k/v projection
         K = np.concatenate((ctx_k[l], k[None, :]), axis=0)
         V = np.concatenate((ctx_v[l], v[None, :]), axis=0)
         x = x + lp.wo @ ref_heads_attention(q, K, V, model.config.n_heads)
@@ -79,7 +82,7 @@ def ref_draft_step(draft, token, position, prev_feature, ctx_k, ctx_v):
     e = draft.emb[token] + sinusoid_position(position, cfg.dim)
     x = p["reduction"] @ np.concatenate((e, prev_feature))
     a_in = layer_norm(x, p["ln1_g"], p["ln1_b"]) if cfg.use_ln else x
-    q, k, v = p["wq"] @ a_in, p["wk"] @ a_in, p["wv"] @ a_in
+    q, k, v = np.split(np.concatenate((p["wq"], p["wk"], p["wv"])) @ a_in, 3)
     K = np.concatenate((ctx_k, k[None, :]), axis=0)
     V = np.concatenate((ctx_v, v[None, :]), axis=0)
     u = x + p["wo"] @ ref_heads_attention(q, K, V, cfg.n_heads)
@@ -134,13 +137,12 @@ class RefDraftSession:
         return res
 
 
-def assert_step_equal(got, want):
+def assert_step_equal(draft, got, want):
     f_moe, f1, f2, left, right, scores, top = want
     assert np.array_equal(got.feature_moe, f_moe)
     assert np.array_equal(got.feature_top1, f1)
     assert np.array_equal(got.feature_top2, f2)
-    assert np.array_equal(got.logits_left, left)
-    assert np.array_equal(got.logits_right, right)
+    assert np.array_equal(draft.branch_logits(got), [left, right])
     assert np.array_equal(got.scores, scores)
     assert np.array_equal(got.top, top)
     assert np.array_equal(got.branch_scores, scores[top[:2]])
@@ -443,6 +445,62 @@ def test_commit_after_verify_then_step_matches_sequential(target, chain):
         assert np.array_equal(cache.values(l), seq.values(l))
 
 
+def spy_writes(cache):
+    """Record (layer, start, rows) of every scratch write the cache makes."""
+    writes, scratch = [], cache.scratch
+
+    def spied(layer, start, new_k, new_v):
+        writes.append((layer, start, new_k.shape[0]))
+        return scratch(layer, start, new_k, new_v)
+
+    cache.scratch = spied
+    return writes
+
+
+@pytest.mark.parametrize("path,copied", [([0, 1, 2, 3], 0), ([0, 1, 3], 1), ([0, 2, 4], 2)])
+def test_commit_copies_only_rows_out_of_place(target, path, copied):
+    # rows i committed at position i were written there by the verify: a
+    # chain's commit writes nothing, a tree path only the rows past its
+    # leading run, and the cache ends as sequential decoding leaves it
+    rng = np.random.default_rng(14)
+    prefix = [int(t) for t in rng.integers(0, target.vocab, size=5)]
+    tokens = [int(t) for t in rng.integers(0, target.vocab, size=7)]
+    chain = path == [0, 1, 2, 3]
+    parents, depth = (np.arange(7) - 1, np.arange(7)) if chain else (
+        np.array([-1, 0, 0, 1, 2, 2, 4]), np.array([0, 1, 1, 2, 2, 2, 3]))
+    cache = cached(target, prefix)
+    _, _, kv = target.forward_tree_kv(cache, tokens, parents, depth)
+    writes = spy_writes(cache)
+    cache.commit_rows(kv, path)
+    run = len(path) - copied
+    assert writes == ([(l, run, copied) for l in range(target.config.n_layers)] if copied else [])
+    seq = cached(target, prefix + [tokens[i] for i in path])
+    for l in range(target.config.n_layers):
+        assert np.array_equal(cache.keys(l), seq.keys(l))
+        assert np.array_equal(cache.values(l), seq.values(l))
+
+
+@pytest.mark.parametrize("m2", [1, 6])
+def test_commit_after_a_second_pass_copies_the_first_pass_rows(target, m2):
+    # a second pass on the same cache overwrote the first pass's scratch
+    # rows, so committing the first pass's chain must copy its rows back
+    rng = np.random.default_rng(15 + m2)
+    prefix = [int(t) for t in rng.integers(0, target.vocab, size=6)]
+    tokens = [int(t) for t in rng.integers(0, target.vocab, size=5)]
+    other = [int(t) for t in rng.integers(0, target.vocab, size=m2)]
+    cache = cached(target, prefix)
+    _, _, kv = target.forward_tree_kv(cache, tokens, np.arange(5) - 1, np.arange(5))
+    target.forward_tree_kv(cache, other, np.arange(m2) - 1, np.arange(m2))
+    cache.commit_rows(kv, [0, 1, 2])
+    seq = cached(target, prefix + tokens[:3])
+    for l in range(target.config.n_layers):
+        assert np.array_equal(cache.keys(l), seq.keys(l))
+        assert np.array_equal(cache.values(l), seq.values(l))
+    nxt = int(rng.integers(0, target.vocab))
+    got, want = target.forward_cached(cache, nxt), target.forward_cached(seq, nxt)
+    assert np.array_equal(got.logits, want.logits) and np.array_equal(got.feature, want.feature)
+
+
 def test_prefill_rejects_out_of_vocab_before_any_row(target):
     cache = cached(target, [1, 2])
     assert target.prefill(cache, []) == []
@@ -504,7 +562,7 @@ def draft_level_check(draft, rng, levels=4, width=9, ctx_len=None):
     ref.commit(tokens[:-2], feats[:-2])
     for _round in range(2):
         out = sess.begin_round(tokens[-2:], feats[-2:])
-        assert_step_equal(out, ref.commit(tokens[-2:], feats[-2:]))
+        assert_step_equal(draft, out, ref.commit(tokens[-2:], feats[-2:]))
         paths = [[]]
         for depth in range(1, levels + 1):
             items = []
@@ -518,7 +576,7 @@ def draft_level_check(draft, rng, levels=4, width=9, ctx_len=None):
             assert len(rows) == len(want)
             for i, (w_out, w_row) in enumerate(want):
                 assert rows[i] == w_row
-                assert_step_equal(got.row(i), w_out)
+                assert_step_equal(draft, got.row(i), w_out)
             paths = [it[2] + [row] for it, row in zip(items, rows)]
         tokens = tokens[1:] + [int(rng.integers(0, draft.vocab))]
         feats = feats[1:] + [rng.normal(size=draft.dim)]
@@ -554,7 +612,7 @@ def test_tree_levels_keep_tentative_rows_through_a_reallocation(target):
     feats = list(rng.normal(size=(c, draft.dim)))
     sess.prefill(tokens[:-1], feats[:-1])
     ref.commit(tokens[:-1], feats[:-1])
-    assert_step_equal(sess.begin_round(tokens[-1:], feats[-1:]), ref.commit(tokens[-1:], feats[-1:]))
+    assert_step_equal(draft, sess.begin_round(tokens[-1:], feats[-1:]), ref.commit(tokens[-1:], feats[-1:]))
     for ancestors in ([[]], [[0]] * 3, [[0, 1], [0, 3]], [[0, 1, 2, 3, 4, 5]]):
         items = [(int(rng.integers(0, draft.vocab)), rng.normal(size=draft.dim), anc, len(anc) + 1)
                  for anc in ancestors]
@@ -562,7 +620,7 @@ def test_tree_levels_keep_tentative_rows_through_a_reallocation(target):
         got, rows = sess.tree_level(level_tokens, level_feats, ancestors)
         for i, (w_out, w_row) in enumerate(ref.tree_level(items)):
             assert rows[i] == w_row
-            assert_step_equal(got.row(i), w_out)
+            assert_step_equal(draft, got.row(i), w_out)
     assert np.array_equal(sess.cache.keys(0), ref.k)
 
 
@@ -600,6 +658,83 @@ def test_draft_single_token_rounds_match_step(target):
     sess, ref = DraftSession(draft), RefDraftSession(draft)
     for t in rng.integers(0, draft.vocab, size=12):
         f = rng.normal(size=draft.dim)
-        assert_step_equal(sess.begin_round([int(t)], [f]), ref.commit([int(t)], [f]))
+        assert_step_equal(draft, sess.begin_round([int(t)], [f]), ref.commit([int(t)], [f]))
     assert np.array_equal(sess.cache.keys(0), ref.k)
     assert sess.next_pos == ref.next_pos
+
+
+# ------------------------------------------------------------ fused weights
+
+@pytest.mark.parametrize("dim", [16, 32])
+@pytest.mark.parametrize("m", [1, 6, 65])
+def test_fused_qkv_equals_three_projections(dim, m):
+    # at widths that are multiples of 4 the fused projection moves no bit
+    model = init_target(TargetConfig(dim=dim), seed=dim)
+    draft = init_draft(DraftConfig(dim=dim), model, seed=dim)
+    DraftSession(draft)  # packs the draft's fused weights
+    x = np.random.default_rng(dim + m).normal(size=(m, dim))
+    p = draft.params
+    for fused, parts in [*((lp.wqkv, (lp.wq, lp.wk, lp.wv)) for lp in model.layers),
+                         (draft._wqkv, (p["wq"], p["wk"], p["wv"]))]:
+        assert np.array_equal(row_linear(fused, x),
+                              np.concatenate([row_linear(w, x) for w in parts], axis=1))
+
+
+def ref_expert_rows(draft, x, att):
+    """The per-expert expert layer: each expert runs on just the rows that
+    chose it, and the gated mixture adds them in ascending expert order;
+    returns (feature_moe, feature_top1, feature_top2)."""
+    cfg, p = draft.config, draft.params
+    u = x + row_linear(p["wo"], att)
+    v_in = layer_norm(u, p["ln2_g"], p["ln2_b"]) if cfg.use_ln else u
+    scores = softmax(row_linear(p["router"], v_in))
+    top = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.active_k]
+    f_moe, f_expert = u.copy(), {}
+    for j in range(cfg.n_experts):
+        sel = np.flatnonzero((top == j).any(axis=1))
+        if sel.size:
+            out = row_linear(p[f"expert{j}_w2"], silu(row_linear(p[f"expert{j}_w1"], v_in[sel])))
+            f_moe[sel] = f_moe[sel] + scores[sel, j, None] * out
+            f_expert.update({(j, int(r)): o + u[r] for r, o in zip(sel, out)})
+    f_top = [np.array([f_expert[int(j), r] for r, j in enumerate(top[:, b])]) for b in (0, 1)]
+    return f_moe, f_top[0], f_top[1]
+
+
+@pytest.mark.parametrize("n_experts,active_k", [(2, 2), (3, 2), (3, 3), (4, 2)])
+@pytest.mark.parametrize("hidden", [64, 30])
+@pytest.mark.parametrize("m", [1, 6, 65])
+def test_dense_experts_equal_per_expert_reference(target, n_experts, active_k, hidden, m):
+    # every expert on every row, bit for bit (signs of zero included) what
+    # running each expert on the rows that chose it gives, at any hidden width
+    draft = init_draft(DraftConfig(n_experts=n_experts, active_k=active_k, expert_hidden=hidden),
+                       target, seed=10 * n_experts + active_k)
+    DraftSession(draft)
+    rng = np.random.default_rng(m + hidden)
+    x, att = rng.normal(size=(2, m, draft.dim))
+    got = draft._out_rows(x, att)
+    for g, w in zip((got.feature_moe, got.feature_top1, got.feature_top2),
+                    ref_expert_rows(draft, x, att)):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("dim,n_heads", [(9, 3), (30, 2)])
+def test_greedy_streams_at_widths_where_fusion_moves_bits(dim, n_heads):
+    # the fused projection differs from three in the last bits here, and
+    # every pass shares it, so greedy trees still reproduce vanilla decoding
+    cfg = RunConfig(dim=dim, n_heads=n_heads, gamma=4, max_new=12, n_prompts=6, seed=dim)
+    target, draft = build_models(cfg)
+    x = np.random.default_rng(dim).normal(size=(65, dim))
+    lp = target.layers[0]
+    assert not np.array_equal(row_linear(lp.wqkv, x),
+                              np.concatenate([row_linear(w, x) for w in (lp.wq, lp.wk, lp.wv)], 1))
+    # a briefly distilled draft, so greedy walks accept past depth 0
+    train_draft(draft, generate_distillation_corpus(target, 32, 12), TrainConfig(lr=3e-3,
+                batch_size=8), steps=100)
+    for method in ("chain", "jakiro_full"):
+        run = RunConfig(**{**cfg.__dict__, "method": method})
+        tokens = forwards = 0
+        for prompt in make_prompts(run):
+            r = decode_prompt(target, draft, run, prompt, np.random.default_rng(0))
+            assert r["tokens"] == target.autoregressive_decode(prompt, run.max_new)
+            tokens, forwards = tokens + len(r["tokens"]), forwards + r["target_forwards"]
+        assert tokens > 1.2 * forwards, (method, tokens, forwards)

@@ -239,8 +239,7 @@ class TestMoeTree:
         tree = grow_moe_tree(make_session(draft), root_feature, 5, 1, 2)
         s = make_session(draft)
         out = s.begin_round([5], [root_feature])
-        dl = softmax(out.logits_left)
-        dr = softmax(out.logits_right)
+        dl, dr = softmax(draft.branch_logits(out))
         lt = [int(t) for t in np.argsort(-dl, kind="stable")[:2]]
         rt = [int(t) for t in np.argsort(-dr, kind="stable")[:2]]
         expected = [(t, "left") for t in lt]

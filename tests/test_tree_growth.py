@@ -117,8 +117,7 @@ def ref_grow(session, prev_feature, start_token, gamma, *, kind, top_k=1, beam=6
                 s = pout.scores
                 s1 = float(s[int(pout.top[0])])
                 s2 = float(s[int(pout.top[1])])
-                dl = softmax(pout.logits_left, temperature)
-                dr = softmax(pout.logits_right, temperature)
+                dl, dr = softmax(model.branch_logits(pout), temperature)
                 pc = ref_propose(dl, pidx, pcum, depth, BRANCH_LEFT, np.log(s1), top_k, mode, rng, pout)
                 pc += ref_propose(dr, pidx, pcum, depth, BRANCH_RIGHT, np.log(s2), top_k, mode, rng, pout)
                 if mode == "greedy":

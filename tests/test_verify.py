@@ -8,7 +8,7 @@ import pytest
 from sdlab.draft import DraftConfig, DraftSession, init_draft
 from sdlab.kernels import inverse_cdf_sample, softmax
 from sdlab.target import TargetConfig, init_target
-from sdlab.tree import NODE, DraftTree, grow_moe_tree, grow_static_tree
+from sdlab.tree import NODE, DraftTree, grow_chain, grow_moe_tree, grow_static_tree
 from sdlab.verify import accept_token, residual_dist, verify_tree
 
 from test_row_kernel import random_tree
@@ -407,8 +407,7 @@ def draft_level_dists(target, draft, ctx, kind, temperature=1.0):
         if kind == "static":
             d = softmax(draft.mixture_logits(step), temperature)
             return [d, d]  # top_k=2: two independent draws from one dist
-        return [softmax(step.logits_left, temperature),
-                softmax(step.logits_right, temperature)]
+        return list(softmax(draft.branch_logits(step), temperature))
 
     lvl1 = dists(out0)
     lvl2 = {}
@@ -433,7 +432,7 @@ def enumerate_jakiro_round(target, draft, ctx):
     sess = DraftSession(draft)
     sess.prefill(ctx[1:-1], feats[: len(ctx) - 2])
     out0 = sess.begin_round([ctx[-1]], [feats[-2]])
-    qa, qb = softmax(out0.logits_left), softmax(out0.logits_right)
+    qa, qb = softmax(draft.branch_logits(out0))
     qc = softmax(draft.contrast_logits(out0))
     cum_a = np.log(out0.branch_scores[0]) + np.log(np.maximum(qa, 1e-300))
     cum_b = np.log(out0.branch_scores[1]) + np.log(np.maximum(qb, 1e-300))
@@ -667,3 +666,142 @@ def test_monte_carlo_jakiro_round_expands_the_enumerated_node(small_target, smal
         first[emitted[0]] += 1 / n
     assert np.max(np.abs(acc - want_acc)) < 0.035
     assert np.max(np.abs(first - want_first)) < 0.035
+
+
+# ------------------------------------------- enumeration at K=3, gamma=3
+
+class BeamOneRound:
+    """Exact law of a sampled round at temperature 1, beam 1 and gamma 3.
+
+    Every level draws top_k=1 child per branch of the one node the level
+    before expanded (two draws from the mixture for static, whose top_k is
+    2), and expands its best child by cum_score, the earlier on a tie: the
+    tree the growers build at beam 1.  The law is over the first gamma + 1
+    tokens the round emits, each round that stops earlier continued by the
+    target, so a lossless round's law is the target's.  The draft's passes
+    run on one session, memoized by path; a path's tentative row is found
+    by its ancestors, as the grower finds it.
+    """
+
+    def __init__(self, target, draft, ctx, kind, gamma=3):
+        self.target, self.draft, self.kind, self.gamma = target, draft, kind, gamma
+        cache = target.new_cache()
+        outs = [target.forward_cached(cache, t) for t in ctx]
+        self.feats = feats = [o.feature for o in outs]
+        self.sess = DraftSession(draft)
+        self.sess.prefill(ctx[1:-1], feats[: len(ctx) - 2])
+        self.passes = {(): (self.sess.begin_round([ctx[-1]], [feats[-2]]), [])}
+        self.caches = {(): cache}
+        self.dists, self.target_laws, self.laws = {(): softmax(outs[-1].logits)}, {}, {}
+
+    def p(self, path):
+        """The target's distribution after ctx + path."""
+        if path not in self.dists:
+            cache = clone_cache(self.caches[path[:-1]])
+            self.dists[path] = softmax(self.target.forward_cached(cache, path[-1]).logits)
+            if len(path) < self.gamma:
+                self.caches[path] = cache
+        return self.dists[path]
+
+    def step(self, path):
+        """The draft pass of the node at path and its tentative ancestor rows."""
+        if path not in self.passes:
+            out, anc = self.step(path[:-1])
+            level, ids = self.sess.tree_level([path[-1]], [out.feature_moe], [anc])
+            self.passes[path] = (level.row(0), anc + [int(ids[0])])
+        return self.passes[path]
+
+    def children(self, path):
+        """The (dist, log branch score or None) of each child slot of the
+        node at path, in tree order."""
+        if self.kind == "jakiro" and len(path) == self.gamma - 1:
+            return [(softmax(self.draft.contrast_logits(self.step(path[:-1])[0])), None)]
+        out = self.step(path)[0]
+        if self.kind in ("moe", "jakiro"):
+            branch = softmax(self.draft.branch_logits(out))
+            return [(branch[b], np.log(out.branch_scores[b])) for b in (0, 1)]
+        mix = softmax(self.draft.mixture_logits(out))
+        return [(mix, None)] * (2 if self.kind == "static" else 1)
+
+    def target_law(self, path, r):
+        """(V,) * r law of the target's next r tokens after ctx + path."""
+        if r == 0:
+            return np.ones(())
+        if (path, r) not in self.target_laws:
+            p = self.p(path)
+            self.target_laws[path, r] = np.stack(
+                [p[x] * self.target_law(path + (x,), r - 1) for x in range(V)])
+        return self.target_laws[path, r]
+
+    def law(self, path=(), pcum=0.0, r=None):
+        """Law of the next r tokens emitted from the expanded node at path,
+        whose cum_score is pcum, over its children's draws and the walk."""
+        r = self.gamma + 1 if r is None else r
+        if (path, pcum) in self.laws:
+            return self.laws[path, pcum]
+        slots = self.children(path)
+        leaf = len(path) + 1 == self.gamma
+        law = np.zeros((V,) * r)
+        for draw in np.ndindex(*(V,) * len(slots)):
+            w = np.prod([q[t] for (q, _), t in zip(slots, draw)])
+            cums = [(pcum if lw is None else pcum + lw) + np.log(max(q[t], 1e-300))
+                    for (q, lw), t in zip(slots, draw)]
+            best = int(np.argmax(cums))  # first of equal maxima: the earlier node
+            p = self.p(path)
+            for i, ((q, _), t) in enumerate(zip(slots, draw)):
+                a = min(1.0, p[t] / q[t])
+                child = path + (t,)
+                if i == best and not leaf:
+                    law[t] += w * a * self.law(child, cums[i], r - 1)
+                else:
+                    law[t] += w * a * self.target_law(child, r - 1)
+                w *= 1.0 - a
+                p = residual_dist(p, q)
+            law += w * np.stack([p[x] * self.target_law(path + (x,), r - 1) for x in range(V)])
+        self.laws[path, pcum] = law
+        return law
+
+
+GROWERS = {"chain": (grow_chain, {}), "static": (grow_static_tree, {"top_k": 2}),
+           "moe": (grow_moe_tree, {"top_k": 1}), "jakiro": (grow_moe_tree, {"top_k": 1,
+                                                                            "parallel": True})}
+
+
+@pytest.fixture(scope="module", params=[(3, 3), (4, 3)], ids=["N3K3", "N4K3"])
+def k3_draft(small_target, request):
+    n, k = request.param
+    return init_draft(DraftConfig(vocab=V, dim=16, n_heads=2, n_experts=n, active_k=k,
+                                  expert_hidden=32), small_target, seed=n + k)
+
+
+@pytest.mark.parametrize("kind", ["chain", "static", "moe", "jakiro"])
+def test_k3_gamma3_round_is_lossless_by_enumeration(small_target, k3_draft, kind):
+    ctx = [3, 1, 4]
+    oracle = BeamOneRound(small_target, k3_draft, ctx, kind)
+    law = oracle.law()
+    assert abs(law.sum() - 1.0) < 1e-12
+    assert np.max(np.abs(law - oracle.target_law((), 4))) < 1e-10
+
+    # the oracle's tree is the grower's: each real level holds the children
+    # of the one node expanded before it, drawn from the oracle's
+    # distributions, and the real tree expands the node the oracle does
+    grow, kw = GROWERS[kind]
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        sess = DraftSession(k3_draft)
+        sess.prefill(ctx[1:-1], oracle.feats[: len(ctx) - 2])
+        tree = grow(sess, oracle.feats[-2], ctx[-1], 3, temperature=1.0, rng=rng, beam=1, **kw)
+        nodes, path, pcum, parent = tree.nodes, (), 0.0, -1
+        for depth in (1, 2, 3):
+            level = np.flatnonzero(nodes["depth"] == depth)
+            slots = oracle.children(path)
+            assert len(level) == len(slots) and (nodes["parent"][level] == parent).all()
+            cums = []
+            for i, (q, lw) in zip(level, slots):
+                assert np.array_equal(tree.q_dist[i], q)
+                base = pcum if lw is None else pcum + lw
+                cums.append(base + np.log(max(q[nodes["token"][i]], 1e-300)))
+            assert np.array_equal(nodes["cum_score"][level], cums)
+            parent = int(level[int(np.argmax(cums))])
+            path, pcum = path + (int(nodes["token"][parent]),), cums[int(np.argmax(cums))]
+        assert len(nodes) == sum(len(oracle.children(path[:d])) for d in range(3))
