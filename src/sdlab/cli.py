@@ -13,6 +13,7 @@ import sys
 from dataclasses import asdict
 
 from .bench import (
+    METHODS,
     ConfigError,
     InvariantError,
     Report,
@@ -121,7 +122,7 @@ def cmd_decode(args) -> int:
 
 def cmd_bench(args) -> int:
     cfg = _config_from_args(args)
-    methods = args.methods.split(",") if args.methods else ["vanilla", "chain", "static_tree", "moe_tree", "jakiro_full"]
+    methods = args.methods.split(",") if args.methods else METHODS
     report = run_bench(cfg, methods)
     summary = {
         m: {"tau": round(met["tau"], 4), "target_forwards": met["target_forwards"],

@@ -22,9 +22,6 @@ row, routing takes a row softmax and a stable row argsort, every expert
 runs on every row as one stacked matmul per projection, and the gated
 mixture adds each row's chosen experts in ascending order, so each row is
 bit for bit what a lone step would give (see kernels.py for the attention).
-The fused q/k/v and stacked expert weights are built from the parameters
-when a session opens (``_pack``): training replaces the parameter arrays,
-so a change to them reaches the next session.
 A round's tentative rows live in the cache's buffer past its committed
 rows, in creation order.  All rows of a tree level share one depth, so a
 level takes its rows' ancestors as one (rows, depth - 1) array, and its
@@ -36,8 +33,11 @@ A tree level gets its outputs back as one ``DraftStepOutput`` whose fields
 carry a leading row axis, so tree growth works on whole levels; the three
 heads take such a stack as well as a single step.
 
-Parameters live in an ordered dict of float64 arrays so the trainer,
-optimizer and checkpoint writer all walk them in one deterministic order.
+Parameters live in a dict of float64 arrays in the layout the row kernel
+reads: q, k and v fused as one (3 dim, dim) weight ``wqkv`` stacked by
+rows, and every expert's w1 and w2 stacked along a leading expert axis.
+The trainer and the optimizer read the same arrays.  ``param_blocks``
+lists them as the checkpoint's blocks, in file order.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ class DraftConfig:
     n_experts: int = 2
     active_k: int = 2
     expert_hidden: int = 64
-    use_ln: bool = True
 
     def __post_init__(self):
         for name in ("vocab", "dim", "n_heads", "n_experts", "expert_hidden"):
@@ -112,17 +111,6 @@ class DraftModel:
     def dim(self) -> int:
         return self.config.dim
 
-    def _pack(self) -> None:
-        """Build the fused weights the row kernel reads from the current
-        params: wq, wk and wv stacked by rows, and every expert's w1 and w2
-        stacked along a leading expert axis.  Each ``DraftSession`` calls
-        it when it opens, since training replaces the params' arrays."""
-        p = self.params
-        n = range(self.config.n_experts)
-        self._wqkv = np.concatenate((p["wq"], p["wk"], p["wv"]))
-        self._w1 = np.stack([p[f"expert{j}_w1"] for j in n])[:, None]  # (N, 1, hidden, dim)
-        self._w2 = np.stack([p[f"expert{j}_w2"] for j in n])[:, None]  # (N, 1, dim, hidden)
-
     def _kv_rows(self, tokens, positions, prev_features):
         """First half of the row kernel: the reduced rows x and their q, k, v.
 
@@ -143,8 +131,7 @@ class DraftModel:
             raise ValueError(f"token {tokens[int(np.argmax(bad))]} out of vocab range [0, {cfg.vocab})")
         e = self.emb[tok] + sinusoid_positions(positions, cfg.dim)
         x = row_linear(p["reduction"], np.concatenate((e, feats), axis=1))
-        a_in = layer_norm(x, p["ln1_g"], p["ln1_b"]) if cfg.use_ln else x
-        qkv = row_linear(self._wqkv, a_in)
+        qkv = row_linear(p["wqkv"], layer_norm(x, p["ln1_g"], p["ln1_b"]))
         d = cfg.dim
         return x, qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
 
@@ -160,13 +147,13 @@ class DraftModel:
         cfg = self.config
         p = self.params
         u = x + row_linear(p["wo"], att)
-        v_in = layer_norm(u, p["ln2_g"], p["ln2_b"]) if cfg.use_ln else u
+        v_in = layer_norm(u, p["ln2_g"], p["ln2_b"])
         # the router: a row softmax and the active_k best experts, ties to the lower index
         scores = softmax(row_linear(p["router"], v_in))
         top = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.active_k]
         m = x.shape[0]
-        hidden = (self._w1 @ v_in[None, :, :, None])[..., 0]
-        expert_out = (self._w2 @ silu(hidden)[..., None])[..., 0]  # (N, m, dim)
+        hidden = (p["w1"][:, None] @ v_in[None, :, :, None])[..., 0]
+        expert_out = (p["w2"][:, None] @ silu(hidden)[..., None])[..., 0]  # (N, m, dim)
         gated = scores.T[..., None] * expert_out
         if cfg.active_k < cfg.n_experts:
             # adding -0.0 for an expert a row did not choose leaves every
@@ -218,7 +205,6 @@ class DraftSession:
     tree level)."""
 
     def __init__(self, model: DraftModel):
-        model._pack()
         self.model = model
         self.cache = KvCache(1, model.dim)
         self.next_pos = 1
@@ -303,30 +289,34 @@ def init_draft(config: DraftConfig, target: TargetModel, seed: int = 1) -> Draft
     if target.vocab != config.vocab or target.dim != config.dim:
         raise ValueError("draft config does not match target vocab/dim")
     rng = np.random.Generator(np.random.PCG64(seed))
-    d = config.dim
+    d, n, h = config.dim, config.n_experts, config.expert_hidden
     p: dict[str, np.ndarray] = {}
     p["reduction"] = rng.normal(0.0, 1.0 / np.sqrt(2 * d), size=(d, 2 * d))
     p["ln1_g"] = np.ones(d)
     p["ln1_b"] = np.zeros(d)
-    for name in ("wq", "wk", "wv", "wo"):
-        p[name] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
+    # one draw of wq, wk and wv in turn, as three draws would give them
+    p["wqkv"] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(3 * d, d))
+    p["wo"] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(d, d))
     p["ln2_g"] = np.ones(d)
     p["ln2_b"] = np.zeros(d)
-    p["router"] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(config.n_experts, d))
-    for j in range(config.n_experts):
-        p[f"expert{j}_w1"] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(config.expert_hidden, d))
-        p[f"expert{j}_w2"] = rng.normal(0.0, 1.0 / np.sqrt(config.expert_hidden), size=(d, config.expert_hidden))
+    p["router"] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(n, d))
+    p["w1"], p["w2"] = np.empty((n, h, d)), np.empty((n, d, h))
+    for j in range(n):  # expert by expert, w1 then w2
+        p["w1"][j] = rng.normal(0.0, 1.0 / np.sqrt(d), size=(h, d))
+        p["w2"][j] = rng.normal(0.0, 1.0 / np.sqrt(h), size=(d, h))
     p["beta"] = np.array(1.0)
     p["alpha"] = np.array(0.1)
     return DraftModel(config, p, target.emb, target.head)
 
 
-def param_order(config: DraftConfig) -> list[str]:
-    names = ["reduction", "ln1_g", "ln1_b", "wq", "wk", "wv", "wo", "ln2_g", "ln2_b", "router"]
-    for j in range(config.n_experts):
-        names += [f"expert{j}_w1", f"expert{j}_w2"]
-    names += ["beta", "alpha"]
-    return names
+def param_blocks(p: dict) -> list[np.ndarray]:
+    """The checkpoint's blocks of a parameter dict, or of a gradient dict of
+    the same layout, in file order, as views: reduction, the first norm, wq,
+    wk and wv (the row blocks of wqkv), wo, the second norm, the router,
+    each expert's w1 and w2 in turn, then beta and alpha."""
+    experts = [w for pair in zip(p["w1"], p["w2"]) for w in pair]
+    return [p["reduction"], p["ln1_g"], p["ln1_b"], *np.split(p["wqkv"], 3), p["wo"],
+            p["ln2_g"], p["ln2_b"], p["router"], *experts, p["beta"], p["alpha"]]
 
 
 def save_draft(model: DraftModel, path: str) -> None:
@@ -340,18 +330,18 @@ def save_draft(model: DraftModel, path: str) -> None:
         cfg.n_experts,
         cfg.active_k,
         cfg.expert_hidden,
-        1 if cfg.use_ln else 0,
+        1,  # the layer norm word: the draft always normalises
     )
     with open(path, "wb") as fh:
         fh.write(header)
-        for name in param_order(cfg):
-            fh.write(np.ascontiguousarray(model.params[name], dtype="<f8").tobytes())
+        for a in param_blocks(model.params):
+            fh.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
 def _draft_size(cfg: DraftConfig) -> int:
     """Parameter count of a draft, from its config alone."""
     d, e, h = cfg.dim, cfg.n_experts, cfg.expert_hidden
-    # reduction (d, 2d); wq, wk, wv, wo; two norms; router; experts; beta, alpha
+    # reduction (d, 2d); wqkv, wo; two norms; router; experts; beta, alpha
     return 2 * d * d + 4 * d * d + 4 * d + e * d + e * 2 * h * d + 2
 
 
@@ -363,24 +353,20 @@ def load_draft(path: str, target: TargetModel) -> DraftModel:
         raise ValueError("bad magic: not a draft checkpoint")
     if len(blob) < offset:
         raise ValueError("checkpoint header truncated")
-    version, vocab, dim, n_heads, n_exp, k, hid, use_ln = struct.unpack_from("<8I", blob, 4)
+    version, vocab, dim, n_heads, n_exp, k, hid, ln = struct.unpack_from("<8I", blob, 4)
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    if ln != 1:
+        raise ValueError(f"unsupported layer norm word {ln}, expected 1")
     cfg = DraftConfig(vocab=vocab, dim=dim, n_heads=n_heads, n_experts=n_exp,
-                      active_k=k, expert_hidden=hid, use_ln=bool(use_ln))
+                      active_k=k, expert_hidden=hid)
     # checked before init_draft allocates what the header asks for
     if len(blob) != offset + 8 * _draft_size(cfg):
         raise ValueError("checkpoint length mismatch")
     model = init_draft(cfg, target, seed=0)
-    for name in param_order(cfg):
-        a = model.params[name]
-        n = a.size
-        vals = np.frombuffer(blob, dtype="<f8", count=n, offset=offset).reshape(a.shape)
-        if a.shape == ():
-            model.params[name] = np.array(float(vals))
-        else:
-            a[...] = vals
-        offset += 8 * n
-    if not all(np.isfinite(model.params[n]).all() for n in param_order(cfg)):
+    for a in param_blocks(model.params):
+        a[...] = np.frombuffer(blob, dtype="<f8", count=a.size, offset=offset).reshape(a.shape)
+        offset += 8 * a.size
+    if not all(np.isfinite(a).all() for a in model.params.values()):
         raise ValueError("non-finite parameter value in draft checkpoint")
     return model

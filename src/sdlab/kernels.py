@@ -18,15 +18,16 @@ with the same strides whichever way it is formed and only batches rows of
 equal context length (``attn_row``), so every softmax reduces the same
 values in the same order.
 
-Weights are fused to save calls.  Each model projects q, k and v with one
-``row_linear`` of a (3 dim, dim) weight, the three stacked by rows.  Its
-outputs equal three separate projections' bit for bit when dim is a
-multiple of 4 (16 and 32 among them), since OpenBLAS's gemv blocks a
-matrix's rows by 4; at other widths they differ in the last bits, but
-every pass of a model shares the fused projection, so a tree path still
-reproduces sequential decoding.  The draft runs its experts as stacked
-matmuls, (experts, 1, out, in) @ (experts, rows, in, 1): each entry is one
-expert's own matrix-vector product, the same bits at every width.
+Weights are stored fused to save calls.  Each model keeps q, k and v as
+one (3 dim, dim) weight, the three stacked by rows, and projects them with
+one ``row_linear``.  Its outputs equal three separate projections' bit for
+bit when dim is a multiple of 4 (16 and 32 among them), since OpenBLAS's
+gemv blocks a matrix's rows by 4; at other widths they differ in the last
+bits, but every pass of a model shares the fused projection, so a tree path
+still reproduces sequential decoding.  The draft stores its experts' weights
+stacked along a leading expert axis and runs them as stacked matmuls,
+(experts, 1, out, in) @ (experts, rows, in, 1): each entry is one expert's
+own matrix-vector product, the same bits at every width.
 
 A pass writes its own key/value rows into its cache's buffer past the
 committed rows and reads every context from that buffer.  In a causal pass

@@ -74,20 +74,6 @@ class LayerParams:
     w1: np.ndarray
     w2: np.ndarray
 
-    # the q, k and v projections are views of their row blocks of wqkv, so
-    # writes through them (a checkpoint load, an edit) reach the fused weight
-    @property
-    def wq(self) -> np.ndarray:
-        return self.wqkv[: self.wqkv.shape[1]]
-
-    @property
-    def wk(self) -> np.ndarray:
-        return self.wqkv[self.wqkv.shape[1] : 2 * self.wqkv.shape[1]]
-
-    @property
-    def wv(self) -> np.ndarray:
-        return self.wqkv[2 * self.wqkv.shape[1] :]
-
 
 class KvCache:
     """Per-layer key/value rows of one decoding session.
@@ -390,7 +376,7 @@ def init_target(config: TargetConfig, seed: int = 0) -> TargetModel:
 def _target_arrays(model: TargetModel):
     arrs = [model.emb]
     for lp in model.layers:
-        arrs += [lp.ln1_g, lp.ln1_b, lp.wq, lp.wk, lp.wv, lp.wo, lp.ln2_g, lp.ln2_b, lp.w1, lp.w2]
+        arrs += [lp.ln1_g, lp.ln1_b, lp.wqkv, lp.wo, lp.ln2_g, lp.ln2_b, lp.w1, lp.w2]
     arrs += [model.lnf_g, model.lnf_b, model.head]
     return arrs
 
@@ -409,7 +395,7 @@ def save_target(model: TargetModel, path: str) -> None:
 def _target_size(cfg: TargetConfig) -> int:
     """Parameter count of a target, from its config alone."""
     d = cfg.dim
-    # embedding and head; per layer two norms, wq, wk, wv, wo and the 4x MLP; final norm
+    # embedding and head; per layer two norms, wqkv, wo and the 4x MLP; final norm
     return 2 * cfg.vocab * d + cfg.n_layers * (4 * d + 4 * d * d + 8 * d * d) + 2 * d
 
 

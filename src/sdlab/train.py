@@ -2,17 +2,22 @@
 
 The teacher-forced training pass is a batched re-implementation of the draft
 step (verified against the sequential path by tests); gradients are written
-by hand and audited with central differences.  The objective combines two
-feature-regression terms and two classification terms:
+by hand and audited with central differences.  It reads and updates the
+draft's own parameter arrays, the ones its row kernel decodes with, and
+runs one GEMM per checkpoint block on views of them (q, k and v each on
+their row block of ``wqkv``, each expert on its slice of ``w1``/``w2``).
+The objective combines two feature-regression terms and two
+classification terms:
 
     total = reg_moe + w_cls_moe * cls_moe + reg_const + w_cls_const * cls_const
 
 where the mixture branch predicts one step ahead and the contrast branch two
 steps ahead.  Positions without a target two or three tokens out are masked.
 The regression terms are smooth L1 with beta SMOOTH_L1_BETA.  Each step is
-one Adam update (ADAM_BETA1, ADAM_BETA2) of the gradient clipped to global
-norm GRAD_CLIP; a TrainConfig sets the two classification weights, the
-learning rate, the batch size and the seed.
+one in-place Adam update (ADAM_BETA1, ADAM_BETA2) of the gradient clipped
+to global norm GRAD_CLIP, the norm summed block by block in checkpoint
+order (``draft.param_blocks``); a TrainConfig sets the two classification
+weights, the learning rate, the batch size and the seed.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .draft import DraftModel, param_order
+from .draft import DraftModel, param_blocks
 from .kernels import LOG_CLAMP, silu, silu_grad, sinusoid_positions, softmax
 from .target import TargetModel
 
@@ -169,30 +174,23 @@ def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
     e_in = model.emb[tok_in] + sinusoid_positions(range(1, T), d)[None]
     z = np.concatenate((e_in, feat_in), axis=-1)
     h = z @ p["reduction"].T
-    if mc.use_ln:
-        a_in, ln1c = _ln_forward(h, p["ln1_g"], p["ln1_b"])
-    else:
-        a_in, ln1c = h, None
-    q = (a_in @ p["wq"].T).reshape(B, S, H, dh).transpose(0, 2, 1, 3)
-    k = (a_in @ p["wk"].T).reshape(B, S, H, dh).transpose(0, 2, 1, 3)
-    v = (a_in @ p["wv"].T).reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+    a_in, ln1c = _ln_forward(h, p["ln1_g"], p["ln1_b"])
+    q, k, v = ((a_in @ w.T).reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+               for w in np.split(p["wqkv"], 3))
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
     tril = np.tril(np.ones((S, S), dtype=bool))
     scores = np.where(tril[None, None], scores, -1e30)
     P = softmax(scores)
     att = (P @ v).transpose(0, 2, 1, 3).reshape(B, S, d)
     u = h + att @ p["wo"].T
-    if mc.use_ln:
-        v_in, ln2c = _ln_forward(u, p["ln2_g"], p["ln2_b"])
-    else:
-        v_in, ln2c = u, None
+    v_in, ln2c = _ln_forward(u, p["ln2_g"], p["ln2_b"])
     rl = v_in @ p["router"].T
     s = softmax(rl)
     order = np.argsort(-s, axis=-1, kind="stable")
     i1, i2 = order[..., 0], order[..., 1]
-    hid = np.stack([v_in @ p[f"expert{j}_w1"].T for j in range(N)], axis=2)   # (B,S,N,he)
+    hid = np.stack([v_in @ p["w1"][j].T for j in range(N)], axis=2)   # (B,S,N,he)
     act = silu(hid)
-    eout = np.stack([act[:, :, j] @ p[f"expert{j}_w2"].T for j in range(N)], axis=2)  # (B,S,N,d)
+    eout = np.stack([act[:, :, j] @ p["w2"][j].T for j in range(N)], axis=2)  # (B,S,N,d)
     e1 = np.take_along_axis(eout, i1[..., None, None], axis=2)[:, :, 0]
     e2 = np.take_along_axis(eout, i2[..., None, None], axis=2)[:, :, 0]
     s1 = np.take_along_axis(s, i1[..., None], axis=-1)[..., 0]
@@ -282,10 +280,9 @@ def _smooth_l1_elem_grad(diff, beta, dim):
 def loss_and_grads(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
     total, breakdown, st = _forward(model, batch, cfg)
     p = model.params
-    mc = model.config
     B, S, d, H, dh, N = st["B"], st["S"], st["d"], st["H"], st["dh"], st["N"]
     slb = SMOOTH_L1_BETA
-    grads = {name: np.zeros_like(p[name]) for name in param_order(mc)}
+    grads = {name: np.zeros_like(a) for name, a in p.items()}
 
     dmix = (st["moe_mask"][..., None] * _smooth_l1_elem_grad(st["diff_m"], slb, d)) / st["n_moe"]
     dlm = (st["moe_mask"][..., None] * _ce_logit_grad(st["qm"], st["tgt_mp"])) * (
@@ -323,18 +320,14 @@ def loss_and_grads(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
     du = df1 + df2
     for j in range(N):
         sel = (st["i1"] == j)[..., None] * df1 + (st["i2"] == j)[..., None] * df2
-        grads[f"expert{j}_w2"] = np.einsum("bsd,bsh->dh", sel, st["act"][:, :, j])
-        dact = sel @ p[f"expert{j}_w2"]
+        grads["w2"][j] = np.einsum("bsd,bsh->dh", sel, st["act"][:, :, j])
+        dact = sel @ p["w2"][j]
         dhid = dact * silu_grad(st["hid"][:, :, j])
-        grads[f"expert{j}_w1"] = np.einsum("bsh,bsd->hd", dhid, st["v_in"])
-        dv_in = dv_in + dhid @ p[f"expert{j}_w1"]
+        grads["w1"][j] = np.einsum("bsh,bsd->hd", dhid, st["v_in"])
+        dv_in = dv_in + dhid @ p["w1"][j]
 
-    if mc.use_ln:
-        dup, dg2, db2 = _ln_backward(dv_in, st["ln2c"])
-        grads["ln2_g"], grads["ln2_b"] = dg2, db2
-        du = du + dup
-    else:
-        du = du + dv_in
+    dup, grads["ln2_g"], grads["ln2_b"] = _ln_backward(dv_in, st["ln2c"])
+    du = du + dup
 
     att = st["att"]
     datt = du @ p["wo"]
@@ -351,17 +344,12 @@ def loss_and_grads(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
     dk = dk_h.transpose(0, 2, 1, 3).reshape(B, S, d)
     dv = dv_h.transpose(0, 2, 1, 3).reshape(B, S, d)
     a_in = st["a_in"]
-    da_in = dq @ p["wq"] + dk @ p["wk"] + dv @ p["wv"]
-    grads["wq"] = np.einsum("bsd,bse->de", dq, a_in)
-    grads["wk"] = np.einsum("bsd,bse->de", dk, a_in)
-    grads["wv"] = np.einsum("bsd,bse->de", dv, a_in)
+    wq, wk, wv = np.split(p["wqkv"], 3)
+    da_in = dq @ wq + dk @ wk + dv @ wv
+    grads["wqkv"] = np.concatenate([np.einsum("bsd,bse->de", g, a_in) for g in (dq, dk, dv)])
 
-    if mc.use_ln:
-        dhp, dg1, db1 = _ln_backward(da_in, st["ln1c"])
-        grads["ln1_g"], grads["ln1_b"] = dg1, db1
-        dh_ = dh_ + dhp
-    else:
-        dh_ = dh_ + da_in
+    dhp, grads["ln1_g"], grads["ln1_b"] = _ln_backward(da_in, st["ln1c"])
+    dh_ = dh_ + dhp
 
     grads["reduction"] = np.einsum("bsd,bse->de", dh_, st["z"])
     return total, breakdown, grads
@@ -376,9 +364,9 @@ class AdamState:
     @classmethod
     def init(cls, model: DraftModel) -> "AdamState":
         st = cls()
-        for name in param_order(model.config):
-            st.m[name] = np.zeros_like(model.params[name])
-            st.v[name] = np.zeros_like(model.params[name])
+        for name, a in model.params.items():
+            st.m[name] = np.zeros_like(a)
+            st.v[name] = np.zeros_like(a)
         return st
 
 
@@ -388,10 +376,9 @@ def train_step(model: DraftModel, batch: TrainBatch, opt: AdamState, cfg: TrainC
     total, breakdown, grads = loss_and_grads(model, batch, cfg)
     if not np.isfinite(total):
         raise ValueError("non-finite loss")
-    names = param_order(model.config)
     sq = 0.0
-    for name in names:
-        g = grads[name]
+    # summed block by block: one sum over all of wqkv would round differently
+    for g in param_blocks(grads):
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite gradient")
         sq += float(np.sum(g * g))
@@ -401,14 +388,11 @@ def train_step(model: DraftModel, batch: TrainBatch, opt: AdamState, cfg: TrainC
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1**opt.t
     c2 = 1.0 - b2**opt.t
-    for name in names:
+    for name, w in model.params.items():
         g = grads[name] * scale
         opt.m[name] = b1 * opt.m[name] + (1.0 - b1) * g
         opt.v[name] = b2 * opt.v[name] + (1.0 - b2) * g * g
-        update = cfg.lr * (opt.m[name] / c1) / (np.sqrt(opt.v[name] / c2) + 1e-8)
-        # np.asarray keeps 0-d parameters (beta, alpha) proper ndarrays;
-        # subtraction alone would degrade them to numpy scalars
-        model.params[name] = np.asarray(model.params[name] - update)
+        w -= cfg.lr * (opt.m[name] / c1) / (np.sqrt(opt.v[name] / c2) + 1e-8)
     return total, breakdown
 
 
@@ -425,8 +409,9 @@ def train_draft(model: DraftModel, corpus: TrainBatch, cfg: TrainConfig, steps: 
         loss, breakdown = train_step(model, corpus.take(idx), opt, cfg)
         history.append(loss)
         if log_every and (step % log_every == 0 or step == steps - 1):
-            print(f"step {step:5d}  loss {loss:.6f}  "
-                  f"reg_moe {breakdown['reg_moe']:.4f}  cls_moe {breakdown['cls_moe']:.4f}")
+            terms = "  ".join(f"{name} {breakdown[name]:.4f}"
+                              for name in ("reg_moe", "cls_moe", "reg_const", "cls_const"))
+            print(f"step {step:5d}  loss {loss:.6f}  {terms}")
     return history
 
 
@@ -441,21 +426,19 @@ def finite_diff_check(model: DraftModel, batch: TrainBatch, cfg: TrainConfig,
         raise ValueError("h must lie in [1e-6, 1e-4]")
     rng = np.random.Generator(np.random.PCG64(seed))
     _, _, grads = loss_and_grads(model, batch, cfg)
-    names = param_order(model.config)
-    coords = [("beta", 0), ("alpha", 0)]
-    sizes = [(name, model.params[name].size) for name in names]
-    total_size = sum(sz for _, sz in sizes)
+    blocks, grad_blocks = param_blocks(model.params), param_blocks(grads)
+    coords = [(len(blocks) - 2, 0), (len(blocks) - 1, 0)]  # beta, alpha
+    total_size = sum(b.size for b in blocks)
     for _ in range(max(0, n_coords - len(coords))):
         r = int(rng.integers(0, total_size))
-        for name, sz in sizes:
-            if r < sz:
-                coords.append((name, r))
+        for i, b in enumerate(blocks):
+            if r < b.size:
+                coords.append((i, r))
                 break
-            r -= sz
+            r -= b.size
     worst = 0.0
-    for name, flat_idx in coords:
-        arr = np.asarray(model.params[name])
-        model.params[name] = arr
+    for i, flat_idx in coords:
+        arr = blocks[i]
         orig = float(arr.flat[flat_idx])
         arr.flat[flat_idx] = orig + h
         lp, _ = jakiro_loss(model, batch, cfg)
@@ -463,7 +446,7 @@ def finite_diff_check(model: DraftModel, batch: TrainBatch, cfg: TrainConfig,
         lm, _ = jakiro_loss(model, batch, cfg)
         arr.flat[flat_idx] = orig
         numeric = (lp - lm) / (2.0 * h)
-        analytic = float(grads[name].flat[flat_idx])
+        analytic = float(grad_blocks[i].flat[flat_idx])
         err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         worst = max(worst, err)
     return worst

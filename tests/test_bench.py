@@ -270,10 +270,10 @@ class TestCli:
     def test_non_finite_checkpoint_exit_2(self, tmp_path, capsys, which):
         target, draft = build_models(RunConfig())
         if which == "target":
-            target.layers[1].wv[3, 4] = np.nan
+            target.layers[1].wqkv[2 * target.dim + 3, 4] = np.nan  # wv[3, 4]
             save_target(target, str(tmp_path / "ckpt.bin"))
         else:
-            draft.params["expert1_w2"][0, 5] = np.nan
+            draft.params["w2"][1, 0, 5] = np.nan
             save_draft(draft, str(tmp_path / "ckpt.bin"))
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"method": "chain", f"{which}_checkpoint": str(tmp_path / "ckpt.bin"),
@@ -288,6 +288,7 @@ class TestCli:
         ("draft", (1, 64, 32, 2, 0, 0, 64, 1), "n_experts must be >= 1"),
         ("draft", (1, 64, 32, 2, 2, 2, 2**30, 1), "checkpoint length mismatch"),
         ("draft", (1, 64, 32, 0, 2, 2, 64, 1), "n_heads must be >= 1"),
+        ("draft", (1, 64, 32, 2, 2, 2, 64, 0), "unsupported layer norm word 0, expected 1"),
     ])
     def test_bad_checkpoint_header_exit_2(self, tmp_path, capsys, which, fields, msg):
         # a header alone: its sizes are rejected before any array is allocated

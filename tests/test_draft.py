@@ -22,12 +22,11 @@ def draft(target):
 
 def routing_probe(target, centroids, active_k=2):
     """A draft whose step routes its previous feature u by the production
-    router with weights centroids: the reduction passes u through, the
-    attention output is zeroed and there is no layer norm, so the router
-    sees u itself and its scores are softmax(centroids @ u)."""
+    router with weights centroids: the reduction passes u through and the
+    attention output is zeroed, so the router sees the normed
+    w = layer_norm(u, ln2_g, ln2_b) and its scores are softmax(centroids @ w)."""
     n, d = centroids.shape
-    probe = init_draft(DraftConfig(dim=d, n_experts=n, active_k=active_k, use_ln=False), target,
-                       seed=n)
+    probe = init_draft(DraftConfig(dim=d, n_experts=n, active_k=active_k), target, seed=n)
     probe.params["reduction"] = np.concatenate((np.zeros((d, d)), np.eye(d)), axis=1)
     probe.params["wo"] = np.zeros((d, d))
     probe.params["router"] = centroids
@@ -67,7 +66,9 @@ class TestRouting:
         # centroids solved so the softmax scores equal a chosen vector
         want = np.array([0.4, 0.3, 0.2, 0.1])
         u = np.linspace(-1.0, 2.0, target.dim)
-        out = route(routing_probe(target, np.outer(np.log(want), u) / float(u @ u)), u)
+        # the router sees u normed; a fresh draft's ln2 gain is 1 and bias 0
+        w = layer_norm(u, np.ones(target.dim), np.zeros(target.dim))
+        out = route(routing_probe(target, np.outer(np.log(want), w) / float(w @ w)), u)
         assert_routed(out)
         assert np.max(np.abs(out.scores - want)) < 1e-12
         assert list(out.top) == [0, 1]
@@ -117,7 +118,7 @@ class TestDraftForward:
         e = target.emb[token] + sinusoid_position(1, cfg.dim)
         x = p["reduction"] @ np.concatenate((e, prev))
         a_in = layer_norm(x, p["ln1_g"], p["ln1_b"])
-        q, k, v = p["wq"] @ a_in, p["wk"] @ a_in, p["wv"] @ a_in
+        q, k, v = (w @ a_in for w in np.split(p["wqkv"], 3))
         dh = cfg.dim // cfg.n_heads
         att = np.empty(cfg.dim)
         for h in range(cfg.n_heads):
@@ -128,7 +129,7 @@ class TestDraftForward:
         s = softmax(p["router"] @ v_in)
         order = np.argsort(-s, kind="stable")
         i1, i2 = int(order[0]), int(order[1])
-        e_out = {j: p[f"expert{j}_w2"] @ silu(p[f"expert{j}_w1"] @ v_in) for j in (i1, i2)}
+        e_out = {j: p["w2"][j] @ silu(p["w1"][j] @ v_in) for j in (i1, i2)}
         f_moe = u + sum(s[j] * e_out[j] for j in sorted((i1, i2)))
         assert np.max(np.abs(out.feature_moe - f_moe)) < 1e-12
         assert np.max(np.abs(out.feature_top1 - (e_out[i1] + u))) < 1e-12
@@ -159,7 +160,7 @@ class TestDraftForward:
         e = target.emb[5] + sinusoid_position(1, d.dim)
         x = p["reduction"] @ np.concatenate((e, np.zeros(d.dim)))
         a_in = layer_norm(x, p["ln1_g"], p["ln1_b"])
-        q, k, v = p["wq"] @ a_in, p["wk"] @ a_in, p["wv"] @ a_in
+        q, k, v = (w @ a_in for w in np.split(p["wqkv"], 3))
         dh = d.dim // d.config.n_heads
         att = np.empty(d.dim)
         for h in range(d.config.n_heads):
@@ -169,7 +170,7 @@ class TestDraftForward:
         v_in = layer_norm(u, p["ln2_g"], p["ln2_b"])
         s = softmax(p["router"] @ v_in)
         dense = u + sum(
-            s[j] * (p[f"expert{j}_w2"] @ silu(p[f"expert{j}_w1"] @ v_in)) for j in range(3)
+            s[j] * (p["w2"][j] @ silu(p["w1"][j] @ v_in)) for j in range(3)
         )
         assert np.max(np.abs(out.feature_moe - dense)) < 1e-12
 
@@ -178,15 +179,6 @@ class TestDraftForward:
             DraftSession(draft).begin_round([1], [np.zeros(3)])
         with pytest.raises(ValueError, match="dimension mismatch"):  # ragged rows
             DraftSession(draft).begin_round([1, 2], [np.zeros(draft.dim), np.zeros(3)])
-
-    def test_layer_norm_can_be_disabled(self, target):
-        d = init_draft(DraftConfig(use_ln=False), target, seed=6)
-        out = DraftSession(d).begin_round([3], [np.zeros(d.dim)])
-        assert np.all(np.isfinite(out.feature_moe))
-        from sdlab.train import TrainConfig, finite_diff_check, generate_distillation_corpus
-        batch = generate_distillation_corpus(target, 4, 6, seed=3)
-        err = finite_diff_check(d, batch, TrainConfig(), n_coords=24, h=1e-5, seed=0)
-        assert err < 1e-3
 
 
 class TestContrastiveHeads:
@@ -206,8 +198,8 @@ class TestContrastiveHeads:
 
     def test_cancellation_with_identical_experts(self, target):
         d = init_draft(DraftConfig(n_experts=2, active_k=2), target, seed=5)
-        d.params["expert1_w1"] = d.params["expert0_w1"].copy()
-        d.params["expert1_w2"] = d.params["expert0_w2"].copy()
+        d.params["w1"][1] = d.params["w1"][0]
+        d.params["w2"][1] = d.params["w2"][0]
         out = DraftSession(d).begin_round([8], [np.zeros(d.dim)])
         assert np.array_equal(out.feature_top1, out.feature_top2)
         d.params["beta"], d.params["alpha"] = np.array(0.7), np.array(0.7)
@@ -262,8 +254,8 @@ class TestCheckpoint:
         assert loaded.config == draft.config
 
     def test_round_trip_other_sizes(self, target, tmp_path):
-        draft = init_draft(DraftConfig(n_experts=3, active_k=2, expert_hidden=20, n_heads=4,
-                                       use_ln=False), target, seed=5)
+        draft = init_draft(DraftConfig(n_experts=3, active_k=2, expert_hidden=20, n_heads=4),
+                           target, seed=5)
         path = str(tmp_path / "draft.bin")
         save_draft(draft, path)
         loaded = load_draft(path, target)
@@ -310,19 +302,19 @@ def stream(target, draft):
 
 
 class TestFreshWeights:
-    """The fused weights follow the parameters: after any change, the next
-    decode equals one with a freshly loaded copy of the same parameters."""
+    """The row kernels read the parameters themselves: after any change, the
+    next decode equals one with a freshly loaded copy of the same parameters."""
 
     @pytest.mark.parametrize("change", ["replace", "in_place", "train_step"])
     def test_draft_param_change_reaches_the_next_session(self, target, tmp_path, change):
         draft = init_draft(DraftConfig(n_experts=3, active_k=2), target, seed=3)
         before = stream(target, draft)
-        p = draft.params
+        p, d = draft.params, draft.dim
         if change == "replace":
-            p["wk"] = p["wk"] * 1.5
+            p["wqkv"] = np.concatenate((p["wqkv"][:d], p["wqkv"][d : 2 * d] * 1.5, p["wqkv"][2 * d :]))
         elif change == "in_place":
-            p["expert1_w1"][2, 3] += 0.7
-            p["wq"][0, 1] -= 0.4
+            p["w1"][1, 2, 3] += 0.7
+            p["wqkv"][0, 1] -= 0.4
         else:
             batch = generate_distillation_corpus(target, 8, 10, seed=1)
             train_step(draft, batch, AdamState.init(draft), TrainConfig(lr=1e-2))
@@ -335,8 +327,7 @@ class TestFreshWeights:
         target = init_target(TargetConfig(), seed=0)
         draft = init_draft(DraftConfig(), target, seed=1)
         before = stream(target, draft)
-        target.layers[1].wv[3, 4] += 0.5
-        assert target.layers[1].wqkv[2 * target.dim + 3, 4] == target.layers[1].wv[3, 4]
+        target.layers[1].wqkv[2 * target.dim + 3, 4] += 0.5  # wv[3, 4]
         after = stream(target, draft)
         save_target(target, str(tmp_path / "t.bin"))
         fresh = load_target(str(tmp_path / "t.bin"))

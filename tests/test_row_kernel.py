@@ -81,15 +81,15 @@ def ref_draft_step(draft, token, position, prev_feature, ctx_k, ctx_v):
     cfg, p = draft.config, draft.params
     e = draft.emb[token] + sinusoid_position(position, cfg.dim)
     x = p["reduction"] @ np.concatenate((e, prev_feature))
-    a_in = layer_norm(x, p["ln1_g"], p["ln1_b"]) if cfg.use_ln else x
-    q, k, v = np.split(np.concatenate((p["wq"], p["wk"], p["wv"])) @ a_in, 3)
+    a_in = layer_norm(x, p["ln1_g"], p["ln1_b"])
+    q, k, v = np.split(p["wqkv"] @ a_in, 3)  # the fused q/k/v projection
     K = np.concatenate((ctx_k, k[None, :]), axis=0)
     V = np.concatenate((ctx_v, v[None, :]), axis=0)
     u = x + p["wo"] @ ref_heads_attention(q, K, V, cfg.n_heads)
-    v_in = layer_norm(u, p["ln2_g"], p["ln2_b"]) if cfg.use_ln else u
+    v_in = layer_norm(u, p["ln2_g"], p["ln2_b"])
     scores = ref_softmax(p["router"] @ v_in)
     top = np.argsort(-scores, kind="stable")[: cfg.active_k]
-    expert_out = {int(j): p[f"expert{j}_w2"] @ silu(p[f"expert{j}_w1"] @ v_in) for j in top}
+    expert_out = {int(j): p["w2"][j] @ silu(p["w1"][j] @ v_in) for j in top}
     f_moe = u.copy()
     for j in sorted(expert_out):
         f_moe = f_moe + scores[j] * expert_out[j]
@@ -588,11 +588,6 @@ def test_tree_level_matches_per_item_steps(target, n_experts, active_k):
     draft_level_check(draft, np.random.default_rng(10 * n_experts + active_k))
 
 
-def test_tree_level_without_layer_norm(target):
-    draft = init_draft(DraftConfig(use_ln=False), target, seed=4)
-    draft_level_check(draft, np.random.default_rng(99))
-
-
 def test_tree_levels_across_kv_capacity(target):
     # random rounds whose tentative rows run past the first buffer
     draft = init_draft(DraftConfig(), target, seed=3)
@@ -671,13 +666,10 @@ def test_fused_qkv_equals_three_projections(dim, m):
     # at widths that are multiples of 4 the fused projection moves no bit
     model = init_target(TargetConfig(dim=dim), seed=dim)
     draft = init_draft(DraftConfig(dim=dim), model, seed=dim)
-    DraftSession(draft)  # packs the draft's fused weights
     x = np.random.default_rng(dim + m).normal(size=(m, dim))
-    p = draft.params
-    for fused, parts in [*((lp.wqkv, (lp.wq, lp.wk, lp.wv)) for lp in model.layers),
-                         (draft._wqkv, (p["wq"], p["wk"], p["wv"]))]:
+    for fused in [*(lp.wqkv for lp in model.layers), draft.params["wqkv"]]:
         assert np.array_equal(row_linear(fused, x),
-                              np.concatenate([row_linear(w, x) for w in parts], axis=1))
+                              np.concatenate([row_linear(w, x) for w in np.split(fused, 3)], axis=1))
 
 
 def ref_expert_rows(draft, x, att):
@@ -686,14 +678,14 @@ def ref_expert_rows(draft, x, att):
     returns (feature_moe, feature_top1, feature_top2)."""
     cfg, p = draft.config, draft.params
     u = x + row_linear(p["wo"], att)
-    v_in = layer_norm(u, p["ln2_g"], p["ln2_b"]) if cfg.use_ln else u
+    v_in = layer_norm(u, p["ln2_g"], p["ln2_b"])
     scores = softmax(row_linear(p["router"], v_in))
     top = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.active_k]
     f_moe, f_expert = u.copy(), {}
     for j in range(cfg.n_experts):
         sel = np.flatnonzero((top == j).any(axis=1))
         if sel.size:
-            out = row_linear(p[f"expert{j}_w2"], silu(row_linear(p[f"expert{j}_w1"], v_in[sel])))
+            out = row_linear(p["w2"][j], silu(row_linear(p["w1"][j], v_in[sel])))
             f_moe[sel] = f_moe[sel] + scores[sel, j, None] * out
             f_expert.update({(j, int(r)): o + u[r] for r, o in zip(sel, out)})
     f_top = [np.array([f_expert[int(j), r] for r, j in enumerate(top[:, b])]) for b in (0, 1)]
@@ -708,7 +700,6 @@ def test_dense_experts_equal_per_expert_reference(target, n_experts, active_k, h
     # running each expert on the rows that chose it gives, at any hidden width
     draft = init_draft(DraftConfig(n_experts=n_experts, active_k=active_k, expert_hidden=hidden),
                        target, seed=10 * n_experts + active_k)
-    DraftSession(draft)
     rng = np.random.default_rng(m + hidden)
     x, att = rng.normal(size=(2, m, draft.dim))
     got = draft._out_rows(x, att)
@@ -726,7 +717,7 @@ def test_greedy_streams_at_widths_where_fusion_moves_bits(dim, n_heads):
     x = np.random.default_rng(dim).normal(size=(65, dim))
     lp = target.layers[0]
     assert not np.array_equal(row_linear(lp.wqkv, x),
-                              np.concatenate([row_linear(w, x) for w in (lp.wq, lp.wk, lp.wv)], 1))
+                              np.concatenate([row_linear(w, x) for w in np.split(lp.wqkv, 3)], 1))
     # a briefly distilled draft, so greedy walks accept past depth 0
     train_draft(draft, generate_distillation_corpus(target, 32, 12), TrainConfig(lr=3e-3,
                 batch_size=8), steps=100)

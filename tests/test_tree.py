@@ -253,8 +253,8 @@ class TestMoeTree:
 
     def test_identical_experts_reduce_to_static(self, target, root_feature):
         d = init_draft(DraftConfig(), target, seed=5)
-        d.params["expert1_w1"] = d.params["expert0_w1"].copy()
-        d.params["expert1_w2"] = d.params["expert0_w2"].copy()
+        d.params["w1"][1] = d.params["w1"][0]
+        d.params["w2"][1] = d.params["w2"][0]
         tree = grow_moe_tree(DraftSession(d), root_feature, 5, 2, 2, beam=8)
         # equal branch distributions collide token-for-token; dedup keeps the left copies
         assert (tree.nodes["tag"] == "left").all()

@@ -237,8 +237,8 @@ def test_greedy_dedup_keeps_the_better_copy(target, twins):
     draft = init_draft(DraftConfig(), target, seed=4)
     draft.params["router"][:] = 0.0
     if twins:
-        draft.params["expert1_w1"] = draft.params["expert0_w1"].copy()
-        draft.params["expert1_w2"] = draft.params["expert0_w2"].copy()
+        draft.params["w1"][1] = draft.params["w1"][0]
+        draft.params["w2"][1] = draft.params["w2"][0]
     trees = compare_growth(draft, "moe", False, "greedy", [(3, 3, 60)] * 6, 7)
     swapped = 0
     for tree in trees:
