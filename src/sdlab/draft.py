@@ -25,10 +25,11 @@ bit for bit what a lone step would give (see kernels.py for the attention).
 A round's tentative rows live in the cache's buffer past its committed
 rows, in creation order.  All rows of a tree level share one depth, so a
 level takes its rows' ancestors as one (rows, depth - 1) array, and its
-attention layout is one group gathered from the buffer: the committed
-rows, then the ancestors in ascending order, then the row itself.  A
-one-row level whose ancestors are all of the round's rows, a chain level,
-reads that context in place as a slice.
+attention layout is one group gathered from the buffer at its padded
+width: the committed rows, then the ancestors in ascending order, then the
+row itself.  A one-row level whose ancestors are all of the round's rows,
+a chain level, is a causal pass, one ``attn_row`` call over the buffer in
+place, and so is a round's pending row.
 A tree level gets its outputs back as one ``DraftStepOutput`` whose fields
 carry a leading row axis, so tree growth works on whole levels; the three
 heads take such a stack as well as a single step.
@@ -213,15 +214,17 @@ class DraftSession:
 
     def _commit(self, tokens, prev_features):
         """Append committed rows at the next positions in one pass; returns
-        the last row's x and q for its output half."""
+        the last row's x and q for its output half, and the cache's key and
+        value buffers as ``KvCache.scratch`` gives them."""
         if len(tokens) != len(prev_features):
             raise ValueError("tokens/prev_features length mismatch")
         n = len(tokens)
         x, q, k, v = self.model._kv_rows(tokens, range(self.next_pos, self.next_pos + n),
                                          prev_features)
-        self.cache.extend([k], [v])
+        keys, values = self.cache.scratch(0, 0, k, v)
+        self.cache.length += n
         self.next_pos += n
-        return x[-1:], q[-1:]
+        return x[-1:], q[-1:], keys, values
 
     def prefill(self, tokens: list[int], prev_features: list[np.ndarray]) -> None:
         """Ingest committed history rows (positions 1..len); not counted as round passes."""
@@ -237,10 +240,9 @@ class DraftSession:
             raise ValueError("begin_round needs at least the pending token")
         self.passes += 1
         self._tentative = 0
-        x, q = self._commit(tokens, prev_features)
+        x, q, keys, values = self._commit(tokens, prev_features)
         # the pending token's row is the last committed one: a causal row
-        att = attend(q, self.cache.keys(0), self.cache.values(0), self.model.config.n_heads,
-                     self.cache.length - 1)
+        att = attend(q, keys, values, self.model.config.n_heads, self.cache.length - 1)
         return self.model._out_rows(x, att).row(0)
 
     def tree_level(self, tokens, prev_features, ancestors) -> tuple[DraftStepOutput, np.ndarray]:
@@ -278,8 +280,7 @@ class DraftSession:
             # t ascending rows of [0, t) are all of them: a causal pass
             att = attend(q, keys, values, H, c + t)
         else:
-            chains = np.concatenate((anc, ids[:, None]), axis=1)
-            att = attend(q, keys, values, H, c, chain_group(c, np.arange(m), chains))
+            att = attend(q, keys, values, H, c, chain_group(c, anc, ids))
         self._tentative = t + m
         return self.model._out_rows(x, att), ids
 

@@ -2,10 +2,11 @@
 
 Everything here is a pure function over immutable inputs.  All arrays are
 float64; outputs are freshly allocated.  Reductions go through numpy on the
-same shapes for every caller, so repeated runs are bit-identical.  The one
-piece of state is a memo: ``sinusoid_positions`` gathers rows from a table
-of ``sinusoid_position`` rows per width, built once and doubled when a
-position runs past its end, so no pass recomputes an encoding.
+same shapes for every caller, so repeated runs are bit-identical.  The only
+state is two memos, built once and doubled when a caller runs past their
+end: ``sinusoid_positions`` gathers rows from a table of
+``sinusoid_position`` rows per width, so no pass recomputes an encoding,
+and ``attn_row`` reads its normaliser's ones from one block.
 
 The models forward many rows at once (a whole verification tree, a draft
 tree level, a backlog of committed tokens) with the row helpers below, and
@@ -13,10 +14,8 @@ each row comes out bit for bit as it would alone.  Three rules make that
 hold: linear layers run one matrix-vector product per row (``row_linear``;
 a GEMM would block its sums differently), row-wise reductions run along
 the contiguous last axis, where numpy sums every row as it would sum a
-vector, and attention reads each row's context in its sequential key order
-with the same strides whichever way it is formed and only batches rows of
-equal context length (``attn_row``), so every softmax reduces the same
-values in the same order.
+vector, and attention reads every context at a padded width whose bits do
+not depend on the pass (``attn_row``, below).
 
 Weights are stored fused to save calls.  Each model keeps q, k and v as
 one (3 dim, dim) weight, the three stacked by rows, and projects them with
@@ -31,12 +30,31 @@ own matrix-vector product, the same bits at every width.
 
 A pass writes its own key/value rows into its cache's buffer past the
 committed rows and reads every context from that buffer.  In a causal pass
-(a decode step, a prompt prefill, a chain verify, a draft chain level) row
-i attends to the first c+i+1 buffer rows, which it reads in place as a
-slice.  Tree rows of one depth share one context length, so a branching
+(a decode step, a prompt prefill, a chain verify, a draft chain level, a
+draft round's pending row) row i attends to the first c+i+1 buffer rows,
+and the whole pass is one ``attn_row`` call per layer over the buffer's
+first padded(c+m) rows, read in place, with each row's later columns
+masked.  Tree rows of one depth share one context length, so a branching
 draft tree level is one group gathered from the rows' ancestor chains
 (``chain_group``) and each depth of a verified tree one group extending the
-depth before it (``target.tree_groups``).  No model pass builds a mask.
+depth before it (``target.tree_groups``); both gather padded index arrays.
+
+Attention is batch-invariant by one rule: an n-column context is read at
+width W = padded(n), the next multiple of PAD, and its columns past n are
+masked with -inf before the row max, so they weigh exactly 0.  Scores
+(keys @ q), the softmax normaliser (e @ ones, a (1, W) @ (W, 2) product)
+and the mix (e @ values) are stacked matrix-vector products.  OpenBLAS's
+gemv blocks a matrix by 4 rows or columns and takes another path for the
+rest, so a score's bits depend on whether its column falls in a full block,
+and a sum's on whether its terms do.  With W a multiple of 4 every column
+is in a full block, and the trailing blocks of zero weights add exactly 0,
+so a row gets the same bits alone, in a causal pass of any length or in a
+gathered group, whatever the buffer holds past its columns as long as it
+is finite.  Other sums do not hold this: numpy's pairwise sum groups its
+terms by the width, and a single ones column would make the normaliser a
+dot product, which unrolls differently.  PAD is 4, the smallest block that
+holds on OpenBLAS; ``test_row_kernel``'s oracle checks the rule on the
+running BLAS, and also that reading unpadded widths would break it.
 
 Importing this module pins glibc's malloc thresholds once for the process
 (``_pin_malloc_thresholds``).  A tree verify gathers each attention group's
@@ -52,12 +70,15 @@ libraries.
 from __future__ import annotations
 
 import ctypes
+import math
 import platform
 
 import numpy as np
 
 LOG_CLAMP = 1e-12
 PROB_SUM_TOL = 1e-9
+# attention contexts are read at widths padded to a multiple of PAD columns
+PAD = 4
 
 
 def _pin_malloc_thresholds() -> None:
@@ -122,18 +143,50 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def attn_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Scaled dot-product attention of query rows against their own contexts.
+# the normaliser's ones operand: attn_row reads its first W rows, and
+# doubles it when a context runs past its end
+_ONES = np.ones((256, 2))
 
-    q is (..., dh) and keys/values are (..., n, dh): one query (a vector and
-    an (n, dh) context) or a stack of them, such as a group of rows with
-    their heads fused, (g, heads, dh) against (g, heads, n, dh).  The scores
-    and the mix run as one matrix-vector product per query and the softmax
-    along each score row, so every query gets the bits it would get alone.
+
+def padded(n: int) -> int:
+    """n rounded up to a multiple of PAD: the width attention reads for an
+    n-column context."""
+    return -(-n // PAD) * PAD
+
+
+def attn_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray, n) -> np.ndarray:
+    """Scaled dot-product attention of query rows over padded contexts.
+
+    q is (..., dh) and keys/values are (..., W, dh), with W = padded(n) the
+    width of the contexts: one query (a vector and a (W, dh) context) or a
+    stack of them, such as m rows with their heads fused, (m, heads, dh)
+    against (m, heads, W, dh), or against one shared (1, heads, W, dh)
+    buffer view.  A query reads the first n columns of its context: n is an
+    int for every query, or an array broadcast against q's leading axes,
+    such as (m, 1) for m rows of every head.  The columns past n are masked
+    with -inf and weigh exactly 0, so their values only need to be finite.
+    Scores, normaliser and mix are stacked matrix-vector products whose bits
+    do not depend on W (see the module docstring).  A NaN or +inf score
+    reaches its row's max, and raises.
     """
-    scores = (keys @ q[..., None])[..., 0] / np.sqrt(float(keys.shape[-1]))
-    w = softmax(scores)
-    return (w[..., None, :] @ values)[..., 0, :]
+    global _ONES
+    w = keys.shape[-2]
+    if _ONES.shape[0] < w:
+        _ONES = np.ones((2 * w, 2))
+    scores = (keys @ q[..., None])[..., 0]
+    scores /= math.sqrt(keys.shape[-1])
+    if isinstance(n, np.ndarray):
+        np.copyto(scores, -np.inf, where=np.arange(w) >= n[..., None])
+    elif n < w:
+        scores[..., n:] = -np.inf
+    # initial: a pass of no rows over an empty cache reads width 0
+    top = np.maximum.reduce(scores, axis=-1, keepdims=True, initial=-np.inf)
+    if not np.isfinite(top).all():
+        raise ValueError("non-finite attention score")
+    scores -= top
+    e = np.exp(scores, out=scores)[..., None, :]
+    # a (1, W) @ (W, 2) product is a gemv; one ones column would be a dot
+    return (e @ values)[..., 0, :] / (e @ _ONES[:w])[..., 0, :1]
 
 
 def row_linear(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -153,29 +206,37 @@ def row_linear(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 MAX_GATHER = 2048
 
 
-def cut_group(rows: np.ndarray, idx: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One attention group (rows of equal context length and their (rows, n)
-    context columns) cut into pieces of at most MAX_GATHER rows x columns."""
+def cut_group(start: int, idx: np.ndarray, n: int) -> list[tuple[slice, np.ndarray, int]]:
+    """One attention group (the rows from start on, which read n context
+    columns, and their (rows, padded(n)) column indices) cut into pieces of
+    at most MAX_GATHER rows x columns, each with its slice of rows."""
+    g = idx.shape[0]
     step = max(1, MAX_GATHER // idx.shape[1])
-    return [(rows[s : s + step], idx[s : s + step]) for s in range(0, idx.shape[0], step)]
+    return [(slice(start + s, start + min(s + step, g)), idx[s : s + step], n)
+            for s in range(0, g, step)]
 
 
-def chain_group(c: int, rows: np.ndarray, chains: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The attention group of tree rows of one depth, cut by ``cut_group``.
+def chain_group(c: int, ancestors: np.ndarray,
+                own: np.ndarray) -> list[tuple[slice, np.ndarray, int]]:
+    """The attention group of the tree rows of one depth, cut by ``cut_group``.
 
-    Row rows[r] attends to the c prefix columns, then to the columns c +
-    chains[r]: its ancestor rows, root first, then itself, the order a
-    sequential decode of its path appends keys in.
+    Row r attends to the c prefix columns, then to the columns c +
+    ancestors[r], its ancestor rows root first, then to c + own[r], itself:
+    the order a sequential decode of its path appends keys in.  The padding
+    columns read column 0.
     """
-    idx = np.empty((chains.shape[0], c + chains.shape[1]), dtype=np.intp)
+    g, a = ancestors.shape
+    n = c + a + 1
+    idx = np.zeros((g, padded(n)), dtype=np.intp)
     idx[:, :c] = np.arange(c)
-    idx[:, c:] = c + chains
-    return cut_group(rows, idx)
+    idx[:, c : n - 1] = c + ancestors
+    idx[:, n - 1] = c + own
+    return cut_group(0, idx, n)
 
 
 def context_heads(ctx: np.ndarray, n_heads: int) -> np.ndarray:
     """The (g, n_heads, n, dh) per-head view of g contexts ctx (g, n, dim):
-    a gather ``kv[idx]`` or a slice ``kv[None, :n]`` of a key/value buffer,
+    a gather ``kv[idx]`` or a slice ``kv[None, :W]`` of a key/value buffer,
     which share their row and column strides."""
     g, n, d = ctx.shape
     return ctx.reshape(g, n, n_heads, d // n_heads).transpose(0, 2, 1, 3)

@@ -17,11 +17,13 @@ path reproduces the sequential outputs bit for bit.
 
 A pass is causal when row i attends to exactly the first c+i+1 rows: a
 prompt prefill, a decode step (a one-token prefill) and a chain-shaped tree.
-Its rows read their contexts in place as slices of the buffer.  Any other
-tree arrives as parent pointers and depths in level order, and each depth
-is one attention group gathered from the buffer (``tree_groups``); no mask
-is built.  Committing a verified path copies only the rows that are not
-already in place: a chain's accepted rows were written where they belong.
+Its attention is one ``attn_row`` call per layer, over the buffer's first
+padded(c+m) rows read in place, each row masking the columns past its own.
+Any other tree arrives as parent pointers and depths in level order, and
+each depth is one attention group gathered from the buffer at its padded
+width (``tree_groups``).  Committing a verified path copies only the rows
+that are not already in place: a chain's accepted rows were written where
+they belong.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import (attn_row, context_heads, cut_group, inverse_cdf_sample, layer_norm,
-                      row_linear, silu, sinusoid_positions, softmax)
+                      padded, row_linear, silu, sinusoid_positions, softmax)
 
 MAGIC_TARGET = b"SDFM"
 CHECKPOINT_VERSION = 1
@@ -81,7 +83,9 @@ class KvCache:
     Rows [:length] are committed and append-only.  Each buffer holds spare
     rows past length: a pass writes its own rows there (``scratch``) and
     reads its contexts from the buffer, and the next pass or commit
-    overwrites them.
+    overwrites them.  The buffers reach at least the padded end of every
+    pass, whose padding columns read spare rows: zeros, or rows an earlier
+    pass wrote.
     """
 
     def __init__(self, n_layers: int, dim: int):
@@ -105,30 +109,20 @@ class KvCache:
                 nb[:cap] = buf_list[l]  # the scratch rows of a pass in flight too
                 buf_list[l] = nb
 
-    def keys(self, layer: int) -> np.ndarray:
-        return self._k[layer][: self.length]
-
-    def values(self, layer: int) -> np.ndarray:
-        return self._v[layer][: self.length]
-
     def scratch(self, layer: int, start: int, new_k: np.ndarray,
                 new_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Write (m, dim) rows of one layer at rows length + start onward,
         growing the buffers if needed; returns the layer's key and value
-        buffers up to the last row written."""
+        buffers up to the padded end of the rows written, the width a
+        causal pass over them reads."""
         self._held = None
         end = self.length + start + new_k.shape[0]
-        self._grow(end)
+        w = padded(end)
+        self._grow(w)
         k, v = self._k[layer], self._v[layer]
         k[end - new_k.shape[0] : end] = new_k
         v[end - new_k.shape[0] : end] = new_v
-        return k[:end], v[:end]
-
-    def extend(self, new_k: list[np.ndarray], new_v: list[np.ndarray]) -> None:
-        """Append m rows per layer: new_k[l] and new_v[l] are (m, dim)."""
-        for l in range(self.n_layers):
-            self.scratch(l, 0, new_k[l], new_v[l])
-        self.length += new_k[0].shape[0]
+        return k[:w], v[:w]
 
     def commit_rows(self, kv: "TreeKv", indices: list[int]) -> None:
         """Append the selected tree rows, in order, as if decoded sequentially.
@@ -156,7 +150,8 @@ class TreeKv:
     v: list[np.ndarray]
 
 
-def tree_groups(c: int, parents: np.ndarray, depths: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+def tree_groups(c: int, parents: np.ndarray,
+                depths: np.ndarray) -> list[tuple[slice, np.ndarray, int]]:
     """Attention groups of m tree rows forwarded after c prefix columns.
 
     parents[i] is the row of row i's parent, or -1 for a row that attends to
@@ -165,6 +160,8 @@ def tree_groups(c: int, parents: np.ndarray, depths: np.ndarray) -> list[tuple[n
     run of rows of equal context length; a run is one group whose ancestor
     chains extend the previous run's by the rows themselves: a run's full
     index is its parents' rows of the previous run's, then its own column.
+    A group is (rows, idx, n): a slice of rows that read n columns, and
+    their (rows, padded(n)) column indices, whose padding reads column 0.
     Groups come in ascending depth, rows in ascending order, cut to
     MAX_GATHER.
     """
@@ -183,35 +180,38 @@ def tree_groups(c: int, parents: np.ndarray, depths: np.ndarray) -> list[tuple[n
     starts = [0, *(np.flatnonzero(step) + 1).tolist()] if rows.shape[0] else []
     # the prefix as the full index of a run before the first, whose one
     # row every root-level row (parent -1) hangs under
-    groups, idx, prev = [], np.arange(c)[None], -1
+    groups, idx, prev, n = [], np.arange(c)[None], -1, c
     for start, end in zip(starts, [*starts[1:], rows.shape[0]]):
-        idx = np.concatenate((idx[parents[start:end] - prev], c + rows[start:end, None]), axis=1)
-        groups += cut_group(rows[start:end], idx)
-        prev = start
+        n += 1
+        run = np.zeros((end - start, padded(n)), dtype=np.intp)  # padding reads column 0
+        run[:, : n - 1] = idx[parents[start:end] - prev, : n - 1]
+        run[:, n - 1] = c + rows[start:end]
+        groups += cut_group(start, run, n)
+        idx, prev = run, start
     return groups
 
 
 def attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray, n_heads: int, c: int,
-           groups: list[tuple[np.ndarray, np.ndarray]] | None = None) -> np.ndarray:
+           groups: list[tuple[slice, np.ndarray, int]] | None = None) -> np.ndarray:
     """Attention of the m rows of q over the key and value buffer rows of
     their pass: c context rows, then the pass's own.
 
-    With groups None the pass is causal: row i attends to the first c + i + 1
-    rows, read in place.  Otherwise each (rows, idx) group, from
-    ``tree_groups`` or ``chain_group``, gathers its rows' columns.
+    With groups None the pass is causal and one ``attn_row`` call: every row
+    reads the buffer's first padded(c + m) rows in place and row i masks
+    the columns past c + i.  Otherwise each (rows, idx, n) group, from
+    ``tree_groups`` or ``chain_group``, gathers its rows' padded columns.
     """
-    dh = q.shape[1] // n_heads
-    att = np.empty_like(q)
+    m, dh = q.shape[0], q.shape[1] // n_heads
     if groups is None:
-        qh, out = q.reshape(-1, 1, n_heads, dh), att.reshape(-1, 1, n_heads, dh)
-        kh, vh = context_heads(keys[None], n_heads), context_heads(values[None], n_heads)
-        for i in range(q.shape[0]):
-            out[i] = attn_row(qh[i], kh[..., : c + i + 1, :], vh[..., : c + i + 1, :])
-        return att
-    for rows, idx in groups:
+        w = padded(c + m)
+        n = c + 1 if m == 1 else c + 1 + np.arange(m)[:, None]
+        return attn_row(q.reshape(m, n_heads, dh), context_heads(keys[None, :w], n_heads),
+                        context_heads(values[None, :w], n_heads), n).reshape(q.shape)
+    att = np.empty_like(q)
+    for rows, idx, n in groups:
         qh = q[rows].reshape(-1, n_heads, dh)
         att[rows] = attn_row(qh, context_heads(keys[idx], n_heads),
-                             context_heads(values[idx], n_heads)).reshape(qh.shape[0], -1)
+                             context_heads(values[idx], n_heads), n).reshape(qh.shape[0], -1)
     return att
 
 

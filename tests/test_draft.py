@@ -123,7 +123,7 @@ class TestDraftForward:
         att = np.empty(cfg.dim)
         for h in range(cfg.n_heads):
             sl = slice(h * dh, (h + 1) * dh)
-            att[sl] = attn_row(q[sl], k[None, sl], v[None, sl])
+            att[sl] = attn_row(q[sl], k[None, sl], v[None, sl], 1)
         u = x + p["wo"] @ att
         v_in = layer_norm(u, p["ln2_g"], p["ln2_b"])
         s = softmax(p["router"] @ v_in)
@@ -165,7 +165,7 @@ class TestDraftForward:
         att = np.empty(d.dim)
         for h in range(d.config.n_heads):
             sl = slice(h * dh, (h + 1) * dh)
-            att[sl] = attn_row(q[sl], k[None, sl], v[None, sl])
+            att[sl] = attn_row(q[sl], k[None, sl], v[None, sl], 1)
         u = x + p["wo"] @ att
         v_in = layer_norm(u, p["ln2_g"], p["ln2_b"])
         s = softmax(p["router"] @ v_in)

@@ -35,7 +35,7 @@ def masked_attention(q, k, v, mask) -> np.ndarray:
         idx = np.flatnonzero(m[i])
         if idx.size == 0:
             raise ValueError(f"row {i} has no allowed positions")
-        out[i] = attn_row(q[i], k[idx], v[idx])
+        out[i] = attn_row(q[i], k[idx], v[idx], idx.size)
     return out
 
 

@@ -11,30 +11,50 @@ import pytest
 
 from sdlab.bench import RunConfig, build_models, decode_prompt, make_prompts
 from sdlab.draft import DraftConfig, DraftSession, init_draft
-from sdlab.kernels import (MAX_GATHER, layer_norm, row_linear, silu, sinusoid_position,
-                           sinusoid_positions, softmax)
-from sdlab.target import KV_CAPACITY, TargetConfig, init_target, tree_groups
+from sdlab.kernels import (MAX_GATHER, PAD, attn_row, chain_group, context_heads, layer_norm,
+                           padded, row_linear, silu, sinusoid_position, sinusoid_positions,
+                           softmax)
+from sdlab.target import KV_CAPACITY, TargetConfig, attend, init_target, tree_groups
 from sdlab.train import TrainConfig, generate_distillation_corpus, train_draft
 
 
 # ---------------------------------------------------------------- references
+
+def committed(cache, layer):
+    """The committed key and value rows of one layer of a KvCache."""
+    return cache._k[layer][: cache.length], cache._v[layer][: cache.length]
+
 
 def ref_softmax(z):
     e = np.exp(z - np.max(z))
     return e / np.sum(e)
 
 
-def ref_attn_row(q, keys, values):
+def ref_attn_row(q, keys, values, n):
+    """Attention of one row over the first n rows of its (W, dh) context,
+    W a multiple of PAD: the scores past n are masked with -inf, the
+    normaliser is a (1, W) @ (W, 2) ones product, and the mix is divided by
+    it."""
+    w = keys.shape[0]
     scores = keys @ q / np.sqrt(float(keys.shape[1]))
-    return ref_softmax(scores) @ values
+    scores[n:] = -np.inf
+    e = np.exp(scores - np.max(scores))
+    return (e @ values) / (e[None] @ np.ones((w, 2)))[0, 0]
 
 
 def ref_heads_attention(q, K, V, n_heads):
-    dh = q.shape[0] // n_heads
-    out = np.empty(q.shape[0])
+    """Each head of one row over its (n, dim) context, padded with zero rows
+    to padded(n).  The heads are column slices of the (W, dim) context, the
+    layout the models read: OpenBLAS's gemv takes another path for a
+    three-column matrix whose rows are contiguous."""
+    n, dim = K.shape
+    dh = dim // n_heads
+    Kp, Vp = np.zeros((padded(n), dim)), np.zeros((padded(n), dim))
+    Kp[:n], Vp[:n] = K, V
+    out = np.empty(dim)
     for h in range(n_heads):
         sl = slice(h * dh, (h + 1) * dh)
-        out[sl] = ref_attn_row(q[sl], K[:, sl], V[:, sl])
+        out[sl] = ref_attn_row(q[sl], Kp[:, sl], Vp[:, sl], n)
     return out
 
 
@@ -65,8 +85,8 @@ def ref_forward_tree(model, cache, tokens, mask, positions):
     for i in range(m):
         pref = np.flatnonzero(mask[i, :c])
         anc = np.flatnonzero(mask[i, c : c + i])
-        ctx_k = [np.concatenate((cache.keys(l)[pref], ks[l][anc])) for l in range(L)]
-        ctx_v = [np.concatenate((cache.values(l)[pref], vs[l][anc])) for l in range(L)]
+        ctx_k = [np.concatenate((committed(cache, l)[0][pref], ks[l][anc])) for l in range(L)]
+        ctx_v = [np.concatenate((committed(cache, l)[1][pref], vs[l][anc])) for l in range(L)]
         lg, f, k, v = ref_token_step(model, tokens[i], c + int(positions[i]), ctx_k, ctx_v)
         for l in range(L):
             ks[l][i] = k[l]
@@ -164,7 +184,7 @@ def ref_context_groups(mask):
     """The grouping of a (rows, columns) context mask that verification used
     before tree_groups (kernels.context_groups, in its per-length form): one
     unique length at a time, its rows found by flatnonzero, its columns by
-    nonzero, cut to MAX_GATHER rows x columns."""
+    nonzero, cut to MAX_GATHER rows x padded columns."""
     if mask.shape[0] == 1:
         return [(slice(None), np.flatnonzero(mask[0])[None])]
     lengths = mask.sum(axis=1)
@@ -172,7 +192,7 @@ def ref_context_groups(mask):
     for n in np.unique(lengths):
         rows = np.flatnonzero(lengths == n)
         idx = np.nonzero(mask[rows])[1].reshape(rows.size, n)
-        step = max(1, MAX_GATHER // int(n))
+        step = max(1, MAX_GATHER // padded(int(n)))
         for s in range(0, rows.size, step):
             groups.append((rows[s : s + step], idx[s : s + step]))
     return groups
@@ -184,10 +204,15 @@ def ref_tree_mask(c, parents):
 
 
 def assert_groups_equal(got, want, m):
+    """tree_groups' (rows, padded columns, n) groups against the oracle's
+    (rows, columns) pairs: the same rows, n columns read, the padding
+    reading column 0."""
     assert len(got) == len(want)
-    for (rows, idx), (w_rows, w_idx) in zip(got, want):
+    for (rows, idx, n), (w_rows, w_idx) in zip(got, want):
         assert np.array_equal(np.arange(m)[rows], np.arange(m)[w_rows])
-        assert np.array_equal(idx, w_idx)
+        assert n == w_idx.shape[1] and idx.shape[1] == padded(n)
+        assert np.array_equal(idx[:, :n], w_idx)
+        assert not idx[:, n:].any()
 
 
 def random_tree(rng, m, p_child=0.85):
@@ -240,10 +265,10 @@ def test_tree_groups_cut_at_max_gather():
     depth = np.array([0, 0, 0, 0, 0, 1, 1, 1])
     groups = tree_groups(1000, parents, depth)
     assert_groups_equal(groups, ref_context_groups(ref_tree_mask(1000, parents)), 8)
-    assert [len(rows) for rows, _ in groups] == [2, 2, 1, 2, 1]
+    assert [len(idx) for _, idx, _ in groups] == [2, 2, 1, 2, 1]
     # 3000-column rows: one per group
     groups = tree_groups(2999, parents[:5], depth[:5])
-    assert [len(rows) for rows, _ in groups] == [1] * 5
+    assert [len(idx) for _, idx, _ in groups] == [1] * 5
     parents, depth = random_tree(np.random.default_rng(4), 400)
     assert_groups_equal(tree_groups(500, parents, depth),
                         ref_context_groups(ref_tree_mask(500, parents)), 400)
@@ -272,6 +297,100 @@ def test_sinusoid_position_interleaves_sin_and_cos(dim):
             assert abs(enc[2 * i + 1] - np.cos(angle)) < 1e-12
         if dim % 2:
             assert abs(enc[-1] - np.sin(pos * 1e-4)) < 1e-12
+
+
+# ------------------------------------------------------- attention invariance
+
+ORACLE_CONTEXTS = [*range(141), 200, 251, 300, 517]
+
+
+def unpadded_attention(q, keys, values, n_heads, n):
+    """One row's heads over the first n buffer rows, read at width n itself."""
+    return attn_row(q.reshape(n_heads, -1), context_heads(keys[None, :n], n_heads)[0],
+                    context_heads(values[None, :n], n_heads)[0], n).reshape(-1)
+
+
+@pytest.mark.parametrize("dim,n_heads", [(32, 2), (30, 2), (9, 3), (6, 2)])
+def test_attention_rows_do_not_depend_on_the_pass(dim, n_heads):
+    # row i of a causal pass over c context rows is, bit for bit, the lone
+    # row at c + i and the one-row gathered group over the same columns;
+    # finite garbage in the rows none of them reads moves no bit
+    rng = np.random.default_rng(dim)
+    rows = padded(max(ORACLE_CONTEXTS) + 9)
+    garbage = np.where(rng.random((rows, dim)) < 0.5, -1e300, 1e300)
+    for c in ORACLE_CONTEXTS:
+        for m in (1, 2, 6, 9):
+            keys, values = rng.normal(size=(2, padded(c + m), dim))
+            q = rng.normal(size=(m, dim))
+            full = attend(q, keys, values, n_heads, c)
+            spoilt_k, spoilt_v = keys.copy(), values.copy()
+            spoilt_k[c + m :] = spoilt_v[c + m :] = garbage[: padded(c + m) - c - m]
+            assert np.array_equal(attend(q, spoilt_k, spoilt_v, n_heads, c), full)
+            for i in range(m):
+                n = c + i + 1
+                spoilt_k[:n], spoilt_v[:n] = keys[:n], values[:n]
+                spoilt_k[n:] = spoilt_v[n:] = garbage[: padded(c + m) - n]
+                # the row alone, as a one-row group with no ancestors
+                group = chain_group(n - 1, np.empty((1, 0), dtype=np.intp),
+                                    np.zeros(1, dtype=np.intp))
+                for k, v in ((keys, values), (spoilt_k, spoilt_v)):
+                    lone = attend(q[i : i + 1], k, v, n_heads, n - 1)
+                    gathered = attend(q[i : i + 1], k, v, n_heads, n - 1, group)
+                    assert np.array_equal(lone[0], full[i]), (c, m, i)
+                    assert np.array_equal(gathered[0], full[i]), (c, m, i)
+
+
+@pytest.mark.parametrize("dim,n_heads", [(32, 2), (30, 2), (9, 3), (6, 2)])
+def test_attention_width_matters_on_this_blas(dim, n_heads):
+    # the negative control: read at its own width n, some row comes out
+    # different from the padded read, so the padding above is what makes
+    # the rows invariant; if no width differs, the BLAS blocks its gemv
+    # some other way and the rule needs a fresh look
+    rng = np.random.default_rng(dim + 1)
+    moved = []
+    for n in range(1, 141):
+        keys, values = rng.normal(size=(2, padded(n), dim))
+        q = rng.normal(size=(1, dim))
+        if not np.array_equal(unpadded_attention(q[0], keys, values, n_heads, n),
+                              attend(q, keys, values, n_heads, n - 1)[0]):
+            moved.append(n)
+    assert moved, "every unpadded width read the padded bits"
+    assert all(n % PAD for n in moved)  # a width that needs no padding is the padded read
+
+
+def test_attention_rejects_a_non_finite_score():
+    rng = np.random.default_rng(30)
+    q = rng.normal(size=(2, 8))
+    keys, values = rng.normal(size=(2, 2, 8, 8))
+    keys[1, 5, 0], q[1, 0] = np.inf, 1.0
+    with pytest.raises(ValueError, match="non-finite attention score"):
+        attn_row(q, keys, values, 7)
+    keys[1, 5, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite attention score"):
+        attn_row(q, keys, values, np.array([6, 7]))
+    # a column past n is masked before the check
+    assert np.isfinite(attn_row(q, keys, values, 5)).all()
+
+
+@pytest.mark.parametrize("pass_", ["step", "prefill", "chain", "tree", "draft"])
+def test_a_nan_cached_key_raises(target, pass_):
+    cache = cached(target, [1, 2, 3, 4, 5])
+    cache._k[1][2, 5] = np.nan  # one cached key of the second layer
+    with pytest.raises(ValueError, match="non-finite attention score"):
+        if pass_ == "step":
+            target.forward_cached(cache, 6)
+        elif pass_ == "prefill":
+            target.prefill(cache, [6, 7, 8])
+        elif pass_ == "chain":
+            target.forward_tree_kv(cache, [6, 7, 8], [-1, 0, 1], [0, 1, 2])
+        elif pass_ == "tree":
+            target.forward_tree_kv(cache, [6, 7, 8], [-1, 0, 0], [0, 1, 1])
+        else:
+            draft = init_draft(DraftConfig(), target, seed=3)
+            sess = DraftSession(draft)
+            sess.prefill([1, 2, 3], list(np.zeros((3, draft.dim))))
+            sess.cache._k[0][1, 0] = np.nan
+            sess.begin_round([4], [np.zeros(draft.dim)])
 
 
 # -------------------------------------------------------------------- target
@@ -334,8 +453,8 @@ def test_forward_cached_matches_token_step(target):
         ctx_k = [np.concatenate((a, b[None])) for a, b in zip(ctx_k, k)]
         ctx_v = [np.concatenate((a, b[None])) for a, b in zip(ctx_v, v)]
     for l in range(target.config.n_layers):
-        assert np.array_equal(cache.keys(l), ctx_k[l])
-        assert np.array_equal(cache.values(l), ctx_v[l])
+        assert np.array_equal(committed(cache, l)[0], ctx_k[l])
+        assert np.array_equal(committed(cache, l)[1], ctx_v[l])
 
 
 @pytest.mark.parametrize("c", [0, 1, 9])
@@ -353,8 +472,8 @@ def test_prefill_matches_forward_cached_loop(target, c, m):
         assert np.array_equal(o.logits, w.logits)
         assert np.array_equal(o.feature, w.feature)
     for l in range(target.config.n_layers):
-        assert np.array_equal(cache.keys(l), seq.keys(l))
-        assert np.array_equal(cache.values(l), seq.values(l))
+        assert np.array_equal(committed(cache, l)[0], committed(seq, l)[0])
+        assert np.array_equal(committed(cache, l)[1], committed(seq, l)[1])
 
 
 def test_odd_width_forward_cached_and_prefill():
@@ -376,8 +495,8 @@ def test_odd_width_forward_cached_and_prefill():
     got = odd.prefill(pre, tokens)
     assert all(np.array_equal(o.logits, w.logits) for o, w in zip(got, want))
     for l in range(odd.config.n_layers):
-        assert np.array_equal(pre.keys(l), cache.keys(l))
-        assert np.array_equal(pre.values(l), cache.values(l))
+        assert np.array_equal(committed(pre, l)[0], committed(cache, l)[0])
+        assert np.array_equal(committed(pre, l)[1], committed(cache, l)[1])
 
 
 @pytest.mark.parametrize("dim,n_heads", [(32, 2), (9, 3)])
@@ -396,8 +515,8 @@ def test_chain_verify_matches_prefill(dim, n_heads, m):
     assert np.array_equal(logits, [o.logits for o in want])
     assert np.array_equal(feats, [o.feature for o in want])
     for l in range(model.config.n_layers):
-        assert np.array_equal(kv.k[l], pre.keys(l)[len(prefix):])
-        assert np.array_equal(kv.v[l], pre.values(l)[len(prefix):])
+        assert np.array_equal(kv.k[l], committed(pre, l)[0][len(prefix):])
+        assert np.array_equal(kv.v[l], committed(pre, l)[1][len(prefix):])
 
 
 @pytest.mark.parametrize("chain", [True, False], ids=["chain", "tree"])
@@ -407,8 +526,7 @@ def test_verify_across_kv_capacity(target, chain):
     rng = np.random.default_rng(11)
     c = KV_CAPACITY - 5
     cache = cached(target, [int(t) for t in rng.integers(0, target.vocab, size=c)])
-    committed = [(cache.keys(l).copy(), cache.values(l).copy())
-                 for l in range(target.config.n_layers)]
+    before = [tuple(a.copy() for a in committed(cache, l)) for l in range(target.config.n_layers)]
     m = 12
     parents, depth = (np.arange(m) - 1, np.arange(m)) if chain else random_tree(rng, m)
     tokens = [int(t) for t in rng.integers(0, target.vocab, size=m)]
@@ -416,9 +534,9 @@ def test_verify_across_kv_capacity(target, chain):
     want_logits, want_feats, ks, vs = ref_forward_tree(target, cache, tokens,
                                                        ref_tree_mask(c, parents), depth)
     assert np.array_equal(logits, want_logits) and np.array_equal(feats, want_feats)
-    for l, (k, v) in enumerate(committed):
+    for l, (k, v) in enumerate(before):
         assert np.array_equal(kv.k[l], ks[l]) and np.array_equal(kv.v[l], vs[l])
-        assert np.array_equal(cache.keys(l), k) and np.array_equal(cache.values(l), v)
+        assert np.array_equal(committed(cache, l)[0], k) and np.array_equal(committed(cache, l)[1], v)
 
 
 @pytest.mark.parametrize("chain", [True, False], ids=["chain", "tree"])
@@ -441,8 +559,8 @@ def test_commit_after_verify_then_step_matches_sequential(target, chain):
     for o, w in zip(got, want):
         assert np.array_equal(o.logits, w.logits) and np.array_equal(o.feature, w.feature)
     for l in range(target.config.n_layers):
-        assert np.array_equal(cache.keys(l), seq.keys(l))
-        assert np.array_equal(cache.values(l), seq.values(l))
+        assert np.array_equal(committed(cache, l)[0], committed(seq, l)[0])
+        assert np.array_equal(committed(cache, l)[1], committed(seq, l)[1])
 
 
 def spy_writes(cache):
@@ -476,8 +594,8 @@ def test_commit_copies_only_rows_out_of_place(target, path, copied):
     assert writes == ([(l, run, copied) for l in range(target.config.n_layers)] if copied else [])
     seq = cached(target, prefix + [tokens[i] for i in path])
     for l in range(target.config.n_layers):
-        assert np.array_equal(cache.keys(l), seq.keys(l))
-        assert np.array_equal(cache.values(l), seq.values(l))
+        assert np.array_equal(committed(cache, l)[0], committed(seq, l)[0])
+        assert np.array_equal(committed(cache, l)[1], committed(seq, l)[1])
 
 
 @pytest.mark.parametrize("m2", [1, 6])
@@ -494,8 +612,8 @@ def test_commit_after_a_second_pass_copies_the_first_pass_rows(target, m2):
     cache.commit_rows(kv, [0, 1, 2])
     seq = cached(target, prefix + tokens[:3])
     for l in range(target.config.n_layers):
-        assert np.array_equal(cache.keys(l), seq.keys(l))
-        assert np.array_equal(cache.values(l), seq.values(l))
+        assert np.array_equal(committed(cache, l)[0], committed(seq, l)[0])
+        assert np.array_equal(committed(cache, l)[1], committed(seq, l)[1])
     nxt = int(rng.integers(0, target.vocab))
     got, want = target.forward_cached(cache, nxt), target.forward_cached(seq, nxt)
     assert np.array_equal(got.logits, want.logits) and np.array_equal(got.feature, want.feature)
@@ -616,7 +734,7 @@ def test_tree_levels_keep_tentative_rows_through_a_reallocation(target):
         for i, (w_out, w_row) in enumerate(ref.tree_level(items)):
             assert rows[i] == w_row
             assert_step_equal(draft, got.row(i), w_out)
-    assert np.array_equal(sess.cache.keys(0), ref.k)
+    assert np.array_equal(committed(sess.cache, 0)[0], ref.k)
 
 
 def test_tree_level_rejects_unknown_ancestor(target):
@@ -654,7 +772,7 @@ def test_draft_single_token_rounds_match_step(target):
     for t in rng.integers(0, draft.vocab, size=12):
         f = rng.normal(size=draft.dim)
         assert_step_equal(draft, sess.begin_round([int(t)], [f]), ref.commit([int(t)], [f]))
-    assert np.array_equal(sess.cache.keys(0), ref.k)
+    assert np.array_equal(committed(sess.cache, 0)[0], ref.k)
     assert sess.next_pos == ref.next_pos
 
 

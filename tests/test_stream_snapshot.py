@@ -25,18 +25,18 @@ METHODS = ("chain", "static_tree", "moe_tree", "jakiro_full")
 TEMPERATURES = (0.0, 0.6, 1.0)
 
 DIGESTS = {
-    "chain@0.0": "fd8c84a6fbd722a8610575d1fd0890518267e5faa2bb6c9b79c5b16fb9af2655",
-    "chain@0.6": "0d8c943edccef7f30c44d5c9a0196a9c32280e4b6603074b45c8e542f5b404de",
-    "chain@1.0": "252ed778bbd0a1b36a327af3a11ea4e2d1a2f1ccc7f0728617c5943f61208e3c",
-    "static_tree@0.0": "725114ea8f1fe0739f54d78e058e3373d2c25bf217e1c0b0af26f2cab30ae6c2",
-    "static_tree@0.6": "b863415c5859eb519a3c60b7d10b82eeebb2a7788c50f42760ffd24967e58121",
-    "static_tree@1.0": "aedb7cba67d8de6cdf4877fdc3eca0d1a125e979e996f38a1a4c120496a9b4dd",
-    "moe_tree@0.0": "70d2c0d176192e5d416450dbe73577c19bef132a99ee423167031a31cc4c34f0",
-    "moe_tree@0.6": "2c3c5873546567756b1b19f6f33f2f345471091aa226f7c9973f3ddf38caac57",
-    "moe_tree@1.0": "61ce6b0ba36e44c4946335933b900178b9f856ed6d771c76546c53e9667a55f7",
-    "jakiro_full@0.0": "006cb9024bb6cbe0d172cedbd6143297fb4ba1a07e64bfbd6b760c6c4b8afe15",
-    "jakiro_full@0.6": "db7e501fdbb3f46cc715b96523758a8ae1410b25564f85300faa38950dfa9d78",
-    "jakiro_full@1.0": "058829151a9c0cdf17fd6675db4543f9ce101149c6aaeca7238266c1d548246e",
+    "chain@0.0": "e7b65be9b1fb33d947d0a0d3841ab7a87891309a272eb8800cf87c0e07bfa90f",
+    "chain@0.6": "6766bb3b28c18a9440bb7dd01caec5c51519c5e7f4f23388a7c58856994caca3",
+    "chain@1.0": "5ca4da52eebf02f3e6b8a286fff154d10dbab053aada4ec25720999302ae56d7",
+    "static_tree@0.0": "b9f25c034fee6e3909652f4e0f54d2f932acd5c9da229b77fbe7c1e5e804edf7",
+    "static_tree@0.6": "5065256ff927db69c974f96b9b7f4386dbe0d6d55237f746d18cb022bebe7ca4",
+    "static_tree@1.0": "174defec4472a0405d25559a60cf39b9331c3b00189c1909ecc32a6d1a2adc9a",
+    "moe_tree@0.0": "30267f712daf1c6e6aed8d39945493921eeed99a8b1e03ba56dec59a14e2e973",
+    "moe_tree@0.6": "6b0ffc804a6c7399632d61578917227b94e6b5ade958711f132d81a9edce473f",
+    "moe_tree@1.0": "e7d2ba8d4ddead9674b2369085812977bccff3e4a5be39683dffbf6cd4ff29c6",
+    "jakiro_full@0.0": "7a27f7b0eae16f763aca906f1b252a19073d75929a83b5f20bd3b03d1a699b03",
+    "jakiro_full@0.6": "97623dcb924c6f0d9cf45955b3b393694676c16e43d0646237cf7a23457b3f08",
+    "jakiro_full@1.0": "e6eeb530676ae535fdc70e1d2d24a99e56a52d7e8975377237f6f2cca3ad78c1",
 }
 
 

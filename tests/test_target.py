@@ -25,18 +25,19 @@ def forward_tree(model, cache, tokens, parents, positions):
 
 
 def clone_cache(cache):
-    """A separate KvCache holding the same rows."""
+    """A separate KvCache holding the same committed rows."""
     c = KvCache(cache.n_layers, cache.dim)
-    c.extend([cache.keys(l).copy() for l in range(cache.n_layers)],
-             [cache.values(l).copy() for l in range(cache.n_layers)])
+    for l in range(cache.n_layers):
+        c.scratch(l, 0, cache._k[l][: cache.length], cache._v[l][: cache.length])
+    c.length = cache.length
     return c
 
 
 def cache_bytes(cache):
-    """The length and every stored key and value row, as bytes."""
+    """The length and every committed key and value row, as bytes."""
     parts = [struct.pack("<q", cache.length)]
     for l in range(cache.n_layers):
-        parts += [cache.keys(l).tobytes(), cache.values(l).tobytes()]
+        parts += [cache._k[l][: cache.length].tobytes(), cache._v[l][: cache.length].tobytes()]
     return b"".join(parts)
 
 

@@ -35,21 +35,21 @@ CASES = {
 PINNED = {
     "d32-n2k2h64": (
         "95c37985ed0ffbabc56fcb6adc1d44125c97aa770eba6a15bae13e89a93ccc7d",
-        "a8adecbc3ae63d0cbcc768912a1514bbe741044afee6ba789d421e83f0d4c45e",
-        "70919c41a4cf7c20e216e9eec4c2fc6880d48afd085ba895b83915a084d0aeda",
-        "0x1.630f9272dcd17p-25",
+        "923faa9af7ffb3c0ea15dcab7cfb0c46ca76743aabaf799ea43f6580ad2bb357",
+        "30b513de1472360667b68cff3677e8ed8f2cb7ca2c99cd5efc1f4dd92122c911",
+        "0x1.206ed5c813d40p-24",
     ),
     "d30-n3k2h20": (
         "576bdf749d09b238ccaf44e5c0bad1f6f1fb55c4546d0f1ab4c0675f904a2297",
-        "cc68c32a65f306cb38623524aa7ff55941f8bdc7ab2798975a9dc8a40150d0c2",
-        "d200802a732e4e848122d21d2a8ed3dec77c615b52871de009c5304808ec6b52",
-        "0x1.3644dfe6648b8p-23",
+        "ea02c12e8d4c69eb7a9e52a70bc3ec153d3ab759e2ed104f09831dba6d54ba12",
+        "19972f108569e7c1b4b0fd88999c3844253df8fbce4149b3ba3c3b881d7db6c1",
+        "0x1.c27a3ac7a7973p-25",
     ),
     "d6-n3k1h30": (
         "e307c53a1c7a54a8bf5b834cb580e41d8e07b45e807a80994319cae5e5687063",
-        "9d38ebf3dacdc1e99f70d195abfe3249245c18b65c8160a239858f09b63c7127",
-        "f1c3c86d89b0a0ad514f869588ab4f80163f51415af2d7af94e2b82040dec992",
-        "0x1.6df6de4f7578bp-27",
+        "7383f75bf6ff9822bd3d15dbd3cd4290c20ffc320e29e6461dff1e78a82d47f1",
+        "e364310bd7f74d7ca942f6c47ad2c08ad0f4995bde045e4e4b942bcfdb1f6768",
+        "0x1.25ac775418a19p-25",
     ),
 }
 

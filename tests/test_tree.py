@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdlab.draft import DraftConfig, DraftSession, init_draft
-from sdlab.kernels import softmax
+from sdlab.kernels import padded, softmax
 from sdlab.target import TargetConfig, init_target, tree_groups
 from sdlab.tree import NODE, DraftTree, grow_chain, grow_moe_tree, grow_static_tree
 from sdlab.verify import verify_tree
@@ -46,9 +46,10 @@ def layout_tree(triples, root_token=0, context_len=0, vocab=64):
 def context_columns(groups, m):
     """Each of m rows' context columns, as lists, from its attention group."""
     cols = [None] * m
-    for rows, idx in groups:
+    for rows, idx, n in groups:
+        assert idx.shape[1] == padded(n)
         for r, ix in zip(np.arange(m)[rows], idx):
-            cols[r] = ix.tolist()
+            cols[r] = ix[:n].tolist()
     return cols
 
 
