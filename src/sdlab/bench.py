@@ -274,7 +274,7 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
                                 rng, backlog_t, backlog_f, cache.length)
         round_passes = dsession.passes - before
         outcome = verify_tree(tree, target, cache, config.temperature, rng)
-        cache.commit_rows(outcome.tree_kv, outcome.commit_indices)
+        cache.commit_rows(outcome.commit_indices)
         emitted.extend(outcome.accepted)
         emitted.append(outcome.final_token)
         target_forwards += 1  # the whole tree is verified in one target pass

@@ -15,24 +15,26 @@ Every draft forward goes through one row kernel that takes m rows at once:
 ``_kv_rows`` (embedding, reduction, norm and one fused q/k/v projection),
 then attention over each row's own context (``target.attend``), then
 ``_out_rows`` (routing and experts).  A ``DraftSession`` owns a prompt's
-cache and next position: a round's first pass commits its backlog rows in
-one call (one token is one sequential step), a tree level is one call over
-all its rows, and prefill needs only the first half.  Linear layers run per
-row, routing takes a row softmax and a stable row argsort, every expert
-runs on every row as one stacked matmul per projection, and the gated
-mixture adds each row's chosen experts in ascending order, so each row is
-bit for bit what a lone step would give (see kernels.py for the attention).
-A round's tentative rows live in the cache's buffer past its committed
-rows, in creation order.  All rows of a tree level share one depth, so a
-level takes its rows' ancestors as one (rows, depth - 1) array, and its
-attention layout is one group gathered from the buffer at its padded
-width: the committed rows, then the ancestors in ascending order, then the
-row itself.  A one-row level whose ancestors are all of the round's rows,
-a chain level, is a causal pass, one ``attn_row`` call over the buffer in
-place, and so is a round's pending row.
-A tree level gets its outputs back as one ``DraftStepOutput`` whose fields
-carry a leading row axis, so tree growth works on whole levels; the three
-heads take such a stack as well as a single step.
+cache, whose committed rows sit at positions 1 onward: a round's first
+pass commits its backlog rows in one call (one token is one sequential
+step), a tree level is one call over all its rows, and prefill needs only
+the first half.  Linear layers run per row, routing takes a row softmax
+and a stable row argsort, every expert runs on every row as one stacked
+matmul per projection, and the gated mixture adds each row's chosen
+experts in ascending order, so each row is bit for bit what a lone step
+would give (see kernels.py for the attention).  A round's tree rows are
+the cache's tentative rows (``KvCache``), in creation order, until the
+next round's first pass commits its backlog over them.  All rows of a
+tree level share one depth, so a level takes its rows' ancestors as one
+(rows, depth - 1) array, and its attention layout is one group gathered
+from the buffer at its padded width: the committed rows, then the
+ancestors in ascending order, then the row itself.  A one-row level whose
+ancestors are all of the round's rows, a chain level, is a causal pass,
+one ``attn_row`` call over the buffer in place, and so is a round's
+pending row.  A tree level gets its outputs back as one
+``DraftStepOutput`` whose fields carry a leading row axis, so tree growth
+works on whole levels; the three heads take such a stack as well as a
+single step.
 
 Parameters live in a dict of float64 arrays in the layout the row kernel
 reads: q, k and v fused as one (3 dim, dim) weight ``wqkv`` stacked by
@@ -199,18 +201,15 @@ class DraftModel:
 
 
 class DraftSession:
-    """Per-prompt drafting state: the committed rows' one-layer cache and the
-    next position, the count of this round's tentative rows, which follow
-    the committed rows in the cache's buffer, and the draft forward-pass
-    counter (one count per batched pass: a round's opening pass and each
-    tree level)."""
+    """Per-prompt drafting state: a one-layer cache, whose committed row i
+    sits at position 1 + i and whose tentative rows are this round's tree
+    rows, and the draft forward-pass counter (one count per batched pass: a
+    round's opening pass and each tree level)."""
 
     def __init__(self, model: DraftModel):
         self.model = model
         self.cache = KvCache(1, model.dim)
-        self.next_pos = 1
         self.passes = 0
-        self._tentative = 0
 
     def _commit(self, tokens, prev_features):
         """Append committed rows at the next positions in one pass; returns
@@ -218,12 +217,10 @@ class DraftSession:
         value buffers as ``KvCache.scratch`` gives them."""
         if len(tokens) != len(prev_features):
             raise ValueError("tokens/prev_features length mismatch")
-        n = len(tokens)
-        x, q, k, v = self.model._kv_rows(tokens, range(self.next_pos, self.next_pos + n),
-                                         prev_features)
+        n, pos = len(tokens), self.cache.length + 1
+        x, q, k, v = self.model._kv_rows(tokens, range(pos, pos + n), prev_features)
         keys, values = self.cache.scratch(0, 0, k, v)
-        self.cache.length += n
-        self.next_pos += n
+        self.cache.commit_rows(range(n))
         return x[-1:], q[-1:], keys, values
 
     def prefill(self, tokens: list[int], prev_features: list[np.ndarray]) -> None:
@@ -239,7 +236,6 @@ class DraftSession:
         if not tokens:
             raise ValueError("begin_round needs at least the pending token")
         self.passes += 1
-        self._tentative = 0
         x, q, keys, values = self._commit(tokens, prev_features)
         # the pending token's row is the last committed one: a causal row
         att = attend(q, keys, values, self.model.config.n_heads, self.cache.length - 1)
@@ -255,15 +251,15 @@ class DraftSession:
         one depth, so the level is one attention group: each row attends to
         the committed rows, then its ancestors, then itself.  Returns the
         rows' step outputs stacked along a leading row axis and their row
-        ids; rows are discarded when the next round begins.  Only the
-        cache's scratch rows are written.
+        ids, the cache's tentative rows they became; the next round's first
+        pass drops them.
         """
         anc = np.asarray(ancestors, dtype=np.intp)
         m = len(tokens)
         if m < 1 or anc.ndim != 2 or anc.shape[0] != m:
             raise ValueError(f"a tree level needs a (rows, depth - 1) ancestor array for its "
                              f"{m} rows, got shape {anc.shape}")
-        t = self._tentative
+        t = self.cache.tentative
         bad = ((anc < 0) | (anc >= t)).any(axis=1)
         if bad.any():
             raise ValueError(f"row {int(np.argmax(bad))}: ancestor row out of range [0, {t})")
@@ -274,14 +270,13 @@ class DraftSession:
         c = self.cache.length
         H = self.model.config.n_heads
         ids = np.arange(t, t + m)
-        x, q, k, v = self.model._kv_rows(tokens, [self.next_pos + anc.shape[1]] * m, prev_features)
+        x, q, k, v = self.model._kv_rows(tokens, [c + 1 + anc.shape[1]] * m, prev_features)
         keys, values = self.cache.scratch(0, t, k, v)
         if m == 1 and anc.shape[1] == t:
             # t ascending rows of [0, t) are all of them: a causal pass
             att = attend(q, keys, values, H, c + t)
         else:
             att = attend(q, keys, values, H, c, chain_group(c, anc, ids))
-        self._tentative = t + m
         return self.model._out_rows(x, att), ids
 
 

@@ -29,7 +29,9 @@ stacked along a leading expert axis and runs them as stacked matmuls,
 own matrix-vector product, the same bits at every width.
 
 A pass writes its own key/value rows into its cache's buffer past the
-committed rows and reads every context from that buffer.  In a causal pass
+committed rows and reads every context from that buffer; they stay there
+as the cache's tentative rows until a commit keeps a selection of them
+(``target.KvCache``).  In a causal pass
 (a decode step, a prompt prefill, a chain verify, a draft chain level, a
 draft round's pending row) row i attends to the first c+i+1 buffer rows,
 and the whole pass is one ``attn_row`` call per layer over the buffer's

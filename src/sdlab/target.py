@@ -21,9 +21,11 @@ Its attention is one ``attn_row`` call per layer, over the buffer's first
 padded(c+m) rows read in place, each row masking the columns past its own.
 Any other tree arrives as parent pointers and depths in level order, and
 each depth is one attention group gathered from the buffer at its padded
-width (``tree_groups``).  Committing a verified path copies only the rows
-that are not already in place: a chain's accepted rows were written where
-they belong.
+width (``tree_groups``).  The rows a pass wrote stay in the buffer as the
+cache's tentative rows until ``KvCache.commit_rows`` keeps a selection of
+them, the only way rows become committed: a prefill keeps all of its
+rows, a verify the accepted path.  Rows already in place are not copied,
+so a chain's commit copies nothing.
 """
 
 from __future__ import annotations
@@ -80,23 +82,21 @@ class LayerParams:
 class KvCache:
     """Per-layer key/value rows of one decoding session.
 
-    Rows [:length] are committed and append-only.  Each buffer holds spare
-    rows past length: a pass writes its own rows there (``scratch``) and
-    reads its contexts from the buffer, and the next pass or commit
-    overwrites them.  The buffers reach at least the padded end of every
-    pass, whose padding columns read spare rows: zeros, or rows an earlier
-    pass wrote.
+    Rows [:length] are committed and append-only.  Past them, each buffer
+    holds the ``tentative`` rows of the last pass: a pass writes its rows
+    there (``scratch``) and reads its contexts from the buffer, and
+    ``commit_rows`` appends a selection of them and drops the rest.  The
+    buffers reach at least the padded end of every pass, whose padding
+    columns read spare rows: zeros, or rows an earlier pass wrote.
     """
 
     def __init__(self, n_layers: int, dim: int):
         self.n_layers = n_layers
         self.dim = dim
         self.length = 0
+        self.tentative = 0
         self._k = [np.zeros((KV_CAPACITY, dim)) for _ in range(n_layers)]
         self._v = [np.zeros((KV_CAPACITY, dim)) for _ in range(n_layers)]
-        # the TreeKv of the last tree pass and the length it ran at, while
-        # its rows i still sit at rows length + i of the buffers
-        self._held: tuple[TreeKv, int] | None = None
 
     def _grow(self, need: int) -> None:
         cap = self._k[0].shape[0]
@@ -106,48 +106,47 @@ class KvCache:
         for l in range(self.n_layers):
             for buf_list in (self._k, self._v):
                 nb = np.zeros((new_cap, self.dim))
-                nb[:cap] = buf_list[l]  # the scratch rows of a pass in flight too
+                nb[:cap] = buf_list[l]  # the tentative rows of a pass in flight too
                 buf_list[l] = nb
 
     def scratch(self, layer: int, start: int, new_k: np.ndarray,
                 new_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Write (m, dim) rows of one layer at rows length + start onward,
-        growing the buffers if needed; returns the layer's key and value
-        buffers up to the padded end of the rows written, the width a
-        causal pass over them reads."""
-        self._held = None
-        end = self.length + start + new_k.shape[0]
+        """Write (m, dim) rows of one layer as tentative rows start onward,
+        at buffer rows length + start onward, growing the buffers if
+        needed; the cache then holds start + m tentative rows.  Returns the
+        layer's key and value buffers up to the padded end of the rows
+        written, the width a causal pass over them reads."""
+        m = new_k.shape[0]
+        self.tentative = start + m
+        end = self.length + self.tentative
         w = padded(end)
         self._grow(w)
         k, v = self._k[layer], self._v[layer]
-        k[end - new_k.shape[0] : end] = new_k
-        v[end - new_k.shape[0] : end] = new_v
+        k[end - m : end] = new_k
+        v[end - m : end] = new_v
         return k[:w], v[:w]
 
-    def commit_rows(self, kv: "TreeKv", indices: list[int]) -> None:
-        """Append the selected tree rows, in order, as if decoded sequentially.
+    def commit_rows(self, indices) -> None:
+        """Append the selected tentative rows, in order, as if decoded
+        sequentially, and drop the rest.
 
-        While the buffers still hold the pass that computed kv, the leading
-        run of rows i selected at position i (a chain's whole commit) is
-        already where it belongs, and only the rest is copied.
+        The leading run of rows i selected at position i (a prefill's or a
+        chain's whole commit) is already in place; only the rest is copied.
+        An index outside [0, tentative) raises ValueError before any row
+        moves.
         """
-        n, run = len(indices), 0
-        if self._held is not None and self._held[0] is kv and self._held[1] == self.length:
-            while run < n and indices[run] == run:
-                run += 1
+        t, c, n, run = self.tentative, self.length, len(indices), 0
+        while run < n and indices[run] == run:
+            run += 1
+        rest = indices[run:]
+        if run > t or run < n and (min(rest) < 0 or max(rest) >= t):
+            raise ValueError(f"commit rows must be tentative rows, in [0, {t})")
         if run < n:
-            rest = indices[run:]
-            for l in range(self.n_layers):
-                self.scratch(l, run, kv.k[l][rest], kv.v[l][rest])
+            src = np.asarray(rest, dtype=np.intp) + c
+            for buf in self._k + self._v:
+                buf[c + run : c + n] = buf[src]  # the gather copies first
         self.length += n
-
-
-@dataclass
-class TreeKv:
-    """Per-layer key/value rows computed for tentatively forwarded tree tokens."""
-
-    k: list[np.ndarray]
-    v: list[np.ndarray]
+        self.tentative = 0
 
 
 def tree_groups(c: int, parents: np.ndarray,
@@ -249,16 +248,15 @@ class TargetModel:
 
         Row i is token tokens[i] at absolute position positions[i].  Per
         layer, one ``row_linear`` of wqkv gives the rows' queries, keys and
-        values, the keys and values are written to the cache's scratch rows,
+        values, the keys and values are written to the cache's tentative rows,
         right after its c committed rows, and each row attends to the
         buffer as ``attend`` gives it: causally with groups None, else by
-        the (rows, columns) pairs of groups.  Returns logits (m, vocab),
-        features (m, dim) and per-layer (m, dim) keys and values of the new
-        rows.
+        the (rows, columns) pairs of groups.  Returns logits (m, vocab) and
+        features (m, dim); the rows' keys and values stay in the cache as
+        its tentative rows.
         """
         c, d = cache.length, self.config.dim
         x = self.emb[tokens] + sinusoid_positions(positions, d)
-        new_k, new_v = [], []
         for l, lp in enumerate(self.layers):
             a_in = layer_norm(x, lp.ln1_g, lp.ln1_b)
             qkv = row_linear(lp.wqkv, a_in)
@@ -267,10 +265,8 @@ class TargetModel:
             x = x + row_linear(lp.wo, attend(q, keys, values, self.config.n_heads, c, groups))
             m_in = layer_norm(x, lp.ln2_g, lp.ln2_b)
             x = x + row_linear(lp.w2, silu(row_linear(lp.w1, m_in)))
-            new_k.append(k)
-            new_v.append(v)
         f = layer_norm(x, self.lnf_g, self.lnf_b)
-        return row_linear(self.head, f), f, new_k, new_v
+        return row_linear(self.head, f), f
 
     def forward_cached(self, cache: KvCache, token: int) -> StepOutput:
         """Decode one token at the next position, extending the cache: a
@@ -290,22 +286,22 @@ class TargetModel:
             return []
         tok = self._check_tokens(tokens)
         c = cache.length
-        logits, f, _, _ = self._forward_rows(tok, range(c, c + m), cache, None)
-        cache.length += m  # the pass wrote its rows in place
+        logits, f = self._forward_rows(tok, range(c, c + m), cache, None)
+        cache.commit_rows(range(m))
         return [StepOutput(logits=lg, feature=ft) for lg, ft in zip(logits, f)]
 
     def forward_tree_kv(self, cache, tokens, parents, positions):
         """Batched tentative forward over the rows of a tree.  Committed rows
-        are not mutated; rows past the cache's length are scratch.
+        are not mutated; the rows' keys and values become the cache's
+        tentative rows, which ``KvCache.commit_rows`` selects from.
 
         parents[i] is the row of row i's parent, or -1 for a row that
         attends to the cache only, and positions[i] is row i's depth, which
         is also its offset from the cache end (a chain uses 0, 1, 2, ...);
         see ``tree_groups`` for the checks.  Each row attends to the cache,
         its ancestors root first, then itself, all rows in one pass; a
-        chain is a causal pass.  Returns logits (m, vocab), features (m,
-        dim) and the rows' keys and values, so accepted paths can be
-        committed without recompute.
+        chain is a causal pass.  Returns logits (m, vocab) and features
+        (m, dim).
         """
         tok = self._check_tokens(tokens)
         par = np.asarray(parents, dtype=np.intp)
@@ -318,10 +314,7 @@ class TargetModel:
             groups = None  # a chain: row i's parent is row i - 1
         else:
             groups = tree_groups(c, par, pos)  # checks the layout before any row is computed
-        logits, f, new_k, new_v = self._forward_rows(tok, c + pos, cache, groups)
-        kv = TreeKv(k=new_k, v=new_v)
-        cache._held = (kv, c)  # for commit_rows, until the buffers are next written
-        return logits, f, kv
+        return self._forward_rows(tok, c + pos, cache, groups)
 
     def autoregressive_decode(self, prompt, max_new, temperature=0.0, rng_seed=0):
         """Vanilla decoding baseline; temperature 0 is greedy and rng-independent."""

@@ -15,7 +15,9 @@ the greedy walk at temperature 0 and the sampling walk otherwise.  Both
 walks take a node's children from one stable argsort of the tree's parent
 column, so siblings come in ascending node order, and return the accepted
 node path and the final token; one helper turns that into the accepted
-tokens, the rows to commit and their features.
+tokens, the rows to commit and their features.  The forward leaves every
+row's keys and values in the cache as its tentative rows, so the session
+commits the accepted path with ``KvCache.commit_rows(commit_indices)``.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import check_prob_vec, inverse_cdf_sample, softmax
-from .target import KvCache, TargetModel, TreeKv
+from .target import KvCache, TargetModel
 from .tree import DraftTree
 
 
@@ -36,7 +38,6 @@ class VerifyOutcome:
     # plumbing for the decode session: which tentative rows to commit and the
     # target features of (pending token, accepted nodes), in commit order
     commit_indices: list[int]
-    tree_kv: TreeKv
     committed_features: list[np.ndarray]
 
 
@@ -79,15 +80,13 @@ def _forward_with_root(tree: DraftTree, target: TargetModel, cache: KvCache):
                                   np.concatenate(([0], nodes["depth"])))
 
 
-def _outcome(tree: DraftTree, path: list[int], final: int, features: np.ndarray,
-             kv: TreeKv) -> VerifyOutcome:
+def _outcome(tree: DraftTree, path: list[int], final: int, features: np.ndarray) -> VerifyOutcome:
     """The outcome of a walk that accepted the nodes of path, then final."""
     commit = [0] + [1 + i for i in path]
     return VerifyOutcome(
         accepted=tree.nodes["token"][path].tolist(),
         final_token=final,
         commit_indices=commit,
-        tree_kv=kv,
         committed_features=list(features[commit]),
     )
 
@@ -142,7 +141,8 @@ def _walk_sampling(tree: DraftTree, logits: np.ndarray, temperature: float,
 
 def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
                 temperature: float, rng) -> VerifyOutcome:
-    """Verify a tree in one target forward; the cache is left untouched.
+    """Verify a tree in one target forward; the cache's committed rows are
+    left untouched, and its tentative rows are the tree's rows.
 
     Temperature 0 takes the greedy walk, which needs no rng; a temperature
     above 0 takes the sampling walk, which preserves the target
@@ -151,7 +151,7 @@ def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
     """
     if not temperature >= 0.0:
         raise ValueError("temperature must be >= 0")
-    logits, features, kv = _forward_with_root(tree, target, cache)
+    logits, features = _forward_with_root(tree, target, cache)
     if temperature == 0.0:
-        return _outcome(tree, *_walk_greedy(tree, logits), features, kv)
-    return _outcome(tree, *_walk_sampling(tree, logits, temperature, rng), features, kv)
+        return _outcome(tree, *_walk_greedy(tree, logits), features)
+    return _outcome(tree, *_walk_sampling(tree, logits, temperature, rng), features)

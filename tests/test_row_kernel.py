@@ -415,16 +415,17 @@ def test_forward_tree_kv_matches_row_loop(target, m):
     parents, depth = random_tree(rng, m)
     tokens = [int(t) for t in rng.integers(0, target.vocab, size=m)]
     positions = list(depth)
-    logits, feats, kv = target.forward_tree_kv(cache, tokens, list(parents), positions)
+    logits, feats = target.forward_tree_kv(cache, tokens, list(parents), positions)
     assert logits.shape == (m, target.vocab) and feats.shape == (m, target.dim)
+    assert cache.length == c and cache.tentative == m
     want_logits, want_feats, ks, vs = ref_forward_tree(target, cache, tokens,
                                                        ref_tree_mask(c, parents), positions)
     for lg, f, w_lg, w_f in zip(logits, feats, want_logits, want_feats):
         assert np.array_equal(lg, w_lg)
         assert np.array_equal(f, w_f)
     for l in range(target.config.n_layers):
-        assert np.array_equal(kv.k[l], ks[l])
-        assert np.array_equal(kv.v[l], vs[l])
+        assert np.array_equal(cache._k[l][c : c + m], ks[l])
+        assert np.array_equal(cache._v[l][c : c + m], vs[l])
 
 
 def test_forward_tree_kv_empty_prefix_and_no_rows(target):
@@ -432,12 +433,13 @@ def test_forward_tree_kv_empty_prefix_and_no_rows(target):
     cache = target.new_cache()
     parents, depth = random_tree(rng, 20)
     tokens = [int(t) for t in rng.integers(0, target.vocab, size=20)]
-    logits, _, _ = target.forward_tree_kv(cache, tokens, parents, depth)
+    logits, _ = target.forward_tree_kv(cache, tokens, parents, depth)
     want, _, _, _ = ref_forward_tree(target, cache, tokens, ref_tree_mask(0, parents), depth)
     assert all(np.array_equal(lg, w) for lg, w in zip(logits, want))
-    logits, feats, kv = target.forward_tree_kv(cached(target, [3]), [], [], [])
+    cache = cached(target, [3])
+    logits, feats = target.forward_tree_kv(cache, [], [], [])
     assert logits.shape == (0, target.vocab) and feats.shape == (0, target.dim)
-    assert all(k.shape == (0, target.dim) for k in kv.k + kv.v)
+    assert cache.length == 1 and cache.tentative == 0
 
 
 def test_forward_cached_matches_token_step(target):
@@ -508,15 +510,16 @@ def test_chain_verify_matches_prefill(dim, n_heads, m):
     prefix = [int(t) for t in rng.integers(0, model.vocab, size=int(rng.integers(0, 30)))]
     tokens = [int(t) for t in rng.integers(0, model.vocab, size=m)]
     cache = cached(model, prefix)
-    logits, feats, kv = model.forward_tree_kv(cache, tokens, np.arange(m) - 1, np.arange(m))
-    assert cache.length == len(prefix)
+    logits, feats = model.forward_tree_kv(cache, tokens, np.arange(m) - 1, np.arange(m))
+    c = len(prefix)
+    assert cache.length == c and cache.tentative == m
     pre = cached(model, prefix)
     want = model.prefill(pre, tokens)
     assert np.array_equal(logits, [o.logits for o in want])
     assert np.array_equal(feats, [o.feature for o in want])
     for l in range(model.config.n_layers):
-        assert np.array_equal(kv.k[l], committed(pre, l)[0][len(prefix):])
-        assert np.array_equal(kv.v[l], committed(pre, l)[1][len(prefix):])
+        assert np.array_equal(cache._k[l][c : c + m], committed(pre, l)[0][c:])
+        assert np.array_equal(cache._v[l][c : c + m], committed(pre, l)[1][c:])
 
 
 @pytest.mark.parametrize("chain", [True, False], ids=["chain", "tree"])
@@ -530,12 +533,13 @@ def test_verify_across_kv_capacity(target, chain):
     m = 12
     parents, depth = (np.arange(m) - 1, np.arange(m)) if chain else random_tree(rng, m)
     tokens = [int(t) for t in rng.integers(0, target.vocab, size=m)]
-    logits, feats, kv = target.forward_tree_kv(cache, tokens, parents, depth)
+    logits, feats = target.forward_tree_kv(cache, tokens, parents, depth)
     want_logits, want_feats, ks, vs = ref_forward_tree(target, cache, tokens,
                                                        ref_tree_mask(c, parents), depth)
     assert np.array_equal(logits, want_logits) and np.array_equal(feats, want_feats)
     for l, (k, v) in enumerate(before):
-        assert np.array_equal(kv.k[l], ks[l]) and np.array_equal(kv.v[l], vs[l])
+        assert np.array_equal(cache._k[l][c : c + m], ks[l])
+        assert np.array_equal(cache._v[l][c : c + m], vs[l])
         assert np.array_equal(committed(cache, l)[0], k) and np.array_equal(committed(cache, l)[1], v)
 
 
@@ -550,8 +554,8 @@ def test_commit_after_verify_then_step_matches_sequential(target, chain):
         np.array([-1, 0, 0, 1, 2, 2, 4]), np.array([0, 1, 1, 2, 2, 2, 3]))
     path = [0, 1] if chain else [0, 2, 4]
     cache = cached(target, prefix)
-    _, _, kv = target.forward_tree_kv(cache, tokens, parents, depth)
-    cache.commit_rows(kv, path)
+    target.forward_tree_kv(cache, tokens, parents, depth)
+    cache.commit_rows(path)
     after = [int(t) for t in rng.integers(0, target.vocab, size=4)]
     got = [target.forward_cached(cache, after[0]), *target.prefill(cache, after[1:])]
     seq = cached(target, prefix + [tokens[i] for i in path])
@@ -564,22 +568,24 @@ def test_commit_after_verify_then_step_matches_sequential(target, chain):
 
 
 def spy_writes(cache):
-    """Record (layer, start, rows) of every scratch write the cache makes."""
-    writes, scratch = [], cache.scratch
+    """Record the rows of every write into the cache's key and value buffers."""
+    writes = []
 
-    def spied(layer, start, new_k, new_v):
-        writes.append((layer, start, new_k.shape[0]))
-        return scratch(layer, start, new_k, new_v)
+    class Spied(np.ndarray):
+        def __setitem__(self, rows, value):
+            writes.append(rows)
+            super().__setitem__(rows, value)
 
-    cache.scratch = spied
+    for bufs in (cache._k, cache._v):
+        bufs[:] = [b.view(Spied) for b in bufs]
     return writes
 
 
 @pytest.mark.parametrize("path,copied", [([0, 1, 2, 3], 0), ([0, 1, 3], 1), ([0, 2, 4], 2)])
 def test_commit_copies_only_rows_out_of_place(target, path, copied):
     # rows i committed at position i were written there by the verify: a
-    # chain's commit writes nothing, a tree path only the rows past its
-    # leading run, and the cache ends as sequential decoding leaves it
+    # chain's commit writes no buffer row, a tree path only the rows past
+    # its leading run, and the cache ends as sequential decoding leaves it
     rng = np.random.default_rng(14)
     prefix = [int(t) for t in rng.integers(0, target.vocab, size=5)]
     tokens = [int(t) for t in rng.integers(0, target.vocab, size=7)]
@@ -587,30 +593,55 @@ def test_commit_copies_only_rows_out_of_place(target, path, copied):
     parents, depth = (np.arange(7) - 1, np.arange(7)) if chain else (
         np.array([-1, 0, 0, 1, 2, 2, 4]), np.array([0, 1, 1, 2, 2, 2, 3]))
     cache = cached(target, prefix)
-    _, _, kv = target.forward_tree_kv(cache, tokens, parents, depth)
+    target.forward_tree_kv(cache, tokens, parents, depth)
     writes = spy_writes(cache)
-    cache.commit_rows(kv, path)
-    run = len(path) - copied
-    assert writes == ([(l, run, copied) for l in range(target.config.n_layers)] if copied else [])
+    cache.commit_rows(path)
+    c, run = len(prefix), len(path) - copied
+    assert writes == ([slice(c + run, c + len(path))] * 2 * target.config.n_layers
+                      if copied else [])
+    assert cache.length == c + len(path) and cache.tentative == 0
     seq = cached(target, prefix + [tokens[i] for i in path])
     for l in range(target.config.n_layers):
         assert np.array_equal(committed(cache, l)[0], committed(seq, l)[0])
         assert np.array_equal(committed(cache, l)[1], committed(seq, l)[1])
 
 
-@pytest.mark.parametrize("m2", [1, 6])
-def test_commit_after_a_second_pass_copies_the_first_pass_rows(target, m2):
-    # a second pass on the same cache overwrote the first pass's scratch
-    # rows, so committing the first pass's chain must copy its rows back
+@pytest.mark.parametrize("m2", [1, 2])
+def test_commit_past_a_shorter_second_pass_raises(target, m2):
+    # the second pass overwrote the first one's rows and left m2 tentative
+    # rows, so rows 0..2 of the first pass are gone
     rng = np.random.default_rng(15 + m2)
+    cache = cached(target, [int(t) for t in rng.integers(0, target.vocab, size=6)])
+    target.forward_tree_kv(cache, [1, 2, 3, 4, 5], np.arange(5) - 1, np.arange(5))
+    target.forward_tree_kv(cache, [6, 7][:m2], np.arange(m2) - 1, np.arange(m2))
+    with pytest.raises(ValueError, match=rf"commit rows must be tentative rows, in \[0, {m2}\)"):
+        cache.commit_rows([0, 1, 2])
+    assert cache.length == 6 and cache.tentative == m2
+
+
+def test_commit_after_a_prefill_or_of_a_negative_row_raises(target):
+    cache = cached(target, [1, 2, 3])
+    target.prefill(cache, [4, 5])  # a prefill commits every row it wrote
+    with pytest.raises(ValueError, match=r"tentative rows, in \[0, 0\)"):
+        cache.commit_rows([0])
+    target.forward_tree_kv(cache, [6, 7, 8], [-1, 0, 0], [0, 1, 1])
+    for rows in ([-1], [0, -1], [0, 3]):
+        with pytest.raises(ValueError, match=r"tentative rows, in \[0, 3\)"):
+            cache.commit_rows(rows)
+    assert cache.length == 5 and cache.tentative == 3
+
+
+def test_commit_after_a_longer_second_pass_takes_its_rows(target):
+    # the second pass's rows replace the first's: the commit keeps its path
+    rng = np.random.default_rng(17)
     prefix = [int(t) for t in rng.integers(0, target.vocab, size=6)]
-    tokens = [int(t) for t in rng.integers(0, target.vocab, size=5)]
-    other = [int(t) for t in rng.integers(0, target.vocab, size=m2)]
+    tokens = [int(t) for t in rng.integers(0, target.vocab, size=7)]
     cache = cached(target, prefix)
-    _, _, kv = target.forward_tree_kv(cache, tokens, np.arange(5) - 1, np.arange(5))
-    target.forward_tree_kv(cache, other, np.arange(m2) - 1, np.arange(m2))
-    cache.commit_rows(kv, [0, 1, 2])
-    seq = cached(target, prefix + tokens[:3])
+    target.forward_tree_kv(cache, tokens[:3], np.arange(3) - 1, np.arange(3))
+    target.forward_tree_kv(cache, tokens, [-1, 0, 0, 1, 2, 2, 4], [0, 1, 1, 2, 2, 2, 3])
+    path = [0, 2, 4, 6]
+    cache.commit_rows(path)
+    seq = cached(target, prefix + [tokens[i] for i in path])
     for l in range(target.config.n_layers):
         assert np.array_equal(committed(cache, l)[0], committed(seq, l)[0])
         assert np.array_equal(committed(cache, l)[1], committed(seq, l)[1])
@@ -773,7 +804,7 @@ def test_draft_single_token_rounds_match_step(target):
         f = rng.normal(size=draft.dim)
         assert_step_equal(draft, sess.begin_round([int(t)], [f]), ref.commit([int(t)], [f]))
     assert np.array_equal(committed(sess.cache, 0)[0], ref.k)
-    assert sess.next_pos == ref.next_pos
+    assert sess.cache.length + 1 == ref.next_pos
 
 
 # ------------------------------------------------------------ fused weights

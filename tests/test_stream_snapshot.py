@@ -52,12 +52,12 @@ def stream_digest(method: str, temperature: float) -> str:
     tree_kv, kv_rows = target.forward_tree_kv, draft._kv_rows
 
     def traced_tree_kv(cache, tokens, parents, positions):
-        logits, features, kv = tree_kv(cache, tokens, parents, positions)
+        logits, features = tree_kv(cache, tokens, parents, positions)
         h.update(json.dumps(["target", cache.length, _ints(tokens), _ints(parents),
                              _ints(positions)]).encode())
         h.update(np.ascontiguousarray(logits).tobytes())
         h.update(np.ascontiguousarray(features).tobytes())
-        return logits, features, kv
+        return logits, features
 
     def traced_kv_rows(tokens, positions, prev_features):
         h.update(json.dumps(["draft", _ints(tokens), _ints(positions)]).encode())

@@ -20,7 +20,7 @@ SNAPSHOT_FEATURE_4 = [
 
 
 def forward_tree(model, cache, tokens, parents, positions):
-    """The logits of a tentative tree forward, without features or key/value rows."""
+    """The logits of a tentative tree forward, without its features."""
     return model.forward_tree_kv(cache, tokens, parents, positions)[0]
 
 
@@ -29,7 +29,7 @@ def clone_cache(cache):
     c = KvCache(cache.n_layers, cache.dim)
     for l in range(cache.n_layers):
         c.scratch(l, 0, cache._k[l][: cache.length], cache._v[l][: cache.length])
-    c.length = cache.length
+    c.commit_rows(range(cache.length))
     return c
 
 

@@ -209,7 +209,7 @@ class ScriptedTarget:
     def forward_tree_kv(self, cache, tokens, parents, positions):
         got = [np.asarray(c).tolist() for c in (tokens, parents, positions)]
         assert got == [list(c) for c in self.columns]
-        return self.logits, np.zeros((len(self.logits), 2)), None
+        return self.logits, np.zeros((len(self.logits), 2))
 
 
 def random_walk_tree(rng):
@@ -315,7 +315,7 @@ class TestWalkMechanics:
         assert outcome.commit_indices[0] == 0
         assert len(outcome.commit_indices) == 1 + len(outcome.accepted)
         assert len(outcome.committed_features) == len(outcome.commit_indices)
-        cache.commit_rows(outcome.tree_kv, outcome.commit_indices)
+        cache.commit_rows(outcome.commit_indices)
         assert cache.length == 2 + len(outcome.commit_indices)
 
     def test_greedy_perfect_draft_accepts_full_path(self, small_target):
