@@ -31,12 +31,11 @@ own matrix-vector product, the same bits at every width.
 A pass writes its own key/value rows into its cache's buffer past the
 committed rows and reads every context from that buffer; they stay there
 as the cache's tentative rows until a commit keeps a selection of them
-(``target.KvCache``).  In a causal pass
-(a decode step, a prompt prefill, a chain verify, a draft chain level, a
-draft round's pending row) row i attends to the first c+i+1 buffer rows,
-and the whole pass is one ``attn_row`` call per layer over the buffer's
-first padded(c+m) rows, read in place, with each row's later columns
-masked.  Tree rows of one depth share one context length, so a branching
+(``target.KvCache``).  In a causal pass (a decode step, a prompt prefill,
+a chain verify, a draft chain level, a draft round's pending row) row i
+attends to the first c+i+1 buffer rows, and the whole pass is one
+``attn_row`` call per layer over the buffer's first padded(c+m) rows, read
+in place, with each row's later columns masked.  Tree rows of one depth share one context length, so a branching
 draft tree level is one group gathered from the rows' ancestor chains
 (``chain_group``) and each depth of a verified tree one group extending the
 depth before it (``target.tree_groups``); both gather padded index arrays.
