@@ -89,9 +89,18 @@ def cmd_gen_corpus(args) -> int:
     return EXIT_OK
 
 
+def _trainable_models(cfg: RunConfig):
+    """The config's target and draft, checked before any work: training and
+    its gradient audit read a draft's two expert branches."""
+    target, draft = build_models(cfg)
+    if draft.config.n_experts < 2:
+        raise ConfigError(f"n_experts: training needs n_experts >= 2, got {draft.config.n_experts}")
+    return target, draft
+
+
 def cmd_train(args) -> int:
     cfg = _config_from_args(args)
-    target, draft = build_models(cfg)
+    target, draft = _trainable_models(cfg)
     if args.corpus:
         try:
             corpus = load_corpus(args.corpus, target)
@@ -147,7 +156,7 @@ def cmd_sweep_nk(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = _config_from_args(args)
-    target, draft = build_models(cfg)
+    target, draft = _trainable_models(cfg)
     batch = generate_distillation_corpus(target, args.sequences, args.seq_len, seed=cfg.seed)
     tc = TrainConfig(seed=cfg.seed)
     err = finite_diff_check(draft, batch, tc, n_coords=args.coords, h=args.h, seed=cfg.seed)

@@ -22,7 +22,14 @@ the first half.  Linear layers run per row, routing takes a row softmax
 and a stable row argsort, every expert runs on every row as one stacked
 matmul per projection, and the gated mixture adds each row's chosen
 experts in ascending order, so each row is bit for bit what a lone step
-would give (see kernels.py for the attention).  A round's tree rows are
+would give (see kernels.py for the attention).  A one-row pass, a chain
+level or a round's pending row, ranks its experts with Python's stable
+sort, adds its chosen experts one by one and gathers its best two by
+index: the order and bits of a wider pass's row argsort, masked sum and
+gathers, with fewer numpy calls.  Input
+checks run a cheap screen first (Python's min and max of the tokens, two
+reductions of the ancestors) and the exact scan only when it fails, so
+errors keep their messages and precedence.  A round's tree rows are
 the cache's tentative rows (``KvCache``), in creation order, until the
 next round's first pass commits its backlog over them.  All rows of a
 tree level share one depth, so a level takes its rows' ancestors as one
@@ -123,16 +130,18 @@ class DraftModel:
         cfg = self.config
         p = self.params
         try:
-            feats = np.array(prev_features, dtype=np.float64)
+            feats = np.asarray(prev_features, dtype=np.float64)
         except ValueError:  # ragged: rows of different shapes
             feats = None
         if feats is None or feats.shape != (len(tokens), cfg.dim):
             raise ValueError("prev_feature dimension mismatch")
         tok = np.asarray(tokens)
-        bad = (tok < 0) | (tok >= cfg.vocab)
-        if bad.any():
+        listed = tok.tolist()
+        # Python's min and max first; the scan finds the first bad token
+        if listed and (min(listed) < 0 or max(listed) >= cfg.vocab):
+            bad = (tok < 0) | (tok >= cfg.vocab)
             raise ValueError(f"token {tokens[int(np.argmax(bad))]} out of vocab range [0, {cfg.vocab})")
-        e = self.emb[tok] + sinusoid_positions(positions, cfg.dim)
+        e = self.emb.take(tok, 0) + sinusoid_positions(positions, cfg.dim)
         x = row_linear(p["reduction"], np.concatenate((e, feats), axis=1))
         qkv = row_linear(p["wqkv"], layer_norm(x, p["ln1_g"], p["ln1_b"]))
         d = cfg.dim
@@ -145,7 +154,8 @@ class DraftModel:
         The router picks each row's experts.  Every expert runs on every
         row, each projection one stacked matmul whose (expert, row) entries
         are the matrix-vector products a lone row gets; the gated mixture
-        adds a row's chosen experts in ascending order.
+        adds a row's chosen experts in ascending order.  One row adds them
+        one by one; more rows add an expert a row did not choose as -0.0.
         """
         cfg = self.config
         p = self.params
@@ -153,10 +163,21 @@ class DraftModel:
         v_in = layer_norm(u, p["ln2_g"], p["ln2_b"])
         # the router: a row softmax and the active_k best experts, ties to the lower index
         scores = softmax(row_linear(p["router"], v_in))
-        top = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.active_k]
-        m = x.shape[0]
         hidden = (p["w1"][:, None] @ v_in[None, :, :, None])[..., 0]
         expert_out = (p["w2"][:, None] @ silu(hidden)[..., None])[..., 0]  # (N, m, dim)
+        m = x.shape[0]
+        if m == 1:
+            # Python's sort is stable, and reverse keeps equal scores in index order
+            s = scores[0].tolist()
+            order = sorted(range(cfg.n_experts), key=s.__getitem__, reverse=True)[: cfg.active_k]
+            top = np.array([order])
+            f_moe = u
+            for j in sorted(order):  # u, then the chosen experts in ascending order
+                f_moe = f_moe + s[j] * expert_out[j]
+            f_best = [expert_out[j] + u for j in order[:2]]
+            return DraftStepOutput(f_moe, f_best[0], f_best[-1], scores, top,
+                                   scores.take(top[:, :2]))
+        top = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.active_k]
         gated = scores.T[..., None] * expert_out
         if cfg.active_k < cfg.n_experts:
             # adding -0.0 for an expert a row did not choose leaves every
@@ -168,8 +189,7 @@ class DraftModel:
         best = top[:, :2]
         f_best = expert_out[best.T, np.arange(m)] + u
         s_best = scores[np.arange(m)[:, None], best]
-        f_top2 = f_best[1] if cfg.active_k >= 2 else f_best[0]
-        return DraftStepOutput(f_moe, f_best[0], f_top2, scores, top, s_best)
+        return DraftStepOutput(f_moe, f_best[0], f_best[-1], scores, top, s_best)
 
     def _head(self, f: np.ndarray) -> np.ndarray:
         """LM head of a feature vector, or of each row of a stack of them."""
@@ -260,11 +280,18 @@ class DraftSession:
             raise ValueError(f"a tree level needs a (rows, depth - 1) ancestor array for its "
                              f"{m} rows, got shape {anc.shape}")
         t = self.cache.tentative
-        bad = ((anc < 0) | (anc >= t)).any(axis=1)
-        if bad.any():
-            raise ValueError(f"row {int(np.argmax(bad))}: ancestor row out of range [0, {t})")
-        bad = (anc[:, 1:] <= anc[:, :-1]).any(axis=1)
-        if bad.any():
+        # one row whose ancestors are all t rows of the round, a chain level,
+        # is a causal pass
+        causal = m == 1 and anc.shape[1] == t and anc[0].tolist() == list(range(t))
+        # else two reductions first: viewed unsigned, a negative row lies
+        # past t too; the scans find the first bad row
+        if not causal and anc.shape[1] and (
+                np.maximum.reduce(anc.view(np.uintp), None) >= t
+                or np.minimum.reduce(anc[:, 1:] - anc[:, :-1], None, initial=1) < 1):
+            bad = ((anc < 0) | (anc >= t)).any(axis=1)
+            if bad.any():
+                raise ValueError(f"row {int(np.argmax(bad))}: ancestor row out of range [0, {t})")
+            bad = (anc[:, 1:] <= anc[:, :-1]).any(axis=1)
             raise ValueError(f"row {int(np.argmax(bad))}: ancestor rows must ascend")
         self.passes += 1
         c = self.cache.length
@@ -272,8 +299,7 @@ class DraftSession:
         ids = np.arange(t, t + m)
         x, q, k, v = self.model._kv_rows(tokens, [c + 1 + anc.shape[1]] * m, prev_features)
         keys, values = self.cache.scratch(0, t, k, v)
-        if m == 1 and anc.shape[1] == t:
-            # t ascending rows of [0, t) are all of them: a causal pass
+        if causal:
             att = attend(q, keys, values, H, c + t)
         else:
             att = attend(q, keys, values, H, c, chain_group(c, anc, ids))

@@ -57,6 +57,19 @@ dot product, which unrolls differently.  PAD is 4, the smallest block that
 holds on OpenBLAS; ``test_row_kernel``'s oracle checks the rule on the
 running BLAS, and also that reading unpadded widths would break it.
 
+A one-row pass (a decode step, a chain level) pays every kernel's fixed
+cost per numpy call, not its arithmetic, so ``layer_norm`` and ``softmax``
+take one row through a shorter branch with the same bits.  Its reductions
+run over the same contiguous row, so numpy sums and compares the same
+elements in the same order; the results become Python floats, exactly;
+Python's division and ``math.sqrt`` round correctly as numpy's do; and an
+array op with a Python float broadcasts it as the float64 it is.  What the
+branch drops are the (1, 1) arrays between the reductions and the ops on
+them.  Its checks keep their messages and order: a NaN or an infinity
+reaches a row's max or min, so the two are finite exactly when every
+entry is.  ``test_kernels`` compares each branch with the row formula and
+with the same row inside a multi-row call.
+
 Importing this module pins glibc's malloc thresholds once for the process
 (``_pin_malloc_thresholds``).  A tree verify gathers each attention group's
 keys and values into fresh blocks of up to 512 KiB and frees them, and
@@ -128,11 +141,25 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
 
     Max-subtracted for stability; argmax (first-index tie break) is preserved
     for every temperature > 0.  A matrix is normalised row by row along its
-    last axis, each row exactly as the vector alone.
+    last axis, each row exactly as the vector alone; a vector or a single
+    row takes the one-row branch.
     """
     z = as_f64(logits)
     if z.ndim == 0 or z.size == 0:
         raise ValueError("empty input")
+    if z.size == z.shape[-1]:
+        # one row: its max and sum as Python floats (see the module docstring)
+        top = float(np.maximum.reduce(z, None))
+        if not (math.isfinite(top) and math.isfinite(float(np.minimum.reduce(z, None)))):
+            raise ValueError("non-finite logit")
+        if not temperature > 0.0:
+            raise ValueError("temperature must be > 0")
+        if temperature != 1.0:
+            z = z / temperature
+            top = float(np.maximum.reduce(z, None))
+        e = np.exp(z - top)
+        e /= float(np.add.reduce(e, None))
+        return e
     if not np.isfinite(z).all():
         raise ValueError("non-finite logit")
     if not temperature > 0.0:
@@ -270,7 +297,7 @@ def sinusoid_positions(positions, dim: int) -> np.ndarray:
     """
     pos = np.asarray(positions, dtype=np.intp)
     # viewed unsigned, a negative position lies past the end of every table
-    top = int(pos.view(np.uintp).max(initial=0))
+    top = int(np.maximum.reduce(pos.view(np.uintp), None, initial=0))
     table = _POSITION_TABLES.get(dim)
     if table is None or top >= table.shape[0]:
         if top > np.iinfo(np.intp).max:
@@ -279,12 +306,17 @@ def sinusoid_positions(positions, dim: int) -> np.ndarray:
         while n <= top:
             n *= 2
         table = _POSITION_TABLES[dim] = np.stack([sinusoid_position(p, dim) for p in range(n)])
-    return table[pos]
+    return table.take(pos, 0)
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """gamma * (x - mean) / sqrt(var + eps) + beta over the last axis, row
+    by row; one row takes the Python-float branch (see the module docstring)."""
     # np.add.reduce / n is what np.mean computes, without its Python-level wrappers
     n = x.shape[-1]
+    if x.size == n:
+        d = x - float(np.add.reduce(x, None)) / n
+        return gamma * d / math.sqrt(float(np.add.reduce(d * d, None)) / n + eps) + beta
     d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(d * d, axis=-1, keepdims=True) / n
     return gamma * d / np.sqrt(var + eps) + beta

@@ -209,8 +209,8 @@ def attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray, n_heads: int, c:
     att = np.empty_like(q)
     for rows, idx, n in groups:
         qh = q[rows].reshape(-1, n_heads, dh)
-        att[rows] = attn_row(qh, context_heads(keys[idx], n_heads),
-                             context_heads(values[idx], n_heads), n).reshape(qh.shape[0], -1)
+        att[rows] = attn_row(qh, context_heads(keys.take(idx, 0), n_heads),
+                             context_heads(values.take(idx, 0), n_heads), n).reshape(qh.shape[0], -1)
     return att
 
 
@@ -237,8 +237,10 @@ class TargetModel:
     def _check_tokens(self, tokens) -> np.ndarray:
         """tokens as an array; the first one out of vocab raises."""
         tok = np.asarray(tokens, dtype=np.intp)
-        bad = (tok < 0) | (tok >= self.config.vocab)
-        if bad.any():
+        listed = tok.tolist()
+        # Python's min and max first; the scan finds the first bad token
+        if listed and (min(listed) < 0 or max(listed) >= self.config.vocab):
+            bad = (tok < 0) | (tok >= self.config.vocab)
             raise ValueError(f"token {int(tok[np.argmax(bad)])} out of vocab range "
                              f"[0, {self.config.vocab})")
         return tok
@@ -256,7 +258,7 @@ class TargetModel:
         its tentative rows.
         """
         c, d = cache.length, self.config.dim
-        x = self.emb[tokens] + sinusoid_positions(positions, d)
+        x = self.emb.take(tokens, 0) + sinusoid_positions(positions, d)
         for l, lp in enumerate(self.layers):
             a_in = layer_norm(x, lp.ln1_g, lp.ln1_b)
             qkv = row_linear(lp.wqkv, a_in)

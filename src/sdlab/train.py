@@ -165,6 +165,9 @@ def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
     B, T = batch.tokens.shape
     if int(batch.lengths.min()) < 2:
         raise ValueError("sequence shorter than 2")
+    if mc.n_experts < 2:
+        raise ValueError(f"training needs n_experts >= 2 for its two expert branches, "
+                         f"got {mc.n_experts}")
     S = T - 1
     d, H, N = mc.dim, mc.n_heads, mc.n_experts
     dh = d // H

@@ -22,14 +22,17 @@ right), then draw, and score cum_score = (parent cum_score + log branch
 score) + log q.  A tree's records and q_dist rows are allocated once, for
 the most nodes its shape allows, and each level writes its own slice of
 them.  The draft pass of a level takes the ancestor rows of each of its
-rows as one array, which grows by a column per level.
+rows as one array, which grows by a column per level.  A level's arrays
+are gathered with ``take``, numpy's cheapest row gather: at one row per
+level (a chain) each gather is an identity, and its fixed cost is what a
+level pays.
 
 A grower's temperature picks the mode: 0 grows greedily and scores the
 tree with the plain (T=1) softmax, and T > 0 samples from the softmax at T,
 the convention verification and the run config use.
 
 Greedy growth is fully deterministic: each distribution's top_k tokens (ties
-to the lower token), one copy of a token both branches of a parent propose
+to the lower token; all V of them when top_k exceeds the vocab), one copy of a token both branches of a parent propose
 (the higher-cum_score copy, the left one on a tie, in the left copy's
 place), then the beam best by cum_score (ties to the earlier candidate).
 Sampling growth draws top_k tokens from each distribution by inverse CDF and
@@ -78,13 +81,12 @@ class DraftTree:
         return len(self.nodes)
 
 
-def _top_k(dist: np.ndarray, k: int) -> np.ndarray:
+def _top_k(rows: np.ndarray, k: int) -> np.ndarray:
     """The first k entries of each row's stable descending argsort: the k
     most probable tokens, ties to the lower index.  One argmax per entry,
     each after the entries taken so far are pushed below every probability;
     a full stable argsort of a 16-parent moe level costs about four times
     as much."""
-    rows = dist.reshape(-1, dist.shape[-1])
     k = min(k, rows.shape[1])
     top = np.empty((rows.shape[0], k), dtype=np.intp)
     if k > 1:
@@ -93,7 +95,7 @@ def _top_k(dist: np.ndarray, k: int) -> np.ndarray:
         top[:, j] = rows.argmax(axis=1)
         if j + 1 < k:
             rows[np.arange(rows.shape[0]), top[:, j]] = -1.0
-    return top.reshape(*dist.shape[:-1], k)
+    return top
 
 
 def _add_level(nodes: np.ndarray, q_dist: np.ndarray, n: int, depth: int, dist: np.ndarray,
@@ -109,16 +111,19 @@ def _add_level(nodes: np.ndarray, q_dist: np.ndarray, n: int, depth: int, dist: 
     node added, in node order.
     """
     m, nb, V = dist.shape
+    flat = dist.reshape(m * nb, V)
     if greedy:
-        tok = _top_k(dist, top_k)
+        tok = _top_k(flat, top_k)
     else:
-        tok = inverse_cdf_rows(dist, rng.random((m, nb, top_k)))
-    q = dist.ravel()[tok + V * np.arange(m * nb).reshape(m, nb, 1)]
-    base = pcum[:, None] if logw is None else pcum[:, None] + logw
-    cum = base[..., None] + np.log(np.maximum(q, 1e-300))
+        tok = inverse_cdf_rows(flat, rng.random((m * nb, top_k)))
+    k = tok.shape[1]  # greedy draws at most V distinct tokens
+    q = flat.take(tok + np.arange(0, m * nb * V, V)[:, None])
+    base = pcum if logw is None else pcum[:, None] + logw
+    cum = (base.reshape(-1, 1) + np.log(np.maximum(q, 1e-300))).reshape(m, nb, k)
     sel = np.arange(cum.size).reshape(cum.shape)
     if greedy and nb == 2:
-        same = tok[:, 0, :, None] == tok[:, 1, None, :]  # [row, left draw, right draw]
+        tok3 = tok.reshape(m, nb, k)
+        same = tok3[:, 0, :, None] == tok3[:, 1, None, :]  # [row, left draw, right draw]
         if same.any():
             right = np.take_along_axis(sel[:, 1], same.argmax(axis=2), axis=1)
             better = same.any(axis=2) & (cum.ravel()[right] > cum[:, 0])
@@ -127,13 +132,13 @@ def _add_level(nodes: np.ndarray, q_dist: np.ndarray, n: int, depth: int, dist: 
     sel, cum = sel.ravel(), cum.ravel()
     if greedy and sel.size > beam:
         sel = sel[np.sort(np.argsort(-cum[sel], kind="stable")[:beam])]
-    rows = sel // (nb * top_k)
-    cum = cum[sel]
-    src = sel // top_k  # the (row, branch) each node was drawn from
+    rows = sel // (nb * k)
+    cum = cum.take(sel)
+    src = sel // k  # the (row, branch) each node was drawn from
     rec = nodes[n : n + sel.size]
-    rec["token"], rec["parent"], rec["depth"] = tok.ravel()[sel], parents[rows], depth
-    rec["cum_score"], rec["tag"] = cum, tags[src % nb]
-    q_dist[n : n + sel.size] = dist.reshape(m * nb, V)[src]
+    rec["token"], rec["parent"], rec["depth"] = tok.take(sel), parents.take(rows), depth
+    rec["cum_score"], rec["tag"] = cum, tags.take(src % nb)
+    q_dist[n : n + sel.size] = flat.take(src, 0)
     return rows, cum
 
 
@@ -203,10 +208,11 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
                                      cum, NO_BRANCH, top_k, greedy, beam, rng)
                 n += len(rows)
             break
-        out, ids = session.tree_level(tokens, out.feature_moe.reshape(-1, model.dim)[rows],
-                                      anc[rows])
+        anc = anc.take(rows, 0)
+        out, ids = session.tree_level(tokens, out.feature_moe.reshape(-1, model.dim).take(rows, 0),
+                                      anc)
         pcum = cum
-        anc = np.concatenate((anc[rows], ids[:, None]), axis=1)
+        anc = np.concatenate((anc, ids[:, None]), axis=1)
 
     return DraftTree(nodes[:n], q_dist[:n], root_token=start_token, root_context_len=context_len)
 

@@ -96,8 +96,8 @@ def _children(tree: DraftTree) -> tuple[list[int], list[int]]:
     order[bounds[i + 1]:bounds[i + 2]], ascending, from one stable argsort
     of the parent column."""
     parent = tree.nodes["parent"]
-    order = np.argsort(parent, kind="stable")
-    return order.tolist(), np.searchsorted(parent[order], np.arange(-1, len(parent) + 1)).tolist()
+    order = parent.argsort(kind="stable")
+    return order.tolist(), parent.take(order).searchsorted(np.arange(-1, len(parent) + 1)).tolist()
 
 
 def _walk_greedy(tree: DraftTree, logits: np.ndarray) -> tuple[list[int], int]:
@@ -107,7 +107,7 @@ def _walk_greedy(tree: DraftTree, logits: np.ndarray) -> tuple[list[int], int]:
     path: list[int] = []
     cur = -1
     while True:
-        t_star = int(np.argmax(logits[cur + 1]))
+        t_star = int(logits[cur + 1].argmax())
         for ch in order[bounds[cur + 1]:bounds[cur + 2]]:
             if token[ch] == t_star:
                 break

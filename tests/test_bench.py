@@ -401,6 +401,17 @@ class TestCli:
         assert "config error: --corpus: " in err and msg in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_one_expert_draft_is_a_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"n_experts": 1, "active_k": 1}))
+        out = tmp_path / "d.bin"
+        flags = ["--out", str(out), "--steps", "1"] if command == "train" else []
+        assert main([command, "--config", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "config error: n_experts: training needs n_experts >= 2, got 1" in err
+        assert "Traceback" not in err and not out.exists()
+
     def test_gen_corpus_and_train(self, tmp_path, capsys):
         corpus = tmp_path / "c.bin"
         rc = main(["gen-corpus", "--out", str(corpus), "--sequences", "8",

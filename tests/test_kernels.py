@@ -301,6 +301,74 @@ def test_layer_norm_matches_mean_reference():
         assert np.array_equal(layer_norm(x, g, b), ref(x, g, b))
 
 
+def random_rows(rng, n, widths):
+    """n random rows of the given widths at scales 1e-2 to 1e2, each with an
+    offset of up to ten times its scale, grouped by width."""
+    rows = {}
+    for w in widths:
+        scale = 10.0 ** rng.uniform(-2.0, 2.0, size=(n, 1))
+        rows[w] = (rng.normal(size=(n, w)) + 10.0 * rng.uniform(-1.0, 1.0, size=(n, 1))) * scale
+    return rows
+
+
+def test_layer_norm_one_row_branch_matches_row_formula():
+    # a one-row input takes the Python-float branch; it must give the
+    # row-wise formula's bits, alone and as a row of a multi-row call
+    def ref(x, g, b, eps=1e-6):
+        mu = np.mean(x, axis=-1, keepdims=True)
+        var = np.mean((x - mu) ** 2, axis=-1, keepdims=True)
+        return g * (x - mu) / np.sqrt(var + eps) + b
+
+    rng = np.random.default_rng(16)
+    for w, rows in random_rows(rng, 5000, (32, 5)).items():
+        g, b = rng.normal(size=w), rng.normal(size=w)
+        batch = layer_norm(rows, g, b)
+        for i, x in enumerate(rows):
+            got = layer_norm(x, g, b)
+            assert got.shape == (w,) and np.array_equal(got, ref(x, g, b))
+            got = layer_norm(x[None], g, b)
+            assert got.shape == (1, w) and np.array_equal(got, ref(x[None], g, b))
+            assert np.array_equal(got[0], batch[i])
+
+
+def test_softmax_one_row_branch_matches_row_formula():
+    def ref(z, t):
+        z = z / t
+        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        return e / np.sum(e, axis=-1, keepdims=True)
+
+    rng = np.random.default_rng(17)
+    for w, rows in random_rows(rng, 5000, (64, 2)).items():
+        for t in (1.0, 0.6):
+            batch = softmax(rows, t)
+            for i, z in enumerate(rows[:2500] if t == 1.0 else rows[2500:], 0 if t == 1.0 else 2500):
+                got = softmax(z, t)
+                assert got.shape == (w,) and np.array_equal(got, ref(z, t))
+                got = softmax(z[None], t)
+                assert got.shape == (1, w) and np.array_equal(got, ref(z[None], t))
+                assert np.array_equal(got[0], batch[i])
+    # a (1, 1, V) input is one row too
+    z = rng.normal(size=(1, 1, 64))
+    assert np.array_equal(softmax(z), ref(z, 1.0))
+
+
+@pytest.mark.parametrize("shape", [(9,), (1, 9), (3, 9)])
+def test_softmax_checks_every_logit_in_order(shape):
+    rng = np.random.default_rng(18)
+    for bad in (np.nan, np.inf, -np.inf):
+        for pos in range(int(np.prod(shape))):
+            z = rng.normal(size=shape)
+            z.flat[pos] = bad
+            with pytest.raises(ValueError, match="non-finite logit"):
+                softmax(z)
+            with pytest.raises(ValueError, match="non-finite logit"):  # before the temperature
+                softmax(z, 0.0)
+    with pytest.raises(ValueError, match="temperature must be > 0"):
+        softmax(rng.normal(size=shape), -1.0)
+    # logits whose max is 0 keep a finite row, a -0.0 min too
+    assert np.array_equal(softmax(np.array([-0.0, -0.0])), [0.5, 0.5])
+
+
 def ref_inverse_cdf_sample(probs, u):
     """The left-to-right scan that inverse_cdf_sample replaced."""
     c = 0.0

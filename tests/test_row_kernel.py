@@ -372,6 +372,15 @@ def test_attention_rejects_a_non_finite_score():
     assert np.isfinite(attn_row(q, keys, values, 5)).all()
 
 
+def test_attention_passes_finite_scores_near_the_float_limit():
+    # two heads whose top scores would overflow if they were summed
+    q = np.full((1, 2, 1), 1.5)
+    keys = np.full((1, 2, 4, 1), 1e308)
+    values = np.arange(8.0).reshape(1, 2, 4, 1)
+    out = attn_row(q, keys, values, 1)
+    assert np.array_equal(out, values[:, :, 0])
+
+
 @pytest.mark.parametrize("pass_", ["step", "prefill", "chain", "tree", "draft"])
 def test_a_nan_cached_key_raises(target, pass_):
     cache = cached(target, [1, 2, 3, 4, 5])
@@ -776,6 +785,43 @@ def test_tree_level_rejects_unknown_ancestor(target):
     _out, (row,) = sess.tree_level([3], [f], [[]])
     with pytest.raises(ValueError, match="ancestor row out of range"):
         sess.tree_level([4], [f], [[row + 1]])
+
+
+def test_tree_level_range_error_wins_over_an_earlier_order_error(target):
+    draft = init_draft(DraftConfig(), target, seed=1)
+    sess = DraftSession(draft)
+    f = np.zeros(draft.dim)
+    sess.begin_round([1, 2], [f, f])
+    sess.tree_level([3, 5], [f, f], np.zeros((2, 0), dtype=int))
+    sess.tree_level([4, 6], [f, f], [[0], [1]])
+    # row 0 descends, row 1 reads row 9 of 4: the range check runs first
+    with pytest.raises(ValueError, match=r"^row 1: ancestor row out of range \[0, 4\)$"):
+        sess.tree_level([7, 8], [f, f], [[2, 0], [1, 9]])
+    with pytest.raises(ValueError, match=r"^row 1: ancestor row out of range \[0, 4\)$"):
+        sess.tree_level([7, 8], [f, f], [[2, 0], [-1, 3]])
+    with pytest.raises(ValueError, match=r"^row 0: ancestor rows must ascend$"):
+        sess.tree_level([7, 8], [f, f], [[2, 0], [1, 3]])
+    # a negative row in an ascending path is out of range too
+    with pytest.raises(ValueError, match=r"^row 1: ancestor row out of range \[0, 4\)$"):
+        sess.tree_level([7, 8], [f, f], [[0, 2], [-1, 2]])
+    # one row over all of the round's rows but out of order is no causal pass
+    with pytest.raises(ValueError, match=r"^row 0: ancestor rows must ascend$"):
+        sess.tree_level([7], [f], [[0, 2, 1, 3]])
+    assert sess.passes == 3
+
+
+def test_kv_rows_names_a_bad_token_in_the_middle_of_the_batch(target):
+    draft = init_draft(DraftConfig(), target, seed=1)
+    f = np.zeros((5, draft.dim))
+    for bad in (draft.vocab, draft.vocab + 7, -1):
+        tokens = [3, 4, bad, 5, draft.vocab + 1]
+        with pytest.raises(ValueError, match=rf"^token {bad} out of vocab range \[0, {draft.vocab}\)$"):
+            draft._kv_rows(tokens, range(1, 6), f)
+        with pytest.raises(ValueError, match=rf"^token {bad} out of vocab range"):
+            draft._kv_rows(np.array(tokens), range(1, 6), f)
+        # the only bad token, whichever side of the range it lies on
+        with pytest.raises(ValueError, match=rf"^token {bad} out of vocab range"):
+            draft._kv_rows([3, bad, 4], range(1, 4), f[:3])
 
 
 def test_tree_level_rejects_bad_ancestor_shapes_and_paths(target):

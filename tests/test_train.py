@@ -238,6 +238,14 @@ class TestTrainStep:
         assert abs(m_norm - GRAD_CLIP) < 1e-12
 
 
+def test_training_a_one_expert_draft_is_rejected(target, corpus):
+    draft = init_draft(DraftConfig(n_experts=1, active_k=1), target, seed=1)
+    for run in (lambda: train_draft(draft, corpus, TrainConfig(), steps=1),
+                lambda: finite_diff_check(draft, corpus, TrainConfig())):
+        with pytest.raises(ValueError, match="training needs n_experts >= 2 for its two expert branches, got 1"):
+            run()
+
+
 class TestFiniteDiff:
     def test_quadratic_regime_is_machine_exact(self, target, corpus):
         # with the classification weights off and beta, alpha the only sampled

@@ -263,6 +263,23 @@ def test_empty_trees_are_rejected(target, top_k, beam):
     assert sess.passes == 0
 
 
+@pytest.mark.parametrize("kind", ["static", "moe"])
+def test_greedy_top_k_past_the_vocab_gives_every_parent_all_tokens(kind):
+    # top_k 7 of a 4-token vocab draws each parent's 4 tokens once; every
+    # parent keeps its own children (a level used to number its nodes by
+    # top_k rather than by the draws it made, shifting them to later parents)
+    small = init_target(TargetConfig(vocab=4, dim=8, n_heads=2), seed=0)
+    draft = init_draft(DraftConfig(vocab=4, dim=8, n_heads=2), small, seed=1)
+    sess = DraftSession(draft)
+    sess.prefill([1, 2], [np.zeros(8)] * 2)
+    tree = _grow(sess, np.zeros(8), 3, 2, kind=kind, top_k=7, beam=64)
+    # moe keeps one copy of the token both branches of a parent propose
+    for parent in range(-1, 4):
+        kids = tree.nodes["token"][tree.nodes["parent"] == parent]
+        assert sorted(kids.tolist()) == [0, 1, 2, 3]
+    assert len(tree) == 4 + 4 * 4
+
+
 def test_tied_probabilities_take_the_lower_token(target):
     # tokens 2 and 50 share a head row, so they tie in every distribution
     tied = init_target(TargetConfig(), seed=0)
