@@ -2,9 +2,12 @@
 
 A session decodes prompts with one of five methods (vanilla, chain SD, static
 top-k tree, MoE tree, or the full pipeline with the contrastive parallel
-final step) and counts forward passes exactly: one target forward per
+final step) and counts forward passes exactly: one target tree verify per
 speculative round, and gamma or gamma-1 draft passes per round depending on
-whether the parallel final step is active.
+whether the parallel final step is active.  A branching tree's verify adds
+a path pass in the rounds whose walk accepts a leaf; those are counted
+apart as ``leaf_passes``, so tau stays tokens per round, the paper's
+acceptance length.
 
 Wall-clock numbers are reported but never asserted; the portable speedup
 proxy is the target forward-pass ratio.
@@ -129,6 +132,7 @@ class Metrics:
     tau: float
     target_forwards: int
     draft_forwards: int
+    leaf_passes: int
     tokens_emitted: int
     wall_ms: float
     per_prompt: list = field(default_factory=list)
@@ -244,6 +248,7 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
             "tokens": toks,
             "target_forwards": len(toks),
             "draft_forwards": 0,
+            "leaf_passes": 0,
             "rounds": len(toks),
             "wall_ms": wall,
             "draft_passes_per_round": [],
@@ -266,6 +271,7 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
     backlog_f: list[np.ndarray] = []
     target_forwards = 0
     draft_forwards = 0
+    leaf_passes = 0
     rounds = 0
     per_round = []
     while len(emitted) < config.max_new:
@@ -277,7 +283,8 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
         cache.commit_rows(outcome.commit_indices)
         emitted.extend(outcome.accepted)
         emitted.append(outcome.final_token)
-        target_forwards += 1  # the whole tree is verified in one target pass
+        target_forwards += 1  # one tree verify per round
+        leaf_passes += outcome.leaf_pass
         draft_forwards += round_passes
         rounds += 1
         per_round.append(round_passes)
@@ -290,6 +297,7 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
         "tokens": emitted[: config.max_new],
         "target_forwards": target_forwards,
         "draft_forwards": draft_forwards,
+        "leaf_passes": leaf_passes,
         "rounds": rounds,
         "wall_ms": wall,
         "draft_passes_per_round": per_round,
@@ -305,6 +313,7 @@ def run_session(config: RunConfig) -> Metrics:
     total_tokens = 0
     total_tf = 0
     total_df = 0
+    total_leaf = 0
     total_wall = 0.0
     per_prompt = []
     for prompt, ss in zip(prompts, seeds):
@@ -314,6 +323,7 @@ def run_session(config: RunConfig) -> Metrics:
         total_tokens += n_tok
         total_tf += r["target_forwards"]
         total_df += r["draft_forwards"]
+        total_leaf += r["leaf_passes"]
         total_wall += r["wall_ms"]
         per_prompt.append(
             {
@@ -321,6 +331,7 @@ def run_session(config: RunConfig) -> Metrics:
                 "tokens": list(map(int, r["tokens"])),
                 "target_forwards": r["target_forwards"],
                 "draft_forwards": r["draft_forwards"],
+                "leaf_passes": r["leaf_passes"],
                 "rounds": r["rounds"],
                 "tau": n_tok / r["target_forwards"],
             }
@@ -336,6 +347,7 @@ def run_session(config: RunConfig) -> Metrics:
         tau=tau,
         target_forwards=total_tf,
         draft_forwards=total_df,
+        leaf_passes=total_leaf,
         tokens_emitted=total_tokens,
         wall_ms=total_wall,
         per_prompt=per_prompt,

@@ -124,16 +124,24 @@ def as_f64(x) -> np.ndarray:
 
 def check_prob_vec(p: np.ndarray, what: str = "probability vector") -> None:
     """Validate a probability vector: finite, nonnegative, sums to 1 within tolerance."""
+    check_prob_rows(as_f64(p)[None], what)
+
+
+def check_prob_rows(p: np.ndarray, what: str) -> None:
+    """``check_prob_vec`` of every row of a (rows, n) stack at once, with
+    its messages; a bad sum is the first bad row's."""
     p = as_f64(p)
     if not np.isfinite(p).all():
         raise ValueError(f"non-finite {what}")
-    if p.ndim != 1 or p.size == 0:
+    if p.ndim != 2 or p.shape[1] == 0:
         raise ValueError(f"{what} must be a non-empty vector")
     if (p < 0.0).any():
         raise ValueError(f"{what} has negative entries")
-    s = float(np.add.reduce(p))
-    if abs(s - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"{what} sums to {s!r}, expected 1 within {PROB_SUM_TOL}")
+    s = np.add.reduce(p, axis=1)
+    bad = np.abs(s - 1.0) > PROB_SUM_TOL
+    if bad.any():
+        raise ValueError(f"{what} sums to {float(s[np.argmax(bad)])!r}, "
+                         f"expected 1 within {PROB_SUM_TOL}")
 
 
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:

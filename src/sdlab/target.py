@@ -149,20 +149,13 @@ class KvCache:
         self.tentative = 0
 
 
-def tree_groups(c: int, parents: np.ndarray,
-                depths: np.ndarray) -> list[tuple[slice, np.ndarray, int]]:
-    """Attention groups of m tree rows forwarded after c prefix columns.
+def check_tree(parents: np.ndarray, depths: np.ndarray) -> None:
+    """Raise ValueError unless m tree rows are in level order.
 
     parents[i] is the row of row i's parent, or -1 for a row that attends to
-    the prefix only, and depths[i] is 0 for such a row and its parent's + 1
-    otherwise.  Rows come in depth order, so each depth is one contiguous
-    run of rows of equal context length; a run is one group whose ancestor
-    chains extend the previous run's by the rows themselves: a run's full
-    index is its parents' rows of the previous run's, then its own column.
-    A group is (rows, idx, n): a slice of rows that read n columns, and
-    their (rows, padded(n)) column indices, whose padding reads column 0.
-    Groups come in ascending depth, rows in ascending order, cut to
-    MAX_GATHER.
+    the prefix only, and must be an earlier row; depths[i] must be 0 for
+    such a row and its parent's + 1 otherwise; and depths must never
+    decrease.  The message names the first row that breaks a rule.
     """
     rows = np.arange(parents.shape[0])
     bad = (parents < -1) | (parents >= rows)
@@ -172,9 +165,27 @@ def tree_groups(c: int, parents: np.ndarray,
     if bad.any():
         raise ValueError(f"tree row {int(np.argmax(bad))}: depth must be 0 without a parent "
                          "and the parent's depth + 1 otherwise")
+    bad = depths[1:] < depths[:-1]
+    if bad.any():
+        raise ValueError(f"tree row {int(np.argmax(bad)) + 1}: rows must come in depth order")
+
+
+def tree_groups(c: int, parents: np.ndarray,
+                depths: np.ndarray) -> list[tuple[slice, np.ndarray, int]]:
+    """Attention groups of m tree rows forwarded after c prefix columns.
+
+    parents and depths are checked by ``check_tree`` first.  Rows come in
+    depth order, so each depth is one contiguous run of rows of equal
+    context length; a run is one group whose ancestor chains extend the
+    previous run's by the rows themselves: a run's full index is its
+    parents' rows of the previous run's, then its own column.  A group is
+    (rows, idx, n): a slice of rows that read n columns, and their (rows,
+    padded(n)) column indices, whose padding reads column 0.  Groups come
+    in ascending depth, rows in ascending order, cut to MAX_GATHER.
+    """
+    check_tree(parents, depths)
+    rows = np.arange(parents.shape[0])
     step = depths[1:] - depths[:-1]
-    if (step < 0).any():
-        raise ValueError(f"tree row {int(np.argmax(step < 0)) + 1}: rows must come in depth order")
     # row 0 has no earlier row to hang under, so only the first run has depth 0
     starts = [0, *(np.flatnonzero(step) + 1).tolist()] if rows.shape[0] else []
     # the prefix as the full index of a run before the first, whose one
@@ -234,7 +245,7 @@ class TargetModel:
     def new_cache(self) -> KvCache:
         return KvCache(self.config.n_layers, self.config.dim)
 
-    def _check_tokens(self, tokens) -> np.ndarray:
+    def check_tokens(self, tokens) -> np.ndarray:
         """tokens as an array; the first one out of vocab raises."""
         tok = np.asarray(tokens, dtype=np.intp)
         listed = tok.tolist()
@@ -286,7 +297,7 @@ class TargetModel:
         m = len(tokens)
         if m == 0:
             return []
-        tok = self._check_tokens(tokens)
+        tok = self.check_tokens(tokens)
         c = cache.length
         logits, f = self._forward_rows(tok, range(c, c + m), cache, None)
         cache.commit_rows(range(m))
@@ -300,12 +311,12 @@ class TargetModel:
         parents[i] is the row of row i's parent, or -1 for a row that
         attends to the cache only, and positions[i] is row i's depth, which
         is also its offset from the cache end (a chain uses 0, 1, 2, ...);
-        see ``tree_groups`` for the checks.  Each row attends to the cache,
+        see ``check_tree`` for the checks.  Each row attends to the cache,
         its ancestors root first, then itself, all rows in one pass; a
         chain is a causal pass.  Returns logits (m, vocab) and features
         (m, dim).
         """
-        tok = self._check_tokens(tokens)
+        tok = self.check_tokens(tokens)
         par = np.asarray(parents, dtype=np.intp)
         pos = np.asarray(positions, dtype=np.intp)
         if not tok.shape == par.shape == pos.shape:

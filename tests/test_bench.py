@@ -1,11 +1,13 @@
 """Harness tests: config loading, session counters, speedups, reports, CLI."""
 
+import copy
 import json
 import struct
 
 import numpy as np
 import pytest
 
+import sdlab.bench
 from sdlab.bench import (
     ConfigError,
     Metrics,
@@ -26,6 +28,8 @@ from sdlab.cli import main
 from sdlab.draft import save_draft
 from sdlab.target import save_target
 from sdlab.train import generate_distillation_corpus, save_corpus
+
+from test_verify import tree_columns, walk_oracle
 
 
 def read_report(path: str) -> dict:
@@ -152,9 +156,36 @@ class TestSession:
         assert [r["tokens"] for r in a.per_prompt] == [r["tokens"] for r in b.per_prompt]
 
 
+    @pytest.mark.parametrize("temperature", [0.0, 1.0])
+    def test_leaf_passes_count_rounds_that_accept_a_leaf(self, monkeypatch, temperature):
+        # the node-by-node walk over one pass of the whole tree tells each
+        # round whose last accepted node is a leaf; at gamma 2 and beam 2
+        # leaves sit at both depths
+        leaf_rounds = []
+        verify = sdlab.bench.verify_tree
+
+        def replayed(tree, target, cache, temp, rng):
+            logits = target.forward_tree_kv(cache, *tree_columns(tree))[0]
+            path, _ = walk_oracle(tree, logits, temp, copy.deepcopy(rng))
+            leaf_rounds.append(bool(path) and path[-1] not in tree.nodes["parent"])
+            return verify(tree, target, cache, temp, rng)
+
+        monkeypatch.setattr(sdlab.bench, "verify_tree", replayed)
+        base = dict(temperature=temperature, gamma=2, beam=2, max_new=24, n_prompts=4, seed=3)
+        assert run_session(RunConfig(method="vanilla", **base)).leaf_passes == 0
+        for method in ("chain", "static_tree", "moe_tree", "jakiro_full"):
+            leaf_rounds.clear()
+            m = run_session(RunConfig(method=method, **base))
+            want = 0 if method == "chain" else sum(leaf_rounds)  # a chain verifies in one pass
+            assert m.leaf_passes == want == sum(r["leaf_passes"] for r in m.per_prompt), method
+            assert m.target_forwards == len(leaf_rounds)
+            if temperature > 0.0:
+                assert sum(leaf_rounds) > 0, method
+
+
 class TestSpeedup:
     def _metrics(self, tf, fingerprint="x"):
-        return Metrics(method="m", tau=1.0, target_forwards=tf, draft_forwards=0,
+        return Metrics(method="m", tau=1.0, target_forwards=tf, draft_forwards=0, leaf_passes=0,
                        tokens_emitted=tf, wall_ms=10.0, prompt_fingerprint=fingerprint)
 
     def test_identity(self):

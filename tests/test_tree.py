@@ -11,6 +11,7 @@ from sdlab.tree import NODE, DraftTree, grow_chain, grow_moe_tree, grow_static_t
 from sdlab.verify import verify_tree
 
 from test_row_kernel import random_tree
+from test_target import cache_bytes
 
 GOLDEN_MOE_DUMP = """0 -1 1 49 left 0.0554376111048 -3.17314381566
 1 -1 1 48 left 0.0552924830365 -3.17576511121
@@ -320,5 +321,10 @@ class TestLayout:
         unordered = [(1, -1, 1), (2, 0, 2), (3, -1, 1)]
         for triples, why in ((fwd, "parent must be an earlier row"), (bad_depth, "depth must be"),
                              (root_depth, "depth must be"), (unordered, "depth order")):
+            cache = target.new_cache()
+            target.prefill(cache, [5, 6, 7])
+            before = cache_bytes(cache)
+            # every row is checked before any is computed, leaves included
             with pytest.raises(ValueError, match=why):
-                verify_tree(layout_tree(triples), target, target.new_cache(), 0.0, None)
+                verify_tree(layout_tree(triples, context_len=3), target, cache, 0.0, None)
+            assert cache_bytes(cache) == before

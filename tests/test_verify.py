@@ -5,6 +5,7 @@ and Monte Carlo coupling to the real pipeline."""
 import numpy as np
 import pytest
 
+from sdlab.bench import RunConfig, build_models
 from sdlab.draft import DraftConfig, DraftSession, init_draft
 from sdlab.kernels import inverse_cdf_sample, softmax
 from sdlab.target import TargetConfig, init_target
@@ -200,52 +201,144 @@ def walk_oracle(tree, logits, temperature, rng):
 
 
 class ScriptedTarget:
-    """A target whose tree forward returns fixed logits, one row per tree
-    row, after checking the columns it is given."""
+    """A target whose passes return fixed logits by each row's token path,
+    root first, as a real target's depend on the path alone: rows holding
+    one path get one row of logits in any pass, and a path the table lacks
+    fails.  A row's features are its logits' first two entries.  Each
+    pass's row paths are recorded in ``passes``."""
 
-    def __init__(self, logits, columns):
-        self.logits, self.columns = logits, columns
+    def __init__(self, by_path):
+        self.by_path, self.passes = by_path, []
+
+    def check_tokens(self, tokens):
+        assert all(0 <= t < V for t in np.asarray(tokens).tolist())
 
     def forward_tree_kv(self, cache, tokens, parents, positions):
-        got = [np.asarray(c).tolist() for c in (tokens, parents, positions)]
-        assert got == [list(c) for c in self.columns]
-        return self.logits, np.zeros((len(self.logits), 2))
+        paths = []
+        for t, p, d in zip(*(np.asarray(c).tolist() for c in (tokens, parents, positions))):
+            assert (p >= 0) == bool(paths) and p < len(paths)  # only row 0 is parentless
+            paths.append((paths[p] if p >= 0 else ()) + (t,))
+            assert d == len(paths[-1]) - 1
+        self.passes.append(paths)
+        logits = np.stack([self.by_path[path] for path in paths])
+        return logits, logits[:, :2]
 
 
 def random_walk_tree(rng):
     """A random level-ordered forest under the root with scripted target
-    logits.  Rows are stably sorted by depth, so a level's parent column
-    often decreases, which the grower never emits.  Each node's token is
-    its parent row's argmax half the time, and its draft distribution is
-    half the target's (at T=1) and half a random one, so walks go deep."""
+    logits, (tree, target, each tree row's token path).  Rows are stably
+    sorted by depth, so a level's parent column often decreases, which the
+    grower never emits.  Each node's token is its parent's argmax half the
+    time, and its draft distribution is half the target's (at T=1) and half
+    a random one, so walks go deep.  Siblings with one token share their
+    logits, as they would from a real target."""
     m = int(rng.integers(1, 40))
     parents, depth = random_tree(rng, m, p_child=rng.uniform(0.6, 1.0))
-    logits = rng.normal(scale=2.0, size=(m + 1, V))
+    fresh = rng.normal(scale=2.0, size=(m + 1, V))
+    coin, other = rng.random(m), rng.integers(0, V, m)
+    paths = [(int(rng.integers(0, V)),)]
+    by_path = {paths[0]: fresh[0]}
+    for i, p in enumerate(parents.tolist()):
+        up = paths[p + 1]
+        t = int(by_path[up].argmax()) if coin[i] < 0.5 else int(other[i])
+        paths.append(up + (t,))
+        by_path.setdefault(paths[-1], fresh[i + 1])
+    logits = np.stack([by_path[path] for path in paths])
     rows = parents + 1
-    tokens = np.where(rng.random(m) < 0.5, logits[rows].argmax(axis=1), rng.integers(0, V, m))
-    nodes = records(zip(tokens.tolist(), parents.tolist(), (depth + 1).tolist()))
+    nodes = records(zip([path[-1] for path in paths[1:]], parents.tolist(), (depth + 1).tolist()))
     q_dist = 0.5 * softmax(logits[rows]) + 0.5 * rng.dirichlet(np.ones(V), size=m)
-    tree = DraftTree(nodes, q_dist, int(rng.integers(0, V)), 0)
-    return tree, ScriptedTarget(logits, tree_columns(tree))
+    return DraftTree(nodes, q_dist, paths[0][0], 0), ScriptedTarget(by_path), paths
 
 
 def test_walks_match_the_node_by_node_oracle_on_random_trees(small_target):
     rng = np.random.default_rng(2024)
-    decreasing = deep = 0
+    decreasing = deep = leaf_passes = 0
     for _ in range(250):
-        tree, target = random_walk_tree(rng)
+        tree, target, paths = random_walk_tree(rng)
         decreasing += bool((np.diff(tree.nodes["parent"]) < 0).any())
+        logits = np.stack([target.by_path[path] for path in paths])
+        parents = tree.nodes["parent"].tolist()
+        chain = parents == list(range(-1, len(parents) - 1))
+        inner = [paths[0]] + [paths[1 + i] for i in range(len(parents)) if i in parents]
         for temperature in (0.0, 0.6, 1.0):
             seed = int(rng.integers(0, 2**32))
             got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            target.passes.clear()
             out = verify_tree(tree, target, small_target.new_cache(), temperature, got_rng)
-            path, final = walk_oracle(tree, target.logits, temperature, ref_rng)
-            assert out.commit_indices == [0] + [1 + i for i in path]
+            path, final = walk_oracle(tree, logits, temperature, ref_rng)
             assert out.accepted == tree.nodes["token"][path].tolist()
             assert out.final_token == final
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+            # a chain is one pass over every row; a branching tree's first
+            # pass holds the root and each node with a child, and a path
+            # pass follows exactly when the walk accepts a leaf
+            assert target.passes[0] == (paths if chain else inner)
+            leaf = bool(path) and path[-1] not in parents and not chain
+            assert out.leaf_pass == leaf and len(target.passes) == 1 + leaf
+            # the commit names rows of the last pass that hold the accepted path
+            want = [paths[0]] + [paths[1 + i] for i in path]
+            assert [target.passes[-1][r] for r in out.commit_indices] == want
+            assert all(np.array_equal(f, target.by_path[w][:2])
+                       for f, w in zip(out.committed_features, want, strict=True))
             deep += len(path) >= 2
-    assert decreasing > 100 and deep > 250  # the cases the walks could get wrong were reached
+            leaf_passes += leaf
+    # the cases the walks could get wrong were reached
+    assert decreasing > 100 and deep > 250 and leaf_passes > 100
+
+
+# ------------------------------------------- split passes, bit for bit
+
+def assert_split_passes_match_one_pass(target, cache, tokens, parents, depths):
+    """The passes verify_tree splits a tree into give every row the bits of
+    one pass over the whole tree: the pass over row 0 and every row with a
+    child, and each leaf's causal pass over its path from row 0.  The rows
+    are a tree in verify's layout (row 0 the root); returns the leaf count."""
+    tokens, parents, depths = (np.asarray(c) for c in (tokens, parents, depths))
+    logits, features = target.forward_tree_kv(cache, tokens, parents, depths)
+    inner = [r for r in range(len(tokens)) if r == 0 or r in parents]
+    new = {r: k for k, r in enumerate(inner)}
+    got = target.forward_tree_kv(cache, tokens[inner], [new.get(p, -1) for p in parents[inner]],
+                                 depths[inner])
+    assert np.array_equal(got[0], logits[inner]) and np.array_equal(got[1], features[inner])
+    leaves = [r for r in range(1, len(tokens)) if r not in parents]
+    for leaf in leaves:
+        path = [leaf]
+        while parents[path[-1]] >= 0:
+            path.append(int(parents[path[-1]]))
+        path.reverse()
+        got = target.forward_tree_kv(cache, tokens[path], np.arange(-1, len(path) - 1),
+                                     np.arange(len(path)))
+        assert np.array_equal(got[0], logits[path]) and np.array_equal(got[1], features[path])
+    return len(leaves)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_split_passes_match_one_pass_on_random_trees(seed):
+    # contexts past 128 columns, where attention reads several padded blocks
+    target = init_target(TargetConfig(), seed=0)
+    rng = np.random.default_rng(seed)
+    cache = target.new_cache()
+    target.prefill(cache, rng.integers(0, 64, int(rng.integers(129, 200))).tolist())
+    m = int(rng.integers(20, 120))
+    parents, depth = random_tree(rng, m, p_child=rng.uniform(0.6, 1.0))
+    assert assert_split_passes_match_one_pass(
+        target, cache, rng.integers(0, 64, m + 1), np.concatenate(([-1], parents + 1)),
+        np.concatenate(([0], depth + 1))) > 1
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_split_passes_match_one_pass_on_grown_jakiro_trees(temperature):
+    target, draft = build_models(RunConfig())
+    rng = np.random.default_rng(5)
+    for n in (12, 140):
+        prompt = rng.integers(0, target.vocab, n).tolist()
+        cache = target.new_cache()
+        feats = [o.feature for o in target.prefill(cache, prompt[:-1])]
+        sess = DraftSession(draft)
+        sess.prefill(prompt[1:-1], feats[:-1])
+        tree = grow_moe_tree(sess, feats[-1], prompt[-1], 5, 2, parallel=True, beam=16,
+                             temperature=temperature, rng=rng, context_len=cache.length)
+        assert assert_split_passes_match_one_pass(target, cache, *tree_columns(tree)) > 1
 
 
 class TestWalkMechanics:
@@ -361,18 +454,43 @@ class TestWalkMechanics:
         feats = [small_target.forward_cached(cache, t).feature for t in [1, 2]]
         sess = DraftSession(small_draft)
         tree = grow_static_tree(sess, feats[-1], 3, 2, 2, context_len=cache.length)
-        logits = small_target.forward_tree_kv(cache, *tree_columns(tree))[0]
+        logits, features = small_target.forward_tree_kv(cache, *tree_columns(tree))
+
+        def walked(out, path, final):
+            """The outcome is the oracle's walk over the one-pass forward,
+            with that forward's features of the accepted path."""
+            rows = [0] + [1 + i for i in path]
+            return (out.accepted == tree.nodes["token"][path].tolist() and out.final_token == final
+                    and np.array_equal(out.committed_features, features[rows]))
+
         greedy = verify_tree(tree, small_target, cache, 0.0, None)  # no rng needed
-        path, final = walk_oracle(tree, logits, 0.0, None)
-        assert (greedy.commit_indices[1:], greedy.final_token) == ([1 + i for i in path], final)
+        assert walked(greedy, *walk_oracle(tree, logits, 0.0, None))
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
         sampled = verify_tree(tree, small_target, cache, 0.6, rng)
-        path, final = walk_oracle(tree, logits, 0.6, ref)
-        assert (sampled.commit_indices[1:], sampled.final_token) == ([1 + i for i in path], final)
+        assert walked(sampled, *walk_oracle(tree, logits, 0.6, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
         for bad in (-0.5, float("nan")):
             with pytest.raises(ValueError, match="temperature must be >= 0"):
                 verify_tree(tree, small_target, cache, bad, np.random.default_rng(0))
+
+    def test_sampling_checks_every_draft_distribution_up_front(self, small_target):
+        # the first child is the target's own p, always accepted, so the
+        # walk never tries the second; its bad q still raises, before any
+        # row is computed, while the greedy walk reads no q at all
+        cache = small_target.new_cache()
+        small_target.prefill(cache, [1, 2])
+        p = softmax(small_target.forward_tree_kv(cache, [3], [-1], [0])[0][0])
+        negative = np.full(V, 1.0 / V)
+        negative[:2] += (-2.0 / V, 2.0 / V)
+        for bad, why in ((np.full(V, 0.5 / V), "q sums to 0.5"),
+                         (np.where(np.arange(V) == 1, np.nan, 1.0 / V), "non-finite q"),
+                         (negative, "q has negative entries")):
+            tree = star_tree([int(p.argmax()), 0], [p, bad], 3, cache.length)
+            before = cache_bytes(cache)
+            with pytest.raises(ValueError, match=why):
+                verify_tree(tree, small_target, cache, 1.0, ScriptedRng([0.0, 0.5]))
+            assert cache_bytes(cache) == before
+            assert verify_tree(tree, small_target, cache, 0.0, None).accepted == [int(p.argmax())]
 
 
 # ---------------------------------------------------------------------------
