@@ -155,7 +155,6 @@ class TestSession:
         assert a.tau == b.tau
         assert [r["tokens"] for r in a.per_prompt] == [r["tokens"] for r in b.per_prompt]
 
-
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_leaf_passes_count_rounds_that_accept_a_leaf(self, monkeypatch, temperature):
         # the node-by-node walk over one pass of the whole tree tells each
