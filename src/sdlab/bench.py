@@ -2,12 +2,14 @@
 
 A session decodes prompts with one of five methods (vanilla, chain SD, static
 top-k tree, MoE tree, or the full pipeline with the contrastive parallel
-final step) and counts forward passes exactly: one target tree verify per
-speculative round, and gamma or gamma-1 draft passes per round depending on
-whether the parallel final step is active.  A branching tree's verify adds
-a path pass in the rounds whose walk accepts a leaf; those are counted
-apart as ``leaf_passes``, so tau stays tokens per round, the paper's
-acceptance length.
+final step).  The speculative ones grow their drafts with
+``grow_static_tree`` or ``grow_moe_tree`` (``TREES``); a chain is the
+static tree of width one.  A session counts forward passes exactly: one
+target tree verify per speculative round, and gamma or gamma-1 draft passes
+per round depending on whether the parallel final step is active.  A
+branching tree's verify adds a path pass in the rounds whose walk accepts a
+leaf; those are counted apart as ``leaf_passes``, so tau stays tokens per
+round, the paper's acceptance length.
 
 Wall-clock numbers are reported but never asserted; the portable speedup
 proxy is the target forward-pass ratio.
@@ -26,10 +28,13 @@ import numpy as np
 
 from .draft import DraftConfig, DraftModel, DraftSession, init_draft, load_draft
 from .target import TargetConfig, TargetModel, init_target, load_target
-from .tree import grow_chain, grow_moe_tree, grow_static_tree
+from .tree import grow_moe_tree, grow_static_tree
 from .verify import verify_tree
 
-METHODS = ("vanilla", "chain", "static_tree", "moe_tree", "jakiro_full")
+# the tree each speculative method grows: (MoE branches, parallel final step)
+TREES = {"chain": (False, False), "static_tree": (False, False),
+         "moe_tree": (True, False), "jakiro_full": (True, True)}
+METHODS = ("vanilla", *TREES)
 
 
 class ConfigError(ValueError):
@@ -212,30 +217,6 @@ def build_models(config: RunConfig) -> tuple[TargetModel, DraftModel]:
     return target, draft
 
 
-def _grow_for_method(method, dsession, prev_feature, pending, config, rng,
-                     backlog_t, backlog_f, context_len):
-    common = dict(
-        temperature=config.temperature,
-        rng=rng,
-        backlog_tokens=backlog_t,
-        backlog_features=backlog_f,
-        context_len=context_len,
-        beam=config.beam,
-    )
-    if method == "chain":
-        return grow_chain(dsession, prev_feature, pending, config.gamma, **common)
-    if method == "static_tree":
-        return grow_static_tree(dsession, prev_feature, pending, config.gamma,
-                                config.top_k, **common)
-    if method == "moe_tree":
-        return grow_moe_tree(dsession, prev_feature, pending, config.gamma,
-                             config.top_k, **common)
-    if method == "jakiro_full":
-        return grow_moe_tree(dsession, prev_feature, pending, config.gamma,
-                             config.top_k, parallel=True, **common)
-    raise ConfigError(f"method: unknown method {method!r}")
-
-
 def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
                   prompt: list[int], rng) -> dict:
     """Decode one prompt; returns tokens and exact per-prompt counters."""
@@ -254,6 +235,8 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
             "draft_passes_per_round": [],
         }
 
+    if config.method not in TREES:
+        raise ConfigError(f"method: unknown method {config.method!r}")
     if len(prompt) < 2:
         raise ConfigError("prompt_len: speculative methods need prompts of length >= 2")
     t0 = time.perf_counter()
@@ -262,6 +245,9 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
     pending = prompt[-1]
     prev_feature = feats[-1]
 
+    moe, parallel = TREES[config.method]
+    grow = grow_moe_tree if moe else grow_static_tree
+    top_k = 1 if config.method == "chain" else config.top_k  # a chain is a width-1 tree
     dsession = DraftSession(draft)
     if len(prompt) > 2:
         dsession.prefill(prompt[1:-1], feats[:-1])
@@ -276,8 +262,10 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
     per_round = []
     while len(emitted) < config.max_new:
         before = dsession.passes
-        tree = _grow_for_method(config.method, dsession, prev_feature, pending, config,
-                                rng, backlog_t, backlog_f, cache.length)
+        tree = grow(dsession, prev_feature, pending, config.gamma, top_k, beam=config.beam,
+                    parallel=parallel, temperature=config.temperature, rng=rng,
+                    backlog_tokens=backlog_t, backlog_features=backlog_f,
+                    context_len=cache.length)
         round_passes = dsession.passes - before
         outcome = verify_tree(tree, target, cache, config.temperature, rng)
         cache.commit_rows(outcome.commit_indices)

@@ -90,6 +90,7 @@ import platform
 import numpy as np
 
 LOG_CLAMP = 1e-12
+LN_EPS = 1e-6  # layer norm's variance floor, in decoding and in training
 PROB_SUM_TOL = 1e-9
 # attention contexts are read at widths padded to a multiple of PAD columns
 PAD = 4
@@ -317,17 +318,17 @@ def sinusoid_positions(positions, dim: int) -> np.ndarray:
     return table.take(pos, 0)
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """gamma * (x - mean) / sqrt(var + eps) + beta over the last axis, row
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """gamma * (x - mean) / sqrt(var + LN_EPS) + beta over the last axis, row
     by row; one row takes the Python-float branch (see the module docstring)."""
     # np.add.reduce / n is what np.mean computes, without its Python-level wrappers
     n = x.shape[-1]
     if x.size == n:
         d = x - float(np.add.reduce(x, None)) / n
-        return gamma * d / math.sqrt(float(np.add.reduce(d * d, None)) / n + eps) + beta
+        return gamma * d / math.sqrt(float(np.add.reduce(d * d, None)) / n + LN_EPS) + beta
     d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(d * d, axis=-1, keepdims=True) / n
-    return gamma * d / np.sqrt(var + eps) + beta
+    return gamma * d / np.sqrt(var + LN_EPS) + beta
 
 
 def silu(x: np.ndarray) -> np.ndarray:

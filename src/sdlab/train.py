@@ -12,7 +12,9 @@ classification terms:
     total = reg_moe + w_cls_moe * cls_moe + reg_const + w_cls_const * cls_const
 
 where the mixture branch predicts one step ahead and the contrast branch two
-steps ahead.  Positions without a target two or three tokens out are masked.
+steps ahead.  Every sequence of a batch is full length, so the contrast
+terms cover all but each sequence's last step, which has no target two
+tokens out.
 The regression terms are smooth L1 with beta SMOOTH_L1_BETA.  Each step is
 one in-place Adam update (ADAM_BETA1, ADAM_BETA2) of the gradient clipped
 to global norm GRAD_CLIP, the norm summed block by block in checkpoint
@@ -28,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .draft import DraftModel, param_blocks
-from .kernels import LOG_CLAMP, silu, silu_grad, sinusoid_positions, softmax
+from .kernels import LN_EPS, LOG_CLAMP, row_linear, silu, silu_grad, sinusoid_positions, softmax
 from .target import TargetModel
 
 MAGIC_CORPUS = b"SDFC"
@@ -56,14 +58,13 @@ class TrainBatch:
     tokens: np.ndarray    # (B, T) int64
     features: np.ndarray  # (B, T, d)
     probs: np.ndarray     # (B, T, V); probs[b, t] is the distribution of tokens[b, t+1]
-    lengths: np.ndarray   # (B,) valid prefix lengths
 
     @property
     def n_sequences(self) -> int:
         return self.tokens.shape[0]
 
     def take(self, idx) -> "TrainBatch":
-        return TrainBatch(self.tokens[idx], self.features[idx], self.probs[idx], self.lengths[idx])
+        return TrainBatch(self.tokens[idx], self.features[idx], self.probs[idx])
 
 
 def generate_distillation_corpus(target: TargetModel, n_sequences: int, seq_len: int,
@@ -88,8 +89,7 @@ def generate_distillation_corpus(target: TargetModel, n_sequences: int, seq_len:
                     t = int(np.argmax(out.logits))
                 else:
                     t = int(rng.choice(V, p=softmax(out.logits, temperature)))
-    lengths = np.full(n_sequences, seq_len, dtype=np.int64)
-    return TrainBatch(tokens=tokens, features=feats, probs=probs, lengths=lengths)
+    return TrainBatch(tokens=tokens, features=feats, probs=probs)
 
 
 def save_corpus(batch: TrainBatch, path: str) -> None:
@@ -105,7 +105,9 @@ def save_corpus(batch: TrainBatch, path: str) -> None:
 
 def load_corpus(path: str, target: TargetModel) -> TrainBatch:
     """Read tokens and features; distributions are reconstructed through the
-    target head (probs = softmax(feature . head))."""
+    target head (probs = softmax(head . feature)), one matrix-vector product
+    per row as decoding computes them, so they are the generated corpus's
+    bits."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC_CORPUS:
@@ -133,15 +135,14 @@ def load_corpus(path: str, target: TargetModel) -> TrainBatch:
         raise ValueError(f"corpus token {int(tokens.max())} out of vocab range [0, {v})")
     if not np.isfinite(feats).all():
         raise ValueError("non-finite feature in corpus")
-    probs = softmax(feats @ target.head.T)
-    return TrainBatch(tokens=tokens, features=feats, probs=probs,
-                      lengths=np.full(n, t, dtype=np.int64))
+    probs = softmax(row_linear(target.head, feats.reshape(-1, d))).reshape(n, t, v)
+    return TrainBatch(tokens=tokens, features=feats, probs=probs)
 
 
-def _ln_forward(x, g, b, eps=1e-6):
+def _ln_forward(x, g, b):
     mu = x.mean(axis=-1, keepdims=True)
     var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x - mu) * inv
     return g * xhat + b, (xhat, inv, g)
 
@@ -163,7 +164,7 @@ def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
     p = model.params
     mc = model.config
     B, T = batch.tokens.shape
-    if int(batch.lengths.min()) < 2:
+    if T < 2:
         raise ValueError("sequence shorter than 2")
     if mc.n_experts < 2:
         raise ValueError(f"training needs n_experts >= 2 for its two expert branches, "
@@ -209,33 +210,30 @@ def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
     qm = softmax(lm)
     qc = softmax(lc)
 
-    # masks over step index x = 1..T-1
-    X = np.arange(1, T)
-    moe_mask = X[None, :] <= (batch.lengths[:, None] - 1)
-    const_mask = X[None, : S - 1] <= (batch.lengths[:, None] - 2) if S > 1 else np.zeros((B, 0), dtype=bool)
-    n_moe = int(moe_mask.sum())
-    n_const = int(const_mask.sum())
+    # targets: the mixture's at each of the S steps, the contrast head's at all but the last
+    n_moe = B * S
+    n_const = B * (S - 1)
 
     slb = SMOOTH_L1_BETA
     tgt_mf = batch.features[:, 1:]
     diff_m = mix - tgt_mf
     ad = np.abs(diff_m)
     per_m = np.where(ad < slb, 0.5 * ad * ad / slb, ad - 0.5 * slb).mean(axis=-1)
-    reg_moe = float((per_m * moe_mask).sum() / n_moe)
+    reg_moe = float(per_m.sum() / n_moe)
 
     tgt_mp = batch.probs[:, 1:]
     ce_m = -(tgt_mp * np.log(np.maximum(qm, LOG_CLAMP))).sum(axis=-1)
-    cls_moe = float((ce_m * moe_mask).sum() / n_moe)
+    cls_moe = float(ce_m.sum() / n_moe)
 
     if n_const > 0:
         tgt_cf = batch.features[:, 2:]
         diff_c = fc[:, : S - 1] - tgt_cf
         adc = np.abs(diff_c)
         per_c = np.where(adc < slb, 0.5 * adc * adc / slb, adc - 0.5 * slb).mean(axis=-1)
-        reg_const = float((per_c * const_mask).sum() / n_const)
+        reg_const = float(per_c.sum() / n_const)
         tgt_cp = batch.probs[:, 2:]
         ce_c = -(tgt_cp * np.log(np.maximum(qc[:, : S - 1], LOG_CLAMP))).sum(axis=-1)
-        cls_const = float((ce_c * const_mask).sum() / n_const)
+        cls_const = float(ce_c.sum() / n_const)
     else:
         reg_const = 0.0
         cls_const = 0.0
@@ -253,7 +251,7 @@ def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
         q=q, k=k, v=v, P=P, att=att, u=u, v_in=v_in, ln2c=ln2c, s=s,
         i1=i1, i2=i2, hid=hid, act=act, e1=e1, e2=e2, s1=s1, s2=s2,
         f1=f1, f2=f2, mix=mix, fc=fc, qm=qm, qc=qc, beta=beta, alpha=alpha,
-        moe_mask=moe_mask, const_mask=const_mask, n_moe=n_moe, n_const=n_const,
+        n_moe=n_moe, n_const=n_const,
         diff_m=diff_m, tgt_mp=tgt_mp,
     )
     if n_const > 0:
@@ -287,20 +285,14 @@ def loss_and_grads(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
     slb = SMOOTH_L1_BETA
     grads = {name: np.zeros_like(a) for name, a in p.items()}
 
-    dmix = (st["moe_mask"][..., None] * _smooth_l1_elem_grad(st["diff_m"], slb, d)) / st["n_moe"]
-    dlm = (st["moe_mask"][..., None] * _ce_logit_grad(st["qm"], st["tgt_mp"])) * (
-        cfg.w_cls_moe / st["n_moe"]
-    )
+    dmix = _smooth_l1_elem_grad(st["diff_m"], slb, d) / st["n_moe"]
+    dlm = _ce_logit_grad(st["qm"], st["tgt_mp"]) * (cfg.w_cls_moe / st["n_moe"])
     dmix = dmix + dlm @ model.head
 
     dfc = np.zeros((B, S, d))
     if st["n_const"] > 0:
-        dfc_v = (st["const_mask"][..., None] * _smooth_l1_elem_grad(st["diff_c"], slb, d)) / st[
-            "n_const"
-        ]
-        dlc = (st["const_mask"][..., None] * _ce_logit_grad(st["qc"][:, : S - 1], st["tgt_cp"])) * (
-            cfg.w_cls_const / st["n_const"]
-        )
+        dfc_v = _smooth_l1_elem_grad(st["diff_c"], slb, d) / st["n_const"]
+        dlc = _ce_logit_grad(st["qc"][:, : S - 1], st["tgt_cp"]) * (cfg.w_cls_const / st["n_const"])
         dfc[:, : S - 1] = dfc_v + dlc @ model.head
 
     f1, f2, s1, s2 = st["f1"], st["f2"], st["s1"], st["s2"]

@@ -1,5 +1,5 @@
-"""Candidate-token tree construction: chains, static top-k trees and
-MoE-decoupled trees.
+"""Candidate-token tree construction: static top-k trees and MoE-decoupled
+trees.  A chain draft is the static tree of width one, ``top_k=1``.
 
 A tree is columns in level order: one ``NODE`` record per node (token,
 parent, depth, cum_score and branch tag) and one row of ``q_dist`` per node,
@@ -142,8 +142,8 @@ def _add_level(nodes: np.ndarray, q_dist: np.ndarray, n: int, depth: int, dist: 
     return rows, cum
 
 
-def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
-          top_k: int = 1, beam: int = 60, parallel: bool = False, temperature: float = 0.0,
+def _grow(session: DraftSession, prev_feature, start_token, gamma, *, moe: bool,
+          top_k: int, beam: int = 60, parallel: bool = False, temperature: float = 0.0,
           rng=None, backlog_tokens=(), backlog_features=(), context_len: int = 0) -> DraftTree:
     model = session.model
     if gamma < 1:
@@ -152,7 +152,7 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
         raise ValueError("top_k and beam must be >= 1")
     if parallel and gamma < 2:
         raise ValueError("parallel final step needs gamma >= 2")
-    if (parallel or kind == "moe") and model.config.active_k < 2:
+    if (parallel or moe) and model.config.active_k < 2:
         raise ValueError("K < 2: need two active experts")
     if temperature < 0.0:
         raise ValueError("temperature must be >= 0")
@@ -167,7 +167,7 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
     # at most beam of its nodes
     cap, expanded = 0, 1
     for _ in range(gamma):
-        added = (2 if kind == "moe" else 1) * top_k * expanded
+        added = (2 if moe else 1) * top_k * expanded
         if greedy:
             added = min(added, beam)
         cap += added
@@ -183,7 +183,7 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
     last_step_depth = gamma - 1 if parallel else gamma
 
     for depth in range(1, last_step_depth + 1):
-        if kind == "moe":
+        if moe:
             dist = softmax(model.branch_logits(out), temperature).reshape(-1, 2, V)
             rows, cum = _add_level(nodes, q_dist, n, depth, dist, parents, pcum, BRANCH_TAGS,
                                    top_k, greedy, beam, rng, np.log(out.branch_scores).reshape(-1, 2))
@@ -217,17 +217,13 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, kind: str,
     return DraftTree(nodes[:n], q_dist[:n], root_token=start_token, root_context_len=context_len)
 
 
-def grow_chain(session, prev_feature, start_token, gamma, **kw) -> DraftTree:
-    """Linear draft of gamma tokens; greedy by default."""
-    return _grow(session, prev_feature, start_token, gamma, kind="chain", **kw)
-
-
 def grow_static_tree(session, prev_feature, start_token, gamma, top_k, **kw) -> DraftTree:
-    """Static top-k tree from the mixture distribution at every node."""
-    return _grow(session, prev_feature, start_token, gamma, kind="static", top_k=top_k, **kw)
+    """Static top-k tree from the mixture distribution at every node; at
+    top_k 1 it is a chain of gamma tokens."""
+    return _grow(session, prev_feature, start_token, gamma, moe=False, top_k=top_k, **kw)
 
 
 def grow_moe_tree(session, prev_feature, start_token, gamma, top_k, **kw) -> DraftTree:
     """Decoupled tree: each node's children come from the two expert branches,
     higher-scoring branch on the left, cum_score weighted by the branch score."""
-    return _grow(session, prev_feature, start_token, gamma, kind="moe", top_k=top_k, **kw)
+    return _grow(session, prev_feature, start_token, gamma, moe=True, top_k=top_k, **kw)

@@ -66,6 +66,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match="requires K >= 2"):
             RunConfig(method="moe_tree", active_k=1, n_experts=2).validate()
 
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ConfigError, match="method: unknown method 'beam'"):
+            RunConfig(method="beam").validate()
+        # decode_prompt takes an unvalidated config
+        cfg = RunConfig(method="beam")
+        target, draft = build_models(cfg)
+        with pytest.raises(ConfigError, match="method: unknown method 'beam'"):
+            decode_prompt(target, draft, cfg, [1, 2, 3], np.random.default_rng(0))
+
     def test_jakiro_requires_gamma2(self):
         with pytest.raises(ConfigError, match="gamma"):
             RunConfig(method="jakiro_full", gamma=1).validate()

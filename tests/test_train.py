@@ -1,4 +1,4 @@
-"""Trainer tests: corpus generation, the combined objective, masking,
+"""Trainer tests: corpus generation, the combined objective,
 optimizer determinism and the finite-difference gradient audit."""
 
 import struct
@@ -66,7 +66,8 @@ class TestCorpus:
         loaded = load_corpus(path, target)
         assert np.array_equal(loaded.tokens, corpus.tokens)
         assert np.array_equal(loaded.features, corpus.features)
-        assert np.max(np.abs(loaded.probs - corpus.probs)) < 1e-12
+        # probs come back through the head as decoding computes them: the generated bits
+        assert np.array_equal(loaded.probs, corpus.probs)
 
     def test_vocab_mismatch(self, corpus, tmp_path):
         other = init_target(TargetConfig(vocab=32, dim=16), seed=0)
@@ -126,33 +127,14 @@ class TestLoss:
             tokens=corpus.tokens.copy(),
             features=corpus.features.copy(),
             probs=corpus.probs.copy(),
-            lengths=corpus.lengths.copy(),
         )
         batch.features[:, 1] = st["mix"][:, 0]
         batch.probs[:, 1] = st["qm"][:, 0]
         total, br = jakiro_loss(draft, batch, cfg)
         assert br["reg_moe"] < 1e-15
-        assert br["reg_const"] == 0.0 and br["cls_const"] == 0.0  # masked at length 2
+        assert br["reg_const"] == 0.0 and br["cls_const"] == 0.0  # no step at length 2
         entropy = float(np.mean([-np.sum(q * np.log(q)) for q in st["qm"][:, 0]]))
         assert abs(br["cls_moe"] - entropy) < 1e-9
-
-    def test_masking_ignores_tokens_beyond_horizon(self, target, corpus):
-        draft = fresh_draft(target)
-        cfg = TrainConfig()
-        batch = corpus.take(np.arange(4))
-        batch.lengths = np.array([10, 7, 5, 10])
-        base, _ = jakiro_loss(draft, batch, cfg)
-        mutated = TrainBatch(
-            tokens=batch.tokens.copy(),
-            features=batch.features.copy(),
-            probs=batch.probs.copy(),
-            lengths=batch.lengths.copy(),
-        )
-        mutated.tokens[1, 8:] = 0
-        mutated.features[2, 6:] = 99.0
-        mutated.probs[1, 8:] = 1.0 / 64
-        after, _ = jakiro_loss(draft, mutated, cfg)
-        assert after == base
 
     def test_short_sequences(self, target):
         draft = fresh_draft(target)
@@ -215,8 +197,7 @@ class TestTrainStep:
         draft = fresh_draft(target)
         before = {k: np.array(v, copy=True) for k, v in draft.params.items()}
         bad = corpus.take(np.arange(2))
-        bad = TrainBatch(bad.tokens.copy(), bad.features.copy(), bad.probs.copy(),
-                         bad.lengths.copy())
+        bad = TrainBatch(bad.tokens.copy(), bad.features.copy(), bad.probs.copy())
         bad.features[0, 0, 0] = np.nan
         with pytest.raises(ValueError):
             train_step(draft, bad, AdamState.init(draft), TrainConfig())

@@ -7,7 +7,7 @@ import pytest
 from sdlab.draft import DraftConfig, DraftSession, init_draft
 from sdlab.kernels import padded, softmax
 from sdlab.target import TargetConfig, init_target, tree_groups
-from sdlab.tree import NODE, DraftTree, grow_chain, grow_moe_tree, grow_static_tree
+from sdlab.tree import NODE, DraftTree, grow_moe_tree, grow_static_tree
 from sdlab.verify import verify_tree
 
 from test_row_kernel import random_tree
@@ -106,19 +106,19 @@ def make_session(draft):
 
 class TestChain:
     def test_single_node(self, draft, root_feature):
-        tree = grow_chain(make_session(draft), root_feature, 5, 1)
+        tree = grow_static_tree(make_session(draft), root_feature, 5, 1, 1)
         assert len(tree) == 1
         assert tree.nodes["depth"][0] == 1 and tree.nodes["parent"][0] == -1
 
     def test_greedy_determinism(self, draft, root_feature):
-        t1 = grow_chain(make_session(draft), root_feature, 5, 4)
-        t2 = grow_chain(make_session(draft), root_feature, 5, 4)
+        t1 = grow_static_tree(make_session(draft), root_feature, 5, 4, 1)
+        t2 = grow_static_tree(make_session(draft), root_feature, 5, 4, 1)
         assert dump_tree(t1) == dump_tree(t2)
 
     def test_chain_matches_draft_greedy_replay(self, draft, root_feature):
         # replay oracle: drive the draft by hand, taking argmax of the mixture
         gamma = 3
-        tree = grow_chain(make_session(draft), root_feature, 5, gamma)
+        tree = grow_static_tree(make_session(draft), root_feature, 5, gamma, 1)
         s = make_session(draft)
         out = s.begin_round([5], [root_feature])
         want = []
@@ -134,7 +134,7 @@ class TestChain:
         assert tree.nodes["token"].tolist() == want
 
     def test_q_dist_recorded(self, draft, root_feature):
-        tree = grow_chain(make_session(draft), root_feature, 5, 3)
+        tree = grow_static_tree(make_session(draft), root_feature, 5, 3, 1)
         assert tree.q_dist.shape == (3, draft.vocab)
         assert np.allclose(tree.q_dist.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         q = tree.q_dist[np.arange(3), tree.nodes["token"]]
@@ -142,28 +142,32 @@ class TestChain:
 
     def test_sampling_mode(self, draft, root_feature):
         rng = np.random.default_rng(0)
-        tree = grow_chain(make_session(draft), root_feature, 5, 3, temperature=1.0, rng=rng)
+        tree = grow_static_tree(make_session(draft), root_feature, 5, 3, 1, temperature=1.0,
+                                rng=rng)
         assert len(tree) == 3
         rng2 = np.random.default_rng(0)
-        tree2 = grow_chain(make_session(draft), root_feature, 5, 3, temperature=1.0, rng=rng2)
+        tree2 = grow_static_tree(make_session(draft), root_feature, 5, 3, 1, temperature=1.0,
+                                 rng=rng2)
         assert dump_tree(tree) == dump_tree(tree2)
 
     def test_temperature_zero_is_greedy(self, draft, root_feature):
-        greedy = grow_chain(make_session(draft), root_feature, 5, 3)
-        same = grow_chain(make_session(draft), root_feature, 5, 3, temperature=0.0)
+        greedy = grow_static_tree(make_session(draft), root_feature, 5, 3, 1)
+        same = grow_static_tree(make_session(draft), root_feature, 5, 3, 1, temperature=0.0)
         assert dump_tree(same) == dump_tree(greedy)
         with pytest.raises(ValueError, match="needs an rng"):
-            grow_chain(make_session(draft), root_feature, 5, 3, temperature=0.6)
+            grow_static_tree(make_session(draft), root_feature, 5, 3, 1, temperature=0.6)
         with pytest.raises(ValueError, match="temperature must be >= 0"):
-            grow_chain(make_session(draft), root_feature, 5, 3, temperature=-1.0,
-                       rng=np.random.default_rng(0))
+            grow_static_tree(make_session(draft), root_feature, 5, 3, 1, temperature=-1.0,
+                             rng=np.random.default_rng(0))
 
 
 class TestStaticTree:
     def test_topk1_collapses_to_chain(self, draft, root_feature):
-        chain = grow_chain(make_session(draft), root_feature, 5, 3)
+        # a chain draft is the width-1 static tree: each node the child of the one before
         static = grow_static_tree(make_session(draft), root_feature, 5, 3, 1)
-        assert dump_tree(chain) == dump_tree(static)
+        assert static.nodes["parent"].tolist() == [-1, 0, 1]
+        assert static.nodes["depth"].tolist() == [1, 2, 3]
+        assert (static.nodes["tag"] == "none").all()
 
     def test_exhaustive_enumeration_oracle(self, draft, root_feature):
         # gamma=2, top_k=2, beam=2: brute-force the expected node set
@@ -276,11 +280,11 @@ class TestMoeTree:
     def test_chain_parallel_pass_counts(self, draft, root_feature):
         # gamma=5 chain: 4 draft passes with the parallel final step, 5 without
         sess = make_session(draft)
-        tree = grow_chain(sess, root_feature, 5, 5, parallel=True)
+        tree = grow_static_tree(sess, root_feature, 5, 5, 1, parallel=True)
         assert sess.passes == 4
         assert tree.nodes["depth"].tolist() == [1, 2, 3, 4, 5]
         sess2 = make_session(draft)
-        grow_chain(sess2, root_feature, 5, 5)
+        grow_static_tree(sess2, root_feature, 5, 5, 1)
         assert sess2.passes == 5
 
 

@@ -207,6 +207,7 @@ def compare_growth(draft, kind, parallel, mode, shapes, seed, temperatures=(1.0,
             g_rng, r_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
             want = ref_grow(ref, f, start, gamma, rng=r_rng, **kw)
             kw["temperature"] = 0.0 if kw.pop("mode") == "greedy" else temperature
+            kw["moe"] = kw.pop("kind") == "moe"
             got = _grow(sess, f, start, gamma, rng=g_rng, **kw)
             assert_same_tree(got, want)
             assert sess.passes == ref.passes
@@ -216,8 +217,14 @@ def compare_growth(draft, kind, parallel, mode, shapes, seed, temperatures=(1.0,
 
 
 SHAPES = [(g, k, b) for g in (2, 3, 5) for k in (1, 2, 3) for b in (1, 4, 60)]
+# a chain is the static tree of width one: its cases grow top_k 1 only
+CHAIN_SHAPES = [(g, k, b) for g, k, b in SHAPES if k == 1]
 CASES = [(kind, parallel, nk) for kind in ("chain", "static", "moe") for parallel in (False, True)
          for nk in ((2, 2), (3, 2), (4, 3))] + [("static", False, (2, 1)), ("chain", False, (2, 1))]
+
+
+def shapes_of(kind):
+    return CHAIN_SHAPES if kind == "chain" else SHAPES
 
 
 @pytest.mark.parametrize("mode", ["greedy", "sample"])
@@ -226,7 +233,7 @@ def test_level_growth_matches_candidate_growth(target, kind, parallel, nk, mode)
     draft = init_draft(DraftConfig(n_experts=nk[0], active_k=nk[1]), target, seed=nk[0] + nk[1])
     temps = (1.0,) if mode == "greedy" else (1.0, 0.6)
     seed = 1000 * nk[0] + 100 * nk[1] + 10 * parallel + ("chain", "static", "moe").index(kind)
-    compare_growth(draft, kind, parallel, mode, SHAPES, seed, temps)
+    compare_growth(draft, kind, parallel, mode, shapes_of(kind), seed, temps)
 
 
 @pytest.mark.parametrize("twins", [False, True])
@@ -258,7 +265,7 @@ def test_empty_trees_are_rejected(target, top_k, beam):
     sess = DraftSession(draft)
     for temperature, rng in ((0.0, None), (1.0, np.random.default_rng(0))):
         with pytest.raises(ValueError, match="top_k and beam must be >= 1"):
-            _grow(sess, np.zeros(draft.dim), 3, 4, kind="moe", top_k=top_k, beam=beam,
+            _grow(sess, np.zeros(draft.dim), 3, 4, moe=True, top_k=top_k, beam=beam,
                   parallel=True, temperature=temperature, rng=rng)
     assert sess.passes == 0
 
@@ -272,7 +279,7 @@ def test_greedy_top_k_past_the_vocab_gives_every_parent_all_tokens(kind):
     draft = init_draft(DraftConfig(vocab=4, dim=8, n_heads=2), small, seed=1)
     sess = DraftSession(draft)
     sess.prefill([1, 2], [np.zeros(8)] * 2)
-    tree = _grow(sess, np.zeros(8), 3, 2, kind=kind, top_k=7, beam=64)
+    tree = _grow(sess, np.zeros(8), 3, 2, moe=kind == "moe", top_k=7, beam=64)
     # moe keeps one copy of the token both branches of a parent propose
     for parent in range(-1, 4):
         kids = tree.nodes["token"][tree.nodes["parent"] == parent]
@@ -304,9 +311,9 @@ def test_sampled_growth_expands_the_beam_best_nodes_of_every_level(target, kind,
     draft = init_draft(DraftConfig(n_experts=nk[0], active_k=nk[1]), target, seed=nk[0] + nk[1])
     rng = np.random.default_rng(100 * nk[0] + 10 * nk[1] + parallel)
     sess = DraftSession(draft)
-    for gamma, top_k, beam in SHAPES:
+    for gamma, top_k, beam in shapes_of(kind):
         tree = _grow(sess, rng.normal(size=draft.dim), int(rng.integers(0, draft.vocab)), gamma,
-                     kind=kind, top_k=top_k, beam=beam, parallel=parallel, temperature=1.0,
+                     moe=kind == "moe", top_k=top_k, beam=beam, parallel=parallel, temperature=1.0,
                      rng=rng)
         levels = levels_of(tree, gamma)
         parent, cum = tree.nodes["parent"], tree.nodes["cum_score"]
@@ -327,7 +334,7 @@ def test_sampled_jakiro_round_at_the_bench_shape_has_180_nodes(target):
     sess = DraftSession(draft)
     for temperature in (1.0, 0.6, 1.0):
         tree = _grow(sess, rng.normal(size=draft.dim), int(rng.integers(0, draft.vocab)), 5,
-                     kind="moe", top_k=2, beam=16, parallel=True, temperature=temperature,
+                     moe=True, top_k=2, beam=16, parallel=True, temperature=temperature,
                      rng=rng)
         assert [len(level) for level in levels_of(tree, 5)] == [4, 16, 64, 64, 32]
         assert len(tree) == 180

@@ -9,7 +9,7 @@ from sdlab.bench import RunConfig, build_models
 from sdlab.draft import DraftConfig, DraftSession, init_draft
 from sdlab.kernels import inverse_cdf_sample, softmax
 from sdlab.target import TargetConfig, init_target
-from sdlab.tree import NODE, DraftTree, grow_chain, grow_moe_tree, grow_static_tree
+from sdlab.tree import NODE, DraftTree, grow_moe_tree, grow_static_tree
 from sdlab.verify import accept_token, residual_dist, verify_tree
 
 from test_row_kernel import random_tree
@@ -880,7 +880,7 @@ class BeamOneRound:
         return law
 
 
-GROWERS = {"chain": (grow_chain, {}), "static": (grow_static_tree, {"top_k": 2}),
+GROWERS = {"chain": (grow_static_tree, {"top_k": 1}), "static": (grow_static_tree, {"top_k": 2}),
            "moe": (grow_moe_tree, {"top_k": 1}), "jakiro": (grow_moe_tree, {"top_k": 1,
                                                                             "parallel": True})}
 
