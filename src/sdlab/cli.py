@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -60,11 +61,23 @@ FLAG_RULES = {
 
 
 def _check_flags(args) -> None:
-    """Reject an out-of-range or NaN numeric flag before any work."""
+    """Reject an out-of-range or NaN numeric flag, or an output path the
+    command could not write when its work is done, before any work."""
     for flag, (what, ok) in FLAG_RULES.get(args.command, {}).items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if not ok(value):
             raise ConfigError(f"{flag}: must be {what}, got {value!r}")
+    for name in ("out", "report"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"--{name}: no such directory: {folder!r}")
+        if os.path.isdir(path):
+            raise ConfigError(f"--{name}: is a directory: {path!r}")
+        if not os.access(folder, os.W_OK):
+            raise ConfigError(f"--{name}: directory not writable: {folder!r}")
 
 
 def _config_from_args(args) -> RunConfig:

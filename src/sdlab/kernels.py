@@ -35,10 +35,14 @@ as the cache's tentative rows until a commit keeps a selection of them
 a chain verify, a draft chain level, a draft round's pending row) row i
 attends to the first c+i+1 buffer rows, and the whole pass is one
 ``attn_row`` call per layer over the buffer's first padded(c+m) rows, read
-in place, with each row's later columns masked.  Tree rows of one depth share one context length, so a branching
-draft tree level is one group gathered from the rows' ancestor chains
-(``chain_group``) and each depth of a verified tree one group extending the
-depth before it (``target.tree_groups``); both gather padded index arrays.
+in place, with each row's later columns masked.  A branching pass gathers
+its contexts through one padded index array, one row of compact columns
+per pass row, and is one ``attn_row`` call per layer too, cut only by
+MAX_GATHER: the rows of a branching draft tree level share one depth and
+read their ancestor chains (``chain_group``), and the rows of a verified
+tree read the prefix, their ancestors and themselves at the width of the
+deepest, each masking the columns past its own length
+(``target.tree_groups``).
 
 Attention is batch-invariant by one rule: an n-column context is read at
 width W = padded(n), the next multiple of PAD, and its columns past n are
@@ -50,12 +54,13 @@ rest, so a score's bits depend on whether its column falls in a full block,
 and a sum's on whether its terms do.  With W a multiple of 4 every column
 is in a full block, and the trailing blocks of zero weights add exactly 0,
 so a row gets the same bits alone, in a causal pass of any length or in a
-gathered group, whatever the buffer holds past its columns as long as it
-is finite.  Other sums do not hold this: numpy's pairwise sum groups its
-terms by the width, and a single ones column would make the normaliser a
-dot product, which unrolls differently.  PAD is 4, the smallest block that
-holds on OpenBLAS; ``test_row_kernel``'s oracle checks the rule on the
-running BLAS, and also that reading unpadded widths would break it.
+gathered group read at any wider multiple of PAD, whatever the buffer
+holds past its columns as long as it is finite.  Other sums do not hold
+this: numpy's pairwise sum groups its terms by the width, and a single
+ones column would make the normaliser a dot product, which unrolls
+differently.  PAD is 4, the smallest block that holds on OpenBLAS;
+``test_row_kernel``'s oracle checks the rule on the running BLAS, and also
+that reading unpadded widths would break it.
 
 A one-row pass (a decode step, a chain level) pays every kernel's fixed
 cost per numpy call, not its arithmetic, so ``layer_norm`` and ``softmax``
@@ -71,8 +76,9 @@ entry is.  ``test_kernels`` compares each branch with the row formula and
 with the same row inside a multi-row call.
 
 Importing this module pins glibc's malloc thresholds once for the process
-(``_pin_malloc_thresholds``).  A tree verify gathers each attention group's
-keys and values into fresh blocks of up to 512 KiB and frees them, and
+(``_pin_malloc_thresholds``).  A tree verify gathers its attention
+group's keys and values, a piece of at most MAX_GATHER rows x columns at a
+time, into fresh blocks of up to 512 KiB and frees them, and
 every pass does so with its ``(rows, 4 * dim)`` MLP temporaries.  With
 glibc's dynamic thresholds those frees trim the heap top, and the next pass
 faults the same pages back in: a wide sampled tree verify then spends much
@@ -243,13 +249,16 @@ def row_linear(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 MAX_GATHER = 2048
 
 
-def cut_group(start: int, idx: np.ndarray, n: int) -> list[tuple[slice, np.ndarray, int]]:
-    """One attention group (the rows from start on, which read n context
-    columns, and their (rows, padded(n)) column indices) cut into pieces of
-    at most MAX_GATHER rows x columns, each with its slice of rows."""
+def cut_group(idx: np.ndarray, n) -> list[tuple[slice, np.ndarray, int | np.ndarray]]:
+    """One attention group (a pass's rows, which read n context columns,
+    and their (rows, W) column indices, W a multiple of PAD) cut into
+    pieces of at most MAX_GATHER rows x columns, each with its slice of
+    rows.  n is an int for every row, or a (rows, 1) array, sliced with
+    its rows."""
     g = idx.shape[0]
     step = max(1, MAX_GATHER // idx.shape[1])
-    return [(slice(start + s, start + min(s + step, g)), idx[s : s + step], n)
+    return [(slice(s, min(s + step, g)), idx[s : s + step],
+             n[s : s + step] if isinstance(n, np.ndarray) else n)
             for s in range(0, g, step)]
 
 
@@ -268,7 +277,7 @@ def chain_group(c: int, ancestors: np.ndarray,
     idx[:, :c] = np.arange(c)
     idx[:, c : n - 1] = c + ancestors
     idx[:, n - 1] = c + own
-    return cut_group(0, idx, n)
+    return cut_group(idx, n)
 
 
 def context_heads(ctx: np.ndarray, n_heads: int) -> np.ndarray:

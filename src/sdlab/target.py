@@ -20,8 +20,10 @@ prompt prefill, a decode step (a one-token prefill) and a chain-shaped tree.
 Its attention is one ``attn_row`` call per layer, over the buffer's first
 padded(c+m) rows read in place, each row masking the columns past its own.
 Any other tree arrives as parent pointers and depths in level order, and
-each depth is one attention group gathered from the buffer at its padded
-width (``tree_groups``).  The rows a pass wrote stay in the buffer as the
+its attention is one ``attn_row`` call per layer too, cut only by
+MAX_GATHER: every row's context is one row of a padded index gathered
+from the buffer, each row masking the columns past its own length
+(``tree_groups``).  The rows a pass wrote stay in the buffer as the
 cache's tentative rows until ``KvCache.commit_rows`` keeps a selection of
 them, the only way rows become committed: a prefill keeps all of its
 rows, a verify the accepted path.  Rows already in place are not copied,
@@ -171,45 +173,47 @@ def check_tree(parents: np.ndarray, depths: np.ndarray) -> None:
 
 
 def tree_groups(c: int, parents: np.ndarray,
-                depths: np.ndarray) -> list[tuple[slice, np.ndarray, int]]:
-    """Attention groups of m tree rows forwarded after c prefix columns.
+                depths: np.ndarray) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+    """The attention group of m tree rows forwarded after c prefix columns,
+    cut to MAX_GATHER by ``cut_group``.
 
-    parents and depths are checked by ``check_tree`` first.  Rows come in
-    depth order, so each depth is one contiguous run of rows of equal
-    context length; a run is one group whose ancestor chains extend the
-    previous run's by the rows themselves: a run's full index is its
-    parents' rows of the previous run's, then its own column.  A group is
-    (rows, idx, n): a slice of rows that read n columns, and their (rows,
-    padded(n)) column indices, whose padding reads column 0.  Groups come
-    in ascending depth, rows in ascending order, cut to MAX_GATHER.
+    parents and depths are checked by ``check_tree`` first.  Row r reads n
+    = c + depths[r] + 1 columns: the c prefix columns, then c + each of its
+    ancestor rows, root first, then c + r.  The group is one (m, W) index,
+    W = padded(c + max depth + 1), whose columns past a row's n read
+    column 0, and the (m, 1) lengths n.  A row's columns stay compact and
+    only its trailing ones are masked, so its bits are those of its own
+    padded width (see kernels.py).  Rows come in depth order, so the index
+    is filled one depth run at a time: a run copies its parents' filled
+    columns, then writes its own.
     """
     check_tree(parents, depths)
-    rows = np.arange(parents.shape[0])
+    m = parents.shape[0]
+    n = c + 1 + depths
+    idx = np.zeros((m, padded(c + 1 + int(depths.max(initial=0)))), dtype=np.intp)
+    idx[:, :c] = np.arange(c)
     step = depths[1:] - depths[:-1]
     # row 0 has no earlier row to hang under, so only the first run has depth 0
-    starts = [0, *(np.flatnonzero(step) + 1).tolist()] if rows.shape[0] else []
-    # the prefix as the full index of a run before the first, whose one
-    # row every root-level row (parent -1) hangs under
-    groups, idx, prev, n = [], np.arange(c)[None], -1, c
-    for start, end in zip(starts, [*starts[1:], rows.shape[0]]):
-        n += 1
-        run = np.zeros((end - start, padded(n)), dtype=np.intp)  # padding reads column 0
-        run[:, : n - 1] = idx[parents[start:end] - prev, : n - 1]
-        run[:, n - 1] = c + rows[start:end]
-        groups += cut_group(start, run, n)
-        idx, prev = run, start
-    return groups
+    starts = [0, *(np.flatnonzero(step) + 1).tolist()] if m else []
+    for start, end in zip(starts, [*starts[1:], m]):
+        own = int(n[start]) - 1  # the run's own column, after its ancestors'
+        idx[start:end, c:own] = idx[parents[start:end], c:own]
+        idx[start:end, own] = np.arange(c + start, c + end)
+    return cut_group(idx, n[:, None])
 
 
 def attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray, n_heads: int, c: int,
-           groups: list[tuple[slice, np.ndarray, int]] | None = None) -> np.ndarray:
+           groups: list[tuple[slice, np.ndarray, int | np.ndarray]] | None = None) -> np.ndarray:
     """Attention of the m rows of q over the key and value buffer rows of
     their pass: c context rows, then the pass's own.
 
     With groups None the pass is causal and one ``attn_row`` call: every row
     reads the buffer's first padded(c + m) rows in place and row i masks
     the columns past c + i.  Otherwise each (rows, idx, n) group, from
-    ``tree_groups`` or ``chain_group``, gathers its rows' padded columns.
+    ``tree_groups`` or ``chain_group``, gathers its rows' padded columns
+    and is one ``attn_row`` call, its rows masking the columns past their
+    n, an int or a (rows, 1) array; a group under MAX_GATHER is the whole
+    pass.
     """
     m, dh = q.shape[0], q.shape[1] // n_heads
     if groups is None:

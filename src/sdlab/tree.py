@@ -4,8 +4,8 @@ trees.  A chain draft is the static tree of width one, ``top_k=1``.
 A tree is columns in level order: one ``NODE`` record per node (token,
 parent, depth, cum_score and branch tag) and one row of ``q_dist`` per node,
 the draft distribution the node's token was drawn from.  Every node's parent
-comes before it and depths never decrease, so verification takes each depth
-as one attention group straight from the parent column.
+comes before it and depths never decrease, so verification builds every
+node's attention context from the parent column, one depth at a time.
 
 All growers share the round protocol: the first draft pass commits the newly
 accepted backlog plus the pending token and proposes depth-1 candidates; each

@@ -1,8 +1,9 @@
 """Lossless verification of draft trees against the target model.
 
 Target forward passes score the pending token plus the tree nodes.  A
-pass's attention layout comes from the rows' parent pointers
-(``tree_groups``; a chain is a causal pass), and it returns every row's
+pass's attention layout comes from the rows' parent pointers, one padded
+index of every row's context (``tree_groups``; a chain is a causal pass),
+so its attention is one call per layer, and it returns every row's
 logits and features stacked.  The walk reads a row's logits only at a node
 it has accepted, and a leaf's only when it accepts that leaf, at most once
 a round.  So a branching tree is verified in two passes.  The tree pass

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import sdlab.bench
+import sdlab.cli
 from sdlab.bench import (
     ConfigError,
     Metrics,
@@ -450,6 +451,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error: n_experts: training needs n_experts >= 2, got 1" in err
         assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-corpus", "--out"], ["train", "--out"], ["decode", "--report"],
+        ["bench", "--report"], ["sweep-nk", "--report"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("where", ["missing", "directory", "unwritable"])
+    def test_unwritable_output_path_exit_2(self, tmp_path, capsys, monkeypatch, argv, where):
+        # rejected before any model is built, not after the work is done
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("build_models", "run_session", "run_bench", "run_sweep_nk"):
+            monkeypatch.setattr(sdlab.cli, name, no_work)
+        path, msg = {"missing": (tmp_path / "nowhere" / "f.bin", "no such directory"),
+                     "directory": (tmp_path, "is a directory"),
+                     "unwritable": (tmp_path / "f.bin", "directory not writable")}[where]
+        if where == "unwritable":  # a check root's permissions would pass
+            monkeypatch.setattr(sdlab.cli.os, "access", lambda *args: False)
+        assert main([*argv, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {argv[1]}: {msg}" in err and "Traceback" not in err
+        assert not (tmp_path / "nowhere").exists() and not (tmp_path / "f.bin").exists()
 
     def test_gen_corpus_and_train(self, tmp_path, capsys):
         corpus = tmp_path / "c.bin"

@@ -9,6 +9,7 @@ losslessness gate and the pinned snapshots depend on it.
 import numpy as np
 import pytest
 
+import sdlab.target
 from sdlab.bench import RunConfig, build_models, decode_prompt, make_prompts
 from sdlab.draft import DraftConfig, DraftSession, init_draft
 from sdlab.kernels import (MAX_GATHER, PAD, attn_row, chain_group, context_heads, layer_norm,
@@ -180,39 +181,31 @@ def ref_build_mask(parents):
     return mask
 
 
-def ref_context_groups(mask):
-    """The grouping of a (rows, columns) context mask that verification used
-    before tree_groups (kernels.context_groups, in its per-length form): one
-    unique length at a time, its rows found by flatnonzero, its columns by
-    nonzero, cut to MAX_GATHER rows x padded columns."""
-    if mask.shape[0] == 1:
-        return [(slice(None), np.flatnonzero(mask[0])[None])]
-    lengths = mask.sum(axis=1)
-    groups = []
-    for n in np.unique(lengths):
-        rows = np.flatnonzero(lengths == n)
-        idx = np.nonzero(mask[rows])[1].reshape(rows.size, n)
-        step = max(1, MAX_GATHER // padded(int(n)))
-        for s in range(0, rows.size, step):
-            groups.append((rows[s : s + step], idx[s : s + step]))
-    return groups
-
-
 def ref_tree_mask(c, parents):
     """(m, c + m) context mask of tree rows after c prefix columns."""
     return np.concatenate((np.ones((len(parents), c), dtype=bool), ref_build_mask(parents)), axis=1)
 
 
-def assert_groups_equal(got, want, m):
-    """tree_groups' (rows, padded columns, n) groups against the oracle's
-    (rows, columns) pairs: the same rows, n columns read, the padding
-    reading column 0."""
-    assert len(got) == len(want)
-    for (rows, idx, n), (w_rows, w_idx) in zip(got, want):
-        assert np.array_equal(np.arange(m)[rows], np.arange(m)[w_rows])
-        assert n == w_idx.shape[1] and idx.shape[1] == padded(n)
-        assert np.array_equal(idx[:, :n], w_idx)
-        assert not idx[:, n:].any()
+def assert_groups_equal(got, mask):
+    """tree_groups' pieces against a (rows, columns) context mask: they
+    cover the rows in order, each piece at most MAX_GATHER rows x columns
+    (or one row), all at the one width padded(widest context); row r reads
+    n = its mask's column count, its mask's columns in order, and padding
+    that reads column 0."""
+    lengths = mask.sum(axis=1)
+    w = padded(int(lengths.max()))
+    assert len(got) == -(-mask.shape[0] // max(1, MAX_GATHER // w))
+    end = 0
+    for rows, idx, n in got:
+        assert rows == slice(end, end + idx.shape[0])
+        assert idx.shape[1] == w and n.shape == (idx.shape[0], 1)
+        assert idx.size <= MAX_GATHER or idx.shape[0] == 1
+        for r, ix, k in zip(range(rows.start, rows.stop), idx, n[:, 0]):
+            assert k == lengths[r]
+            assert np.array_equal(ix[:k], np.flatnonzero(mask[r]))
+            assert not ix[k:].any()
+        end = rows.stop
+    assert end == mask.shape[0]
 
 
 def random_tree(rng, m, p_child=0.85):
@@ -240,38 +233,38 @@ def test_tree_groups_match_mask_oracle(seed):
     rng = np.random.default_rng(seed)
     m, c = int(rng.integers(1, 120)), int(rng.integers(0, 60))
     parents, depth = random_tree(rng, m, p_child=rng.uniform(0.5, 1.0))
-    assert_groups_equal(tree_groups(c, parents, depth), ref_context_groups(ref_tree_mask(c, parents)), m)
+    assert_groups_equal(tree_groups(c, parents, depth), ref_tree_mask(c, parents))
 
 
 def test_tree_groups_one_row_and_forests():
     rng = np.random.default_rng(3)
     for c in (0, 1, 17):
         one = np.array([-1])
-        assert_groups_equal(tree_groups(c, one, np.zeros(1, dtype=int)),
-                            ref_context_groups(ref_tree_mask(c, one)), 1)
+        assert_groups_equal(tree_groups(c, one, np.zeros(1, dtype=int)), ref_tree_mask(c, one))
     for m in (2, 65, 300):
         roots = np.full(m, -1)  # every row attends to the prefix only
         assert_groups_equal(tree_groups(30, roots, np.zeros(m, dtype=int)),
-                            ref_context_groups(ref_tree_mask(30, roots)), m)
+                            ref_tree_mask(30, roots))
         for p_child in (0.85, 1.0):
             parents, depth = random_tree(rng, m, p_child)
-            assert_groups_equal(tree_groups(30, parents, depth),
-                                ref_context_groups(ref_tree_mask(30, parents)), m)
+            assert_groups_equal(tree_groups(30, parents, depth), ref_tree_mask(30, parents))
 
 
 def test_tree_groups_cut_at_max_gather():
-    # 1001- and 1002-column rows: two per group
+    # 1001- and 1002-column rows, all read at width 1004: two per piece,
+    # a piece may mix depths
     parents = np.array([-1, -1, -1, -1, -1, 0, 0, 3])
     depth = np.array([0, 0, 0, 0, 0, 1, 1, 1])
     groups = tree_groups(1000, parents, depth)
-    assert_groups_equal(groups, ref_context_groups(ref_tree_mask(1000, parents)), 8)
-    assert [len(idx) for _, idx, _ in groups] == [2, 2, 1, 2, 1]
-    # 3000-column rows: one per group
+    assert_groups_equal(groups, ref_tree_mask(1000, parents))
+    assert [len(idx) for _, idx, _ in groups] == [2, 2, 2, 2]
+    assert [n[:, 0].tolist() for _, _, n in groups] == [[1001, 1001], [1001, 1001],
+                                                        [1001, 1002], [1002, 1002]]
+    # 3000-column rows: one per piece
     groups = tree_groups(2999, parents[:5], depth[:5])
     assert [len(idx) for _, idx, _ in groups] == [1] * 5
     parents, depth = random_tree(np.random.default_rng(4), 400)
-    assert_groups_equal(tree_groups(500, parents, depth),
-                        ref_context_groups(ref_tree_mask(500, parents)), 400)
+    assert_groups_equal(tree_groups(500, parents, depth), ref_tree_mask(500, parents))
 
 
 def test_sinusoid_positions_match_one_position_rows():
@@ -416,10 +409,16 @@ def cached(target, prompt):
     return cache
 
 
-@pytest.mark.parametrize("m", [1, 2, 7, 65, 300])
-def test_forward_tree_kv_matches_row_loop(target, m):
+@pytest.mark.parametrize("m,c", [
+    *(pytest.param(m, None, id=str(m)) for m in (1, 2, 7, 65, 300)),
+    # prefixes past 128 columns, where shallow rows read wider than their
+    # own padded width
+    *(pytest.param(m, c, id=f"{m}-c{c}") for c in (129, 300) for m in (7, 65)),
+])
+def test_forward_tree_kv_matches_row_loop(target, m, c):
     rng = np.random.default_rng(1000 * m)
-    c = int(rng.integers(1, 41))
+    drawn = int(rng.integers(1, 41))  # drawn always, so each m keeps its tree
+    c = drawn if c is None else c
     cache = cached(target, [int(t) for t in rng.integers(0, target.vocab, size=c)])
     parents, depth = random_tree(rng, m)
     tokens = [int(t) for t in rng.integers(0, target.vocab, size=m)]
@@ -449,6 +448,29 @@ def test_forward_tree_kv_empty_prefix_and_no_rows(target):
     logits, feats = target.forward_tree_kv(cache, [], [], [])
     assert logits.shape == (0, target.vocab) and feats.shape == (0, target.dim)
     assert cache.length == 1 and cache.tentative == 0
+
+
+def test_branching_tree_verify_is_one_attention_call_per_layer(target, monkeypatch):
+    # every depth of a branching tree under MAX_GATHER reads its context
+    # from one padded index: one attn_row call per layer, not one per depth
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return attn_row(*args)
+
+    rng = np.random.default_rng(19)
+    c = 20
+    cache = cached(target, [int(t) for t in rng.integers(0, target.vocab, size=c)])
+    parents, depth = random_tree(rng, 40)
+    assert depth[-1] >= 3 and 40 * padded(c + int(depth[-1]) + 1) <= MAX_GATHER
+    tokens = [int(t) for t in rng.integers(0, target.vocab, size=40)]
+    monkeypatch.setattr(sdlab.target, "attn_row", counted)
+    logits, _ = target.forward_tree_kv(cache, tokens, parents, depth)
+    assert len(calls) == target.config.n_layers
+    assert all(np.array_equal(n[:, 0], c + 1 + depth) for n in calls)
+    want, _, _, _ = ref_forward_tree(target, cache, tokens, ref_tree_mask(c, parents), depth)
+    assert np.array_equal(logits, want)
 
 
 def test_forward_cached_matches_token_step(target):

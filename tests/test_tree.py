@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sdlab.draft import DraftConfig, DraftSession, init_draft
-from sdlab.kernels import padded, softmax
+from sdlab.kernels import PAD, softmax
 from sdlab.target import TargetConfig, init_target, tree_groups
 from sdlab.tree import NODE, DraftTree, grow_moe_tree, grow_static_tree
 from sdlab.verify import verify_tree
@@ -45,12 +45,15 @@ def layout_tree(triples, root_token=0, context_len=0, vocab=64):
 
 
 def context_columns(groups, m):
-    """Each of m rows' context columns, as lists, from its attention group."""
+    """Each of m rows' context columns, as lists, from its attention group:
+    the first n of its row of the padded index, whose padding past n reads
+    column 0."""
     cols = [None] * m
     for rows, idx, n in groups:
-        assert idx.shape[1] == padded(n)
-        for r, ix in zip(np.arange(m)[rows], idx):
-            cols[r] = ix[:n].tolist()
+        assert idx.shape[1] % PAD == 0 and n.shape == (idx.shape[0], 1)
+        for r, ix, k in zip(np.arange(m)[rows], idx, n[:, 0]):
+            assert k <= idx.shape[1] and not ix[k:].any()
+            cols[r] = ix[:k].tolist()
     return cols
 
 
