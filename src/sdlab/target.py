@@ -177,7 +177,7 @@ def tree_groups(c: int, parents: np.ndarray,
     """The attention group of m tree rows forwarded after c prefix columns,
     cut to MAX_GATHER by ``cut_group``.
 
-    parents and depths are checked by ``check_tree`` first.  Row r reads n
+    parents and depths must have passed ``check_tree``.  Row r reads n
     = c + depths[r] + 1 columns: the c prefix columns, then c + each of its
     ancestor rows, root first, then c + r.  The group is one (m, W) index,
     W = padded(c + max depth + 1), whose columns past a row's n read
@@ -187,7 +187,6 @@ def tree_groups(c: int, parents: np.ndarray,
     is filled one depth run at a time: a run copies its parents' filled
     columns, then writes its own.
     """
-    check_tree(parents, depths)
     m = parents.shape[0]
     n = c + 1 + depths
     idx = np.zeros((m, padded(c + 1 + int(depths.max(initial=0)))), dtype=np.intp)
@@ -307,7 +306,7 @@ class TargetModel:
         cache.commit_rows(range(m))
         return [StepOutput(logits=lg, feature=ft) for lg, ft in zip(logits, f)]
 
-    def forward_tree_kv(self, cache, tokens, parents, positions):
+    def forward_tree_kv(self, cache, tokens, parents, positions, *, _checked=False):
         """Batched tentative forward over the rows of a tree.  Committed rows
         are not mutated; the rows' keys and values become the cache's
         tentative rows, which ``KvCache.commit_rows`` selects from.
@@ -319,25 +318,34 @@ class TargetModel:
         its ancestors root first, then itself, all rows in one pass; a
         chain is a causal pass.  Returns logits (m, vocab) and features
         (m, dim).
+
+        The tokens and the layout are checked before any row is computed,
+        unless ``_checked``: verification passes intp arrays cut from a
+        tree it has already checked whole.
         """
-        tok = self.check_tokens(tokens)
-        par = np.asarray(parents, dtype=np.intp)
-        pos = np.asarray(positions, dtype=np.intp)
-        if not tok.shape == par.shape == pos.shape:
-            raise ValueError("tokens, parents and positions differ in length")
+        if _checked:
+            tok, par, pos = tokens, parents, positions
+        else:
+            tok = self.check_tokens(tokens)
+            par = np.asarray(parents, dtype=np.intp)
+            pos = np.asarray(positions, dtype=np.intp)
+            if not tok.shape == par.shape == pos.shape:
+                raise ValueError("tokens, parents and positions differ in length")
         c = cache.length
         rows = np.arange(tok.shape[0])
         if (pos == rows).all() and (par == rows - 1).all():
             groups = None  # a chain: row i's parent is row i - 1
         else:
-            groups = tree_groups(c, par, pos)  # checks the layout before any row is computed
+            if not _checked:
+                check_tree(par, pos)
+            groups = tree_groups(c, par, pos)
         return self._forward_rows(tok, c + pos, cache, groups)
 
     def autoregressive_decode(self, prompt, max_new, temperature=0.0, rng_seed=0):
         """Vanilla decoding baseline; temperature 0 is greedy and rng-independent."""
         if not prompt:
             raise ValueError("prompt must be non-empty")
-        if temperature < 0.0:
+        if not temperature >= 0.0:  # NaN included
             raise ValueError("temperature must be >= 0")
         rng = np.random.Generator(np.random.PCG64(rng_seed))
         cache = self.new_cache()

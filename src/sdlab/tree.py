@@ -31,10 +31,12 @@ A grower's temperature picks the mode: 0 grows greedily and scores the
 tree with the plain (T=1) softmax, and T > 0 samples from the softmax at T,
 the convention verification and the run config use.
 
-Greedy growth is fully deterministic: each distribution's top_k tokens (ties
-to the lower token; all V of them when top_k exceeds the vocab), one copy of a token both branches of a parent propose
-(the higher-cum_score copy, the left one on a tie, in the left copy's
-place), then the beam best by cum_score (ties to the earlier candidate).
+Greedy growth is fully deterministic: each distribution's top_k tokens
+(ties to the lower token; all V of them when top_k exceeds the vocab), one
+copy of a token both branches of a parent propose, then the beam best by
+cum_score (ties to the earlier candidate).  Of such twins, the right draw
+takes the left one's place if its cum_score is strictly higher, and is
+dropped otherwise.
 Sampling growth draws top_k tokens from each distribution by inverse CDF and
 takes all of a level's uniforms in one call, in candidate order, which is
 the order drawing one candidate at a time consumes the stream in.  It never
@@ -119,27 +121,46 @@ def _add_level(nodes: np.ndarray, q_dist: np.ndarray, n: int, depth: int, dist: 
     k = tok.shape[1]  # greedy draws at most V distinct tokens
     q = flat.take(tok + np.arange(0, m * nb * V, V)[:, None])
     base = pcum if logw is None else pcum[:, None] + logw
-    cum = (base.reshape(-1, 1) + np.log(np.maximum(q, 1e-300))).reshape(m, nb, k)
-    sel = np.arange(cum.size).reshape(cum.shape)
-    if greedy and nb == 2:
-        tok3 = tok.reshape(m, nb, k)
-        same = tok3[:, 0, :, None] == tok3[:, 1, None, :]  # [row, left draw, right draw]
-        if same.any():
-            right = np.take_along_axis(sel[:, 1], same.argmax(axis=2), axis=1)
-            better = same.any(axis=2) & (cum.ravel()[right] > cum[:, 0])
-            sel[:, 0] = np.where(better, right, sel[:, 0])
-            sel = sel[np.stack((np.ones_like(better), ~same.any(axis=1)), axis=1)]
-    sel, cum = sel.ravel(), cum.ravel()
-    if greedy and sel.size > beam:
-        sel = sel[np.sort(np.argsort(-cum[sel], kind="stable")[:beam])]
-    rows = sel // (nb * k)
-    cum = cum.take(sel)
-    src = sel // k  # the (row, branch) each node was drawn from
-    rec = nodes[n : n + sel.size]
-    rec["token"], rec["parent"], rec["depth"] = tok.take(sel), parents.take(rows), depth
-    rec["cum_score"], rec["tag"] = cum, tags.take(src % nb)
-    q_dist[n : n + sel.size] = flat.take(src, 0)
+    cum = (base.reshape(-1, 1) + np.log(np.maximum(q, 1e-300))).ravel()
+    # sel: the candidates kept, in node order; None keeps every one
+    sel = _dedupe(tok, cum, k) if greedy and nb == 2 else None
+    if greedy and (cum.size if sel is None else sel.size) > beam:
+        kept = cum if sel is None else cum.take(sel)
+        best = np.sort(np.argsort(-kept, kind="stable")[:beam])
+        sel = best if sel is None else sel.take(best)
+    if sel is None:  # node i is candidate i
+        src = np.arange(m * nb) if k == 1 else np.arange(m * nb).repeat(k)
+        tok = tok.ravel()
+    else:
+        src, tok, cum = sel // k, tok.take(sel), cum.take(sel)
+    # src is the (row, branch) each node was drawn from
+    rows = src if nb == 1 else src // nb
+    rec = nodes[n : n + src.size]
+    rec["token"], rec["parent"], rec["depth"] = tok, parents.take(rows), depth
+    rec["cum_score"], rec["tag"] = cum, tags if nb == 1 else tags.take(src % nb)
+    q_dist[n : n + src.size] = flat if sel is None and k == 1 else flat.take(src, 0)
     return rows, cum
+
+
+def _dedupe(tok: np.ndarray, cum: np.ndarray, k: int) -> np.ndarray | None:
+    """The candidates a greedy two-branch level keeps after dropping the
+    repeated tokens of each row (see the module docstring), as indices into
+    the flat (rows, 2, k) candidates in node order, or None when no right
+    draw repeats a left draw of its row.  tok is (2 * rows, k), each row's
+    left branch first, and cum the flat cum_scores.  A branch's k draws are
+    distinct, so a right draw has at most one twin."""
+    t, c = tok.tolist(), cum.tolist()
+    sel, b = [], 0
+    for left, right in zip(t[0::2], t[1::2]):
+        row = list(range(b, b + k))
+        for j, x in enumerate(right, b + k):
+            if x not in left:
+                row.append(j)
+            elif c[j] > c[b + left.index(x)]:
+                row[left.index(x)] = j
+        sel += row
+        b += 2 * k
+    return np.array(sel) if len(sel) < len(c) else None
 
 
 def _grow(session: DraftSession, prev_feature, start_token, gamma, *, moe: bool,
@@ -154,7 +175,7 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, moe: bool,
         raise ValueError("parallel final step needs gamma >= 2")
     if (parallel or moe) and model.config.active_k < 2:
         raise ValueError("K < 2: need two active experts")
-    if temperature < 0.0:
+    if not temperature >= 0.0:  # NaN included
         raise ValueError("temperature must be >= 0")
     greedy = temperature == 0.0
     if not greedy and rng is None:

@@ -14,7 +14,8 @@ leaf, as one causal chain.  A chain keeps one causal pass over all its
 rows: its one leaf is one row of a few.  Every row a pass computes is bit
 for bit the row a one-pass forward of the whole tree would give (see
 kernels.py), so the split changes no token, feature or uniform draw.  The
-whole tree's layout and tokens are checked before any row is computed.
+whole tree's layout and tokens are checked once, before any row is
+computed; the passes over its sub-trees are not checked again.
 
 The greedy rule accepts the child that matches the target argmax exactly,
 so the emitted stream equals vanilla greedy decoding bit for bit, and
@@ -138,15 +139,17 @@ def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
     are the last pass's rows.
 
     Temperature 0 takes the greedy rule, which needs no rng; a temperature
-    above 0 takes the sampling rule, which preserves the target
-    distribution at that temperature, the one the tree must have been
-    grown at.
+    above 0 takes the sampling rule, which needs one and preserves the
+    target distribution at that temperature, the one the tree must have
+    been grown at.  Bad arguments raise before any pass.
     """
     if not temperature >= 0.0:
         raise ValueError("temperature must be >= 0")
     if tree.root_context_len != cache.length:
         raise ValueError("tree root context length does not match the cache")
     if temperature > 0.0:
+        if rng is None:
+            raise ValueError("sampling verification needs an rng")
         check_prob_rows(tree.q_dist, "q")
     # row 0 is the root and row 1 + i node i, so a node's parent row is its
     # parent index + 1 (the root for -1) and its position offset its depth
@@ -159,19 +162,21 @@ def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
         logits, features = target.forward_tree_kv(cache, tokens, parents, depths)
         row = list(range(n + 1))
     else:
+        # the whole tree is checked here, once, so its sub-trees are not
         target.check_tokens(tokens)
         check_tree(parents, depths)
-        # the root and every node with a child, renumbered in order
+        # the root and every node with a child, renumbered in order: new[r]
+        # is row r's row in the tree pass, -1 for a leaf; the last node is
+        # a leaf, so the root's parent -1 reads -1
         keep = np.zeros(n + 1, dtype=bool)
-        keep[0] = True
-        keep[parents[parents > 0]] = True
-        new = keep.cumsum() - 1
+        keep[parents[1:]] = True
         rows = np.flatnonzero(keep)
-        par = parents.take(rows)
+        new = np.full(n + 1, -1)
+        new[rows] = np.arange(rows.size)
         logits, features = target.forward_tree_kv(cache, tokens.take(rows),
-                                                   np.where(par < 0, -1, new.take(par)),
-                                                   depths.take(rows))
-        row = np.where(keep, new, -1).tolist()
+                                                   new.take(parents.take(rows)),
+                                                   depths.take(rows), _checked=True)
+        row = new.tolist()
     path, final = _walk(tree, logits, row, temperature, rng)
     leaf_pass = final is None
     if leaf_pass:
@@ -179,7 +184,8 @@ def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
         # over the accepted path, root to leaf, whose last row ends the walk
         d = len(path)
         logits, features = target.forward_tree_kv(cache, tokens.take([0] + [1 + i for i in path]),
-                                                   np.arange(-1, d), np.arange(d + 1))
+                                                   np.arange(-1, d), np.arange(d + 1),
+                                                   _checked=True)
         final = (int(logits[d].argmax()) if temperature == 0.0
                  else inverse_cdf_sample(softmax(logits[d], temperature), rng.random()))
         commit = list(range(d + 1))

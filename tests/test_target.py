@@ -162,6 +162,15 @@ class TestDecode:
         with pytest.raises(ValueError, match="non-empty"):
             model.autoregressive_decode([], 5)
 
+    def test_nan_temperature_is_rejected_before_the_prefill(self, model, monkeypatch):
+        caches, prefills = [], []
+        new_cache, prefill = model.new_cache, model.prefill
+        monkeypatch.setattr(model, "new_cache", lambda: caches.append(new_cache()) or caches[-1])
+        monkeypatch.setattr(model, "prefill", lambda c, t: prefills.append(t) or prefill(c, t))
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            model.autoregressive_decode([1, 2, 3], 4, temperature=float("nan"))
+        assert prefills == [] and all(c.length == 0 for c in caches)
+
     def test_sampled_first_token_frequencies(self):
         # 10k draws of the first continuation vs the exact softmax, chi-square
         scipy_stats = pytest.importorskip("scipy.stats")

@@ -19,7 +19,7 @@ import pytest
 from sdlab.draft import DraftConfig, DraftSession, DraftStepOutput, init_draft
 from sdlab.kernels import softmax
 from sdlab.target import TargetConfig, init_target
-from sdlab.tree import BRANCH_LEFT, BRANCH_NONE, BRANCH_RIGHT, _grow
+from sdlab.tree import BRANCH_LEFT, BRANCH_NONE, BRANCH_RIGHT, BRANCH_TAGS, NODE, _add_level, _grow
 
 from test_kernels import ref_inverse_cdf_sample
 
@@ -268,6 +268,99 @@ def test_empty_trees_are_rejected(target, top_k, beam):
             _grow(sess, np.zeros(draft.dim), 3, 4, moe=True, top_k=top_k, beam=beam,
                   parallel=True, temperature=temperature, rng=rng)
     assert sess.passes == 0
+
+
+# ------------------------------------------------- one greedy moe level
+
+def hand_dist(V, probs):
+    """A distribution over V tokens holding the given {token: probability}
+    and spreading the rest evenly over the other tokens."""
+    d = np.full(V, (1.0 - sum(probs.values())) / max(V - len(probs), 1))
+    for t, p in probs.items():
+        d[t] = p
+    return d
+
+
+def ref_level(dist, parents, pcum, logw, top_k, beam):
+    """A greedy two-branch level candidate by candidate: each row's left
+    then right draws, ``ref_dedup_siblings``, then the beam cut.  A
+    candidate's parent is its row."""
+    cands = []
+    for r in range(dist.shape[0]):
+        row = []
+        for b, tag in enumerate((BRANCH_LEFT, BRANCH_RIGHT)):
+            row += ref_propose(dist[r, b], r, float(pcum[r]), 3, tag, float(logw[r, b]), top_k,
+                               "greedy", None, None)
+        cands += ref_dedup_siblings(row)
+    if len(cands) > beam:
+        ranked = sorted(range(len(cands)), key=lambda i: (-cands[i].cum, i))
+        cands = [cands[i] for i in sorted(ranked[:beam])]
+    return cands
+
+
+HALF = np.log(0.5)
+LEVELS = {
+    # token 5 has one probability and one branch score in both branches:
+    # the cum_scores tie and the left copy stays
+    "tie": ([[{2: 0.4, 5: 0.3}, {6: 0.35, 5: 0.3}]], [[HALF, HALF]], 2, 60,
+            [[(2, "left"), (5, "left"), (6, "right")]]),
+    # the right draw of rank 0 beats its twin, the left draw of rank 1, and
+    # takes its place; the right draw of rank 1 loses to its twin
+    "rank": ([[{3: 0.5, 7: 0.3}, {7: 0.6, 3: 0.2}]], [[HALF, HALF]], 2, 60,
+             [[(3, "left"), (7, "right")]]),
+    # only row 0 repeats a token; row 1 keeps all four draws
+    "one_row": ([[{1: 0.5, 2: 0.3}, {2: 0.45, 4: 0.3}], [{1: 0.5, 2: 0.3}, {3: 0.5, 4: 0.3}]],
+                [[HALF, HALF], [np.log(0.7), np.log(0.3)]], 2, 60,
+                [[(1, "left"), (2, "right"), (4, "right")],
+                 [(1, "left"), (2, "left"), (3, "right"), (4, "right")]]),
+    # top_k 6 of 4 tokens: every right draw repeats a left one
+    "past_vocab": ([[{0: 0.1, 1: 0.4, 2: 0.3, 3: 0.2}, {0: 0.25, 1: 0.15, 2: 0.35, 3: 0.25}]],
+                   [[np.log(0.6), np.log(0.4)]], 6, 60,
+                   [[(1, "left"), (2, "left"), (3, "left"), (0, "right")]]),
+    # the dedupe leaves three candidates per row and the beam keeps three;
+    # rows 0 and 1 tie candidate for candidate, so row 0's copy of token 3
+    # takes the last place
+    "beam": ([[{3: 0.5, 7: 0.3}, {7: 0.6, 1: 0.2}]] * 2 + [[{3: 0.2, 7: 0.1}, {7: 0.3, 1: 0.1}]],
+             [[HALF, HALF]] * 3, 2, 3,
+             [[(3, "left"), (7, "right")], [(7, "right")], []]),
+}
+
+
+@pytest.mark.parametrize("case", LEVELS)
+def test_greedy_moe_level_matches_the_candidate_dedupe(case):
+    probs, logw, top_k, beam, want = LEVELS[case]
+    V = 4 if case == "past_vocab" else 8
+    dist = np.array([[hand_dist(V, p) for p in row] for row in probs])
+    m = dist.shape[0]
+    logw = np.array(logw)
+    parents, pcum = np.arange(10, 10 + m), np.full(m, -0.5)
+    ref = ref_level(dist, parents, pcum, logw, top_k, beam)
+    # each case reaches what it is named for
+    assert [[(c.token, c.tag) for c in ref if c.parent == r] for r in range(m)] == want
+    nodes, q_dist = np.zeros(2 * m * V + 1, NODE), np.zeros((2 * m * V + 1, V))
+    rows, cum = _add_level(nodes, q_dist, 1, 3, dist, parents, pcum, BRANCH_TAGS, top_k, True,
+                           beam, None, logw)
+    got = nodes[1 : 1 + len(rows)]
+    assert rows.tolist() == [c.parent for c in ref]
+    assert got["token"].tolist() == [c.token for c in ref]
+    assert got["parent"].tolist() == parents[rows].tolist()
+    assert (got["depth"] == 3).all() and got["tag"].tolist() == [c.tag for c in ref]
+    assert got["cum_score"].tobytes() == cum.tobytes() == np.array([c.cum for c in ref]).tobytes()
+    assert np.array_equal(q_dist[1 : 1 + len(rows)], [c.q_dist for c in ref])
+    # nothing is written outside the level's rows
+    rest = np.r_[0, 1 + len(rows) : len(nodes)]
+    assert not nodes[rest].tobytes().strip(b"\0") and not q_dist[rest].any()
+
+
+def test_nan_temperature_is_rejected_before_the_round_opens(target):
+    # the backlog is committed only once the round opens
+    draft = init_draft(DraftConfig(), target, seed=2)
+    sess = DraftSession(draft)
+    with pytest.raises(ValueError, match="temperature must be >= 0"):
+        _grow(sess, np.zeros(draft.dim), 3, 4, moe=True, top_k=2, temperature=float("nan"),
+              rng=np.random.default_rng(0), backlog_tokens=[5, 6],
+              backlog_features=[np.zeros(draft.dim)] * 2)
+    assert sess.passes == 0 and sess.cache.length == 0
 
 
 @pytest.mark.parametrize("kind", ["static", "moe"])

@@ -5,6 +5,8 @@ and Monte Carlo coupling to the real pipeline."""
 import numpy as np
 import pytest
 
+import sdlab.target
+import sdlab.verify
 from sdlab.bench import RunConfig, build_models
 from sdlab.draft import DraftConfig, DraftSession, init_draft
 from sdlab.kernels import inverse_cdf_sample, softmax
@@ -213,7 +215,7 @@ class ScriptedTarget:
     def check_tokens(self, tokens):
         assert all(0 <= t < V for t in np.asarray(tokens).tolist())
 
-    def forward_tree_kv(self, cache, tokens, parents, positions):
+    def forward_tree_kv(self, cache, tokens, parents, positions, _checked=False):
         paths = []
         for t, p, d in zip(*(np.asarray(c).tolist() for c in (tokens, parents, positions))):
             assert (p >= 0) == bool(paths) and p < len(paths)  # only row 0 is parentless
@@ -491,6 +493,42 @@ class TestWalkMechanics:
                 verify_tree(tree, small_target, cache, 1.0, ScriptedRng([0.0, 0.5]))
             assert cache_bytes(cache) == before
             assert verify_tree(tree, small_target, cache, 0.0, None).accepted == [int(p.argmax())]
+
+    def test_a_branching_verify_checks_its_tree_once(self, small_target, monkeypatch):
+        # a star of two leaves whose first is the target argmax: the walk
+        # accepts that leaf, so the verify makes a tree pass and a path
+        # pass, and checks the whole tree's tokens and layout once
+        cache = small_target.new_cache()
+        small_target.prefill(cache, [1, 2])
+        best = int(small_target.forward_tree_kv(cache, [3], [-1], [0])[0][0].argmax())
+        tree = star_tree([best, (best + 1) % V], [np.full(V, 1.0 / V)] * 2, 3, cache.length)
+        calls = []
+        tokens, layout = small_target.check_tokens, sdlab.target.check_tree
+        monkeypatch.setattr(small_target, "check_tokens",
+                            lambda t: calls.append("tokens") or tokens(t))
+        counted = lambda p, d: calls.append("layout") or layout(p, d)
+        monkeypatch.setattr(sdlab.target, "check_tree", counted)
+        monkeypatch.setattr(sdlab.verify, "check_tree", counted)
+        out = verify_tree(tree, small_target, cache, 0.0, None)
+        assert out.accepted == [best] and out.leaf_pass
+        assert sorted(calls) == ["layout", "tokens"]
+
+    def test_sampling_without_an_rng_raises_before_any_pass(self, small_target, small_draft,
+                                                            monkeypatch):
+        cache = small_target.new_cache()
+        feats = [o.feature for o in small_target.prefill(cache, [1, 2])]
+        sess = DraftSession(small_draft)
+        sess.prefill([2], feats[:1])
+        tree = grow_moe_tree(sess, feats[-1], 3, 3, 2, temperature=1.0,
+                             rng=np.random.default_rng(0), context_len=cache.length)
+        passes = []
+        forward = small_target.forward_tree_kv
+        monkeypatch.setattr(small_target, "forward_tree_kv",
+                            lambda *a, **kw: passes.append(a) or forward(*a, **kw))
+        before = cache_bytes(cache), cache.tentative
+        with pytest.raises(ValueError, match="sampling verification needs an rng"):
+            verify_tree(tree, small_target, cache, 1.0, None)
+        assert passes == [] and (cache_bytes(cache), cache.tentative) == before
 
 
 # ---------------------------------------------------------------------------
