@@ -23,9 +23,10 @@ score) + log q.  A tree's records and q_dist rows are allocated once, for
 the most nodes its shape allows, and each level writes its own slice of
 them.  The draft pass of a level takes the ancestor rows of each of its
 rows as one array, which grows by a column per level.  A level's arrays
-are gathered with ``take``, numpy's cheapest row gather: at one row per
-level (a chain) each gather is an identity, and its fixed cost is what a
-level pays.
+are gathered with ``take``, numpy's cheapest row gather, and only when the
+level cut a candidate: otherwise node i is candidate i, as at every
+sampled level and every chain level, and its columns are written as they
+stand.
 
 A grower's temperature picks the mode: 0 grows greedily and scores the
 tree with the plain (T=1) softmax, and T > 0 samples from the softmax at T,
