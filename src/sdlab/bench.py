@@ -7,9 +7,11 @@ final step).  The speculative ones grow their drafts with
 static tree of width one.  A session counts forward passes exactly: one
 target tree verify per speculative round, and gamma or gamma-1 draft passes
 per round depending on whether the parallel final step is active.  A
-branching tree's verify adds a path pass in the rounds whose walk accepts a
-leaf; those are counted apart as ``leaf_passes``, so tau stays tokens per
-round, the paper's acceptance length.
+branching tree's verify adds a second target pass, over the subtree of
+the accepted node its first pass left out, in some rounds; those are
+counted apart as ``second_pass_rounds``, so tau stays tokens per round, the
+paper's acceptance length.  ``target_rows_per_round`` counts the target
+rows the verify passes forwarded, one per vanilla step.
 
 Wall-clock numbers are reported but never asserted; the portable speedup
 proxy is the target forward-pass ratio.
@@ -137,7 +139,8 @@ class Metrics:
     tau: float
     target_forwards: int
     draft_forwards: int
-    leaf_passes: int
+    second_pass_rounds: int
+    target_rows_per_round: float
     tokens_emitted: int
     wall_ms: float
     per_prompt: list = field(default_factory=list)
@@ -229,7 +232,8 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
             "tokens": toks,
             "target_forwards": len(toks),
             "draft_forwards": 0,
-            "leaf_passes": 0,
+            "second_pass_rounds": 0,
+            "target_rows": len(toks),
             "rounds": len(toks),
             "wall_ms": wall,
             "draft_passes_per_round": [],
@@ -257,7 +261,8 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
     backlog_f: list[np.ndarray] = []
     target_forwards = 0
     draft_forwards = 0
-    leaf_passes = 0
+    second_passes = 0
+    target_rows = 0
     rounds = 0
     per_round = []
     while len(emitted) < config.max_new:
@@ -272,7 +277,8 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
         emitted.extend(outcome.accepted)
         emitted.append(outcome.final_token)
         target_forwards += 1  # one tree verify per round
-        leaf_passes += outcome.leaf_pass
+        second_passes += outcome.second_pass
+        target_rows += outcome.rows
         draft_forwards += round_passes
         rounds += 1
         per_round.append(round_passes)
@@ -285,7 +291,8 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
         "tokens": emitted[: config.max_new],
         "target_forwards": target_forwards,
         "draft_forwards": draft_forwards,
-        "leaf_passes": leaf_passes,
+        "second_pass_rounds": second_passes,
+        "target_rows": target_rows,
         "rounds": rounds,
         "wall_ms": wall,
         "draft_passes_per_round": per_round,
@@ -301,7 +308,8 @@ def run_session(config: RunConfig) -> Metrics:
     total_tokens = 0
     total_tf = 0
     total_df = 0
-    total_leaf = 0
+    total_second = 0
+    total_rows = 0
     total_wall = 0.0
     per_prompt = []
     for prompt, ss in zip(prompts, seeds):
@@ -311,7 +319,8 @@ def run_session(config: RunConfig) -> Metrics:
         total_tokens += n_tok
         total_tf += r["target_forwards"]
         total_df += r["draft_forwards"]
-        total_leaf += r["leaf_passes"]
+        total_second += r["second_pass_rounds"]
+        total_rows += r["target_rows"]
         total_wall += r["wall_ms"]
         per_prompt.append(
             {
@@ -319,7 +328,8 @@ def run_session(config: RunConfig) -> Metrics:
                 "tokens": list(map(int, r["tokens"])),
                 "target_forwards": r["target_forwards"],
                 "draft_forwards": r["draft_forwards"],
-                "leaf_passes": r["leaf_passes"],
+                "second_pass_rounds": r["second_pass_rounds"],
+                "target_rows": r["target_rows"],
                 "rounds": r["rounds"],
                 "tau": n_tok / r["target_forwards"],
             }
@@ -335,7 +345,8 @@ def run_session(config: RunConfig) -> Metrics:
         tau=tau,
         target_forwards=total_tf,
         draft_forwards=total_df,
-        leaf_passes=total_leaf,
+        second_pass_rounds=total_second,
+        target_rows_per_round=total_rows / total_tf,
         tokens_emitted=total_tokens,
         wall_ms=total_wall,
         per_prompt=per_prompt,

@@ -23,11 +23,15 @@ Any other tree arrives as parent pointers and depths in level order, and
 its attention is one ``attn_row`` call per layer too, cut only by
 MAX_GATHER: every row's context is one row of a padded index gathered
 from the buffer, each row masking the columns past its own length
-(``tree_groups``).  The rows a pass wrote stay in the buffer as the
-cache's tentative rows until ``KvCache.commit_rows`` keeps a selection of
-them, the only way rows become committed: a prefill keeps all of its
-rows, a verify the accepted path.  Rows already in place are not copied,
-so a chain's commit copies nothing.
+(``tree_groups``).  A tree pass may hang its rows under rows of an
+earlier pass (``ancestors``): it appends its rows after the tentative
+rows, and each reads the prefix, those ancestors, then its own ancestors
+and itself, the layout of a verify's second pass.  The rows the passes
+wrote stay in the buffer as the cache's tentative rows until
+``KvCache.commit_rows`` keeps a selection of them, the only way rows
+become committed: a prefill keeps all of its rows, a verify the accepted
+path, which may span both of its passes.  Rows already in place are not
+copied, so a chain's commit copies nothing.
 """
 
 from __future__ import annotations
@@ -85,9 +89,10 @@ class KvCache:
     """Per-layer key/value rows of one decoding session.
 
     Rows [:length] are committed and append-only.  Past them, each buffer
-    holds the ``tentative`` rows of the last pass: a pass writes its rows
-    there (``scratch``) and reads its contexts from the buffer, and
-    ``commit_rows`` appends a selection of them and drops the rest.  The
+    holds the ``tentative`` rows of the passes since: a pass writes its
+    rows there (``scratch``), replacing them or appended after them, and
+    reads its contexts from the buffer, and ``commit_rows`` appends a
+    selection of them and drops the rest.  The
     buffers reach at least the padded end of every pass, whose padding
     columns read spare rows: zeros, or rows an earlier pass wrote.
     """
@@ -172,33 +177,61 @@ def check_tree(parents: np.ndarray, depths: np.ndarray) -> None:
         raise ValueError(f"tree row {int(np.argmax(bad)) + 1}: rows must come in depth order")
 
 
-def tree_groups(c: int, parents: np.ndarray,
-                depths: np.ndarray) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+def _check_ancestors(ancestors, tentative: int) -> np.ndarray:
+    """ancestors as an intp array; raise ValueError naming the first
+    ancestor row that is not one of the cache's tentative rows
+    [0, tentative), or that does not come after the one before it."""
+    anc = np.asarray(ancestors, dtype=np.intp)
+    if anc.ndim != 1:
+        raise ValueError(f"ancestors must be a 1-D array of tentative rows, got shape {anc.shape}")
+    bad = (anc < 0) | (anc >= tentative)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"ancestor {i}: row {int(anc[i])} is not a tentative row "
+                         f"in [0, {tentative})")
+    bad = anc[1:] <= anc[:-1]
+    if bad.any():
+        i = int(np.argmax(bad)) + 1
+        raise ValueError(f"ancestor {i}: row {int(anc[i])} does not ascend after "
+                         f"row {int(anc[i - 1])}")
+    return anc
+
+
+def tree_groups(c: int, parents: np.ndarray, depths: np.ndarray,
+                ancestors: np.ndarray | None = None,
+                start: int = 0) -> list[tuple[slice, np.ndarray, np.ndarray]]:
     """The attention group of m tree rows forwarded after c prefix columns,
     cut to MAX_GATHER by ``cut_group``.
 
-    parents and depths must have passed ``check_tree``.  Row r reads n
-    = c + depths[r] + 1 columns: the c prefix columns, then c + each of its
-    ancestor rows, root first, then c + r.  The group is one (m, W) index,
-    W = padded(c + max depth + 1), whose columns past a row's n read
-    column 0, and the (m, 1) lengths n.  A row's columns stay compact and
-    only its trailing ones are masked, so its bits are those of its own
-    padded width (see kernels.py).  Rows come in depth order, so the index
-    is filled one depth run at a time: a run copies its parents' filled
-    columns, then writes its own.
+    parents and depths must have passed ``check_tree``, depths counted from
+    the a = len(ancestors) shared ancestor columns (none when ancestors is
+    None).  Row r reads n = c + depths[r] + 1 columns: the c prefix
+    columns, then c + each shared ancestor, rows of an earlier pass, then
+    c + start + each of its ancestor rows in this pass, root first, then c
+    + start + r, where the pass's rows sit from tentative row start on.
+    The group is one (m, W) index, W = padded(c + max depth + 1), whose
+    columns past a row's n read column 0, and the (m, 1) lengths n.  A
+    row's columns stay compact and only its trailing ones are masked, so
+    its bits are those of its own padded width (see kernels.py).  A row's
+    columns in the pass are its parent's, which comes earlier, and its
+    own, built as Python lists: a pass holds tens of rows, where one list
+    per row costs fewer calls than numpy ops per depth run.
     """
     m = parents.shape[0]
-    n = c + 1 + depths
-    idx = np.zeros((m, padded(c + 1 + int(depths.max(initial=0)))), dtype=np.intp)
+    w = padded(c + 1 + (int(depths[-1]) if m else 0))  # depths never decrease
+    base = c if ancestors is None else c + ancestors.shape[0]
+    # each row's own columns, its ancestors in the pass root first and then
+    # itself, extend its parent's, and read column 0 past its length
+    own, cols = c + start, []
+    for r, p in enumerate(parents.tolist()):
+        cols.append((cols[p] if p >= 0 else []) + [own + r])
+    pad = [0] * (w - base)
+    idx = np.empty((m, w), dtype=np.intp)
     idx[:, :c] = np.arange(c)
-    step = depths[1:] - depths[:-1]
-    # row 0 has no earlier row to hang under, so only the first run has depth 0
-    starts = [0, *(np.flatnonzero(step) + 1).tolist()] if m else []
-    for start, end in zip(starts, [*starts[1:], m]):
-        own = int(n[start]) - 1  # the run's own column, after its ancestors'
-        idx[start:end, c:own] = idx[parents[start:end], c:own]
-        idx[start:end, own] = np.arange(c + start, c + end)
-    return cut_group(idx, n[:, None])
+    if ancestors is not None:
+        idx[:, c:base] = c + ancestors
+    idx[:, base:] = np.array([x + pad[len(x):] for x in cols], dtype=np.intp).reshape(m, w - base)
+    return cut_group(idx, (c + 1 + depths)[:, None])
 
 
 def attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray, n_heads: int, c: int,
@@ -259,17 +292,17 @@ class TargetModel:
                              f"[0, {self.config.vocab})")
         return tok
 
-    def _forward_rows(self, tokens, positions, cache, groups):
+    def _forward_rows(self, tokens, positions, cache, groups, start):
         """The row kernel: forward m rows through the whole stack at once.
 
         Row i is token tokens[i] at absolute position positions[i].  Per
         layer, one ``row_linear`` of wqkv gives the rows' queries, keys and
-        values, the keys and values are written to the cache's tentative rows,
-        right after its c committed rows, and each row attends to the
-        buffer as ``attend`` gives it: causally with groups None, else by
-        the (rows, columns) pairs of groups.  Returns logits (m, vocab) and
-        features (m, dim); the rows' keys and values stay in the cache as
-        its tentative rows.
+        values, the keys and values are written to the cache's tentative
+        rows from row start on, after its c committed rows, and each row
+        attends to the buffer as ``attend`` gives it: causally after c +
+        start columns with groups None, else by the (rows, columns) pairs
+        of groups.  Returns logits (m, vocab) and features (m, dim); the
+        rows' keys and values stay in the cache as its tentative rows.
         """
         c, d = cache.length, self.config.dim
         x = self.emb.take(tokens, 0) + sinusoid_positions(positions, d)
@@ -277,8 +310,9 @@ class TargetModel:
             a_in = layer_norm(x, lp.ln1_g, lp.ln1_b)
             qkv = row_linear(lp.wqkv, a_in)
             q, k, v = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
-            keys, values = cache.scratch(l, 0, k, v)
-            x = x + row_linear(lp.wo, attend(q, keys, values, self.config.n_heads, c, groups))
+            keys, values = cache.scratch(l, start, k, v)
+            x = x + row_linear(lp.wo, attend(q, keys, values, self.config.n_heads, c + start,
+                                             groups))
             m_in = layer_norm(x, lp.ln2_g, lp.ln2_b)
             x = x + row_linear(lp.w2, silu(row_linear(lp.w1, m_in)))
         f = layer_norm(x, self.lnf_g, self.lnf_b)
@@ -302,11 +336,12 @@ class TargetModel:
             return []
         tok = self.check_tokens(tokens)
         c = cache.length
-        logits, f = self._forward_rows(tok, range(c, c + m), cache, None)
+        logits, f = self._forward_rows(tok, range(c, c + m), cache, None, 0)
         cache.commit_rows(range(m))
         return [StepOutput(logits=lg, feature=ft) for lg, ft in zip(logits, f)]
 
-    def forward_tree_kv(self, cache, tokens, parents, positions, *, _checked=False):
+    def forward_tree_kv(self, cache, tokens, parents, positions, ancestors=None, *,
+                        _checked=False):
         """Batched tentative forward over the rows of a tree.  Committed rows
         are not mutated; the rows' keys and values become the cache's
         tentative rows, which ``KvCache.commit_rows`` selects from.
@@ -319,27 +354,38 @@ class TargetModel:
         chain is a causal pass.  Returns logits (m, vocab) and features
         (m, dim).
 
+        With ancestors, ascending rows among the cache's tentative rows,
+        the rows hang under them: they are appended after the tentative
+        rows rather than replacing them, a row with parent -1 attends to
+        the cache, then to the ancestor rows, then to itself, and depths
+        count the ancestors, so such a row sits at position len(ancestors).
+        Ancestors that are all the tentative rows, under a chain, make a
+        causal pass.
+
         The tokens and the layout are checked before any row is computed,
         unless ``_checked``: verification passes intp arrays cut from a
         tree it has already checked whole.
         """
         if _checked:
-            tok, par, pos = tokens, parents, positions
+            tok, par, pos, anc = tokens, parents, positions, ancestors
         else:
             tok = self.check_tokens(tokens)
             par = np.asarray(parents, dtype=np.intp)
             pos = np.asarray(positions, dtype=np.intp)
             if not tok.shape == par.shape == pos.shape:
                 raise ValueError("tokens, parents and positions differ in length")
+            anc = None if ancestors is None else _check_ancestors(ancestors, cache.tentative)
+        start, a = (0, 0) if anc is None else (cache.tentative, anc.shape[0])
         c = cache.length
-        rows = np.arange(tok.shape[0])
-        if (pos == rows).all() and (par == rows - 1).all():
-            groups = None  # a chain: row i's parent is row i - 1
+        # a chain under every tentative row: row i sits at a + i under row i - 1
+        rows = np.arange(a, a + tok.shape[0])
+        if a == start and (pos == rows).all() and (par == rows - (a + 1)).all():
+            groups = None
         else:
             if not _checked:
-                check_tree(par, pos)
-            groups = tree_groups(c, par, pos)
-        return self._forward_rows(tok, c + pos, cache, groups)
+                check_tree(par, pos - a)
+            groups = tree_groups(c, par, pos, anc, start)
+        return self._forward_rows(tok, c + pos, cache, groups, start)
 
     def autoregressive_decode(self, prompt, max_new, temperature=0.0, rng_seed=0):
         """Vanilla decoding baseline; temperature 0 is greedy and rng-independent."""

@@ -5,17 +5,23 @@ pass's attention layout comes from the rows' parent pointers, one padded
 index of every row's context (``tree_groups``; a chain is a causal pass),
 so its attention is one call per layer, and it returns every row's
 logits and features stacked.  The walk reads a row's logits only at a node
-it has accepted, and a leaf's only when it accepts that leaf, at most once
-a round.  So a branching tree is verified in two passes.  The tree pass
-forwards the root and every node with a child, a set closed under parent
-and so a level-ordered tree of its own once renumbered.  Only when the
-walk accepts a leaf does a path pass forward the accepted path, root to
-leaf, as one causal chain.  A chain keeps one causal pass over all its
-rows: its one leaf is one row of a few.  Every row a pass computes is bit
-for bit the row a one-pass forward of the whole tree would give (see
-kernels.py), so the split changes no token, feature or uniform draw.  The
-whole tree's layout and tokens are checked once, before any row is
-computed; the passes over its sub-trees are not checked again.
+it has accepted.  A chain is one causal pass over all its rows.  A
+branching tree is verified in at most two passes, split at a depth h
+(``split_depth``) chosen from the tree's shape before any pass.  Pass 1
+forwards the root and every node with a child down to depth h, a set
+closed under parent and so a level-ordered tree of its own once
+renumbered.  Pass 2 runs only when the walk accepts a node v that pass 1
+left out: it forwards v's whole subtree, in node order, as rows appended
+after pass 1's, each reading the committed prefix, then v's ancestors
+among pass 1's rows, then its own ancestors and itself.  The walk then
+resumes at v over pass 2, with the same path and the same rng stream.
+h minimises pass 1's rows plus the largest subtree under a depth h + 1
+node, the most rows a round can forward; at the deepest h pass 2 is the
+accepted leaf alone.  Every row a pass computes is bit for bit the row a
+one-pass forward of the whole tree would give (see kernels.py), so the
+split changes no token, feature or uniform draw.  The whole tree's layout
+and tokens are checked once, before any row is computed; the passes over
+its sub-trees are not checked again.
 
 The greedy rule accepts the child that matches the target argmax exactly,
 so the emitted stream equals vanilla greedy decoding bit for bit, and
@@ -26,14 +32,16 @@ resamples from the final residual.  Uniform draws are consumed in
 documented order (children in tree order, then the residual or bonus draw)
 so runs replay exactly.  The tree's draft distributions are checked once,
 up front, rather than at every sibling.  The one walk takes a node's
-children from one stable argsort of the tree's parent column, so siblings
-come in ascending node order.  Each pass leaves its rows' keys and values
-in the cache as its tentative rows, the last pass's holding the accepted
-path, so the session commits it with ``KvCache.commit_rows(commit_indices)``.
+children from one stable argsort of the parent column, so siblings
+come in ascending node order.  The passes leave their rows' keys and
+values in the cache as its tentative rows, pass 2's after pass 1's, so the
+session commits the accepted path, which may span both, with
+``KvCache.commit_rows(commit_indices)``.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,9 +59,11 @@ class VerifyOutcome:
     # target features of (pending token, accepted nodes), in commit order
     commit_indices: list[int]
     committed_features: list[np.ndarray]
-    # whether the walk accepted a leaf of a branching tree, which took a
-    # path pass after the tree pass
-    leaf_pass: bool
+    # target rows forwarded, over both passes
+    rows: int
+    # whether the walk accepted a node the first pass left out, which took
+    # a second pass over that node's subtree
+    second_pass: bool
 
 
 def _accepts(p: np.ndarray, q: np.ndarray, token: int, u: float) -> bool:
@@ -84,32 +94,67 @@ def residual_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return r / s
 
 
-def _children(tree: DraftTree) -> tuple[list[int], list[int]]:
-    """(order, bounds): the children of node i (-1 for the root) are
+def _children(tree: DraftTree) -> tuple[list[int], list[int], list[int]]:
+    """(order, bounds, token): the children of node i (-1 for the root) are
     order[bounds[i + 1]:bounds[i + 2]], ascending, from one stable argsort
-    of the parent column."""
+    of the parent column, and token lists the nodes' tokens."""
     parent = tree.nodes["parent"]
     order = parent.argsort(kind="stable")
-    return order.tolist(), parent.take(order).searchsorted(np.arange(-1, len(parent) + 1)).tolist()
+    bounds = parent.take(order).searchsorted(np.arange(-1, len(parent) + 1))
+    return order.tolist(), bounds.tolist(), tree.nodes["token"].tolist()
 
 
-def _walk(tree: DraftTree, logits: np.ndarray, row: list[int], temperature: float,
-          rng) -> tuple[list[int], int | None]:
-    """Walk down the tree over the rows of one pass: row[i + 1] is node i's
-    row, row[0] the root's, -1 for a node the pass left out.  Returns the
-    accepted node path and the final token, or None for the final token
-    when the walk accepted a node the pass left out.  A node whose children
-    are all rejected, or that has none, ends the walk with the target
-    argmax at temperature 0 and a draw from its working distribution
-    otherwise."""
-    order, bounds = _children(tree)
-    token = tree.nodes["token"].tolist()
-    path: list[int] = []
-    cur = -1
+def split_depth(parents: list[int], depths: list[int]) -> tuple[int, list[int]]:
+    """(h, size) for the rows of a branching tree in verify's layout (row 0
+    the root, every row's parent an earlier row, depths never decreasing):
+    the split depth h of its two passes and each row's subtree size, the
+    row itself included.
+
+    The first pass forwards the rows with a child down to depth h, and a
+    second pass at most the largest subtree under a depth h + 1 row.  h
+    minimises the two added together, the most rows a verify can forward,
+    and the shallowest h of a tie has the smaller first pass.  At the
+    deepest h, the deepest depth that has a row with a child, every depth
+    h + 1 row is a leaf, so the sum is at most the rows with a child plus
+    one.
+    """
+    m = len(parents)
+    size = [1] * m
+    # a row's subtree is complete once every later row has been added
+    for p, r in zip(parents[:0:-1], range(m - 1, 0, -1)):
+        size[p] += size[r]
+    # depth d's rows are rows at[d]:at[d + 1], and its rows with a child
+    # are the parents of depth d + 1's rows
+    at = [bisect_left(depths, d) for d in range(depths[-1] + 2)]
+    h, best, rows = 0, m + 1, 0
+    for d in range(depths[-1]):
+        below = slice(at[d + 1], at[d + 2])
+        rows += len(set(parents[below]))
+        cost = rows + max(size[below])
+        if cost < best:
+            h, best = d, cost
+    return h, size
+
+
+def _walk(tree: DraftTree, children, logits: np.ndarray, row, temperature: float, rng,
+          path: list[int]) -> int | None:
+    """Walk down the tree from path's last node (the root when path is
+    empty) over the rows of one pass, appending each node it accepts to
+    path: row[i + 1] is node i's row, row[0] the root's, -1 for a node the
+    pass left out (row is a list, or a dict that holds every node the walk
+    can reach), and children is ``_children(tree)``.  Returns the final
+    token, or None when the walk accepted a node the pass left out, which
+    ends path then; resumed there over a pass that holds that node's
+    subtree, the walk draws what one walk over every row would.  A node
+    whose children are all rejected, or that has none, ends the walk with
+    the target argmax at temperature 0 and a draw from its working
+    distribution otherwise."""
+    order, bounds, token = children
+    cur = path[-1] if path else -1
     while True:
         r = row[cur + 1]
         if r < 0:
-            return path, None
+            return None
         kids = order[bounds[cur + 1]:bounds[cur + 2]]
         if temperature == 0.0:
             t_star = int(logits[r].argmax())
@@ -117,7 +162,7 @@ def _walk(tree: DraftTree, logits: np.ndarray, row: list[int], temperature: floa
                 if token[ch] == t_star:
                     break
             else:
-                return path, t_star
+                return t_star
         else:
             p = softmax(logits[r], temperature)
             for ch in kids:
@@ -126,17 +171,18 @@ def _walk(tree: DraftTree, logits: np.ndarray, row: list[int], temperature: floa
                     break
                 p = residual_dist(p, q)
             else:
-                return path, inverse_cdf_sample(p, rng.random())
+                return inverse_cdf_sample(p, rng.random())
         path.append(ch)
         cur = ch
 
 
 def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
                 temperature: float, rng) -> VerifyOutcome:
-    """Verify a tree: one target pass over a chain, and over the internal
-    nodes of a branching tree, then a path pass if the walk accepts a leaf.
-    The cache's committed rows are left untouched, and its tentative rows
-    are the last pass's rows.
+    """Verify a tree: one target pass over a chain; over a branching tree,
+    a first pass over its rows with a child down to the split depth, then
+    a second pass over the subtree of the node the walk accepts, if the
+    first pass left it out.  The cache's committed rows are left
+    untouched, and its tentative rows are the passes' rows, in order.
 
     Temperature 0 takes the greedy rule, which needs no rng; a temperature
     above 0 takes the sampling rule, which needs one and preserves the
@@ -159,42 +205,58 @@ def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
     parents = np.concatenate(([-1], nodes["parent"] + 1))
     depths = np.concatenate(([0], nodes["depth"]))
     if depths[-1] == n:  # a level-ordered tree this deep is a chain
+        first = row = list(range(n + 1))
         logits, features = target.forward_tree_kv(cache, tokens, parents, depths)
-        row = list(range(n + 1))
     else:
         # the whole tree is checked here, once, so its sub-trees are not
         target.check_tokens(tokens)
         check_tree(parents, depths)
-        # the root and every node with a child, renumbered in order: new[r]
-        # is row r's row in the tree pass, -1 for a leaf; the last node is
-        # a leaf, so the root's parent -1 reads -1
-        keep = np.zeros(n + 1, dtype=bool)
-        keep[parents[1:]] = True
-        rows = np.flatnonzero(keep)
-        new = np.full(n + 1, -1)
-        new[rows] = np.arange(rows.size)
-        logits, features = target.forward_tree_kv(cache, tokens.take(rows),
-                                                   new.take(parents.take(rows)),
-                                                   depths.take(rows), _checked=True)
-        row = new.tolist()
-    path, final = _walk(tree, logits, row, temperature, rng)
-    leaf_pass = final is None
-    if leaf_pass:
-        # the walk accepted a leaf the tree pass left out: one causal pass
-        # over the accepted path, root to leaf, whose last row ends the walk
-        d = len(path)
-        logits, features = target.forward_tree_kv(cache, tokens.take([0] + [1 + i for i in path]),
-                                                   np.arange(-1, d), np.arange(d + 1),
-                                                   _checked=True)
-        final = (int(logits[d].argmax()) if temperature == 0.0
-                 else inverse_cdf_sample(softmax(logits[d], temperature), rng.random()))
-        commit = list(range(d + 1))
-    else:
-        commit = [0] + [row[1 + i] for i in path]
+        par, dep = parents.tolist(), depths.tolist()
+        h, size = split_depth(par, dep)
+        # pass 1: the rows with a child down to depth h, in order; row[r] is
+        # row r's row in it, -1 for a row it leaves out, and the root's
+        # parent -1 reads the last row, a leaf
+        first = [r for r in range(bisect_right(dep, h)) if size[r] > 1]
+        row = [-1] * (n + 1)
+        for k, r in enumerate(first):
+            row[r] = k
+        logits, features = target.forward_tree_kv(
+            cache, tokens.take(first), np.array([row[par[r]] for r in first], dtype=np.intp),
+            depths.take(first), _checked=True)
+    children = _children(tree)
+    path: list[int] = []
+    final = _walk(tree, children, logits, row, temperature, rng, path)
+    if final is not None:  # always for a chain, whose pass holds every row
+        commit = [0, *(row[1 + i] for i in path)]
+        return VerifyOutcome(accepted=nodes["token"][path].tolist(), final_token=final,
+                             commit_indices=commit, committed_features=list(features[commit]),
+                             rows=len(first), second_pass=False)
+    # pass 2: the walk accepted v, a node pass 1 left out.  v's subtree,
+    # in row order, hangs under v's ancestors among pass 1's rows; local
+    # maps its rows to pass 2's, and the walk resumes at v over them
+    v = path[-1] + 1
+    anc = [0, *(row[1 + i] for i in path[:-1])]
+    sub, sub_par, local = [v], [-1], {v: 0}
+    for r in range(v + 1, n + 1) if size[v] > 1 else ():
+        k = local.get(par[r])
+        if k is not None:
+            local[r] = len(sub)
+            sub.append(r)
+            sub_par.append(k)
+            if len(sub) == size[v]:
+                break
+    logits2, features2 = target.forward_tree_kv(
+        cache, tokens.take(sub), np.array(sub_par, dtype=np.intp), depths.take(sub),
+        np.array(anc, dtype=np.intp), _checked=True)
+    d = len(path) - 1  # v's place in path
+    final = _walk(tree, children, logits2, local, temperature, rng, path)
+    tail = [local[1 + i] for i in path[d:]]
+    t = len(first)
     return VerifyOutcome(
         accepted=nodes["token"][path].tolist(),
         final_token=final,
-        commit_indices=commit,
-        committed_features=list(features[commit]),
-        leaf_pass=leaf_pass,
+        commit_indices=anc + [t + k for k in tail],
+        committed_features=[*features[anc], *features2[tail]],
+        rows=t + len(sub),
+        second_pass=True,
     )

@@ -30,7 +30,7 @@ from sdlab.draft import save_draft
 from sdlab.target import save_target
 from sdlab.train import generate_distillation_corpus, save_corpus
 
-from test_verify import tree_columns, walk_oracle
+from test_verify import expected_passes, tree_columns, walk_oracle
 
 
 def read_report(path: str) -> dict:
@@ -166,36 +166,44 @@ class TestSession:
         assert [r["tokens"] for r in a.per_prompt] == [r["tokens"] for r in b.per_prompt]
 
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
-    def test_leaf_passes_count_rounds_that_accept_a_leaf(self, monkeypatch, temperature):
-        # the node-by-node walk over one pass of the whole tree tells each
-        # round whose last accepted node is a leaf; at gamma 2 and beam 2
-        # leaves sit at both depths
-        leaf_rounds = []
+    def test_second_pass_rounds_and_target_rows_count_the_verify_passes(self, monkeypatch,
+                                                                         temperature):
+        # the node-by-node walk over one pass of the whole tree, with the
+        # split rule, tells each round's passes and their rows; at gamma 2
+        # and beam 2 leaves sit at both depths
+        rounds = []
         verify = sdlab.bench.verify_tree
 
         def replayed(tree, target, cache, temp, rng):
             logits = target.forward_tree_kv(cache, *tree_columns(tree))[0]
             path, _ = walk_oracle(tree, logits, temp, copy.deepcopy(rng))
-            leaf_rounds.append(bool(path) and path[-1] not in tree.nodes["parent"])
+            rounds.append(expected_passes(tree, path))
             return verify(tree, target, cache, temp, rng)
 
         monkeypatch.setattr(sdlab.bench, "verify_tree", replayed)
         base = dict(temperature=temperature, gamma=2, beam=2, max_new=24, n_prompts=4, seed=3)
-        assert run_session(RunConfig(method="vanilla", **base)).leaf_passes == 0
+        m = run_session(RunConfig(method="vanilla", **base))
+        assert m.second_pass_rounds == 0 and m.target_rows_per_round == 1.0
         for method in ("chain", "static_tree", "moe_tree", "jakiro_full"):
-            leaf_rounds.clear()
+            rounds.clear()
             m = run_session(RunConfig(method=method, **base))
-            want = 0 if method == "chain" else sum(leaf_rounds)  # a chain verifies in one pass
-            assert m.leaf_passes == want == sum(r["leaf_passes"] for r in m.per_prompt), method
-            assert m.target_forwards == len(leaf_rounds)
-            if temperature > 0.0:
-                assert sum(leaf_rounds) > 0, method
+            want = sum(len(passes) == 2 for passes in rounds)
+            assert m.second_pass_rounds == want == sum(r["second_pass_rounds"]
+                                                       for r in m.per_prompt), method
+            rows = sum(len(rows) for passes in rounds for rows in passes)
+            assert rows == sum(r["target_rows"] for r in m.per_prompt), method
+            assert m.target_rows_per_round == rows / len(rounds)
+            assert m.target_forwards == len(rounds)
+            # a chain verifies in one pass; a branching tree's walk
+            # reaches a row its first pass left out in some round
+            assert want == 0 if method == "chain" else want > 0, method
 
 
 class TestSpeedup:
     def _metrics(self, tf, fingerprint="x"):
-        return Metrics(method="m", tau=1.0, target_forwards=tf, draft_forwards=0, leaf_passes=0,
-                       tokens_emitted=tf, wall_ms=10.0, prompt_fingerprint=fingerprint)
+        return Metrics(method="m", tau=1.0, target_forwards=tf, draft_forwards=0,
+                       second_pass_rounds=0, target_rows_per_round=1.0, tokens_emitted=tf,
+                       wall_ms=10.0, prompt_fingerprint=fingerprint)
 
     def test_identity(self):
         m = self._metrics(10)

@@ -250,6 +250,31 @@ def test_tree_groups_one_row_and_forests():
             assert_groups_equal(tree_groups(30, parents, depth), ref_tree_mask(30, parents))
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_tree_groups_under_ancestors(seed):
+    # row r reads the prefix, then the shared ancestor rows, then its own
+    # ancestors in the pass and itself, all from tentative row start on
+    rng = np.random.default_rng(seed)
+    m, c = int(rng.integers(1, 60)), int(rng.integers(0, 140))
+    start = int(rng.integers(1, 30))
+    anc = np.sort(rng.choice(start, size=int(rng.integers(0, start + 1)), replace=False))
+    parents, depth = random_tree(rng, m, p_child=rng.uniform(0.5, 1.0))
+    want = []
+    for r in range(m):
+        own = [r]
+        while parents[own[0]] >= 0:
+            own.insert(0, int(parents[own[0]]))
+        want.append([*range(c), *(c + anc), *(c + start + np.array(own))])
+    groups = tree_groups(c, parents, depth + len(anc), anc, start)
+    end = 0
+    for rows, idx, n in groups:
+        assert rows.start == end and idx.shape[1] == padded(c + len(anc) + 1 + int(depth.max()))
+        for r, ix, k in zip(range(rows.start, rows.stop), idx, n[:, 0]):
+            assert ix[:k].tolist() == want[r] and not ix[k:].any()
+        end = rows.stop
+    assert end == m
+
+
 def test_tree_groups_cut_at_max_gather():
     # 1001- and 1002-column rows, all read at width 1004: two per piece,
     # a piece may mix depths
@@ -728,6 +753,59 @@ def test_tree_length_mismatch(target):
     with pytest.raises(ValueError, match="tokens, parents and positions differ in length"):
         target.forward_tree_kv(cache, [5, 6], [-1], [0, 1])
     assert cache.length == 2
+
+
+def buffers(cache):
+    """The cache's counters and whole key and value buffers, as bytes."""
+    return (cache.length, cache.tentative,
+            b"".join(b.tobytes() for b in cache._k + cache._v))
+
+
+@pytest.mark.parametrize("ancestors,why", [
+    ([0, 3], r"ancestor 1: row 3 is not a tentative row in \[0, 3\)"),
+    ([-1, 1], r"ancestor 0: row -1 is not a tentative row in \[0, 3\)"),
+    ([0, 2, 1], "ancestor 2: row 1 does not ascend after row 2"),
+    ([1, 1], "ancestor 1: row 1 does not ascend after row 1"),
+    ([[0, 1]], r"ancestors must be a 1-D array of tentative rows, got shape \(1, 2\)"),
+], ids=["past-the-end", "negative", "descending", "repeated", "2-d"])
+def test_rows_under_bad_ancestors_raise_before_any_row(target, ancestors, why):
+    cache = cached(target, [1, 2])
+    target.forward_tree_kv(cache, [5, 6, 7], [-1, 0, 0], [0, 1, 1])
+    before = buffers(cache)
+    with pytest.raises(ValueError, match=why):
+        target.forward_tree_kv(cache, [8], [-1], [2], ancestors)
+    assert buffers(cache) == before
+
+
+def test_rows_under_ancestors_sit_past_them(target):
+    cache = cached(target, [1, 2])
+    target.forward_tree_kv(cache, [5, 6, 7], [-1, 0, 0], [0, 1, 1])
+    before = buffers(cache)
+    with pytest.raises(ValueError, match="tree row 0: depth must be 0 without a parent"):
+        target.forward_tree_kv(cache, [8], [-1], [1], [0, 2])
+    assert buffers(cache) == before
+
+
+def test_a_chain_under_every_tentative_row_is_a_causal_pass(target, monkeypatch):
+    # the rows a chain's causal pass gives, split in two passes whose second
+    # hangs under all of the first's rows: no gathered group, and the same bits
+    rng = np.random.default_rng(23)
+    prefix = [int(t) for t in rng.integers(0, target.vocab, size=130)]
+    tokens = [int(t) for t in rng.integers(0, target.vocab, size=7)]
+    cache = cached(target, prefix)
+    logits, feats = target.forward_tree_kv(cache, tokens, np.arange(7) - 1, np.arange(7))
+    target.forward_tree_kv(cache, tokens[:3], np.arange(3) - 1, np.arange(3))
+    monkeypatch.setattr(sdlab.target, "tree_groups", None)
+    got, got_f = target.forward_tree_kv(cache, tokens[3:], np.arange(4) - 1, 3 + np.arange(4),
+                                        [0, 1, 2])
+    assert np.array_equal(got, logits[3:]) and np.array_equal(got_f, feats[3:])
+    assert cache.tentative == 7
+    # a commit over both passes' rows is the sequential decode's
+    cache.commit_rows([0, 1, 2, 3, 4])
+    seq = cached(target, prefix + tokens[:5])
+    for l in range(target.config.n_layers):
+        assert np.array_equal(committed(cache, l)[0], committed(seq, l)[0])
+        assert np.array_equal(committed(cache, l)[1], committed(seq, l)[1])
 
 
 # --------------------------------------------------------------------- draft

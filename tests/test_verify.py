@@ -202,26 +202,71 @@ def walk_oracle(tree, logits, temperature, rng):
         path.append(cur)
 
 
+def split_oracle(parents, depths):
+    """The verify passes' split of a branching tree by brute force, for rows
+    in verify's layout (row 0 the root): (h, subtree, cost), where
+    subtree[r] lists row r's subtree rows in order and cost[h] is the rows
+    of the first pass at split depth h (the root and the rows with a child
+    down to depth h) plus the largest subtree under a depth h + 1 row.  h
+    is the shallowest depth of least cost, over the depths with a row with
+    a child."""
+    parents, depths = list(parents), list(depths)
+    subtree = [[r] for r in range(len(parents))]
+    for r in range(1, len(parents)):
+        a = parents[r]
+        while a >= 0:
+            subtree[a].append(r)
+            a = parents[a]
+    inner = [r for r in range(len(parents)) if len(subtree[r]) > 1]
+    cost = [sum(depths[r] <= h for r in inner)
+            + max(len(subtree[r]) for r in range(len(parents)) if depths[r] == h + 1)
+            for h in range(max(depths[r] for r in inner) + 1)]
+    return cost.index(min(cost)), [sorted(s) for s in subtree], cost
+
+
+def expected_passes(tree, path):
+    """The rows, in verify's layout, of each target pass verify_tree makes
+    for a tree whose walk accepts path: a chain's one pass over every row;
+    else the root and the rows with a child down to the split depth, then,
+    when path reaches a node that pass left out, that node's subtree."""
+    tokens, parents, depths = tree_columns(tree)
+    if depths[-1] == len(tree.nodes):
+        return [list(range(len(tokens)))]
+    h, subtree, _ = split_oracle(parents, depths)
+    first = [r for r in range(len(tokens)) if len(subtree[r]) > 1 and depths[r] <= h]
+    out = [r for r in (1 + i for i in path) if r not in first]
+    return [first, subtree[out[0]]] if out else [first]
+
+
 class ScriptedTarget:
     """A target whose passes return fixed logits by each row's token path,
     root first, as a real target's depend on the path alone: rows holding
     one path get one row of logits in any pass, and a path the table lacks
     fails.  A row's features are its logits' first two entries.  Each
-    pass's row paths are recorded in ``passes``."""
+    pass's row paths are recorded in ``passes``, and the cache's tentative
+    rows' paths in ``rows``: a pass with ancestors appends its rows after
+    them and hangs its parentless row under its ancestors' paths."""
 
     def __init__(self, by_path):
-        self.by_path, self.passes = by_path, []
+        self.by_path, self.passes, self.rows = by_path, [], []
 
     def check_tokens(self, tokens):
         assert all(0 <= t < V for t in np.asarray(tokens).tolist())
 
-    def forward_tree_kv(self, cache, tokens, parents, positions, _checked=False):
+    def forward_tree_kv(self, cache, tokens, parents, positions, ancestors=None, _checked=False):
+        if ancestors is None:
+            self.rows, up = [], ()
+        else:
+            anc = np.asarray(ancestors).tolist()
+            up = self.rows[anc[-1]]
+            assert [self.rows[a] for a in anc] == [up[: k + 1] for k in range(len(up))]
         paths = []
         for t, p, d in zip(*(np.asarray(c).tolist() for c in (tokens, parents, positions))):
             assert (p >= 0) == bool(paths) and p < len(paths)  # only row 0 is parentless
-            paths.append((paths[p] if p >= 0 else ()) + (t,))
+            paths.append((paths[p] if p >= 0 else up) + (t,))
             assert d == len(paths[-1]) - 1
         self.passes.append(paths)
+        self.rows += paths
         logits = np.stack([self.by_path[path] for path in paths])
         return logits, logits[:, :2]
 
@@ -254,14 +299,12 @@ def random_walk_tree(rng):
 
 def test_walks_match_the_node_by_node_oracle_on_random_trees(small_target):
     rng = np.random.default_rng(2024)
-    decreasing = deep = leaf_passes = 0
+    decreasing = deep = second = above = 0
     for _ in range(250):
         tree, target, paths = random_walk_tree(rng)
         decreasing += bool((np.diff(tree.nodes["parent"]) < 0).any())
         logits = np.stack([target.by_path[path] for path in paths])
-        parents = tree.nodes["parent"].tolist()
-        chain = parents == list(range(-1, len(parents) - 1))
-        inner = [paths[0]] + [paths[1 + i] for i in range(len(parents)) if i in parents]
+        _, parents, depths = tree_columns(tree)
         for temperature in (0.0, 0.6, 1.0):
             seed = int(rng.integers(0, 2**32))
             got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -271,47 +314,54 @@ def test_walks_match_the_node_by_node_oracle_on_random_trees(small_target):
             assert out.accepted == tree.nodes["token"][path].tolist()
             assert out.final_token == final
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-            # a chain is one pass over every row; a branching tree's first
-            # pass holds the root and each node with a child, and a path
-            # pass follows exactly when the walk accepts a leaf
-            assert target.passes[0] == (paths if chain else inner)
-            leaf = bool(path) and path[-1] not in parents and not chain
-            assert out.leaf_pass == leaf and len(target.passes) == 1 + leaf
-            # the commit names rows of the last pass that hold the accepted path
+            # each pass forwards the rows the split rule names
+            want = expected_passes(tree, path)
+            assert target.passes == [[paths[r] for r in rows] for rows in want]
+            assert out.second_pass == (len(want) == 2)
+            assert out.rows == sum(map(len, want))
+            # the commit names tentative rows, over both passes, that hold
+            # the accepted path
             want = [paths[0]] + [paths[1 + i] for i in path]
-            assert [target.passes[-1][r] for r in out.commit_indices] == want
+            assert [target.rows[r] for r in out.commit_indices] == want
             assert all(np.array_equal(f, target.by_path[w][:2])
                        for f, w in zip(out.committed_features, want, strict=True))
             deep += len(path) >= 2
-            leaf_passes += leaf
+            if out.second_pass:
+                second += 1
+                # pass 2 starts above the deepest depth with a row with a child
+                inner = [depths[r] for r in range(len(parents)) if r in parents]
+                above += len(target.passes[1][0]) - 1 <= max(inner)
     # the cases the walks could get wrong were reached
-    assert decreasing > 100 and deep > 250 and leaf_passes > 100
+    assert decreasing > 100 and deep > 250 and second > 400 and above > 400
 
 
 # ------------------------------------------- split passes, bit for bit
 
 def assert_split_passes_match_one_pass(target, cache, tokens, parents, depths):
     """The passes verify_tree splits a tree into give every row the bits of
-    one pass over the whole tree: the pass over row 0 and every row with a
-    child, and each leaf's causal pass over its path from row 0.  The rows
-    are a tree in verify's layout (row 0 the root); returns the leaf count."""
+    one pass over the whole tree: the first pass over row 0 and every row
+    with a child, and, for every other row v, a pass over v's subtree
+    appended after the tentative rows, under v's ancestors among the first
+    pass's rows.  The rows are a tree in verify's layout (row 0 the root);
+    returns the number of subtree passes."""
     tokens, parents, depths = (np.asarray(c) for c in (tokens, parents, depths))
     logits, features = target.forward_tree_kv(cache, tokens, parents, depths)
-    inner = [r for r in range(len(tokens)) if r == 0 or r in parents]
+    _, subtree, _ = split_oracle(parents, depths)
+    inner = [r for r in range(len(tokens)) if len(subtree[r]) > 1]
     new = {r: k for k, r in enumerate(inner)}
     got = target.forward_tree_kv(cache, tokens[inner], [new.get(p, -1) for p in parents[inner]],
                                  depths[inner])
     assert np.array_equal(got[0], logits[inner]) and np.array_equal(got[1], features[inner])
-    leaves = [r for r in range(1, len(tokens)) if r not in parents]
-    for leaf in leaves:
-        path = [leaf]
-        while parents[path[-1]] >= 0:
-            path.append(int(parents[path[-1]]))
-        path.reverse()
-        got = target.forward_tree_kv(cache, tokens[path], np.arange(-1, len(path) - 1),
-                                     np.arange(len(path)))
-        assert np.array_equal(got[0], logits[path]) and np.array_equal(got[1], features[path])
-    return len(leaves)
+    for v in range(1, len(tokens)):
+        anc = [int(parents[v])]
+        while anc[0] > 0:
+            anc.insert(0, int(parents[anc[0]]))
+        sub = subtree[v]
+        local = {r: k for k, r in enumerate(sub)}
+        got = target.forward_tree_kv(cache, tokens[sub], [local.get(p, -1) for p in parents[sub]],
+                                     depths[sub], [new[a] for a in anc])
+        assert np.array_equal(got[0], logits[sub]) and np.array_equal(got[1], features[sub])
+    return len(tokens) - 1
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -341,6 +391,49 @@ def test_split_passes_match_one_pass_on_grown_jakiro_trees(temperature):
         tree = grow_moe_tree(sess, feats[-1], prompt[-1], 5, 2, parallel=True, beam=16,
                              temperature=temperature, rng=rng, context_len=cache.length)
         assert assert_split_passes_match_one_pass(target, cache, *tree_columns(tree)) > 1
+
+
+# Hand-built trees in verify's layout, (parents, depths, h): the rows with a
+# child down to h, plus the largest subtree under a depth h + 1 row, is
+# the least, and ties go to the shallower h.
+SPLITS = {
+    # a star: only the root has a child
+    "star": ([-1, 0, 0, 0], [0, 1, 1, 1], 0),
+    # a stem under a wide last level: 3 + 1 rows at h = 2 against 8 and 8
+    "stem": ([-1, 0, 1, 2, 2, 2, 2, 2], [0, 1, 2, 3, 3, 3, 3, 3], 2),
+    # four two-row branches: 1 + 2 rows at h = 0 against 5 + 1 at h = 1
+    "bushes": ([-1, 0, 0, 0, 0, 1, 2, 3, 4], [0, 1, 1, 1, 1, 2, 2, 2, 2], 0),
+    # two nodes of three children with a child each: 3 + 2 at h = 1
+    # against 1 + 7 at h = 0 and 9 + 1 at h = 2
+    "middle": ([-1, 0, 0, 1, 1, 1, 2, 2, 2, 3, 4, 5, 6, 7, 8],
+               [0, 1, 1, 2, 2, 2, 2, 2, 2, 3, 3, 3, 3, 3, 3], 1),
+    # a chain ties at every depth
+    "chain": ([-1, 0, 1, 2], [0, 1, 2, 3], 0),
+}
+
+
+@pytest.mark.parametrize("name", SPLITS)
+def test_split_depth_on_hand_built_trees(name):
+    parents, depths, h = SPLITS[name]
+    got, size = sdlab.verify.split_depth(parents, depths)
+    want, subtree, _ = split_oracle(parents, depths)
+    assert got == want == h
+    assert size == [len(s) for s in subtree]
+
+
+def test_split_depth_never_forwards_more_than_the_rows_with_a_child_and_one():
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        m = int(rng.integers(1, 200))
+        parents, depth = random_tree(rng, m, p_child=rng.uniform(0.3, 1.0))
+        parents, depths = [-1, *(parents + 1).tolist()], [0, *(depth + 1).tolist()]
+        h, size = sdlab.verify.split_depth(parents, depths)
+        want, subtree, cost = split_oracle(parents, depths)
+        assert h == want and size == [len(s) for s in subtree]
+        inner = sum(len(s) > 1 for s in subtree)
+        first = sum(len(s) > 1 and d <= h for s, d in zip(subtree, depths))
+        largest = max(len(s) for s, d in zip(subtree, depths) if d == h + 1)
+        assert first + largest == cost[h] <= inner + 1
 
 
 class TestWalkMechanics:
@@ -496,8 +589,8 @@ class TestWalkMechanics:
 
     def test_a_branching_verify_checks_its_tree_once(self, small_target, monkeypatch):
         # a star of two leaves whose first is the target argmax: the walk
-        # accepts that leaf, so the verify makes a tree pass and a path
-        # pass, and checks the whole tree's tokens and layout once
+        # accepts that leaf, so the verify forwards the root, then the
+        # leaf, and checks the whole tree's tokens and layout once
         cache = small_target.new_cache()
         small_target.prefill(cache, [1, 2])
         best = int(small_target.forward_tree_kv(cache, [3], [-1], [0])[0][0].argmax())
@@ -510,7 +603,7 @@ class TestWalkMechanics:
         monkeypatch.setattr(sdlab.target, "check_tree", counted)
         monkeypatch.setattr(sdlab.verify, "check_tree", counted)
         out = verify_tree(tree, small_target, cache, 0.0, None)
-        assert out.accepted == [best] and out.leaf_pass
+        assert out.accepted == [best] and out.second_pass
         assert sorted(calls) == ["layout", "tokens"]
 
     def test_sampling_without_an_rng_raises_before_any_pass(self, small_target, small_draft,
