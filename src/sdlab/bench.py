@@ -8,8 +8,10 @@ static tree of width one.  A session counts forward passes exactly: one
 target tree verify per speculative round, and gamma or gamma-1 draft passes
 per round depending on whether the parallel final step is active.  A
 branching tree's verify adds a second target pass, over the subtree of
-the accepted node its first pass left out, in some rounds; those are
-counted apart as ``second_pass_rounds``, so tau stays tokens per round, the
+the accepted node its first pass left out, in the rounds whose walk leaves
+the first pass: the draft's most likely path at temperature 0, the rows
+with a child down to the split depth above it.  Those rounds are counted
+apart as ``second_pass_rounds``, so tau stays tokens per round, the
 paper's acceptance length.  ``target_rows_per_round`` counts the target
 rows the verify passes forwarded, one per vanilla step.
 

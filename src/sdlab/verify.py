@@ -6,22 +6,28 @@ index of every row's context (``tree_groups``; a chain is a causal pass),
 so its attention is one call per layer, and it returns every row's
 logits and features stacked.  The walk reads a row's logits only at a node
 it has accepted.  A chain is one causal pass over all its rows.  A
-branching tree is verified in at most two passes, split at a depth h
-(``split_depth``) chosen from the tree's shape before any pass.  Pass 1
-forwards the root and every node with a child down to depth h, a set
-closed under parent and so a level-ordered tree of its own once
-renumbered.  Pass 2 runs only when the walk accepts a node v that pass 1
-left out: it forwards v's whole subtree, in node order, as rows appended
-after pass 1's, each reading the committed prefix, then v's ancestors
-among pass 1's rows, then its own ancestors and itself.  The walk then
-resumes at v over pass 2, with the same path and the same rng stream.
-h minimises pass 1's rows plus the largest subtree under a depth h + 1
-node, the most rows a round can forward; at the deepest h pass 2 is the
-accepted leaf alone.  Every row a pass computes is bit for bit the row a
-one-pass forward of the whole tree would give (see kernels.py), so the
-split changes no token, feature or uniform draw.  The whole tree's layout
-and tokens are checked once, before any row is computed; the passes over
-its sub-trees are not checked again.
+branching tree is verified in at most two passes.  At temperature 0 pass
+1 forwards the root and the draft's most likely path: from the root, the
+child of highest cum_score at each node (ties to the earlier node) down
+to a leaf.  The path is a chain, so pass 1 is a causal pass with no
+gathered index.  Above 0, pass 1 forwards the root and every node with a
+child down to a depth h (``split_depth``) chosen from the tree's shape
+before any pass, a set closed under parent and so a level-ordered tree of
+its own once renumbered.  Both plans need no tuned constant.  Pass 2 runs
+only when the walk accepts a node v that pass 1 left out: it forwards v's
+whole subtree, in node order, as rows appended after pass 1's, each
+reading the committed prefix, then v's ancestors among pass 1's rows,
+then its own ancestors and itself.  The walk then resumes at v over pass
+2, with the same path and the same rng stream.  h minimises pass 1's rows
+plus the largest subtree under a depth h + 1 node, the most rows a round
+can forward; at the deepest h pass 2 is the accepted leaf alone.  A greedy
+walk stays on the likely path in 45% of the bench's seed-11 greedy_tree
+rounds, a sampled walk in 12% of its sample_tree rounds, so only
+temperature 0 takes the path.  Every row a pass computes is bit
+for bit the row a one-pass forward of the whole tree would give (see
+kernels.py), so the plan changes no token, feature or uniform draw.  The
+whole tree's layout and tokens are checked once, before any row is
+computed; the passes over its sub-trees are not checked again.
 
 The greedy rule accepts the child that matches the target argmax exactly,
 so the emitted stream equals vanilla greedy decoding bit for bit, and
@@ -104,6 +110,16 @@ def _children(tree: DraftTree) -> tuple[list[int], list[int], list[int]]:
     return order.tolist(), bounds.tolist(), tree.nodes["token"].tolist()
 
 
+def _subtree_sizes(parents: list[int]) -> list[int]:
+    """Each row's subtree size, the row itself included, for rows whose
+    parents come earlier (row 0 the root)."""
+    size = [1] * len(parents)
+    # a row's subtree is complete once every later row has been added
+    for p, r in zip(parents[:0:-1], range(len(parents) - 1, 0, -1)):
+        size[p] += size[r]
+    return size
+
+
 def split_depth(parents: list[int], depths: list[int]) -> tuple[int, list[int]]:
     """(h, size) for the rows of a branching tree in verify's layout (row 0
     the root, every row's parent an earlier row, depths never decreasing):
@@ -118,15 +134,11 @@ def split_depth(parents: list[int], depths: list[int]) -> tuple[int, list[int]]:
     h + 1 row is a leaf, so the sum is at most the rows with a child plus
     one.
     """
-    m = len(parents)
-    size = [1] * m
-    # a row's subtree is complete once every later row has been added
-    for p, r in zip(parents[:0:-1], range(m - 1, 0, -1)):
-        size[p] += size[r]
+    size = _subtree_sizes(parents)
     # depth d's rows are rows at[d]:at[d + 1], and its rows with a child
     # are the parents of depth d + 1's rows
     at = [bisect_left(depths, d) for d in range(depths[-1] + 2)]
-    h, best, rows = 0, m + 1, 0
+    h, best, rows = 0, len(parents) + 1, 0
     for d in range(depths[-1]):
         below = slice(at[d + 1], at[d + 2])
         rows += len(set(parents[below]))
@@ -134,6 +146,21 @@ def split_depth(parents: list[int], depths: list[int]) -> tuple[int, list[int]]:
         if cost < best:
             h, best = d, cost
     return h, size
+
+
+def _likely_path(children, cum: list[float]) -> list[int]:
+    """The rows, in verify's layout (row 1 + i for node i), of the draft's
+    most likely path: the root, then at each node the child of highest
+    cum_score, ties to the earlier node, down to a leaf; children is
+    ``_children(tree)`` and cum the nodes' cum_scores."""
+    order, bounds, _ = children
+    path, cur = [0], -1
+    while True:
+        kids = order[bounds[cur + 1]:bounds[cur + 2]]
+        if not kids:
+            return path
+        cur = max(kids, key=cum.__getitem__)  # the first of equal maxima
+        path.append(cur + 1)
 
 
 def _walk(tree: DraftTree, children, logits: np.ndarray, row, temperature: float, rng,
@@ -179,31 +206,39 @@ def _walk(tree: DraftTree, children, logits: np.ndarray, row, temperature: float
 def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
                 temperature: float, rng) -> VerifyOutcome:
     """Verify a tree: one target pass over a chain; over a branching tree,
-    a first pass over its rows with a child down to the split depth, then
-    a second pass over the subtree of the node the walk accepts, if the
-    first pass left it out.  The cache's committed rows are left
-    untouched, and its tentative rows are the passes' rows, in order.
+    a first pass, then a second pass over the subtree of the node the walk
+    accepts, if the first pass left it out.  At temperature 0 the first
+    pass is the draft's most likely path, a causal pass; above 0 it is the
+    rows with a child down to the split depth.  The cache's committed rows
+    are left untouched, and its tentative rows are the passes' rows, in
+    order.
 
     Temperature 0 takes the greedy rule, which needs no rng; a temperature
-    above 0 takes the sampling rule, which needs one and preserves the
-    target distribution at that temperature, the one the tree must have
-    been grown at.  Bad arguments raise before any pass.
+    above 0 takes the sampling rule, which needs one and a ``q_dist`` of
+    one vocab-wide row per node, and preserves the target distribution at
+    that temperature, the one the tree must have been grown at.  Bad
+    arguments raise before any pass.
     """
     if not temperature >= 0.0:
         raise ValueError("temperature must be >= 0")
     if tree.root_context_len != cache.length:
         raise ValueError("tree root context length does not match the cache")
+    nodes = tree.nodes
+    n = len(nodes)
     if temperature > 0.0:
         if rng is None:
             raise ValueError("sampling verification needs an rng")
+        if tree.q_dist.shape != (n, target.vocab):
+            raise ValueError(f"q_dist must be (nodes, vocab) = {(n, target.vocab)}, "
+                             f"got {tree.q_dist.shape}")
         check_prob_rows(tree.q_dist, "q")
     # row 0 is the root and row 1 + i node i, so a node's parent row is its
     # parent index + 1 (the root for -1) and its position offset its depth
-    nodes = tree.nodes
-    n = len(nodes)
     tokens = np.concatenate(([tree.root_token], nodes["token"]))
     parents = np.concatenate(([-1], nodes["parent"] + 1))
     depths = np.concatenate(([0], nodes["depth"]))
+    children = _children(tree)
+    size = None
     if depths[-1] == n:  # a level-ordered tree this deep is a chain
         first = row = list(range(n + 1))
         logits, features = target.forward_tree_kv(cache, tokens, parents, depths)
@@ -211,19 +246,25 @@ def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
         # the whole tree is checked here, once, so its sub-trees are not
         target.check_tokens(tokens)
         check_tree(parents, depths)
-        par, dep = parents.tolist(), depths.tolist()
-        h, size = split_depth(par, dep)
-        # pass 1: the rows with a child down to depth h, in order; row[r] is
-        # row r's row in it, -1 for a row it leaves out, and the root's
-        # parent -1 reads the last row, a leaf
-        first = [r for r in range(bisect_right(dep, h)) if size[r] > 1]
+        par = parents.tolist()
+        if temperature == 0.0:
+            # pass 1: the draft's most likely path, a chain, so one causal
+            # pass; sizes are needed only by a second pass
+            first = _likely_path(children, nodes["cum_score"].tolist())
+        else:
+            # pass 1: the rows with a child down to depth h, in order
+            dep = depths.tolist()
+            h, size = split_depth(par, dep)
+            first = [r for r in range(bisect_right(dep, h)) if size[r] > 1]
+        # row[r] is row r's row in pass 1, -1 for a row it leaves out; the
+        # root's parent is not looked up, as row[-1] is the last row's
         row = [-1] * (n + 1)
         for k, r in enumerate(first):
             row[r] = k
         logits, features = target.forward_tree_kv(
-            cache, tokens.take(first), np.array([row[par[r]] for r in first], dtype=np.intp),
+            cache, tokens.take(first), np.array([-1, *(row[par[r]] for r in first[1:])],
+                                                dtype=np.intp),
             depths.take(first), _checked=True)
-    children = _children(tree)
     path: list[int] = []
     final = _walk(tree, children, logits, row, temperature, rng, path)
     if final is not None:  # always for a chain, whose pass holds every row
@@ -234,6 +275,8 @@ def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
     # pass 2: the walk accepted v, a node pass 1 left out.  v's subtree,
     # in row order, hangs under v's ancestors among pass 1's rows; local
     # maps its rows to pass 2's, and the walk resumes at v over them
+    if size is None:
+        size = _subtree_sizes(par)
     v = path[-1] + 1
     anc = [0, *(row[1 + i] for i in path[:-1])]
     sub, sub_par, local = [v], [-1], {v: 0}

@@ -169,19 +169,20 @@ class TestSession:
     def test_second_pass_rounds_and_target_rows_count_the_verify_passes(self, monkeypatch,
                                                                          temperature):
         # the node-by-node walk over one pass of the whole tree, with the
-        # split rule, tells each round's passes and their rows; at gamma 2
-        # and beam 2 leaves sit at both depths
+        # likely path at T=0 and the split rule above it, tells each round's
+        # passes and their rows; at gamma 2 and beam 2 leaves sit at both
+        # depths
         rounds = []
         verify = sdlab.bench.verify_tree
 
         def replayed(tree, target, cache, temp, rng):
             logits = target.forward_tree_kv(cache, *tree_columns(tree))[0]
             path, _ = walk_oracle(tree, logits, temp, copy.deepcopy(rng))
-            rounds.append(expected_passes(tree, path))
+            rounds.append(expected_passes(tree, path, temp))
             return verify(tree, target, cache, temp, rng)
 
         monkeypatch.setattr(sdlab.bench, "verify_tree", replayed)
-        base = dict(temperature=temperature, gamma=2, beam=2, max_new=24, n_prompts=4, seed=3)
+        base = dict(temperature=temperature, gamma=2, beam=2, max_new=24, n_prompts=8, seed=3)
         m = run_session(RunConfig(method="vanilla", **base))
         assert m.second_pass_rounds == 0 and m.target_rows_per_round == 1.0
         for method in ("chain", "static_tree", "moe_tree", "jakiro_full"):

@@ -2,6 +2,8 @@
 lossless tree walk, checked by analytic identities, exhaustive enumeration
 and Monte Carlo coupling to the real pipeline."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ import sdlab.verify
 from sdlab.bench import RunConfig, build_models
 from sdlab.draft import DraftConfig, DraftSession, init_draft
 from sdlab.kernels import inverse_cdf_sample, softmax
-from sdlab.target import TargetConfig, init_target
+from sdlab.target import KvCache, TargetConfig, init_target
 from sdlab.tree import NODE, DraftTree, grow_moe_tree, grow_static_tree
 from sdlab.verify import accept_token, residual_dist, verify_tree
 
@@ -224,16 +226,32 @@ def split_oracle(parents, depths):
     return cost.index(min(cost)), [sorted(s) for s in subtree], cost
 
 
-def expected_passes(tree, path):
+def likely_path_oracle(tree):
+    """The rows of the draft's most likely path by brute force: from row 0,
+    the child of highest cum_score, the earliest of a tie, to a leaf."""
+    _, parents, _ = tree_columns(tree)
+    cum = [0.0, *tree.nodes["cum_score"].tolist()]
+    path = [0]
+    while kids := [r for r in range(len(parents)) if parents[r] == path[-1]]:
+        path.append(max(kids, key=lambda r: (cum[r], -r)))
+    return path
+
+
+def expected_passes(tree, path, temperature):
     """The rows, in verify's layout, of each target pass verify_tree makes
     for a tree whose walk accepts path: a chain's one pass over every row;
-    else the root and the rows with a child down to the split depth, then,
-    when path reaches a node that pass left out, that node's subtree."""
+    else a first pass over the draft's most likely path at temperature 0
+    and over the root and the rows with a child down to the split depth
+    above it, then, when path reaches a node that pass left out, that
+    node's subtree."""
     tokens, parents, depths = tree_columns(tree)
     if depths[-1] == len(tree.nodes):
         return [list(range(len(tokens)))]
     h, subtree, _ = split_oracle(parents, depths)
-    first = [r for r in range(len(tokens)) if len(subtree[r]) > 1 and depths[r] <= h]
+    if temperature == 0.0:
+        first = likely_path_oracle(tree)
+    else:
+        first = [r for r in range(len(tokens)) if len(subtree[r]) > 1 and depths[r] <= h]
     out = [r for r in (1 + i for i in path) if r not in first]
     return [first, subtree[out[0]]] if out else [first]
 
@@ -246,6 +264,8 @@ class ScriptedTarget:
     pass's row paths are recorded in ``passes``, and the cache's tentative
     rows' paths in ``rows``: a pass with ancestors appends its rows after
     them and hangs its parentless row under its ancestors' paths."""
+
+    vocab = V
 
     def __init__(self, by_path):
         self.by_path, self.passes, self.rows = by_path, [], []
@@ -278,7 +298,8 @@ def random_walk_tree(rng):
     grower never emits.  Each node's token is its parent's argmax half the
     time, and its draft distribution is half the target's (at T=1) and half
     a random one, so walks go deep.  Siblings with one token share their
-    logits, as they would from a real target."""
+    logits, as they would from a real target.  cum_scores are small
+    integers, so siblings often tie."""
     m = int(rng.integers(1, 40))
     parents, depth = random_tree(rng, m, p_child=rng.uniform(0.6, 1.0))
     fresh = rng.normal(scale=2.0, size=(m + 1, V))
@@ -294,6 +315,7 @@ def random_walk_tree(rng):
     rows = parents + 1
     nodes = records(zip([path[-1] for path in paths[1:]], parents.tolist(), (depth + 1).tolist()))
     q_dist = 0.5 * softmax(logits[rows]) + 0.5 * rng.dirichlet(np.ones(V), size=m)
+    nodes["cum_score"] = -rng.integers(0, 3, m)
     return DraftTree(nodes, q_dist, paths[0][0], 0), ScriptedTarget(by_path), paths
 
 
@@ -315,7 +337,7 @@ def test_walks_match_the_node_by_node_oracle_on_random_trees(small_target):
             assert out.final_token == final
             assert got_rng.bit_generator.state == ref_rng.bit_generator.state
             # each pass forwards the rows the split rule names
-            want = expected_passes(tree, path)
+            want = expected_passes(tree, path, temperature)
             assert target.passes == [[paths[r] for r in rows] for rows in want]
             assert out.second_pass == (len(want) == 2)
             assert out.rows == sum(map(len, want))
@@ -340,10 +362,11 @@ def test_walks_match_the_node_by_node_oracle_on_random_trees(small_target):
 def assert_split_passes_match_one_pass(target, cache, tokens, parents, depths):
     """The passes verify_tree splits a tree into give every row the bits of
     one pass over the whole tree: the first pass over row 0 and every row
-    with a child, and, for every other row v, a pass over v's subtree
-    appended after the tentative rows, under v's ancestors among the first
-    pass's rows.  The rows are a tree in verify's layout (row 0 the root);
-    returns the number of subtree passes."""
+    with a child, the greedy first pass over the path from row 0 to each
+    leaf, a causal pass, and, for every other row v, a pass over v's
+    subtree appended after the tentative rows, under v's ancestors among
+    the first pass's rows.  The rows are a tree in verify's layout (row 0
+    the root); returns the number of subtree passes."""
     tokens, parents, depths = (np.asarray(c) for c in (tokens, parents, depths))
     logits, features = target.forward_tree_kv(cache, tokens, parents, depths)
     _, subtree, _ = split_oracle(parents, depths)
@@ -361,6 +384,14 @@ def assert_split_passes_match_one_pass(target, cache, tokens, parents, depths):
         got = target.forward_tree_kv(cache, tokens[sub], [local.get(p, -1) for p in parents[sub]],
                                      depths[sub], [new[a] for a in anc])
         assert np.array_equal(got[0], logits[sub]) and np.array_equal(got[1], features[sub])
+    # last, as each replaces the tentative rows the subtree passes hang under
+    for leaf in (r for r in range(len(tokens)) if len(subtree[r]) == 1):
+        path = [leaf]
+        while path[0] > 0:
+            path.insert(0, int(parents[path[0]]))
+        got = target.forward_tree_kv(cache, tokens[path], np.arange(-1, len(path) - 1),
+                                     depths[path])
+        assert np.array_equal(got[0], logits[path]) and np.array_equal(got[1], features[path])
     return len(tokens) - 1
 
 
@@ -434,6 +465,206 @@ def test_split_depth_never_forwards_more_than_the_rows_with_a_child_and_one():
         first = sum(len(s) > 1 and d <= h for s, d in zip(subtree, depths))
         largest = max(len(s) for s, d in zip(subtree, depths) if d == h + 1)
         assert first + largest == cost[h] <= inner + 1
+
+
+# ------------------------------------ the greedy first pass, a likely path
+
+def scripted_tree(triples, cum, next_token):
+    """A tree of (token, parent, depth) triples with cum_scores cum under
+    root token 7, and a ScriptedTarget whose argmax after each row's path
+    is next_token.get(path, 0); (tree, target, each row's token path)."""
+    nodes = records(triples)
+    nodes["cum_score"] = cum
+    paths = [(7,)]
+    for t, p, _ in triples:
+        paths.append(paths[p + 1] + (t,))
+    by_path = {path: 3.0 * np.eye(V)[next_token.get(path, 0)] for path in paths}
+    return DraftTree(nodes, np.full((len(triples), V), 1.0 / V), 7, 0), ScriptedTarget(by_path), paths
+
+
+# name: (triples, cum_scores, argmax after a path, pass rows, accepted, final)
+LIKELY_PATHS = {
+    # the root's two children tie, and the earlier one is on the path,
+    # whose walk never leaves it; node 4 outscores both but hangs under
+    # the later one
+    "tie": ([(1, -1, 1), (2, -1, 1), (3, 0, 2), (4, 0, 2), (5, 1, 2)],
+            [-1.0, -1.0, -2.0, -1.5, -0.5], {(7,): 1, (7, 1): 4},
+            [[0, 1, 4]], [1, 4], 0),
+    # the path ends at the tree's last node, and the walk leaves it at
+    # the root, so the second pass is node 0's subtree
+    "last node": ([(1, -1, 1), (2, -1, 1), (3, 0, 2), (4, 1, 2)],
+                  [-1.0, -0.5, -2.0, -1.0], {(7,): 1, (7, 1): 3, (7, 1, 3): 5},
+                  [[0, 2, 4], [1, 3]], [1, 3], 5),
+}
+
+
+@pytest.mark.parametrize("name", LIKELY_PATHS)
+def test_a_greedy_first_pass_is_the_likely_path(small_target, name):
+    triples, cum, next_token, passes, accepted, final = LIKELY_PATHS[name]
+    tree, target, paths = scripted_tree(triples, cum, next_token)
+    out = verify_tree(tree, target, small_target.new_cache(), 0.0, None)
+    assert target.passes == [[paths[r] for r in rows] for rows in passes]
+    assert (out.accepted, out.final_token) == (accepted, final)
+    assert out.rows == sum(map(len, passes)) and out.second_pass == (len(passes) == 2)
+    # the oracles agree: the one-pass walk and the passes it implies
+    path, want = walk_oracle(tree, np.stack([target.by_path[p] for p in paths]), 0.0, None)
+    assert (tree.nodes["token"][path].tolist(), want) == (accepted, final)
+    assert expected_passes(tree, path, 0.0) == passes
+    assert [target.rows[r] for r in out.commit_indices] == [(7, *accepted[:k]) for k in
+                                                             range(len(accepted) + 1)]
+
+
+def test_a_greedy_jakiro_verify_gathers_nothing_in_its_first_pass(monkeypatch):
+    # the likely path is a chain, so pass 1 is causal and builds no
+    # tree_groups index; the split pass 1 of a sampled tree builds one
+    target, draft = build_models(RunConfig())
+    groups, passes = [], []
+    build, forward = sdlab.target.tree_groups, target.forward_tree_kv
+    monkeypatch.setattr(sdlab.target, "tree_groups",
+                        lambda *a, **kw: groups.append(1) or build(*a, **kw))
+
+    def counted(*a, **kw):
+        before = len(groups)
+        out = forward(*a, **kw)
+        passes.append(len(groups) - before)
+        return out
+
+    monkeypatch.setattr(target, "forward_tree_kv", counted)
+    rng = np.random.default_rng(5)
+    for temperature, want in ((0.0, 0), (1.0, 1)):
+        for _ in range(4):
+            prompt = rng.integers(0, target.vocab, 12).tolist()
+            cache = target.new_cache()
+            feats = [o.feature for o in target.prefill(cache, prompt[:-1])]
+            sess = DraftSession(draft)
+            sess.prefill(prompt[1:-1], feats[:-1])
+            tree = grow_moe_tree(sess, feats[-1], prompt[-1], 5, 2, parallel=True, beam=16,
+                                 temperature=temperature, rng=rng, context_len=cache.length)
+            assert tree.nodes["depth"][-1] < len(tree.nodes)  # branching
+            passes.clear()
+            verify_tree(tree, target, cache, temperature, rng)
+            assert passes[0] == want, temperature
+
+
+# ---------------------------- the real sampling walk, enumerated exactly
+
+class PathTable(dict):
+    """Rows of width w by key, drawn for a key on first use from a
+    generator seeded by the key and then kept: target logits by token path,
+    or draft distributions by a parent's path and a child's place."""
+
+    def __init__(self, w, draw):
+        super().__init__()
+        self.w, self.draw = w, draw
+
+    def __missing__(self, key):
+        self[key] = self.draw(np.random.default_rng(list(key)), self.w)
+        return self[key]
+
+
+class BranchingRng:
+    """The uniforms of one branch of an exact enumeration: draw i is
+    script[i], draws past the script read 0.5, and ``cuts`` gets, for each
+    draw in order, the intervals of [0, 1) on which its use treats it
+    alike, from spies on the walk's two uses of a uniform."""
+
+    def __init__(self, script):
+        self.script, self.draws, self.cuts = script, 0, []
+
+    def random(self):
+        self.draws += 1
+        return self.script[self.draws - 1] if self.draws <= len(self.script) else 0.5
+
+
+class WalkLaw:
+    """The exact law of verify_tree's (accepted tokens, final token, second
+    pass) on one tree, by depth first enumeration of its uniforms: an
+    acceptance test splits its uniform at a = min(1, p / q) into [0, a)
+    and [a, 1), and an inverse-CDF draw at the running sums, one interval
+    per token, the last up to 1.  Each branch replays the real walk with
+    the midpoint of its interval and weighs the outcome by the product of
+    the interval lengths.  Spies on the walk's two uses of a uniform record
+    the intervals in the current branch's rng."""
+
+    def __init__(self, monkeypatch):
+        accepts, sample = sdlab.verify._accepts, sdlab.verify.inverse_cdf_sample
+        self.rng = None
+
+        def spy_accepts(p, q, token, u):
+            a = min(1.0, float(p[token]) / float(q[token]))
+            self.rng.cuts.append([(0.0, a), (a, 1.0)])
+            return accepts(p, q, token, u)
+
+        def spy_sample(p, u):
+            edges = [0.0, *np.minimum(np.cumsum(p)[:-1], 1.0).tolist(), 1.0]
+            self.rng.cuts.append(list(zip(edges[:-1], edges[1:])))
+            return sample(p, u)
+
+        monkeypatch.setattr(sdlab.verify, "_accepts", spy_accepts)
+        monkeypatch.setattr(sdlab.verify, "inverse_cdf_sample", spy_sample)
+
+    def __call__(self, tree, target, temperature):
+        law, stack = {}, [((), 1.0)]
+        while stack:
+            script, w = stack.pop()
+            rng = self.rng = BranchingRng(script)
+            out = verify_tree(tree, target, KvCache(1, 1), temperature, rng)
+            assert len(rng.cuts) == rng.draws  # one use per uniform
+            if rng.draws > len(script):
+                stack += [(script + ((lo + hi) / 2,), w * (hi - lo))
+                          for lo, hi in rng.cuts[len(script)] if hi > lo]
+            else:
+                key = (tuple(out.accepted), out.final_token, out.second_pass)
+                law[key] = law.get(key, 0.0) + w
+        return law
+
+
+# (parent, depth) pairs of tree shapes whose walk can take a second pass:
+# the split puts the first at depth 0 (pass 1 the root alone, pass 2 a
+# depth-1 node's subtree) and at depth 1 (pass 2 a depth-1 leaf or a
+# depth-2 node)
+ENUMERATED = {"split at the root": ([(-1, 1), (-1, 1), (0, 2)], 0),
+              "split at depth 1": ([(-1, 1), (-1, 1), (0, 2), (0, 2)], 1)}
+
+
+@pytest.mark.parametrize("temperature", [0.6, 1.0])
+@pytest.mark.parametrize("name", ENUMERATED)
+def test_the_real_sampling_walk_is_lossless_by_exact_enumeration(name, temperature, monkeypatch):
+    # over a 3-token vocab, every draw of the tree's tokens (each node's
+    # from its own draft distribution, which depends on its parent's path
+    # and its place among its siblings), then every uniform of verify_tree
+    (shape, h), w = ENUMERATED[name], 3
+    assert sdlab.verify.split_depth([-1, *(p + 1 for p, _ in shape)],
+                                    [0, *(d for _, d in shape)])[0] == h
+    logits = PathTable(w, lambda g, w: g.normal(scale=1.5, size=w))
+    drafts = PathTable(w, lambda g, w: g.dirichlet(np.ones(w)))
+    target = ScriptedTarget(logits)
+    target.vocab = w
+    walk_law, law, second = WalkLaw(monkeypatch), {}, 0.0
+    for toks in itertools.product(range(w), repeat=len(shape)):
+        paths, q = [(0,)], []
+        for (p, _), t in zip(shape, toks):
+            q.append(drafts[(*paths[p + 1], sum(x == p for x, _ in shape[:len(q)]))])
+            paths.append(paths[p + 1] + (t,))
+        tree = DraftTree(records((t, p, d) for t, (p, d) in zip(toks, shape)), np.array(q), 0, 0)
+        drawn = float(np.prod([qi[t] for qi, t in zip(q, toks)]))
+        for key, pr in walk_law(tree, target, temperature).items():
+            law[key[:2]] = law.get(key[:2], 0.0) + drawn * pr
+            second += drawn * pr * key[2]
+    assert abs(sum(law.values()) - 1.0) < 1e-12
+    assert second > 0.1  # the walk reaches second passes
+    # a one-token round's second token comes from the next round, which
+    # draws it from the target
+    joint = np.zeros((w, w))
+    for (accepted, final), pr in law.items():
+        emitted = (*accepted, final)
+        if len(emitted) >= 2:
+            joint[emitted[:2]] += pr
+        else:
+            joint[final] += pr * softmax(logits[(0, final)], temperature)
+    exact = softmax(logits[(0,)], temperature)[:, None] * np.stack(
+        [softmax(logits[(0, t)], temperature) for t in range(w)])
+    assert np.max(np.abs(joint - exact)) < 1e-12
 
 
 class TestWalkMechanics:
@@ -588,13 +819,16 @@ class TestWalkMechanics:
             assert verify_tree(tree, small_target, cache, 0.0, None).accepted == [int(p.argmax())]
 
     def test_a_branching_verify_checks_its_tree_once(self, small_target, monkeypatch):
-        # a star of two leaves whose first is the target argmax: the walk
-        # accepts that leaf, so the verify forwards the root, then the
-        # leaf, and checks the whole tree's tokens and layout once
+        # a star of two leaves whose first is the target argmax and whose
+        # second the draft's likelier: the walk accepts the first leaf, off
+        # the likely path, so the verify forwards the root and the second
+        # leaf, then the first leaf, and checks the whole tree's tokens and
+        # layout once
         cache = small_target.new_cache()
         small_target.prefill(cache, [1, 2])
         best = int(small_target.forward_tree_kv(cache, [3], [-1], [0])[0][0].argmax())
         tree = star_tree([best, (best + 1) % V], [np.full(V, 1.0 / V)] * 2, 3, cache.length)
+        tree.nodes["cum_score"] = [-1.0, 0.0]
         calls = []
         tokens, layout = small_target.check_tokens, sdlab.target.check_tree
         monkeypatch.setattr(small_target, "check_tokens",
@@ -621,6 +855,29 @@ class TestWalkMechanics:
         before = cache_bytes(cache), cache.tentative
         with pytest.raises(ValueError, match="sampling verification needs an rng"):
             verify_tree(tree, small_target, cache, 1.0, None)
+        assert passes == [] and (cache_bytes(cache), cache.tentative) == before
+
+    @pytest.mark.parametrize("reshape", ["three rows short", "a column short", "a column over"])
+    def test_sampling_checks_the_draft_distributions_shape_before_any_pass(
+            self, small_target, small_draft, monkeypatch, reshape):
+        # every row still sums to 1, so only the shape is wrong
+        cache = small_target.new_cache()
+        feats = [o.feature for o in small_target.prefill(cache, [1, 2])]
+        sess = DraftSession(small_draft)
+        sess.prefill([2], feats[:1])
+        tree = grow_moe_tree(sess, feats[-1], 3, 3, 2, temperature=1.0,
+                             rng=np.random.default_rng(0), context_len=cache.length)
+        q = tree.q_dist
+        tree.q_dist = {"three rows short": q[:-3],
+                       "a column short": np.column_stack((q[:, :-2], q[:, -2:].sum(axis=1))),
+                       "a column over": np.column_stack((q, np.zeros(len(q))))}[reshape]
+        passes = []
+        forward = small_target.forward_tree_kv
+        monkeypatch.setattr(small_target, "forward_tree_kv",
+                            lambda *a, **kw: passes.append(a) or forward(*a, **kw))
+        before = cache_bytes(cache), cache.tentative
+        with pytest.raises(ValueError, match=r"q_dist must be \(nodes, vocab\)"):
+            verify_tree(tree, small_target, cache, 1.0, np.random.default_rng(1))
         assert passes == [] and (cache_bytes(cache), cache.tentative) == before
 
 
