@@ -177,12 +177,13 @@ class DraftModel:
             f_best = [expert_out[j] + u for j in order[:2]]
             return DraftStepOutput(f_moe, f_best[0], f_best[-1], scores, top,
                                    scores.take(top[:, :2]))
-        top = np.argsort(-scores, axis=1, kind="stable")[:, : cfg.active_k]
+        top = (-scores).argsort(axis=1, kind="stable")[:, : cfg.active_k]
         gated = scores.T[..., None] * expert_out
         if cfg.active_k < cfg.n_experts:
             # adding -0.0 for an expert a row did not choose leaves every
             # bit of the sum, a -0.0 too
-            chosen = (top[None] == np.arange(cfg.n_experts)[:, None, None]).any(axis=2)
+            chosen = np.logical_or.reduce(top[None] == np.arange(cfg.n_experts)[:, None, None],
+                                          axis=2)
             gated = np.where(chosen[..., None], gated, -0.0)
         gated[0] += u
         f_moe = np.add.accumulate(gated, axis=0)[-1]  # u, then expert 0, 1, ... in turn
@@ -200,7 +201,9 @@ class DraftModel:
         (..., 2, vocab): the LM head of the left and of the right branch
         feature, each scaled by its router score (the left twice when K=1)."""
         s = step.branch_scores
-        f = np.stack((s[..., :1] * step.feature_top1, s[..., -1:] * step.feature_top2), axis=-2)
+        f = np.empty((*s.shape[:-1], 2, self.dim))
+        np.multiply(s[..., :1], step.feature_top1, out=f[..., 0, :])
+        np.multiply(s[..., -1:], step.feature_top2, out=f[..., 1, :])
         return row_linear(self.head, f.reshape(-1, self.dim)).reshape(*f.shape[:-1], self.vocab)
 
     def contrast_logits(self, step: DraftStepOutput) -> np.ndarray:

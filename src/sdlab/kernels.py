@@ -3,10 +3,11 @@
 Everything here is a pure function over immutable inputs.  All arrays are
 float64; outputs are freshly allocated.  Reductions go through numpy on the
 same shapes for every caller, so repeated runs are bit-identical.  The only
-state is two memos, built once and doubled when a caller runs past their
+state is three memos, built once and doubled when a caller runs past their
 end: ``sinusoid_positions`` gathers rows from a table of
 ``sinusoid_position`` rows per width, so no pass recomputes an encoding,
-and ``attn_row`` reads its normaliser's ones from one block.
+and ``attn_row`` reads its normaliser's ones from one block and the
+column numbers of its length mask from another.
 
 The models forward many rows at once (a whole verification tree, a draft
 tree level, a backlog of committed tokens) with the row helpers below, and
@@ -73,7 +74,15 @@ branch drops are the (1, 1) arrays between the reductions and the ops on
 them.  Its checks keep their messages and order: a NaN or an infinity
 reaches a row's max or min, so the two are finite exactly when every
 entry is.  ``test_kernels`` compares each branch with the row formula and
-with the same row inside a multi-row call.
+with the same row inside a multi-row call.  The multi-row paths keep the
+row formula's ops in its order too, with fewer calls: every reduction,
+sort and stack on the decode path is called as the ufunc or ndarray method
+numpy's Python-level wrappers end in (``np.add.reduce`` for ``np.sum``,
+``np.logical_and.reduce(..., None)`` for ``.all()``), and ``layer_norm``
+and ``softmax`` write each op over a temporary they made themselves
+(``out=``, ``/=``), never over an input.  ``softmax`` screens its logits
+with the row max it needs anyway plus one global min.  ``test_dispatch``
+profiles whole decodes and fails on any call into those wrappers.
 
 Importing this module pins glibc's malloc thresholds once for the process
 (``_pin_malloc_thresholds``).  A tree verify gathers its attention
@@ -138,15 +147,15 @@ def check_prob_rows(p: np.ndarray, what: str) -> None:
     """``check_prob_vec`` of every row of a (rows, n) stack at once, with
     its messages; a bad sum is the first bad row's."""
     p = as_f64(p)
-    if not np.isfinite(p).all():
+    if not np.logical_and.reduce(np.isfinite(p), None):
         raise ValueError(f"non-finite {what}")
     if p.ndim != 2 or p.shape[1] == 0:
         raise ValueError(f"{what} must be a non-empty vector")
-    if (p < 0.0).any():
+    if np.logical_or.reduce(p < 0.0, None):
         raise ValueError(f"{what} has negative entries")
     s = np.add.reduce(p, axis=1)
     bad = np.abs(s - 1.0) > PROB_SUM_TOL
-    if bad.any():
+    if np.logical_or.reduce(bad, None):
         raise ValueError(f"{what} sums to {float(s[np.argmax(bad)])!r}, "
                          f"expected 1 within {PROB_SUM_TOL}")
 
@@ -157,7 +166,8 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     Max-subtracted for stability; argmax (first-index tie break) is preserved
     for every temperature > 0.  A matrix is normalised row by row along its
     last axis, each row exactly as the vector alone; a vector or a single
-    row takes the one-row branch.
+    row takes the one-row branch.  A temperature so small that a row's
+    scaled max overflows raises rather than return NaN.
     """
     z = as_f64(logits)
     if z.ndim == 0 or z.size == 0:
@@ -172,23 +182,34 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
         if temperature != 1.0:
             z = z / temperature
             top = float(np.maximum.reduce(z, None))
+            if not math.isfinite(top):
+                raise ValueError(f"temperature {temperature!r} overflows the scaled logits")
         e = np.exp(z - top)
         e /= float(np.add.reduce(e, None))
         return e
-    if not np.isfinite(z).all():
+    # the row maxima and one minimum are finite exactly when every logit is
+    top = np.maximum.reduce(z, axis=-1, keepdims=True)
+    if not (math.isfinite(float(np.maximum.reduce(top, None)))
+            and math.isfinite(float(np.minimum.reduce(z, None)))):
         raise ValueError("non-finite logit")
     if not temperature > 0.0:
         raise ValueError("temperature must be > 0")
     if temperature != 1.0:  # z / 1.0 is z
         z = z / temperature
-    # the ufunc reductions ndarray.max and ndarray.sum call, without their wrappers
-    e = np.exp(z - np.maximum.reduce(z, axis=-1, keepdims=True))
-    return e / np.add.reduce(e, axis=-1, keepdims=True)
+        top = np.maximum.reduce(z, axis=-1, keepdims=True)
+        if not np.logical_and.reduce(np.isfinite(top), None):
+            raise ValueError(f"temperature {temperature!r} overflows the scaled logits")
+    e = z - top
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
-# the normaliser's ones operand: attn_row reads its first W rows, and
-# doubles it when a context runs past its end
+# the normaliser's ones operand and the column numbers of the mask:
+# attn_row reads their first W rows, and doubles both when a context runs
+# past their end
 _ONES = np.ones((256, 2))
+_COLUMNS = np.arange(256)
 
 
 def padded(n: int) -> int:
@@ -212,19 +233,19 @@ def attn_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray, n) -> np.ndarr
     do not depend on W (see the module docstring).  A NaN or +inf score
     reaches its row's max, and raises.
     """
-    global _ONES
+    global _ONES, _COLUMNS
     w = keys.shape[-2]
     if _ONES.shape[0] < w:
-        _ONES = np.ones((2 * w, 2))
+        _ONES, _COLUMNS = np.ones((2 * w, 2)), np.arange(2 * w)
     scores = (keys @ q[..., None])[..., 0]
     scores /= math.sqrt(keys.shape[-1])
     if isinstance(n, np.ndarray):
-        np.copyto(scores, -np.inf, where=np.arange(w) >= n[..., None])
+        np.copyto(scores, -np.inf, where=_COLUMNS[:w] >= n[..., None])
     elif n < w:
         scores[..., n:] = -np.inf
     # initial: a pass of no rows over an empty cache reads width 0
     top = np.maximum.reduce(scores, axis=-1, keepdims=True, initial=-np.inf)
-    if not np.isfinite(top).all():
+    if not np.logical_and.reduce(np.isfinite(top), None):
         raise ValueError("non-finite attention score")
     scores -= top
     e = np.exp(scores, out=scores)[..., None, :]
@@ -323,7 +344,7 @@ def sinusoid_positions(positions, dim: int) -> np.ndarray:
         n = 256 if table is None else table.shape[0]
         while n <= top:
             n *= 2
-        table = _POSITION_TABLES[dim] = np.stack([sinusoid_position(p, dim) for p in range(n)])
+        table = _POSITION_TABLES[dim] = np.array([sinusoid_position(p, dim) for p in range(n)])
     return table.take(pos, 0)
 
 
@@ -335,9 +356,18 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     if x.size == n:
         d = x - float(np.add.reduce(x, None)) / n
         return gamma * d / math.sqrt(float(np.add.reduce(d * d, None)) / n + LN_EPS) + beta
-    d = x - np.add.reduce(x, axis=-1, keepdims=True) / n
-    var = np.add.reduce(d * d, axis=-1, keepdims=True) / n
-    return gamma * d / np.sqrt(var + LN_EPS) + beta
+    # the same ops in the same order, each written over a temporary of its own
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean /= n
+    d = x - mean
+    var = np.add.reduce(d * d, axis=-1, keepdims=True)
+    var /= n
+    var += LN_EPS
+    np.sqrt(var, out=var)
+    np.multiply(gamma, d, out=d)
+    d /= var
+    d += beta
+    return d
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -356,7 +386,7 @@ def inverse_cdf_sample(probs: np.ndarray, u: float) -> int:
     when rounding leaves the total at or below u.  The running sums are
     sequential, so the result is what a left-to-right scan would give.
     """
-    return min(int(np.cumsum(probs).searchsorted(u, side="right")), probs.shape[0] - 1)
+    return min(int(np.add.accumulate(probs).searchsorted(u, side="right")), probs.shape[0] - 1)
 
 
 def inverse_cdf_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -366,5 +396,6 @@ def inverse_cdf_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     result is drawn from row [...] of probs with u[..., j].  Counting the
     running sums at or below u is the search, since they never decrease.
     """
-    c = np.cumsum(probs, axis=-1)
-    return np.minimum((c[..., None, :] <= u[..., None]).sum(axis=-1), probs.shape[-1] - 1)
+    c = np.add.accumulate(probs, axis=-1)
+    return np.minimum(np.add.reduce(c[..., None, :] <= u[..., None], axis=-1),
+                      probs.shape[-1] - 1)

@@ -166,14 +166,14 @@ def check_tree(parents: np.ndarray, depths: np.ndarray) -> None:
     """
     rows = np.arange(parents.shape[0])
     bad = (parents < -1) | (parents >= rows)
-    if bad.any():
+    if np.logical_or.reduce(bad, None):
         raise ValueError(f"tree row {int(np.argmax(bad))}: parent must be an earlier row or -1")
     bad = depths != np.where(parents < 0, 0, depths[parents] + 1)
-    if bad.any():
+    if np.logical_or.reduce(bad, None):
         raise ValueError(f"tree row {int(np.argmax(bad))}: depth must be 0 without a parent "
                          "and the parent's depth + 1 otherwise")
     bad = depths[1:] < depths[:-1]
-    if bad.any():
+    if np.logical_or.reduce(bad, None):
         raise ValueError(f"tree row {int(np.argmax(bad)) + 1}: rows must come in depth order")
 
 
@@ -379,7 +379,8 @@ class TargetModel:
         c = cache.length
         # a chain under every tentative row: row i sits at a + i under row i - 1
         rows = np.arange(a, a + tok.shape[0])
-        if a == start and (pos == rows).all() and (par == rows - (a + 1)).all():
+        if (a == start and np.logical_and.reduce(pos == rows, None)
+                and np.logical_and.reduce(par == rows - (a + 1), None)):
             groups = None
         else:
             if not _checked:
@@ -399,7 +400,7 @@ class TargetModel:
         emitted: list[int] = []
         for _ in range(max_new):
             if temperature == 0.0:
-                nxt = int(np.argmax(out.logits))
+                nxt = int(out.logits.argmax())
             else:
                 probs = softmax(out.logits, temperature)
                 nxt = inverse_cdf_sample(probs, rng.random())

@@ -127,7 +127,8 @@ def _add_level(nodes: np.ndarray, q_dist: np.ndarray, n: int, depth: int, dist: 
     sel = _dedupe(tok, cum, k) if greedy and nb == 2 else None
     if greedy and (cum.size if sel is None else sel.size) > beam:
         kept = cum if sel is None else cum.take(sel)
-        best = np.sort(np.argsort(-kept, kind="stable")[:beam])
+        best = (-kept).argsort(kind="stable")[:beam]
+        best.sort()
         sel = best if sel is None else sel.take(best)
     if sel is None:  # node i is candidate i
         src = np.arange(m * nb) if k == 1 else np.arange(m * nb).repeat(k)
@@ -221,7 +222,8 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, moe: bool,
         parents = np.arange(n, n + len(rows))
         n += len(rows)
         if len(rows) > beam:
-            keep = np.sort(np.argsort(-cum, kind="stable")[:beam])
+            keep = (-cum).argsort(kind="stable")[:beam]
+            keep.sort()
             rows, cum, tokens, parents = rows[keep], cum[keep], tokens[keep], parents[keep]
         if depth == last_step_depth:
             if parallel:

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import check_prob_rows, check_prob_vec, inverse_cdf_sample, softmax
+from .kernels import as_f64, check_prob_rows, check_prob_vec, inverse_cdf_sample, softmax
 from .target import KvCache, TargetModel, check_tree
 from .tree import DraftTree
 
@@ -80,9 +80,22 @@ def _accepts(p: np.ndarray, q: np.ndarray, token: int, u: float) -> bool:
 
 
 def accept_token(p: np.ndarray, q: np.ndarray, token: int, u: float) -> bool:
-    """Speculative acceptance test: accept iff u < min(1, p(token)/q(token))."""
+    """Speculative acceptance test: accept iff u < min(1, p(token)/q(token)).
+
+    p and q are probability vectors of one length, token an index into
+    them and u a uniform in [0, 1); anything else raises ValueError before
+    either vector is read at token.
+    """
+    p, q = as_f64(p), as_f64(q)
     check_prob_vec(p, "p")
     check_prob_vec(q, "q")
+    v = p.shape[0]
+    if q.shape[0] != v:
+        raise ValueError(f"p and q differ in length: {v} and {q.shape[0]}")
+    if not (isinstance(token, (int, np.integer)) and 0 <= token < v):
+        raise ValueError(f"token must be an index in [0, {v}), got {token!r}")
+    if not 0.0 <= u < 1.0:  # NaN included
+        raise ValueError(f"u must be a uniform in [0, 1), got {u!r}")
     return _accepts(p, q, token, u)
 
 
@@ -94,10 +107,11 @@ def residual_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     as its probability; p itself is returned then.
     """
     r = np.maximum(0.0, p - q)
-    s = float(np.sum(r))
+    s = float(np.add.reduce(r, None))
     if s <= 0.0:
         return p
-    return r / s
+    r /= s
+    return r
 
 
 def _children(tree: DraftTree) -> tuple[list[int], list[int], list[int]]:

@@ -165,6 +165,15 @@ class TestSession:
         assert a.tau == b.tau
         assert [r["tokens"] for r in a.per_prompt] == [r["tokens"] for r in b.per_prompt]
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["vanilla", "jakiro_full"])
+    def test_a_temperature_that_overflows_the_logits_raises(self, method):
+        # before, vanilla emitted token 0 at every step and jakiro_full died
+        # mid-round with "non-finite q"
+        cfg = RunConfig(method=method, temperature=1e-310, max_new=6, n_prompts=1, seed=0)
+        with pytest.raises(ValueError, match="temperature 1e-310 overflows"):
+            run_session(cfg)
+
     @pytest.mark.parametrize("temperature", [0.0, 1.0])
     def test_second_pass_rounds_and_target_rows_count_the_verify_passes(self, monkeypatch,
                                                                          temperature):

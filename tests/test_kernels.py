@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sdlab.kernels as kernels
 from sdlab.kernels import LOG_CLAMP, as_f64, attn_row, inverse_cdf_rows, inverse_cdf_sample, layer_norm, softmax
 
 
@@ -367,6 +368,75 @@ def test_softmax_checks_every_logit_in_order(shape):
         softmax(rng.normal(size=shape), -1.0)
     # logits whose max is 0 keep a finite row, a -0.0 min too
     assert np.array_equal(softmax(np.array([-0.0, -0.0])), [0.5, 0.5])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("shape", [(2,), (3, 9)])
+def test_softmax_raises_when_the_temperature_overflows_the_logits(shape):
+    # 1 / 1e-310 overflows a float: the scaled logits would reach +-inf and
+    # exp would give NaN, so the row max is checked after the division
+    z = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+    if len(shape) == 1:
+        assert np.array_equal(z, [1.0, 2.0])
+    for logits in (z, -z):  # a row max of +inf, and one of -inf
+        with pytest.raises(ValueError, match="temperature 1e-310 overflows"):
+            softmax(logits, 1e-310)
+    # the error order: a non-finite logit, then temperature > 0, then overflow
+    bad = z.copy()
+    bad.flat[-1] = np.nan
+    with pytest.raises(ValueError, match="non-finite logit"):
+        softmax(bad, 1e-310)
+    with pytest.raises(ValueError, match="temperature must be > 0"):
+        softmax(z, -1e-310)
+    # a finite row max keeps its row well defined: the rest underflow to 0
+    y = np.zeros(shape)
+    y[..., 1:] = -1.0
+    want = np.zeros(shape)
+    want[..., 0] = 1.0
+    assert np.array_equal(softmax(y, 1e-310), want)
+
+
+@pytest.mark.parametrize("shape", [(0, 8), (5, 8), (4, 2, 16), "strided"])
+def test_multi_row_kernels_write_only_their_own_output(shape):
+    # the multi-row layer_norm and softmax reuse their temporaries in place:
+    # their inputs stay as they were and their outputs are fresh arrays
+    rng = np.random.default_rng(23)
+    x = rng.normal(size=(8, 5)).T if shape == "strided" else rng.normal(size=shape) * 3.0
+    g, b = rng.normal(size=x.shape[-1]), rng.normal(size=x.shape[-1])
+    before = [a.copy() for a in (x, g, b)]
+    y = layer_norm(x, g, b)
+    assert y.shape == x.shape
+    for a, was in zip((x, g, b), before):
+        assert np.array_equal(a, was) and not np.shares_memory(y, a)
+    if x.size == 0:
+        with pytest.raises(ValueError, match="empty input"):
+            softmax(x)
+        return
+    for t in (1.0, 0.6):
+        p = softmax(x, t)
+        assert p.shape == x.shape
+        assert np.array_equal(x, before[0]) and not np.shares_memory(p, x)
+        # and the bits of the out-of-place formula
+        z = x / t
+        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
+        assert np.array_equal(p, e / np.sum(e, axis=-1, keepdims=True))
+
+
+def test_attention_past_the_initial_column_table_matches_the_grown_table(monkeypatch):
+    # a mask of per-row lengths reads its column numbers from a table that
+    # doubles when a context runs past its end, like the ones operand
+    monkeypatch.setattr(kernels, "_ONES", np.ones((256, 2)))
+    monkeypatch.setattr(kernels, "_COLUMNS", np.arange(256))
+    rng = np.random.default_rng(24)
+    w = 300  # a multiple of PAD past 256
+    q = rng.normal(size=(3, 2, 8))
+    keys, values = rng.normal(size=(2, 1, 2, w, 8))
+    n = np.array([[w], [257], [5]])
+    first = attn_row(q, keys, values, n)
+    assert kernels._COLUMNS.shape[0] >= w and kernels._ONES.shape[0] >= w
+    assert np.array_equal(attn_row(q, keys, values, n), first)
+    for i in range(3):  # each row as it is alone, with an int length
+        assert np.array_equal(attn_row(q[i], keys[0], values[0], int(n[i, 0])), first[i])
 
 
 def ref_inverse_cdf_sample(probs, u):

@@ -171,6 +171,12 @@ class TestDecode:
             model.autoregressive_decode([1, 2, 3], 4, temperature=float("nan"))
         assert prefills == [] and all(c.length == 0 for c in caches)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_a_temperature_that_overflows_the_logits_raises(self, model):
+        # before, T=1e-310 gave NaN probabilities and emitted token 0 every step
+        with pytest.raises(ValueError, match="temperature 1e-310 overflows"):
+            model.autoregressive_decode([1, 2, 3], 4, temperature=1e-310)
+
     def test_sampled_first_token_frequencies(self):
         # 10k draws of the first continuation vs the exact softmax, chi-square
         scipy_stats = pytest.importorskip("scipy.stats")

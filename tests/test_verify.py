@@ -73,6 +73,25 @@ class TestAcceptToken:
         with pytest.raises(ValueError, match="not proposed"):
             accept_token(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 1, 0.1)
 
+    @pytest.mark.parametrize("token, u, match", [
+        (-1, 0.1, "token must be an index in \\[0, 3\\), got -1"),  # read q[-1], and accepted
+        (3, 0.1, "token must be an index in \\[0, 3\\), got 3"),  # an IndexError
+        (1.0, 0.1, "token must be an index"),
+        (0, float("nan"), "u must be a uniform in \\[0, 1\\), got nan"),  # rejected
+        (0, -1.0, "u must be a uniform"),  # accepted a token whose p is 0
+        (0, 1.0, "u must be a uniform"),
+    ])
+    def test_bad_token_or_uniform_raises_before_any_read(self, token, u, match):
+        p, q = np.array([0.0, 0.5, 0.5]), np.array([0.1, 0.1, 0.8])
+        with pytest.raises(ValueError, match=match):
+            accept_token(p, q, token, u)
+
+    def test_p_and_q_of_different_lengths_raise(self):
+        with pytest.raises(ValueError, match="p and q differ in length: 3 and 2"):
+            accept_token(np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.5]), 0, 0.1)
+        with pytest.raises(ValueError, match="p and q differ in length: 2 and 3"):
+            accept_token(np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5]), 0, 0.1)
+
 
 class TestResidual:
     def test_disjoint_support(self):
