@@ -173,8 +173,11 @@ def environment_stamp() -> dict:
 
 def make_prompts(config: RunConfig) -> list[list[int]]:
     if config.prompt_file:
-        with open(config.prompt_file, "r", encoding="utf-8") as fh:
-            prompts = json.load(fh)
+        try:
+            with open(config.prompt_file, "r", encoding="utf-8") as fh:
+                prompts = json.load(fh)
+        except (OSError, ValueError) as e:  # missing, unreadable or not JSON
+            raise ConfigError(f"prompt_file: {e}")
         if not isinstance(prompts, list) or not prompts:
             raise ConfigError("prompt_file: holds no list of prompts")
         for p in prompts:
@@ -275,7 +278,6 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
                     context_len=cache.length)
         round_passes = dsession.passes - before
         outcome = verify_tree(tree, target, cache, config.temperature, rng)
-        cache.commit_rows(outcome.commit_indices)
         emitted.extend(outcome.accepted)
         emitted.append(outcome.final_token)
         target_forwards += 1  # one tree verify per round

@@ -28,6 +28,7 @@ from .bench import (
     write_report,
 )
 from .draft import save_draft
+from .kernels import TemperatureOverflow
 from .train import (
     TrainConfig,
     finite_diff_check,
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, TemperatureOverflow) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except InvariantError as e:

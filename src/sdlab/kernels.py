@@ -160,6 +160,11 @@ def check_prob_rows(p: np.ndarray, what: str) -> None:
                          f"expected 1 within {PROB_SUM_TOL}")
 
 
+class TemperatureOverflow(ValueError):
+    """A temperature so small that the scaled logits overflow: a bad
+    setting, not bad logits."""
+
+
 def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     """Temperature softmax over a vector of logits.
 
@@ -167,7 +172,8 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     for every temperature > 0.  A matrix is normalised row by row along its
     last axis, each row exactly as the vector alone; a vector or a single
     row takes the one-row branch.  A temperature so small that a row's
-    scaled max overflows raises rather than return NaN.
+    scaled max overflows raises ``TemperatureOverflow`` rather than return
+    NaN.
     """
     z = as_f64(logits)
     if z.ndim == 0 or z.size == 0:
@@ -183,7 +189,8 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
             z = z / temperature
             top = float(np.maximum.reduce(z, None))
             if not math.isfinite(top):
-                raise ValueError(f"temperature {temperature!r} overflows the scaled logits")
+                raise TemperatureOverflow(
+                    f"temperature {temperature!r} overflows the scaled logits")
         e = np.exp(z - top)
         e /= float(np.add.reduce(e, None))
         return e
@@ -198,7 +205,7 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
         z = z / temperature
         top = np.maximum.reduce(z, axis=-1, keepdims=True)
         if not np.logical_and.reduce(np.isfinite(top), None):
-            raise ValueError(f"temperature {temperature!r} overflows the scaled logits")
+            raise TemperatureOverflow(f"temperature {temperature!r} overflows the scaled logits")
     e = z - top
     np.exp(e, out=e)
     e /= np.add.reduce(e, axis=-1, keepdims=True)

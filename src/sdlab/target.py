@@ -23,15 +23,12 @@ Any other tree arrives as parent pointers and depths in level order, and
 its attention is one ``attn_row`` call per layer too, cut only by
 MAX_GATHER: every row's context is one row of a padded index gathered
 from the buffer, each row masking the columns past its own length
-(``tree_groups``).  A tree pass may hang its rows under rows of an
-earlier pass (``ancestors``): it appends its rows after the tentative
-rows, and each reads the prefix, those ancestors, then its own ancestors
-and itself, the layout of a verify's second pass.  The rows the passes
-wrote stay in the buffer as the cache's tentative rows until
-``KvCache.commit_rows`` keeps a selection of them, the only way rows
-become committed: a prefill keeps all of its rows, a verify the accepted
-path, which may span both of its passes.  Rows already in place are not
-copied, so a chain's commit copies nothing.
+(``tree_groups``).  Every pass writes its rows as the cache's tentative
+rows from the first on, replacing an earlier pass's, and they stay in
+the buffer until ``KvCache.commit_rows`` keeps a selection of them, the
+only way rows become committed: a prefill keeps all of its rows, a
+verify the accepted path.  Rows already in place are not copied, so a
+chain's commit copies nothing.
 """
 
 from __future__ import annotations
@@ -177,60 +174,33 @@ def check_tree(parents: np.ndarray, depths: np.ndarray) -> None:
         raise ValueError(f"tree row {int(np.argmax(bad)) + 1}: rows must come in depth order")
 
 
-def _check_ancestors(ancestors, tentative: int) -> np.ndarray:
-    """ancestors as an intp array; raise ValueError naming the first
-    ancestor row that is not one of the cache's tentative rows
-    [0, tentative), or that does not come after the one before it."""
-    anc = np.asarray(ancestors, dtype=np.intp)
-    if anc.ndim != 1:
-        raise ValueError(f"ancestors must be a 1-D array of tentative rows, got shape {anc.shape}")
-    bad = (anc < 0) | (anc >= tentative)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"ancestor {i}: row {int(anc[i])} is not a tentative row "
-                         f"in [0, {tentative})")
-    bad = anc[1:] <= anc[:-1]
-    if bad.any():
-        i = int(np.argmax(bad)) + 1
-        raise ValueError(f"ancestor {i}: row {int(anc[i])} does not ascend after "
-                         f"row {int(anc[i - 1])}")
-    return anc
+def tree_groups(c: int, parents: np.ndarray,
+                depths: np.ndarray) -> list[tuple[slice, np.ndarray, np.ndarray]]:
+    """The attention group of m tree rows forwarded after c committed
+    columns, cut to MAX_GATHER by ``cut_group``.
 
-
-def tree_groups(c: int, parents: np.ndarray, depths: np.ndarray,
-                ancestors: np.ndarray | None = None,
-                start: int = 0) -> list[tuple[slice, np.ndarray, np.ndarray]]:
-    """The attention group of m tree rows forwarded after c prefix columns,
-    cut to MAX_GATHER by ``cut_group``.
-
-    parents and depths must have passed ``check_tree``, depths counted from
-    the a = len(ancestors) shared ancestor columns (none when ancestors is
-    None).  Row r reads n = c + depths[r] + 1 columns: the c prefix
-    columns, then c + each shared ancestor, rows of an earlier pass, then
-    c + start + each of its ancestor rows in this pass, root first, then c
-    + start + r, where the pass's rows sit from tentative row start on.
-    The group is one (m, W) index, W = padded(c + max depth + 1), whose
-    columns past a row's n read column 0, and the (m, 1) lengths n.  A
-    row's columns stay compact and only its trailing ones are masked, so
-    its bits are those of its own padded width (see kernels.py).  A row's
-    columns in the pass are its parent's, which comes earlier, and its
-    own, built as Python lists: a pass holds tens of rows, where one list
-    per row costs fewer calls than numpy ops per depth run.
+    parents and depths must have passed ``check_tree``.  Row r reads n = c
+    + depths[r] + 1 columns: the c committed columns, then c + each of its
+    ancestor rows, root first, then c + r.  The group is one (m, W) index,
+    W = padded(c + max depth + 1), whose columns past a row's n read column
+    0, and the (m, 1) lengths n.  A row's columns stay compact and only its
+    trailing ones are masked, so its bits are those of its own padded width
+    (see kernels.py).  A row's columns in the pass are its parent's, which
+    comes earlier, and its own, built as Python lists: a pass holds tens of
+    rows, where one list per row costs fewer calls than numpy ops per depth
+    run.
     """
     m = parents.shape[0]
     w = padded(c + 1 + (int(depths[-1]) if m else 0))  # depths never decrease
-    base = c if ancestors is None else c + ancestors.shape[0]
     # each row's own columns, its ancestors in the pass root first and then
     # itself, extend its parent's, and read column 0 past its length
-    own, cols = c + start, []
+    cols = []
     for r, p in enumerate(parents.tolist()):
-        cols.append((cols[p] if p >= 0 else []) + [own + r])
-    pad = [0] * (w - base)
+        cols.append((cols[p] if p >= 0 else []) + [c + r])
+    pad = [0] * (w - c)
     idx = np.empty((m, w), dtype=np.intp)
     idx[:, :c] = np.arange(c)
-    if ancestors is not None:
-        idx[:, c:base] = c + ancestors
-    idx[:, base:] = np.array([x + pad[len(x):] for x in cols], dtype=np.intp).reshape(m, w - base)
+    idx[:, c:] = np.array([x + pad[len(x):] for x in cols], dtype=np.intp).reshape(m, w - c)
     return cut_group(idx, (c + 1 + depths)[:, None])
 
 
@@ -292,17 +262,17 @@ class TargetModel:
                              f"[0, {self.config.vocab})")
         return tok
 
-    def _forward_rows(self, tokens, positions, cache, groups, start):
+    def _forward_rows(self, tokens, positions, cache, groups):
         """The row kernel: forward m rows through the whole stack at once.
 
         Row i is token tokens[i] at absolute position positions[i].  Per
         layer, one ``row_linear`` of wqkv gives the rows' queries, keys and
         values, the keys and values are written to the cache's tentative
-        rows from row start on, after its c committed rows, and each row
-        attends to the buffer as ``attend`` gives it: causally after c +
-        start columns with groups None, else by the (rows, columns) pairs
-        of groups.  Returns logits (m, vocab) and features (m, dim); the
-        rows' keys and values stay in the cache as its tentative rows.
+        rows, after its c committed rows, and each row attends to the
+        buffer as ``attend`` gives it: causally after c columns with groups
+        None, else by the (rows, columns) pairs of groups.  Returns logits
+        (m, vocab) and features (m, dim); the rows' keys and values stay in
+        the cache as its tentative rows.
         """
         c, d = cache.length, self.config.dim
         x = self.emb.take(tokens, 0) + sinusoid_positions(positions, d)
@@ -310,9 +280,8 @@ class TargetModel:
             a_in = layer_norm(x, lp.ln1_g, lp.ln1_b)
             qkv = row_linear(lp.wqkv, a_in)
             q, k, v = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
-            keys, values = cache.scratch(l, start, k, v)
-            x = x + row_linear(lp.wo, attend(q, keys, values, self.config.n_heads, c + start,
-                                             groups))
+            keys, values = cache.scratch(l, 0, k, v)
+            x = x + row_linear(lp.wo, attend(q, keys, values, self.config.n_heads, c, groups))
             m_in = layer_norm(x, lp.ln2_g, lp.ln2_b)
             x = x + row_linear(lp.w2, silu(row_linear(lp.w1, m_in)))
         f = layer_norm(x, self.lnf_g, self.lnf_b)
@@ -336,12 +305,11 @@ class TargetModel:
             return []
         tok = self.check_tokens(tokens)
         c = cache.length
-        logits, f = self._forward_rows(tok, range(c, c + m), cache, None, 0)
+        logits, f = self._forward_rows(tok, range(c, c + m), cache, None)
         cache.commit_rows(range(m))
         return [StepOutput(logits=lg, feature=ft) for lg, ft in zip(logits, f)]
 
-    def forward_tree_kv(self, cache, tokens, parents, positions, ancestors=None, *,
-                        _checked=False):
+    def forward_tree_kv(self, cache, tokens, parents, positions, *, _checked=False):
         """Batched tentative forward over the rows of a tree.  Committed rows
         are not mutated; the rows' keys and values become the cache's
         tentative rows, which ``KvCache.commit_rows`` selects from.
@@ -354,39 +322,28 @@ class TargetModel:
         chain is a causal pass.  Returns logits (m, vocab) and features
         (m, dim).
 
-        With ancestors, ascending rows among the cache's tentative rows,
-        the rows hang under them: they are appended after the tentative
-        rows rather than replacing them, a row with parent -1 attends to
-        the cache, then to the ancestor rows, then to itself, and depths
-        count the ancestors, so such a row sits at position len(ancestors).
-        Ancestors that are all the tentative rows, under a chain, make a
-        causal pass.
-
         The tokens and the layout are checked before any row is computed,
         unless ``_checked``: verification passes intp arrays cut from a
         tree it has already checked whole.
         """
         if _checked:
-            tok, par, pos, anc = tokens, parents, positions, ancestors
+            tok, par, pos = tokens, parents, positions
         else:
             tok = self.check_tokens(tokens)
             par = np.asarray(parents, dtype=np.intp)
             pos = np.asarray(positions, dtype=np.intp)
             if not tok.shape == par.shape == pos.shape:
                 raise ValueError("tokens, parents and positions differ in length")
-            anc = None if ancestors is None else _check_ancestors(ancestors, cache.tentative)
-        start, a = (0, 0) if anc is None else (cache.tentative, anc.shape[0])
         c = cache.length
-        # a chain under every tentative row: row i sits at a + i under row i - 1
-        rows = np.arange(a, a + tok.shape[0])
-        if (a == start and np.logical_and.reduce(pos == rows, None)
-                and np.logical_and.reduce(par == rows - (a + 1), None)):
+        rows = np.arange(tok.shape[0])  # a chain: row i sits at i under row i - 1
+        if (np.logical_and.reduce(pos == rows, None)
+                and np.logical_and.reduce(par == rows - 1, None)):
             groups = None
         else:
             if not _checked:
-                check_tree(par, pos - a)
-            groups = tree_groups(c, par, pos, anc, start)
-        return self._forward_rows(tok, c + pos, cache, groups, start)
+                check_tree(par, pos)
+            groups = tree_groups(c, par, pos)
+        return self._forward_rows(tok, c + pos, cache, groups)
 
     def autoregressive_decode(self, prompt, max_new, temperature=0.0, rng_seed=0):
         """Vanilla decoding baseline; temperature 0 is greedy and rng-independent."""

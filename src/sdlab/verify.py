@@ -14,20 +14,22 @@ gathered index.  Above 0, pass 1 forwards the root and every node with a
 child down to a depth h (``split_depth``) chosen from the tree's shape
 before any pass, a set closed under parent and so a level-ordered tree of
 its own once renumbered.  Both plans need no tuned constant.  Pass 2 runs
-only when the walk accepts a node v that pass 1 left out: it forwards v's
-whole subtree, in node order, as rows appended after pass 1's, each
-reading the committed prefix, then v's ancestors among pass 1's rows,
-then its own ancestors and itself.  The walk then resumes at v over pass
-2, with the same path and the same rng stream.  h minimises pass 1's rows
-plus the largest subtree under a depth h + 1 node, the most rows a round
-can forward; at the deepest h pass 2 is the accepted leaf alone.  A greedy
-walk stays on the likely path in 45% of the bench's seed-11 greedy_tree
-rounds, a sampled walk in 12% of its sample_tree rounds, so only
-temperature 0 takes the path.  Every row a pass computes is bit
-for bit the row a one-pass forward of the whole tree would give (see
-kernels.py), so the plan changes no token, feature or uniform draw.  The
-whole tree's layout and tokens are checked once, before any row is
-computed; the passes over its sub-trees are not checked again.
+only when the walk accepts a node v that pass 1 left out: the root and
+v's ancestors are committed from pass 1's rows, and v's whole subtree,
+in node order, is forwarded as an ordinary tree pass after them (a
+causal pass when it is a leaf or a chain).  The walk then resumes at v
+over pass 2, with the same path and the same rng stream.  h minimises
+pass 1's rows plus the largest subtree under a depth h + 1 node, the
+most rows a round can forward; at the deepest h pass 2 is the accepted
+leaf alone.  Pass 2's rows read the same key rows, in the same order, as
+in a one-pass forward.  A greedy walk stays on the likely path in 45% of
+the bench's seed-11 greedy_tree rounds, a sampled walk in 12% of its
+sample_tree rounds, so only temperature 0 takes the path.  Every row a
+pass computes is bit for bit the row a one-pass forward of the whole
+tree would give (see kernels.py), so the plan changes no token, feature
+or uniform draw.  The whole tree's layout and tokens are checked once,
+before any row is computed; the passes over its sub-trees are not
+checked again.
 
 The greedy rule accepts the child that matches the target argmax exactly,
 so the emitted stream equals vanilla greedy decoding bit for bit, and
@@ -39,10 +41,9 @@ documented order (children in tree order, then the residual or bonus draw)
 so runs replay exactly.  The tree's draft distributions are checked once,
 up front, rather than at every sibling.  The one walk takes a node's
 children from one stable argsort of the parent column, so siblings
-come in ascending node order.  The passes leave their rows' keys and
-values in the cache as its tentative rows, pass 2's after pass 1's, so the
-session commits the accepted path, which may span both, with
-``KvCache.commit_rows(commit_indices)``.
+come in ascending node order.  Each verify ends by committing the
+accepted path with ``KvCache.commit_rows``, so the cache is left with no
+tentative rows.
 """
 
 from __future__ import annotations
@@ -61,9 +62,8 @@ from .tree import DraftTree
 class VerifyOutcome:
     accepted: list[int]
     final_token: int
-    # plumbing for the decode session: which tentative rows to commit and the
-    # target features of (pending token, accepted nodes), in commit order
-    commit_indices: list[int]
+    # the target features of (pending token, accepted nodes), the rows the
+    # verify committed, in order
     committed_features: list[np.ndarray]
     # target rows forwarded, over both passes
     rows: int
@@ -182,8 +182,7 @@ def _walk(tree: DraftTree, children, logits: np.ndarray, row, temperature: float
     """Walk down the tree from path's last node (the root when path is
     empty) over the rows of one pass, appending each node it accepts to
     path: row[i + 1] is node i's row, row[0] the root's, -1 for a node the
-    pass left out (row is a list, or a dict that holds every node the walk
-    can reach), and children is ``_children(tree)``.  Returns the final
+    pass left out, and children is ``_children(tree)``.  Returns the final
     token, or None when the walk accepted a node the pass left out, which
     ends path then; resumed there over a pass that holds that node's
     subtree, the walk draws what one walk over every row would.  A node
@@ -223,9 +222,10 @@ def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
     a first pass, then a second pass over the subtree of the node the walk
     accepts, if the first pass left it out.  At temperature 0 the first
     pass is the draft's most likely path, a causal pass; above 0 it is the
-    rows with a child down to the split depth.  The cache's committed rows
-    are left untouched, and its tentative rows are the passes' rows, in
-    order.
+    rows with a child down to the split depth.  The cache ends with the
+    pending root token and the accepted nodes committed, as decoding them
+    one at a time would leave them, and no tentative rows; a second pass
+    commits the root and v's ancestors before it runs.
 
     Temperature 0 takes the greedy rule, which needs no rng; a temperature
     above 0 takes the sampling rule, which needs one and a ``q_dist`` of
@@ -283,37 +283,40 @@ def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
     final = _walk(tree, children, logits, row, temperature, rng, path)
     if final is not None:  # always for a chain, whose pass holds every row
         commit = [0, *(row[1 + i] for i in path)]
+        cache.commit_rows(commit)
         return VerifyOutcome(accepted=nodes["token"][path].tolist(), final_token=final,
-                             commit_indices=commit, committed_features=list(features[commit]),
-                             rows=len(first), second_pass=False)
-    # pass 2: the walk accepted v, a node pass 1 left out.  v's subtree,
-    # in row order, hangs under v's ancestors among pass 1's rows; local
-    # maps its rows to pass 2's, and the walk resumes at v over them
+                             committed_features=list(features[commit]), rows=len(first),
+                             second_pass=False)
+    # pass 2: the walk accepted v, a node pass 1 left out.  The root and v's
+    # ancestors are committed first, so v's subtree, in row order, is a
+    # tree pass of its own after them; row2 maps its rows to pass 2's, and
+    # the walk resumes at v over them
     if size is None:
         size = _subtree_sizes(par)
     v = path[-1] + 1
     anc = [0, *(row[1 + i] for i in path[:-1])]
-    sub, sub_par, local = [v], [-1], {v: 0}
+    cache.commit_rows(anc)
+    sub, sub_par, row2 = [v], [-1], [-1] * (n + 1)
+    row2[v] = 0
     for r in range(v + 1, n + 1) if size[v] > 1 else ():
-        k = local.get(par[r])
-        if k is not None:
-            local[r] = len(sub)
+        k = row2[par[r]]
+        if k >= 0:
+            row2[r] = len(sub)
             sub.append(r)
             sub_par.append(k)
             if len(sub) == size[v]:
                 break
     logits2, features2 = target.forward_tree_kv(
-        cache, tokens.take(sub), np.array(sub_par, dtype=np.intp), depths.take(sub),
-        np.array(anc, dtype=np.intp), _checked=True)
+        cache, tokens.take(sub), np.array(sub_par, dtype=np.intp), depths.take(sub) - len(anc),
+        _checked=True)
     d = len(path) - 1  # v's place in path
-    final = _walk(tree, children, logits2, local, temperature, rng, path)
-    tail = [local[1 + i] for i in path[d:]]
-    t = len(first)
+    final = _walk(tree, children, logits2, row2, temperature, rng, path)
+    tail = [row2[1 + i] for i in path[d:]]
+    cache.commit_rows(tail)
     return VerifyOutcome(
         accepted=nodes["token"][path].tolist(),
         final_token=final,
-        commit_indices=anc + [t + k for k in tail],
         committed_features=[*features[anc], *features2[tail]],
-        rows=t + len(sub),
+        rows=len(first) + len(sub),
         second_pass=True,
     )

@@ -311,6 +311,19 @@ class TestCli:
         assert main(["decode", "--config", str(path)]) == 2
         assert "temperature: must be finite and >= 0" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command", ["decode", "gen-corpus"])
+    def test_a_temperature_that_overflows_the_logits_exit_2(self, tmp_path, capsys, command):
+        # both ended in a ValueError traceback and exit 1
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"method": "vanilla", "temperature": 1e-310, "max_new": 4,
+                                    "n_prompts": 1}))
+        argv = {"decode": ["decode", "--config", str(path)],
+                "gen-corpus": ["gen-corpus", "--temperature", "1e-310", "--sequences", "2",
+                               "--seq-len", "4", "--out", str(tmp_path / "corpus.bin")]}[command]
+        assert main(argv) == 2
+        assert "config error: temperature 1e-310 overflows" in capsys.readouterr().err
+
     def test_unknown_key_exit_2(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"methods": "chain"}))
@@ -380,10 +393,12 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", ["[]", "{}", "[5]", "[[1, 2.5, 3]]", "[[1, true, 3]]",
-                                      "[[1, 64]]"])
+                                      "[[1, 64]]", "not json", None])
     def test_bad_prompt_file_exit_2(self, tmp_path, capsys, text):
+        # None: a path with no file
         prompts = tmp_path / "p.json"
-        prompts.write_text(text)
+        if text is not None:
+            prompts.write_text(text)
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"method": "chain", "prompt_file": str(prompts)}))
         assert main(["decode", "--config", str(path)]) == 2

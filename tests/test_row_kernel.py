@@ -252,27 +252,35 @@ def test_tree_groups_one_row_and_forests():
 
 @pytest.mark.parametrize("seed", range(10))
 def test_tree_groups_under_ancestors(seed):
-    # row r reads the prefix, then the shared ancestor rows, then its own
-    # ancestors in the pass and itself, all from tentative row start on
+    # the subtree of a row v, forwarded after v's a ancestors are committed
+    # from the whole tree's rows, reads the key rows each of its rows reads
+    # in one pass over the whole tree, in order: the prefix, then the
+    # ancestors, then its own ancestors and itself
     rng = np.random.default_rng(seed)
-    m, c = int(rng.integers(1, 60)), int(rng.integers(0, 140))
-    start = int(rng.integers(1, 30))
-    anc = np.sort(rng.choice(start, size=int(rng.integers(0, start + 1)), replace=False))
+    m, c = int(rng.integers(2, 60)), int(rng.integers(0, 140))
     parents, depth = random_tree(rng, m, p_child=rng.uniform(0.5, 1.0))
-    want = []
-    for r in range(m):
-        own = [r]
-        while parents[own[0]] >= 0:
-            own.insert(0, int(parents[own[0]]))
-        want.append([*range(c), *(c + anc), *(c + start + np.array(own))])
-    groups = tree_groups(c, parents, depth + len(anc), anc, start)
-    end = 0
-    for rows, idx, n in groups:
-        assert rows.start == end and idx.shape[1] == padded(c + len(anc) + 1 + int(depth.max()))
+    whole = {}
+    for rows, idx, n in tree_groups(c, parents, depth):
         for r, ix, k in zip(range(rows.start, rows.stop), idx, n[:, 0]):
-            assert ix[:k].tolist() == want[r] and not ix[k:].any()
-        end = rows.stop
-    assert end == m
+            whole[r] = ix[:k].tolist()
+    for v in rng.choice(m, size=min(m, 8), replace=False).tolist():
+        anc = [v]
+        while parents[anc[0]] >= 0:
+            anc.insert(0, int(parents[anc[0]]))
+        anc.pop()
+        sub = [r for r in range(v, m) if r == v or c + v in whole[r][:-1]]
+        local = {r: k for k, r in enumerate(sub)}
+        sub_par = np.array([local.get(int(parents[r]), -1) for r in sub])
+        # committed column c + i holds ancestor i, column c + a + k row sub[k]
+        key = list(range(c)) + [c + i for i in anc] + [c + r for r in sub]
+        end = 0
+        for rows, idx, n in tree_groups(c + len(anc), sub_par, depth[sub] - len(anc)):
+            assert rows.start == end
+            assert idx.shape[1] == padded(c + 1 + int(depth[sub].max()))
+            for r, ix, k in zip(range(rows.start, rows.stop), idx, n[:, 0]):
+                assert [key[j] for j in ix[:k]] == whole[sub[r]] and not ix[k:].any()
+            end = rows.stop
+        assert end == len(sub)
 
 
 def test_tree_groups_cut_at_max_gather():
@@ -761,47 +769,40 @@ def buffers(cache):
             b"".join(b.tobytes() for b in cache._k + cache._v))
 
 
-@pytest.mark.parametrize("ancestors,why", [
-    ([0, 3], r"ancestor 1: row 3 is not a tentative row in \[0, 3\)"),
-    ([-1, 1], r"ancestor 0: row -1 is not a tentative row in \[0, 3\)"),
-    ([0, 2, 1], "ancestor 2: row 1 does not ascend after row 2"),
-    ([1, 1], "ancestor 1: row 1 does not ascend after row 1"),
-    ([[0, 1]], r"ancestors must be a 1-D array of tentative rows, got shape \(1, 2\)"),
-], ids=["past-the-end", "negative", "descending", "repeated", "2-d"])
-def test_rows_under_bad_ancestors_raise_before_any_row(target, ancestors, why):
-    cache = cached(target, [1, 2])
-    target.forward_tree_kv(cache, [5, 6, 7], [-1, 0, 0], [0, 1, 1])
-    before = buffers(cache)
-    with pytest.raises(ValueError, match=why):
-        target.forward_tree_kv(cache, [8], [-1], [2], ancestors)
-    assert buffers(cache) == before
-
-
 def test_rows_under_ancestors_sit_past_them(target):
+    # rows forwarded after their ancestors are committed, as a verify's
+    # second pass is, count their positions from the committed end: a
+    # parentless row at position 1 raises before any row, and at 0 it is
+    # the row a sequential decode gives
     cache = cached(target, [1, 2])
     target.forward_tree_kv(cache, [5, 6, 7], [-1, 0, 0], [0, 1, 1])
+    cache.commit_rows([0, 2])
     before = buffers(cache)
     with pytest.raises(ValueError, match="tree row 0: depth must be 0 without a parent"):
-        target.forward_tree_kv(cache, [8], [-1], [1], [0, 2])
+        target.forward_tree_kv(cache, [8], [-1], [1])
     assert buffers(cache) == before
+    logits, feats = target.forward_tree_kv(cache, [8], [-1], [0])
+    want = target.forward_cached(cached(target, [1, 2, 5, 7]), 8)
+    assert np.array_equal(logits[0], want.logits) and np.array_equal(feats[0], want.feature)
 
 
-def test_a_chain_under_every_tentative_row_is_a_causal_pass(target, monkeypatch):
+def test_a_chain_after_committed_rows_is_a_causal_pass(target, monkeypatch):
     # the rows a chain's causal pass gives, split in two passes whose second
-    # hangs under all of the first's rows: no gathered group, and the same bits
+    # runs after the first's rows are committed: no gathered group, and the
+    # same bits
     rng = np.random.default_rng(23)
     prefix = [int(t) for t in rng.integers(0, target.vocab, size=130)]
     tokens = [int(t) for t in rng.integers(0, target.vocab, size=7)]
     cache = cached(target, prefix)
     logits, feats = target.forward_tree_kv(cache, tokens, np.arange(7) - 1, np.arange(7))
     target.forward_tree_kv(cache, tokens[:3], np.arange(3) - 1, np.arange(3))
+    cache.commit_rows([0, 1, 2])
     monkeypatch.setattr(sdlab.target, "tree_groups", None)
-    got, got_f = target.forward_tree_kv(cache, tokens[3:], np.arange(4) - 1, 3 + np.arange(4),
-                                        [0, 1, 2])
+    got, got_f = target.forward_tree_kv(cache, tokens[3:], np.arange(4) - 1, np.arange(4))
     assert np.array_equal(got, logits[3:]) and np.array_equal(got_f, feats[3:])
-    assert cache.tentative == 7
-    # a commit over both passes' rows is the sequential decode's
-    cache.commit_rows([0, 1, 2, 3, 4])
+    assert cache.tentative == 4
+    # a commit of the second pass's first rows is the sequential decode's
+    cache.commit_rows([0, 1])
     seq = cached(target, prefix + tokens[:5])
     for l in range(target.config.n_layers):
         assert np.array_equal(committed(cache, l)[0], committed(seq, l)[0])

@@ -2,6 +2,8 @@
 lossless tree walk, checked by analytic identities, exhaustive enumeration
 and Monte Carlo coupling to the real pipeline."""
 
+import copy
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,10 +11,10 @@ import pytest
 
 import sdlab.target
 import sdlab.verify
-from sdlab.bench import RunConfig, build_models
+from sdlab.bench import RunConfig, build_models, decode_prompt, make_prompts
 from sdlab.draft import DraftConfig, DraftSession, init_draft
 from sdlab.kernels import inverse_cdf_sample, softmax
-from sdlab.target import KvCache, TargetConfig, init_target
+from sdlab.target import TargetConfig, init_target
 from sdlab.tree import NODE, DraftTree, grow_moe_tree, grow_static_tree
 from sdlab.verify import accept_token, residual_dist, verify_tree
 
@@ -275,37 +277,60 @@ def expected_passes(tree, path, temperature):
     return [first, subtree[out[0]]] if out else [first]
 
 
+class ScriptedCache:
+    """The cache of a ScriptedTarget, by token path: ``rows`` holds the
+    tentative rows' paths, the last pass's, and ``committed`` the paths
+    ``commit_rows`` kept, in order."""
+
+    def __init__(self):
+        self.rows, self.committed = [], []
+
+    @property
+    def length(self):
+        return len(self.committed)
+
+    @property
+    def tentative(self):
+        return len(self.rows)
+
+    def commit_rows(self, indices):
+        assert all(0 <= r < len(self.rows) for r in indices)
+        self.committed += [self.rows[r] for r in indices]
+        self.rows = []
+
+
 class ScriptedTarget:
     """A target whose passes return fixed logits by each row's token path,
     root first, as a real target's depend on the path alone: rows holding
     one path get one row of logits in any pass, and a path the table lacks
     fails.  A row's features are its logits' first two entries.  Each
-    pass's row paths are recorded in ``passes``, and the cache's tentative
-    rows' paths in ``rows``: a pass with ancestors appends its rows after
-    them and hangs its parentless row under its ancestors' paths."""
+    pass's row paths are recorded in ``passes``.  A pass's rows become its
+    ScriptedCache's tentative rows; its parentless row hangs under the
+    last committed path, and positions count from the committed rows, as
+    a real cache's do."""
 
     vocab = V
 
     def __init__(self, by_path):
-        self.by_path, self.passes, self.rows = by_path, [], []
+        self.by_path, self.passes = by_path, []
+
+    def new_cache(self):
+        return ScriptedCache()
 
     def check_tokens(self, tokens):
         assert all(0 <= t < V for t in np.asarray(tokens).tolist())
 
-    def forward_tree_kv(self, cache, tokens, parents, positions, ancestors=None, _checked=False):
-        if ancestors is None:
-            self.rows, up = [], ()
-        else:
-            anc = np.asarray(ancestors).tolist()
-            up = self.rows[anc[-1]]
-            assert [self.rows[a] for a in anc] == [up[: k + 1] for k in range(len(up))]
+    def forward_tree_kv(self, cache, tokens, parents, positions, _checked=False):
+        up = cache.committed[-1] if cache.committed else ()
+        # the committed rows are one path, root first
+        assert cache.committed == [up[: k + 1] for k in range(len(up))]
         paths = []
         for t, p, d in zip(*(np.asarray(c).tolist() for c in (tokens, parents, positions))):
             assert (p >= 0) == bool(paths) and p < len(paths)  # only row 0 is parentless
             paths.append((paths[p] if p >= 0 else up) + (t,))
-            assert d == len(paths[-1]) - 1
+            assert d == len(paths[-1]) - 1 - len(up)
         self.passes.append(paths)
-        self.rows += paths
+        cache.rows = paths
         logits = np.stack([self.by_path[path] for path in paths])
         return logits, logits[:, :2]
 
@@ -338,7 +363,7 @@ def random_walk_tree(rng):
     return DraftTree(nodes, q_dist, paths[0][0], 0), ScriptedTarget(by_path), paths
 
 
-def test_walks_match_the_node_by_node_oracle_on_random_trees(small_target):
+def test_walks_match_the_node_by_node_oracle_on_random_trees():
     rng = np.random.default_rng(2024)
     decreasing = deep = second = above = 0
     for _ in range(250):
@@ -350,7 +375,8 @@ def test_walks_match_the_node_by_node_oracle_on_random_trees(small_target):
             seed = int(rng.integers(0, 2**32))
             got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             target.passes.clear()
-            out = verify_tree(tree, target, small_target.new_cache(), temperature, got_rng)
+            cache = target.new_cache()
+            out = verify_tree(tree, target, cache, temperature, got_rng)
             path, final = walk_oracle(tree, logits, temperature, ref_rng)
             assert out.accepted == tree.nodes["token"][path].tolist()
             assert out.final_token == final
@@ -360,10 +386,9 @@ def test_walks_match_the_node_by_node_oracle_on_random_trees(small_target):
             assert target.passes == [[paths[r] for r in rows] for rows in want]
             assert out.second_pass == (len(want) == 2)
             assert out.rows == sum(map(len, want))
-            # the commit names tentative rows, over both passes, that hold
-            # the accepted path
+            # the verify commits the accepted path and leaves no tentative rows
             want = [paths[0]] + [paths[1 + i] for i in path]
-            assert [target.rows[r] for r in out.commit_indices] == want
+            assert cache.committed == want and cache.tentative == 0
             assert all(np.array_equal(f, target.by_path[w][:2])
                        for f, w in zip(out.committed_features, want, strict=True))
             deep += len(path) >= 2
@@ -378,14 +403,16 @@ def test_walks_match_the_node_by_node_oracle_on_random_trees(small_target):
 
 # ------------------------------------------- split passes, bit for bit
 
-def assert_split_passes_match_one_pass(target, cache, tokens, parents, depths):
+def assert_split_passes_match_one_pass(target, cache, tokens, parents, depths, monkeypatch):
     """The passes verify_tree splits a tree into give every row the bits of
     one pass over the whole tree: the first pass over row 0 and every row
     with a child, the greedy first pass over the path from row 0 to each
     leaf, a causal pass, and, for every other row v, a pass over v's
-    subtree appended after the tentative rows, under v's ancestors among
-    the first pass's rows.  The rows are a tree in verify's layout (row 0
-    the root); returns the number of subtree passes."""
+    subtree after v's ancestors are committed from the first pass's rows,
+    on a copy of the cache.  A subtree pass builds a ``tree_groups`` index
+    unless the subtree is one row or a chain, a causal pass.  The rows are
+    a tree in verify's layout (row 0 the root); returns the number of
+    causal and of gathered subtree passes."""
     tokens, parents, depths = (np.asarray(c) for c in (tokens, parents, depths))
     logits, features = target.forward_tree_kv(cache, tokens, parents, depths)
     _, subtree, _ = split_oracle(parents, depths)
@@ -394,16 +421,26 @@ def assert_split_passes_match_one_pass(target, cache, tokens, parents, depths):
     got = target.forward_tree_kv(cache, tokens[inner], [new.get(p, -1) for p in parents[inner]],
                                  depths[inner])
     assert np.array_equal(got[0], logits[inner]) and np.array_equal(got[1], features[inner])
+    built, build = [], sdlab.target.tree_groups
+    monkeypatch.setattr(sdlab.target, "tree_groups", lambda *a: built.append(a) or build(*a))
+    causal = 0
     for v in range(1, len(tokens)):
         anc = [int(parents[v])]
         while anc[0] > 0:
             anc.insert(0, int(parents[anc[0]]))
         sub = subtree[v]
         local = {r: k for k, r in enumerate(sub)}
-        got = target.forward_tree_kv(cache, tokens[sub], [local.get(p, -1) for p in parents[sub]],
-                                     depths[sub], [new[a] for a in anc])
+        after = copy.deepcopy(cache)
+        after.commit_rows([new[a] for a in anc])
+        built.clear()
+        got = target.forward_tree_kv(after, tokens[sub], [local.get(p, -1) for p in parents[sub]],
+                                     depths[sub] - len(anc))
         assert np.array_equal(got[0], logits[sub]) and np.array_equal(got[1], features[sub])
-    # last, as each replaces the tentative rows the subtree passes hang under
+        chain = depths[sub[-1]] - depths[v] == len(sub) - 1
+        assert (built == []) == chain
+        causal += chain
+    monkeypatch.setattr(sdlab.target, "tree_groups", build)
+    # last, as each replaces the first pass's tentative rows
     for leaf in (r for r in range(len(tokens)) if len(subtree[r]) == 1):
         path = [leaf]
         while path[0] > 0:
@@ -411,11 +448,11 @@ def assert_split_passes_match_one_pass(target, cache, tokens, parents, depths):
         got = target.forward_tree_kv(cache, tokens[path], np.arange(-1, len(path) - 1),
                                      depths[path])
         assert np.array_equal(got[0], logits[path]) and np.array_equal(got[1], features[path])
-    return len(tokens) - 1
+    return causal, len(tokens) - 1 - causal
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_split_passes_match_one_pass_on_random_trees(seed):
+def test_split_passes_match_one_pass_on_random_trees(seed, monkeypatch):
     # contexts past 128 columns, where attention reads several padded blocks
     target = init_target(TargetConfig(), seed=0)
     rng = np.random.default_rng(seed)
@@ -423,13 +460,14 @@ def test_split_passes_match_one_pass_on_random_trees(seed):
     target.prefill(cache, rng.integers(0, 64, int(rng.integers(129, 200))).tolist())
     m = int(rng.integers(20, 120))
     parents, depth = random_tree(rng, m, p_child=rng.uniform(0.6, 1.0))
-    assert assert_split_passes_match_one_pass(
+    causal, gathered = assert_split_passes_match_one_pass(
         target, cache, rng.integers(0, 64, m + 1), np.concatenate(([-1], parents + 1)),
-        np.concatenate(([0], depth + 1))) > 1
+        np.concatenate(([0], depth + 1)), monkeypatch)
+    assert causal > 1 and gathered > 0
 
 
 @pytest.mark.parametrize("temperature", [0.0, 1.0])
-def test_split_passes_match_one_pass_on_grown_jakiro_trees(temperature):
+def test_split_passes_match_one_pass_on_grown_jakiro_trees(temperature, monkeypatch):
     target, draft = build_models(RunConfig())
     rng = np.random.default_rng(5)
     for n in (12, 140):
@@ -440,7 +478,9 @@ def test_split_passes_match_one_pass_on_grown_jakiro_trees(temperature):
         sess.prefill(prompt[1:-1], feats[:-1])
         tree = grow_moe_tree(sess, feats[-1], prompt[-1], 5, 2, parallel=True, beam=16,
                              temperature=temperature, rng=rng, context_len=cache.length)
-        assert assert_split_passes_match_one_pass(target, cache, *tree_columns(tree)) > 1
+        causal, gathered = assert_split_passes_match_one_pass(
+            target, cache, *tree_columns(tree), monkeypatch)
+        assert causal > 1 and gathered > 0
 
 
 # Hand-built trees in verify's layout, (parents, depths, h): the rows with a
@@ -518,10 +558,11 @@ LIKELY_PATHS = {
 
 
 @pytest.mark.parametrize("name", LIKELY_PATHS)
-def test_a_greedy_first_pass_is_the_likely_path(small_target, name):
+def test_a_greedy_first_pass_is_the_likely_path(name):
     triples, cum, next_token, passes, accepted, final = LIKELY_PATHS[name]
     tree, target, paths = scripted_tree(triples, cum, next_token)
-    out = verify_tree(tree, target, small_target.new_cache(), 0.0, None)
+    cache = target.new_cache()
+    out = verify_tree(tree, target, cache, 0.0, None)
     assert target.passes == [[paths[r] for r in rows] for rows in passes]
     assert (out.accepted, out.final_token) == (accepted, final)
     assert out.rows == sum(map(len, passes)) and out.second_pass == (len(passes) == 2)
@@ -529,8 +570,8 @@ def test_a_greedy_first_pass_is_the_likely_path(small_target, name):
     path, want = walk_oracle(tree, np.stack([target.by_path[p] for p in paths]), 0.0, None)
     assert (tree.nodes["token"][path].tolist(), want) == (accepted, final)
     assert expected_passes(tree, path, 0.0) == passes
-    assert [target.rows[r] for r in out.commit_indices] == [(7, *accepted[:k]) for k in
-                                                             range(len(accepted) + 1)]
+    assert cache.committed == [(7, *accepted[:k]) for k in range(len(accepted) + 1)]
+    assert cache.tentative == 0
 
 
 def test_a_greedy_jakiro_verify_gathers_nothing_in_its_first_pass(monkeypatch):
@@ -563,6 +604,65 @@ def test_a_greedy_jakiro_verify_gathers_nothing_in_its_first_pass(monkeypatch):
             passes.clear()
             verify_tree(tree, target, cache, temperature, rng)
             assert passes[0] == want, temperature
+
+
+# ------------------------------ the commit contract, in real decodes
+
+# the forms a verify takes at each temperature: a chain's one pass; a
+# branching tree's first pass alone (the likely path at T=0, the split
+# above); and a second pass, causal over a leaf or a chain subtree, else
+# gathered
+VERIFY_FORMS = {0.0: {"chain", "path", "causal pass 2", "gathered pass 2"},
+                1.0: {"chain", "split", "causal pass 2", "gathered pass 2"}}
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0])
+def test_every_verify_leaves_the_cache_a_prefill_of_the_accepted_stream(monkeypatch,
+                                                                        temperature):
+    # after each verify of a decode the target cache holds, bit for bit,
+    # what a fresh prefill of the prompt, the tokens emitted before the
+    # round and the round's accepted nodes holds, with no tentative rows;
+    # a vocab of 8 makes acceptance common, so every form is reached
+    base = RunConfig(temperature=temperature, vocab=8, gamma=3, beam=4, max_new=16, seed=3)
+    built, forms, verify = [], set(), sdlab.bench.verify_tree
+    build = sdlab.target.tree_groups
+    monkeypatch.setattr(sdlab.target, "tree_groups", lambda *a: built.append(a) or build(*a))
+    for method in sdlab.bench.TREES:
+        cfg = dataclasses.replace(base, method=method)
+        target, draft = build_models(cfg)
+        forward, passes = target.forward_tree_kv, []
+
+        def counted(*a, **kw):
+            before = len(built)
+            out = forward(*a, **kw)
+            passes.append(len(built) > before)
+            return out
+
+        monkeypatch.setattr(target, "forward_tree_kv", counted)
+        stream = []  # the prompt and every token emitted so far
+
+        def checked(tree, target, cache, temp, rng):
+            passes.clear()
+            out = verify(tree, target, cache, temp, rng)
+            seq = stream + out.accepted
+            fresh = target.new_cache()
+            target.prefill(fresh, seq)
+            assert cache_bytes(cache) == cache_bytes(fresh) and cache.tentative == 0
+            stream[:] = seq + [out.final_token]
+            if tree.nodes["depth"][-1] == len(tree.nodes):
+                forms.add("chain")
+            elif out.second_pass:
+                forms.add("gathered pass 2" if passes[1] else "causal pass 2")
+            else:
+                forms.add("path" if temp == 0.0 else "split")
+            return out
+
+        monkeypatch.setattr(sdlab.bench, "verify_tree", checked)
+        rng = np.random.default_rng(cfg.seed)
+        for prompt in make_prompts(cfg):
+            stream[:] = prompt
+            decode_prompt(target, draft, cfg, prompt, rng)
+    assert forms == VERIFY_FORMS[temperature]
 
 
 # ---------------------------- the real sampling walk, enumerated exactly
@@ -627,7 +727,7 @@ class WalkLaw:
         while stack:
             script, w = stack.pop()
             rng = self.rng = BranchingRng(script)
-            out = verify_tree(tree, target, KvCache(1, 1), temperature, rng)
+            out = verify_tree(tree, target, target.new_cache(), temperature, rng)
             assert len(rng.cuts) == rng.draws  # one use per uniform
             if rng.draws > len(script):
                 stack += [(script + ((lo + hi) / 2,), w * (hi - lo))
@@ -699,7 +799,8 @@ class TestWalkMechanics:
         tok = int(np.argmax(p))
         tree = star_tree([tok], [p], pending, cache.length)
         for u in (0.0, 0.3, 0.999):
-            outcome = verify_tree(tree, small_target, cache, 1.0, ScriptedRng([u, 0.5]))
+            outcome = verify_tree(tree, small_target, clone_cache(cache), 1.0,
+                                  ScriptedRng([u, 0.5]))
             assert outcome.accepted == [tok]
 
     def test_forced_rejection_resamples_from_residual(self, small_target):
@@ -742,19 +843,19 @@ class TestWalkMechanics:
         assert outcome.accepted == []
         assert outcome.final_token == int(np.searchsorted(np.cumsum(p), u1, side="right"))
 
-    def test_cache_untouched_and_commit_indices(self, small_target, small_draft):
+    def test_verify_commits_the_accepted_path(self, small_target, small_draft):
+        # the pending token and the accepted nodes end committed, as a
+        # prefill of them leaves them, with no tentative rows
         cache = small_target.new_cache()
         feats = [small_target.forward_cached(cache, t).feature for t in [1, 2]]
         sess = DraftSession(small_draft)
         tree = grow_static_tree(sess, feats[-1], 3, 2, 2, context_len=cache.length)
-        before = cache_bytes(cache)
         outcome = verify_tree(tree, small_target, cache, 0.0, None)
-        assert cache_bytes(cache) == before
-        assert outcome.commit_indices[0] == 0
-        assert len(outcome.commit_indices) == 1 + len(outcome.accepted)
-        assert len(outcome.committed_features) == len(outcome.commit_indices)
-        cache.commit_rows(outcome.commit_indices)
-        assert cache.length == 2 + len(outcome.commit_indices)
+        assert len(outcome.committed_features) == 1 + len(outcome.accepted)
+        assert cache.length == 3 + len(outcome.accepted) and cache.tentative == 0
+        fresh = small_target.new_cache()
+        small_target.prefill(fresh, [1, 2, 3] + outcome.accepted)
+        assert cache_bytes(cache) == cache_bytes(fresh)
 
     def test_greedy_perfect_draft_accepts_full_path(self, small_target):
         # a tree holding the target's own greedy continuation is fully accepted
@@ -765,15 +866,16 @@ class TestWalkMechanics:
         for t in prompt[:-1]:
             small_target.forward_cached(cache, t)
         tree = chain_tree(greedy[:gamma], np.full(V, 1.0 / V), prompt[-1], cache.length)
+        seq = clone_cache(cache)
         outcome = verify_tree(tree, small_target, cache, 0.0, None)
         assert outcome.accepted == greedy[:gamma]
         assert outcome.final_token == greedy[gamma]
         assert len(outcome.accepted) + 1 == gamma + 1  # tau = gamma + 1 this round
         # the committed rows carry the features of decoding them one by one
-        seq = clone_cache(cache)
         want = [small_target.forward_cached(seq, t).feature for t in prompt[-1:] + greedy[:gamma]]
         assert len(outcome.committed_features) == gamma + 1
         assert all(np.array_equal(f, w) for f, w in zip(outcome.committed_features, want))
+        assert cache_bytes(cache) == cache_bytes(seq) and cache.tentative == 0
 
     def test_greedy_uniform_draft_tau_near_one(self):
         # chains of token 0 against a vocab-64 target: tau stays in [1, 1.2]
@@ -808,10 +910,10 @@ class TestWalkMechanics:
             return (out.accepted == tree.nodes["token"][path].tolist() and out.final_token == final
                     and np.array_equal(out.committed_features, features[rows]))
 
-        greedy = verify_tree(tree, small_target, cache, 0.0, None)  # no rng needed
+        greedy = verify_tree(tree, small_target, clone_cache(cache), 0.0, None)  # no rng needed
         assert walked(greedy, *walk_oracle(tree, logits, 0.0, None))
         rng, ref = np.random.default_rng(3), np.random.default_rng(3)
-        sampled = verify_tree(tree, small_target, cache, 0.6, rng)
+        sampled = verify_tree(tree, small_target, clone_cache(cache), 0.6, rng)
         assert walked(sampled, *walk_oracle(tree, logits, 0.6, ref))
         assert rng.bit_generator.state == ref.bit_generator.state
         for bad in (-0.5, float("nan")):
@@ -835,7 +937,8 @@ class TestWalkMechanics:
             with pytest.raises(ValueError, match=why):
                 verify_tree(tree, small_target, cache, 1.0, ScriptedRng([0.0, 0.5]))
             assert cache_bytes(cache) == before
-            assert verify_tree(tree, small_target, cache, 0.0, None).accepted == [int(p.argmax())]
+            assert verify_tree(tree, small_target, clone_cache(cache), 0.0,
+                               None).accepted == [int(p.argmax())]
 
     def test_a_branching_verify_checks_its_tree_once(self, small_target, monkeypatch):
         # a star of two leaves whose first is the target argmax and whose
