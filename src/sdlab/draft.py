@@ -9,12 +9,16 @@ with its router scores and active experts.  Logits come from three heads
 over those features, each computed only when a grower reads it:
 ``branch_logits`` (both branches, each scaled by its router score),
 ``mixture_logits`` and ``contrast_logits`` (beta * f_top1 - alpha * f_top2,
-with the learned scalars beta and alpha).
+with the learned scalars beta and alpha); the trainer's loss reads the
+last two heads' features, ``mixture_feature`` and ``contrast_feature``.
 
 Every draft forward goes through one row kernel that takes m rows at once:
 ``_kv_rows`` (embedding, reduction, norm and one fused q/k/v projection),
 then attention over each row's own context (``target.attend``), then
-``_out_rows`` (routing and experts).  A ``DraftSession`` owns a prompt's
+``_out_rows``: the expert layer (``_expert_rows``), then routing and the
+mixture (``_route``).  Teacher-forced training runs the same kernel over a
+batch of sequences and reads the intermediates its halves return
+(``train._forward``).  A ``DraftSession`` owns a prompt's
 cache, whose committed rows sit at positions 1 onward: a round's first
 pass commits its backlog rows in one call (one token is one sequential
 step), a tree level is one call over all its rows, and prefill needs only
@@ -46,7 +50,7 @@ single step.
 Parameters live in a dict of float64 arrays in the layout the row kernel
 reads: q, k and v fused as one (3 dim, dim) weight ``wqkv`` stacked by
 rows, and every expert's w1 and w2 stacked along a leading expert axis.
-The trainer and the optimizer read the same arrays.  ``param_blocks``
+The optimizer updates the same arrays in place.  ``param_blocks``
 lists them as the checkpoint's blocks, in file order.
 """
 
@@ -122,10 +126,13 @@ class DraftModel:
         return self.config.dim
 
     def _kv_rows(self, tokens, positions, prev_features):
-        """First half of the row kernel: the reduced rows x and their q, k, v.
+        """First half of the row kernel: the input rows z (embedding plus
+        position, then the fed feature), the reduced rows x, their norm a,
+        and q, k, v.
 
         Row i is token tokens[i] at position positions[i], fed the feature
-        prev_features[i] of the step before it.
+        prev_features[i] of the step before it.  Decoding reads x, q, k and
+        v; the trainer's backward reads z and a too.
         """
         cfg = self.config
         p = self.params
@@ -142,30 +149,43 @@ class DraftModel:
             bad = (tok < 0) | (tok >= cfg.vocab)
             raise ValueError(f"token {tokens[int(np.argmax(bad))]} out of vocab range [0, {cfg.vocab})")
         e = self.emb.take(tok, 0) + sinusoid_positions(positions, cfg.dim)
-        x = row_linear(p["reduction"], np.concatenate((e, feats), axis=1))
-        qkv = row_linear(p["wqkv"], layer_norm(x, p["ln1_g"], p["ln1_b"]))
+        z = np.concatenate((e, feats), axis=1)
+        x = row_linear(p["reduction"], z)
+        a = layer_norm(x, p["ln1_g"], p["ln1_b"])
+        qkv = row_linear(p["wqkv"], a)
         d = cfg.dim
-        return x, qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
+        return z, x, a, qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
 
-    def _out_rows(self, x, att) -> DraftStepOutput:
-        """Second half of the row kernel: the step outputs of the rows of x,
-        given their attention outputs att, stacked along a leading row axis.
-
-        The router picks each row's experts.  Every expert runs on every
-        row, each projection one stacked matmul whose (expert, row) entries
-        are the matrix-vector products a lone row gets; the gated mixture
-        adds a row's chosen experts in ascending order.  One row adds them
-        one by one; more rows add an expert a row did not choose as -0.0.
+    def _expert_rows(self, x, att):
+        """The expert layer of the rows x, given their attention outputs
+        att: the residual u, its norm v_in, the router softmax scores, and
+        every expert's hidden layer, activation and output on every row as
+        (experts, rows, ...), each projection one stacked matmul whose
+        (expert, row) entries are the matrix-vector products a lone row gets.
         """
-        cfg = self.config
         p = self.params
         u = x + row_linear(p["wo"], att)
         v_in = layer_norm(u, p["ln2_g"], p["ln2_b"])
-        # the router: a row softmax and the active_k best experts, ties to the lower index
         scores = softmax(row_linear(p["router"], v_in))
         hidden = (p["w1"][:, None] @ v_in[None, :, :, None])[..., 0]
-        expert_out = (p["w2"][:, None] @ silu(hidden)[..., None])[..., 0]  # (N, m, dim)
-        m = x.shape[0]
+        act = silu(hidden)
+        expert_out = (p["w2"][:, None] @ act[..., None])[..., 0]
+        return u, v_in, scores, hidden, act, expert_out
+
+    def _out_rows(self, x, att) -> DraftStepOutput:
+        """Second half of the row kernel: the step outputs of the rows of x,
+        given their attention outputs att, stacked along a leading row axis."""
+        u, _, scores, _, _, expert_out = self._expert_rows(x, att)
+        return self._route(u, scores, expert_out)
+
+    def _route(self, u, scores, expert_out) -> DraftStepOutput:
+        """The step outputs of rows whose expert layer gave u, scores and
+        expert_out: each row's active_k best experts, ties to the lower
+        index, and the gated mixture of them in ascending order.  One row
+        adds them one by one; more rows add an expert a row did not choose
+        as -0.0."""
+        cfg = self.config
+        m = u.shape[0]
         if m == 1:
             # Python's sort is stable, and reverse keeps equal scores in index order
             s = scores[0].tolist()
@@ -206,21 +226,31 @@ class DraftModel:
         np.multiply(s[..., -1:], step.feature_top2, out=f[..., 1, :])
         return row_linear(self.head, f.reshape(-1, self.dim)).reshape(*f.shape[:-1], self.vocab)
 
-    def contrast_logits(self, step: DraftStepOutput) -> np.ndarray:
-        """Contrast head beta * f_top1 - alpha * f_top2 of a step or of each row
-        of a stack, with the learned scalars beta and alpha."""
+    def contrast_feature(self, step: DraftStepOutput) -> np.ndarray:
+        """The contrast head's feature beta * f_top1 - alpha * f_top2 of a
+        step or of each row of a stack, with the learned scalars beta and
+        alpha."""
         if step.active_k < 2:
             raise ValueError("contrastive branch requires two active experts")
         beta, alpha = float(self.params["beta"]), float(self.params["alpha"])
-        return self._head(beta * step.feature_top1 - alpha * step.feature_top2)
+        return beta * step.feature_top1 - alpha * step.feature_top2
+
+    def contrast_logits(self, step: DraftStepOutput) -> np.ndarray:
+        """LM head of ``contrast_feature``."""
+        return self._head(self.contrast_feature(step))
+
+    def mixture_feature(self, step: DraftStepOutput) -> np.ndarray:
+        """The single-distribution feature of a step (or of each row of a
+        stack): the score-weighted branch mixture, or the gated feature
+        when K=1."""
+        if step.active_k < 2:
+            return step.feature_moe
+        s = step.branch_scores
+        return s[..., :1] * step.feature_top1 + s[..., 1:] * step.feature_top2
 
     def mixture_logits(self, step: DraftStepOutput) -> np.ndarray:
-        """Single-distribution view of a step (or of each row of a stack): the
-        score-weighted branch mixture, or the gated feature when K=1."""
-        if step.active_k < 2:
-            return self._head(step.feature_moe)
-        s = step.branch_scores
-        return self._head(s[..., :1] * step.feature_top1 + s[..., 1:] * step.feature_top2)
+        """LM head of ``mixture_feature``."""
+        return self._head(self.mixture_feature(step))
 
 
 class DraftSession:
@@ -241,7 +271,7 @@ class DraftSession:
         if len(tokens) != len(prev_features):
             raise ValueError("tokens/prev_features length mismatch")
         n, pos = len(tokens), self.cache.length + 1
-        x, q, k, v = self.model._kv_rows(tokens, range(pos, pos + n), prev_features)
+        _, x, _, q, k, v = self.model._kv_rows(tokens, range(pos, pos + n), prev_features)
         keys, values = self.cache.scratch(0, 0, k, v)
         self.cache.commit_rows(range(n))
         return x[-1:], q[-1:], keys, values
@@ -300,7 +330,7 @@ class DraftSession:
         c = self.cache.length
         H = self.model.config.n_heads
         ids = np.arange(t, t + m)
-        x, q, k, v = self.model._kv_rows(tokens, [c + 1 + anc.shape[1]] * m, prev_features)
+        _, x, _, q, k, v = self.model._kv_rows(tokens, [c + 1 + anc.shape[1]] * m, prev_features)
         keys, values = self.cache.scratch(0, t, k, v)
         if causal:
             att = attend(q, keys, values, H, c + t)

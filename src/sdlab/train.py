@@ -1,25 +1,29 @@
 """Distillation of the draft model from a frozen target.
 
-The teacher-forced training pass is a batched re-implementation of the draft
-step (verified against the sequential path by tests); gradients are written
-by hand and audited with central differences.  It reads and updates the
-draft's own parameter arrays, the ones its row kernel decodes with, and
-runs one GEMM per checkpoint block on views of them (q, k and v each on
-their row block of ``wqkv``, each expert on its slice of ``w1``/``w2``).
-The objective combines two feature-regression terms and two
-classification terms:
+The teacher-forced training pass runs the draft's decode row kernel
+(``DraftModel._kv_rows``, ``attn_row``, ``_expert_rows`` and ``_route``)
+over every step of a batch at once and reads the features of the heads
+decoding reads (``mixture_feature``, ``contrast_feature``), so each feature
+and distribution the loss reads is bit for bit the one decoding computes
+(tests check it).  Gradients are written by hand and audited with central
+differences.  The backward reads the row kernel's intermediates and
+recomputes only the attention weights and layer norm statistics; each
+weight gradient is one matmul over the flattened rows, on the draft's own
+parameter layout.  The objective combines two feature-regression terms and
+two classification terms:
 
-    total = reg_moe + w_cls_moe * cls_moe + reg_const + w_cls_const * cls_const
+    total = reg_moe + W_CLS_MOE * cls_moe + reg_const + W_CLS_CONST * cls_const
 
 where the mixture branch predicts one step ahead and the contrast branch two
 steps ahead.  Every sequence of a batch is full length, so the contrast
 terms cover all but each sequence's last step, which has no target two
-tokens out.
+tokens out; a draft with one active expert has no contrast head, and its
+contrast terms are 0.
 The regression terms are smooth L1 with beta SMOOTH_L1_BETA.  Each step is
 one in-place Adam update (ADAM_BETA1, ADAM_BETA2) of the gradient clipped
 to global norm GRAD_CLIP, the norm summed block by block in checkpoint
-order (``draft.param_blocks``); a TrainConfig sets the two classification
-weights, the learning rate, the batch size and the seed.
+order (``draft.param_blocks``); a TrainConfig sets the learning rate, the
+batch size and the seed.
 """
 
 from __future__ import annotations
@@ -30,12 +34,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .draft import DraftModel, param_blocks
-from .kernels import LN_EPS, LOG_CLAMP, row_linear, silu, silu_grad, sinusoid_positions, softmax
+from .kernels import (LN_EPS, LOG_CLAMP, attn_row, context_heads, padded, row_linear, silu_grad,
+                      softmax)
 from .target import TargetModel
 
 MAGIC_CORPUS = b"SDFC"
 
 
+W_CLS_MOE = 0.1        # weight of the mixture branch's classification term
+W_CLS_CONST = 0.05     # weight of the contrast branch's classification term
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.95
 GRAD_CLIP = 0.5        # bound on the global gradient norm of one step
@@ -44,8 +51,6 @@ SMOOTH_L1_BETA = 1.0   # the regression terms are quadratic inside |diff| < beta
 
 @dataclass(frozen=True)
 class TrainConfig:
-    w_cls_moe: float = 0.1
-    w_cls_const: float = 0.05
     lr: float = 1e-3
     batch_size: int = 16
     seed: int = 0
@@ -139,214 +144,175 @@ def load_corpus(path: str, target: TargetModel) -> TrainBatch:
     return TrainBatch(tokens=tokens, features=feats, probs=probs)
 
 
-def _ln_forward(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
-    return g * xhat + b, (xhat, inv, g)
-
-
-def _ln_backward(dy, cache):
-    xhat, inv, g = cache
-    dg = (dy * xhat).reshape(-1, dy.shape[-1]).sum(axis=0)
-    db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+def _ln_backward(dy, x, g):
+    """Gradients of ``layer_norm(x, g, b)`` rows with respect to x, g and b,
+    given dy; the statistics of x are recomputed in batched form."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LN_EPS)
+    xhat = xc * inv
     dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
-    return dx, dg, db
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return dx, (dy * xhat).sum(axis=0), dy.sum(axis=0)
 
 
-def _forward(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
-    """Teacher-forced batched pass; returns losses, breakdown and the stash
-    the backward pass needs."""
-    p = model.params
+def _smooth_l1(diff):
+    """Smooth L1 of pred - target rows, averaged over the feature and summed
+    over the rows."""
+    ad = np.abs(diff)
+    b = SMOOTH_L1_BETA
+    return float(np.where(ad < b, 0.5 * ad * ad / b, ad - 0.5 * b).mean(axis=-1).sum())
+
+
+def _cross_entropy(qpred, ptgt):
+    """-sum(p * log(max(q, clamp))), summed over the rows."""
+    return float(-(ptgt * np.log(np.maximum(qpred, LOG_CLAMP))).sum())
+
+
+def _forward(model: DraftModel, batch: TrainBatch):
+    """Teacher-forced pass of every sequence of a batch through the draft's
+    row kernel; returns the loss, its breakdown and the stash the backward
+    pass reads.
+
+    Row s of sequence b is the draft step that decode's ``begin_round``
+    takes on the sequence's prefix: token s + 1 at position s + 1, fed the
+    target's feature of token s.  The B·(T-1) rows share one ``_kv_rows``
+    call, one causal attention call and one ``_expert_rows`` call; each
+    sequence's keys and values are padded to padded(T - 1) columns of zeros,
+    and row s reads its first s + 1, so every row, feature and distribution
+    is bit for bit the decode step's (kernels.py).
+    """
     mc = model.config
     B, T = batch.tokens.shape
     if T < 2:
         raise ValueError("sequence shorter than 2")
-    if mc.n_experts < 2:
-        raise ValueError(f"training needs n_experts >= 2 for its two expert branches, "
-                         f"got {mc.n_experts}")
-    S = T - 1
-    d, H, N = mc.dim, mc.n_heads, mc.n_experts
-    dh = d // H
-
-    tok_in = batch.tokens[:, 1:]
-    feat_in = batch.features[:, :-1]
-    e_in = model.emb[tok_in] + sinusoid_positions(range(1, T), d)[None]
-    z = np.concatenate((e_in, feat_in), axis=-1)
-    h = z @ p["reduction"].T
-    a_in, ln1c = _ln_forward(h, p["ln1_g"], p["ln1_b"])
-    q, k, v = ((a_in @ w.T).reshape(B, S, H, dh).transpose(0, 2, 1, 3)
-               for w in np.split(p["wqkv"], 3))
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
-    tril = np.tril(np.ones((S, S), dtype=bool))
-    scores = np.where(tril[None, None], scores, -1e30)
-    P = softmax(scores)
-    att = (P @ v).transpose(0, 2, 1, 3).reshape(B, S, d)
-    u = h + att @ p["wo"].T
-    v_in, ln2c = _ln_forward(u, p["ln2_g"], p["ln2_b"])
-    rl = v_in @ p["router"].T
-    s = softmax(rl)
-    order = np.argsort(-s, axis=-1, kind="stable")
-    i1, i2 = order[..., 0], order[..., 1]
-    hid = np.stack([v_in @ p["w1"][j].T for j in range(N)], axis=2)   # (B,S,N,he)
-    act = silu(hid)
-    eout = np.stack([act[:, :, j] @ p["w2"][j].T for j in range(N)], axis=2)  # (B,S,N,d)
-    e1 = np.take_along_axis(eout, i1[..., None, None], axis=2)[:, :, 0]
-    e2 = np.take_along_axis(eout, i2[..., None, None], axis=2)[:, :, 0]
-    s1 = np.take_along_axis(s, i1[..., None], axis=-1)[..., 0]
-    s2 = np.take_along_axis(s, i2[..., None], axis=-1)[..., 0]
-    f1 = e1 + u
-    f2 = e2 + u
-    mix = s1[..., None] * f1 + s2[..., None] * f2
-    beta = float(p["beta"])
-    alpha = float(p["alpha"])
-    fc = beta * f1 - alpha * f2
-    lm = mix @ model.head.T
-    lc = fc @ model.head.T
-    qm = softmax(lm)
-    qc = softmax(lc)
-
-    # targets: the mixture's at each of the S steps, the contrast head's at all but the last
-    n_moe = B * S
-    n_const = B * (S - 1)
-
-    slb = SMOOTH_L1_BETA
-    tgt_mf = batch.features[:, 1:]
-    diff_m = mix - tgt_mf
-    ad = np.abs(diff_m)
-    per_m = np.where(ad < slb, 0.5 * ad * ad / slb, ad - 0.5 * slb).mean(axis=-1)
-    reg_moe = float(per_m.sum() / n_moe)
-
-    tgt_mp = batch.probs[:, 1:]
-    ce_m = -(tgt_mp * np.log(np.maximum(qm, LOG_CLAMP))).sum(axis=-1)
-    cls_moe = float(ce_m.sum() / n_moe)
-
-    if n_const > 0:
-        tgt_cf = batch.features[:, 2:]
-        diff_c = fc[:, : S - 1] - tgt_cf
-        adc = np.abs(diff_c)
-        per_c = np.where(adc < slb, 0.5 * adc * adc / slb, adc - 0.5 * slb).mean(axis=-1)
-        reg_const = float(per_c.sum() / n_const)
-        tgt_cp = batch.probs[:, 2:]
-        ce_c = -(tgt_cp * np.log(np.maximum(qc[:, : S - 1], LOG_CLAMP))).sum(axis=-1)
-        cls_const = float(ce_c.sum() / n_const)
-    else:
-        reg_const = 0.0
-        cls_const = 0.0
-
-    total = reg_moe + cfg.w_cls_moe * cls_moe + reg_const + cfg.w_cls_const * cls_const
-    breakdown = {
-        "reg_moe": reg_moe,
-        "cls_moe": cls_moe,
-        "reg_const": reg_const,
-        "cls_const": cls_const,
-        "total": total,
-    }
-    stash = dict(
-        B=B, S=S, d=d, H=H, dh=dh, N=N, z=z, h=h, a_in=a_in, ln1c=ln1c,
-        q=q, k=k, v=v, P=P, att=att, u=u, v_in=v_in, ln2c=ln2c, s=s,
-        i1=i1, i2=i2, hid=hid, act=act, e1=e1, e2=e2, s1=s1, s2=s2,
-        f1=f1, f2=f2, mix=mix, fc=fc, qm=qm, qc=qc, beta=beta, alpha=alpha,
-        n_moe=n_moe, n_const=n_const,
-        diff_m=diff_m, tgt_mp=tgt_mp,
-    )
-    if n_const > 0:
-        stash["diff_c"] = diff_c
-        stash["tgt_cp"] = tgt_cp
-    return total, breakdown, stash
+    S, d, H = T - 1, mc.dim, mc.n_heads
+    M = B * S
+    z, x, a, q, k, v = model._kv_rows(batch.tokens[:, 1:].ravel(), np.tile(np.arange(1, T), B),
+                                      batch.features[:, :-1].reshape(M, d))
+    kv = np.zeros((2, B, padded(S), d))
+    kv[0, :, :S] = k.reshape(B, S, d)
+    kv[1, :, :S] = v.reshape(B, S, d)
+    att = attn_row(q.reshape(B, S, H, d // H), context_heads(kv[0], H)[:, None],
+                   context_heads(kv[1], H)[:, None], np.arange(1, T)[:, None]).reshape(M, d)
+    u, v_in, scores, hidden, act, expert_out = model._expert_rows(x, att)
+    step = model._route(u, scores, expert_out)
+    mix = model.mixture_feature(step)
+    qm = softmax(model._head(mix))
+    st = dict(B=B, S=S, z=z, x=x, a=a, q=q, k=k, v=v, att=att, u=u, v_in=v_in, scores=scores,
+              hidden=hidden, act=act, expert_out=expert_out, step=step, mix=mix, qm=qm,
+              diff_m=mix - batch.features[:, 1:].reshape(M, d),
+              tgt_mp=batch.probs[:, 1:].reshape(M, -1))
+    breakdown = {"reg_moe": _smooth_l1(st["diff_m"]) / M,
+                 "cls_moe": _cross_entropy(qm, st["tgt_mp"]) / M,
+                 "reg_const": 0.0, "cls_const": 0.0}
+    # the contrast head reads two experts and targets two tokens out: every
+    # step but each sequence's last
+    if mc.active_k >= 2 and S > 1:
+        fc = model.contrast_feature(step).reshape(B, S, d)[:, :-1].reshape(-1, d)
+        n = fc.shape[0]
+        st.update(fc=fc, qc=softmax(model._head(fc)),
+                  diff_c=fc - batch.features[:, 2:].reshape(n, d),
+                  tgt_cp=batch.probs[:, 2:].reshape(n, -1))
+        breakdown["reg_const"] = _smooth_l1(st["diff_c"]) / n
+        breakdown["cls_const"] = _cross_entropy(st["qc"], st["tgt_cp"]) / n
+    total = (breakdown["reg_moe"] + W_CLS_MOE * breakdown["cls_moe"]
+             + breakdown["reg_const"] + W_CLS_CONST * breakdown["cls_const"])
+    breakdown["total"] = total
+    return total, breakdown, st
 
 
-def jakiro_loss(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
+def jakiro_loss(model: DraftModel, batch: TrainBatch):
     """Combined objective and its per-term breakdown."""
-    total, breakdown, _ = _forward(model, batch, cfg)
+    total, breakdown, _ = _forward(model, batch)
     return total, breakdown
 
 
-def _ce_logit_grad(qpred, ptgt):
-    """d/dlogits of -sum(p * log(max(q, clamp))) with q = softmax(logits)."""
-    active = qpred > LOG_CLAMP
-    pa = ptgt * active
-    return qpred * pa.sum(axis=-1, keepdims=True) - pa
+def _head_grad(model, diff, qpred, ptgt, w_cls):
+    """Gradient on a branch's feature of its regression term plus w_cls times
+    its classification term, each averaged over the rows: the element
+    gradient of mean-over-feature smooth L1 at diff = pred - target, and
+    the logit gradient of -sum(p * log(max(q, clamp))), q = softmax(logits),
+    through the head."""
+    n, b = diff.shape[0], SMOOTH_L1_BETA
+    pa = ptgt * (qpred > LOG_CLAMP)
+    dlogits = qpred * pa.sum(axis=-1, keepdims=True) - pa
+    dreg = np.where(np.abs(diff) < b, diff / b, np.sign(diff)) / diff.shape[-1]
+    return dreg / n + (dlogits * (w_cls / n)) @ model.head
 
 
-def _smooth_l1_elem_grad(diff, beta, dim):
-    """Element gradient of mean-over-feature smooth L1, given pred - target."""
-    return np.where(np.abs(diff) < beta, diff / beta, np.sign(diff)) / dim
+def loss_and_grads(model: DraftModel, batch: TrainBatch):
+    """The loss, its breakdown and the gradient of every parameter.
 
+    The backward reads the row kernel's intermediates from the forward and
+    recomputes only the attention weights and the layer norm statistics,
+    in batched form; each weight gradient is one matmul over the flattened
+    rows.
+    """
+    total, breakdown, st = _forward(model, batch)
+    p, mc = model.params, model.config
+    B, S, H, N = st["B"], st["S"], mc.n_heads, mc.n_experts
+    M, d = st["x"].shape
+    dh = d // H
+    step, rows = st["step"], np.arange(M)
+    grads = {}
 
-def loss_and_grads(model: DraftModel, batch: TrainBatch, cfg: TrainConfig):
-    total, breakdown, st = _forward(model, batch, cfg)
-    p = model.params
-    B, S, d, H, dh, N = st["B"], st["S"], st["d"], st["H"], st["dh"], st["N"]
-    slb = SMOOTH_L1_BETA
-    grads = {name: np.zeros_like(a) for name, a in p.items()}
+    # the heads: d(loss) on u, on each expert's output and on the router scores
+    dmix = _head_grad(model, st["diff_m"], st["qm"], st["tgt_mp"], W_CLS_MOE)
+    d_out = np.zeros((N, M, d))
+    d_scores = np.zeros((M, N))
+    i1 = step.top[:, 0]
+    if mc.active_k < 2:
+        # the gated feature u + s1 * e1 of the one chosen expert
+        du = dmix
+        d_out[i1, rows] = step.branch_scores[:, :1] * dmix
+        d_scores[rows, i1] = (dmix * st["expert_out"][i1, rows]).sum(axis=1)
+        grads["beta"], grads["alpha"] = np.zeros(()), np.zeros(())
+    else:
+        # the mixture s1 * f1 + s2 * f2 and the contrast beta * f1 - alpha * f2
+        # of the two best experts, with f = e + u
+        dfc = np.zeros((B, S, d))
+        if "fc" in st:
+            dfc[:, :-1] = _head_grad(model, st["diff_c"], st["qc"], st["tgt_cp"],
+                                     W_CLS_CONST).reshape(B, S - 1, d)
+        dfc = dfc.reshape(M, d)
+        f1, f2, i2 = step.feature_top1, step.feature_top2, step.top[:, 1]
+        s = step.branch_scores
+        df1 = s[:, :1] * dmix + float(p["beta"]) * dfc
+        df2 = s[:, 1:] * dmix - float(p["alpha"]) * dfc
+        du = df1 + df2
+        d_out[i1, rows] = df1
+        d_out[i2, rows] = df2
+        d_scores[rows, i1] = (dmix * f1).sum(axis=1)
+        d_scores[rows, i2] = (dmix * f2).sum(axis=1)
+        grads["beta"], grads["alpha"] = np.array(np.vdot(dfc, f1)), np.array(-np.vdot(dfc, f2))
 
-    dmix = _smooth_l1_elem_grad(st["diff_m"], slb, d) / st["n_moe"]
-    dlm = _ce_logit_grad(st["qm"], st["tgt_mp"]) * (cfg.w_cls_moe / st["n_moe"])
-    dmix = dmix + dlm @ model.head
+    # the router and the experts
+    scores, v_in = st["scores"], st["v_in"]
+    d_router = scores * (d_scores - (d_scores * scores).sum(axis=1, keepdims=True))
+    grads["router"] = d_router.T @ v_in
+    grads["w2"] = d_out.transpose(0, 2, 1) @ st["act"]
+    d_hidden = (d_out @ p["w2"]) * silu_grad(st["hidden"])
+    grads["w1"] = d_hidden.transpose(0, 2, 1) @ v_in
+    dv_in = d_router @ p["router"] + (d_hidden @ p["w1"]).sum(axis=0)
+    du_ln, grads["ln2_g"], grads["ln2_b"] = _ln_backward(dv_in, st["u"], p["ln2_g"])
+    du = du + du_ln
 
-    dfc = np.zeros((B, S, d))
-    if st["n_const"] > 0:
-        dfc_v = _smooth_l1_elem_grad(st["diff_c"], slb, d) / st["n_const"]
-        dlc = _ce_logit_grad(st["qc"][:, : S - 1], st["tgt_cp"]) * (cfg.w_cls_const / st["n_const"])
-        dfc[:, : S - 1] = dfc_v + dlc @ model.head
-
-    f1, f2, s1, s2 = st["f1"], st["f2"], st["s1"], st["s2"]
-    beta, alpha = st["beta"], st["alpha"]
-    df1 = s1[..., None] * dmix + beta * dfc
-    df2 = s2[..., None] * dmix - alpha * dfc
-    ds1 = np.einsum("bsd,bsd->bs", dmix, f1)
-    ds2 = np.einsum("bsd,bsd->bs", dmix, f2)
-    grads["beta"] = np.array(np.einsum("bsd,bsd->", dfc, f1))
-    grads["alpha"] = np.array(-np.einsum("bsd,bsd->", dfc, f2))
-
-    ds = np.zeros((B, S, N))
-    np.put_along_axis(ds, st["i1"][..., None], ds1[..., None], axis=-1)
-    np.put_along_axis(ds, st["i2"][..., None], ds2[..., None], axis=-1)
-    s = st["s"]
-    drl = s * (ds - (ds * s).sum(axis=-1, keepdims=True))
-    dv_in = drl @ p["router"]
-    grads["router"] = np.einsum("bsn,bsd->nd", drl, st["v_in"])
-
-    du = df1 + df2
-    for j in range(N):
-        sel = (st["i1"] == j)[..., None] * df1 + (st["i2"] == j)[..., None] * df2
-        grads["w2"][j] = np.einsum("bsd,bsh->dh", sel, st["act"][:, :, j])
-        dact = sel @ p["w2"][j]
-        dhid = dact * silu_grad(st["hid"][:, :, j])
-        grads["w1"][j] = np.einsum("bsh,bsd->hd", dhid, st["v_in"])
-        dv_in = dv_in + dhid @ p["w1"][j]
-
-    dup, grads["ln2_g"], grads["ln2_b"] = _ln_backward(dv_in, st["ln2c"])
-    du = du + dup
-
-    att = st["att"]
-    datt = du @ p["wo"]
-    grads["wo"] = np.einsum("bsd,bse->de", du, att)
-    dh_ = du.copy()
-    datt_h = datt.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
-    P, q, k, v = st["P"], st["q"], st["k"], st["v"]
-    dP = datt_h @ v.transpose(0, 1, 3, 2)
-    dv_h = P.transpose(0, 1, 3, 2) @ datt_h
-    dscores = P * (dP - (dP * P).sum(axis=-1, keepdims=True))
-    dq_h = dscores @ k / np.sqrt(dh)
-    dk_h = dscores.transpose(0, 1, 3, 2) @ q / np.sqrt(dh)
-    dq = dq_h.transpose(0, 2, 1, 3).reshape(B, S, d)
-    dk = dk_h.transpose(0, 2, 1, 3).reshape(B, S, d)
-    dv = dv_h.transpose(0, 2, 1, 3).reshape(B, S, d)
-    a_in = st["a_in"]
-    wq, wk, wv = np.split(p["wqkv"], 3)
-    da_in = dq @ wq + dk @ wk + dv @ wv
-    grads["wqkv"] = np.concatenate([np.einsum("bsd,bse->de", g, a_in) for g in (dq, dk, dv)])
-
-    dhp, grads["ln1_g"], grads["ln1_b"] = _ln_backward(da_in, st["ln1c"])
-    dh_ = dh_ + dhp
-
-    grads["reduction"] = np.einsum("bsd,bse->de", dh_, st["z"])
+    # attention, its weights recomputed per sequence and head
+    grads["wo"] = du.T @ st["att"]
+    datt = (du @ p["wo"]).reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+    q, k, v = (st[n].reshape(B, S, H, dh).transpose(0, 2, 1, 3) for n in "qkv")
+    logits = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
+    logits[..., np.triu(np.ones((S, S), dtype=bool), 1)] = -np.inf
+    P = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    P /= P.sum(axis=-1, keepdims=True)
+    dP = datt @ v.transpose(0, 1, 3, 2)
+    d_logits = P * (dP - (dP * P).sum(axis=-1, keepdims=True)) / np.sqrt(dh)
+    dqkv = np.concatenate([g.transpose(0, 2, 1, 3).reshape(M, d) for g in (
+        d_logits @ k, d_logits.transpose(0, 1, 3, 2) @ q, P.transpose(0, 1, 3, 2) @ datt)], axis=1)
+    grads["wqkv"] = dqkv.T @ st["a"]
+    dx_ln, grads["ln1_g"], grads["ln1_b"] = _ln_backward(dqkv @ p["wqkv"], st["x"], p["ln1_g"])
+    grads["reduction"] = (du + dx_ln).T @ st["z"]
     return total, breakdown, grads
 
 
@@ -368,7 +334,7 @@ class AdamState:
 def train_step(model: DraftModel, batch: TrainBatch, opt: AdamState, cfg: TrainConfig):
     """One clipped Adam update; raises (leaving params unchanged) on a
     non-finite loss or gradient."""
-    total, breakdown, grads = loss_and_grads(model, batch, cfg)
+    total, breakdown, grads = loss_and_grads(model, batch)
     if not np.isfinite(total):
         raise ValueError("non-finite loss")
     sq = 0.0
@@ -410,7 +376,7 @@ def train_draft(model: DraftModel, corpus: TrainBatch, cfg: TrainConfig, steps: 
     return history
 
 
-def finite_diff_check(model: DraftModel, batch: TrainBatch, cfg: TrainConfig,
+def finite_diff_check(model: DraftModel, batch: TrainBatch,
                       n_coords: int = 64, h: float = 1e-5, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -420,7 +386,7 @@ def finite_diff_check(model: DraftModel, batch: TrainBatch, cfg: TrainConfig,
     if not 1e-6 <= h <= 1e-4:
         raise ValueError("h must lie in [1e-6, 1e-4]")
     rng = np.random.Generator(np.random.PCG64(seed))
-    _, _, grads = loss_and_grads(model, batch, cfg)
+    _, _, grads = loss_and_grads(model, batch)
     blocks, grad_blocks = param_blocks(model.params), param_blocks(grads)
     coords = [(len(blocks) - 2, 0), (len(blocks) - 1, 0)]  # beta, alpha
     total_size = sum(b.size for b in blocks)
@@ -436,9 +402,9 @@ def finite_diff_check(model: DraftModel, batch: TrainBatch, cfg: TrainConfig,
         arr = blocks[i]
         orig = float(arr.flat[flat_idx])
         arr.flat[flat_idx] = orig + h
-        lp, _ = jakiro_loss(model, batch, cfg)
+        lp, _ = jakiro_loss(model, batch)
         arr.flat[flat_idx] = orig - h
-        lm, _ = jakiro_loss(model, batch, cfg)
+        lm, _ = jakiro_loss(model, batch)
         arr.flat[flat_idx] = orig
         numeric = (lp - lm) / (2.0 * h)
         analytic = float(grad_blocks[i].flat[flat_idx])

@@ -143,7 +143,7 @@ def test_criterion_5_moe_routing(target64):
 def test_criterion_6_gradient_audit(target64):
     draft = init_draft(DraftConfig(vocab=64, dim=32), target64, seed=1)
     batch = generate_distillation_corpus(target64, 8, 10, temperature=1.0, seed=6)
-    err = finite_diff_check(draft, batch, TrainConfig(), n_coords=64, h=1e-5, seed=0)
+    err = finite_diff_check(draft, batch, n_coords=64, h=1e-5, seed=0)
     with criterion(6, f"max relative gradient error {err:.2e} < 1e-3 over 64 coordinates"):
         assert err < 1e-3
 
@@ -187,7 +187,7 @@ def test_criterion_8_distillation_efficacy(trained_checkpoint):
 def test_criterion_9_loss_decomposition(target64):
     draft = init_draft(DraftConfig(vocab=64, dim=32), target64, seed=1)
     batch = generate_distillation_corpus(target64, 6, 9, temperature=1.0, seed=9)
-    total, br = jakiro_loss(draft, batch, TrainConfig())
+    total, br = jakiro_loss(draft, batch)
     recombined = br["reg_moe"] + 0.1 * br["cls_moe"] + br["reg_const"] + 0.05 * br["cls_const"]
     with criterion(9, f"total {total:.6f} equals weighted term sum to 1e-12"):
         assert abs(total - recombined) < 1e-12

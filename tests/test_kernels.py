@@ -370,7 +370,6 @@ def test_softmax_checks_every_logit_in_order(shape):
     assert np.array_equal(softmax(np.array([-0.0, -0.0])), [0.5, 0.5])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("shape", [(2,), (3, 9)])
 def test_softmax_raises_when_the_temperature_overflows_the_logits(shape):
     # 1 / 1e-310 overflows a float: the scaled logits would reach +-inf and

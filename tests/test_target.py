@@ -171,7 +171,6 @@ class TestDecode:
             model.autoregressive_decode([1, 2, 3], 4, temperature=float("nan"))
         assert prefills == [] and all(c.length == 0 for c in caches)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_a_temperature_that_overflows_the_logits_raises(self, model):
         # before, T=1e-310 gave NaN probabilities and emitted token 0 every step
         with pytest.raises(ValueError, match="temperature 1e-310 overflows"):

@@ -6,12 +6,15 @@ import struct
 import numpy as np
 import pytest
 
-from sdlab.draft import DraftConfig, DraftSession, init_draft, save_draft
+import sdlab.train
+from sdlab.draft import DraftConfig, DraftSession, init_draft, load_draft, save_draft
 from sdlab.kernels import softmax
 from sdlab.target import TargetConfig, init_target
 from sdlab.train import (
     ADAM_BETA1,
     GRAD_CLIP,
+    W_CLS_CONST,
+    W_CLS_MOE,
     TrainBatch,
     TrainConfig,
     AdamState,
@@ -99,19 +102,21 @@ class TestCorpus:
 class TestLoss:
     def test_decomposition_identity(self, target, corpus):
         draft = fresh_draft(target)
-        cfg = TrainConfig()
-        total, br = jakiro_loss(draft, corpus.take(np.arange(6)), cfg)
+        total, br = jakiro_loss(draft, corpus.take(np.arange(6)))
+        assert (W_CLS_MOE, W_CLS_CONST) == (0.1, 0.05)
         recombined = (
             br["reg_moe"] + 0.1 * br["cls_moe"] + br["reg_const"] + 0.05 * br["cls_const"]
         )
         assert abs(total - recombined) < 1e-12
         assert abs(br["total"] - recombined) < 1e-12
 
-    def test_weight_linearity(self, target, corpus):
+    def test_weight_linearity(self, target, corpus, monkeypatch):
         draft = fresh_draft(target)
         batch = corpus.take(np.arange(4))
-        t1, br1 = jakiro_loss(draft, batch, TrainConfig(w_cls_moe=0.1))
-        t2, br2 = jakiro_loss(draft, batch, TrainConfig(w_cls_moe=0.2))
+        monkeypatch.setattr(sdlab.train, "W_CLS_MOE", 0.1)
+        t1, br1 = jakiro_loss(draft, batch)
+        monkeypatch.setattr(sdlab.train, "W_CLS_MOE", 0.2)
+        t2, br2 = jakiro_loss(draft, batch)
         assert abs(br1["cls_moe"] - br2["cls_moe"]) < 1e-15
         assert abs((t2 - t1) - 0.1 * br1["cls_moe"]) < 1e-12
 
@@ -120,49 +125,74 @@ class TestLoss:
         # with the draft's own outputs; regression terms vanish and each
         # classification term equals the entropy of its own prediction
         draft = fresh_draft(target)
-        cfg = TrainConfig()
         corpus = generate_distillation_corpus(target, 3, 2, seed=5)
-        _, _, st = _forward(draft, corpus, cfg)
+        _, _, st = _forward(draft, corpus)
         batch = TrainBatch(
             tokens=corpus.tokens.copy(),
             features=corpus.features.copy(),
             probs=corpus.probs.copy(),
         )
-        batch.features[:, 1] = st["mix"][:, 0]
-        batch.probs[:, 1] = st["qm"][:, 0]
-        total, br = jakiro_loss(draft, batch, cfg)
+        # one step per sequence: row b of the stash is sequence b's
+        batch.features[:, 1] = st["mix"]
+        batch.probs[:, 1] = st["qm"]
+        total, br = jakiro_loss(draft, batch)
         assert br["reg_moe"] < 1e-15
         assert br["reg_const"] == 0.0 and br["cls_const"] == 0.0  # no step at length 2
-        entropy = float(np.mean([-np.sum(q * np.log(q)) for q in st["qm"][:, 0]]))
+        entropy = float(np.mean([-np.sum(q * np.log(q)) for q in st["qm"]]))
         assert abs(br["cls_moe"] - entropy) < 1e-9
 
     def test_short_sequences(self, target):
         draft = fresh_draft(target)
-        cfg = TrainConfig()
         two = generate_distillation_corpus(target, 2, 2, seed=1)
-        _, br = jakiro_loss(draft, two, cfg)
+        _, br = jakiro_loss(draft, two)
         assert br["reg_const"] == 0.0 and br["cls_const"] == 0.0
         one = generate_distillation_corpus(target, 2, 1, seed=1)
         with pytest.raises(ValueError, match="shorter than 2"):
-            jakiro_loss(draft, one, cfg)
+            jakiro_loss(draft, one)
 
-    def test_batched_forward_matches_sequential_draft(self, target, corpus):
-        # the teacher-forced training pass reproduces the inference step
-        draft = fresh_draft(target)
-        cfg = TrainConfig()
+    def test_batched_forward_matches_sequential_draft(self):
+        # the teacher-forced pass is the decode row kernel: every feature and
+        # distribution the loss reads is, bit for bit, what begin_round on the
+        # sequence's prefix and the decode heads give (dim 30 is no multiple of 4)
+        for dim, n_experts, active_k in ((32, 2, 2), (32, 3, 2), (32, 3, 1), (32, 1, 1),
+                                         (30, 3, 2)):
+            target = init_target(TargetConfig(dim=dim), seed=0)
+            draft = init_draft(DraftConfig(dim=dim, n_experts=n_experts, active_k=active_k),
+                               target, seed=1)
+            batch = generate_distillation_corpus(target, 3, 7, seed=4)
+            _, _, st = _forward(draft, batch)
+            S = batch.tokens.shape[1] - 1
+            assert ("fc" in st) == (active_k >= 2)
+            for b in range(3):
+                for s in range(S):
+                    out = DraftSession(draft).begin_round(batch.tokens[b, 1 : s + 2].tolist(),
+                                                          batch.features[b, : s + 1])
+                    row = b * S + s
+                    assert draft.mixture_feature(out).tobytes() == st["mix"][row].tobytes()
+                    assert softmax(draft.mixture_logits(out)).tobytes() == st["qm"][row].tobytes()
+                    if active_k >= 2 and s < S - 1:  # the contrast rows skip each last step
+                        row = b * (S - 1) + s
+                        assert draft.contrast_feature(out).tobytes() == st["fc"][row].tobytes()
+                        assert (softmax(draft.contrast_logits(out)).tobytes()
+                                == st["qc"][row].tobytes())
+
+    def test_a_one_active_expert_loss_reads_the_decode_mixture(self, target, corpus):
+        # at K=1 the mixture is the gated feature decoding reads, not a mix of
+        # the two best experts, and there is no contrast head to train
+        draft = init_draft(DraftConfig(n_experts=3, active_k=1), target, seed=2)
         batch = corpus.take(np.arange(2))
-        _, _, st = _forward(draft, batch, cfg)
-        beta, alpha = float(draft.params["beta"]), float(draft.params["alpha"])
+        _, br, st = _forward(draft, batch)
+        S = batch.tokens.shape[1] - 1
+        ce = 0.0
         for b in range(2):
             sess = DraftSession(draft)
-            for x in range(1, batch.tokens.shape[1]):
-                out = sess.begin_round([int(batch.tokens[b, x])], [batch.features[b, x - 1]])
-                s = out.scores
-                i1, i2 = int(out.top[0]), int(out.top[1])
-                mix = s[i1] * out.feature_top1 + s[i2] * out.feature_top2
-                assert np.max(np.abs(mix - st["mix"][b, x - 1])) < 1e-9
-                fc = beta * out.feature_top1 - alpha * out.feature_top2
-                assert np.max(np.abs(fc - st["fc"][b, x - 1])) < 1e-9
+            for s in range(S):
+                out = sess.begin_round([int(batch.tokens[b, s + 1])], [batch.features[b, s]])
+                q = softmax(draft.mixture_logits(out))
+                assert q.tobytes() == st["qm"][b * S + s].tobytes()
+                ce -= float(np.sum(batch.probs[b, s + 1] * np.log(q)))
+        assert abs(br["cls_moe"] - ce / (2 * S)) < 1e-12
+        assert br["reg_const"] == br["cls_const"] == 0.0
 
 
 class TestTrainStep:
@@ -210,7 +240,7 @@ class TestTrainStep:
         draft = fresh_draft(target)
         cfg = TrainConfig(lr=1e-3)
         batch = corpus.take(np.arange(4))
-        _, _, grads = loss_and_grads(draft, batch, cfg)
+        _, _, grads = loss_and_grads(draft, batch)
         norm = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
         assert norm > GRAD_CLIP  # the clip is active
         opt = AdamState.init(draft)
@@ -219,42 +249,46 @@ class TestTrainStep:
         assert abs(m_norm - GRAD_CLIP) < 1e-12
 
 
-def test_training_a_one_expert_draft_is_rejected(target, corpus):
+def test_a_one_expert_draft_trains_and_passes_the_gradient_audit(target, corpus, tmp_path):
     draft = init_draft(DraftConfig(n_experts=1, active_k=1), target, seed=1)
-    for run in (lambda: train_draft(draft, corpus, TrainConfig(), steps=1),
-                lambda: finite_diff_check(draft, corpus, TrainConfig())):
-        with pytest.raises(ValueError, match="training needs n_experts >= 2 for its two expert branches, got 1"):
-            run()
+    assert finite_diff_check(draft, corpus.take(np.arange(4)), n_coords=64, seed=1) < 1e-3
+    before = {k: np.array(v, copy=True) for k, v in draft.params.items()}
+    hist = train_draft(draft, corpus, TrainConfig(lr=2e-3, batch_size=4), steps=20)
+    assert np.all(np.isfinite(hist)) and np.mean(hist[-5:]) < hist[0]
+    # one expert's router score is 1 whatever the router, and beta and alpha
+    # feed only the contrast head, which a one-expert draft lacks
+    assert [k for k in before if np.array_equal(before[k], draft.params[k])] == [
+        "router", "beta", "alpha"]
+    assert finite_diff_check(draft, corpus.take(np.arange(4)), n_coords=64, seed=2) < 1e-3
+    save_draft(draft, str(tmp_path / "d.bin"))
+    assert load_draft(str(tmp_path / "d.bin"), target).config.n_experts == 1
 
 
 class TestFiniteDiff:
-    def test_quadratic_regime_is_machine_exact(self, target, corpus):
+    def test_quadratic_regime_is_machine_exact(self, target, corpus, monkeypatch):
         # with the classification weights off and beta, alpha the only sampled
         # coordinates, the loss is locally quadratic: central differences are
         # exact up to rounding
         draft = fresh_draft(target)
-        cfg = TrainConfig(w_cls_moe=0.0, w_cls_const=0.0)
-        err = finite_diff_check(draft, corpus.take(np.arange(4)), cfg, n_coords=2,
-                                h=1e-5, seed=0)
+        monkeypatch.setattr(sdlab.train, "W_CLS_MOE", 0.0)
+        monkeypatch.setattr(sdlab.train, "W_CLS_CONST", 0.0)
+        err = finite_diff_check(draft, corpus.take(np.arange(4)), n_coords=2, h=1e-5, seed=0)
         assert err < 1e-7
 
     def test_full_objective_audit(self, target, corpus):
         draft = fresh_draft(target)
-        cfg = TrainConfig()
-        err = finite_diff_check(draft, corpus.take(np.arange(6)), cfg, n_coords=64,
-                                h=1e-5, seed=1)
+        err = finite_diff_check(draft, corpus.take(np.arange(6)), n_coords=64, h=1e-5, seed=1)
         assert err < 1e-3
 
     def test_h_bounds(self, target, corpus):
         draft = fresh_draft(target)
         with pytest.raises(ValueError, match="h must lie"):
-            finite_diff_check(draft, corpus.take(np.arange(2)), TrainConfig(), h=1e-2)
+            finite_diff_check(draft, corpus.take(np.arange(2)), h=1e-2)
 
     def test_audit_after_training(self, target):
         # gradients stay correct away from initialization
         corpus = generate_distillation_corpus(target, 16, 8, seed=2)
         draft = fresh_draft(target)
         train_draft(draft, corpus, TrainConfig(lr=2e-3, batch_size=8, seed=1), steps=50)
-        err = finite_diff_check(draft, corpus.take(np.arange(4)), TrainConfig(),
-                                n_coords=32, h=1e-5, seed=2)
+        err = finite_diff_check(draft, corpus.take(np.arange(4)), n_coords=32, h=1e-5, seed=2)
         assert err < 1e-3

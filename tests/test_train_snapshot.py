@@ -35,21 +35,21 @@ CASES = {
 PINNED = {
     "d32-n2k2h64": (
         "95c37985ed0ffbabc56fcb6adc1d44125c97aa770eba6a15bae13e89a93ccc7d",
-        "923faa9af7ffb3c0ea15dcab7cfb0c46ca76743aabaf799ea43f6580ad2bb357",
-        "30b513de1472360667b68cff3677e8ed8f2cb7ca2c99cd5efc1f4dd92122c911",
-        "0x1.206ed5c813d40p-24",
+        "135cde99cc226a6c3123f3fde75210141aeb2654b2f8764df76a9ee14d6237ef",
+        "5b8de54c897b7c509b2d9cbe36e067a32c66bda8084e2ff46705a6bbc5c9c7fb",
+        "0x1.b93e8c5409088p-26",
     ),
     "d30-n3k2h20": (
         "576bdf749d09b238ccaf44e5c0bad1f6f1fb55c4546d0f1ab4c0675f904a2297",
-        "ea02c12e8d4c69eb7a9e52a70bc3ec153d3ab759e2ed104f09831dba6d54ba12",
-        "19972f108569e7c1b4b0fd88999c3844253df8fbce4149b3ba3c3b881d7db6c1",
-        "0x1.c27a3ac7a7973p-25",
+        "3ed3de10e1e1a25e321de6ef2808260c5e4bdcdbcf28850ea681b4dfa9528cb6",
+        "74225fd6feec6be1ef4cfe7d373fe6fa6de906edf43afbcbe77cd7df8c988a09",
+        "0x1.96e591fd1a8b1p-24",
     ),
     "d6-n3k1h30": (
         "e307c53a1c7a54a8bf5b834cb580e41d8e07b45e807a80994319cae5e5687063",
-        "7383f75bf6ff9822bd3d15dbd3cd4290c20ffc320e29e6461dff1e78a82d47f1",
-        "e364310bd7f74d7ca942f6c47ad2c08ad0f4995bde045e4e4b942bcfdb1f6768",
-        "0x1.25ac775418a19p-25",
+        "5b86556fc678f32b93734c698ed1b8b0d18648bbefce8fe75e2e758f2bd1d16a",
+        "1c4434b1b8dee976e0e23a2f8cdfa43af98b4c16cc5b03093ec10a807651f41e",
+        "0x1.484101dfb0e74p-24",
     ),
 }
 
@@ -72,7 +72,7 @@ def training_snapshot(case: str) -> tuple[str, str, str, str]:
     corpus = generate_distillation_corpus(target, 10, 8, temperature=1.0, seed=11)
     cfg = TrainConfig(lr=2e-3, batch_size=4, seed=5)
     init_digest = _checkpoint_digest(draft)
-    fd = finite_diff_check(draft, corpus.take(np.arange(4)), cfg, n_coords=24)
+    fd = finite_diff_check(draft, corpus.take(np.arange(4)), n_coords=24)
     history = train_draft(draft, corpus, cfg, TRAIN_STEPS)
     losses = hashlib.sha256(np.array(history, dtype="<f8").tobytes()).hexdigest()
     return init_digest, _checkpoint_digest(draft), losses, fd.hex()
