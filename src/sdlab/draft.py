@@ -167,7 +167,7 @@ class DraftModel:
         u = x + row_linear(p["wo"], att)
         v_in = layer_norm(u, p["ln2_g"], p["ln2_b"])
         scores = softmax(row_linear(p["router"], v_in))
-        hidden = (p["w1"][:, None] @ v_in[None, :, :, None])[..., 0]
+        hidden = (p["w1"][:, None] @ v_in[..., None])[..., 0]
         act = silu(hidden)
         expert_out = (p["w2"][:, None] @ act[..., None])[..., 0]
         return u, v_in, scores, hidden, act, expert_out
@@ -214,7 +214,7 @@ class DraftModel:
 
     def _head(self, f: np.ndarray) -> np.ndarray:
         """LM head of a feature vector, or of each row of a stack of them."""
-        return self.head @ f if f.ndim == 1 else row_linear(self.head, f)
+        return self.head.dot(f) if f.ndim == 1 else row_linear(self.head, f)
 
     def branch_logits(self, step: DraftStepOutput) -> np.ndarray:
         """The two branch heads of a step, or of each row of a stack, as

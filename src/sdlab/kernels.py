@@ -16,7 +16,11 @@ hold: linear layers run one matrix-vector product per row (``row_linear``;
 a GEMM would block its sums differently), row-wise reductions run along
 the contiguous last axis, where numpy sums every row as it would sum a
 vector, and attention reads every context at a padded width whose bits do
-not depend on the pass (``attn_row``, below).
+not depend on the pass (``attn_row``, below).  Products go through numpy's
+cheapest entry point to the same gemv: one row through ``ndarray.dot``,
+and many rows through one ``w @ x[..., None]``, a stacked matrix-vector
+product per row over the shared weight; both give each row the bits of
+``w @ x[i]``.
 
 Weights are stored fused to save calls.  Each model keeps q, k and v as
 one (3 dim, dim) weight, the three stacked by rows, and projects them with
@@ -26,7 +30,8 @@ gemv blocks a matrix's rows by 4; at other widths they differ in the last
 bits, but every pass of a model shares the fused projection, so a tree path
 still reproduces sequential decoding.  The draft stores its experts' weights
 stacked along a leading expert axis and runs them as stacked matmuls,
-(experts, 1, out, in) @ (experts, rows, in, 1): each entry is one expert's
+(experts, 1, out, in) @ (rows, in, 1) for w1, whose input every expert
+shares, and @ (experts, rows, in, 1) for w2: each entry is one expert's
 own matrix-vector product, the same bits at every width.
 
 A pass writes its own key/value rows into its cache's buffer past the
@@ -64,8 +69,10 @@ differently.  PAD is 4, the smallest block that holds on OpenBLAS;
 that reading unpadded widths would break it.
 
 A one-row pass (a decode step, a chain level) pays every kernel's fixed
-cost per numpy call, not its arithmetic, so ``layer_norm`` and ``softmax``
-take one row through a shorter branch with the same bits.  Its reductions
+cost per numpy call, not its arithmetic, so ``row_linear`` takes one row
+through ``ndarray.dot``, which issues the gemv ``@`` does for about half
+its dispatch cost, and ``layer_norm`` and ``softmax`` take one row through
+a shorter branch with the same bits.  Its reductions
 run over the same contiguous row, so numpy sums and compares the same
 elements in the same order; the results become Python floats, exactly;
 Python's division and ``math.sqrt`` round correctly as numpy's do; and an
@@ -271,12 +278,15 @@ def row_linear(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """w applied to every row of x: row i is bit-identical to ``w @ x[i]``.
 
     A plain ``x @ w.T`` is one GEMM, whose blocked sums differ from the
-    matrix-vector product in the last bits; the stacked form runs one
-    matrix-vector product per row instead.
+    matrix-vector product in the last bits.  One row goes through
+    ``ndarray.dot``, and more rows through one stacked ``w @ x[..., None]``,
+    a matrix-vector product per row over the shared weight: both issue the
+    gemv ``w @ x[i]`` does, at less dispatch cost than the ``@`` gufunc on
+    one row or a broadcast of ``w.T`` on many.
     """
     if x.shape[0] == 1:
-        return (w @ x[0])[None]
-    return (x[:, None, :] @ w.T)[:, 0]
+        return w.dot(x[0])[None]
+    return (w @ x[..., None])[..., 0]
 
 
 # Rows x context entries gathered at once by one attention group: bounds the

@@ -91,7 +91,10 @@ class KvCache:
     reads its contexts from the buffer, and ``commit_rows`` appends a
     selection of them and drops the rest.  The
     buffers reach at least the padded end of every pass, whose padding
-    columns read spare rows: zeros, or rows an earlier pass wrote.
+    columns read spare rows: zeros, or rows an earlier pass wrote.  All
+    of them are one (2, layers, capacity, dim) array, keys then values,
+    so a commit moves rows with one gather and one write, and ``_k`` and
+    ``_v`` hold each layer's view of it.
     """
 
     def __init__(self, n_layers: int, dim: int):
@@ -99,19 +102,27 @@ class KvCache:
         self.dim = dim
         self.length = 0
         self.tentative = 0
-        self._k = [np.zeros((KV_CAPACITY, dim)) for _ in range(n_layers)]
-        self._v = [np.zeros((KV_CAPACITY, dim)) for _ in range(n_layers)]
+        self._set_buffer(np.zeros((2, n_layers, KV_CAPACITY, dim)))
+
+    def _set_buffer(self, kv: np.ndarray) -> None:
+        self._kv = kv
+        self._k, self._v = list(kv[0]), list(kv[1])
+
+    # a copy or a pickle holds the buffer alone, and views its own copy
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in ("_k", "_v")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._set_buffer(self._kv)
 
     def _grow(self, need: int) -> None:
-        cap = self._k[0].shape[0]
+        cap = self._kv.shape[2]
         if need <= cap:
             return
-        new_cap = max(need, 2 * cap)
-        for l in range(self.n_layers):
-            for buf_list in (self._k, self._v):
-                nb = np.zeros((new_cap, self.dim))
-                nb[:cap] = buf_list[l]  # the tentative rows of a pass in flight too
-                buf_list[l] = nb
+        kv = np.zeros((2, self.n_layers, max(need, 2 * cap), self.dim))
+        kv[:, :, :cap] = self._kv  # the tentative rows of a pass in flight too
+        self._set_buffer(kv)
 
     def scratch(self, layer: int, start: int, new_k: np.ndarray,
                 new_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -147,8 +158,7 @@ class KvCache:
             raise ValueError(f"commit rows must be tentative rows, in [0, {t})")
         if run < n:
             src = np.asarray(rest, dtype=np.intp) + c
-            for buf in self._k + self._v:
-                buf[c + run : c + n] = buf[src]  # the gather copies first
+            self._kv[:, :, c + run : c + n] = self._kv[:, :, src]  # the gather copies first
         self.length += n
         self.tentative = 0
 

@@ -116,7 +116,8 @@ def _add_level(nodes: np.ndarray, q_dist: np.ndarray, n: int, depth: int, dist: 
     m, nb, V = dist.shape
     flat = dist.reshape(m * nb, V)
     if greedy:
-        tok = _top_k(flat, top_k)
+        # one argmax per row gives a top-1 level's tokens, ties to the lower
+        tok = flat.argmax(axis=1)[:, None] if top_k == 1 else _top_k(flat, top_k)
     else:
         tok = inverse_cdf_rows(flat, rng.random((m * nb, top_k)))
     k = tok.shape[1]  # greedy draws at most V distinct tokens

@@ -6,6 +6,9 @@ forward must reproduce them bit for bit (``np.array_equal``): the greedy
 losslessness gate and the pinned snapshots depend on it.
 """
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -632,7 +635,7 @@ def test_commit_after_verify_then_step_matches_sequential(target, chain):
 
 
 def spy_writes(cache):
-    """Record the rows of every write into the cache's key and value buffers."""
+    """Record the index of every write into the cache's key/value buffer."""
     writes = []
 
     class Spied(np.ndarray):
@@ -640,16 +643,34 @@ def spy_writes(cache):
             writes.append(rows)
             super().__setitem__(rows, value)
 
-    for bufs in (cache._k, cache._v):
-        bufs[:] = [b.view(Spied) for b in bufs]
+    cache._kv = cache._kv.view(Spied)
     return writes
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda c: pickle.loads(pickle.dumps(c))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_cache_views_its_own_buffer(target, clone):
+    # the layer views of a copy read and write the copy's buffer, which a
+    # commit moves rows in, and never the original's
+    cache = cached(target, [1, 2, 3])
+    target.forward_tree_kv(cache, [4, 5, 6], [-1, 0, 0], [0, 1, 1])
+    before = buffers(cache)
+    twin = clone(cache)
+    twin.commit_rows([0, 2])
+    assert buffers(cache) == before
+    seq = cached(target, [1, 2, 3, 4, 6])
+    for l in range(target.config.n_layers):
+        assert twin._k[l].base is twin._kv and twin._v[l].base is twin._kv
+        assert np.array_equal(committed(twin, l)[0], committed(seq, l)[0])
+        assert np.array_equal(committed(twin, l)[1], committed(seq, l)[1])
 
 
 @pytest.mark.parametrize("path,copied", [([0, 1, 2, 3], 0), ([0, 1, 3], 1), ([0, 2, 4], 2)])
 def test_commit_copies_only_rows_out_of_place(target, path, copied):
     # rows i committed at position i were written there by the verify: a
     # chain's commit writes no buffer row, a tree path only the rows past
-    # its leading run, and the cache ends as sequential decoding leaves it
+    # its leading run, of every layer's keys and values in one write, and
+    # the cache ends as sequential decoding leaves it
     rng = np.random.default_rng(14)
     prefix = [int(t) for t in rng.integers(0, target.vocab, size=5)]
     tokens = [int(t) for t in rng.integers(0, target.vocab, size=7)]
@@ -661,7 +682,7 @@ def test_commit_copies_only_rows_out_of_place(target, path, copied):
     writes = spy_writes(cache)
     cache.commit_rows(path)
     c, run = len(prefix), len(path) - copied
-    assert writes == ([slice(c + run, c + len(path))] * 2 * target.config.n_layers
+    assert writes == ([(slice(None), slice(None), slice(c + run, c + len(path)))]
                       if copied else [])
     assert cache.length == c + len(path) and cache.tentative == 0
     seq = cached(target, prefix + [tokens[i] for i in path])
@@ -764,9 +785,8 @@ def test_tree_length_mismatch(target):
 
 
 def buffers(cache):
-    """The cache's counters and whole key and value buffers, as bytes."""
-    return (cache.length, cache.tentative,
-            b"".join(b.tobytes() for b in cache._k + cache._v))
+    """The cache's counters and whole key and value buffer, as bytes."""
+    return cache.length, cache.tentative, cache._kv.tobytes()
 
 
 def test_rows_under_ancestors_sit_past_them(target):
@@ -952,6 +972,54 @@ def test_draft_single_token_rounds_match_step(target):
         assert_step_equal(draft, sess.begin_round([int(t)], [f]), ref.commit([int(t)], [f]))
     assert np.array_equal(committed(sess.cache, 0)[0], ref.k)
     assert sess.cache.length + 1 == ref.next_pos
+
+
+# ------------------------------------------------------------ row products
+
+def model_weights(dim, n_heads):
+    """Every weight shape row_linear is called with: the target's layer
+    weights and head, the draft's reduction, attention weights and
+    routers of 1 to 3 experts, and an expert's w1 and w2 at hidden widths
+    64 and 30."""
+    target = init_target(TargetConfig(dim=dim, n_heads=n_heads), seed=dim)
+    lp = target.layers[0]
+    weights = {"wqkv": lp.wqkv, "wo": lp.wo, "w1": lp.w1, "w2": lp.w2, "head": target.head}
+    for n_experts, hidden in ((1, 64), (2, 30), (3, 64)):
+        p = init_draft(DraftConfig(dim=dim, n_heads=n_heads, n_experts=n_experts, active_k=1,
+                                   expert_hidden=hidden), target, seed=dim).params
+        weights.update({f"draft.{name}": p[name] for name in ("reduction", "wqkv", "wo")})
+        weights[f"router{n_experts}"] = p["router"]
+        weights[f"expert.w1.{hidden}"], weights[f"expert.w2.{hidden}"] = p["w1"][-1], p["w2"][-1]
+    return weights
+
+
+@pytest.mark.parametrize("dim,n_heads", [(9, 3), (30, 2), (32, 2)])
+@pytest.mark.parametrize("m", [1, 2, 6, 65])
+def test_row_linear_rows_are_lone_matrix_vector_products(dim, n_heads, m):
+    # both branches, one row through ndarray.dot and more through a stacked
+    # matmul, give each row the bits of w @ x[i], on contiguous rows and on
+    # a column slice of wider rows, as q, k and v are of qkv
+    rng = np.random.default_rng(dim + m)
+    for name, w in model_weights(dim, n_heads).items():
+        n = w.shape[1]
+        wide = rng.normal(size=(m, 3 * n))
+        for x in (wide[:, :n].copy(), wide[:, n : 2 * n]):
+            got = row_linear(w, x)
+            assert got.shape == (m, w.shape[0])
+            for i in range(m):
+                want = (w @ x[i]).tobytes()
+                assert got[i].tobytes() == want, (name, i)
+                assert row_linear(w, x[i : i + 1]).tobytes() == want, (name, i)
+
+
+@pytest.mark.parametrize("dim,n_heads", [(9, 3), (30, 2), (32, 2)])
+def test_draft_head_of_a_vector_is_its_row_through_the_stack(dim, n_heads):
+    target = init_target(TargetConfig(dim=dim, n_heads=n_heads), seed=dim)
+    draft = init_draft(DraftConfig(dim=dim, n_heads=n_heads), target, seed=dim)
+    f = np.random.default_rng(dim).normal(size=(6, dim))
+    rows = draft._head(f)
+    for i in range(6):
+        assert draft._head(f[i]).tobytes() == rows[i].tobytes() == (draft.head @ f[i]).tobytes()
 
 
 # ------------------------------------------------------------ fused weights

@@ -19,7 +19,8 @@ import pytest
 from sdlab.draft import DraftConfig, DraftSession, DraftStepOutput, init_draft
 from sdlab.kernels import softmax
 from sdlab.target import TargetConfig, init_target
-from sdlab.tree import BRANCH_LEFT, BRANCH_NONE, BRANCH_RIGHT, BRANCH_TAGS, NODE, _add_level, _grow
+from sdlab.tree import (BRANCH_LEFT, BRANCH_NONE, BRANCH_RIGHT, BRANCH_TAGS, NO_BRANCH, NODE,
+                        _add_level, _grow, _top_k)
 
 from test_kernels import ref_inverse_cdf_sample
 
@@ -350,6 +351,42 @@ def test_greedy_moe_level_matches_the_candidate_dedupe(case):
     # nothing is written outside the level's rows
     rest = np.r_[0, 1 + len(rows) : len(nodes)]
     assert not nodes[rest].tobytes().strip(b"\0") and not q_dist[rest].any()
+
+
+@pytest.mark.parametrize("nb", [1, 2], ids=["static", "moe"])
+def test_greedy_top_1_level_takes_each_distributions_first_maximum(nb):
+    # a top_k 1 level's tokens and q_dist rows are what _top_k(rows, 1)
+    # gives, ties to the lower token, on rows with planted tied maxima
+    V, m = 8, 5
+    rng = np.random.default_rng(30 + nb)
+    dist = rng.dirichlet(np.ones(V), size=(m, nb))
+    ties = {(0, 0): (2, 6), (1, nb - 1): (0, 7), (3, 0): (5, 6)}
+    for (r, b), (lo, hi) in ties.items():
+        dist[r, b] = hand_dist(V, {lo: 0.3, hi: 0.3})
+    dist[4, nb - 1] = 1.0 / V  # every token ties
+    flat = dist.reshape(m * nb, V)
+    want = _top_k(flat, 1)[:, 0]
+    assert [want[r * nb + b] for r, b in ties] == [lo for lo, _ in ties.values()]
+    assert want[4 * nb + nb - 1] == 0
+    parents, pcum = np.arange(10, 10 + m), np.full(m, -0.5)
+    logw = None if nb == 1 else np.log(rng.dirichlet(np.ones(2), size=m))
+    nodes, q_dist = np.zeros(m * nb + 1, NODE), np.zeros((m * nb + 1, V))
+    rows, cum = _add_level(nodes, q_dist, 1, 2, dist, parents, pcum,
+                           NO_BRANCH if nb == 1 else BRANCH_TAGS, 1, True, 60, None, logw)
+    got = nodes[1 : 1 + len(rows)]
+    # the (row, branch) each node was drawn from
+    src = rows * nb + (got["tag"] == BRANCH_RIGHT)
+    assert got["token"].tolist() == want[src].tolist()
+    assert np.array_equal(q_dist[1 : 1 + len(rows)], flat[src])
+    assert got["parent"].tolist() == parents[rows].tolist()
+    if nb == 1:
+        assert len(rows) == m and got["cum_score"].tobytes() == cum.tobytes() == (
+            pcum + np.log(flat[np.arange(m), want])).tobytes()
+    else:  # a row whose branches pick one token keeps one copy
+        ref = ref_level(dist, parents, pcum, logw, 1, 60)
+        assert got["token"].tolist() == [c.token for c in ref]
+        assert got["tag"].tolist() == [c.tag for c in ref]
+        assert got["cum_score"].tobytes() == cum.tobytes() == np.array([c.cum for c in ref]).tobytes()
 
 
 def test_nan_temperature_is_rejected_before_the_round_opens(target):
