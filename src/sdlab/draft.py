@@ -56,8 +56,10 @@ lists them as the checkpoint's blocks, in file order.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,9 +89,9 @@ class DraftConfig:
             raise ValueError("dim must be divisible by n_heads")
 
 
-@dataclass(frozen=True)
-class DraftStepOutput:
-    """One draft step's output, or a stack of them along a leading row axis."""
+class DraftStepOutput(NamedTuple):
+    """One draft step's output, or a stack of them along a leading row axis;
+    a named tuple, immutable and cheap to build."""
 
     feature_moe: np.ndarray
     feature_top1: np.ndarray
@@ -103,11 +105,6 @@ class DraftStepOutput:
     @property
     def active_k(self) -> int:
         return int(self.top.shape[-1])
-
-    def row(self, i: int) -> "DraftStepOutput":
-        """Row i of a stacked output."""
-        return DraftStepOutput(self.feature_moe[i], self.feature_top1[i], self.feature_top2[i],
-                               self.scores[i], self.top[i], self.branch_scores[i])
 
 
 class DraftModel:
@@ -132,28 +129,52 @@ class DraftModel:
 
         Row i is token tokens[i] at position positions[i], fed the feature
         prev_features[i] of the step before it.  Decoding reads x, q, k and
-        v; the trainer's backward reads z and a too.
+        v; the trainer's backward reads z and a too.  One row, a decode
+        step, is checked on Python values and runs on vectors, with the
+        bits and errors of its row in a wider call.
         """
         cfg = self.config
         p = self.params
+        d = cfg.dim
+        if len(tokens) == 1:
+            # one row: the same checks, in order, on Python values, and its
+            # input row written in place
+            try:
+                f = np.asarray(prev_features[0], np.float64) if len(prev_features) == 1 else None
+            except ValueError:  # ragged
+                f = None
+            if f is None or f.shape != (d,):
+                raise ValueError("prev_feature dimension mismatch")
+            if not 0 <= tokens[0] < cfg.vocab:
+                raise ValueError(f"token {tokens[0]} out of vocab range [0, {cfg.vocab})")
+            z = np.empty((1, 2 * d))
+            z0 = z[0]
+            np.add(self.emb[operator.index(tokens[0])], sinusoid_positions(positions[0], d),
+                   out=z0[:d])
+            z0[d:] = f
+            # row_linear's one-row products, on the vectors
+            x = p["reduction"].dot(z0)
+            a = layer_norm(x, p["ln1_g"], p["ln1_b"])
+            qkv = p["wqkv"].dot(a)[None]
+            return z, x[None], a[None], qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
         try:
             feats = np.asarray(prev_features, dtype=np.float64)
         except ValueError:  # ragged: rows of different shapes
             feats = None
-        if feats is None or feats.shape != (len(tokens), cfg.dim):
+        if feats is None or feats.shape != (len(tokens), d):
             raise ValueError("prev_feature dimension mismatch")
         tok = np.asarray(tokens)
         listed = tok.tolist()
         # Python's min and max first; the scan finds the first bad token
         if listed and (min(listed) < 0 or max(listed) >= cfg.vocab):
             bad = (tok < 0) | (tok >= cfg.vocab)
-            raise ValueError(f"token {tokens[int(np.argmax(bad))]} out of vocab range [0, {cfg.vocab})")
-        e = self.emb.take(tok, 0) + sinusoid_positions(positions, cfg.dim)
-        z = np.concatenate((e, feats), axis=1)
+            raise ValueError(f"token {tokens[int(np.argmax(bad))]} out of vocab range "
+                             f"[0, {cfg.vocab})")
+        z = np.concatenate((self.emb.take(tok, 0) + sinusoid_positions(positions, d), feats),
+                           axis=1)
         x = row_linear(p["reduction"], z)
         a = layer_norm(x, p["ln1_g"], p["ln1_b"])
         qkv = row_linear(p["wqkv"], a)
-        d = cfg.dim
         return z, x, a, qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
 
     def _expert_rows(self, x, att):
@@ -162,11 +183,19 @@ class DraftModel:
         every expert's hidden layer, activation and output on every row as
         (experts, rows, ...), each projection one stacked matmul whose
         (expert, row) entries are the matrix-vector products a lone row gets.
+        One row given as vectors x and att gives vectors, and (experts, ...)
+        for the experts.
         """
         p = self.params
         u = x + row_linear(p["wo"], att)
         v_in = layer_norm(u, p["ln2_g"], p["ln2_b"])
         scores = softmax(row_linear(p["router"], v_in))
+        if x.ndim == 1:
+            # one row as vectors: (experts, ...) products, the gemvs of the
+            # row stacks below
+            hidden = p["w1"] @ v_in
+            act = silu(hidden)
+            return u, v_in, scores, hidden, act, (p["w2"] @ act[..., None])[..., 0]
         hidden = (p["w1"][:, None] @ v_in[..., None])[..., 0]
         act = silu(hidden)
         expert_out = (p["w2"][:, None] @ act[..., None])[..., 0]
@@ -174,7 +203,8 @@ class DraftModel:
 
     def _out_rows(self, x, att) -> DraftStepOutput:
         """Second half of the row kernel: the step outputs of the rows of x,
-        given their attention outputs att, stacked along a leading row axis."""
+        given their attention outputs att, stacked along a leading row axis;
+        the step itself for one row given as vectors."""
         u, _, scores, _, _, expert_out = self._expert_rows(x, att)
         return self._route(u, scores, expert_out)
 
@@ -182,21 +212,21 @@ class DraftModel:
         """The step outputs of rows whose expert layer gave u, scores and
         expert_out: each row's active_k best experts, ties to the lower
         index, and the gated mixture of them in ascending order.  One row
-        adds them one by one; more rows add an expert a row did not choose
-        as -0.0."""
+        as vectors gives its step, adding the experts one by one; rows add
+        an expert a row did not choose as -0.0."""
         cfg = self.config
-        m = u.shape[0]
-        if m == 1:
-            # Python's sort is stable, and reverse keeps equal scores in index order
-            s = scores[0].tolist()
+        if u.ndim == 1:
+            # one row, a step: Python's sort is stable, and reverse keeps
+            # equal scores in index order
+            s = scores.tolist()
             order = sorted(range(cfg.n_experts), key=s.__getitem__, reverse=True)[: cfg.active_k]
-            top = np.array([order])
             f_moe = u
             for j in sorted(order):  # u, then the chosen experts in ascending order
                 f_moe = f_moe + s[j] * expert_out[j]
-            f_best = [expert_out[j] + u for j in order[:2]]
-            return DraftStepOutput(f_moe, f_best[0], f_best[-1], scores, top,
-                                   scores.take(top[:, :2]))
+            best = order[:2]
+            return DraftStepOutput(f_moe, expert_out[best[0]] + u, expert_out[best[-1]] + u,
+                                   scores, np.array(order), np.array([s[j] for j in best]))
+        m = u.shape[0]
         top = (-scores).argsort(axis=1, kind="stable")[:, : cfg.active_k]
         gated = scores.T[..., None] * expert_out
         if cfg.active_k < cfg.n_experts:
@@ -246,6 +276,9 @@ class DraftModel:
         if step.active_k < 2:
             return step.feature_moe
         s = step.branch_scores
+        if s.size == 2:  # one row: its scores as Python floats
+            s1, s2 = s.ravel().tolist()
+            return s1 * step.feature_top1 + s2 * step.feature_top2
         return s[..., :1] * step.feature_top1 + s[..., 1:] * step.feature_top2
 
     def mixture_logits(self, step: DraftStepOutput) -> np.ndarray:
@@ -292,7 +325,7 @@ class DraftSession:
         x, q, keys, values = self._commit(tokens, prev_features)
         # the pending token's row is the last committed one: a causal row
         att = attend(q, keys, values, self.model.config.n_heads, self.cache.length - 1)
-        return self.model._out_rows(x, att).row(0)
+        return self.model._out_rows(x[0], att[0])
 
     def tree_level(self, tokens, prev_features, ancestors) -> tuple[DraftStepOutput, np.ndarray]:
         """One tentative pass over a tree level.
@@ -336,6 +369,10 @@ class DraftSession:
             att = attend(q, keys, values, H, c + t)
         else:
             att = attend(q, keys, values, H, c, chain_group(c, anc, ids))
+        if m == 1:  # the row's step, stacked
+            f_moe, f1, f2, scores, top, s_best = self.model._out_rows(x[0], att[0])
+            return DraftStepOutput(f_moe[None], f1[None], f2[None], scores[None], top[None],
+                                   s_best[None]), ids
         return self.model._out_rows(x, att), ids
 
 

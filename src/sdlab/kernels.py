@@ -186,13 +186,14 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
     scaled max overflows raises ``TemperatureOverflow`` rather than return
     NaN.
     """
-    z = as_f64(logits)
+    z = np.asarray(logits, dtype=np.float64)
     if z.ndim == 0 or z.size == 0:
         raise ValueError("empty input")
     if z.size == z.shape[-1]:
-        # one row: its max and sum as Python floats (see the module docstring)
-        top = float(np.maximum.reduce(z, None))
-        if not (math.isfinite(top) and math.isfinite(float(np.minimum.reduce(z, None)))):
+        # one row: its max, min and sum as Python floats (see the module
+        # docstring); argmax and argmin find the first NaN too
+        top = z.item(z.argmax())
+        if not (math.isfinite(top) and math.isfinite(z.item(z.argmin()))):
             raise ValueError("non-finite logit")
         if not temperature > 0.0:
             raise ValueError("temperature must be > 0")
@@ -200,7 +201,7 @@ def softmax(logits, temperature: float = 1.0) -> np.ndarray:
             # an overflow is reported below, as TemperatureOverflow
             with np.errstate(over="ignore"):
                 z = z / temperature
-            top = float(np.maximum.reduce(z, None))
+            top = z.item(z.argmax())
             if not math.isfinite(top):
                 raise TemperatureOverflow(
                     f"temperature {temperature!r} overflows the scaled logits")
@@ -258,6 +259,22 @@ def attn_row(q: np.ndarray, keys: np.ndarray, values: np.ndarray, n) -> np.ndarr
     w = keys.shape[-2]
     if _ONES.shape[0] < w:
         _ONES, _COLUMNS = np.ones((2 * w, 2)), np.arange(2 * w)
+    if q.ndim == 2 and not isinstance(n, np.ndarray):
+        # a stack of queries with one n, such as one row of every head: the
+        # same products over (queries, W, 1) scores, without the row axis,
+        # the per-row n or the mask, and the maxima checked as Python floats
+        s = keys @ q[..., None]
+        s /= math.sqrt(keys.shape[-1])
+        if n < w:
+            s[:, n:] = -np.inf
+        top = np.maximum.reduce(s, axis=1, keepdims=True, initial=-np.inf)
+        if not all(map(math.isfinite, top.ravel().tolist())):
+            raise ValueError("non-finite attention score")
+        s -= top
+        e = np.exp(s, out=s).transpose(0, 2, 1)
+        out = e @ values
+        out /= (e @ _ONES[:w])[..., :1]
+        return out.reshape(q.shape)
     scores = (keys @ q[..., None])[..., 0]
     scores /= math.sqrt(keys.shape[-1])
     if isinstance(n, np.ndarray):
@@ -278,12 +295,14 @@ def row_linear(w: np.ndarray, x: np.ndarray) -> np.ndarray:
     """w applied to every row of x: row i is bit-identical to ``w @ x[i]``.
 
     A plain ``x @ w.T`` is one GEMM, whose blocked sums differ from the
-    matrix-vector product in the last bits.  One row goes through
-    ``ndarray.dot``, and more rows through one stacked ``w @ x[..., None]``,
-    a matrix-vector product per row over the shared weight: both issue the
-    gemv ``w @ x[i]`` does, at less dispatch cost than the ``@`` gufunc on
-    one row or a broadcast of ``w.T`` on many.
+    matrix-vector product in the last bits.  One row, or one vector x,
+    goes through ``ndarray.dot``, and more rows through one stacked
+    ``w @ x[..., None]``, a matrix-vector product per row over the shared
+    weight: both issue the gemv ``w @ x[i]`` does, at less dispatch cost
+    than the ``@`` gufunc on one row or a broadcast of ``w.T`` on many.
     """
+    if x.ndim == 1:  # one row as a vector
+        return w.dot(x)
     if x.shape[0] == 1:
         return w.dot(x[0])[None]
     return (w @ x[..., None])[..., 0]
@@ -357,19 +376,29 @@ def sinusoid_positions(positions, dim: int) -> np.ndarray:
     dim, built once and doubled whenever a position runs past its end, so
     every row is bit for bit the one-position encoding.  The table spans
     the largest position asked for, which a decode keeps near its length.
+    One position given as an int gives its row.
     """
+    if type(positions) is int:  # one position: its row
+        return _position_table(positions, dim)[positions]
     pos = np.asarray(positions, dtype=np.intp)
     # viewed unsigned, a negative position lies past the end of every table
-    top = int(np.maximum.reduce(pos.view(np.uintp), None, initial=0))
+    return _position_table(int(np.maximum.reduce(pos.view(np.uintp), None, initial=0)),
+                           dim).take(pos, 0)
+
+
+def _position_table(top: int, dim: int) -> np.ndarray:
+    """The table of ``sinusoid_position`` rows for dim, doubled until it
+    holds position top; a top below 0 or past intp's range (a negative
+    position viewed unsigned) raises."""
     table = _POSITION_TABLES.get(dim)
-    if table is None or top >= table.shape[0]:
-        if top > np.iinfo(np.intp).max:
+    if table is None or not 0 <= top < table.shape[0]:
+        if not 0 <= top <= np.iinfo(np.intp).max:
             raise ValueError("negative position")
         n = 256 if table is None else table.shape[0]
         while n <= top:
             n *= 2
         table = _POSITION_TABLES[dim] = np.array([sinusoid_position(p, dim) for p in range(n)])
-    return table.take(pos, 0)
+    return table
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -378,8 +407,14 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
     # np.add.reduce / n is what np.mean computes, without its Python-level wrappers
     n = x.shape[-1]
     if x.size == n:
-        d = x - float(np.add.reduce(x, None)) / n
-        return gamma * d / math.sqrt(float(np.add.reduce(d * d, None)) / n + LN_EPS) + beta
+        # a (1, n) row as a vector, so that gamma and beta do not broadcast
+        v = x if x.ndim == 1 else x.reshape(n)
+        d = v - float(np.add.reduce(v, None)) / n
+        sd = math.sqrt(float(np.add.reduce(d * d, None)) / n + LN_EPS)
+        np.multiply(gamma, d, out=d)
+        d /= sd
+        d += beta
+        return d if x.ndim == 1 else d.reshape(x.shape)
     # the same ops in the same order, each written over a temporary of its own
     mean = np.add.reduce(x, axis=-1, keepdims=True)
     mean /= n
@@ -395,7 +430,11 @@ def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
+    """x / (1 + exp(-x)), each op written over one temporary."""
+    t = np.negative(x)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(x, t, out=t)
 
 
 def silu_grad(x: np.ndarray) -> np.ndarray:

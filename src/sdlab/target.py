@@ -118,8 +118,6 @@ class KvCache:
 
     def _grow(self, need: int) -> None:
         cap = self._kv.shape[2]
-        if need <= cap:
-            return
         kv = np.zeros((2, self.n_layers, max(need, 2 * cap), self.dim))
         kv[:, :, :cap] = self._kv  # the tentative rows of a pass in flight too
         self._set_buffer(kv)
@@ -129,17 +127,18 @@ class KvCache:
         """Write (m, dim) rows of one layer as tentative rows start onward,
         at buffer rows length + start onward, growing the buffers if
         needed; the cache then holds start + m tentative rows.  Returns the
-        layer's key and value buffers up to the padded end of the rows
-        written, the width a causal pass over them reads."""
+        layer's key and value buffers, which reach past the padded end of
+        the rows written, the width a causal pass over them reads."""
         m = new_k.shape[0]
         self.tentative = start + m
         end = self.length + self.tentative
         w = padded(end)
-        self._grow(w)
+        if w > self._kv.shape[2]:
+            self._grow(w)
         k, v = self._k[layer], self._v[layer]
         k[end - m : end] = new_k
         v[end - m : end] = new_v
-        return k[:w], v[:w]
+        return k, v
 
     def commit_rows(self, indices) -> None:
         """Append the selected tentative rows, in order, as if decoded
@@ -147,7 +146,8 @@ class KvCache:
 
         The leading run of rows i selected at position i (a prefill's or a
         chain's whole commit) is already in place; only the rest is copied.
-        An index outside [0, tentative) raises ValueError before any row
+        The rows of a path ascend: an index outside [0, tentative), or one
+        not above the index before it, raises ValueError before any row
         moves.
         """
         t, c, n, run = self.tentative, self.length, len(indices), 0
@@ -156,6 +156,8 @@ class KvCache:
         rest = indices[run:]
         if run > t or run < n and (min(rest) < 0 or max(rest) >= t):
             raise ValueError(f"commit rows must be tentative rows, in [0, {t})")
+        if run < n and any(a >= b for a, b in zip([run - 1, *rest], rest)):
+            raise ValueError("commit rows must ascend")
         if run < n:
             src = np.asarray(rest, dtype=np.intp) + c
             self._kv[:, :, c + run : c + n] = self._kv[:, :, src]  # the gather copies first
@@ -221,7 +223,8 @@ def attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray, n_heads: int, c:
 
     With groups None the pass is causal and one ``attn_row`` call: every row
     reads the buffer's first padded(c + m) rows in place and row i masks
-    the columns past c + i.  Otherwise each (rows, idx, n) group, from
+    the columns past c + i; one row passes its heads as a stack of
+    queries with one length.  Otherwise each (rows, idx, n) group, from
     ``tree_groups`` or ``chain_group``, gathers its rows' padded columns
     and is one ``attn_row`` call, its rows masking the columns past their
     n, an int or a (rows, 1) array; a group under MAX_GATHER is the whole
@@ -230,9 +233,13 @@ def attend(q: np.ndarray, keys: np.ndarray, values: np.ndarray, n_heads: int, c:
     m, dh = q.shape[0], q.shape[1] // n_heads
     if groups is None:
         w = padded(c + m)
-        n = c + 1 if m == 1 else c + 1 + np.arange(m)[:, None]
+        if m == 1:  # one row: its heads are attn_row's stack of queries
+            kh = keys[:w].reshape(w, n_heads, dh).transpose(1, 0, 2)
+            vh = values[:w].reshape(w, n_heads, dh).transpose(1, 0, 2)
+            return attn_row(q.reshape(n_heads, dh), kh, vh, c + 1).reshape(q.shape)
         return attn_row(q.reshape(m, n_heads, dh), context_heads(keys[None, :w], n_heads),
-                        context_heads(values[None, :w], n_heads), n).reshape(q.shape)
+                        context_heads(values[None, :w], n_heads),
+                        c + 1 + np.arange(m)[:, None]).reshape(q.shape)
     att = np.empty_like(q)
     for rows, idx, n in groups:
         qh = q[rows].reshape(-1, n_heads, dh)

@@ -64,6 +64,9 @@ BRANCH_NONE = "none"
 BRANCH_TAGS = np.array([BRANCH_LEFT, BRANCH_RIGHT])
 NO_BRANCH = np.array([BRANCH_NONE])
 
+# the rows a one-candidate level's node comes from
+_FIRST_ROW = np.zeros(1, dtype=np.intp)
+_FIRST_ROW.flags.writeable = False
 # parent is a node index, or -1 for the root; root children have depth 1
 NODE = np.dtype([("token", np.intp), ("parent", np.intp), ("depth", np.intp),
                  ("cum_score", np.float64), ("tag", "U5")])
@@ -114,6 +117,15 @@ def _add_level(nodes: np.ndarray, q_dist: np.ndarray, n: int, depth: int, dist: 
     node added, in node order.
     """
     m, nb, V = dist.shape
+    if greedy and top_k == 1 and m * nb == 1 and logw is None:
+        # one candidate, a chain's level: the ops below on its one row, with
+        # one argmax, one record and one q_dist row
+        row = dist[0, 0]
+        tok = int(row.argmax())
+        cum = pcum[0] + np.log(max(row[tok], 1e-300))
+        nodes[n] = tok, parents[0], depth, cum, tags[0]
+        q_dist[n] = row
+        return _FIRST_ROW, np.array([cum])
     flat = dist.reshape(m * nb, V)
     if greedy:
         # one argmax per row gives a top-1 level's tokens, ties to the lower
@@ -185,7 +197,7 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, moe: bool,
         raise ValueError("sampling growth needs an rng")
     if greedy:
         temperature = 1.0  # greedy trees are scored with the plain softmax
-    V = model.vocab
+    V, dim = model.vocab, model.dim
     # the most nodes the tree can get: a level adds top_k draws per branch
     # of each row it expands, at most beam of them when greedy, and expands
     # at most beam of its nodes
@@ -202,7 +214,10 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, moe: bool,
     # round's opening row, then a tree level), each row's node, its
     # cum_score and the tentative rows of its ancestors, root first
     out = session.begin_round([*backlog_tokens, start_token], [*backlog_features, prev_feature])
-    parents, pcum, anc = np.array([-1]), np.zeros(1), np.zeros((1, 0), dtype=np.intp)
+    parents, pcum = np.array([-1]), np.zeros(1)
+    # node numbers, and a chain row's ancestors: every earlier row of the round
+    node_ids = np.arange(cap)
+    chain = node_ids[None, :gamma]
     n = 0
     last_step_depth = gamma - 1 if parallel else gamma
 
@@ -219,8 +234,19 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, moe: bool,
         # the beam-best nodes of this level are expanded, chosen before any
         # child is drawn: by the next draft pass, or on the parallel final
         # level by the contrast head of this pass
+        if n == depth - 1:
+            # every earlier level added one node, and each is a row of the
+            # round: the frontier row's path is every row so far
+            anc = chain[:, : depth - 1]
+            if len(rows) == 1 and depth < last_step_depth:
+                # a chain level: one causal row, with nothing to gather
+                out, _ = session.tree_level(nodes["token"][n : n + 1],
+                                            out.feature_moe.reshape(1, dim), anc)
+                parents, pcum = node_ids[n : n + 1], cum
+                n += 1
+                continue
         tokens = nodes["token"][n : n + len(rows)]
-        parents = np.arange(n, n + len(rows))
+        parents = node_ids[n : n + len(rows)]
         n += len(rows)
         if len(rows) > beam:
             keep = (-cum).argsort(kind="stable")[:beam]
@@ -234,8 +260,7 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, moe: bool,
                 n += len(rows)
             break
         anc = anc.take(rows, 0)
-        out, ids = session.tree_level(tokens, out.feature_moe.reshape(-1, model.dim).take(rows, 0),
-                                      anc)
+        out, ids = session.tree_level(tokens, out.feature_moe.reshape(-1, dim).take(rows, 0), anc)
         pcum = cum
         anc = np.concatenate((anc, ids[:, None]), axis=1)
 

@@ -17,6 +17,10 @@ import numpy as np
 import pytest
 
 import sdlab
+import sdlab.draft
+import sdlab.target
+import sdlab.tree
+import sdlab.verify
 from sdlab.bench import RunConfig, build_models, decode_prompt, make_prompts
 from sdlab.target import check_tree
 
@@ -92,3 +96,32 @@ def test_a_decode_that_leaves_an_expert_out_enters_no_numpy_wrapper(temperature)
     sites = wrapper_calls(lambda: decode_prompt(target, draft, cfg, prompt,
                                                 np.random.default_rng(1)))
     assert sites == [], "\n".join(sorted(set(sites)))
+
+
+# Calls of the kernels perfbench's tracer counts, through the names the
+# model modules import them under, during one small decode: the counts of
+# the decode path before the one-row branches, which live inside the
+# kernels so that these counts, and the tracer's per-token figures, stay.
+KERNEL_CALLS = {
+    ("chain", 0.0): {"attn_row": 86, "layer_norm": 186, "softmax": 120, "silu": 86},
+    ("chain", 1.0): {"attn_row": 44, "layer_norm": 96, "softmax": 75, "silu": 44},
+    ("vanilla", 0.0): {"attn_row": 24, "layer_norm": 60, "softmax": 0, "silu": 24},
+    ("vanilla", 1.0): {"attn_row": 24, "layer_norm": 60, "softmax": 12, "silu": 24},
+}
+
+
+@pytest.mark.parametrize("method,temperature", list(KERNEL_CALLS))
+def test_kernel_calls_through_the_module_names(monkeypatch, method, temperature):
+    counts = dict.fromkeys(KERNEL_CALLS[method, temperature], 0)
+    for mod in (sdlab.target, sdlab.draft, sdlab.tree, sdlab.verify):
+        for name in counts:
+            if hasattr(mod, name):
+                def counted(*args, _fn=getattr(mod, name), _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(mod, name, counted)
+    cfg = RunConfig(method=method, temperature=temperature, max_new=12, n_prompts=1, seed=5)
+    target, draft = build_models(cfg)
+    out = decode_prompt(target, draft, cfg, make_prompts(cfg)[0], np.random.default_rng(2))
+    assert len(out["tokens"]) == 12
+    assert counts == KERNEL_CALLS[method, temperature]

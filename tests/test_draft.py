@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from sdlab.bench import RunConfig, decode_prompt, make_prompts
-from sdlab.draft import DraftConfig, DraftSession, init_draft, load_draft, save_draft
+from sdlab.draft import (DraftConfig, DraftSession, DraftStepOutput, init_draft, load_draft,
+                         save_draft)
 from sdlab.kernels import layer_norm, silu, softmax
 from sdlab.target import TargetConfig, init_target, load_target, save_target
 from sdlab.train import AdamState, TrainConfig, generate_distillation_corpus, train_step
@@ -18,6 +19,11 @@ def target():
 @pytest.fixture(scope="module")
 def draft(target):
     return init_draft(DraftConfig(), target, seed=1)
+
+
+def step_row(step, i):
+    """Row i of a stacked step output, as one step."""
+    return DraftStepOutput(*(field[i] for field in step))
 
 
 def routing_probe(target, centroids, active_k=2):

@@ -481,3 +481,65 @@ class TestInverseCdf:
         probs = rng.dirichlet(np.full(12, 0.3), size=10_000)
         probs[rng.random(probs.shape) < 0.2] = 0.0  # exact zeros, rows no longer sum to 1
         self.check(probs, rng.random((10_000, 3)))
+
+
+@pytest.mark.parametrize("dh", [16, 5])
+def test_one_query_row_branch_is_its_row_of_the_multi_row_path(monkeypatch, dh):
+    # (queries, dh) with an int n, one row of every head, takes the one-row
+    # branch: the same row as the middle one of a multi-row call with a
+    # per-row n, and as the int-n path, below, at and just past a PAD
+    # boundary and past the 256 columns the ones operand starts with
+    monkeypatch.setattr(kernels, "_ONES", np.ones((256, 2)))
+    monkeypatch.setattr(kernels, "_COLUMNS", np.arange(256))
+    rng = np.random.default_rng(26)
+    heads = 3
+    for n in (1, 3, 4, 5, 7, 8, 9, 255, 256, 257, 300):
+        w = kernels.padded(n)
+        qs = rng.normal(size=(3, heads, dh))
+        keys, values = rng.normal(size=(2, 3, heads, w, dh))
+        got = attn_row(qs[1], keys[1], values[1], n)
+        assert got.shape == (heads, dh)
+        many = attn_row(qs, keys, values, np.array([[w], [n], [max(1, n - 5)]]))
+        assert np.array_equal(got, many[1]), n
+        assert np.array_equal(got, attn_row(qs[1:2], keys[1:2], values[1:2], n)[0]), n
+    assert kernels._ONES.shape[0] >= 300
+
+
+def test_one_query_row_branch_checks_every_head():
+    # each head's max is checked: a NaN or +inf score, or a head whose
+    # every score is -inf, raises in the branch as in the multi-row path
+    rng = np.random.default_rng(27)
+    q = rng.normal(size=(2, 4))
+    q[:, 0] = 1.0
+    for head, col, bad in ((0, 2, np.nan), (1, 0, np.inf), (1, 3, np.nan)):
+        keys, values = rng.normal(size=(2, 2, 8, 4))
+        keys[head, col, 0] = bad
+        for n in (6, np.array([6, 6])):
+            with pytest.raises(ValueError, match="^non-finite attention score$"):
+                attn_row(q, keys, values, n)
+    keys, values = rng.normal(size=(2, 2, 8, 4))
+    keys[1] = -np.inf
+    qq = np.abs(q)
+    with pytest.raises(ValueError, match="^non-finite attention score$"):
+        attn_row(qq, keys, values, 6)
+    with pytest.raises(ValueError, match="^non-finite attention score$"):
+        attn_row(qq[None], keys[None], values[None], np.array([[6]]))
+
+
+@pytest.mark.parametrize("shape", [(32,), (1, 32), (1, 1, 7), (3, 32)])
+def test_layer_norm_and_silu_leave_their_input(shape):
+    # the one-row layer_norm and silu write each op over a temporary of
+    # their own: the input is unchanged and the bits are the formula's
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=shape) * 4.0
+    g, b = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+    before = x.copy()
+    y = layer_norm(x, g, b)
+    mu = np.mean(x, axis=-1, keepdims=True)
+    d = x - mu
+    want = g * d / np.sqrt(np.mean(d * d, axis=-1, keepdims=True) + kernels.LN_EPS) + b
+    assert y.shape == shape and np.array_equal(y, want)
+    s = kernels.silu(x)
+    assert s.shape == shape and np.array_equal(s, x / (1.0 + np.exp(-x)))
+    assert np.array_equal(x, before)
+    assert not np.shares_memory(y, x) and not np.shares_memory(s, x)

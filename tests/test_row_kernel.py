@@ -14,12 +14,16 @@ import pytest
 
 import sdlab.target
 from sdlab.bench import RunConfig, build_models, decode_prompt, make_prompts
-from sdlab.draft import DraftConfig, DraftSession, init_draft
+from sdlab import kernels
+from sdlab.draft import DraftConfig, DraftModel, DraftSession, init_draft
 from sdlab.kernels import (MAX_GATHER, PAD, attn_row, chain_group, context_heads, layer_norm,
                            padded, row_linear, silu, sinusoid_position, sinusoid_positions,
                            softmax)
-from sdlab.target import KV_CAPACITY, TargetConfig, attend, init_target, tree_groups
+from sdlab.target import KV_CAPACITY, TargetConfig, TargetModel, attend, init_target, tree_groups
+from sdlab.tree import grow_static_tree
 from sdlab.train import TrainConfig, generate_distillation_corpus, train_draft
+
+from test_draft import step_row
 
 
 # ---------------------------------------------------------------- references
@@ -716,6 +720,21 @@ def test_commit_after_a_prefill_or_of_a_negative_row_raises(target):
     assert cache.length == 5 and cache.tentative == 3
 
 
+@pytest.mark.parametrize("rows", [[2, 2, 0], [1, 0], [0, 2, 1], [0, 1, 1], [0, 0], [2, 1]])
+def test_commit_rows_that_repeat_or_descend_raise_before_any_row_moves(target, rows):
+    # a path's rows ascend; a commit of [2, 2, 0] would keep row 2 twice
+    # and row 0 after it, a cache no sequential decode gives
+    cache = cached(target, [1, 2, 3, 4])
+    target.forward_tree_kv(cache, [6, 7, 8], [-1, 0, 0], [0, 1, 1])
+    before = cache._kv.copy()
+    with pytest.raises(ValueError, match="^commit rows must ascend$"):
+        cache.commit_rows(rows)
+    assert cache.length == 4 and cache.tentative == 3
+    assert np.array_equal(cache._kv, before)
+    cache.commit_rows([0, 2])  # an ascending path still commits
+    assert cache.length == 6 and cache.tentative == 0
+
+
 def test_commit_after_a_longer_second_pass_takes_its_rows(target):
     # the second pass's rows replace the first's: the commit keeps its path
     rng = np.random.default_rng(17)
@@ -855,7 +874,7 @@ def draft_level_check(draft, rng, levels=4, width=9, ctx_len=None):
             assert len(rows) == len(want)
             for i, (w_out, w_row) in enumerate(want):
                 assert rows[i] == w_row
-                assert_step_equal(draft, got.row(i), w_out)
+                assert_step_equal(draft, step_row(got, i), w_out)
             paths = [it[2] + [row] for it, row in zip(items, rows)]
         tokens = tokens[1:] + [int(rng.integers(0, draft.vocab))]
         feats = feats[1:] + [rng.normal(size=draft.dim)]
@@ -894,7 +913,7 @@ def test_tree_levels_keep_tentative_rows_through_a_reallocation(target):
         got, rows = sess.tree_level(level_tokens, level_feats, ancestors)
         for i, (w_out, w_row) in enumerate(ref.tree_level(items)):
             assert rows[i] == w_row
-            assert_step_equal(draft, got.row(i), w_out)
+            assert_step_equal(draft, step_row(got, i), w_out)
     assert np.array_equal(committed(sess.cache, 0)[0], ref.k)
 
 
@@ -1093,3 +1112,108 @@ def test_greedy_streams_at_widths_where_fusion_moves_bits(dim, n_heads):
             assert r["tokens"] == target.autoregressive_decode(prompt, run.max_new)
             tokens, forwards = tokens + len(r["tokens"]), forwards + r["target_forwards"]
         assert tokens > 1.2 * forwards, (method, tokens, forwards)
+
+
+# ----------------------------------------------------------- one-row passes
+
+def test_kv_rows_of_one_row_is_its_row_of_a_multi_row_call(target):
+    # the one-row branch writes its input row in place and runs the
+    # products on vectors; each output is the row of a wider call, bit for
+    # bit, whatever form the token, position and feature come in
+    draft = init_draft(DraftConfig(), target, seed=3)
+    rng = np.random.default_rng(40)
+    tokens = [int(t) for t in rng.integers(0, draft.vocab, size=7)]
+    positions = [int(p) for p in rng.integers(1, 700, size=7)]
+    feats = rng.normal(size=(7, draft.dim))
+    many = draft._kv_rows(tokens, positions, feats)
+    for i in range(7):
+        for tok, pos, f in (([tokens[i]], [positions[i]], feats[i : i + 1]),
+                            (np.array(tokens[i : i + 1]), range(positions[i], positions[i] + 1),
+                             [list(feats[i])]),
+                            ((np.intp(tokens[i]),), np.array([positions[i]]), [feats[i]])):
+            one = draft._kv_rows(tok, pos, f)
+            for got, want in zip(one, many):
+                assert got.shape == (1, *want.shape[1:])
+                assert np.array_equal(got[0], want[i])
+
+
+def test_kv_rows_of_one_row_past_the_position_table_grows_it(target, monkeypatch):
+    # a position past the table doubles it, as a wider call's would
+    monkeypatch.setattr(kernels, "_POSITION_TABLES", {})
+    draft = init_draft(DraftConfig(), target, seed=3)
+    f = np.linspace(-1.0, 1.0, draft.dim)[None]
+    one = draft._kv_rows([5], [700], f)
+    assert kernels._POSITION_TABLES[draft.dim].shape[0] == 1024
+    many = draft._kv_rows([5, 6], [700, 3], np.concatenate((f, f)))
+    for got, want in zip(one, many):
+        assert np.array_equal(got[0], want[0])
+    assert np.array_equal(one[0][0, : draft.dim],
+                          draft.emb[5] + sinusoid_position(700, draft.dim))
+
+
+def one_row_chain(draft, steps=3):
+    """A session after a round's opening row and steps chain levels."""
+    sess = DraftSession(draft)
+    f = np.linspace(-1.0, 1.0, draft.dim)
+    sess.prefill([1, 2, 3], [f, f, f])
+    sess.begin_round([4], [f])
+    for t in range(steps):
+        sess.tree_level([5 + t], [f], [list(range(t))])
+    return sess, f
+
+
+@pytest.mark.parametrize("how", ["chain level", "opening row", "two rows"])
+def test_one_row_input_errors_are_the_multi_row_errors(target, how):
+    # bad tokens and features fail on the one-row branches with the
+    # multi-row path's errors and messages, and before any row is written
+    draft = init_draft(DraftConfig(), target, seed=3)
+    sess, f = one_row_chain(draft)
+    g = np.zeros(draft.dim)
+    cases = [([draft.vocab], [g], rf"^token {draft.vocab} out of vocab range \[0, {draft.vocab}\)$"),
+             ([-1], [g], rf"^token -1 out of vocab range \[0, {draft.vocab}\)$"),
+             ([3], [np.zeros(draft.dim - 1)], "^prev_feature dimension mismatch$"),
+             ([3], [np.zeros((1, draft.dim))], "^prev_feature dimension mismatch$"),
+             ([3], [g, g], "^prev_feature dimension mismatch$"),
+             ([draft.vocab], [np.zeros(3)], "^prev_feature dimension mismatch$")]
+    for tokens, feats, message in cases:
+        if how == "opening row" and len(feats) != len(tokens):  # checked first there
+            message = "^tokens/prev_features length mismatch$"
+        before = sess.cache._kv.copy()
+        with pytest.raises(ValueError, match=message):
+            if how == "chain level":
+                sess.tree_level(tokens, feats, [list(range(3))])
+            elif how == "opening row":
+                sess.begin_round(tokens, feats)
+            else:  # the same row second in a two-row level
+                sess.tree_level([7, *tokens], [g, *feats] if len(feats) == 1 else [g, g, g],
+                                [[0, 1, 2], [0, 1, 2]])
+        assert np.array_equal(sess.cache._kv, before)
+
+
+@pytest.mark.parametrize("pass_", ["chain level", "vanilla step"])
+def test_one_row_nan_inputs_raise_the_multi_row_errors(target, pass_):
+    # a NaN cached key reaches a one-row attention's score, and a NaN
+    # logit the one-row softmax
+    draft = init_draft(DraftConfig(), target, seed=3)
+    if pass_ == "chain level":
+        sess, f = one_row_chain(draft, steps=2)
+        sess.cache._k[0][1, 3] = np.nan
+        with pytest.raises(ValueError, match="^non-finite attention score$"):
+            sess.tree_level([9], [f], [[0, 1]])
+        # a NaN logit: the head's row of token 11 proposes NaN
+        head = draft.head.copy()
+        head[11, 0] = np.nan
+        bad = DraftModel(draft.config, draft.params, draft.emb, head)
+        with pytest.raises(ValueError, match="^non-finite logit$"):
+            grow_static_tree(DraftSession(bad), f, 4, 3, 1)
+    else:
+        cache = cached(target, [1, 2, 3])
+        cache._k[0][1, 3] = np.nan
+        with pytest.raises(ValueError, match="^non-finite attention score$"):
+            target.forward_cached(cache, 4)
+        head = target.head.copy()
+        head[11, 0] = np.nan
+        bad = TargetModel(target.config, target.emb, target.layers, target.lnf_g, target.lnf_b,
+                          head)
+        with pytest.raises(ValueError, match="^non-finite logit$"):
+            bad.autoregressive_decode([1, 2, 3], 4, temperature=1.0)

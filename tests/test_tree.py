@@ -10,6 +10,7 @@ from sdlab.target import TargetConfig, init_target, tree_groups
 from sdlab.tree import NODE, DraftTree, grow_moe_tree, grow_static_tree
 from sdlab.verify import verify_tree
 
+from test_draft import step_row
 from test_row_kernel import random_tree
 from test_target import cache_bytes
 
@@ -132,7 +133,7 @@ class TestChain:
             want.append(tok)
             if depth < gamma:
                 level, (row,) = s.tree_level([tok], [out.feature_moe], [rows])
-                out = level.row(0)
+                out = step_row(level, 0)
                 rows.append(row)
         assert tree.nodes["token"].tolist() == want
 
@@ -183,7 +184,7 @@ class TestStaticTree:
         expect = [(t, 1, -1) for t, _ in layer1]
         children = []
         for idx, (t, logq) in enumerate(layer1):
-            o2 = s.tree_level([t], [out.feature_moe], [[]])[0].row(0)
+            o2 = step_row(s.tree_level([t], [out.feature_moe], [[]])[0], 0)
             d2 = softmax(draft.mixture_logits(o2))
             for t2 in np.argsort(-d2, kind="stable")[:2]:
                 children.append((int(t2), 2, idx, logq + float(np.log(d2[t2]))))

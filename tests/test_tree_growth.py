@@ -22,6 +22,7 @@ from sdlab.target import TargetConfig, init_target
 from sdlab.tree import (BRANCH_LEFT, BRANCH_NONE, BRANCH_RIGHT, BRANCH_TAGS, NO_BRANCH, NODE,
                         _add_level, _grow, _top_k)
 
+from test_draft import step_row
 from test_kernels import ref_inverse_cdf_sample
 
 
@@ -161,7 +162,7 @@ def ref_grow(session, prev_feature, start_token, gamma, *, kind, top_k=1, beam=6
             pout, parent_rows = by_node[nodes[i].parent]
             items.append((nodes[i].token, pout.feature_moe, parent_rows))
         level, ids = session.tree_level(*zip(*items))  # tokens, features, ancestor rows
-        frontier = [(i, level.row(r), by_node[nodes[i].parent][1] + [ids[r]])
+        frontier = [(i, step_row(level, r), by_node[nodes[i].parent][1] + [ids[r]])
                     for r, i in enumerate(exp)]
     return RefTree(nodes, start_token, context_len)
 
@@ -387,6 +388,39 @@ def test_greedy_top_1_level_takes_each_distributions_first_maximum(nb):
         assert got["token"].tolist() == [c.token for c in ref]
         assert got["tag"].tolist() == [c.tag for c in ref]
         assert got["cum_score"].tobytes() == cum.tobytes() == np.array([c.cum for c in ref]).tobytes()
+
+
+@pytest.mark.parametrize("case", ["random", "tie", "all_tie", "zero", "tiny"])
+def test_one_candidate_level_is_its_row_of_the_generic_level(case):
+    # a greedy top-1 level of one distribution takes the one-candidate
+    # branch; its record, q_dist row, row and cum_score are those the same
+    # distribution gets as the first row of a two-row level, which takes
+    # the generic path: ties to the lower token, and a zero probability
+    # clamped to 1e-300 before the log
+    V = 8
+    rng = np.random.default_rng(40)
+    row = {"random": rng.dirichlet(np.ones(V)),
+           "tie": hand_dist(V, {5: 0.3, 2: 0.3}),
+           "all_tie": np.full(V, 1.0 / V),
+           "zero": np.zeros(V),
+           "tiny": np.where(np.arange(V) == 6, 5e-324, 0.0)}[case]
+    other = rng.dirichlet(np.ones(V))
+    pcum = np.array([-0.75, -1.5])
+    one, two = (np.zeros(4, NODE), np.zeros((4, V))), (np.zeros(4, NODE), np.zeros((4, V)))
+    rows1, cum1 = _add_level(*one, 1, 3, row[None, None], np.array([9]), pcum[:1], NO_BRANCH,
+                             1, True, 60, None)
+    rows2, cum2 = _add_level(*two, 1, 3, np.stack((row, other))[:, None], np.array([9, 10]), pcum,
+                             NO_BRANCH, 1, True, 60, None)
+    assert rows1.tolist() == rows2[:1].tolist() == [0]
+    assert cum1.tobytes() == cum2[:1].tobytes()
+    assert one[0][1].tobytes() == two[0][1].tobytes()
+    assert one[1][1].tobytes() == two[1][1].tobytes()
+    assert one[0][1]["token"] == {"tie": 2, "all_tie": 0, "zero": 0, "tiny": 6}.get(
+        case, int(np.argmax(row)))
+    if case in ("zero", "tiny"):
+        assert cum1[0] == -0.75 + np.log(1e-300)
+    # nothing is written outside the node's row
+    assert not one[0][[0, 2, 3]].tobytes().strip(b"\0") and not one[1][[0, 2, 3]].any()
 
 
 def test_nan_temperature_is_rejected_before_the_round_opens(target):

@@ -18,6 +18,7 @@ from sdlab.target import TargetConfig, init_target
 from sdlab.tree import NODE, DraftTree, grow_moe_tree, grow_static_tree
 from sdlab.verify import accept_token, residual_dist, verify_tree
 
+from test_draft import step_row
 from test_row_kernel import random_tree
 from test_target import cache_bytes, clone_cache
 
@@ -1040,7 +1041,7 @@ def draft_level_dists(target, draft, ctx, kind, temperature=1.0):
     lvl1 = dists(out0)
     lvl2 = {}
     for t in range(V):
-        stp = sess.tree_level([t], [out0.feature_moe], [[]])[0].row(0)
+        stp = step_row(sess.tree_level([t], [out0.feature_moe], [[]])[0], 0)
         lvl2[t] = dists(stp)
     return lvl1, lvl2
 
@@ -1336,7 +1337,7 @@ class BeamOneRound:
         if path not in self.passes:
             out, anc = self.step(path[:-1])
             level, ids = self.sess.tree_level([path[-1]], [out.feature_moe], [anc])
-            self.passes[path] = (level.row(0), anc + [int(ids[0])])
+            self.passes[path] = (step_row(level, 0), anc + [int(ids[0])])
         return self.passes[path]
 
     def children(self, path):
