@@ -27,13 +27,18 @@ and a stable row argsort, every expert runs on every row as one stacked
 matmul per projection, and the gated mixture adds each row's chosen
 experts in ascending order, so each row is bit for bit what a lone step
 would give (see kernels.py for the attention).  A one-row pass, a chain
-level or a round's pending row, ranks its experts with Python's stable
-sort, adds its chosen experts one by one and gathers its best two by
-index: the order and bits of a wider pass's row argsort, masked sum and
-gathers, with fewer numpy calls.  Input
-checks run a cheap screen first (Python's min and max of the tokens, two
-reductions of the ancestors) and the exact scan only when it fails, so
-errors keep their messages and precedence.  A round's tree rows are
+level or a round's pending row, runs the same ops on vectors from end to
+end: it checks its token and feature as Python values, writes its input
+row in place, takes its products through ``ndarray.dot`` and its experts
+as (experts, ...) products, ranks its experts with Python's stable sort,
+adds its chosen experts one by one and takes its best two by index: the
+order and bits of a wider pass's concatenation, row stacks, row argsort,
+masked sum and gathers, with fewer numpy calls.  The round's opening row
+returns its step as it is, and a one-row tree level its step stacked
+along the level's row axis.  Input checks run a cheap screen first
+(Python's min and max of the tokens, two reductions of the ancestors)
+and the exact scan only when it fails, so errors keep their messages and
+precedence.  A round's tree rows are
 the cache's tentative rows (``KvCache``), in creation order, until the
 next round's first pass commits its backlog over them.  All rows of a
 tree level share one depth, so a level takes its rows' ancestors as one

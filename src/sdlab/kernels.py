@@ -69,19 +69,31 @@ differently.  PAD is 4, the smallest block that holds on OpenBLAS;
 that reading unpadded widths would break it.
 
 A one-row pass (a decode step, a chain level) pays every kernel's fixed
-cost per numpy call, not its arithmetic, so ``row_linear`` takes one row
-through ``ndarray.dot``, which issues the gemv ``@`` does for about half
-its dispatch cost, and ``layer_norm`` and ``softmax`` take one row through
-a shorter branch with the same bits.  Its reductions
-run over the same contiguous row, so numpy sums and compares the same
-elements in the same order; the results become Python floats, exactly;
-Python's division and ``math.sqrt`` round correctly as numpy's do; and an
-array op with a Python float broadcasts it as the float64 it is.  What the
-branch drops are the (1, 1) arrays between the reductions and the ops on
-them.  Its checks keep their messages and order: a NaN or an infinity
+cost per numpy call, not its arithmetic, so every kernel takes one row
+through a branch of its own with the same bits: ``row_linear`` through
+``ndarray.dot``, which issues the gemv ``@`` does for about half its
+dispatch cost, ``layer_norm`` and ``softmax`` through Python floats, and
+``attn_row`` through one row of every head as a stack of queries with
+one int length.  The branches keep the row formula's numpy ops in its
+order, ``np.exp`` included (``math.exp`` is the C library's, which
+numpy's SIMD loops may differ from by an ulp), and drop what only a
+stack of rows needs: the (1, 1) arrays between the reductions and the
+ops on them, the per-row length array and mask of attention, and the
+broadcast of gamma and beta against a (1, n) row, which ``layer_norm``
+reads as a vector.  Their reductions run over the same contiguous row,
+so numpy sums and compares the same elements in the same order; a max or
+a min read at ``argmax`` or ``argmin`` is the same element, the first NaN
+included; the results become Python floats, exactly; Python's division
+and ``math.sqrt`` round correctly as numpy's do; and an array op with a
+Python float broadcasts it as the float64 it is.  ``layer_norm`` and
+``silu`` write each op over a temporary of their own, never over the
+input.  The checks keep their messages and order: a NaN or an infinity
 reaches a row's max or min, so the two are finite exactly when every
-entry is.  ``test_kernels`` compares each branch with the row formula and
-with the same row inside a multi-row call.  The multi-row paths keep the
+entry is, and each head's attention maxima are checked as Python floats.
+``test_kernels`` compares each branch with the row formula and with the
+same row inside a multi-row call; ``test_dispatch`` pins how often a
+small decode calls each kernel through the names the model modules
+import, the calls perfbench's tracer counts.  The multi-row paths keep the
 row formula's ops in its order too, with fewer calls: every reduction,
 sort and stack on the decode path is called as the ufunc or ndarray method
 numpy's Python-level wrappers end in (``np.add.reduce`` for ``np.sum``,

@@ -33,6 +33,7 @@ chain's commit copies nothing.
 
 from __future__ import annotations
 
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -156,7 +157,7 @@ class KvCache:
         rest = indices[run:]
         if run > t or run < n and (min(rest) < 0 or max(rest) >= t):
             raise ValueError(f"commit rows must be tentative rows, in [0, {t})")
-        if run < n and any(a >= b for a, b in zip([run - 1, *rest], rest)):
+        if run < n and any(map(operator.ge, [run - 1, *rest], rest)):
             raise ValueError("commit rows must ascend")
         if run < n:
             src = np.asarray(rest, dtype=np.intp) + c

@@ -26,7 +26,12 @@ rows as one array, which grows by a column per level.  A level's arrays
 are gathered with ``take``, numpy's cheapest row gather, and only when the
 level cut a candidate: otherwise node i is candidate i, as at every
 sampled level and every chain level, and its columns are written as they
-stand.
+stand.  A greedy top-1 level of one distribution, a chain's, is one
+argmax, one record and one q_dist row, with the bits of that row in a
+wider level.  While every level has added one node, the frontier is one
+row whose ancestors are every row of the round, so its pass is a causal
+one-row level: its token, feature and ancestors are slices, with nothing
+gathered or concatenated.
 
 A grower's temperature picks the mode: 0 grows greedily and scores the
 tree with the plain (T=1) softmax, and T > 0 samples from the softmax at T,

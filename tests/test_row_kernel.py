@@ -315,8 +315,11 @@ def test_sinusoid_positions_match_one_position_rows():
         assert np.array_equal(sinusoid_positions(pos, dim), want)
         assert np.array_equal(sinusoid_positions(list(pos[:1]), dim), want[:1])
         assert sinusoid_positions([], dim).shape == (0, dim)
-    with pytest.raises(ValueError, match="negative position"):
-        sinusoid_positions([3, -1], 32)
+        for i in range(0, 5000, 250):  # one position as an int: its row
+            assert np.array_equal(sinusoid_positions(int(pos[i]), dim), want[i])
+    for bad in ([3, -1], -1):
+        with pytest.raises(ValueError, match="negative position"):
+            sinusoid_positions(bad, 32)
 
 
 @pytest.mark.parametrize("dim", [6, 9])
