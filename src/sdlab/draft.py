@@ -153,33 +153,31 @@ class DraftModel:
             if not 0 <= tokens[0] < cfg.vocab:
                 raise ValueError(f"token {tokens[0]} out of vocab range [0, {cfg.vocab})")
             z = np.empty((1, 2 * d))
-            z0 = z[0]
+            rows = z[0]  # the row as a vector
             np.add(self.emb[operator.index(tokens[0])], sinusoid_positions(positions[0], d),
-                   out=z0[:d])
-            z0[d:] = f
-            # row_linear's one-row products, on the vectors
-            x = p["reduction"].dot(z0)
-            a = layer_norm(x, p["ln1_g"], p["ln1_b"])
-            qkv = p["wqkv"].dot(a)[None]
-            return z, x[None], a[None], qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
-        try:
-            feats = np.asarray(prev_features, dtype=np.float64)
-        except ValueError:  # ragged: rows of different shapes
-            feats = None
-        if feats is None or feats.shape != (len(tokens), d):
-            raise ValueError("prev_feature dimension mismatch")
-        tok = np.asarray(tokens)
-        listed = tok.tolist()
-        # Python's min and max first; the scan finds the first bad token
-        if listed and (min(listed) < 0 or max(listed) >= cfg.vocab):
-            bad = (tok < 0) | (tok >= cfg.vocab)
-            raise ValueError(f"token {tokens[int(np.argmax(bad))]} out of vocab range "
-                             f"[0, {cfg.vocab})")
-        z = np.concatenate((self.emb.take(tok, 0) + sinusoid_positions(positions, d), feats),
-                           axis=1)
-        x = row_linear(p["reduction"], z)
+                   out=rows[:d])
+            rows[d:] = f
+        else:
+            try:
+                feats = np.asarray(prev_features, dtype=np.float64)
+            except ValueError:  # ragged: rows of different shapes
+                feats = None
+            if feats is None or feats.shape != (len(tokens), d):
+                raise ValueError("prev_feature dimension mismatch")
+            tok = np.asarray(tokens)
+            listed = tok.tolist()
+            # Python's min and max first; the scan finds the first bad token
+            if listed and (min(listed) < 0 or max(listed) >= cfg.vocab):
+                bad = (tok < 0) | (tok >= cfg.vocab)
+                raise ValueError(f"token {tokens[int(np.argmax(bad))]} out of vocab range "
+                                 f"[0, {cfg.vocab})")
+            z = rows = np.concatenate(
+                (self.emb.take(tok, 0) + sinusoid_positions(positions, d), feats), axis=1)
+        x = row_linear(p["reduction"], rows)
         a = layer_norm(x, p["ln1_g"], p["ln1_b"])
         qkv = row_linear(p["wqkv"], a)
+        if x.ndim == 1:  # one row's vectors, as rows
+            x, a, qkv = x[None], a[None], qkv[None]
         return z, x, a, qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
 
     def _expert_rows(self, x, att):
