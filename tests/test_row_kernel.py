@@ -1188,8 +1188,7 @@ def test_one_row_input_errors_are_the_multi_row_errors(target, how):
             elif how == "opening row":
                 sess.begin_round(tokens, feats)
             else:  # the same row second in a two-row level
-                sess.tree_level([7, *tokens], [g, *feats] if len(feats) == 1 else [g, g, g],
-                                [[0, 1, 2], [0, 1, 2]])
+                sess.tree_level([7, *tokens], [g, *feats], [[0, 1, 2], [0, 1, 2]])
         assert np.array_equal(sess.cache._kv, before)
 
 
