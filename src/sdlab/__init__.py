@@ -12,6 +12,6 @@ from .kernels import softmax
 from .target import KvCache, StepOutput, TargetConfig, TargetModel, init_target, load_target, save_target
 from .train import TrainBatch, TrainConfig, finite_diff_check, generate_distillation_corpus, jakiro_loss, train_draft, train_step
 from .tree import DraftTree, grow_moe_tree, grow_static_tree
-from .verify import VerifyOutcome, accept_token, verify_tree
+from .verify import VerifyOutcome, verify_tree
 
 __version__ = "0.1.0"

@@ -15,6 +15,12 @@ apart as ``second_pass_rounds``, so tau stays tokens per round, the
 paper's acceptance length.  ``target_rows_per_round`` counts the target
 rows the verify passes forwarded, one per vanilla step.
 
+A round's draft input is what the last verify committed, as it returned
+it: the accepted tokens and the final token, fed in turn the stacked
+target features of the rows it committed, the pending token's and the
+accepted nodes'.  The first round's is the last prompt token, fed the
+prefill's last feature row.
+
 Wall-clock numbers are reported but never asserted; the portable speedup
 proxy is the target forward-pass ratio.
 """
@@ -23,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 import time
 from dataclasses import asdict, dataclass, field
@@ -164,10 +171,13 @@ class Report:
 
 
 def environment_stamp() -> dict:
+    """The host and the settings a report ran under, the OpenBLAS thread
+    count among them (None when unset): training's bits depend on it."""
     return {
         "platform": platform.platform(),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
 
 
@@ -250,20 +260,18 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
         raise ConfigError("prompt_len: speculative methods need prompts of length >= 2")
     t0 = time.perf_counter()
     cache = target.new_cache()
-    feats = [out.feature for out in target.prefill(cache, prompt[:-1])]
-    pending = prompt[-1]
-    prev_feature = feats[-1]
+    feats = target.prefill(cache, prompt[:-1])[1]
 
     moe, parallel = TREES[config.method]
     grow = grow_moe_tree if moe else grow_static_tree
     top_k = 1 if config.method == "chain" else config.top_k  # a chain is a width-1 tree
     dsession = DraftSession(draft)
-    if len(prompt) > 2:
-        dsession.prefill(prompt[1:-1], feats[:-1])
+    dsession.prefill(prompt[1:-1], feats[:-1])
 
+    # the round's input: the committed tokens not yet in the draft's cache,
+    # the pending one last, and the target features fed to them
+    tokens, feats = [prompt[-1]], feats[-1:]
     emitted: list[int] = []
-    backlog_t: list[int] = []
-    backlog_f: list[np.ndarray] = []
     target_forwards = 0
     draft_forwards = 0
     second_passes = 0
@@ -272,24 +280,19 @@ def decode_prompt(target: TargetModel, draft: DraftModel, config: RunConfig,
     per_round = []
     while len(emitted) < config.max_new:
         before = dsession.passes
-        tree = grow(dsession, prev_feature, pending, config.gamma, top_k, beam=config.beam,
+        tree = grow(dsession, tokens, feats, config.gamma, top_k, beam=config.beam,
                     parallel=parallel, temperature=config.temperature, rng=rng,
-                    backlog_tokens=backlog_t, backlog_features=backlog_f,
                     context_len=cache.length)
         round_passes = dsession.passes - before
         outcome = verify_tree(tree, target, cache, config.temperature, rng)
-        emitted.extend(outcome.accepted)
-        emitted.append(outcome.final_token)
+        tokens, feats = [*outcome.accepted, outcome.final_token], outcome.committed_features
+        emitted += tokens
         target_forwards += 1  # one tree verify per round
         second_passes += outcome.second_pass
         target_rows += outcome.rows
         draft_forwards += round_passes
         rounds += 1
         per_round.append(round_passes)
-        backlog_t = list(outcome.accepted)
-        backlog_f = outcome.committed_features[:-1]
-        prev_feature = outcome.committed_features[-1]
-        pending = outcome.final_token
     wall = (time.perf_counter() - t0) * 1000.0
     return {
         "tokens": emitted[: config.max_new],

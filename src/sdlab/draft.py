@@ -20,9 +20,9 @@ mixture (``_route``).  Teacher-forced training runs the same kernel over a
 batch of sequences and reads the intermediates its halves return
 (``train._forward``).  A ``DraftSession`` owns a prompt's
 cache, whose committed rows sit at positions 1 onward: a round's first
-pass commits its backlog rows in one call (one token is one sequential
-step), a tree level is one call over all its rows, and prefill needs only
-the first half.  Linear layers run per row, routing takes a row softmax
+pass commits the tokens the last verify committed in one call (one token
+is one sequential step), a tree level is one call over all its rows, and
+prefill needs only the first half.  Linear layers run per row, routing takes a row softmax
 and a stable row argsort, every expert runs on every row as one stacked
 matmul per projection, and the gated mixture adds each row's chosen
 experts in ascending order, so each row is bit for bit what a lone step
@@ -40,7 +40,7 @@ along the level's row axis.  Input checks run a cheap screen first
 and the exact scan only when it fails, so errors keep their messages and
 precedence.  A round's tree rows are
 the cache's tentative rows (``KvCache``), in creation order, until the
-next round's first pass commits its backlog over them.  All rows of a
+next round's first pass commits its tokens over them.  All rows of a
 tree level share one depth, so a level takes its rows' ancestors as one
 (rows, depth - 1) array, and its attention layout is one group gathered
 from the buffer at its padded width: the committed rows, then the
@@ -68,7 +68,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernels import chain_group, layer_norm, row_linear, silu, sinusoid_positions, softmax
+from .kernels import (chain_group, check_tokens, layer_norm, row_linear, silu,
+                      sinusoid_positions, softmax)
 from .target import KvCache, TargetModel, attend
 
 MAGIC_DRAFT = b"SDFD"
@@ -164,13 +165,7 @@ class DraftModel:
                 feats = None
             if feats is None or feats.shape != (len(tokens), d):
                 raise ValueError("prev_feature dimension mismatch")
-            tok = np.asarray(tokens)
-            listed = tok.tolist()
-            # Python's min and max first; the scan finds the first bad token
-            if listed and (min(listed) < 0 or max(listed) >= cfg.vocab):
-                bad = (tok < 0) | (tok >= cfg.vocab)
-                raise ValueError(f"token {tokens[int(np.argmax(bad))]} out of vocab range "
-                                 f"[0, {cfg.vocab})")
+            tok = check_tokens(tokens, cfg.vocab)
             z = rows = np.concatenate(
                 (self.emb.take(tok, 0) + sinusoid_positions(positions, d), feats), axis=1)
         x = row_linear(p["reduction"], rows)
@@ -312,16 +307,17 @@ class DraftSession:
         self.cache.commit_rows(range(n))
         return x[-1:], q[-1:], keys, values
 
-    def prefill(self, tokens: list[int], prev_features: list[np.ndarray]) -> None:
+    def prefill(self, tokens: list[int], prev_features: np.ndarray) -> None:
         """Ingest committed history rows (positions 1..len); not counted as round passes."""
         if tokens:
             self._commit(tokens, prev_features)
 
-    def begin_round(self, tokens: list[int], prev_features: list[np.ndarray]) -> DraftStepOutput:
-        """First pass of a round: commit the backlog of newly accepted tokens
-        and the pending token in one sequential pass; returns the pending
-        token's step output, which attends to the whole cache and proposes
-        depth-1 candidates.  With one token this is a single draft step."""
+    def begin_round(self, tokens: list[int], prev_features: np.ndarray) -> DraftStepOutput:
+        """First pass of a round: commit the tokens not yet in the cache, the
+        pending token last, fed the (len(tokens), dim) target features
+        prev_features, in one sequential pass; returns the pending token's
+        step output, which attends to the whole cache and proposes depth-1
+        candidates.  With one token this is a single draft step."""
         if not tokens:
             raise ValueError("begin_round needs at least the pending token")
         self.passes += 1

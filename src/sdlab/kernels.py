@@ -156,20 +156,22 @@ def _pin_malloc_thresholds() -> None:
 _pin_malloc_thresholds()
 
 
-def as_f64(x) -> np.ndarray:
-    """Coerce to a float64 ndarray without copying when already one."""
-    return np.asarray(x, dtype=np.float64)
-
-
-def check_prob_vec(p: np.ndarray, what: str = "probability vector") -> None:
-    """Validate a probability vector: finite, nonnegative, sums to 1 within tolerance."""
-    check_prob_rows(as_f64(p)[None], what)
+def check_tokens(tokens, vocab: int) -> np.ndarray:
+    """tokens as an intp array; the first one outside [0, vocab) raises."""
+    tok = np.asarray(tokens, dtype=np.intp)
+    listed = tok.tolist()
+    # Python's min and max first; the scan finds the first bad token
+    if listed and (min(listed) < 0 or max(listed) >= vocab):
+        bad = (tok < 0) | (tok >= vocab)
+        raise ValueError(f"token {int(tok[np.argmax(bad)])} out of vocab range [0, {vocab})")
+    return tok
 
 
 def check_prob_rows(p: np.ndarray, what: str) -> None:
-    """``check_prob_vec`` of every row of a (rows, n) stack at once, with
-    its messages; a bad sum is the first bad row's."""
-    p = as_f64(p)
+    """Validate every row of a (rows, n) stack as a probability vector at
+    once: finite, nonnegative and summing to 1 within PROB_SUM_TOL; a bad
+    sum is the first bad row's."""
+    p = np.asarray(p, dtype=np.float64)
     if not np.logical_and.reduce(np.isfinite(p), None):
         raise ValueError(f"non-finite {what}")
     if p.ndim != 2 or p.shape[1] == 0:

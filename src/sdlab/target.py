@@ -13,7 +13,10 @@ and each row attends to its own context there (the
 cached prefix, then its tree ancestors, then itself, the order sequential
 decoding appends keys in).  The kernel's helpers keep every row's
 arithmetic equal to a lone row's (see kernels.py), so any root-to-leaf tree
-path reproduces the sequential outputs bit for bit.
+path reproduces the sequential outputs bit for bit.  Every pass returns
+its rows' logits and features stacked, (m, vocab) and (m, dim), and
+callers read those arrays as they are; only ``forward_cached``, the
+one-token step, hands its row back as a ``StepOutput``.
 
 A pass is causal when row i attends to exactly the first c+i+1 rows: a
 prompt prefill, a decode step (a one-token prefill) and a chain-shaped tree.
@@ -39,8 +42,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import (attn_row, context_heads, cut_group, inverse_cdf_sample, layer_norm,
-                      padded, row_linear, silu, sinusoid_positions, softmax)
+from .kernels import (attn_row, check_tokens, context_heads, cut_group, inverse_cdf_sample,
+                      layer_norm, padded, row_linear, silu, sinusoid_positions, softmax)
 
 MAGIC_TARGET = b"SDFM"
 CHECKPOINT_VERSION = 1
@@ -269,17 +272,6 @@ class TargetModel:
     def new_cache(self) -> KvCache:
         return KvCache(self.config.n_layers, self.config.dim)
 
-    def check_tokens(self, tokens) -> np.ndarray:
-        """tokens as an array; the first one out of vocab raises."""
-        tok = np.asarray(tokens, dtype=np.intp)
-        listed = tok.tolist()
-        # Python's min and max first; the scan finds the first bad token
-        if listed and (min(listed) < 0 or max(listed) >= self.config.vocab):
-            bad = (tok < 0) | (tok >= self.config.vocab)
-            raise ValueError(f"token {int(tok[np.argmax(bad)])} out of vocab range "
-                             f"[0, {self.config.vocab})")
-        return tok
-
     def _forward_rows(self, tokens, positions, cache, groups):
         """The row kernel: forward m rows through the whole stack at once.
 
@@ -307,25 +299,23 @@ class TargetModel:
 
     def forward_cached(self, cache: KvCache, token: int) -> StepOutput:
         """Decode one token at the next position, extending the cache: a
-        one-token ``prefill``."""
-        return self.prefill(cache, [token])[0]
+        one-token ``prefill``, its one row as a step."""
+        logits, f = self.prefill(cache, [token])
+        return StepOutput(logits=logits[0], feature=f[0])
 
-    def prefill(self, cache: KvCache, tokens: list[int]) -> list[StepOutput]:
+    def prefill(self, cache: KvCache, tokens: list[int]) -> tuple[np.ndarray, np.ndarray]:
         """Decode tokens at the next positions in one causal pass, extending
-        the cache.
+        the cache; returns logits (m, vocab) and features (m, dim).
 
         Row i attends to the cached prefix and rows 0..i, columns in order,
         so each output and key/value row is bit for bit the one decoding the
         tokens one at a time would give.
         """
-        m = len(tokens)
-        if m == 0:
-            return []
-        tok = self.check_tokens(tokens)
-        c = cache.length
+        tok = check_tokens(tokens, self.config.vocab)
+        m, c = len(tok), cache.length
         logits, f = self._forward_rows(tok, range(c, c + m), cache, None)
         cache.commit_rows(range(m))
-        return [StepOutput(logits=lg, feature=ft) for lg, ft in zip(logits, f)]
+        return logits, f
 
     def forward_tree_kv(self, cache, tokens, parents, positions, *, _checked=False):
         """Batched tentative forward over the rows of a tree.  Committed rows
@@ -347,7 +337,7 @@ class TargetModel:
         if _checked:
             tok, par, pos = tokens, parents, positions
         else:
-            tok = self.check_tokens(tokens)
+            tok = check_tokens(tokens, self.config.vocab)
             par = np.asarray(parents, dtype=np.intp)
             pos = np.asarray(positions, dtype=np.intp)
             if not tok.shape == par.shape == pos.shape:
@@ -371,18 +361,18 @@ class TargetModel:
             raise ValueError("temperature must be >= 0")
         rng = np.random.Generator(np.random.PCG64(rng_seed))
         cache = self.new_cache()
-        out = self.prefill(cache, prompt)[-1]
+        logits = self.prefill(cache, prompt)[0][-1]
         emitted: list[int] = []
         for _ in range(max_new):
             if temperature == 0.0:
-                nxt = int(out.logits.argmax())
+                nxt = int(logits.argmax())
             else:
-                probs = softmax(out.logits, temperature)
+                probs = softmax(logits, temperature)
                 nxt = inverse_cdf_sample(probs, rng.random())
             emitted.append(nxt)
             # no step for the last token: its logits would never be read
             if len(emitted) < max_new:
-                out = self.forward_cached(cache, nxt)
+                logits = self.forward_cached(cache, nxt).logits
         return emitted
 
 

@@ -359,7 +359,9 @@ def train_step(model: DraftModel, batch: TrainBatch, opt: AdamState, cfg: TrainC
 
 def train_draft(model: DraftModel, corpus: TrainBatch, cfg: TrainConfig, steps: int,
                 log_every: int = 0):
-    """Minibatch training loop over a fixed corpus; fully seed-deterministic."""
+    """Minibatch training loop over a fixed corpus; deterministic for a seed
+    and a fixed BLAS thread count, as OpenBLAS's matmuls may sum in another
+    order at another thread count."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     opt = AdamState.init(model)
     history = []

@@ -7,8 +7,10 @@ the draft distribution the node's token was drawn from.  Every node's parent
 comes before it and depths never decrease, so verification builds every
 node's attention context from the parent column, one depth at a time.
 
-All growers share the round protocol: the first draft pass commits the newly
-accepted backlog plus the pending token and proposes depth-1 candidates; each
+All growers share the round protocol: a round's input is what the last
+verify committed, the tokens not yet in the draft's cache with the pending
+token last, and the target features fed to them, one (tokens, dim) array.
+The first draft pass commits them and proposes depth-1 candidates; each
 further tree level costs exactly one draft pass.  With the parallel final
 step, depth gamma candidates come from the contrast head of the depth gamma-1
 pass, saving one pass per round.
@@ -183,9 +185,12 @@ def _dedupe(tok: np.ndarray, cum: np.ndarray, k: int) -> np.ndarray | None:
     return np.array(sel) if len(sel) < len(c) else None
 
 
-def _grow(session: DraftSession, prev_feature, start_token, gamma, *, moe: bool,
-          top_k: int, beam: int = 60, parallel: bool = False, temperature: float = 0.0,
-          rng=None, backlog_tokens=(), backlog_features=(), context_len: int = 0) -> DraftTree:
+def _grow(session: DraftSession, tokens, features, gamma, *, moe: bool, top_k: int,
+          beam: int = 60, parallel: bool = False, temperature: float = 0.0, rng=None,
+          context_len: int = 0) -> DraftTree:
+    """Grow one round's tree, rooted at tokens[-1]: tokens are the committed
+    tokens not yet in the session's cache, the pending one last, and
+    features the target features fed to them, one row per token."""
     model = session.model
     if gamma < 1:
         raise ValueError("gamma must be >= 1")
@@ -218,7 +223,7 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, moe: bool,
     # the frontier: the step outputs of the rows of one draft pass (the
     # round's opening row, then a tree level), each row's node, its
     # cum_score and the tentative rows of its ancestors, root first
-    out = session.begin_round([*backlog_tokens, start_token], [*backlog_features, prev_feature])
+    out = session.begin_round(tokens, features)
     parents, pcum = np.array([-1]), np.zeros(1)
     # node numbers, and a chain row's ancestors: every earlier row of the round
     node_ids = np.arange(cap)
@@ -250,13 +255,13 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, moe: bool,
                 parents, pcum = node_ids[n : n + 1], cum
                 n += 1
                 continue
-        tokens = nodes["token"][n : n + len(rows)]
+        toks = nodes["token"][n : n + len(rows)]
         parents = node_ids[n : n + len(rows)]
         n += len(rows)
         if len(rows) > beam:
             keep = (-cum).argsort(kind="stable")[:beam]
             keep.sort()
-            rows, cum, tokens, parents = rows[keep], cum[keep], tokens[keep], parents[keep]
+            rows, cum, toks, parents = rows[keep], cum[keep], toks[keep], parents[keep]
         if depth == last_step_depth:
             if parallel:
                 distc = softmax(model.contrast_logits(out), temperature).reshape(-1, V)
@@ -265,20 +270,20 @@ def _grow(session: DraftSession, prev_feature, start_token, gamma, *, moe: bool,
                 n += len(rows)
             break
         anc = anc.take(rows, 0)
-        out, ids = session.tree_level(tokens, out.feature_moe.reshape(-1, dim).take(rows, 0), anc)
+        out, ids = session.tree_level(toks, out.feature_moe.reshape(-1, dim).take(rows, 0), anc)
         pcum = cum
         anc = np.concatenate((anc, ids[:, None]), axis=1)
 
-    return DraftTree(nodes[:n], q_dist[:n], root_token=start_token, root_context_len=context_len)
+    return DraftTree(nodes[:n], q_dist[:n], root_token=tokens[-1], root_context_len=context_len)
 
 
-def grow_static_tree(session, prev_feature, start_token, gamma, top_k, **kw) -> DraftTree:
+def grow_static_tree(session, tokens, features, gamma, top_k, **kw) -> DraftTree:
     """Static top-k tree from the mixture distribution at every node; at
     top_k 1 it is a chain of gamma tokens."""
-    return _grow(session, prev_feature, start_token, gamma, moe=False, top_k=top_k, **kw)
+    return _grow(session, tokens, features, gamma, moe=False, top_k=top_k, **kw)
 
 
-def grow_moe_tree(session, prev_feature, start_token, gamma, top_k, **kw) -> DraftTree:
+def grow_moe_tree(session, tokens, features, gamma, top_k, **kw) -> DraftTree:
     """Decoupled tree: each node's children come from the two expert branches,
     higher-scoring branch on the left, cum_score weighted by the branch score."""
-    return _grow(session, prev_feature, start_token, gamma, moe=True, top_k=top_k, **kw)
+    return _grow(session, tokens, features, gamma, moe=True, top_k=top_k, **kw)

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import as_f64, check_prob_rows, check_prob_vec, inverse_cdf_sample, softmax
+from .kernels import check_prob_rows, check_tokens, inverse_cdf_sample, softmax
 from .target import KvCache, TargetModel, check_tree
 from .tree import DraftTree
 
@@ -62,9 +62,9 @@ from .tree import DraftTree
 class VerifyOutcome:
     accepted: list[int]
     final_token: int
-    # the target features of (pending token, accepted nodes), the rows the
-    # verify committed, in order
-    committed_features: list[np.ndarray]
+    # the (1 + len(accepted), dim) target features of the pending token and
+    # the accepted nodes, the rows the verify committed, in order
+    committed_features: np.ndarray
     # target rows forwarded, over both passes
     rows: int
     # whether the walk accepted a node the first pass left out, which took
@@ -73,30 +73,13 @@ class VerifyOutcome:
 
 
 def _accepts(p: np.ndarray, q: np.ndarray, token: int, u: float) -> bool:
+    """Speculative acceptance test: accept iff u < min(1, p(token)/q(token)),
+    for probability vectors p and q already checked; a token q gives no
+    mass raises ValueError."""
     qt = float(q[token])
     if qt <= 0.0:
         raise ValueError("token not proposed by draft")
     return u < min(1.0, float(p[token]) / qt)
-
-
-def accept_token(p: np.ndarray, q: np.ndarray, token: int, u: float) -> bool:
-    """Speculative acceptance test: accept iff u < min(1, p(token)/q(token)).
-
-    p and q are probability vectors of one length, token an index into
-    them and u a uniform in [0, 1); anything else raises ValueError before
-    either vector is read at token.
-    """
-    p, q = as_f64(p), as_f64(q)
-    check_prob_vec(p, "p")
-    check_prob_vec(q, "q")
-    v = p.shape[0]
-    if q.shape[0] != v:
-        raise ValueError(f"p and q differ in length: {v} and {q.shape[0]}")
-    if not (isinstance(token, (int, np.integer)) and 0 <= token < v):
-        raise ValueError(f"token must be an index in [0, {v}), got {token!r}")
-    if not 0.0 <= u < 1.0:  # NaN included
-        raise ValueError(f"u must be a uniform in [0, 1), got {u!r}")
-    return _accepts(p, q, token, u)
 
 
 def residual_dist(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -258,7 +241,7 @@ def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
         logits, features = target.forward_tree_kv(cache, tokens, parents, depths)
     else:
         # the whole tree is checked here, once, so its sub-trees are not
-        target.check_tokens(tokens)
+        check_tokens(tokens, target.vocab)
         check_tree(parents, depths)
         par = parents.tolist()
         if temperature == 0.0:
@@ -285,7 +268,7 @@ def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
         commit = [0, *(row[1 + i] for i in path)]
         cache.commit_rows(commit)
         return VerifyOutcome(accepted=nodes["token"][path].tolist(), final_token=final,
-                             committed_features=list(features[commit]), rows=len(first),
+                             committed_features=features.take(commit, 0), rows=len(first),
                              second_pass=False)
     # pass 2: the walk accepted v, a node pass 1 left out.  The root and v's
     # ancestors are committed first, so v's subtree, in row order, is a
@@ -316,7 +299,7 @@ def verify_tree(tree: DraftTree, target: TargetModel, cache: KvCache,
     return VerifyOutcome(
         accepted=nodes["token"][path].tolist(),
         final_token=final,
-        committed_features=[*features[anc], *features2[tail]],
+        committed_features=np.concatenate((features.take(anc, 0), features2.take(tail, 0))),
         rows=len(first) + len(sub),
         second_pass=True,
     )

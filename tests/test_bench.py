@@ -252,6 +252,12 @@ class TestReport:
         write_report(rep, path)
         assert read_report(path) == rep.to_dict()
 
+    def test_environment_names_the_blas_thread_count(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert environment_stamp()["openblas_num_threads"] == "3"
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert environment_stamp()["openblas_num_threads"] is None
+
     def test_empty_metrics_rejected(self, tmp_path):
         rep = Report(config={}, metrics={}, speedups={}, environment={})
         with pytest.raises(ValueError, match="no metrics"):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import sdlab.kernels as kernels
-from sdlab.kernels import LOG_CLAMP, as_f64, attn_row, inverse_cdf_rows, inverse_cdf_sample, layer_norm, softmax
+from sdlab.kernels import LOG_CLAMP, attn_row, inverse_cdf_rows, inverse_cdf_sample, layer_norm, softmax
 
 
 # Masked attention, smooth L1 and cross entropy as the library defined them
@@ -18,9 +18,9 @@ def masked_attention(q, k, v, mask) -> np.ndarray:
 
     mask must allow the diagonal; a row with no allowed positions is an error.
     """
-    q = as_f64(q)
-    k = as_f64(k)
-    v = as_f64(v)
+    q = np.asarray(q, dtype=np.float64)
+    k = np.asarray(k, dtype=np.float64)
+    v = np.asarray(v, dtype=np.float64)
     m = np.asarray(mask, dtype=bool)
     n = q.shape[0]
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
@@ -42,8 +42,8 @@ def masked_attention(q, k, v, mask) -> np.ndarray:
 
 def smooth_l1(pred, target, beta: float = 1.0) -> float:
     """Mean-reduced smooth L1: quadratic inside |diff| < beta, linear outside."""
-    p = as_f64(pred)
-    t = as_f64(target)
+    p = np.asarray(pred, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
     if p.shape != t.shape:
         raise ValueError("length mismatch")
     if not beta > 0.0:
@@ -55,8 +55,8 @@ def smooth_l1(pred, target, beta: float = 1.0) -> float:
 
 def cross_entropy(p_target, q_pred) -> float:
     """Cross entropy -sum(p * log q) with q clamped below at LOG_CLAMP."""
-    p = as_f64(p_target)
-    q = as_f64(q_pred)
+    p = np.asarray(p_target, dtype=np.float64)
+    q = np.asarray(q_pred, dtype=np.float64)
     if p.shape != q.shape:
         raise ValueError("length mismatch")
     return float(-np.sum(p * np.log(np.maximum(q, LOG_CLAMP))))

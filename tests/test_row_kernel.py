@@ -542,11 +542,12 @@ def test_prefill_matches_forward_cached_loop(target, c, m):
     seq = cached(target, prefix)
     want = [target.forward_cached(seq, t) for t in tokens]
     cache = cached(target, prefix)
-    got = target.prefill(cache, tokens)
-    assert len(got) == m and cache.length == seq.length == c + m
-    for o, w in zip(got, want):
-        assert np.array_equal(o.logits, w.logits)
-        assert np.array_equal(o.feature, w.feature)
+    logits, feats = target.prefill(cache, tokens)
+    assert logits.shape == (m, target.vocab) and feats.shape == (m, target.dim)
+    assert cache.length == seq.length == c + m
+    for lg, f, w in zip(logits, feats, want):
+        assert np.array_equal(lg, w.logits)
+        assert np.array_equal(f, w.feature)
     for l in range(target.config.n_layers):
         assert np.array_equal(committed(cache, l)[0], committed(seq, l)[0])
         assert np.array_equal(committed(cache, l)[1], committed(seq, l)[1])
@@ -568,8 +569,8 @@ def test_odd_width_forward_cached_and_prefill():
         ctx_v = [np.concatenate((a, b[None])) for a, b in zip(ctx_v, v)]
         want.append(out)
     pre = odd.new_cache()
-    got = odd.prefill(pre, tokens)
-    assert all(np.array_equal(o.logits, w.logits) for o, w in zip(got, want))
+    logits = odd.prefill(pre, tokens)[0]
+    assert np.array_equal(logits, [w.logits for w in want])
     for l in range(odd.config.n_layers):
         assert np.array_equal(committed(pre, l)[0], committed(cache, l)[0])
         assert np.array_equal(committed(pre, l)[1], committed(cache, l)[1])
@@ -588,9 +589,9 @@ def test_chain_verify_matches_prefill(dim, n_heads, m):
     c = len(prefix)
     assert cache.length == c and cache.tentative == m
     pre = cached(model, prefix)
-    want = model.prefill(pre, tokens)
-    assert np.array_equal(logits, [o.logits for o in want])
-    assert np.array_equal(feats, [o.feature for o in want])
+    want_logits, want_feats = model.prefill(pre, tokens)
+    assert np.array_equal(logits, want_logits)
+    assert np.array_equal(feats, want_feats)
     for l in range(model.config.n_layers):
         assert np.array_equal(cache._k[l][c : c + m], committed(pre, l)[0][c:])
         assert np.array_equal(cache._v[l][c : c + m], committed(pre, l)[1][c:])
@@ -631,11 +632,12 @@ def test_commit_after_verify_then_step_matches_sequential(target, chain):
     target.forward_tree_kv(cache, tokens, parents, depth)
     cache.commit_rows(path)
     after = [int(t) for t in rng.integers(0, target.vocab, size=4)]
-    got = [target.forward_cached(cache, after[0]), *target.prefill(cache, after[1:])]
+    first = target.forward_cached(cache, after[0])
+    got = [(first.logits, first.feature), *zip(*target.prefill(cache, after[1:]))]
     seq = cached(target, prefix + [tokens[i] for i in path])
     want = [target.forward_cached(seq, t) for t in after]
-    for o, w in zip(got, want):
-        assert np.array_equal(o.logits, w.logits) and np.array_equal(o.feature, w.feature)
+    for (lg, f), w in zip(got, want, strict=True):
+        assert np.array_equal(lg, w.logits) and np.array_equal(f, w.feature)
     for l in range(target.config.n_layers):
         assert np.array_equal(committed(cache, l)[0], committed(seq, l)[0])
         assert np.array_equal(committed(cache, l)[1], committed(seq, l)[1])
@@ -759,7 +761,11 @@ def test_commit_after_a_longer_second_pass_takes_its_rows(target):
 
 def test_prefill_rejects_out_of_vocab_before_any_row(target):
     cache = cached(target, [1, 2])
-    assert target.prefill(cache, []) == []
+    kv = cache._kv.copy()
+    # an empty prefill gives no rows and commits none
+    logits, feats = target.prefill(cache, [])
+    assert logits.shape == (0, target.vocab) and feats.shape == (0, target.dim)
+    assert (cache.length, cache.tentative) == (2, 0) and np.array_equal(cache._kv, kv)
     with pytest.raises(ValueError, match=f"token {target.vocab} out of vocab range"):
         target.prefill(cache, [3, target.vocab, 4])
     assert cache.length == 2
@@ -1207,7 +1213,7 @@ def test_one_row_nan_inputs_raise_the_multi_row_errors(target, pass_):
         head[11, 0] = np.nan
         bad = DraftModel(draft.config, draft.params, draft.emb, head)
         with pytest.raises(ValueError, match="^non-finite logit$"):
-            grow_static_tree(DraftSession(bad), f, 4, 3, 1)
+            grow_static_tree(DraftSession(bad), [4], [f], 3, 1)
     else:
         cache = cached(target, [1, 2, 3])
         cache._k[0][1, 3] = np.nan

@@ -7,7 +7,9 @@ itself or in the decode benchmark's own code (``perfbench/*.py``, its tests
 left out).  A helper that only tests use, or an entry point nothing calls,
 fails here; the tests keep a local copy of what they need instead.
 
-Names are matched, not owners, so a method named like one of dict, list,
+A method counts as referenced only through an attribute (``x.method``),
+never through a bare name, so a local variable of its name keeps nothing
+alive.  Owners are not matched, so a method named like one of dict, list,
 str, set or np.ndarray (``values``, ``take``, ...) counts every call of
 theirs as its own.  No count of references proves such a method called,
 so each one must be named in ``SHADOWED`` with the reason it is kept.
@@ -20,10 +22,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "sdlab"
-# save_target is the only writer of the checkpoint format load_target reads;
-# accept_token is the checked acceptance test sdlab exports, whose rule the
-# verify walk applies unchecked after checking a tree's q_dist once
-ALLOWED = {"save_target", "accept_token"}
+# save_target is the only writer of the checkpoint format load_target reads
+ALLOWED = {"save_target"}
 SHADOWING = set().union(*map(dir, (dict, list, str, set, np.ndarray)))
 # "Class.method" of each public method named like a method of SHADOWING's
 # types, and why it is kept
@@ -58,26 +58,30 @@ def definitions(path):
 
 
 def references(paths):
-    """name -> [(path, line)] of every use of the name as a variable or an attribute."""
+    """name -> [(path, line, attribute)] of every use of the name as a
+    variable (attribute False) or as an attribute (True)."""
     refs = {}
     for path in paths:
         for node in ast.walk(parse(path)):
             if isinstance(node, ast.Name):
-                refs.setdefault(node.id, []).append((path, node.lineno))
+                refs.setdefault(node.id, []).append((path, node.lineno, False))
             elif isinstance(node, ast.Attribute):
-                refs.setdefault(node.attr, []).append((path, node.lineno))
+                refs.setdefault(node.attr, []).append((path, node.lineno, True))
     return refs
 
 
 def uncalled(paths, callers):
     """Names defined in paths that no code in callers references outside
-    their own definition, as "file:line name"."""
+    their own definition, a method only as an attribute, as "file:line
+    name"."""
     refs = references(callers)
     out = []
     for path in paths:
         for name, node in definitions(path):
-            outside = [(p, line) for p, line in refs.get(name.split(".")[-1], [])
-                       if p != path or not node.lineno <= line <= node.end_lineno]
+            method = "." in name
+            outside = [(p, line) for p, line, attr in refs.get(name.split(".")[-1], [])
+                       if (attr or not method)
+                       and (p != path or not node.lineno <= line <= node.end_lineno)]
             if not outside:
                 out.append(f"{path.name}:{node.lineno} {name}")
     return out
@@ -110,6 +114,22 @@ def test_the_guard_sees_a_test_only_helper(tmp_path):
                    "def smooth_l1_elem(pred, target, beta):\n"
                    "    return abs(pred - target)\n", encoding="utf-8")
     assert uncalled([mod], [*caller_files(), mod]) == ["extra.py:1 smooth_l1"]
+
+
+def test_the_guard_sees_an_unused_method_named_like_a_local_variable(tmp_path):
+    # a local variable row, as verify.py and tree.py have, is no call of
+    # a method row that only tests call
+    mod = tmp_path / "extra.py"
+    mod.write_text("class Step:\n"
+                   "    def row(self, i):\n"
+                   "        return i\n"
+                   "\n\n"
+                   "def first(steps):\n"
+                   "    row = steps[0]\n"
+                   "    return row\n"
+                   "\n\n"
+                   "first([Step()])\n", encoding="utf-8")
+    assert uncalled([mod], [*caller_files(), mod]) == ["extra.py:2 Step.row"]
 
 
 def test_the_guard_sees_an_unused_method_named_like_a_dict_method(tmp_path):

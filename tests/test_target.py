@@ -140,14 +140,14 @@ class TestDecode:
         # reference: one step after every emitted token, the last one included
         rng = np.random.Generator(np.random.PCG64(5))
         cache = model.new_cache()
-        out = model.prefill(cache, [1, 2, 3])[-1]
+        logits = model.prefill(cache, [1, 2, 3])[0][-1]
         expected = []
         for _ in range(12):
             if temperature == 0.0:
-                expected.append(int(np.argmax(out.logits)))
+                expected.append(int(np.argmax(logits)))
             else:
-                expected.append(inverse_cdf_sample(softmax(out.logits, temperature), rng.random()))
-            out = model.forward_cached(cache, expected[-1])
+                expected.append(inverse_cdf_sample(softmax(logits, temperature), rng.random()))
+            logits = model.forward_cached(cache, expected[-1]).logits
         steps = []
         step = model.forward_cached
         monkeypatch.setattr(model, "forward_cached", lambda c, t: steps.append(t) or step(c, t))

@@ -110,19 +110,19 @@ def make_session(draft):
 
 class TestChain:
     def test_single_node(self, draft, root_feature):
-        tree = grow_static_tree(make_session(draft), root_feature, 5, 1, 1)
+        tree = grow_static_tree(make_session(draft), [5], [root_feature], 1, 1)
         assert len(tree) == 1
         assert tree.nodes["depth"][0] == 1 and tree.nodes["parent"][0] == -1
 
     def test_greedy_determinism(self, draft, root_feature):
-        t1 = grow_static_tree(make_session(draft), root_feature, 5, 4, 1)
-        t2 = grow_static_tree(make_session(draft), root_feature, 5, 4, 1)
+        t1 = grow_static_tree(make_session(draft), [5], [root_feature], 4, 1)
+        t2 = grow_static_tree(make_session(draft), [5], [root_feature], 4, 1)
         assert dump_tree(t1) == dump_tree(t2)
 
     def test_chain_matches_draft_greedy_replay(self, draft, root_feature):
         # replay oracle: drive the draft by hand, taking argmax of the mixture
         gamma = 3
-        tree = grow_static_tree(make_session(draft), root_feature, 5, gamma, 1)
+        tree = grow_static_tree(make_session(draft), [5], [root_feature], gamma, 1)
         s = make_session(draft)
         out = s.begin_round([5], [root_feature])
         want = []
@@ -138,7 +138,7 @@ class TestChain:
         assert tree.nodes["token"].tolist() == want
 
     def test_q_dist_recorded(self, draft, root_feature):
-        tree = grow_static_tree(make_session(draft), root_feature, 5, 3, 1)
+        tree = grow_static_tree(make_session(draft), [5], [root_feature], 3, 1)
         assert tree.q_dist.shape == (3, draft.vocab)
         assert np.allclose(tree.q_dist.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         q = tree.q_dist[np.arange(3), tree.nodes["token"]]
@@ -146,36 +146,36 @@ class TestChain:
 
     def test_sampling_mode(self, draft, root_feature):
         rng = np.random.default_rng(0)
-        tree = grow_static_tree(make_session(draft), root_feature, 5, 3, 1, temperature=1.0,
+        tree = grow_static_tree(make_session(draft), [5], [root_feature], 3, 1, temperature=1.0,
                                 rng=rng)
         assert len(tree) == 3
         rng2 = np.random.default_rng(0)
-        tree2 = grow_static_tree(make_session(draft), root_feature, 5, 3, 1, temperature=1.0,
+        tree2 = grow_static_tree(make_session(draft), [5], [root_feature], 3, 1, temperature=1.0,
                                  rng=rng2)
         assert dump_tree(tree) == dump_tree(tree2)
 
     def test_temperature_zero_is_greedy(self, draft, root_feature):
-        greedy = grow_static_tree(make_session(draft), root_feature, 5, 3, 1)
-        same = grow_static_tree(make_session(draft), root_feature, 5, 3, 1, temperature=0.0)
+        greedy = grow_static_tree(make_session(draft), [5], [root_feature], 3, 1)
+        same = grow_static_tree(make_session(draft), [5], [root_feature], 3, 1, temperature=0.0)
         assert dump_tree(same) == dump_tree(greedy)
         with pytest.raises(ValueError, match="needs an rng"):
-            grow_static_tree(make_session(draft), root_feature, 5, 3, 1, temperature=0.6)
+            grow_static_tree(make_session(draft), [5], [root_feature], 3, 1, temperature=0.6)
         with pytest.raises(ValueError, match="temperature must be >= 0"):
-            grow_static_tree(make_session(draft), root_feature, 5, 3, 1, temperature=-1.0,
+            grow_static_tree(make_session(draft), [5], [root_feature], 3, 1, temperature=-1.0,
                              rng=np.random.default_rng(0))
 
 
 class TestStaticTree:
     def test_topk1_collapses_to_chain(self, draft, root_feature):
         # a chain draft is the width-1 static tree: each node the child of the one before
-        static = grow_static_tree(make_session(draft), root_feature, 5, 3, 1)
+        static = grow_static_tree(make_session(draft), [5], [root_feature], 3, 1)
         assert static.nodes["parent"].tolist() == [-1, 0, 1]
         assert static.nodes["depth"].tolist() == [1, 2, 3]
         assert (static.nodes["tag"] == "none").all()
 
     def test_exhaustive_enumeration_oracle(self, draft, root_feature):
         # gamma=2, top_k=2, beam=2: brute-force the expected node set
-        tree = grow_static_tree(make_session(draft), root_feature, 5, 2, 2, beam=2)
+        tree = grow_static_tree(make_session(draft), [5], [root_feature], 2, 2, beam=2)
         s = make_session(draft)
         out = s.begin_round([5], [root_feature])
         d0 = softmax(draft.mixture_logits(out))
@@ -193,12 +193,12 @@ class TestStaticTree:
         assert tree.nodes[["token", "depth", "parent"]].tolist() == expect
 
     def test_layout_invariants_after_build(self, draft, root_feature):
-        tree = grow_static_tree(make_session(draft), root_feature, 5, 3, 2, beam=4,
+        tree = grow_static_tree(make_session(draft), [5], [root_feature], 3, 2, beam=4,
                                 context_len=2)
         assert_columns_follow_parents(tree)
 
     def test_cum_score_monotone(self, draft, root_feature):
-        tree = grow_static_tree(make_session(draft), root_feature, 5, 4, 3, beam=6)
+        tree = grow_static_tree(make_session(draft), [5], [root_feature], 4, 3, beam=6)
         parent, cum = tree.nodes["parent"], tree.nodes["cum_score"]
         inner = parent >= 0
         assert inner.any()
@@ -207,16 +207,16 @@ class TestStaticTree:
 
 class TestMoeTree:
     def test_golden_dump(self, draft, root_feature):
-        tree = grow_moe_tree(make_session(draft), root_feature, 5, 2, 2, context_len=1)
+        tree = grow_moe_tree(make_session(draft), [5], [root_feature], 2, 2, context_len=1)
         assert dump_tree(tree) == GOLDEN_MOE_DUMP
 
     def test_requires_two_active_experts(self, target, root_feature):
         d1 = init_draft(DraftConfig(n_experts=1, active_k=1), target, seed=3)
         with pytest.raises(ValueError, match="K < 2"):
-            grow_moe_tree(DraftSession(d1), root_feature, 5, 2, 2)
+            grow_moe_tree(DraftSession(d1), [5], [root_feature], 2, 2)
 
     def test_branch_tags_and_order(self, draft, root_feature):
-        tree = grow_moe_tree(make_session(draft), root_feature, 5, 3, 2, beam=8)
+        tree = grow_moe_tree(make_session(draft), [5], [root_feature], 3, 2, beam=8)
         assert set(tree.nodes["tag"].tolist()) <= {"left", "right"}
         by_parent = {}
         for i, parent in enumerate(tree.nodes["parent"].tolist()):
@@ -229,7 +229,7 @@ class TestMoeTree:
 
     def test_left_right_score_ordering(self, draft, root_feature):
         # reconstructed emitting-branch score: exp(cum - parent_cum) / q
-        tree = grow_moe_tree(make_session(draft), root_feature, 5, 2, 2, beam=8)
+        tree = grow_moe_tree(make_session(draft), [5], [root_feature], 2, 2, beam=8)
         nodes = tree.nodes
         by_parent = {}
         for i, parent in enumerate(nodes["parent"].tolist()):
@@ -246,7 +246,7 @@ class TestMoeTree:
 
     def test_gamma1_topk2_candidate_order(self, draft, root_feature):
         # direct sort of (branch score desc, token prob desc) pairs
-        tree = grow_moe_tree(make_session(draft), root_feature, 5, 1, 2)
+        tree = grow_moe_tree(make_session(draft), [5], [root_feature], 1, 2)
         s = make_session(draft)
         out = s.begin_round([5], [root_feature])
         dl, dr = softmax(draft.branch_logits(out))
@@ -265,30 +265,30 @@ class TestMoeTree:
         d = init_draft(DraftConfig(), target, seed=5)
         d.params["w1"][1] = d.params["w1"][0]
         d.params["w2"][1] = d.params["w2"][0]
-        tree = grow_moe_tree(DraftSession(d), root_feature, 5, 2, 2, beam=8)
+        tree = grow_moe_tree(DraftSession(d), [5], [root_feature], 2, 2, beam=8)
         # equal branch distributions collide token-for-token; dedup keeps the left copies
         assert (tree.nodes["tag"] == "left").all()
-        static = grow_static_tree(DraftSession(d), root_feature, 5, 2, 2, beam=8)
+        static = grow_static_tree(DraftSession(d), [5], [root_feature], 2, 2, beam=8)
         assert np.array_equal(tree.nodes["token"], static.nodes["token"])
 
     def test_parallel_final_level_from_contrast_head(self, draft, root_feature):
         gamma = 3
         sess = make_session(draft)
-        tree = grow_moe_tree(sess, root_feature, 5, gamma, 2, parallel=True, beam=8)
+        tree = grow_moe_tree(sess, [5], [root_feature], gamma, 2, parallel=True, beam=8)
         assert sess.passes == gamma - 1
         deepest = tree.nodes[tree.nodes["depth"] == gamma]
         assert len(deepest) and (deepest["tag"] == "none").all()
-        non_parallel = grow_moe_tree(make_session(draft), root_feature, 5, gamma, 2, beam=8)
+        non_parallel = grow_moe_tree(make_session(draft), [5], [root_feature], gamma, 2, beam=8)
         assert non_parallel.nodes["depth"].max() == gamma
 
     def test_chain_parallel_pass_counts(self, draft, root_feature):
         # gamma=5 chain: 4 draft passes with the parallel final step, 5 without
         sess = make_session(draft)
-        tree = grow_static_tree(sess, root_feature, 5, 5, 1, parallel=True)
+        tree = grow_static_tree(sess, [5], [root_feature], 5, 1, parallel=True)
         assert sess.passes == 4
         assert tree.nodes["depth"].tolist() == [1, 2, 3, 4, 5]
         sess2 = make_session(draft)
-        grow_static_tree(sess2, root_feature, 5, 5, 1)
+        grow_static_tree(sess2, [5], [root_feature], 5, 1)
         assert sess2.passes == 5
 
 
@@ -314,7 +314,7 @@ class TestLayout:
                 layout_tree(triples, context_len=int(rng.integers(0, 5))))
 
     def test_grown_tree_layout(self, draft, root_feature):
-        tree = grow_moe_tree(make_session(draft), root_feature, 5, 3, 2, beam=6,
+        tree = grow_moe_tree(make_session(draft), [5], [root_feature], 3, 2, beam=6,
                              context_len=4)
         cols = tree_columns(tree)
         for i, (parent, depth) in enumerate(tree.nodes[["parent", "depth"]].tolist()):

@@ -103,11 +103,10 @@ def ref_dedup_siblings(cands):
     return [best[k] for k in order]
 
 
-def ref_grow(session, prev_feature, start_token, gamma, *, kind, top_k=1, beam=60,
-             parallel=False, mode="greedy", temperature=1.0, rng=None,
-             backlog_tokens=(), backlog_features=(), context_len=0):
+def ref_grow(session, tokens, features, gamma, *, kind, top_k=1, beam=60, parallel=False,
+             mode="greedy", temperature=1.0, rng=None, context_len=0):
     model = session.model
-    out0 = session.begin_round([*backlog_tokens, start_token], [*backlog_features, prev_feature])
+    out0 = session.begin_round(tokens, features)
     nodes = []
     frontier = [(-1, out0, [])]
     last_step_depth = gamma - 1 if parallel else gamma
@@ -164,7 +163,7 @@ def ref_grow(session, prev_feature, start_token, gamma, *, kind, top_k=1, beam=6
         level, ids = session.tree_level(*zip(*items))  # tokens, features, ancestor rows
         frontier = [(i, step_row(level, r), by_node[nodes[i].parent][1] + [ids[r]])
                     for r, i in enumerate(exp)]
-    return RefTree(nodes, start_token, context_len)
+    return RefTree(nodes, tokens[-1], context_len)
 
 
 # --------------------------------------------------------------------- tests
@@ -198,19 +197,21 @@ def compare_growth(draft, kind, parallel, mode, shapes, seed, temperatures=(1.0,
     trees = []
     for gamma, top_k, beam in shapes:
         for temperature in temperatures:
+            # the round's input: up to two tokens verify accepted, then the
+            # pending one, each with its fed feature
             n = int(rng.integers(0, 3))
+            tokens = [int(t) for t in rng.integers(0, draft.vocab, size=n)]
+            fed = rng.normal(size=(n, draft.dim))
             kw = dict(kind=kind, top_k=top_k, beam=beam, parallel=parallel, mode=mode,
-                      temperature=temperature,
-                      backlog_tokens=[int(t) for t in rng.integers(0, draft.vocab, size=n)],
-                      backlog_features=list(rng.normal(size=(n, draft.dim))),
-                      context_len=int(rng.integers(0, 50)))
-            start, f = int(rng.integers(0, draft.vocab)), rng.normal(size=draft.dim)
+                      temperature=temperature, context_len=int(rng.integers(0, 50)))
+            tokens.append(int(rng.integers(0, draft.vocab)))
+            fed = np.vstack((fed, rng.normal(size=draft.dim)))
             draw_seed = int(rng.integers(0, 2**32))
             g_rng, r_rng = np.random.default_rng(draw_seed), np.random.default_rng(draw_seed)
-            want = ref_grow(ref, f, start, gamma, rng=r_rng, **kw)
+            want = ref_grow(ref, tokens, fed, gamma, rng=r_rng, **kw)
             kw["temperature"] = 0.0 if kw.pop("mode") == "greedy" else temperature
             kw["moe"] = kw.pop("kind") == "moe"
-            got = _grow(sess, f, start, gamma, rng=g_rng, **kw)
+            got = _grow(sess, tokens, fed, gamma, rng=g_rng, **kw)
             assert_same_tree(got, want)
             assert sess.passes == ref.passes
             assert g_rng.bit_generator.state == r_rng.bit_generator.state
@@ -267,7 +268,7 @@ def test_empty_trees_are_rejected(target, top_k, beam):
     sess = DraftSession(draft)
     for temperature, rng in ((0.0, None), (1.0, np.random.default_rng(0))):
         with pytest.raises(ValueError, match="top_k and beam must be >= 1"):
-            _grow(sess, np.zeros(draft.dim), 3, 4, moe=True, top_k=top_k, beam=beam,
+            _grow(sess, [3], np.zeros((1, draft.dim)), 4, moe=True, top_k=top_k, beam=beam,
                   parallel=True, temperature=temperature, rng=rng)
     assert sess.passes == 0
 
@@ -424,13 +425,12 @@ def test_one_candidate_level_is_its_row_of_the_generic_level(case):
 
 
 def test_nan_temperature_is_rejected_before_the_round_opens(target):
-    # the backlog is committed only once the round opens
+    # the round's tokens are committed only once the round opens
     draft = init_draft(DraftConfig(), target, seed=2)
     sess = DraftSession(draft)
     with pytest.raises(ValueError, match="temperature must be >= 0"):
-        _grow(sess, np.zeros(draft.dim), 3, 4, moe=True, top_k=2, temperature=float("nan"),
-              rng=np.random.default_rng(0), backlog_tokens=[5, 6],
-              backlog_features=[np.zeros(draft.dim)] * 2)
+        _grow(sess, [5, 6, 3], np.zeros((3, draft.dim)), 4, moe=True, top_k=2,
+              temperature=float("nan"), rng=np.random.default_rng(0))
     assert sess.passes == 0 and sess.cache.length == 0
 
 
@@ -443,7 +443,7 @@ def test_greedy_top_k_past_the_vocab_gives_every_parent_all_tokens(kind):
     draft = init_draft(DraftConfig(vocab=4, dim=8, n_heads=2), small, seed=1)
     sess = DraftSession(draft)
     sess.prefill([1, 2], [np.zeros(8)] * 2)
-    tree = _grow(sess, np.zeros(8), 3, 2, moe=kind == "moe", top_k=7, beam=64)
+    tree = _grow(sess, [3], np.zeros((1, 8)), 2, moe=kind == "moe", top_k=7, beam=64)
     # moe keeps one copy of the token both branches of a parent propose
     for parent in range(-1, 4):
         kids = tree.nodes["token"][tree.nodes["parent"] == parent]
@@ -476,9 +476,9 @@ def test_sampled_growth_expands_the_beam_best_nodes_of_every_level(target, kind,
     rng = np.random.default_rng(100 * nk[0] + 10 * nk[1] + parallel)
     sess = DraftSession(draft)
     for gamma, top_k, beam in shapes_of(kind):
-        tree = _grow(sess, rng.normal(size=draft.dim), int(rng.integers(0, draft.vocab)), gamma,
-                     moe=kind == "moe", top_k=top_k, beam=beam, parallel=parallel, temperature=1.0,
-                     rng=rng)
+        f = rng.normal(size=(1, draft.dim))
+        tree = _grow(sess, [int(rng.integers(0, draft.vocab))], f, gamma, moe=kind == "moe",
+                     top_k=top_k, beam=beam, parallel=parallel, temperature=1.0, rng=rng)
         levels = levels_of(tree, gamma)
         parent, cum = tree.nodes["parent"], tree.nodes["cum_score"]
         expanded = [-1]
@@ -497,9 +497,9 @@ def test_sampled_jakiro_round_at_the_bench_shape_has_180_nodes(target):
     rng = np.random.default_rng(5)
     sess = DraftSession(draft)
     for temperature in (1.0, 0.6, 1.0):
-        tree = _grow(sess, rng.normal(size=draft.dim), int(rng.integers(0, draft.vocab)), 5,
-                     moe=True, top_k=2, beam=16, parallel=True, temperature=temperature,
-                     rng=rng)
+        f = rng.normal(size=(1, draft.dim))
+        tree = _grow(sess, [int(rng.integers(0, draft.vocab))], f, 5, moe=True, top_k=2,
+                     beam=16, parallel=True, temperature=temperature, rng=rng)
         assert [len(level) for level in levels_of(tree, 5)] == [4, 16, 64, 64, 32]
         assert len(tree) == 180
         assert len(set(tree.nodes["parent"][levels_of(tree, 5)[4]].tolist())) == 16

@@ -16,7 +16,7 @@ from sdlab.draft import DraftConfig, DraftSession, init_draft
 from sdlab.kernels import inverse_cdf_sample, softmax
 from sdlab.target import TargetConfig, init_target
 from sdlab.tree import NODE, DraftTree, grow_moe_tree, grow_static_tree
-from sdlab.verify import accept_token, residual_dist, verify_tree
+from sdlab.verify import _accepts, residual_dist, verify_tree
 
 from test_draft import step_row
 from test_row_kernel import random_tree
@@ -49,51 +49,34 @@ def rand_dist(rng, n=V):
 
 
 class TestAcceptToken:
+    """The walk's acceptance rule of one token, ``_accepts``."""
+
     def test_equal_dists_always_accept(self):
         p = np.full(4, 0.25)
         for u in np.linspace(0, 0.999, 20):
-            assert accept_token(p, p, 2, float(u))
+            assert _accepts(p, p, 2, float(u))
 
     def test_zero_target_prob_always_rejects(self):
         p = np.array([1.0, 0.0])
         q = np.array([0.5, 0.5])
         for u in np.linspace(0, 0.999, 20):
-            assert not accept_token(p, q, 1, float(u))
+            assert not _accepts(p, q, 1, float(u))
 
     def test_half_ratio_analytic_and_monte_carlo(self):
         # p(t)=0.3, q(t)=0.6: acceptance probability exactly 0.5
         p = np.array([0.3, 0.7])
         q = np.array([0.6, 0.4])
-        assert accept_token(p, q, 0, 0.499999)
-        assert not accept_token(p, q, 0, 0.5)
+        assert _accepts(p, q, 0, 0.499999)
+        assert not _accepts(p, q, 0, 0.5)
         rng = np.random.default_rng(0)
         n = 100_000
-        hits = sum(accept_token(p, q, 0, float(rng.random())) for _ in range(n))
+        hits = sum(_accepts(p, q, 0, float(rng.random())) for _ in range(n))
         sigma = np.sqrt(n * 0.25)
         assert abs(hits - 0.5 * n) < 3 * sigma
 
     def test_unproposed_token_error(self):
         with pytest.raises(ValueError, match="not proposed"):
-            accept_token(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 1, 0.1)
-
-    @pytest.mark.parametrize("token, u, match", [
-        (-1, 0.1, "token must be an index in \\[0, 3\\), got -1"),  # read q[-1], and accepted
-        (3, 0.1, "token must be an index in \\[0, 3\\), got 3"),  # an IndexError
-        (1.0, 0.1, "token must be an index"),
-        (0, float("nan"), "u must be a uniform in \\[0, 1\\), got nan"),  # rejected
-        (0, -1.0, "u must be a uniform"),  # accepted a token whose p is 0
-        (0, 1.0, "u must be a uniform"),
-    ])
-    def test_bad_token_or_uniform_raises_before_any_read(self, token, u, match):
-        p, q = np.array([0.0, 0.5, 0.5]), np.array([0.1, 0.1, 0.8])
-        with pytest.raises(ValueError, match=match):
-            accept_token(p, q, token, u)
-
-    def test_p_and_q_of_different_lengths_raise(self):
-        with pytest.raises(ValueError, match="p and q differ in length: 3 and 2"):
-            accept_token(np.array([0.2, 0.3, 0.5]), np.array([0.5, 0.5]), 0, 0.1)
-        with pytest.raises(ValueError, match="p and q differ in length: 2 and 3"):
-            accept_token(np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5]), 0, 0.1)
+            _accepts(np.array([0.5, 0.5]), np.array([1.0, 0.0]), 1, 0.1)
 
 
 class TestResidual:
@@ -195,6 +178,11 @@ def tree_columns(tree):
             [0] + [n[2] for n in nodes])
 
 
+def accepts(p, q, token, u):
+    """The speculative acceptance rule: u < min(1, p(token) / q(token))."""
+    return u < min(1.0, float(p[token]) / float(q[token]))
+
+
 def walk_oracle(tree, logits, temperature, rng):
     """The node-by-node walks: children from a dict of child lists in node
     order, the greedy walk at temperature 0 and residual speculative
@@ -217,7 +205,7 @@ def walk_oracle(tree, logits, temperature, rng):
             if cur not in kids:
                 return path, inverse_cdf_sample(p, rng.random())
             for ch in kids[cur]:
-                if accept_token(p, tree.q_dist[ch], nodes[ch][0], rng.random()):
+                if accepts(p, tree.q_dist[ch], nodes[ch][0], rng.random()):
                     break
                 p = residual_dist(p, tree.q_dist[ch])
             else:
@@ -317,9 +305,6 @@ class ScriptedTarget:
 
     def new_cache(self):
         return ScriptedCache()
-
-    def check_tokens(self, tokens):
-        assert all(0 <= t < V for t in np.asarray(tokens).tolist())
 
     def forward_tree_kv(self, cache, tokens, parents, positions, _checked=False):
         up = cache.committed[-1] if cache.committed else ()
@@ -474,10 +459,10 @@ def test_split_passes_match_one_pass_on_grown_jakiro_trees(temperature, monkeypa
     for n in (12, 140):
         prompt = rng.integers(0, target.vocab, n).tolist()
         cache = target.new_cache()
-        feats = [o.feature for o in target.prefill(cache, prompt[:-1])]
+        feats = target.prefill(cache, prompt[:-1])[1]
         sess = DraftSession(draft)
         sess.prefill(prompt[1:-1], feats[:-1])
-        tree = grow_moe_tree(sess, feats[-1], prompt[-1], 5, 2, parallel=True, beam=16,
+        tree = grow_moe_tree(sess, prompt[-1:], feats[-1:], 5, 2, parallel=True, beam=16,
                              temperature=temperature, rng=rng, context_len=cache.length)
         causal, gathered = assert_split_passes_match_one_pass(
             target, cache, *tree_columns(tree), monkeypatch)
@@ -596,10 +581,10 @@ def test_a_greedy_jakiro_verify_gathers_nothing_in_its_first_pass(monkeypatch):
         for _ in range(4):
             prompt = rng.integers(0, target.vocab, 12).tolist()
             cache = target.new_cache()
-            feats = [o.feature for o in target.prefill(cache, prompt[:-1])]
+            feats = target.prefill(cache, prompt[:-1])[1]
             sess = DraftSession(draft)
             sess.prefill(prompt[1:-1], feats[:-1])
-            tree = grow_moe_tree(sess, feats[-1], prompt[-1], 5, 2, parallel=True, beam=16,
+            tree = grow_moe_tree(sess, prompt[-1:], feats[-1:], 5, 2, parallel=True, beam=16,
                                  temperature=temperature, rng=rng, context_len=cache.length)
             assert tree.nodes["depth"][-1] < len(tree.nodes)  # branching
             passes.clear()
@@ -622,8 +607,10 @@ def test_every_verify_leaves_the_cache_a_prefill_of_the_accepted_stream(monkeypa
                                                                         temperature):
     # after each verify of a decode the target cache holds, bit for bit,
     # what a fresh prefill of the prompt, the tokens emitted before the
-    # round and the round's accepted nodes holds, with no tentative rows;
-    # a vocab of 8 makes acceptance common, so every form is reached
+    # round and the round's accepted nodes holds, with no tentative rows,
+    # and the committed features, the next round's draft input, are that
+    # prefill's features of the pending token and the accepted nodes; a
+    # vocab of 8 makes acceptance common, so every form is reached
     base = RunConfig(temperature=temperature, vocab=8, gamma=3, beam=4, max_new=16, seed=3)
     built, forms, verify = [], set(), sdlab.bench.verify_tree
     build = sdlab.target.tree_groups
@@ -647,8 +634,11 @@ def test_every_verify_leaves_the_cache_a_prefill_of_the_accepted_stream(monkeypa
             out = verify(tree, target, cache, temp, rng)
             seq = stream + out.accepted
             fresh = target.new_cache()
-            target.prefill(fresh, seq)
+            feats = target.prefill(fresh, seq)[1]
             assert cache_bytes(cache) == cache_bytes(fresh) and cache.tentative == 0
+            got = out.committed_features
+            assert got.dtype == np.float64 and got.shape == (1 + len(out.accepted), target.dim)
+            assert got.tobytes() == feats[len(stream) - 1 :].tobytes()
             stream[:] = seq + [out.final_token]
             if tree.nodes["depth"][-1] == len(tree.nodes):
                 forms.add("chain")
@@ -850,7 +840,7 @@ class TestWalkMechanics:
         cache = small_target.new_cache()
         feats = [small_target.forward_cached(cache, t).feature for t in [1, 2]]
         sess = DraftSession(small_draft)
-        tree = grow_static_tree(sess, feats[-1], 3, 2, 2, context_len=cache.length)
+        tree = grow_static_tree(sess, [3], feats[-1:], 2, 2, context_len=cache.length)
         outcome = verify_tree(tree, small_target, cache, 0.0, None)
         assert len(outcome.committed_features) == 1 + len(outcome.accepted)
         assert cache.length == 3 + len(outcome.accepted) and cache.tentative == 0
@@ -901,7 +891,7 @@ class TestWalkMechanics:
         cache = small_target.new_cache()
         feats = [small_target.forward_cached(cache, t).feature for t in [1, 2]]
         sess = DraftSession(small_draft)
-        tree = grow_static_tree(sess, feats[-1], 3, 2, 2, context_len=cache.length)
+        tree = grow_static_tree(sess, [3], feats[-1:], 2, 2, context_len=cache.length)
         logits, features = small_target.forward_tree_kv(cache, *tree_columns(tree))
 
         def walked(out, path, final):
@@ -953,9 +943,10 @@ class TestWalkMechanics:
         tree = star_tree([best, (best + 1) % V], [np.full(V, 1.0 / V)] * 2, 3, cache.length)
         tree.nodes["cum_score"] = [-1.0, 0.0]
         calls = []
-        tokens, layout = small_target.check_tokens, sdlab.target.check_tree
-        monkeypatch.setattr(small_target, "check_tokens",
-                            lambda t: calls.append("tokens") or tokens(t))
+        tokens, layout = sdlab.target.check_tokens, sdlab.target.check_tree
+        counted = lambda t, v: calls.append("tokens") or tokens(t, v)
+        monkeypatch.setattr(sdlab.target, "check_tokens", counted)
+        monkeypatch.setattr(sdlab.verify, "check_tokens", counted)
         counted = lambda p, d: calls.append("layout") or layout(p, d)
         monkeypatch.setattr(sdlab.target, "check_tree", counted)
         monkeypatch.setattr(sdlab.verify, "check_tree", counted)
@@ -966,10 +957,10 @@ class TestWalkMechanics:
     def test_sampling_without_an_rng_raises_before_any_pass(self, small_target, small_draft,
                                                             monkeypatch):
         cache = small_target.new_cache()
-        feats = [o.feature for o in small_target.prefill(cache, [1, 2])]
+        feats = small_target.prefill(cache, [1, 2])[1]
         sess = DraftSession(small_draft)
         sess.prefill([2], feats[:1])
-        tree = grow_moe_tree(sess, feats[-1], 3, 3, 2, temperature=1.0,
+        tree = grow_moe_tree(sess, [3], feats[-1:], 3, 2, temperature=1.0,
                              rng=np.random.default_rng(0), context_len=cache.length)
         passes = []
         forward = small_target.forward_tree_kv
@@ -985,10 +976,10 @@ class TestWalkMechanics:
             self, small_target, small_draft, monkeypatch, reshape):
         # every row still sums to 1, so only the shape is wrong
         cache = small_target.new_cache()
-        feats = [o.feature for o in small_target.prefill(cache, [1, 2])]
+        feats = small_target.prefill(cache, [1, 2])[1]
         sess = DraftSession(small_draft)
         sess.prefill([2], feats[:1])
-        tree = grow_moe_tree(sess, feats[-1], 3, 3, 2, temperature=1.0,
+        tree = grow_moe_tree(sess, [3], feats[-1:], 3, 2, temperature=1.0,
                              rng=np.random.default_rng(0), context_len=cache.length)
         q = tree.q_dist
         tree.q_dist = {"three rows short": q[:-3],
@@ -1215,7 +1206,7 @@ def real_rounds(target, draft, ctx, n, grow, top_k, **kw):
         sess = DraftSession(draft)
         sess.prefill(ctx[1:-1], feats[: len(ctx) - 2])
         cache = clone_cache(cache0)
-        tree = grow(sess, feats[-2], ctx[-1], 2, top_k, temperature=1.0,
+        tree = grow(sess, ctx[-1:], feats[-2:-1], 2, top_k, temperature=1.0,
                     rng=rng, context_len=cache.length, **kw)
         outcome = verify_tree(tree, target, cache, 1.0, rng)
         yield outcome.accepted + [outcome.final_token], len(outcome.accepted)
@@ -1419,7 +1410,8 @@ def test_k3_gamma3_round_is_lossless_by_enumeration(small_target, k3_draft, kind
     for _ in range(10):
         sess = DraftSession(k3_draft)
         sess.prefill(ctx[1:-1], oracle.feats[: len(ctx) - 2])
-        tree = grow(sess, oracle.feats[-2], ctx[-1], 3, temperature=1.0, rng=rng, beam=1, **kw)
+        tree = grow(sess, ctx[-1:], oracle.feats[-2:-1], 3, temperature=1.0, rng=rng, beam=1,
+                    **kw)
         nodes, path, pcum, parent = tree.nodes, (), 0.0, -1
         for depth in (1, 2, 3):
             level = np.flatnonzero(nodes["depth"] == depth)
